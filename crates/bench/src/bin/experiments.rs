@@ -4,14 +4,14 @@
 //! cargo run --release -p ruvo-bench --bin experiments            # full sweep
 //! cargo run --release -p ruvo-bench --bin experiments -- --quick # small sizes
 //! cargo run --release -p ruvo-bench --bin experiments -- E4 E8   # selected
-//! cargo run --release -p ruvo-bench --bin experiments -- --json  # BENCH_pr10.json
+//! cargo run --release -p ruvo-bench --bin experiments -- --json=PATH
 //! ```
 //!
-//! `--json[=PATH]` skips the Markdown report and instead writes the
+//! `--json=PATH` skips the Markdown report and instead writes the
 //! machine-readable E14 incremental-checkpoint record (dirty-set,
 //! reopen, and commit-p99 axes) plus the E10 durability and E8C
 //! concurrency records and the E7 + A6 medians
-//! (the perf trajectory record) to `PATH`, default `BENCH_pr10.json`.
+//! (the perf trajectory record) to `PATH`.
 
 use std::process::ExitCode;
 
@@ -19,7 +19,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     if let Some(json_arg) = args.iter().find(|a| *a == "--json" || a.starts_with("--json=")) {
-        let path = json_arg.strip_prefix("--json=").unwrap_or("BENCH_pr10.json");
+        let Some(path) = json_arg.strip_prefix("--json=").filter(|p| !p.is_empty()) else {
+            eprintln!("--json needs a path: --json=PATH");
+            return ExitCode::from(2);
+        };
         let json = ruvo_bench::experiments::bench_json(quick);
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write {path}: {e}");

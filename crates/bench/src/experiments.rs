@@ -44,7 +44,6 @@ pub fn all() -> Vec<Experiment> {
             e8_concurrent_throughput,
         ),
         ("F1", "Figure 1 — k consecutive update groups", f1_chain_depth),
-        ("A1", "ablation — rule-level delta filtering", a1_delta_filter),
         ("E9", "§6 VID variables — wildcard vs indexed audit", e9_vid_vars),
         ("A3", "ablation — §6 runtime stability checking", a3_runtime_checks),
         ("A6", "ablation — copy-on-write clone and snapshot micro-costs", a6_cow_clone),
@@ -624,7 +623,7 @@ pub fn a6_cow_clone(quick: bool) -> String {
 /// incremental-checkpoint axes, the E13 rule-parallel and E12
 /// shard-parallel thread sweeps, the E11 / E10 / E8C axes, the E7
 /// size and ratio sweeps, and the A6 micro-costs, as one JSON
-/// document (written to `BENCH_pr10.json` by `experiments --json`).
+/// document (written by `experiments --json=PATH`).
 pub fn bench_json(quick: bool) -> String {
     let hot = 100usize;
     let sizes: Vec<String> = e7_sizes(quick)
@@ -1400,82 +1399,6 @@ pub fn f1_chain_depth(quick: bool) -> String {
     t.render()
 }
 
-/// A1 — rule-level delta filtering on vs off. Filtering pays on
-/// rule-rich programs where most rules are unaffected by a round's
-/// changes; on rule-poor recursive programs the affected rules *are*
-/// the program and the ablation is neutral.
-pub fn a1_delta_filter(quick: bool) -> String {
-    let mut out = String::new();
-    let mut t = Table::new(&[
-        "workload",
-        "filtered (ms)",
-        "naive (ms)",
-        "speedup",
-        "evals filtered",
-        "evals naive",
-    ]);
-    let fam = Family::generate(FamilyConfig {
-        generations: if quick { 4 } else { 8 },
-        per_generation: if quick { 8 } else { 30 },
-        parents_per_person: 2,
-        seed: 3,
-    });
-    let ent = Enterprise::generate(EnterpriseConfig {
-        employees: if quick { 200 } else { 5_000 },
-        ..Default::default()
-    });
-    // A wide program: many independent rules over few shared relations.
-    let (wide_rules, wide_objects) = if quick { (30, 50) } else { (400, 300) };
-    let mut wide_src = String::new();
-    for i in 0..wide_rules {
-        wide_src.push_str(&format!("w{i}: ins[X].m{i} -> 1 <= X.k{} -> 1.\n", i % 7));
-    }
-    let wide_program = Program::parse(&wide_src).unwrap();
-    let mut wide_ob = ObjectBase::new();
-    for o in 0..wide_objects {
-        for k in 0..7 {
-            wide_ob.insert(
-                Vid::object(oid(&format!("o{o}"))),
-                sym(&format!("k{k}")),
-                Args::empty(),
-                int(1),
-            );
-        }
-    }
-    let workloads: Vec<(&str, Program, &ObjectBase)> = vec![
-        ("ancestors (recursive)", ancestors_program(), &fam.ob),
-        ("enterprise (3 strata)", enterprise_program(), &ent.ob),
-        ("wide (independent rules)", wide_program, &wide_ob),
-    ];
-    for (name, program, ob) in workloads {
-        // Both sides run the full-scan matcher (naive_eval) so this
-        // ablation isolates *rule-level filtering*; the indexed
-        // semi-naive machinery has its own ablation (A5).
-        let fast_cfg = EngineConfig::default().naive_eval(true);
-        let slow_cfg =
-            EngineConfig { delta_filtering: false, ..Default::default() }.naive_eval(true);
-        let d_fast = median_time(reps(quick), || {
-            run_with(program.clone(), ob, fast_cfg.clone());
-        });
-        let d_slow = median_time(reps(quick), || {
-            run_with(program.clone(), ob, slow_cfg.clone());
-        });
-        let fast = run_with(program.clone(), ob, fast_cfg);
-        let slow = run_with(program.clone(), ob, slow_cfg.clone());
-        assert_eq!(fast.result(), slow.result(), "filtering must not change results");
-        t.row(&[
-            name.into(),
-            ms(d_fast),
-            ms(d_slow),
-            format!("{:.2}×", d_slow.as_secs_f64() / d_fast.as_secs_f64()),
-            fast.stats().rule_evaluations.to_string(),
-            slow.stats().rule_evaluations.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
 /// E9 — §6 VID variables: the version-audit workload, once with a
 /// `$V` wildcard (scans every version) and once as the equivalent
 /// chain-indexed two-rule formulation. After the salary raise the only
@@ -1610,10 +1533,13 @@ pub fn a3_runtime_checks(quick: bool) -> String {
 
 // ----- E10: durable storage ------------------------------------------
 
-/// A scratch data directory for one E10 measurement (recreated per
-/// call so runs never see a predecessor's state).
+/// A scratch data directory for one E10 measurement (a fresh name per
+/// call, so neither a predecessor's state nor a concurrent test's
+/// directory is ever seen).
 fn e10_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruvo-e10-{tag}-{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ruvo-e10-{tag}-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -2721,11 +2647,6 @@ mod tests {
     #[test]
     fn f1_quick() {
         super::f1_chain_depth(true);
-    }
-
-    #[test]
-    fn a1_quick() {
-        super::a1_delta_filter(true);
     }
 
     #[test]

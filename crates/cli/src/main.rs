@@ -16,7 +16,6 @@
 //!     --stats         print evaluation statistics
 //!     --trace         print per-stratum traces
 //!     --no-linearity  disable the §5 runtime check
-//!     --naive         disable rule-level delta filtering
 //!     --parallel      evaluate rules on multiple threads
 //!     --threads N     cap parallel evaluation at N workers (0 = auto)
 //!     --dynamic       accept statically non-stratifiable programs
@@ -51,7 +50,7 @@ fn usage() -> ExitCode {
         "usage:\n  ruvo check   <program.ruvo> [--json] [--deps] [--dot] [--deny]\n  \
          ruvo explain <program.ruvo>\n  \
          ruvo fmt     <program.ruvo>\n  ruvo run     <program.ruvo> <base.ob> \
-         [--result] [--stats] [--trace] [--no-linearity] [--naive] [--parallel] [--threads N] \
+         [--result] [--stats] [--trace] [--no-linearity] [--parallel] [--threads N] \
          [--dynamic]\n  \
          ruvo serve   <base.ob> <program.ruvo> [--readers N] [--commits K] \
          [--data-dir D] [--ack-file F]\n  \
@@ -155,8 +154,8 @@ fn main() -> ExitCode {
             let mut rest = args[3..].iter().map(String::as_str);
             while let Some(arg) = rest.next() {
                 match arg {
-                    "--result" | "--stats" | "--trace" | "--no-linearity" | "--naive"
-                    | "--parallel" | "--dynamic" => flags.push(arg),
+                    "--result" | "--stats" | "--trace" | "--no-linearity" | "--parallel"
+                    | "--dynamic" => flags.push(arg),
                     "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
                         Some(n) => threads = n,
                         None => {
@@ -186,7 +185,6 @@ fn main() -> ExitCode {
             };
             let mut db = Database::builder()
                 .check_linearity(!flags.contains(&"--no-linearity"))
-                .delta_filtering(!flags.contains(&"--naive"))
                 .parallel(flags.contains(&"--parallel"))
                 .threads(threads)
                 .trace(if flags.contains(&"--trace") {

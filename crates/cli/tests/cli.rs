@@ -289,6 +289,11 @@ fn usage_on_bad_invocation() {
     assert!(!ruvo(&["run", "only-one-arg"]).status.success());
     let out = ruvo(&["run", "a", "b", "--bogus"]);
     assert!(!out.status.success());
+    // The retired ablation flag takes the same exit as any unknown one.
+    let out = ruvo(&["run", "a", "b", "--naive"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("error: unknown flag --naive"), "got: {stderr}");
 }
 
 // ----- repl ----------------------------------------------------------

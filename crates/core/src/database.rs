@@ -457,21 +457,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Rule-level delta filtering (default on).
-    pub fn delta_filtering(mut self, on: bool) -> Self {
-        self.config.delta_filtering = on;
-        self
-    }
-
-    /// Escape hatch: force the pre-index, full-scan evaluation path
-    /// (disables indexed scans *and* delta-seeded re-evaluation; see
-    /// [`EngineConfig::semi_naive`]). Results are identical either
-    /// way — this exists for differential testing and benchmarking.
-    pub fn naive_eval(mut self, on: bool) -> Self {
-        self.config.semi_naive = !on;
-        self
-    }
-
     /// Escape hatch: answer [`Database::query`] by evaluating the
     /// **full** program and matching the goal against the complete
     /// result, skipping the magic-set rewrite (default on → rewrite).

@@ -74,10 +74,12 @@ impl ReadSet {
                 None => top = Some(TopCause::VidVariable),
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        negated.sort_unstable();
-        negated.dedup();
+        // By method *name*: `Symbol`'s own order is interning order,
+        // which depends on what else the process parsed first.
+        for set in [&mut keys, &mut negated] {
+            set.sort_unstable_by(|a, b| (a.0, a.1.as_str()).cmp(&(b.0, b.1.as_str())));
+            set.dedup();
+        }
         ReadSet { keys, negated, top }
     }
 

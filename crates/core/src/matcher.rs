@@ -21,21 +21,18 @@
 //!
 //! ## Indexed and seeded scans
 //!
-//! Three entry points share the executor:
-//!
-//! * [`for_each_match`] — the naive path: every scan enumerates the
-//!   full `(chain, method)` relation.
-//! * [`for_each_match_planned`] — scans follow the compile-time
-//!   [`ScanHint`]s of a [`RuleIndexPlan`]: a scan whose result or first
-//!   argument is bound when it runs goes through the object base's
-//!   value-keyed method index instead of the full relation.
-//! * [`for_each_match_seeded`] — semi-naive evaluation: one chosen scan
-//!   step is restricted to a *seed* set of object bases (the objects a
-//!   previous fixpoint round changed) and is executed **first** (the
-//!   plan order is rotated), so every enumerated match joins from the
-//!   delta side. Rotating a scan to the front is always sound: scans
-//!   never require bound variables, and every other step runs with at
-//!   least the bindings it had under the original order.
+//! [`for_each_match`] is the one entry point. Scans follow the
+//! compile-time [`ScanHint`]s of the rule's [`RuleIndexPlan`]: a scan
+//! whose result or first argument is bound when it runs goes through
+//! the object base's value-keyed method index instead of the full
+//! relation. With a *seed* — semi-naive evaluation — one chosen scan
+//! step is restricted to a set of object bases (the objects a previous
+//! fixpoint round changed) and is executed **first** (the plan order
+//! is rotated), so every enumerated match joins from the delta side.
+//! Rotating a scan to the front is always sound: scans never require
+//! bound variables, and every other step runs with at least the
+//! bindings it had under the original order. A full evaluation is the
+//! seed-less call.
 
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateSpec, VersionAtom};
 use ruvo_obase::{exists_sym, ObjectBase};
@@ -50,56 +47,41 @@ struct MatchCtx<'a> {
     rule: &'a Rule,
     /// Execution order: position → plan-step index.
     order: &'a [usize],
-    /// Scan hints per plan step (empty ⇒ all [`ScanHint::Full`]).
+    /// Scan hints per plan step.
     hints: &'a [ScanHint],
     /// Restrict the scan at plan step `.0` to target bases in `.1`.
     seed: Option<(usize, &'a FastHashSet<Const>)>,
 }
 
 /// Enumerate every satisfying assignment of `rule`'s body over `ob`,
-/// invoking `sink` with the complete bindings for each. Scans are
-/// unindexed full relation sweeps (the naive path).
+/// invoking `sink` with the complete bindings for each. Scans with a
+/// bound key position go through the value-keyed method index, per
+/// `plan`.
+///
+/// With a `seed`, the scan at that plan step enumerates only versions
+/// whose base is in the seed set, and runs before every other step.
+/// Matches that involve none of the seeded objects at that literal are
+/// *not* produced — the caller is responsible for covering each body
+/// literal that may have changed with its own seeded pass.
 ///
 /// `sink` must read what it needs from the bindings immediately; they
 /// are reused (backtracked) after it returns.
-pub fn for_each_match(ob: &ObjectBase, rule: &Rule, sink: &mut dyn FnMut(&Bindings)) {
-    let order: Vec<usize> = (0..rule.plan.steps.len()).collect();
-    run(&MatchCtx { ob, rule, order: &order, hints: &[], seed: None }, sink);
-}
-
-/// [`for_each_match`] with compile-time [`ScanHint`]s: scans with a
-/// bound key position go through the value-keyed method index.
-pub fn for_each_match_planned(
+pub fn for_each_match(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
+    seed: Option<(usize, &FastHashSet<Const>)>,
     sink: &mut dyn FnMut(&Bindings),
 ) {
-    let order: Vec<usize> = (0..rule.plan.steps.len()).collect();
-    run(&MatchCtx { ob, rule, order: &order, hints: &plan.hints, seed: None }, sink);
-}
-
-/// Semi-naive evaluation: the scan at plan step `seed_step` enumerates
-/// only versions whose base is in `seed`, and runs before every other
-/// step. Matches that involve none of the seeded objects at that
-/// literal are *not* produced — the caller is responsible for covering
-/// each body literal that may have changed with its own seeded pass.
-pub fn for_each_match_seeded(
-    ob: &ObjectBase,
-    rule: &Rule,
-    plan: &RuleIndexPlan,
-    seed_step: usize,
-    seed: &FastHashSet<Const>,
-    sink: &mut dyn FnMut(&Bindings),
-) {
-    debug_assert!(seed_step < rule.plan.steps.len(), "seed step out of range");
-    let mut order: Vec<usize> = Vec::with_capacity(rule.plan.steps.len());
-    order.push(seed_step);
-    order.extend((0..rule.plan.steps.len()).filter(|&s| s != seed_step));
-    run(
-        &MatchCtx { ob, rule, order: &order, hints: &plan.hints, seed: Some((seed_step, seed)) },
-        sink,
-    );
+    let steps = rule.plan.steps.len();
+    let first = seed.map(|(step, _)| step);
+    debug_assert!(first.is_none_or(|s| s < steps), "seed step out of range");
+    let order: Vec<usize> =
+        first.into_iter().chain((0..steps).filter(|&s| Some(s) != first)).collect();
+    let ctx = MatchCtx { ob, rule, order: &order, hints: &plan.hints, seed };
+    let mut bindings = Bindings::with_vid_vars(rule.vars.len(), rule.vid_vars.len());
+    let mut buf = Vec::new();
+    exec(&ctx, 0, &mut Cursor { b: &mut bindings, buf: &mut buf, sink });
 }
 
 /// The mutable traversal state of one rule evaluation, threaded
@@ -111,12 +93,6 @@ struct Cursor<'a> {
     b: &'a mut Bindings,
     buf: &'a mut Vec<Const>,
     sink: &'a mut dyn FnMut(&Bindings),
-}
-
-fn run(ctx: &MatchCtx<'_>, sink: &mut dyn FnMut(&Bindings)) {
-    let mut bindings = Bindings::with_vid_vars(ctx.rule.vars.len(), ctx.rule.vid_vars.len());
-    let mut buf = Vec::new();
-    exec(ctx, 0, &mut Cursor { b: &mut bindings, buf: &mut buf, sink });
 }
 
 fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
@@ -151,7 +127,7 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
         PlannedLiteral::Scan(li) => {
             let lit = &ctx.rule.body[li];
             debug_assert!(lit.positive, "Scan plan step on negated literal");
-            let hint = ctx.hints.get(si).copied().unwrap_or(ScanHint::Full);
+            let hint = ctx.hints[si];
             let seed = match ctx.seed {
                 Some((s, set)) if s == si => Some(set),
                 _ => None,
@@ -555,25 +531,32 @@ mod tests {
     use ruvo_obase::Args;
     use ruvo_term::{int, oid, sym, VarId};
 
-    fn matches(ob: &ObjectBase, rule_src: &str) -> Vec<Vec<Option<Const>>> {
+    fn matches_with(
+        ob: &ObjectBase,
+        rule_src: &str,
+        plan_of: impl Fn(&Program) -> RuleIndexPlan,
+    ) -> Vec<Vec<Option<Const>>> {
         let program = Program::parse(rule_src).unwrap();
         let mut out = Vec::new();
-        for_each_match(ob, &program.rules[0], &mut |b| out.push(b.snapshot()));
-        out.sort();
-        out
-    }
-
-    /// The planned (indexed) path must enumerate exactly the same
-    /// matches as the naive path.
-    fn matches_planned(ob: &ObjectBase, rule_src: &str) -> Vec<Vec<Option<Const>>> {
-        let program = Program::parse(rule_src).unwrap();
-        let plan = IndexPlan::of(&program);
-        let mut out = Vec::new();
-        for_each_match_planned(ob, &program.rules[0], &plan.rules[0], &mut |b| {
+        for_each_match(ob, &program.rules[0], &plan_of(&program), None, &mut |b| {
             out.push(b.snapshot())
         });
         out.sort();
         out
+    }
+
+    fn matches(ob: &ObjectBase, rule_src: &str) -> Vec<Vec<Option<Const>>> {
+        matches_with(ob, rule_src, |p| IndexPlan::of(p).rules.remove(0))
+    }
+
+    /// The same rule with every scan forced to the unindexed
+    /// [`ScanHint::Full`] enumeration.
+    fn matches_unindexed(ob: &ObjectBase, rule_src: &str) -> Vec<Vec<Option<Const>>> {
+        matches_with(ob, rule_src, |p| {
+            let mut plan = IndexPlan::of(p).rules.remove(0);
+            plan.hints.fill(ScanHint::Full);
+            plan
+        })
     }
 
     fn base() -> ObjectBase {
@@ -729,8 +712,9 @@ mod tests {
     fn result_variable_projection() {
         let ob = base();
         let program = Program::parse("ins[E].copy -> S <= E.sal -> S.").unwrap();
+        let plan = IndexPlan::of(&program);
         let mut seen = Vec::new();
-        for_each_match(&ob, &program.rules[0], &mut |b| {
+        for_each_match(&ob, &program.rules[0], &plan.rules[0], None, &mut |b| {
             seen.push((b.get(VarId(0)).unwrap(), b.get(VarId(1)).unwrap()));
         });
         seen.sort();
@@ -745,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_agrees_with_naive() {
+    fn keyed_scans_agree_with_full_scans() {
         let ob = base();
         for src in [
             "ins[E].seen -> yes <= E.isa -> empl.",
@@ -755,7 +739,7 @@ mod tests {
             "ins[E].boss_of -> B <= B.boss -> E.",
             "ins[phil].ok -> 1 <= phil.sal -> 4000.",
         ] {
-            assert_eq!(matches(&ob, src), matches_planned(&ob, src), "program: {src}");
+            assert_eq!(matches(&ob, src), matches_unindexed(&ob, src), "program: {src}");
         }
     }
 
@@ -763,11 +747,11 @@ mod tests {
     fn result_key_scan_narrows_enumeration() {
         // E.pos -> mgr with ResultKey only visits phil.
         let ob = base();
-        let m = matches_planned(&ob, "ins[E].m -> 1 <= E.pos -> mgr.");
+        let m = matches(&ob, "ins[E].m -> 1 <= E.pos -> mgr.");
         assert_eq!(m.len(), 1);
         assert_eq!(m[0][0], Some(oid("phil")));
         // A key with no entries matches nothing (and does not panic).
-        let m = matches_planned(&ob, "ins[E].m -> 1 <= E.pos -> ceo.");
+        let m = matches(&ob, "ins[E].m -> 1 <= E.pos -> ceo.");
         assert!(m.is_empty());
     }
 
@@ -777,7 +761,7 @@ mod tests {
         ob.insert(Vid::object(oid("g")), sym("edge"), Args::new(vec![oid("a")]), int(1));
         ob.insert(Vid::object(oid("h")), sym("edge"), Args::new(vec![oid("b")]), int(2));
         ob.ensure_exists();
-        let m = matches_planned(&ob, "ins[X].d -> W <= X.edge @ a -> W.");
+        let m = matches(&ob, "ins[X].d -> W <= X.edge @ a -> W.");
         assert_eq!(m.len(), 1);
         assert_eq!(m[0][0], Some(oid("g")));
     }
@@ -798,7 +782,8 @@ mod tests {
                 continue;
             }
             let mut out = Vec::new();
-            for_each_match_seeded(&ob, &program.rules[0], &plan.rules[0], step, &seed, &mut |b| {
+            let seed = Some((step, &seed));
+            for_each_match(&ob, &program.rules[0], &plan.rules[0], seed, &mut |b| {
                 out.push(b.snapshot())
             });
             assert_eq!(out.len(), 1, "seed step {step}");
@@ -808,7 +793,7 @@ mod tests {
         let mut seed = FastHashSet::default();
         seed.insert(oid("phil"));
         let mut out = Vec::new();
-        for_each_match_seeded(&ob, &program.rules[0], &plan.rules[0], 0, &seed, &mut |b| {
+        for_each_match(&ob, &program.rules[0], &plan.rules[0], Some((0, &seed)), &mut |b| {
             out.push(b.snapshot())
         });
         assert!(out.is_empty());
@@ -825,7 +810,7 @@ mod tests {
         let run_seeded = |bases: &[Const]| {
             let seed: FastHashSet<Const> = bases.iter().copied().collect();
             let mut out = Vec::new();
-            for_each_match_seeded(&ob, &program.rules[0], &plan.rules[0], 0, &seed, &mut |b| {
+            for_each_match(&ob, &program.rules[0], &plan.rules[0], Some((0, &seed)), &mut |b| {
                 out.push(b.snapshot())
             });
             out

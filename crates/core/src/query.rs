@@ -31,7 +31,7 @@
 //!    through the ordinary compiled pipeline
 //!    ([`crate::run_compiled`], index plans, semi-naive seeding), and
 //!    the goal is matched against the outcome with
-//!    [`crate::matcher::for_each_match_planned`].
+//!    [`crate::matcher::for_each_match`].
 //!
 //! When a step of the analysis cannot be justified the planner falls
 //! back — [`QueryMode::Seeded`] → [`QueryMode::Pruned`] (relevant
@@ -55,7 +55,7 @@ use ruvo_term::{
 
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig};
 use crate::error::EvalError;
-use crate::matcher::for_each_match_planned;
+use crate::matcher::for_each_match;
 use crate::plan::{literal_reads, IndexPlan, RuleIndexPlan};
 
 /// The base name of the magic (demand) method; uniquified against the
@@ -326,7 +326,7 @@ fn match_goal_planned(ob: &ObjectBase, goal: &Goal, plan: &RuleIndexPlan) -> Que
     let named = goal.named_vars();
     let vars: Vec<String> = named.iter().map(|&v| goal.vars().name(v).to_owned()).collect();
     let mut seen: FastHashSet<Vec<Const>> = FastHashSet::default();
-    for_each_match_planned(ob, goal.as_rule(), plan, &mut |b| {
+    for_each_match(ob, goal.as_rule(), plan, None, &mut |b| {
         let row: Vec<Const> =
             named.iter().map(|&v| b.get(v).expect("goal variables are bound by safety")).collect();
         seen.insert(row);
@@ -678,7 +678,7 @@ fn demand_fixpoint(seeding: &SeedPlan, base: &ObjectBase) -> FastHashSet<Const> 
     let mut demanded: FastHashSet<Const> = seeding.seeds.iter().copied().collect();
     let mut edges: Vec<(Const, Const)> = Vec::new();
     for d in &seeding.demands {
-        for_each_match_planned(base, d.body.as_rule(), &d.plan, &mut |b| {
+        for_each_match(base, d.body.as_rule(), &d.plan, None, &mut |b| {
             let v = b.get(d.v).expect("demand variable is bound by the demand body");
             match d.x {
                 Some(x) => {

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use ruvo_lang::{LangError, Program};
 use ruvo_obase::{ObjectBase, Snapshot};
 
-use crate::engine::{run_compiled, CompiledProgram, EngineConfig, Outcome, UpdateEngine};
+use crate::engine::{run_compiled, CompiledProgram, EngineConfig, Outcome};
 use crate::error::EvalError;
 use crate::store::{
     CheckpointMode, CheckpointOutcome, CheckpointPlan, DurabilitySink, EncodedCheckpoint,
@@ -272,13 +272,9 @@ impl Session {
     /// base becomes the program's `ob′` and the transaction is logged;
     /// on any error the session is untouched.
     pub fn apply(&mut self, program: Program) -> Result<&Txn, SessionError> {
-        let engine = UpdateEngine::with_config(program, self.config.clone());
-        let outcome = engine.run(&self.ob)?;
-        let cycles = self.config.cycles;
-        self.commit_logged(outcome, || WalProgram {
-            cycles,
-            source: engine.program().to_string().into(),
-        })
+        let compiled =
+            CompiledProgram::compile(program, self.config.cycles).map_err(EvalError::from)?;
+        self.apply_compiled(&compiled)
     }
 
     /// Apply an already-compiled program transactionally, skipping all

@@ -15,6 +15,12 @@
 //! 3. **Apply**: inserts add method-applications, deletes remove them,
 //!    modifies replace old results with new ones ([`apply_updates`]).
 //!
+//! Steps 2 and 3 read `I` only: every relevant version's new state is
+//! built against the round's *input* base, and the states are then
+//! committed together. A version created in a round is therefore never
+//! the `v*` another version of the same round copies from — `T_P` is a
+//! function of `I`, not of the order versions are processed in.
+//!
 //! Each round the engine re-applies the *full accumulated* update set
 //! of every version the round's delta touches (not just the delta):
 //! step 3 is defined over the whole `T¹`, and for chained modifies on
@@ -30,6 +36,8 @@ use ruvo_obase::{exists_sym, Args, ChangedSince, MethodApp, ObjectBase, VersionS
 use ruvo_term::{ArgTerm, Bindings, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::plan::RuleIndexPlan;
+use crate::pool::WorkerPool;
+use crate::trace::ParallelStats;
 use crate::{matcher, truth};
 
 /// A fired ground update-term (an element of `T¹`).
@@ -185,44 +193,36 @@ fn ground_args(args: &[ArgTerm], b: &Bindings) -> Args {
 }
 
 /// Step 1 for one rule: enumerate body matches, ground the head, check
-/// head truth, and emit fired updates into `out`. Scans are naive full
-/// relation sweeps; see [`collect_rule_planned`] for the indexed path.
+/// head truth, and emit fired updates into `out`. Scans go through the
+/// value-keyed method index per the rule's compile-time
+/// [`RuleIndexPlan`]; with a `seed`, the scan at that plan step is
+/// restricted to the seed's objects and executed first — the
+/// semi-naive delta join (matches not involving a seeded object at
+/// that literal are skipped; the engine issues one seeded pass per
+/// changed body literal).
 ///
 /// A `del[V].*` head expands into one `Del` per method-application of
 /// `v*` (excluding `exists`, which is not updatable) — "we write
 /// del[…]: to express the deletion of all method-applications of the
 /// respective version" (§2.3).
-pub fn collect_rule(ob: &ObjectBase, rule: &Rule, out: &mut Vec<Fired>) {
-    matcher::for_each_match(ob, rule, &mut |b| fire_head(ob, rule, b, out));
+pub fn collect_rule(
+    ob: &ObjectBase,
+    rule: &Rule,
+    plan: &RuleIndexPlan,
+    seed: Option<(usize, &FastHashSet<Const>)>,
+    out: &mut Vec<Fired>,
+) {
+    matcher::for_each_match(ob, rule, plan, seed, &mut |b| fire_head(ob, rule, b, out));
 }
 
-/// [`collect_rule`] with scans driven through the value-keyed method
-/// index per the rule's compile-time [`RuleIndexPlan`].
+/// The seed-less [`collect_rule`]: a full evaluation of the rule.
 pub fn collect_rule_planned(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
     out: &mut Vec<Fired>,
 ) {
-    matcher::for_each_match_planned(ob, rule, plan, &mut |b| fire_head(ob, rule, b, out));
-}
-
-/// [`collect_rule_planned`] with the scan at plan step `seed_step`
-/// restricted to the objects in `seed` and executed first — the
-/// semi-naive delta join (matches not involving a seeded object at
-/// that literal are skipped; the engine issues one seeded pass per
-/// changed body literal).
-pub fn collect_rule_seeded(
-    ob: &ObjectBase,
-    rule: &Rule,
-    plan: &RuleIndexPlan,
-    seed_step: usize,
-    seed: &FastHashSet<Const>,
-    out: &mut Vec<Fired>,
-) {
-    matcher::for_each_match_seeded(ob, rule, plan, seed_step, seed, &mut |b| {
-        fire_head(ob, rule, b, out)
-    });
+    collect_rule(ob, rule, plan, None, out);
 }
 
 /// Ground the head under a complete body match, check §3 head truth,
@@ -294,11 +294,10 @@ pub struct ApplyReport {
 }
 
 /// Group a round's delta by created version, in first-appearance
-/// order. This is the **canonical apply order**: every apply path —
-/// serial, pooled, any worker count — processes versions in exactly
-/// this sequence (or deposits results into slots indexed by it), so
-/// `touched`/`created` lists and the recorded delta are identical
-/// across configurations.
+/// order. This is the **canonical apply order**: every pool width
+/// deposits its results into slots indexed by it, so `touched`/
+/// `created` lists and the recorded delta are identical across
+/// configurations.
 fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
     let mut index: FastHashMap<Vid, usize> = FastHashMap::default();
     let mut groups: Vec<(Vid, Vec<&Fired>)> = Vec::new();
@@ -393,48 +392,36 @@ fn build_state(
 }
 
 /// Steps 2 + 3 for the newly fired updates of one round: group by
-/// created version, copy states for relevant VIDs, apply the updates,
-/// and overwrite the version states in `ob`.
+/// created version, build every touched version's state against the
+/// round's input base, then commit all states at once through the
+/// object base's tracked commit
+/// (`ObjectBase::replace_versions_tracked_shared`). The tracked commit
+/// diffs each new state against the old one: freshly created versions
+/// record every method of their state, re-applications record only
+/// what actually changed — and a pointer-identical recommit records
+/// (and re-indexes) nothing.
+///
+/// This is the width-1 call of the engine's apply; the report and the
+/// committed base are identical at every pool width.
 pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
-    let mut report = ApplyReport::default();
-    for (created, updates) in group_by_created(delta) {
-        let (state, facts_copied, was_created) = build_state(ob, created, &updates);
-        report.facts_copied += facts_copied;
-        if was_created {
-            report.created.push(created);
-        }
-        // The tracked commit diffs the new state against the old one:
-        // freshly created versions record every method of their state,
-        // re-applications record only what actually changed — and a
-        // pointer-identical recommit records (and re-indexes) nothing.
-        ob.replace_version_tracked_shared(created, state, &mut report.changed);
-        report.touched.push(created);
-    }
-    report
+    apply(ob, delta, &WorkerPool::new(1), &mut ParallelStats::default())
 }
 
-/// [`apply_updates`] with the per-version work spread over a worker
-/// pool: the state of every touched version is built concurrently
-/// (read-only phase), then all states are committed at once through
-/// the object base's sharded batch commit
-/// (`ObjectBase::replace_versions_tracked_shared`), whose workers own
-/// disjoint index shards. Produces a report identical to the serial
-/// path for every pool width — see the module docs of
-/// [`crate::pool`].
-pub(crate) fn apply_updates_pooled(
+/// [`apply_updates`] with the read-only state building spread over
+/// `pool` and the commit's index maintenance over as many workers, who
+/// own disjoint index shards; accumulates the region's timing into
+/// `par`. See the module docs of [`crate::pool`] for why the result
+/// does not depend on the width.
+pub(crate) fn apply(
     ob: &mut ObjectBase,
     delta: &[Fired],
-    pool: &crate::pool::WorkerPool,
-    par: &mut crate::trace::ParallelStats,
+    pool: &WorkerPool,
+    par: &mut ParallelStats,
 ) -> ApplyReport {
-    if pool.workers() < 2 {
-        return apply_updates(ob, delta);
-    }
     let started = std::time::Instant::now();
     let groups = group_by_created(delta);
-    let shared: &ObjectBase = ob;
-    let (built, timing) =
-        pool.run(groups.len(), |i| build_state(shared, groups[i].0, &groups[i].1));
+    let input: &ObjectBase = ob;
+    let (built, timing) = pool.run(groups.len(), |i| build_state(input, groups[i].0, &groups[i].1));
     par.apply_busy_max += timing.busy_max;
     par.apply_busy_total += timing.busy_total;
 
@@ -471,9 +458,10 @@ mod tests {
 
     fn collect(ob: &ObjectBase, src: &str) -> Vec<Fired> {
         let p = Program::parse(src).unwrap();
+        let plan = crate::plan::IndexPlan::of(&p);
         let mut out = Vec::new();
-        for rule in &p.rules {
-            collect_rule(ob, rule, &mut out);
+        for (rule, plan) in p.rules.iter().zip(&plan.rules) {
+            collect_rule_planned(ob, rule, plan, &mut out);
         }
         out
     }

@@ -26,13 +26,17 @@ pub struct EvalStats {
     pub rule_evaluations_seeded: usize,
     /// Wall-clock time of the run (zero duration if not measured).
     pub elapsed: Duration,
-    /// Parallel-execution observability (all zero for serial runs).
+    /// Pool-execution observability (serial runs record only the
+    /// apply timings).
     pub parallel: ParallelStats,
 }
 
-/// Observability counters for parallel evaluation: how the rounds'
-/// work was partitioned and how well the workers were utilized. All
-/// fields stay zero when [`crate::EngineConfig::parallel`] is off.
+/// Observability counters for the worker pool: how the rounds' work
+/// was partitioned and how well the workers were utilized. With
+/// [`crate::EngineConfig::parallel`] off the run is the width-1 pool
+/// of the same rounds: `workers` and the scan fields stay zero (the
+/// scan tasks are not split into pool jobs), the `apply_*` timings are
+/// recorded as at any other width.
 ///
 /// Wall/busy durations are *execution* telemetry: they vary run to
 /// run and are deliberately excluded from the determinism contract

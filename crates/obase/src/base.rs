@@ -197,6 +197,12 @@ impl RelOp {
     }
 }
 
+/// Edits per diff-then-apply step of the tracked commit: large enough
+/// that a worker team's spawn is amortized over thousands of index
+/// ops, small enough that the bucketed ops of a 10 000-version round
+/// stay well under a megabyte.
+const COMMIT_CHUNK: usize = 1024;
+
 type CmShard = Arc<FastHashMap<(Chain, Symbol), FastHashSet<Const>>>;
 type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>>;
 
@@ -520,27 +526,7 @@ impl ObjectBase {
     /// version (or another base) can be installed without deep-copying
     /// it — the commit-side half of the copy-on-write discipline.
     pub fn replace_version_shared(&mut self, vid: Vid, state: Arc<VersionState>) {
-        self.discard_version(vid);
-        if state.is_empty() {
-            return;
-        }
-        self.fact_count += state.len();
-        if state.contains(exists_sym(), &MethodApp::new(Args::empty(), vid.base())) {
-            self.prepared_versions += 1;
-        }
-        for method in state.methods() {
-            self.by_chain_method.get_or_default((vid.chain(), method)).insert(vid.base());
-        }
-        for (method, app) in state.iter() {
-            if result_indexed(method, app.result, vid.base()) {
-                self.by_result.add(vid.chain(), method, app.result, vid.base());
-            }
-            if let Some(&a0) = app.args.as_slice().first() {
-                self.by_arg0.add(vid.chain(), method, a0, vid.base());
-            }
-        }
-        self.index_version(vid);
-        self.versions.insert(vid, state);
+        self.replace_version_tracked_shared(vid, state, &mut ChangedSince::new());
     }
 
     /// [`ObjectBase::replace_version`] that also records the commit's
@@ -559,54 +545,41 @@ impl ObjectBase {
     }
 
     /// [`ObjectBase::replace_version_tracked`] for an already-shared
-    /// state. Re-committing the very `Arc` the store already holds —
-    /// the shape an idempotent round of the fixpoint produces when it
-    /// re-applies an unchanged update set — is recognized by pointer
-    /// identity and returns immediately: no method-set diff, no
-    /// re-indexing, nothing recorded.
+    /// state: the one-edit call of
+    /// [`ObjectBase::replace_versions_tracked_shared`].
     pub fn replace_version_tracked_shared(
         &mut self,
         vid: Vid,
         state: Arc<VersionState>,
         changed: &mut ChangedSince,
     ) {
-        let methods = match self.versions.get(&vid) {
-            Some(old) if Arc::ptr_eq(old, &state) => return,
-            Some(old) => {
-                let diff = old.changed_methods(&state);
-                if diff.is_empty() {
-                    // Content-equal recommit under a fresh `Arc`: the
-                    // stored state already equals the new one, so keep
-                    // it — no re-indexing, nothing recorded, and (like
-                    // the pointer-equal case) no shard dirtied.
-                    return;
-                }
-                diff
-            }
-            None => state.methods().collect(),
-        };
-        for method in methods {
-            changed.record(vid.chain(), method, vid.base());
-        }
-        self.replace_version_shared(vid, state);
+        self.replace_versions_tracked_shared(&[(vid, state)], 1, changed);
     }
 
-    /// Batch [`ObjectBase::replace_version_tracked_shared`] over
-    /// `edits` — one complete new state per **distinct** vid — with the
-    /// index maintenance partitioned across up to `workers` threads.
+    /// The tracked commit: install `edits` — one complete new state
+    /// per **distinct** vid — and record the semantic delta into
+    /// `changed`, with the index maintenance spread over up to
+    /// `workers` threads.
     ///
-    /// The committed base, the recorded `changed` delta and the
-    /// fact/preparation counters are exactly those of applying the
-    /// edits one by one in order (any `workers` value, including 1,
-    /// produces the identical base). Parallelism comes from shard
-    /// ownership: every mutation an edit implies routes to a fixed
-    /// shard of one index ([`crate::shard`]), so the edits' mutations
-    /// are bucketed per shard and each worker commits a disjoint set
-    /// of shard buckets through `ShardedMap::shard_slots_mut` — no
-    /// locks, no shared write state. Two different edits can never
-    /// contend on one index *entry* either: a `(chain, method[, key])`
-    /// cell names the edit's own `(base, chain)` version, so its
-    /// multiplicity updates come from a single edit.
+    /// A read-only pre-pass diffs each edit against the stored state
+    /// and buckets the *net* index mutations (facts in old∖new removed,
+    /// new∖old added) by target shard; the buckets are then applied —
+    /// on the calling thread at width 1, by a scoped worker team
+    /// otherwise. Re-committing the very `Arc` the store already holds
+    /// (the shape an idempotent fixpoint round produces) or a
+    /// content-equal state under a fresh `Arc` is a no-op: no diff
+    /// recorded, no shard dirtied, the stored state kept.
+    ///
+    /// The committed base, the recorded delta and the fact/preparation
+    /// counters are identical for every `workers` value. Parallelism
+    /// comes from shard ownership: every mutation an edit implies
+    /// routes to a fixed shard of one index ([`crate::shard`]), and
+    /// each worker commits a disjoint set of shard buckets through
+    /// `ShardedMap::shard_slots_mut` — no locks, no shared write
+    /// state. Two different edits can never contend on one index
+    /// *entry* either: a `(chain, method[, key])` cell names the edit's
+    /// own `(base, chain)` version, so its multiplicity updates come
+    /// from a single edit.
     pub fn replace_versions_tracked_shared(
         &mut self,
         edits: &[(Vid, Arc<VersionState>)],
@@ -617,36 +590,26 @@ impl ObjectBase {
             edits.iter().map(|(v, _)| v).collect::<FastHashSet<_>>().len() == edits.len(),
             "replace_versions_tracked_shared requires distinct vids"
         );
-        if workers < 2 || edits.len() < 2 {
-            for (vid, state) in edits {
-                self.replace_version_tracked_shared(*vid, Arc::clone(state), changed);
-            }
-            return;
+        // One chunk's op buckets are applied before the next chunk's
+        // are generated, so the commit's scratch memory is bounded by
+        // the chunk, not by the batch.
+        for chunk in edits.chunks(COMMIT_CHUNK) {
+            self.commit_chunk(chunk, workers, changed);
         }
-        self.commit_edits_sharded(edits, workers, changed);
     }
 
-    /// The parallel half of
-    /// [`ObjectBase::replace_versions_tracked_shared`]: a serial
-    /// read-only pre-pass diffs each edit against the stored state and
-    /// buckets the implied index mutations by target shard; a scoped
-    /// worker team then owns disjoint shard groups and applies the
-    /// buckets concurrently. The pre-pass emits *net* diffs (facts in
-    /// old∖new removed, new∖old added), which lands on the same index
-    /// state as the serial discard-and-reinsert.
-    fn commit_edits_sharded(
+    fn commit_chunk(
         &mut self,
         edits: &[(Vid, Arc<VersionState>)],
         workers: usize,
         changed: &mut ChangedSince,
     ) {
         let exists = exists_sym();
-        let mut rel_ops: Vec<Vec<RelOp>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
-        let mut ver_ops: Vec<Vec<(Vid, Option<Arc<VersionState>>)>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
-        let mut base_ops: Vec<Vec<(Const, Chain, bool)>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
+        let mut rel_ops: [Vec<RelOp>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
+        let mut ver_ops: [Vec<(Vid, Option<Arc<VersionState>>)>; SHARD_COUNT] =
+            std::array::from_fn(|_| Vec::new());
+        let mut base_ops: [Vec<(Const, Chain, bool)>; SHARD_COUNT] =
+            std::array::from_fn(|_| Vec::new());
         let mut fact_delta = 0isize;
         let mut prepared_delta = 0isize;
 
@@ -680,8 +643,7 @@ impl ObjectBase {
                     (false, true) => bucket.push(RelOp::cm(true, vid, m)),
                     _ => {}
                 }
-                // Net fact diff, removals before additions (the order
-                // the serial two-phase commit establishes per edit).
+                // Net fact diff, removals before additions.
                 if let Some(old) = old {
                     for app in old.apps(m) {
                         if !new.contains(m, app) {
@@ -710,11 +672,23 @@ impl ObjectBase {
         }
 
         // `shard_slots_mut` bypasses the generation-tracked entry
-        // points, so record which slots the jobs below will actually
-        // write before the op buckets are moved into them.
-        let ver_dirty: Vec<bool> = ver_ops.iter().map(|ops| !ops.is_empty()).collect();
-        let rel_dirty: Vec<bool> = rel_ops.iter().map(|ops| !ops.is_empty()).collect();
-        let bas_dirty: Vec<bool> = base_ops.iter().map(|ops| !ops.is_empty()).collect();
+        // points, so note which slots the jobs below will write before
+        // the op buckets are moved into them.
+        for i in 0..SHARD_COUNT {
+            if !ver_ops[i].is_empty() {
+                self.versions.note_written(i);
+            }
+            if !rel_ops[i].is_empty() {
+                self.by_chain_method.note_written(i);
+                self.by_result.map.note_written(i);
+                self.by_arg0.map.note_written(i);
+            }
+            if !base_ops[i].is_empty() {
+                self.by_base.note_written(i);
+            }
+        }
+        self.fact_count = (self.fact_count as isize + fact_delta) as usize;
+        self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
 
         let mut jobs: Vec<CommitJob> = Vec::new();
         for ((_, slot), ops) in self.versions.shard_slots_mut().zip(ver_ops) {
@@ -736,39 +710,25 @@ impl ObjectBase {
                 jobs.push(CommitJob::Bases { slot, ops });
             }
         }
+        // A one-edit commit is a handful of ops: not worth a team.
+        let n_bins = if edits.len() < 2 { 1 } else { workers.min(jobs.len()) };
+        if n_bins < 2 {
+            jobs.into_iter().for_each(CommitJob::apply);
+            return;
+        }
         // Largest buckets first, dealt round-robin: a deterministic
         // assignment that keeps the heaviest shard groups apart.
         jobs.sort_by_key(|j| std::cmp::Reverse(j.ops_len()));
         let mut bins: Vec<Vec<CommitJob>> = Vec::new();
-        bins.resize_with(workers.min(jobs.len()).max(1), Vec::new);
-        let n_bins = bins.len();
+        bins.resize_with(n_bins, Vec::new);
         for (i, job) in jobs.into_iter().enumerate() {
             bins[i % n_bins].push(job);
         }
         std::thread::scope(|scope| {
             for bin in bins {
-                scope.spawn(move || {
-                    for job in bin {
-                        job.apply();
-                    }
-                });
+                scope.spawn(move || bin.into_iter().for_each(CommitJob::apply));
             }
         });
-        for i in 0..SHARD_COUNT {
-            if ver_dirty[i] {
-                self.versions.note_written(i);
-            }
-            if rel_dirty[i] {
-                self.by_chain_method.note_written(i);
-                self.by_result.map.note_written(i);
-                self.by_arg0.map.note_written(i);
-            }
-            if bas_dirty[i] {
-                self.by_base.note_written(i);
-            }
-        }
-        self.fact_count = (self.fact_count as isize + fact_delta) as usize;
-        self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
     }
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
@@ -1322,6 +1282,82 @@ mod tests {
             assert_eq!(ch_par, ch_serial, "delta diverged at workers={workers}");
             assert_eq!(par.len(), serial.len(), "fact_count diverged at workers={workers}");
             par.check_invariants();
+        }
+    }
+
+    /// The single tracked commit on random batches — fresh versions,
+    /// growing and shrinking hot versions, emptied states, pointer- and
+    /// content-equal recommits — lands on the same base, delta and
+    /// counters at widths 1, 2 and 4, and on the base a from-scratch
+    /// rebuild of the expected facts gives.
+    #[test]
+    fn random_batches_commit_identically_at_every_width_across_shards() {
+        let mut rng = proptest::TestRng::for_test("single_tracked_commit");
+        let (cases, objects) = if cfg!(miri) { (2, 8) } else { (30, 40) };
+        for case in 0..cases {
+            let mut ob = ObjectBase::new();
+            for i in 0..1 + rng.below(objects) {
+                let v = Vid::object(oid(&format!("o{i}")));
+                ob.insert(v, sym("p"), Args::empty(), int(rng.below(4) as i64));
+                ob.insert(v, sym("q"), vec![int(rng.below(3) as i64)], int(i as i64));
+            }
+            if rng.below(2) == 0 {
+                ob.ensure_exists();
+            }
+            let mut at = [ob.clone(), ob.clone(), ob];
+            // Successive batches, so versions created by one are the
+            // hot versions the next one grows.
+            for batch in 0..4 {
+                let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::new();
+                for vid in at[0].versions().collect::<Vec<_>>() {
+                    let stored = at[0].version_shared(vid).unwrap();
+                    let mut s = (**stored).clone();
+                    match rng.below(7) {
+                        0 => edits.push((vid, Arc::new(VersionState::new()))),
+                        1 => edits.push((vid, Arc::clone(stored))),
+                        2 => edits.push((vid, Arc::new(s))),
+                        3 => {
+                            s.insert(sym("p"), MethodApp::new(Args::empty(), int(10 + batch)));
+                            s.insert(sym("r"), MethodApp::new(vec![int(batch)], int(case)));
+                            edits.push((vid, Arc::new(s)));
+                        }
+                        4 => {
+                            s.remove_method(sym("q"));
+                            edits.push((vid, Arc::new(s)));
+                        }
+                        5 => {
+                            let Ok(fresh) = vid.apply(UpdateKind::Mod) else { continue };
+                            if at[0].version(fresh).is_none() {
+                                s.insert(exists_sym(), MethodApp::new(Args::empty(), vid.base()));
+                                edits.push((fresh, Arc::new(s)));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let edited: FastHashSet<Vid> = edits.iter().map(|(v, _)| *v).collect();
+                let mut expect = ObjectBase::new();
+                for f in at[0].iter().filter(|f| !edited.contains(&f.vid)) {
+                    expect.insert(f.vid, f.method, f.args, f.result);
+                }
+                for (vid, state) in &edits {
+                    for (method, app) in state.iter() {
+                        expect.insert(*vid, method, app.args.clone(), app.result);
+                    }
+                }
+                let mut deltas = Vec::new();
+                for (ob, workers) in at.iter_mut().zip([1, 2, 4]) {
+                    let mut changed = ChangedSince::new();
+                    ob.replace_versions_tracked_shared(&edits, workers, &mut changed);
+                    ob.check_invariants();
+                    assert_eq!(*ob, expect, "case {case} batch {batch} workers {workers}");
+                    assert_eq!(ob.fact_count, expect.fact_count);
+                    assert_eq!(ob.prepared_versions, expect.prepared_versions);
+                    deltas.push(changed);
+                }
+                assert_eq!(deltas[1], deltas[0], "case {case} batch {batch}");
+                assert_eq!(deltas[2], deltas[0], "case {case} batch {batch}");
+            }
         }
     }
 

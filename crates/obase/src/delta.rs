@@ -7,15 +7,15 @@
 //! whose facts under that relation were added *or* removed since the
 //! set was last cleared — exactly the seed a delta-driven join needs.
 //!
-//! The set is populated by [`crate::ObjectBase::replace_version_tracked`]
-//! (the engine's per-round state commit), which diffs the incoming
-//! state against the one it replaces so that idempotent re-commits
-//! contribute nothing. The `Arc`-shared variant
-//! ([`crate::ObjectBase::replace_version_tracked_shared`]) goes one
-//! step further: re-committing the very state handle the store
-//! already holds is recognized by pointer identity and skips the diff
-//! entirely, so a fixpoint round that re-applies an unchanged update
-//! set records nothing at zero cost.
+//! The set is populated by the tracked commit
+//! ([`crate::ObjectBase::replace_versions_tracked_shared`], the
+//! engine's per-round state commit; `replace_version_tracked` is its
+//! one-edit form), which diffs each incoming state against the one it
+//! replaces so that idempotent re-commits contribute nothing.
+//! Re-committing the very state handle the store already holds is
+//! recognized by pointer identity and skips the diff entirely, so a
+//! fixpoint round that re-applies an unchanged update set records
+//! nothing at zero cost.
 
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol};
 

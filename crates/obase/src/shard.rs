@@ -221,6 +221,7 @@ where
         Arc::make_mut(&mut self.shards[i]).entry(key).or_default()
     }
 
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
         let i = key.shard();
         self.gens[i] = self.gens[i].wrapping_add(1);

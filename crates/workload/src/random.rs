@@ -171,7 +171,7 @@ pub fn random_update_program(config: RandomConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruvo_core::{EngineConfig, UpdateEngine};
+    use ruvo_core::UpdateEngine;
 
     #[test]
     fn random_ob_is_deterministic() {
@@ -228,20 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn delta_filtering_agrees_on_random_workloads() {
+    fn engine_agrees_with_reference_on_random_workloads() {
         for seed in 0..6 {
-            let config = RandomConfig { seed, rules: 6, ..Default::default() };
+            let config =
+                RandomConfig { seed, objects: 12, facts: 36, rules: 6, ..Default::default() };
             let ob = random_object_base(config);
-            let p1 = random_insert_program(config);
-            let p2 = p1.clone();
-            let fast = UpdateEngine::new(p1).run(&ob).unwrap();
-            let slow = UpdateEngine::with_config(
-                p2,
-                EngineConfig { delta_filtering: false, ..Default::default() },
-            )
-            .run(&ob)
-            .unwrap();
-            assert_eq!(fast.result(), slow.result(), "seed {seed}");
+            let program = random_insert_program(config);
+            let slow = ruvo_core::reference::evaluate(&program, &ob).unwrap();
+            let fast = UpdateEngine::new(program).run(&ob).unwrap();
+            assert_eq!(fast.result(), &slow.result, "seed {seed}");
         }
     }
 }

@@ -201,11 +201,19 @@ fn parallel_evaluation_docs_match_behavior() {
     // The documented section and knobs exist.
     let arch = include_str!("../docs/ARCHITECTURE.md");
     assert!(arch.contains("## Parallel evaluation"), "ARCHITECTURE.md lost its parallel section");
-    for claim in ["bit-identical", "SEED_SPLIT_MIN", "RUVO_TEST_THREADS", "BENCH_pr8.json"] {
+    for claim in [
+        "bit-identical",
+        "SEED_SPLIT_MIN",
+        "RUVO_TEST_THREADS",
+        "BENCH_pr8.json",
+        // One apply path: serial is the width-1 pool of the same round.
+        "who executes the jobs",
+        "pre-round base",
+    ] {
         assert!(arch.contains(claim), "ARCHITECTURE.md parallel section lost claim: {claim}");
     }
     let readme = include_str!("../README.md");
-    for claim in ["--threads", ":set threads", "experiment\nE12"] {
+    for claim in ["--threads", ":set threads", "experiment\nE12", "benchmark/README.md"] {
         assert!(readme.contains(claim), "README.md lost parallel perf note: {claim}");
     }
 

@@ -33,8 +33,9 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Run `program` serially, then at every swept thread count, and
-/// assert every observable output is identical.
-fn assert_parallel_matches(program: &Program, ob: &ObjectBase, cycles: CyclePolicy) {
+/// assert every observable output is identical. Returns the serial
+/// outcome.
+fn assert_parallel_matches(program: &Program, ob: &ObjectBase, cycles: CyclePolicy) -> Outcome {
     let compiled = CompiledProgram::compile(program.clone(), cycles).expect("program compiles");
     let base_cfg = EngineConfig { cycles, trace: TraceLevel::Rounds, ..EngineConfig::default() };
     let serial = run_compiled(&compiled, &base_cfg, ob.clone()).expect("serial run succeeds");
@@ -68,6 +69,7 @@ fn assert_parallel_matches(program: &Program, ob: &ObjectBase, cycles: CyclePoli
         );
         par.result().check_invariants();
     }
+    serial
 }
 
 proptest! {
@@ -114,6 +116,35 @@ fn parallel_matches_sequential_under_runtime_stability() {
         let ob = random_object_base(config);
         let program = random_update_program(config);
         assert_parallel_matches(&program, &ob, CyclePolicy::RuntimeStability);
+    }
+}
+
+/// One round of `T_P` is a function of the round's input `I`: step 2
+/// copies `v*` w.r.t. `I`, so a version created in a round is never
+/// the source another version of the *same* round copies from — at any
+/// width, whatever order the round's versions are grouped in. Here
+/// `ins(O)` and `mod(ins(O))` are both created in round 1 (one flagged
+/// stratum under the runtime stability check); `mod(ins(O))` is a copy
+/// of `O`, which has no `a`.
+#[test]
+fn same_round_versions_copy_from_the_round_input() {
+    let mut ob = ObjectBase::parse("o.isa -> t. o.sal -> 10. p.isa -> t. p.sal -> 20.").unwrap();
+    ob.ensure_exists();
+    let program = Program::parse(
+        "r1: ins[O].a -> 1 <= O.isa -> t & not mod(ins(O)).zzz -> 1.
+         r2: mod[ins(O)].sal -> (S, S2) <= O.isa -> t & O.sal -> S & S2 = S + 1.",
+    )
+    .unwrap();
+    let outcome = assert_parallel_matches(&program, &ob, CyclePolicy::RuntimeStability);
+    for (object, raised) in [("o", 11), ("p", 21)] {
+        let ins = Vid::object(oid(object)).apply(UpdateKind::Ins).unwrap();
+        let mod_ins = ins.apply(UpdateKind::Mod).unwrap();
+        assert!(outcome.result().contains(ins, sym("a"), &[], int(1)));
+        assert!(outcome.result().contains(mod_ins, sym("sal"), &[], int(raised)));
+        assert!(
+            !outcome.result().contains(mod_ins, sym("a"), &[], int(1)),
+            "mod(ins({object})) was copied from a version of its own round"
+        );
     }
 }
 

@@ -82,16 +82,16 @@ fn guarded_replay_is_idempotent() {
     assert_eq!(s.len(), 4);
 }
 
-/// The engine's three run entry points agree.
+/// The one-shot engine and the compile-once entry point agree.
 #[test]
 fn run_entry_points_agree() {
+    use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, EngineConfig};
     let ob = ObjectBase::parse("a.p -> 1. b.q -> 2.").unwrap();
     let program = Program::parse("x: ins[X].r -> V <= X.p -> V.").unwrap();
     let by_ref = UpdateEngine::new(program.clone()).run(&ob).unwrap();
-    let owned = UpdateEngine::new(program.clone()).run_owned(ob.clone()).unwrap();
     let mut prepared = ob.clone();
     prepared.ensure_exists();
-    let pre = UpdateEngine::new(program).run_prepared(prepared).unwrap();
-    assert_eq!(by_ref.result(), owned.result());
-    assert_eq!(owned.result(), pre.result());
+    let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
+    let pre = run_compiled(&compiled, &EngineConfig::default(), prepared).unwrap();
+    assert_eq!(by_ref.result(), pre.result());
 }
