@@ -4,10 +4,8 @@
 //! unified error type.
 //!
 //! §2.2 of the paper models an update-program as *a mapping from an
-//! (old) object-base into a (new) object-base*. The one-shot shape —
-//! `UpdateEngine::new(program).run(&ob)` — re-validates and
-//! re-stratifies the program on every call. A [`Database`] separates
-//! the two halves of that mapping:
+//! (old) object-base into a (new) object-base*. A [`Database`]
+//! separates the two halves of that mapping:
 //!
 //! * [`Database::prepare`] parses, safety-checks and stratifies
 //!   **once**, returning a reusable [`Prepared`] handle;

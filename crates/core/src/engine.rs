@@ -43,7 +43,7 @@ use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError}
 use crate::tp::{self, Fired, FiredSet};
 use crate::trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
 
-/// How much trace detail [`UpdateEngine::run`] records.
+/// How much trace detail [`run_compiled`] records in its [`Outcome`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     /// Counters only.
@@ -73,9 +73,9 @@ pub enum CyclePolicy {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// §5 runtime version-linearity check (default on). Disabling it is
-    /// only meant for the A2 ablation benchmark; `new_object_base` then
-    /// validates lazily.
+    /// §5 runtime version-linearity check (default on). Off backs the
+    /// CLI's `--no-linearity` and the §6 [`FinalVersionPolicy`]
+    /// extension; `new_object_base` then validates lazily.
     pub check_linearity: bool,
     /// Safety valve for the per-stratum fixpoint loop.
     pub max_rounds_per_stratum: usize,
@@ -161,9 +161,7 @@ fn effective_workers(config: &EngineConfig) -> usize {
 /// This is the compiled artifact behind [`crate::Prepared`]: build it
 /// once with [`CompiledProgram::compile`], then evaluate it any number
 /// of times with [`run_compiled`] without re-parsing, re-validating or
-/// re-stratifying. [`UpdateEngine::run`] compiles on every call; the
-/// [`crate::Database`] facade amortizes compilation across
-/// applications.
+/// re-stratifying; the [`crate::Database`] facade does exactly that.
 ///
 /// ```
 /// use ruvo_core::{run_compiled, CompiledProgram, CyclePolicy, EngineConfig};
@@ -232,7 +230,8 @@ impl Analysis {
 
 impl CompiledProgram {
     /// Stratify `program` under `cycles` and precompute the rule
-    /// triggers. Fails exactly when [`UpdateEngine::stratify`] would.
+    /// triggers. Fails exactly when [`crate::stratify::stratify`] would
+    /// (or never, under [`CyclePolicy::RuntimeStability`]).
     pub fn compile(
         program: Program,
         cycles: CyclePolicy,
@@ -278,75 +277,6 @@ impl CompiledProgram {
     /// parallel scheduler groups step-1 scans by — see [`crate::deps`].
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
         &self.analysis.deps
-    }
-}
-
-/// The update-program interpreter.
-///
-/// ```
-/// use ruvo_core::UpdateEngine;
-/// use ruvo_lang::Program;
-/// use ruvo_obase::ObjectBase;
-/// use ruvo_term::{int, oid};
-///
-/// let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
-/// let program = Program::parse(
-///     "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = S * 1.1.",
-/// ).unwrap();
-/// let outcome = UpdateEngine::new(program).run(&ob).unwrap();
-/// assert_eq!(outcome.new_object_base().lookup1(oid("henry"), "sal"), vec![int(275)]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct UpdateEngine {
-    program: Program,
-    config: EngineConfig,
-}
-
-impl UpdateEngine {
-    /// An engine with default configuration.
-    pub fn new(program: Program) -> UpdateEngine {
-        UpdateEngine { program, config: EngineConfig::default() }
-    }
-
-    /// An engine with explicit configuration.
-    pub fn with_config(program: Program, config: EngineConfig) -> UpdateEngine {
-        UpdateEngine { program, config }
-    }
-
-    /// The program being interpreted.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Compute the §4 stratification without running anything.
-    pub fn stratify(&self) -> Result<Stratification, StratifyError> {
-        stratify(&self.program)
-    }
-
-    /// Run the update-program on `ob`, producing `result(P)` (all
-    /// versions) and the machinery to extract the new object base.
-    ///
-    /// `ob` itself is not modified; evaluation works on a prepared
-    /// working copy with `exists` facts added (§3). The copy is an
-    /// O(shards) copy-on-write clone, so the pre-evaluation cost is
-    /// the `exists` materialization — O(#versions) the first time for
-    /// a given base, O(1) when `ob` is already prepared (see
-    /// [`ObjectBase::ensure_exists`]); after that, evaluation pays
-    /// only for the versions and index shards the update dirties.
-    ///
-    /// Compiles (stratifies, plans) the program on every call; use
-    /// [`CompiledProgram::compile`] + [`run_compiled`] (or the
-    /// [`crate::Database`] facade) to amortize that work.
-    pub fn run(&self, ob: &ObjectBase) -> Result<Outcome, EvalError> {
-        let compiled = CompiledProgram::compile(self.program.clone(), self.config.cycles)?;
-        let mut work = ob.clone();
-        work.ensure_exists();
-        run_compiled(&compiled, &self.config, work)
     }
 }
 
@@ -989,10 +919,27 @@ mod tests {
     use super::*;
     use ruvo_term::{int, oid, UpdateKind};
 
+    /// Compile `program` under `config` and evaluate it on a prepared
+    /// copy of `ob`.
+    fn run_with(
+        program: Program,
+        config: EngineConfig,
+        ob: &ObjectBase,
+    ) -> Result<Outcome, EvalError> {
+        let compiled = CompiledProgram::compile(program, config.cycles)?;
+        let mut work = ob.clone();
+        work.ensure_exists();
+        run_compiled(&compiled, &config, work)
+    }
+
+    fn run_default(program: Program, ob: &ObjectBase) -> Result<Outcome, EvalError> {
+        run_with(program, EngineConfig::default(), ob)
+    }
+
     fn run(ob_src: &str, program_src: &str) -> Outcome {
         let ob = ObjectBase::parse(ob_src).unwrap();
         let program = Program::parse(program_src).unwrap();
-        UpdateEngine::new(program).run(&ob).unwrap()
+        run_default(program, &ob).unwrap()
     }
 
     #[test]
@@ -1075,7 +1022,7 @@ mod tests {
              del[o].m -> a <= o.m -> a.",
         )
         .unwrap();
-        let err = UpdateEngine::new(program).run(&ob).unwrap_err();
+        let err = run_default(program, &ob).unwrap_err();
         match err {
             EvalError::Linearity(v) => assert_eq!(v.object, oid("o")),
             other => panic!("expected linearity violation, got {other:?}"),
@@ -1091,7 +1038,7 @@ mod tests {
         )
         .unwrap();
         let config = EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = UpdateEngine::with_config(program, config).run(&ob).unwrap();
+        let outcome = run_with(program, config, &ob).unwrap();
         assert!(outcome.try_new_object_base().is_err());
     }
 
@@ -1112,7 +1059,7 @@ mod tests {
     fn assert_matches_reference(ob: &ObjectBase, prog: &str) -> Outcome {
         let program = Program::parse(prog).unwrap();
         let slow = crate::reference::evaluate(&program, ob).unwrap();
-        let fast = UpdateEngine::new(program).run(ob).unwrap();
+        let fast = run_default(program, ob).unwrap();
         assert_eq!(fast.result(), &slow.result);
         fast
     }
@@ -1195,12 +1142,12 @@ mod tests {
             rule2: mod[E].sal -> (S, S2) <= E.isa -> empl / sal -> S & not E.pos -> mgr & S2 = S * 1.1.
         ";
         let ob = ObjectBase::parse(ob_src).unwrap();
-        let seq = UpdateEngine::new(Program::parse(prog).unwrap()).run(&ob).unwrap();
-        let par = UpdateEngine::with_config(
+        let seq = run_default(Program::parse(prog).unwrap(), &ob).unwrap();
+        let par = run_with(
             Program::parse(prog).unwrap(),
             EngineConfig { parallel: true, ..Default::default() },
+            &ob,
         )
-        .run(&ob)
         .unwrap();
         assert_eq!(seq.result(), par.result());
     }
@@ -1216,21 +1163,21 @@ mod tests {
         )
         .unwrap();
         let config = EngineConfig { max_rounds_per_stratum: 2, ..Default::default() };
-        let err = UpdateEngine::with_config(program.clone(), config).run(&ob).unwrap_err();
+        let err = run_with(program.clone(), config, &ob).unwrap_err();
         assert!(matches!(err, EvalError::RoundLimit { .. }));
         // With enough rounds it completes.
-        assert!(UpdateEngine::new(program).run(&ob).is_ok());
+        assert!(run_default(program, &ob).is_ok());
     }
 
     #[test]
     fn trace_levels_record() {
         let ob = ObjectBase::parse("a.p -> 1.").unwrap();
         let program = Program::parse("ins[a].q -> 1 <= a.p -> 1.").unwrap();
-        let outcome = UpdateEngine::with_config(
+        let outcome = run_with(
             program,
             EngineConfig { trace: TraceLevel::Rounds, ..Default::default() },
+            &ob,
         )
-        .run(&ob)
         .unwrap();
         assert_eq!(outcome.stratum_traces().len(), 1);
         assert_eq!(outcome.round_traces().len(), 2); // firing round + empty round
@@ -1298,7 +1245,7 @@ mod tests {
     fn cyclic_program_rejected_statically() {
         let ob = ObjectBase::parse("a.m -> 1. a.trigger -> 1.").unwrap();
         let program = Program::parse(CYCLIC_STABLE).unwrap();
-        let err = UpdateEngine::new(program).run(&ob).unwrap_err();
+        let err = run_default(program, &ob).unwrap_err();
         assert!(matches!(err, EvalError::NotStratifiable(_)), "got {err:?}");
     }
 
@@ -1307,7 +1254,7 @@ mod tests {
         let ob = ObjectBase::parse("a.m -> 1. a.trigger -> 1.").unwrap();
         let program = Program::parse(CYCLIC_STABLE).unwrap();
         let config = EngineConfig { cycles: CyclePolicy::RuntimeStability, ..Default::default() };
-        let outcome = UpdateEngine::with_config(program, config).run(&ob).unwrap();
+        let outcome = run_with(program, config, &ob).unwrap();
         // a's final version is del(ins(a)): go was inserted, then m
         // deleted from the ins-version.
         let ob2 = outcome.new_object_base();
@@ -1328,7 +1275,7 @@ mod tests {
         )
         .unwrap();
         let config = EngineConfig { cycles: CyclePolicy::RuntimeStability, ..Default::default() };
-        let err = UpdateEngine::with_config(program, config).run(&ob).unwrap_err();
+        let err = run_with(program, config, &ob).unwrap_err();
         match err {
             EvalError::Unstable { update, .. } => {
                 assert!(update.contains("go"), "unexpected update: {update}");
@@ -1350,15 +1297,14 @@ mod tests {
             rule4: ins[mod(E)].isa -> hpe <= mod(E).isa -> empl / sal -> S & S > 4500 & not del[mod(E)].isa -> empl.
         ";
         let ob = ObjectBase::parse(ob_src).unwrap();
-        let strict = UpdateEngine::new(Program::parse(prog).unwrap()).run(&ob).unwrap();
+        let strict = run_default(Program::parse(prog).unwrap(), &ob).unwrap();
         for verify in [false, true] {
             let config = EngineConfig {
                 cycles: CyclePolicy::RuntimeStability,
                 verify_stability: verify,
                 ..Default::default()
             };
-            let relaxed =
-                UpdateEngine::with_config(Program::parse(prog).unwrap(), config).run(&ob).unwrap();
+            let relaxed = run_with(Program::parse(prog).unwrap(), config, &ob).unwrap();
             assert_eq!(strict.result(), relaxed.result(), "verify_stability = {verify}");
             assert_eq!(strict.stratification().strata, relaxed.stratification().strata);
         }
@@ -1375,7 +1321,7 @@ mod tests {
         )
         .unwrap();
         let config = EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = UpdateEngine::with_config(program, config).run(&ob).unwrap();
+        let outcome = run_with(program, config, &ob).unwrap();
 
         // The paper's policy rejects.
         assert!(outcome.new_object_base_with(FinalVersionPolicy::RequireLinear).is_err());
@@ -1406,7 +1352,7 @@ mod tests {
              ins[mod(E)].isa -> hpe <= mod(E).sal -> S & S > 270.",
         )
         .unwrap();
-        let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+        let outcome = run_default(program, &ob).unwrap();
         let linear = outcome.try_new_object_base().unwrap();
         for policy in [FinalVersionPolicy::DeepestWins, FinalVersionPolicy::MergeMaximal] {
             assert_eq!(outcome.new_object_base_with(policy).unwrap(), linear, "{policy:?}");
@@ -1437,12 +1383,12 @@ mod tests {
         }
         let ob = ObjectBase::parse(&src).unwrap();
         let program = Program::parse("ins[X].tag -> 1 <= X.val -> V & V > 5.").unwrap();
-        let serial = UpdateEngine::new(program.clone()).run(&ob).unwrap();
-        let parallel = UpdateEngine::with_config(
+        let serial = run_default(program.clone(), &ob).unwrap();
+        let parallel = run_with(
             program.clone(),
             EngineConfig { parallel: true, threads: 2, ..Default::default() },
+            &ob,
         )
-        .run(&ob)
         .unwrap();
         assert!(
             parallel.stats().parallel.full_splits > 0,
@@ -1454,11 +1400,11 @@ mod tests {
 
         // Below the gate nothing splits.
         let small = ObjectBase::parse("a.val -> 10. b.val -> 20.").unwrap();
-        let outcome = UpdateEngine::with_config(
+        let outcome = run_with(
             program,
             EngineConfig { parallel: true, threads: 2, ..Default::default() },
+            &small,
         )
-        .run(&small)
         .unwrap();
         assert_eq!(outcome.stats().parallel.full_splits, 0);
     }

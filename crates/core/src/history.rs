@@ -133,9 +133,8 @@ mod tests {
     use ruvo_term::{int, oid, sym};
 
     fn outcome(ob: &str, program: &str) -> crate::Outcome {
-        crate::UpdateEngine::new(Program::parse(program).unwrap())
-            .run(&ObjectBase::parse(ob).unwrap())
-            .unwrap()
+        let db = crate::Database::open(ObjectBase::parse(ob).unwrap());
+        db.evaluate(&db.prepare_program(Program::parse(program).unwrap()).unwrap()).unwrap()
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use database::{Database, DatabaseBuilder, Error, ErrorKind, Prepared, Transa
 pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, TopCause, WriteSet};
 pub use engine::{
     run_compiled, CompiledProgram, CyclePolicy, EngineConfig, FinalVersionPolicy, Outcome,
-    TraceLevel, UpdateEngine,
+    TraceLevel,
 };
 pub use error::EvalError;
 pub use history::{history, History, HistoryStep};

@@ -648,13 +648,18 @@ fn check_all_linear(ob: &ObjectBase) -> Result<(), EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UpdateEngine;
+    use crate::{Database, Error, Outcome};
     use ruvo_term::{int, oid};
+
+    fn run_engine(program: &Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+        let db = Database::open(ob.clone());
+        db.evaluate(&db.prepare_program(program.clone())?)
+    }
 
     fn run_both(ob_src: &str, prog_src: &str) -> (ObjectBase, ObjectBase) {
         let ob = ObjectBase::parse(ob_src).unwrap();
         let program = Program::parse(prog_src).unwrap();
-        let engine = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+        let engine = run_engine(&program, &ob).unwrap();
         let reference = evaluate(&program, &ob).unwrap();
         (engine.result().clone(), reference.result)
     }
@@ -717,10 +722,10 @@ mod tests {
              del[o].m -> a <= o.m -> a.",
         )
         .unwrap();
-        let engine_err = UpdateEngine::new(program.clone()).run(&ob).unwrap_err();
+        let engine_err = run_engine(&program, &ob).unwrap_err();
         let reference_err = evaluate(&program, &ob).unwrap_err();
         match (engine_err, reference_err) {
-            (EvalError::Linearity(a), EvalError::Linearity(b)) => {
+            (Error::Linearity(a), EvalError::Linearity(b)) => {
                 assert_eq!(a.object, b.object);
             }
             other => panic!("expected two linearity errors, got {other:?}"),
@@ -731,7 +736,7 @@ mod tests {
     fn new_object_base_extraction_matches_engine() {
         let ob = ObjectBase::parse("victim.only -> 1. other.p -> 2.").unwrap();
         let program = Program::parse("del[victim].* .").unwrap();
-        let engine = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+        let engine = run_engine(&program, &ob).unwrap();
         let reference = evaluate(&program, &ob).unwrap();
         assert_eq!(engine.new_object_base(), reference.new_object_base().unwrap());
         assert_eq!(reference.new_object_base().unwrap().lookup1(oid("other"), "p"), vec![int(2)]);

@@ -1799,6 +1799,46 @@ mod tests {
         assert!(reopened.records.is_empty(), "each delta truncated the wal");
     }
 
+    /// The deterministic half of incremental checkpointing: a 1 % dirty
+    /// set clustered in few version-table shards costs a delta a
+    /// fraction of the full generation's payload. (Its wall-clock is
+    /// the `benchmark/` driver's `store.checkpoint_delta_ms`.)
+    #[test]
+    fn clustered_one_percent_delta_is_a_fraction_of_the_full_payload() {
+        let dir = tmp_dir("chain-clustered");
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        let mut ob = base(2_000);
+        opened.store.append_batch(&[prog("p1.")], &ob).unwrap();
+        let CheckpointOutcome::Full { bytes: full_bytes } = opened.store.checkpoint(&ob).unwrap()
+        else {
+            panic!("the first checkpoint is a full generation")
+        };
+
+        // Modify the 20 objects that come first in shard order.
+        let mut hot: Vec<_> =
+            (0..2_000).map(|i| (ruvo_term::Vid::object(oid(&format!("o{i}"))), i)).collect();
+        hot.sort_by_key(|&(vid, i)| (ruvo_obase::vid_shard(vid), i));
+        for &(vid, i) in &hot[..20] {
+            assert!(ob.remove(vid, sym("m"), &ruvo_obase::Args::empty(), int(i)));
+            ob.insert(vid, sym("m"), ruvo_obase::Args::empty(), int(i + 1_000_000));
+        }
+        opened.store.append_batch(&[prog("p2.")], &ob).unwrap();
+        match opened.store.checkpoint(&ob).unwrap() {
+            CheckpointOutcome::Delta { bytes, dirty_shards } => {
+                assert!(dirty_shards < SHARD_COUNT as u32, "{dirty_shards} shards dirty");
+                assert!(bytes * 4 <= full_bytes, "delta {bytes} vs full {full_bytes} bytes");
+            }
+            other => panic!("expected a delta, got {other:?}"),
+        }
+        drop(opened);
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        let ckpt = reopened.checkpoint.expect("chain present");
+        assert_eq!(snapshot::write(&ckpt.base), snapshot::write(&ob));
+    }
+
     #[test]
     fn unchanged_base_checkpoints_are_skipped_not_appended() {
         let dir = tmp_dir("chain-noop");

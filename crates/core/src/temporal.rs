@@ -328,10 +328,14 @@ pub fn props_of(state: &VersionState, exists: Symbol) -> Vec<FactProp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UpdateEngine;
+    use crate::Database;
     use ruvo_lang::Program;
     use ruvo_obase::ObjectBase;
     use ruvo_term::{int, oid, sym};
+
+    fn evaluate(db: &Database, program: Program) -> crate::Outcome {
+        db.evaluate(&db.prepare_program(program).unwrap()).unwrap()
+    }
 
     /// bob: hired at 4200, raised to 4620, then fired (all deleted).
     fn bob_timeline() -> Timeline {
@@ -347,7 +351,7 @@ mod tests {
              rule4: ins[mod(E)].isa -> hpe <= mod(E).isa -> empl / sal -> S & S > 4500 & not del[mod(E)].isa -> empl.",
         )
         .unwrap();
-        let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+        let outcome = evaluate(&Database::open(ob), program);
         Timeline::of(outcome.result(), oid("bob")).unwrap()
     }
 
@@ -438,7 +442,7 @@ mod tests {
     #[test]
     fn as_of_on_untouched_object() {
         let ob = ObjectBase::parse("a.p -> 1.").unwrap();
-        let outcome = UpdateEngine::new(Program::parse("").unwrap()).run(&ob).unwrap();
+        let outcome = evaluate(&Database::open(ob), Program::parse("").unwrap());
         let t = Timeline::of(outcome.result(), oid("a")).unwrap();
         assert_eq!(t.len(), 1);
         assert!(t.holds_at(0, &FactProp::new(sym("p"), int(1))));
@@ -453,8 +457,7 @@ mod tests {
              ins[o].extra -> 1 <= o.m -> a.",
         )
         .unwrap();
-        let config = crate::EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = UpdateEngine::with_config(program, config).run(&ob).unwrap();
+        let outcome = evaluate(&Database::builder().check_linearity(false).open(ob), program);
         assert!(Timeline::of(outcome.result(), oid("o")).is_none());
     }
 
@@ -462,7 +465,7 @@ mod tests {
     fn elided_intermediate_versions() {
         let ob = ObjectBase::parse("o.p -> 1. o.q -> 2.").unwrap();
         let program = Program::parse("d: del[mod(o)].p -> 1 <= o.p -> 1.").unwrap();
-        let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+        let outcome = evaluate(&Database::open(ob), program);
         let t = Timeline::of(outcome.result(), oid("o")).unwrap();
         // o → del(mod(o)); mod(o) never existed and is elided.
         assert_eq!(t.len(), 2);

@@ -139,7 +139,7 @@ impl DlProgram {
     }
 
     /// Collapse all modules into one (drops the manual ordering) —
-    /// used by E8 to demonstrate the §2.4 control anomaly.
+    /// used to demonstrate the §2.4 control anomaly.
     pub fn collapsed(&self) -> DlProgram {
         DlProgram::single_module(
             self.modules.iter().flat_map(|m| m.rules.iter().cloned()).collect(),

@@ -500,7 +500,8 @@ mod tests {
         // Collapsed: round 1 derives sal2 for both; fire sees them in
         // round 2 — still fine here. The real anomaly needs the raw
         // salaries: a single-module program comparing sal/sal2
-        // mid-flight; see the E8 experiment for the full scenario.
+        // mid-flight; `ruvo_workload`'s `$4100` control-spectrum test
+        // has the full scenario.
         let (collapsed, _) = run(db_src, prog, Semantics::Collapsed);
         assert!(collapsed.contains(sym("empl"), &[oid("bob")]));
     }

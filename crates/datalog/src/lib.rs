@@ -9,15 +9,17 @@
 //! execution of the modules, the user has a flexible, however 'manual'
 //! means for control").
 //!
-//! This crate exists so the benchmark suite can compare the paper's
+//! This crate exists so tests can compare the paper's
 //! version-identity control against the baseline on equal footing:
 //!
-//! * experiment **E8** runs the §2.3 enterprise update in both systems
-//!   and demonstrates the anomaly the paper's §2.4 warns about (firing
-//!   employees before raising salaries) when the Logres-style program
-//!   is run as a single fixpoint without manual module ordering;
-//! * experiment **E4** compares recursive ancestor computation against
-//!   the versioned formulation, using semi-naive evaluation here.
+//! * `ruvo_workload::enterprise_baseline_datalog` is the §2.3
+//!   enterprise update in this language; its tests demonstrate the
+//!   anomaly the paper's §2.4 warns about (firing employees before
+//!   raising salaries) when the Logres-style program is run as a
+//!   single fixpoint without manual module ordering;
+//! * `tests/cross_check.rs` checks insert-only and recursive programs
+//!   against the versioned formulation, using semi-naive evaluation
+//!   here.
 //!
 //! ## Components
 //!

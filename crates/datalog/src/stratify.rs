@@ -8,7 +8,7 @@
 //! strict edge on a cycle are rejected.
 //!
 //! This gives the baseline an *automatic* module order
-//! ([`auto_stratify`]), so E8 can compare three levels of control:
+//! ([`auto_stratify`]), so tests can compare three levels of control:
 //! manual modules (Logres), automatic predicate stratification (plain
 //! stratified Datalog¬ — which rejects the enterprise update because
 //! `sal` is both read and deleted through a cycle), and none

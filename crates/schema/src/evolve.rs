@@ -245,9 +245,9 @@ mod tests {
     fn run(ob: &str, prog: &str) -> (ObjectBase, ObjectBase) {
         let ob = ObjectBase::parse(ob).unwrap();
         let program = ruvo_lang::Program::parse(prog).unwrap();
-        let outcome = ruvo_core::UpdateEngine::new(program).run(&ob).unwrap();
-        let ob2 = outcome.new_object_base();
-        (ob, ob2)
+        let mut db = ruvo_core::Database::open(ob.clone());
+        db.apply_program(program).unwrap();
+        (ob, db.current().clone())
     }
 
     #[test]

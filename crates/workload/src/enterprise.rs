@@ -113,7 +113,7 @@ impl Enterprise {
         Enterprise { ob, employees, is_manager, salaries, boss }
     }
 
-    /// The same data as a Datalog database for the E8 baseline:
+    /// The same data as a Datalog database for the Logres-style baseline:
     /// `empl(e)`, `sal(e, s)`, `mgr(e)`, `boss(e, b)`.
     pub fn as_datalog(&self) -> ruvo_datalog_db::Database {
         let mut db = ruvo_datalog_db::Database::new();

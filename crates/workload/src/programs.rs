@@ -118,8 +118,8 @@ pub fn chain_object_base() -> ruvo_obase::ObjectBase {
     ruvo_obase::ObjectBase::parse("o.step -> 0. o.tag0 -> 1.").expect("static ob parses")
 }
 
-/// The Logres-style baseline translation of the enterprise update
-/// (E8): compute raises, apply them, fire, then classify — four
+/// The Logres-style baseline translation of the enterprise update:
+/// compute raises, apply them, fire, then classify — four
 /// modules whose *manual* ordering is the control §2.4 describes.
 ///
 /// The shape is instructive in itself: a naive single-module
@@ -147,8 +147,13 @@ pub fn enterprise_baseline_datalog() -> ruvo_datalog::DlProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruvo_core::UpdateEngine;
-    use ruvo_term::{int, oid};
+    use ruvo_core::{Database, Outcome};
+    use ruvo_term::{int, oid, sym};
+
+    fn evaluate(program: Program, ob: ruvo_obase::ObjectBase) -> Outcome {
+        let db = Database::open(ob);
+        db.evaluate(&db.prepare_program(program).unwrap()).unwrap()
+    }
 
     #[test]
     fn paper_programs_parse_and_stratify() {
@@ -158,7 +163,7 @@ mod tests {
             hypothetical_program("peter"),
             ancestors_program(),
         ] {
-            assert!(UpdateEngine::new(p).stratify().is_ok());
+            assert!(ruvo_core::stratify::stratify(&p).is_ok());
         }
     }
 
@@ -166,8 +171,7 @@ mod tests {
     fn chain_program_builds_expected_depth() {
         for k in [1, 2, 3, 5, 8] {
             let ob = super::chain_object_base();
-            let program = chain_program(k, false);
-            let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+            let outcome = evaluate(chain_program(k, false), ob);
             assert_eq!(
                 outcome.stratification().len(),
                 k,
@@ -186,13 +190,13 @@ mod tests {
     fn mixed_chain_produces_linear_history() {
         for k in [1, 2, 3, 4, 6, 9] {
             let ob = super::chain_object_base();
-            let outcome = UpdateEngine::new(chain_program(k, true)).run(&ob).unwrap();
+            let outcome = evaluate(chain_program(k, true), ob);
             let finals = outcome.final_versions().unwrap();
             assert_eq!(finals[&oid("o")].depth(), k, "mixed chain of length {k}");
         }
         // k = 2: mod then del; the del removed tag0.
         let ob = super::chain_object_base();
-        let outcome = UpdateEngine::new(chain_program(2, true)).run(&ob).unwrap();
+        let outcome = evaluate(chain_program(2, true), ob);
         let ob2 = outcome.new_object_base();
         assert_eq!(ob2.lookup1(oid("o"), "tag0"), vec![]);
         assert_eq!(ob2.lookup1(oid("o"), "step"), vec![int(1)]);
@@ -215,17 +219,48 @@ mod tests {
         });
         let mut db = e.as_datalog();
         // Inject the paper's phil/bob scenario.
-        db.insert(ruvo_term::sym("empl"), vec![oid("phil")]);
-        db.insert(ruvo_term::sym("empl"), vec![oid("bob")]);
-        db.insert(ruvo_term::sym("mgr"), vec![oid("phil")]);
-        db.insert(ruvo_term::sym("sal"), vec![oid("phil"), int(4000)]);
-        db.insert(ruvo_term::sym("sal"), vec![oid("bob"), int(4200)]);
-        db.insert(ruvo_term::sym("boss"), vec![oid("bob"), oid("phil")]);
+        db.insert(sym("empl"), vec![oid("phil")]);
+        db.insert(sym("empl"), vec![oid("bob")]);
+        db.insert(sym("mgr"), vec![oid("phil")]);
+        db.insert(sym("sal"), vec![oid("phil"), int(4000)]);
+        db.insert(sym("sal"), vec![oid("bob"), int(4200)]);
+        db.insert(sym("boss"), vec![oid("bob"), oid("phil")]);
         let report = evaluate(&mut db, &enterprise_baseline_datalog(), Semantics::Modules, 1000);
         assert!(!report.oscillated);
         // phil raised to 4600, hpe; bob (4620 > 4600) fired.
-        assert!(db.contains(ruvo_term::sym("sal"), &[oid("phil"), int(4600)]));
-        assert!(db.contains(ruvo_term::sym("hpe"), &[oid("phil")]));
-        assert!(!db.contains(ruvo_term::sym("empl"), &[oid("bob")]));
+        assert!(db.contains(sym("sal"), &[oid("phil"), int(4600)]));
+        assert!(db.contains(sym("hpe"), &[oid("phil")]));
+        assert!(!db.contains(sym("empl"), &[oid("bob")]));
+    }
+
+    /// §2.4's control spectrum on the `$4100` scenario, where rule
+    /// order decides the outcome (raises first: bob 4510 < phil 4600,
+    /// so bob stays and both are hpe): automatic predicate
+    /// stratification cannot accept the translation at all, manually
+    /// ordered modules get it right, and no control gets it wrong.
+    #[test]
+    fn baseline_control_spectrum_on_the_4100_scenario() {
+        use ruvo_datalog::{auto_stratify, evaluate, parser::parse_db, Semantics};
+        let baseline = enterprise_baseline_datalog();
+        // `sal` is read and deleted through a cycle with `sal2`. (Which
+        // predicates past that cycle the error names is not fixed.)
+        auto_stratify(&baseline).expect_err("read/delete cycle must be rejected");
+
+        for semantics in [Semantics::Modules, Semantics::Collapsed, Semantics::Inflationary] {
+            let mut db = parse_db(
+                "empl(phil). empl(bob). mgr(phil). boss(bob, phil).
+                 sal(phil, 4000). sal(bob, 4100).",
+            )
+            .unwrap();
+            // 60 rounds: ample for the module fixpoints, and a cap on
+            // the inflationary 1.1^k runaway.
+            evaluate(&mut db, &baseline, semantics, 60);
+            let bob_sal: Vec<_> =
+                db.tuples(sym("sal")).filter(|t| t[0] == oid("bob")).map(|t| t[1]).collect();
+            let correct = db.contains(sym("empl"), &[oid("bob")])
+                && db.contains(sym("hpe"), &[oid("bob")])
+                && bob_sal == vec![int(4510)];
+            assert_eq!(correct, semantics == Semantics::Modules, "{semantics:?}");
+        }
     }
 }

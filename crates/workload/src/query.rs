@@ -6,9 +6,10 @@
 //! `?- ins(eK).chief -> C.` demands only eK's boss chain while full
 //! evaluation derives the closure for *every* employee. That gap is
 //! what the demand-driven query path (see `ruvo_core::query`) is
-//! measured against (benchmark E11), and the pinned reference answers
-//! let differential tests and serve smoke tests assert exact results
-//! without re-deriving them through the engine.
+//! measured against (the `point_query` benchmark workload), and the
+//! pinned reference answers let differential tests and serve smoke
+//! tests assert exact results without re-deriving them through the
+//! engine.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -171,7 +171,12 @@ pub fn random_update_program(config: RandomConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruvo_core::UpdateEngine;
+    use ruvo_core::{Database, Error, Outcome};
+
+    fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+        let db = Database::open(ob.clone());
+        db.evaluate(&db.prepare_program(program)?)
+    }
 
     #[test]
     fn random_ob_is_deterministic() {
@@ -188,8 +193,7 @@ mod tests {
             let config = RandomConfig { seed, ..Default::default() };
             let ob = random_object_base(config);
             let program = random_insert_program(config);
-            let outcome =
-                UpdateEngine::new(program).run(&ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let outcome = evaluate(program, &ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             outcome.result().check_invariants();
             outcome.new_object_base().check_invariants();
         }
@@ -200,7 +204,7 @@ mod tests {
         // Every original fact survives into the new object base.
         let config = RandomConfig { seed: 3, ..Default::default() };
         let ob = random_object_base(config);
-        let outcome = UpdateEngine::new(random_insert_program(config)).run(&ob).unwrap();
+        let outcome = evaluate(random_insert_program(config), &ob).unwrap();
         let ob2 = outcome.new_object_base();
         for fact in ob.iter() {
             assert!(
@@ -217,8 +221,7 @@ mod tests {
             let config = RandomConfig { seed, rules: 9, ..Default::default() };
             let ob = random_object_base(config);
             let program = random_update_program(config);
-            let outcome =
-                UpdateEngine::new(program).run(&ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let outcome = evaluate(program, &ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             outcome.new_object_base().check_invariants();
             fired_any |= outcome.stats().fired_updates > 0;
             // The negation layer forces at least two strata.
@@ -235,7 +238,7 @@ mod tests {
             let ob = random_object_base(config);
             let program = random_insert_program(config);
             let slow = ruvo_core::reference::evaluate(&program, &ob).unwrap();
-            let fast = UpdateEngine::new(program).run(&ob).unwrap();
+            let fast = evaluate(program, &ob).unwrap();
             assert_eq!(fast.result(), &slow.result, "seed {seed}");
         }
     }

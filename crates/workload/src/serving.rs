@@ -5,8 +5,7 @@
 //! one repeatedly-applicable update program per writer (each touching
 //! its own disjoint group of objects, so concurrent writers model
 //! independent tenants), and a seeded shuffle of read keys for the
-//! reader threads. The E8 concurrent-throughput experiment and the
-//! serving property tests both draw from here.
+//! reader threads. The serving property tests draw from here.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -66,13 +66,6 @@
 //! the caller is acknowledged), checkpoints bound recovery time, and
 //! reopening the directory replays exactly the acknowledged history —
 //! see `ruvo::core::store` for the engine and the crash matrix.
-//!
-//! ### Migrating from the pre-`Database` API
-//!
-//! The one-shot shape `UpdateEngine::new(program).run(&ob)` still
-//! works unchanged; `Database::open(ob)` + `prepare`/`apply` is the
-//! same semantics with compilation amortized and errors unified under
-//! [`Error`]/[`ErrorKind`].
 
 pub mod paper;
 
@@ -99,7 +92,7 @@ pub mod prelude {
         Applied, CheckReport, CheckpointPolicy, Commutativity, CommutativityMatrix, Database,
         DatabaseBuilder, EngineConfig, Error, ErrorKind, EvalError, FsyncPolicy, Outcome, Prepared,
         QueryAnswers, QueryMode, QueryPlan, ServingDatabase, Session, SourceCheck, Stratification,
-        Transaction, UpdateEngine,
+        Transaction,
     };
     pub use ruvo_lang::{Diagnostic, Goal, Lint, Program, Rule, Severity};
     pub use ruvo_obase::{MethodApp, ObjectBase, Snapshot};

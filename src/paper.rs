@@ -38,20 +38,19 @@
 //! ## §2.2 General idea
 //!
 //! "An update-program \[is\] a mapping from an (old) object-base into a
-//! (new) object-base" → [`crate::core::UpdateEngine::run`] produces an
-//! [`crate::core::Outcome`]; chained mappings with commit/rollback are
-//! [`crate::core::Session`]. The production shape of the same idea is
-//! [`crate::Database`]: programs are compiled once
-//! ([`crate::Database::prepare`]) and applied repeatedly as
-//! transactions, with O(1) [`crate::Snapshot`] read views between
-//! them.
+//! (new) object-base" → [`crate::Database`]: programs are compiled
+//! once ([`crate::Database::prepare`]) and applied repeatedly as
+//! transactions ([`crate::Database::apply`], with commit/rollback from
+//! [`crate::core::Session`]) or dry-run into an
+//! [`crate::core::Outcome`] ([`crate::Database::evaluate`]), with O(1)
+//! [`crate::Snapshot`] read views between them.
 //!
 //! ## §2.3 Examples
 //!
 //! All four are in [`crate::workload`] and as runnable `examples/`:
 //! [`crate::workload::salary_raise_program`],
 //! [`crate::workload::enterprise_program`] (+ Figure 2 trace in the
-//! `enterprise` example and experiment F2),
+//! `enterprise` example),
 //! [`crate::workload::hypothetical_program`],
 //! [`crate::workload::ancestors_program`].
 //!
@@ -59,8 +58,9 @@
 //!
 //! The Logres-style comparison target (deletion-in-head Datalog with
 //! stratified/inflationary semantics and manually ordered modules) is
-//! implemented in [`crate::datalog`]; experiment E8 reproduces the
-//! fire-before-raise anomaly the section warns about.
+//! implemented in [`crate::datalog`]; `ruvo_workload`'s
+//! `baseline_control_spectrum_on_the_4100_scenario` test reproduces
+//! the fire-before-raise anomaly the section warns about.
 //!
 //! ## §3 The immediate consequence operator
 //!
@@ -75,16 +75,17 @@
 //!   head-truth filtering) and [`crate::core::tp::apply_updates`]
 //!   (steps 2+3: relevant/active copy, then insert/delete/modify).
 //! * The frame-problem note ("copying old states only for the objects
-//!   being updated") is measured by experiment E7.
+//!   being updated") is measured by the `benchmark/` driver's
+//!   `tp.facts_copied` and `obase.ensure_exists_ms`.
 //!
 //! ## §4 Bottom-up evaluation
 //!
 //! Conditions (a)–(d) over unification of version-id-terms:
 //! [`crate::core::stratify`] (chain-exact unification per DESIGN.md
 //! D2); the per-stratum fixpoint loop with overwrite semantics:
-//! [`crate::core::UpdateEngine`] (DESIGN.md D1). The paper's example
+//! [`crate::core::run_compiled`] (DESIGN.md D1). The paper's example
 //! stratification `{rule1, rule2} < {rule3} < {rule4}` is asserted in
-//! `core::stratify::tests` and in the F2 experiment.
+//! `core::stratify::tests` and in `tests/paper_examples.rs`.
 //!
 //! ## §5 Building the new object base
 //!

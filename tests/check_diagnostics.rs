@@ -228,8 +228,9 @@ fn run_reversed_matches(src: &str, base: &str) {
     let program = Program::parse(src).unwrap();
     let mut reversed = program.clone();
     reversed.rules.reverse();
-    let a = UpdateEngine::new(program).run(&ob).unwrap();
-    let b = UpdateEngine::new(reversed).run(&ob).unwrap();
+    let db = Database::open(ob);
+    let a = db.evaluate(&db.prepare_program(program).unwrap()).unwrap();
+    let b = db.evaluate(&db.prepare_program(reversed).unwrap()).unwrap();
     assert_eq!(a.result(), b.result());
     assert_eq!(a.new_object_base(), b.new_object_base());
 }

@@ -57,8 +57,9 @@ fn insert_only_programs_agree_with_datalog() {
         let program = random_insert_program(config);
 
         // ruvo side.
-        let outcome = UpdateEngine::new(program.clone()).run(&ob).unwrap();
-        let ob2 = outcome.new_object_base();
+        let mut db = Database::open(ob.clone());
+        db.apply_program(program.clone()).unwrap();
+        let ob2 = db.current();
 
         // Datalog side: EDB m(X, R) per method, rules derive d_m.
         let mut db = ruvo::datalog::Database::new();
@@ -101,7 +102,9 @@ fn multi_hop_join_agreement() {
          sel: ins[X].xfof -> Z <= X.knows -> Y & Y.knows -> Z & Z.kind -> x.",
     )
     .unwrap();
-    let ob2 = UpdateEngine::new(program).run(&ob).unwrap().new_object_base();
+    let mut db = Database::open(ob);
+    db.apply_program(program).unwrap();
+    let ob2 = db.current();
     assert_eq!(ob2.lookup1(oid("a"), "fof"), vec![oid("c")]);
     assert_eq!(ob2.lookup1(oid("b"), "fof"), vec![oid("d")]);
     assert_eq!(ob2.lookup1(oid("a"), "xfof"), vec![], "c is kind y");

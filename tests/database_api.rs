@@ -13,15 +13,15 @@ const RAISE: &str = "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = 
 
 #[test]
 fn prepare_once_apply_many_matches_oneshot() {
-    // The prepared path must agree exactly with the one-shot engine.
+    // The prepared path must agree exactly with the one-shot one.
     let ob = ObjectBase::parse(ENTERPRISE).unwrap();
-    let oneshot =
-        UpdateEngine::new(Program::parse(RAISE).unwrap()).run(&ob).unwrap().new_object_base();
+    let mut oneshot = Database::open(ob.clone());
+    oneshot.apply_src(RAISE).unwrap();
 
-    let mut db = Database::open(ob.clone());
+    let mut db = Database::open(ob);
     let raise = db.prepare(RAISE).unwrap();
     db.apply(&raise).unwrap();
-    assert_eq!(db.current(), &oneshot);
+    assert_eq!(db.current(), oneshot.current());
 
     // Reuse across ten applications: each sees the flat committed base.
     let mut db = Database::open_src("acct.v -> 0.").unwrap();
@@ -68,11 +68,9 @@ fn snapshot_isolation_across_transactions() {
     assert_eq!(s1.lookup1(oid("bob"), "sal"), vec![int(4620)]);
     // The committed head has moved past both snapshots: it equals one
     // more application of the raise to s1's state.
-    let expected = UpdateEngine::new(Program::parse(RAISE).unwrap())
-        .run(s1.object_base())
-        .unwrap()
-        .new_object_base();
-    assert_eq!(db.current(), &expected);
+    let mut expected = Database::open(s1.object_base().clone());
+    expected.apply_src(RAISE).unwrap();
+    assert_eq!(db.current(), expected.current());
     assert_ne!(db.current(), s1.object_base());
 
     // Snapshots survive the database itself.

@@ -205,7 +205,7 @@ fn parallel_evaluation_docs_match_behavior() {
         "bit-identical",
         "SEED_SPLIT_MIN",
         "RUVO_TEST_THREADS",
-        "BENCH_pr8.json",
+        "pool.speedup_x",
         // One apply path: serial is the width-1 pool of the same round.
         "who executes the jobs",
         "pre-round base",
@@ -213,7 +213,7 @@ fn parallel_evaluation_docs_match_behavior() {
         assert!(arch.contains(claim), "ARCHITECTURE.md parallel section lost claim: {claim}");
     }
     let readme = include_str!("../README.md");
-    for claim in ["--threads", ":set threads", "experiment\nE12", "benchmark/README.md"] {
+    for claim in ["--threads", ":set threads", "pool.speedup_x", "benchmark/README.md"] {
         assert!(readme.contains(claim), "README.md lost parallel perf note: {claim}");
     }
 
@@ -234,18 +234,12 @@ fn parallel_evaluation_docs_match_behavior() {
 #[test]
 fn arithmetic_behaves_as_documented() {
     // Integral results normalize to Int; Int and Num compare equal.
-    let out =
-        UpdateEngine::new(Program::parse("ins[x].v -> V <= x.base -> B & V = B * 1.5.").unwrap())
-            .run(&ObjectBase::parse("x.base -> 100.").unwrap())
-            .unwrap()
-            .new_object_base();
-    assert_eq!(out.lookup1(oid("x"), "v"), vec![int(150)]);
+    let mut db = Database::open_src("x.base -> 100.").unwrap();
+    db.apply_src("ins[x].v -> V <= x.base -> B & V = B * 1.5.").unwrap();
+    assert_eq!(db.current().lookup1(oid("x"), "v"), vec![int(150)]);
 
     // Undefined arithmetic is false; its negation is true.
-    let out =
-        UpdateEngine::new(Program::parse("ins[E].m -> 1 <= E.pos -> P & not P + 1 > 0.").unwrap())
-            .run(&ObjectBase::parse("e.pos -> mgr.").unwrap())
-            .unwrap()
-            .new_object_base();
-    assert_eq!(out.lookup1(oid("e"), "m"), vec![int(1)]);
+    let mut db = Database::open_src("e.pos -> mgr.").unwrap();
+    db.apply_src("ins[E].m -> 1 <= E.pos -> P & not P + 1 > 0.").unwrap();
+    assert_eq!(db.current().lookup1(oid("e"), "m"), vec![int(1)]);
 }

@@ -7,12 +7,18 @@ use ruvo::workload::{
     PAPER_ENTERPRISE_OB,
 };
 
+/// `result(P)` of `program` on `ob`, nothing committed.
+fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+    let db = Database::open(ob.clone());
+    db.evaluate(&db.prepare_program(program)?)
+}
+
 /// §2.1: "henry.salary -> 250" and the 10% raise rule; "each employee
 /// gets his salary raised exactly once."
 #[test]
 fn section_2_1_salary_raise() {
     let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
-    let outcome = UpdateEngine::new(salary_raise_program()).run(&ob).unwrap();
+    let outcome = evaluate(salary_raise_program(), &ob).unwrap();
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("henry"), "sal"), vec![int(275)]);
     assert_eq!(ob2.lookup1(oid("henry"), "isa"), vec![oid("empl")]);
@@ -33,7 +39,7 @@ fn section_2_1_salary_raise() {
 #[test]
 fn section_2_2_version_jargon() {
     let ob = ObjectBase::parse("e.isa -> empl. e.sal -> 100.").unwrap();
-    let outcome = UpdateEngine::new(salary_raise_program()).run(&ob).unwrap();
+    let outcome = evaluate(salary_raise_program(), &ob).unwrap();
     let ob2 = outcome.new_object_base();
     let sal = ob2.lookup1(oid("e"), "sal");
     assert_eq!(sal.len(), 1);
@@ -46,10 +52,10 @@ fn section_2_2_version_jargon() {
 #[test]
 fn section_2_3_enterprise_figure_2() {
     let ob = ObjectBase::parse(PAPER_ENTERPRISE_OB).unwrap();
-    let engine = UpdateEngine::new(enterprise_program());
-    assert_eq!(engine.stratify().unwrap().to_string(), "{rule1, rule2} < {rule3} < {rule4}");
+    let strata = ruvo::core::stratify::stratify(&enterprise_program()).unwrap();
+    assert_eq!(strata.to_string(), "{rule1, rule2} < {rule3} < {rule4}");
 
-    let outcome = engine.run(&ob).unwrap();
+    let outcome = evaluate(enterprise_program(), &ob).unwrap();
     let result = outcome.result();
     let phil = Vid::object(oid("phil"));
     let bob = Vid::object(oid("bob"));
@@ -97,7 +103,7 @@ fn section_2_4_order_control() {
          bob.isa -> empl. bob.boss -> phil. bob.sal -> 4100.",
     )
     .unwrap();
-    let ob2 = UpdateEngine::new(enterprise_program()).run(&ob).unwrap().new_object_base();
+    let ob2 = evaluate(enterprise_program(), &ob).unwrap().new_object_base();
     assert_eq!(ob2.lookup1(oid("bob"), "sal"), vec![int(4510)]);
     assert!(ob2.lookup1(oid("bob"), "isa").contains(&oid("empl")));
     assert!(ob2.lookup1(oid("bob"), "isa").contains(&oid("hpe")), "4510 > 4500");
@@ -111,7 +117,7 @@ fn section_2_3_hypothetical_both_answers() {
          anna.sal -> 200. anna.factor -> 1.0.",
     )
     .unwrap();
-    let outcome = UpdateEngine::new(hypothetical_program("peter")).run(&yes).unwrap();
+    let outcome = evaluate(hypothetical_program("peter"), &yes).unwrap();
     let strat = outcome.stratification();
     assert_eq!(strat.len(), 4, "rule1 < rule2 < rule3 < rule4");
     let ob2 = outcome.new_object_base();
@@ -124,7 +130,7 @@ fn section_2_3_hypothetical_both_answers() {
          anna.sal -> 200. anna.factor -> 2.0.",
     )
     .unwrap();
-    let ob2 = UpdateEngine::new(hypothetical_program("peter")).run(&no).unwrap().new_object_base();
+    let ob2 = evaluate(hypothetical_program("peter"), &no).unwrap().new_object_base();
     assert_eq!(ob2.lookup1(oid("peter"), "richest"), vec![oid("no")]);
     assert_eq!(ob2.lookup1(oid("peter"), "sal"), vec![int(100)]);
 }
@@ -135,7 +141,7 @@ fn section_2_3_hypothetical_both_answers() {
 fn hypothetical_mod_mod_equals_original() {
     let ob =
         ObjectBase::parse("a.sal -> 500. a.factor -> 1.4. b.sal -> 900. b.factor -> 1.1.").unwrap();
-    let outcome = UpdateEngine::new(hypothetical_program("a")).run(&ob).unwrap();
+    let outcome = evaluate(hypothetical_program("a"), &ob).unwrap();
     for name in ["a", "b"] {
         let base = Vid::object(oid(name));
         let mm = base.apply(UpdateKind::Mod).unwrap().apply(UpdateKind::Mod).unwrap();
@@ -156,7 +162,7 @@ fn section_2_3_ancestors_recursive() {
          dee.isa -> person. dee.parents -> cay.",
     )
     .unwrap();
-    let outcome = UpdateEngine::new(ancestors_program()).run(&ob).unwrap();
+    let outcome = evaluate(ancestors_program(), &ob).unwrap();
     assert_eq!(outcome.stratification().len(), 1, "single recursive stratum");
     let ob2 = outcome.new_object_base();
     let mut dee_anc = ob2.lookup1(oid("dee"), "anc");
@@ -181,7 +187,7 @@ fn section_5_version_linearity_rejection() {
          del[o].m -> a <= o.n -> x.",
     )
     .unwrap();
-    let err = UpdateEngine::new(program).run(&ob).unwrap_err();
+    let err = evaluate(program, &ob).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("version-linearity"), "got: {msg}");
     assert!(msg.contains("mod(o)") && msg.contains("del(o)"), "got: {msg}");

@@ -5,6 +5,20 @@ use ruvo::obase::{check_all_linear, LinearityTracker};
 use ruvo::prelude::*;
 use ruvo::workload::{random_insert_program, random_object_base, RandomConfig};
 
+/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+fn evaluate_with(
+    program: Program,
+    config: EngineConfig,
+    ob: &ObjectBase,
+) -> Result<Outcome, Error> {
+    let db = Database::builder().config(config).open(ob.clone());
+    db.evaluate(&db.prepare_program(program)?)
+}
+
+fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+    evaluate_with(program, EngineConfig::default(), ob)
+}
+
 // ----- term layer ----------------------------------------------------
 
 fn arb_kind() -> impl Strategy<Value = UpdateKind> {
@@ -198,8 +212,8 @@ proptest! {
         let mut rotated = program.clone();
         let shift = rot % rotated.rules.len().max(1);
         rotated.rules.rotate_left(shift);
-        let a = UpdateEngine::new(program).run(&ob).unwrap();
-        let b = UpdateEngine::new(rotated).run(&ob).unwrap();
+        let a = evaluate(program, &ob).unwrap();
+        let b = evaluate(rotated, &ob).unwrap();
         prop_assert_eq!(a.result(), b.result());
     }
 
@@ -210,7 +224,7 @@ proptest! {
         let config = RandomConfig { seed, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
-        let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+        let outcome = evaluate(program, &ob).unwrap();
         let finals = outcome.final_versions().unwrap();
         let ob2 = outcome.new_object_base();
         for (&base, &fv) in &finals {
@@ -229,7 +243,7 @@ proptest! {
         let config = RandomConfig { seed, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
-        let ob2 = UpdateEngine::new(program).run(&ob).unwrap().new_object_base();
+        let ob2 = evaluate(program, &ob).unwrap().new_object_base();
         for fact in ob.iter() {
             prop_assert!(
                 ob2.contains(fact.vid, fact.method, fact.args.as_slice(), fact.result),
@@ -253,7 +267,7 @@ proptest! {
         let ob = random_object_base(config);
         let program = random_insert_program(config);
         let slow = ruvo::core::reference::evaluate(&program, &ob).unwrap();
-        let fast = UpdateEngine::new(program).run(&ob).unwrap();
+        let fast = evaluate(program, &ob).unwrap();
         prop_assert_eq!(fast.result(), &slow.result);
         prop_assert_eq!(fast.new_object_base(), slow.new_object_base().unwrap());
     }
@@ -262,18 +276,13 @@ proptest! {
     /// on random workloads.
     #[test]
     fn engine_configs_agree(seed in 0u64..200) {
-        use ruvo::core::EngineConfig;
         let config = RandomConfig { seed, objects: 12, facts: 36, rules: 6, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
         let reference = ruvo::core::reference::evaluate(&program, &ob).unwrap();
-        let serial = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+        let serial = evaluate(program.clone(), &ob).unwrap();
         prop_assert_eq!(&reference.result, serial.result());
-        let parallel = UpdateEngine::with_config(
-            program,
-            EngineConfig { parallel: true, ..Default::default() },
-        )
-        .run(&ob)
+        let parallel = evaluate_with(program, EngineConfig { parallel: true, ..Default::default() }, &ob)
         .unwrap();
         prop_assert_eq!(&reference.result, parallel.result());
     }
@@ -288,19 +297,14 @@ proptest! {
         objects in 32usize..80,
         rules in 1usize..8,
     ) {
-        use ruvo::core::EngineConfig;
         let config = RandomConfig {
             seed, objects, facts: objects * 3, rules, ..Default::default()
         };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
-        let serial = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+        let serial = evaluate(program.clone(), &ob).unwrap();
         for threads in [1usize, 2, 4] {
-            let parallel = UpdateEngine::with_config(
-                program.clone(),
-                EngineConfig { parallel: true, threads, ..Default::default() },
-            )
-            .run(&ob)
+            let parallel = evaluate_with(program.clone(), EngineConfig { parallel: true, threads, ..Default::default() }, &ob)
             .unwrap();
             prop_assert_eq!(serial.result(), parallel.result());
             prop_assert_eq!(
@@ -321,7 +325,7 @@ proptest! {
         let config = RandomConfig { seed, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
-        let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+        let outcome = evaluate(program, &ob).unwrap();
         for fact in ob.iter() {
             prop_assert!(
                 outcome.result().contains(fact.vid, fact.method, fact.args.as_slice(), fact.result),

@@ -20,9 +20,21 @@
 
 use proptest::prelude::*;
 use ruvo::core::reference;
-use ruvo::core::{EngineConfig, EvalError, UpdateEngine};
-use ruvo::lang::Program;
-use ruvo::obase::ObjectBase;
+use ruvo::prelude::*;
+
+/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+fn evaluate_with(
+    program: Program,
+    config: EngineConfig,
+    ob: &ObjectBase,
+) -> Result<Outcome, Error> {
+    let db = Database::builder().config(config).open(ob.clone());
+    db.evaluate(&db.prepare_program(program)?)
+}
+
+fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+    evaluate_with(program, EngineConfig::default(), ob)
+}
 
 /// One template instantiation. `h`, `a`, `b` pick method names, `obj`
 /// picks a constant object, `k` a small integer constant.
@@ -99,15 +111,6 @@ fn arb_base() -> impl Strategy<Value = String> {
     })
 }
 
-fn error_kind(e: &EvalError) -> &'static str {
-    match e {
-        EvalError::NotStratifiable(_) => "not-stratifiable",
-        EvalError::Linearity(_) => "linearity",
-        EvalError::RoundLimit { .. } => "round-limit",
-        EvalError::Unstable { .. } => "unstable",
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
@@ -125,7 +128,7 @@ proptest! {
         prop_assume!(ruvo::core::stratify::stratify(&program).is_ok());
         let ob = ObjectBase::parse(&ob_src).unwrap();
 
-        let engine = UpdateEngine::new(program.clone()).run(&ob);
+        let engine = evaluate(program.clone(), &ob);
         let reference = reference::evaluate(&program, &ob);
 
         match (engine, reference) {
@@ -162,8 +165,7 @@ proptest! {
                         verify_stability: verify,
                         ..EngineConfig::default()
                     };
-                    let variant = UpdateEngine::with_config(program.clone(), cfg)
-                        .run(&ob)
+                    let variant = evaluate_with(program.clone(), cfg, &ob)
                         .expect("variant config must succeed when default does");
                     prop_assert_eq!(
                         variant.result(), &r.result,
@@ -174,7 +176,7 @@ proptest! {
             }
             (Err(ee), Err(re)) => {
                 prop_assert_eq!(
-                    error_kind(&ee), error_kind(&re),
+                    ee.kind(), Error::from(re.clone()).kind(),
                     "error kinds differ: engine {:?} vs reference {:?}\nprogram:\n{}\nbase: {}",
                     ee, re, prog_src, ob_src
                 );
@@ -227,7 +229,7 @@ fn fixed_seed_differential_sweep() {
             continue;
         }
         let ob = ObjectBase::parse(&ob_src).unwrap();
-        let engine = UpdateEngine::new(program.clone()).run(&ob);
+        let engine = evaluate(program.clone(), &ob);
         let reference = reference::evaluate(&program, &ob);
         match (engine, reference) {
             (Ok(e), Ok(r)) => {
@@ -235,7 +237,7 @@ fn fixed_seed_differential_sweep() {
                 checked += 1;
             }
             (Err(ee), Err(re)) => {
-                assert_eq!(error_kind(&ee), error_kind(&re), "seed {seed}\n{prog_src}\n{ob_src}");
+                assert_eq!(ee.kind(), Error::from(re).kind(), "seed {seed}\n{prog_src}\n{ob_src}");
                 checked += 1;
             }
             (e, r) => panic!("seed {seed}: engine {e:?} vs reference {r:?}\n{prog_src}\n{ob_src}"),

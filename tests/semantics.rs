@@ -2,13 +2,26 @@
 //! update-terms, overwrite fixpoints, `exists` protection, object
 //! creation and deletion.
 
-use ruvo::core::{EngineConfig, UpdateEngine};
 use ruvo::prelude::*;
+
+/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+fn evaluate_with(
+    program: Program,
+    config: EngineConfig,
+    ob: &ObjectBase,
+) -> Result<Outcome, Error> {
+    let db = Database::builder().config(config).open(ob.clone());
+    db.evaluate(&db.prepare_program(program)?)
+}
+
+fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+    evaluate_with(program, EngineConfig::default(), ob)
+}
 
 fn run(ob: &str, program: &str) -> Outcome {
     let ob = ObjectBase::parse(ob).unwrap();
     let program = Program::parse(program).unwrap();
-    UpdateEngine::new(program).run(&ob).unwrap()
+    evaluate(program, &ob).unwrap()
 }
 
 /// Footnote 2: a negated *version-term* `not del(mod(E)).isa -> empl`
@@ -61,9 +74,9 @@ fn footnote_2_negated_version_vs_update_term() {
         "{setup}
          rule4: ins[mod(E)].survivor -> yes <= mod(E).isa -> empl & not del(mod(E)).isa -> empl."
     );
-    let err = UpdateEngine::new(Program::parse(&original_shape).unwrap())
-        .run(&ObjectBase::parse(fired_ob).unwrap())
-        .unwrap_err();
+    let err =
+        evaluate(Program::parse(&original_shape).unwrap(), &ObjectBase::parse(fired_ob).unwrap())
+            .unwrap_err();
     assert!(err.to_string().contains("version-linearity"), "got: {err}");
 }
 
@@ -205,7 +218,7 @@ fn input_object_base_is_immutable() {
     let ob = ObjectBase::parse("a.p -> 1.").unwrap();
     let before = ob.clone();
     let program = Program::parse("x: ins[a].q -> 2 <= a.p -> 1.").unwrap();
-    let _ = UpdateEngine::new(program).run(&ob).unwrap();
+    let _ = evaluate(program, &ob).unwrap();
     assert_eq!(ob, before);
 }
 
@@ -254,7 +267,7 @@ fn round_limit_is_enforced() {
                                 p2.isa -> person. p2.parents -> p1. p3.isa -> person. p3.parents -> p2.").unwrap();
     let program = ruvo::workload::ancestors_program();
     let config = EngineConfig { max_rounds_per_stratum: 1, ..Default::default() };
-    let err = UpdateEngine::with_config(program, config).run(&ob).unwrap_err();
+    let err = evaluate_with(program, config, &ob).unwrap_err();
     assert!(err.to_string().contains("fixpoint"), "got: {err}");
 }
 
@@ -267,12 +280,9 @@ fn deferred_linearity_validation() {
          del[o].m -> a <= o.m -> a.",
     )
     .unwrap();
-    let outcome = UpdateEngine::with_config(
-        program,
-        EngineConfig { check_linearity: false, ..Default::default() },
-    )
-    .run(&ob)
-    .unwrap();
+    let outcome =
+        evaluate_with(program, EngineConfig { check_linearity: false, ..Default::default() }, &ob)
+            .unwrap();
     assert!(outcome.try_new_object_base().is_err());
     assert!(outcome.final_versions().is_err());
 }

@@ -2,12 +2,13 @@
 //! expected strata shapes for accepted programs, expected offending
 //! conditions for rejected ones.
 
-use ruvo::core::{Condition, UpdateEngine};
+use ruvo::core::stratify::stratify;
+use ruvo::core::Condition;
 use ruvo::prelude::*;
 
 fn strata_of(src: &str) -> Result<Vec<Vec<String>>, Condition> {
     let program = Program::parse(src).unwrap_or_else(|e| panic!("parse failed: {e}\n{src}"));
-    match UpdateEngine::new(program).stratify() {
+    match stratify(&program) {
         Ok(s) => Ok(s
             .strata
             .iter()
@@ -113,7 +114,7 @@ fn rejected_programs() {
 #[test]
 fn edges_justify_strata() {
     let program = ruvo::workload::enterprise_program();
-    let s = UpdateEngine::new(program).stratify().unwrap();
+    let s = stratify(&program).unwrap();
     // For every pair of rules in different strata with lower < upper,
     // if any edge connects them it must point upward.
     for e in &s.edges {

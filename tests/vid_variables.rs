@@ -8,10 +8,22 @@
 //! but never name the target of an update, so the set of creatable
 //! versions stays exactly as in the base language.
 
-use ruvo::core::{reference, CyclePolicy, EngineConfig, EvalError, UpdateEngine};
-use ruvo::lang::Program;
-use ruvo::obase::ObjectBase;
+use ruvo::core::{reference, CyclePolicy};
 use ruvo::prelude::*;
+
+/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+fn evaluate_with(
+    program: Program,
+    config: EngineConfig,
+    ob: &ObjectBase,
+) -> Result<Outcome, Error> {
+    let db = Database::builder().config(config).open(ob.clone());
+    db.evaluate(&db.prepare_program(program)?)
+}
+
+fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
+    evaluate_with(program, EngineConfig::default(), ob)
+}
 
 #[test]
 fn parses_and_pretty_prints() {
@@ -62,7 +74,7 @@ fn audit_example_sees_all_versions() {
          audit: ins[audit].flagged -> O <= $V.sal -> S & $V.exists -> O & S > 1000.",
     )
     .unwrap();
-    let outcome = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+    let outcome = evaluate(program.clone(), &ob).unwrap();
     // The wildcard forces `audit` strictly above the mod-rule.
     assert_eq!(outcome.stratification().strata.len(), 2);
     let ob2 = outcome.new_object_base();
@@ -86,7 +98,7 @@ fn termination_is_preserved() {
     // one ins-version per *object* and terminates.
     let ob = ObjectBase::parse("a.p -> 1. b.p -> 2.").unwrap();
     let program = Program::parse("ins[O].seen -> 1 <= $V.exists -> O.").unwrap();
-    let outcome = UpdateEngine::new(program).run(&ob).unwrap();
+    let outcome = evaluate(program, &ob).unwrap();
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("a"), "seen"), vec![int(1)]);
     assert_eq!(ob2.lookup1(oid("b"), "seen"), vec![int(1)]);
@@ -99,11 +111,11 @@ fn wildcard_in_del_rule_needs_dynamic_mode() {
     // Statically rejected; stable at runtime on this base.
     let ob = ObjectBase::parse("o.m -> 1.").unwrap();
     let program = Program::parse("del[X].m -> R <= $V.m -> R & $V.exists -> X.").unwrap();
-    let err = UpdateEngine::new(program.clone()).run(&ob).unwrap_err();
-    assert!(matches!(err, EvalError::NotStratifiable(_)));
+    let err = evaluate(program.clone(), &ob).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Stratify);
 
     let config = EngineConfig { cycles: CyclePolicy::RuntimeStability, ..Default::default() };
-    let outcome = UpdateEngine::with_config(program, config).run(&ob).unwrap();
+    let outcome = evaluate_with(program, config, &ob).unwrap();
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("o"), "m"), vec![]);
 }
@@ -118,7 +130,7 @@ fn repeated_vid_var_selects_one_version() {
          find: ins[hit].both -> S <= $V.p -> S & $V.q -> 2.",
     )
     .unwrap();
-    let outcome = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+    let outcome = evaluate(program.clone(), &ob).unwrap();
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("hit"), "both"), vec![int(1)]);
     let r = reference::evaluate(&program, &ob).unwrap();
@@ -139,7 +151,7 @@ fn wildcard_rules_agree_with_the_reference_serial_and_parallel() {
     let r = reference::evaluate(&program, &ob).unwrap();
     for parallel in [false, true] {
         let cfg = EngineConfig { parallel, ..EngineConfig::default() };
-        let v = UpdateEngine::with_config(program.clone(), cfg).run(&ob).unwrap();
+        let v = evaluate_with(program.clone(), cfg, &ob).unwrap();
         assert_eq!(v.result(), &r.result, "parallel={parallel}");
     }
 }

@@ -82,13 +82,14 @@ fn guarded_replay_is_idempotent() {
     assert_eq!(s.len(), 4);
 }
 
-/// The one-shot engine and the compile-once entry point agree.
+/// The `Database` facade and the compile-once entry point agree.
 #[test]
 fn run_entry_points_agree() {
     use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, EngineConfig};
     let ob = ObjectBase::parse("a.p -> 1. b.q -> 2.").unwrap();
     let program = Program::parse("x: ins[X].r -> V <= X.p -> V.").unwrap();
-    let by_ref = UpdateEngine::new(program.clone()).run(&ob).unwrap();
+    let db = Database::open(ob.clone());
+    let by_ref = db.evaluate(&db.prepare_program(program.clone()).unwrap()).unwrap();
     let mut prepared = ob.clone();
     prepared.ensure_exists();
     let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
