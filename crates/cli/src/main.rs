@@ -504,7 +504,7 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
 }
 
 /// The `--deps` text report: per-rule read/write sets and the
-/// per-stratum dependency components the scheduler parallelizes over.
+/// per-stratum dependency components.
 fn print_deps_summary(compiled: &ruvo_core::CompiledProgram) {
     let deps = compiled.deps();
     let program = compiled.program();

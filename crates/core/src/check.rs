@@ -466,7 +466,7 @@ fn cycle_advisories(compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
 /// sequentially (instead of the paper's simultaneous `T_P`) could
 /// observe the write. Uses the *precise* read sets of the
 /// [`RuleDepGraph`] — negated keys stay concrete here, unlike the
-/// scheduling view which widens negation to ⊤ — and exempts purely
+/// graph's edges, which widen negation to ⊤ — and exempts purely
 /// additive pairs (a positive read where both heads insert), which is
 /// the §4(b)-sanctioned ins-recursion pattern.
 fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
@@ -532,7 +532,7 @@ fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagn
 }
 
 /// Advisory observations from the dependency graph: self-dependent
-/// rules and strata that split into parallel components. These are
+/// rules and strata that split into independent components. These are
 /// truthful statements about perfectly healthy programs, so they go
 /// into [`CheckReport::advisories`], never into warnings.
 fn deps_advisories(
@@ -738,7 +738,7 @@ mod tests {
     #[test]
     fn enterprise_advisories_note_parallel_components() {
         // rule1/rule2 share the first stratum; rule2's negation widens
-        // it to ⊤ for scheduling, so they form one component and no
+        // it to ⊤ in the graph, so they form one component and no
         // parallel-opportunity note fires — but no warning does either.
         let report = check(&compiled(ENTERPRISE));
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);

@@ -373,7 +373,7 @@ impl Prepared {
 
     /// The rule dependency graph computed once at prepare time: per-
     /// rule read/write sets and the intra-stratum component partition
-    /// the parallel scheduler uses (see [`crate::deps`]).
+    /// behind the order-sensitivity lints (see [`crate::deps`]).
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
         self.compiled.deps()
     }
@@ -452,16 +452,6 @@ impl DatabaseBuilder {
     /// §5 runtime version-linearity check (default on).
     pub fn check_linearity(mut self, on: bool) -> Self {
         self.config.check_linearity = on;
-        self
-    }
-
-    /// Escape hatch: answer [`Database::query`] by evaluating the
-    /// **full** program and matching the goal against the complete
-    /// result, skipping the magic-set rewrite (default on → rewrite).
-    /// Answers are identical either way — this exists for
-    /// differential testing and benchmarking.
-    pub fn demand(mut self, on: bool) -> Self {
-        self.config.demand = on;
         self
     }
 
@@ -554,13 +544,7 @@ impl DatabaseBuilder {
             )
             .into());
         };
-        // Decode the checkpoint chain's base generation in parallel:
-        // reopen time is then driven by the WAL tail, not base size.
-        let workers = match self.config.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        let opened = WalStore::open_with_workers(dir, self.fsync, self.checkpoint, workers)?;
+        let opened = WalStore::open(dir, self.fsync, self.checkpoint)?;
         let fresh = opened.is_fresh();
         let base = match opened.checkpoint {
             Some(ckpt) => ckpt.base,
@@ -728,23 +712,38 @@ impl Database {
 
     /// [`Database::prepare`] for an already-parsed program.
     pub fn prepare_program(&self, program: Program) -> Result<Prepared, Error> {
-        let prepared = Prepared::compile(program, self.config().cycles)?;
-        if !self.deny_lints.is_empty() {
-            let diagnostics: Vec<Diagnostic> = prepared
-                .warnings()
-                .iter()
-                .filter(|d| self.deny_lints.contains(&d.lint))
-                .map(|d| {
-                    let mut d = d.clone();
-                    d.severity = ruvo_lang::Severity::Error;
-                    d
-                })
-                .collect();
-            if !diagnostics.is_empty() {
-                return Err(Error::DeniedLint { diagnostics });
-            }
+        Database::prepare_gated(program, self.config().cycles, &self.deny_lints)
+    }
+
+    /// The one prepare gate: compile under `cycles`, then escalate any
+    /// warning whose lint is in `deny` to [`Error::DeniedLint`]. Shared
+    /// with [`crate::ServingDatabase`], which prepares without the
+    /// writer lock and so cannot go through `&Database`.
+    pub(crate) fn prepare_gated(
+        program: Program,
+        cycles: CyclePolicy,
+        deny: &[Lint],
+    ) -> Result<Prepared, Error> {
+        let prepared = Prepared::compile(program, cycles)?;
+        let diagnostics: Vec<Diagnostic> = prepared
+            .warnings()
+            .iter()
+            .filter(|d| deny.contains(&d.lint))
+            .map(|d| {
+                let mut d = d.clone();
+                d.severity = ruvo_lang::Severity::Error;
+                d
+            })
+            .collect();
+        if !diagnostics.is_empty() {
+            return Err(Error::DeniedLint { diagnostics });
         }
         Ok(prepared)
+    }
+
+    /// The lints this database promotes to prepare-time errors.
+    pub(crate) fn deny_lints(&self) -> &[Lint] {
+        &self.deny_lints
     }
 
     /// Run a prepared program as one transaction: on success the
@@ -798,11 +797,8 @@ impl Database {
     /// ([`Prepared::query_plan`]) so that, for selective goals, only
     /// the demanded slice of the object base is evaluated; the answers
     /// are exactly the goal's matches against the full evaluation's
-    /// `result(P)`.
-    ///
-    /// Under [`DatabaseBuilder::demand`]`(false)` the rewrite is
-    /// skipped and the goal is matched against a complete
-    /// [`Database::evaluate`] — the slow reference semantics.
+    /// `result(P)` — `match_goal(db.evaluate(&p)?.result(), &goal)`,
+    /// the oracle the differential query tests compare against.
     ///
     /// ```
     /// use ruvo_core::Database;
@@ -821,10 +817,6 @@ impl Database {
     /// # Ok::<(), ruvo_core::Error>(())
     /// ```
     pub fn query(&self, prepared: &Prepared, goal: Goal) -> Result<QueryAnswers, Error> {
-        if !self.config().demand {
-            let outcome = self.evaluate(prepared)?;
-            return Ok(crate::query::match_goal(outcome.result(), &goal));
-        }
         let plan = prepared.query_plan(goal);
         self.run_query_plan(&plan)
     }
@@ -1305,10 +1297,10 @@ mod tests {
         let fast = db.query_src(&raise, "?- mod(henry).sal -> S.").unwrap();
         assert_eq!(fast.rows, vec![vec![int(275)]]);
         assert!(db.is_empty(), "queries never commit");
-        // The demand(false) escape hatch evaluates everything and must
-        // agree exactly.
-        let slow_db = Database::builder().demand(false).open_src(BASE).unwrap();
-        let slow = slow_db.query_src(&raise, "?- mod(henry).sal -> S.").unwrap();
+        // The escape hatch — the goal matched against the full
+        // evaluation's result(P) — must agree exactly.
+        let goal = Goal::parse("?- mod(henry).sal -> S.").unwrap();
+        let slow = crate::query::match_goal(db.evaluate(&raise).unwrap().result(), &goal);
         assert_eq!(fast.vars, slow.vars);
         assert_eq!(fast.rows, slow.rows);
     }

@@ -4,9 +4,8 @@
 //! The paper's `T_P` operator (§4) fires every rule of a stratum
 //! against the same pre-state, so two rules whose static read sets are
 //! disjoint from each other's write sets are provably independent —
-//! their step-1 matching can run concurrently and their relative order
-//! can never change the fired-update set. This module computes that
-//! independence once at compile time:
+//! their relative order can never change the fired-update set. This
+//! module computes that independence once at compile time:
 //!
 //! * a conservative **read set** per rule — [`crate::plan::literal_reads`]
 //!   over *all* body literals (positive and negated, tracked
@@ -19,21 +18,17 @@
 //!   [`crate::check`]'s commutativity analysis uses);
 //! * a [`RuleDepGraph`] over same-stratum rule pairs with typed edges
 //!   ([`DepEdgeKind`]) and its connected-component partition. For the
-//!   *graph* (which drives scheduling), negation is widened to ⊤ like
-//!   `$V` — a negated read is sensitive to anything that could make
-//!   its relation grow. The lint layer in [`crate::check`] keeps the
-//!   precise negated keys instead, so diagnostics don't cry wolf on
-//!   negations whose relations no same-stratum rule writes.
+//!   *graph*, negation is widened to ⊤ like `$V` — a negated read is
+//!   sensitive to anything that could make its relation grow. The lint
+//!   layer in [`crate::check`] keeps the precise negated keys instead,
+//!   so diagnostics don't cry wolf on negations whose relations no
+//!   same-stratum rule writes.
 //!
-//! The graph is consumed twice: the engine schedules step-1 matching
-//! as one pool job per component ([`crate::engine`], composing with
-//! seeded-scan splitting), and `ruvo check --deps` / REPL `:deps`
+//! The graph is analysis only — the evaluator never reads it (every
+//! round task scans the immutable pre-state as its own pool job,
+//! whatever its component). It feeds the order-sensitivity lints of
+//! [`crate::check`], and `ruvo check --deps` / `--dot` / REPL `:deps`
 //! render it for humans (DOT and JSON, see [`RuleDepGraph::to_dot`]).
-//! Grouping only affects *which worker* scans a rule — every unit
-//! reads the immutable pre-state — so the component partition is a
-//! performance hint, never a correctness input; bit-identity across
-//! thread widths is enforced by the slot-ordered merge in the engine
-//! and checked by `tests/parallel_differential.rs`.
 
 use ruvo_lang::{Program, Rule};
 use ruvo_term::{Chain, Symbol};
@@ -88,8 +83,9 @@ impl ReadSet {
         self.top.is_some()
     }
 
-    /// ⊤ for *scheduling*: `$V` atoms, plus negation widened to ⊤
-    /// (the conservative reading the dependency graph uses).
+    /// ⊤ for the dependency *graph*: `$V` atoms, plus negation widened
+    /// to ⊤ (the conservative reading its edges use; the lints keep the
+    /// precise negated keys).
     pub fn is_top_for_scheduling(&self) -> bool {
         self.is_top() || !self.negated.is_empty()
     }
@@ -124,7 +120,7 @@ pub enum DepEdgeKind {
     /// The [`CommutativityMatrix`] could not prove the pair's writes
     /// commute (`Conflicts` or `Unknown`).
     WriteWrite,
-    /// One side reads ⊤ under the scheduling widening (`$V` atom or a
+    /// One side reads ⊤ under the graph's widening (`$V` atom or a
     /// negated literal), so it conservatively overlaps any writer.
     TopConflict,
 }
@@ -154,8 +150,8 @@ pub struct DepEdge {
 }
 
 /// The per-program rule dependency graph: read/write sets, typed
-/// same-stratum edges, and the connected-component partition that
-/// bounds intra-stratum rule parallelism.
+/// same-stratum edges, and the connected-component partition (rules
+/// in different components of a stratum are provably independent).
 #[derive(Clone, Debug)]
 pub struct RuleDepGraph {
     reads: Vec<ReadSet>,
@@ -186,8 +182,8 @@ impl RuleDepGraph {
             })
             .collect();
 
-        // The scheduling view of "rule a's reads overlap rule b's
-        // writes": a chain-less write (overflow) overlaps everything.
+        // "Rule a's reads overlap rule b's writes": a chain-less write
+        // (overflow) overlaps everything.
         let rw = |a: usize, b: usize| match writes[b].chain {
             Some(c) => reads[a].reads_chain(c),
             None => true,

@@ -25,6 +25,16 @@
 //! check needs the whole `T¹`. The hint-less, filter-less evaluation
 //! of §3 lives on as [`crate::reference`], the differential oracle.
 //!
+//! ## One round, two pool regions
+//!
+//! A round's tasks all read the same immutable pre-round base, so they
+//! are independent: `collect_round` hands them to the run's worker
+//! pool (`core::pool`) one job per task and appends the outputs in
+//! task order, and [`crate::tp`]'s apply builds the touched versions'
+//! states the same way before committing them once. Serial evaluation
+//! is the width-1 pool — the same code inline on the calling thread —
+//! so every width computes bit-identical results.
+//!
 //! ## Version linearity (§5)
 //!
 //! Every version touched by an applied update is recorded in a
@@ -83,12 +93,14 @@ pub struct EngineConfig {
     pub trace: TraceLevel,
     /// Evaluate the rules of a round on multiple threads.
     pub parallel: bool,
-    /// Worker cap for parallel evaluation: the number of threads the
-    /// run's worker pool (`core::pool`) is created with. `0` (the
-    /// default) means "auto" — use the host's available parallelism.
-    /// Ignored unless [`EngineConfig::parallel`] is on. The computed
-    /// results are bit-identical for every value (see ARCHITECTURE.md
-    /// §"Parallel evaluation"); only wall-clock telemetry varies.
+    /// Worker cap for parallel evaluation: the width of the run's
+    /// worker pool (`core::pool`). `0` (the default) means "auto" — use
+    /// the host's available parallelism. Ignored unless
+    /// [`EngineConfig::parallel`] is on (the pool is then width 1), and
+    /// read by engine runs only — opening a data directory does not
+    /// consult it. The computed results are bit-identical for every
+    /// value (see ARCHITECTURE.md §"Parallel evaluation"); only
+    /// wall-clock telemetry varies.
     pub threads: usize,
     /// Handling of statically non-stratifiable programs (§6 extension).
     pub cycles: CyclePolicy,
@@ -98,13 +110,6 @@ pub struct EngineConfig {
     /// tests validate that theorem empirically. Forces full rule
     /// re-evaluation per round (no seeding, no skipped rules).
     pub verify_stability: bool,
-    /// Demand-driven query evaluation (default on): `Database::query`
-    /// rewrites the program against the goal's bound arguments (see
-    /// [`crate::query`]) so only the demanded slice of the object base
-    /// is computed. With `demand: false` every query runs the full
-    /// fixpoint and filters — the escape hatch, and the oracle the
-    /// differential query tests compare against.
-    pub demand: bool,
 }
 
 impl Default for EngineConfig {
@@ -117,20 +122,11 @@ impl Default for EngineConfig {
             threads: 0,
             cycles: CyclePolicy::Reject,
             verify_stability: false,
-            demand: true,
         }
     }
 }
 
 impl EngineConfig {
-    /// Toggle demand-driven query evaluation (see
-    /// [`EngineConfig::demand`]); `demand(false)` forces every query
-    /// through the full-evaluation path.
-    pub fn demand(mut self, on: bool) -> Self {
-        self.demand = on;
-        self
-    }
-
     /// Cap parallel evaluation at `n` worker threads (`0` = auto,
     /// see [`EngineConfig::threads`]).
     pub fn threads(mut self, n: usize) -> Self {
@@ -273,8 +269,8 @@ impl CompiledProgram {
     }
 
     /// The rule dependency graph: per-rule read/write sets, typed
-    /// same-stratum edges, and the connected-component partition the
-    /// parallel scheduler groups step-1 scans by — see [`crate::deps`].
+    /// same-stratum edges, and their connected-component partition —
+    /// see [`crate::deps`]. Analysis only: evaluation never reads it.
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
         &self.analysis.deps
     }
@@ -363,18 +359,17 @@ pub fn run_compiled(
 ) -> Result<Outcome, EvalError> {
     let started = Instant::now();
     let program = &compiled.program;
-    let Analysis { stratification, risky, triggers, index_plan, deps } = &compiled.analysis;
+    let Analysis { stratification, risky, triggers, index_plan, .. } = &compiled.analysis;
 
     let mut tracker = config.check_linearity.then(LinearityTracker::new);
     let mut stats = EvalStats::default();
-    // One pool for the whole run; every round's regions (the step-1
-    // scans and the step-2+3 apply) borrow it. With parallel
-    // evaluation off this is a width-1 pool and nothing ever spawns.
+    // One pool for the whole run; every round's two regions (the
+    // step-1 scans and the step-2+3 state building) borrow it. With
+    // parallel evaluation off this is a width-1 pool: the same code,
+    // inline on this thread.
     let pool = crate::pool::WorkerPool::new(effective_workers(config));
-    if config.parallel {
-        stats.parallel.workers = pool.workers();
-    }
-    let ctx = RoundCtx { program, plans: index_plan, parallel: config.parallel, deps, pool: &pool };
+    stats.parallel.workers = pool.workers();
+    let ctx = RoundCtx { program, plans: index_plan, pool: &pool };
     let mut stratum_traces = Vec::new();
     let mut round_traces = Vec::new();
     let mut total_changed = ChangedSince::new();
@@ -497,195 +492,44 @@ pub fn run_compiled(
     })
 }
 
-/// Minimum seed size at which a seeded task is split into per-shard
-/// sub-tasks. Splitting is conditioned only on
-/// [`EngineConfig::parallel`] and this constant — never on the worker
-/// count — so every parallel width sees the same sub-task list and
-/// produces the same merged delta sequence.
-const SEED_SPLIT_MIN: usize = 32;
-
-/// Minimum object count at which a *full* (unseeded) scan — a round-1
-/// task, or a later round's unseedable fallback — is split by shard
-/// route as well. Like [`SEED_SPLIT_MIN`], a pure function of the
-/// state and the config, never of the worker count.
-const FULL_SPLIT_MIN: usize = 32;
-
-/// The first `Scan` step of a rule's compiled plan — the step a full
-/// evaluation can be split at. Seeding that step with a partition of
-/// the *entire* object set is an exact cover of the full scan: every
-/// match binds some version there, and its base routes the match to
-/// exactly one partition. `None` for fully-ground rules (no scan
-/// step), which are too cheap to split anyway.
-fn first_scan_step(rule: &Rule) -> Option<usize> {
-    rule.plan.steps.iter().position(|s| matches!(s, ruvo_lang::PlannedLiteral::Scan(_)))
-}
-
-/// A unit of step-1 scan work after seed splitting: a round task as
-/// issued by [`round_tasks`], or one shard's slice of a split seed.
-enum ScanJob<'a> {
-    Whole(&'a EvalTask),
-    Split { rule: usize, step: usize, seed: FastHashSet<Const> },
-}
-
 /// The run-constant inputs of [`collect_round`]: everything a round's
 /// scan phase reads that does not change between rounds or strata.
 #[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     program: &'a Program,
     plans: &'a IndexPlan,
-    parallel: bool,
-    deps: &'a crate::deps::RuleDepGraph,
     pool: &'a crate::pool::WorkerPool,
 }
 
-/// Step 1 of `T_P` over a round's evaluation tasks: scans follow the
-/// compiled index plan (and seeds, for seeded tasks).
-///
-/// With [`EngineConfig::parallel`] on, the round's tasks are first
-/// expanded into scan *units* in task order — large seeded tasks are
-/// split by shard route ([`ruvo_obase::base_shard`]) into per-shard
-/// sub-units (intra-rule parallelism), everything else stays one
-/// unit. Units are then scheduled onto the pool one job per
-/// *dependency component* ([`crate::deps::RuleDepGraph`]): whole-rule
-/// units of dependent rules bundle into a single sequential job
-/// (their scans chase the same relations), while independent
-/// components — and every split sub-unit — spread across workers.
-///
-/// Both the unit list and the job grouping depend only on the tasks
-/// and the compiled program, never on the worker count, and each
-/// unit's output is merged back in *unit* order (slot-keyed), so the
-/// fired sequence is identical to the serial path at every thread
-/// width (see [`crate::pool`] for the determinism contract).
+/// Step 1 of `T_P` over a round's evaluation tasks: one pool job per
+/// task, each an independent read of the immutable pre-round base that
+/// follows the compiled index plan (and the seed, for seeded tasks).
+/// The per-task outputs are appended in task order, so the fired
+/// sequence is the same at every pool width — width 1 runs the jobs
+/// inline on the caller (see [`crate::pool`]).
 fn collect_round(
     ctx: &RoundCtx<'_>,
     ob: &ObjectBase,
     tasks: &[EvalTask],
     par: &mut ParallelStats,
 ) -> Vec<Fired> {
-    let RoundCtx { program, plans, parallel, deps, pool } = *ctx;
-    let run = |rule: usize, seed: Option<(usize, &FastHashSet<Const>)>, out: &mut Vec<Fired>| {
-        tp::collect_rule(ob, &program.rules[rule], &plans.rules[rule], seed, out)
-    };
-    if !parallel {
+    let RoundCtx { program, plans, pool } = *ctx;
+    let started = Instant::now();
+    let outs = pool.run(tasks.len(), |i| {
+        let EvalTask { rule, seed } = &tasks[i];
+        let seed = seed.as_ref().map(|(step, set)| (*step, set));
         let mut out = Vec::new();
-        for task in tasks {
-            run(task.rule, task.seed.as_ref().map(|(s, set)| (*s, set)), &mut out);
-        }
-        return out;
-    }
-    let shard_buckets = |objs: &mut dyn Iterator<Item = Const>| -> Vec<FastHashSet<Const>> {
-        let mut buckets: Vec<FastHashSet<Const>> =
-            std::iter::repeat_with(FastHashSet::default).take(ruvo_obase::SHARD_COUNT).collect();
-        for c in objs {
-            buckets[ruvo_obase::base_shard(c)].insert(c);
-        }
-        buckets
-    };
-    // The whole-object-set partition for full-scan splitting, shared
-    // across this round's full tasks; built (and the object set
-    // counted) at most once per round, and only on rounds that
-    // actually carry a full task.
-    let mut full_buckets: Option<Vec<FastHashSet<Const>>> = None;
-    let mut object_count: Option<usize> = None;
-    let mut units: Vec<ScanJob> = Vec::new();
-    for task in tasks {
-        match &task.seed {
-            Some((step, seed)) if seed.len() >= SEED_SPLIT_MIN => {
-                par.seed_splits += 1;
-                let buckets = shard_buckets(&mut seed.iter().copied());
-                units.extend(
-                    buckets.into_iter().filter(|b| !b.is_empty()).map(|seed| ScanJob::Split {
-                        rule: task.rule,
-                        step: *step,
-                        seed,
-                    }),
-                );
-            }
-            None if deps.components()[deps.component_of(task.rule)].len() == 1
-                && *object_count.get_or_insert_with(|| ob.objects().count()) >= FULL_SPLIT_MIN =>
-            {
-                // Round-1 full scans (and unseedable fallbacks) split
-                // too: seed the rule's first scan step with the whole
-                // object set, partitioned by shard route — an exact
-                // cover of the full scan (see [`first_scan_step`]).
-                // Only rules alone in their dependency component
-                // split; dependent rules keep the component bundling
-                // (their scans chase the same relations, so shard
-                // fan-out would just shred that locality).
-                let Some(step) = first_scan_step(&program.rules[task.rule]) else {
-                    units.push(ScanJob::Whole(task));
-                    continue;
-                };
-                par.full_splits += 1;
-                let buckets =
-                    full_buckets.get_or_insert_with(|| shard_buckets(&mut ob.objects())).clone();
-                units.extend(
-                    buckets.into_iter().filter(|b| !b.is_empty()).map(|seed| ScanJob::Split {
-                        rule: task.rule,
-                        step,
-                        seed,
-                    }),
-                );
-            }
-            _ => units.push(ScanJob::Whole(task)),
-        }
-    }
-    par.scan_subtasks += units.len();
-    // One pool job per dependency component (created at its first
-    // unit, so job order follows unit order); splits stay singletons.
-    let mut jobs: Vec<Vec<usize>> = Vec::new();
-    let mut job_of_component: FastHashMap<usize, usize> = FastHashMap::default();
-    for (u, unit) in units.iter().enumerate() {
-        match unit {
-            ScanJob::Split { .. } => jobs.push(vec![u]),
-            ScanJob::Whole(task) => {
-                let c = deps.component_of(task.rule);
-                match job_of_component.entry(c) {
-                    std::collections::hash_map::Entry::Occupied(e) => jobs[*e.get()].push(u),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(jobs.len());
-                        jobs.push(vec![u]);
-                    }
-                }
-            }
-        }
-    }
-    for job in &jobs {
-        if job.len() > 1 {
-            par.component_jobs += 1;
-            par.component_units += job.len();
-            par.component_units_max = par.component_units_max.max(job.len());
-        }
-    }
-    let (outs, timing) = pool.run(jobs.len(), |i| {
-        jobs[i]
-            .iter()
-            .map(|&u| {
-                let mut out = Vec::new();
-                match &units[u] {
-                    ScanJob::Whole(task) => {
-                        run(task.rule, task.seed.as_ref().map(|(s, set)| (*s, set)), &mut out)
-                    }
-                    ScanJob::Split { rule, step, seed } => {
-                        run(*rule, Some((*step, seed)), &mut out)
-                    }
-                }
-                (u, out)
-            })
-            .collect::<Vec<_>>()
+        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed, &mut out);
+        out
     });
-    par.scan_wall += timing.wall;
-    par.scan_busy_max += timing.busy_max;
-    par.scan_busy_total += timing.busy_total;
-    // Slot-keyed merge: each unit's output lands back at its unit
-    // index, so flattening reproduces the serial task order exactly.
-    let mut slots: Vec<Vec<Fired>> = (0..units.len()).map(|_| Vec::new()).collect();
-    for job in outs {
-        for (u, out) in job {
-            slots[u] = out;
-        }
+    par.scan_subtasks += tasks.len();
+    par.scan_wall += started.elapsed();
+    let mut outs = outs.into_iter();
+    let mut fired = outs.next().unwrap_or_default();
+    for out in outs {
+        fired.extend(out);
     }
-    slots.into_iter().flatten().collect()
+    fired
 }
 
 /// The `(chain, method)` relations a rule's positive body literals can
@@ -1370,42 +1214,5 @@ mod tests {
         let plain = Program::parse("ins[a].p -> 1.").unwrap();
         let relaxed = crate::stratify::stratify_relaxed(&plain);
         assert_eq!(relaxed.needs_runtime_check, vec![false]);
-    }
-
-    /// A base above [`FULL_SPLIT_MIN`] objects and a singleton-component
-    /// rule: the round-1 full scan must split by shard route, and the
-    /// split run must match serial exactly.
-    #[test]
-    fn full_scans_split_above_the_object_gate() {
-        let mut src = String::new();
-        for i in 0..40 {
-            src.push_str(&format!("o{i}.val -> {i}.\n"));
-        }
-        let ob = ObjectBase::parse(&src).unwrap();
-        let program = Program::parse("ins[X].tag -> 1 <= X.val -> V & V > 5.").unwrap();
-        let serial = run_default(program.clone(), &ob).unwrap();
-        let parallel = run_with(
-            program.clone(),
-            EngineConfig { parallel: true, threads: 2, ..Default::default() },
-            &ob,
-        )
-        .unwrap();
-        assert!(
-            parallel.stats().parallel.full_splits > 0,
-            "round-1 full scan did not split: {:?}",
-            parallel.stats().parallel
-        );
-        assert_eq!(serial.result(), parallel.result());
-        assert_eq!(serial.new_object_base(), parallel.new_object_base());
-
-        // Below the gate nothing splits.
-        let small = ObjectBase::parse("a.val -> 10. b.val -> 20.").unwrap();
-        let outcome = run_with(
-            program,
-            EngineConfig { parallel: true, threads: 2, ..Default::default() },
-            &small,
-        )
-        .unwrap();
-        assert_eq!(outcome.stats().parallel.full_splits, 0);
     }
 }

@@ -1,38 +1,24 @@
 //! The round-scoped worker pool behind parallel evaluation.
 //!
 //! One [`WorkerPool`] is created per engine run from
-//! [`crate::EngineConfig::threads`] and drives every parallel region
-//! of every fixpoint round — the seeded/full rule scans of step 1 and
-//! the state-preparation pass of step 2+3. A region hands the pool an
-//! indexed job list; workers pull jobs from a shared atomic cursor
-//! (so a skewed round self-balances) and deposit each result into the
-//! slot of its job index. The caller reads the slots back **in job
-//! order**, which is what makes the merged output independent of the
-//! worker count and of scheduling — the determinism contract
-//! documented in ARCHITECTURE.md §"Parallel evaluation".
+//! [`crate::EngineConfig::threads`] and drives the two parallel regions
+//! of every fixpoint round — the rule scans of step 1 (one job per
+//! round task) and the state building of step 2+3 (one job per created
+//! version). Both are independent reads of the round's immutable input
+//! base. A region hands the pool an indexed job list; workers pull jobs
+//! from a shared atomic cursor (so a skewed round self-balances) and
+//! deposit each result into the slot of its job index. The caller reads
+//! the slots back **in job order**, which is what makes the merged
+//! output independent of the worker count and of scheduling — the
+//! determinism contract documented in ARCHITECTURE.md §"Parallel
+//! evaluation".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// Per-region execution telemetry, accumulated into
-/// [`crate::EvalStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegionTiming {
-    /// Wall-clock time of the region.
-    pub wall: Duration,
-    /// Busy time of the slowest worker.
-    pub busy_max: Duration,
-    /// Summed busy time across workers (utilization =
-    /// `busy_total / (workers × wall)`; imbalance =
-    /// `busy_max × workers / busy_total`).
-    pub busy_total: Duration,
-}
 
 /// A fixed-width scoped worker pool with deterministic result order.
 ///
-/// `workers == 1` degrades to a plain serial loop (no threads, no
-/// atomics), which is also the configuration the sequential
-/// differential oracle runs under.
+/// `workers == 1` is a plain loop on the calling thread (no threads, no
+/// atomics): the serial configuration, running the same region code.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WorkerPool {
     workers: usize,
@@ -49,32 +35,26 @@ impl WorkerPool {
     }
 
     /// Run `jobs` invocations of `f` (by job index) and return the
-    /// results in job-index order plus the region's timing. Work is
-    /// pulled, not chunked: each worker grabs the next unclaimed index
-    /// until none remain.
-    pub(crate) fn run<T, F>(&self, jobs: usize, f: F) -> (Vec<T>, RegionTiming)
+    /// results in job-index order. Work is pulled, not chunked: each
+    /// worker grabs the next unclaimed index until none remain.
+    pub(crate) fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let started = Instant::now();
         if self.workers < 2 || jobs < 2 {
-            let out: Vec<T> = (0..jobs).map(&f).collect();
-            let wall = started.elapsed();
-            return (out, RegionTiming { wall, busy_max: wall, busy_total: wall });
+            return (0..jobs).map(&f).collect();
         }
         let workers = self.workers.min(jobs);
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
         slots.resize_with(jobs, || None);
-        let mut busy: Vec<Duration> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
                     let f = &f;
                     scope.spawn(move || {
-                        let t0 = Instant::now();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -83,25 +63,17 @@ impl WorkerPool {
                             }
                             local.push((i, f(i)));
                         }
-                        (local, t0.elapsed())
+                        local
                     })
                 })
                 .collect();
             for handle in handles {
-                let (local, elapsed) = handle.join().expect("evaluation worker panicked");
-                busy.push(elapsed);
-                for (i, value) in local {
+                for (i, value) in handle.join().expect("evaluation worker panicked") {
                     slots[i] = Some(value);
                 }
             }
         });
-        let out: Vec<T> = slots.into_iter().map(|s| s.expect("every job index claimed")).collect();
-        let timing = RegionTiming {
-            wall: started.elapsed(),
-            busy_max: busy.iter().copied().max().unwrap_or_default(),
-            busy_total: busy.iter().sum(),
-        };
-        (out, timing)
+        slots.into_iter().map(|s| s.expect("every job index claimed")).collect()
     }
 }
 
@@ -113,69 +85,21 @@ mod tests {
     fn results_come_back_in_job_order_for_any_width() {
         for workers in [1, 2, 3, 8] {
             let pool = WorkerPool::new(workers);
-            let (out, timing) = pool.run(37, |i| i * i);
+            let out = pool.run(37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
-            assert!(timing.wall >= timing.busy_max || workers == 1);
         }
     }
 
     #[test]
     fn zero_and_one_job_edge_cases() {
         let pool = WorkerPool::new(4);
-        let (out, _) = pool.run(0, |i| i);
-        assert!(out.is_empty());
-        let (out, _) = pool.run(1, |i| i + 10);
-        assert_eq!(out, vec![10]);
+        assert!(pool.run(0, |i| i).is_empty());
+        assert_eq!(pool.run(1, |i| i + 10), vec![10]);
     }
 
     #[test]
     fn workers_are_capped_at_one_minimum() {
         assert_eq!(WorkerPool::new(0).workers(), 1);
         assert_eq!(WorkerPool::new(5).workers(), 5);
-    }
-
-    /// The component-scheduling shape `collect_round` uses: each pool
-    /// job is a *bundle* of scan units returning `(unit_idx, output)`
-    /// pairs, and the caller scatters them into unit-indexed slots.
-    /// The flattened result must equal the canonical unit order no
-    /// matter how units were grouped into jobs or how many workers ran.
-    #[test]
-    fn component_bundles_merge_in_slot_order() {
-        // 9 units grouped into 4 jobs, deliberately non-contiguous —
-        // exactly what per-component grouping produces when a
-        // component's rules are interleaved with others.
-        let jobs: Vec<Vec<usize>> = vec![vec![0, 4, 7], vec![1], vec![2, 5], vec![3, 6, 8]];
-        let units = 9;
-        for workers in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(workers);
-            let (outs, _) = pool.run(jobs.len(), |j| {
-                jobs[j].iter().map(|&u| (u, format!("out{u}"))).collect::<Vec<_>>()
-            });
-            let mut slots: Vec<Option<String>> = vec![None; units];
-            for bundle in outs {
-                for (u, out) in bundle {
-                    assert!(slots[u].is_none(), "unit {u} produced twice");
-                    slots[u] = Some(out);
-                }
-            }
-            let merged: Vec<String> = slots.into_iter().map(|s| s.unwrap()).collect();
-            let expected: Vec<String> = (0..units).map(|u| format!("out{u}")).collect();
-            assert_eq!(merged, expected, "workers={workers}");
-        }
-    }
-
-    /// A bundle larger than the worker count still completes and keeps
-    /// every result (the cursor hands whole jobs, never splits one).
-    #[test]
-    fn bundles_larger_than_worker_count_complete() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Vec<usize>> = (0..6).map(|j| (j * 10..j * 10 + 5).collect()).collect();
-        let (outs, _) =
-            pool.run(jobs.len(), |j| jobs[j].iter().map(|&u| (u, u * 2)).collect::<Vec<_>>());
-        let flat: Vec<(usize, usize)> = outs.into_iter().flatten().collect();
-        assert_eq!(flat.len(), 30);
-        for (u, v) in flat {
-            assert_eq!(v, u * 2);
-        }
     }
 }

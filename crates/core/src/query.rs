@@ -315,8 +315,8 @@ pub fn run_query(
 
 /// Match `goal` directly against an interpretation (no program run):
 /// the oracle the differential tests compare [`run_query`] against,
-/// and the full-evaluation escape hatch
-/// (`EngineConfig::demand(false)`).
+/// and — applied to a full evaluation's `result(P)` — the escape hatch
+/// from the demand rewrite.
 pub fn match_goal(ob: &ObjectBase, goal: &Goal) -> QueryAnswers {
     let plan = goal_index_plan(goal);
     match_goal_planned(ob, goal, &plan)

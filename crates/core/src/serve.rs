@@ -180,9 +180,10 @@ struct Shared {
     /// [`Error::PoisonedWriter`] while reads keep working off the last
     /// published head.
     writer: Mutex<Database>,
-    /// Engine configuration, fixed at open (shared so
-    /// [`ServingDatabase::prepare`] needs no lock).
+    /// Engine configuration and denied lints, fixed at open (shared
+    /// so [`ServingDatabase::prepare`] needs no lock).
     config: EngineConfig,
+    deny_lints: Vec<ruvo_lang::Lint>,
     /// Background checkpoint worker: at most one encoder thread in
     /// flight, plus the outcomes of completed runs for `ruvo serve`
     /// to log. Lock ordering: `ckpt` before `writer` (the encoder
@@ -233,6 +234,7 @@ impl ServingDatabase {
             commits: AtomicUsize::new(db.len()),
             queue: Mutex::new(Vec::new()),
             config: db.config().clone(),
+            deny_lints: db.deny_lints().to_vec(),
             writer: Mutex::new(db),
             ckpt: Mutex::new(BackgroundCheckpoint::default()),
         };
@@ -282,9 +284,11 @@ impl ServingDatabase {
     }
 
     /// Compile program text once for repeated [`ServingDatabase::apply`]
-    /// (no lock taken; compilation is independent of the store).
+    /// (no lock taken; compilation is independent of the store). The
+    /// same gate as [`Database::prepare`], denied lints included.
     pub fn prepare(&self, src: &str) -> Result<Prepared, Error> {
-        Prepared::compile(ruvo_lang::Program::parse(src)?, self.shared.config.cycles)
+        let program = ruvo_lang::Program::parse(src)?;
+        Database::prepare_gated(program, self.shared.config.cycles, &self.shared.deny_lints)
     }
 
     /// Ask `goal` against the result of evaluating `prepared` on the
@@ -298,13 +302,6 @@ impl ServingDatabase {
         prepared: &Prepared,
         goal: ruvo_lang::Goal,
     ) -> Result<crate::query::QueryAnswers, Error> {
-        if !self.shared.config.demand {
-            let mut work = (*self.shared.head.load()).clone();
-            work.ensure_exists();
-            let outcome =
-                crate::engine::run_compiled(prepared.compiled(), &self.shared.config, work)?;
-            return Ok(crate::query::match_goal(outcome.result(), &goal));
-        }
         self.run_query_plan(&prepared.query_plan(goal))
     }
 
@@ -649,6 +646,24 @@ mod tests {
         // The group-commit writer runs under the parallel config; the
         // published state must be bit-identical to serial commits.
         assert_eq!(*serial.current(), *parallel.current());
+    }
+
+    #[test]
+    fn denied_lints_gate_the_serving_handle_too() {
+        use ruvo_lang::Lint;
+        // The conflicting-mod pair of the `deny_lints` doc-test.
+        const CONFLICT: &str = "r1: mod[X].m -> (V, 1) <= X.m -> V.
+                                r2: mod[X].m -> (V, 2) <= X.m -> V.";
+        let db = crate::Database::builder()
+            .deny_lints([Lint::WriteWriteConflict])
+            .open_src("o.m -> a.")
+            .unwrap();
+        assert_eq!(db.prepare(CONFLICT).unwrap_err().kind(), crate::ErrorKind::Lint);
+        let serving = db.into_serving();
+        assert_eq!(serving.prepare(CONFLICT).unwrap_err().kind(), crate::ErrorKind::Lint);
+        assert_eq!(serving.apply_src(CONFLICT).unwrap_err().kind(), crate::ErrorKind::Lint);
+        assert_eq!(serving.commits(), 0, "a denied program must not commit");
+        assert_eq!(serving.snapshot().lookup1(oid("o"), "m"), vec![oid("a")]);
     }
 
     #[test]

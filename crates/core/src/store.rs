@@ -496,9 +496,8 @@ fn encode_chain_file(seq: u64, epoch: u64, snapshot_body: &[u8]) -> Vec<u8> {
 }
 
 /// Decode a chain file into the assembled state plus per-generation
-/// metadata. `workers > 1` parallelizes the full-generation snapshot
-/// decode across the version-table shards.
-fn decode_chain(data: &[u8], path: &Path, workers: usize) -> Result<Checkpoint, StorageError> {
+/// metadata.
+fn decode_chain(data: &[u8], path: &Path) -> Result<Checkpoint, StorageError> {
     let decode_err = |error| StorageError::Decode { path: path.display().to_string(), error };
     let gen_err = |generation, error| StorageError::CorruptGeneration {
         path: path.display().to_string(),
@@ -538,10 +537,7 @@ fn decode_chain(data: &[u8], path: &Path, workers: usize) -> Result<Checkpoint, 
                 }
                 let dirty_shards = match (kind, &mut base) {
                     (GEN_FULL, None) => {
-                        base = Some(
-                            snapshot::read_with_workers(gen_body, workers)
-                                .map_err(|e| gen_err(k, e))?,
-                        );
+                        base = Some(snapshot::read(gen_body).map_err(|e| gen_err(k, e))?);
                         SHARD_COUNT as u32
                     }
                     (GEN_FULL, Some(_)) => {
@@ -782,17 +778,11 @@ pub struct StoreState {
 /// WAL still covers the suffix. A torn WAL tail is expected after a
 /// crash and reported, not failed.
 pub fn read_state(dir: &Path) -> Result<StoreState, StorageError> {
-    read_state_with_workers(dir, 1)
-}
-
-/// [`read_state`], decoding the full base generation with up to
-/// `workers` threads (one per version-table shard).
-pub fn read_state_with_workers(dir: &Path, workers: usize) -> Result<StoreState, StorageError> {
     let ckpt_path = dir.join(CHECKPOINT_FILE);
     let checkpoint = if ckpt_path.exists() {
         let data =
             std::fs::read(&ckpt_path).map_err(|e| StorageError::io("read", &ckpt_path, e))?;
-        Some(decode_chain(&data, &ckpt_path, workers)?)
+        Some(decode_chain(&data, &ckpt_path)?)
     } else {
         None
     };
@@ -975,21 +965,9 @@ impl WalStore {
         fsync: FsyncPolicy,
         policy: CheckpointPolicy,
     ) -> Result<Opened, StorageError> {
-        WalStore::open_with_workers(dir, fsync, policy, 1)
-    }
-
-    /// [`WalStore::open`], decoding the chain's full base generation
-    /// with up to `workers` threads so reopen time is driven by the
-    /// WAL tail, not base size.
-    pub fn open_with_workers(
-        dir: impl Into<PathBuf>,
-        fsync: FsyncPolicy,
-        policy: CheckpointPolicy,
-        workers: usize,
-    ) -> Result<Opened, StorageError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StorageError::io("create", &dir, e))?;
-        let state = read_state_with_workers(&dir, workers)?;
+        let state = read_state(&dir)?;
 
         let wal_path = dir.join(WAL_FILE);
         let mut wal = OpenOptions::new()
@@ -1443,7 +1421,7 @@ mod tests {
         let ob = base(20);
         let bytes = encode_chain_file(5, 2, &snapshot::write(&ob));
         let path = Path::new("test-chain");
-        let ckpt = decode_chain(&bytes, path, 1).unwrap();
+        let ckpt = decode_chain(&bytes, path).unwrap();
         assert_eq!((ckpt.seq, ckpt.epoch), (5, 2));
         assert_eq!(ckpt.base, ob);
         assert_eq!(ckpt.generations.len(), 1);
@@ -1454,12 +1432,12 @@ mod tests {
         // A single-generation chain is written atomically: any damage
         // to it — cuts or flips — is a hard error, never "torn".
         for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_chain(&bytes[..cut], path, 1).is_err(), "cut at {cut}");
+            assert!(decode_chain(&bytes[..cut], path).is_err(), "cut at {cut}");
         }
         for byte in (0..bytes.len()).step_by(7) {
             let mut damaged = bytes.clone();
             damaged[byte] ^= 0x10;
-            assert!(decode_chain(&damaged, path, 1).is_err(), "flip at {byte}");
+            assert!(decode_chain(&damaged, path).is_err(), "flip at {byte}");
         }
     }
 
@@ -1469,7 +1447,7 @@ mod tests {
         let mut bytes = CKPT_MAGIC.to_vec();
         bytes.extend_from_slice(&9u16.to_le_bytes());
         bytes.extend_from_slice(&[0; 24]);
-        match decode_chain(&bytes, Path::new("x"), 1).unwrap_err() {
+        match decode_chain(&bytes, Path::new("x")).unwrap_err() {
             StorageError::Decode { error, .. } => {
                 assert_eq!(error, DecodeError::BadVersion(9));
                 assert!(error.to_string().contains("newer ruvo"), "got: {error}");

@@ -408,10 +408,9 @@ pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
 }
 
 /// [`apply_updates`] with the read-only state building spread over
-/// `pool` and the commit's index maintenance over as many workers, who
-/// own disjoint index shards; accumulates the region's timing into
-/// `par`. See the module docs of [`crate::pool`] for why the result
-/// does not depend on the width.
+/// `pool` (the commit itself runs on the caller); accumulates the
+/// region's wall time into `par`. See the module docs of
+/// [`crate::pool`] for why the result does not depend on the width.
 pub(crate) fn apply(
     ob: &mut ObjectBase,
     delta: &[Fired],
@@ -421,9 +420,7 @@ pub(crate) fn apply(
     let started = std::time::Instant::now();
     let groups = group_by_created(delta);
     let input: &ObjectBase = ob;
-    let (built, timing) = pool.run(groups.len(), |i| build_state(input, groups[i].0, &groups[i].1));
-    par.apply_busy_max += timing.busy_max;
-    par.apply_busy_total += timing.busy_total;
+    let built = pool.run(groups.len(), |i| build_state(input, groups[i].0, &groups[i].1));
 
     let mut report = ApplyReport::default();
     let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::with_capacity(groups.len());
@@ -435,7 +432,7 @@ pub(crate) fn apply(
         report.touched.push(*created);
         edits.push((*created, state));
     }
-    ob.replace_versions_tracked_shared(&edits, pool.workers(), &mut report.changed);
+    ob.replace_versions_tracked_shared(&edits, &mut report.changed);
     par.apply_wall += started.elapsed();
     report
 }

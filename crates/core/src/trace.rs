@@ -26,91 +26,31 @@ pub struct EvalStats {
     pub rule_evaluations_seeded: usize,
     /// Wall-clock time of the run (zero duration if not measured).
     pub elapsed: Duration,
-    /// Pool-execution observability (serial runs record only the
-    /// apply timings).
+    /// Pool-execution telemetry of the run's two parallel regions.
     pub parallel: ParallelStats,
 }
 
-/// Observability counters for the worker pool: how the rounds' work
-/// was partitioned and how well the workers were utilized. With
-/// [`crate::EngineConfig::parallel`] off the run is the width-1 pool
-/// of the same rounds: `workers` and the scan fields stay zero (the
-/// scan tasks are not split into pool jobs), the `apply_*` timings are
-/// recorded as at any other width.
+/// Telemetry of the worker pool's two regions per round — the step-1
+/// rule scans and the step-2+3 apply — recorded at every width: with
+/// [`crate::EngineConfig::parallel`] off the run is the width-1 pool of
+/// the same rounds.
 ///
-/// Wall/busy durations are *execution* telemetry: they vary run to
-/// run and are deliberately excluded from the determinism contract
-/// (which covers results, deltas and the logical counters of
-/// [`EvalStats`]).
+/// `workers` and the wall durations are *execution* telemetry: they
+/// vary with the configuration and run to run, and are deliberately
+/// excluded from the determinism contract (which covers results,
+/// deltas, `scan_subtasks` and the logical counters of [`EvalStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Worker cap the run's pool was created with.
+    /// Width of the run's pool (1 when parallel evaluation is off).
     pub workers: usize,
-    /// Scan sub-tasks executed across all rounds (after seed
-    /// splitting; equals the task count when nothing was split).
+    /// Scan jobs issued across all rounds: one per round task (a rule,
+    /// or a rule with one scan step seeded from the previous delta).
     pub scan_subtasks: usize,
-    /// Seeded tasks that were split into per-shard sub-tasks.
-    pub seed_splits: usize,
-    /// Full (unseeded) tasks — round-1 scans and unseedable fallbacks
-    /// — split into per-shard sub-tasks over the whole object set.
-    pub full_splits: usize,
-    /// Pool jobs that bundled two or more scan units of one rule
-    /// dependency component (see [`crate::deps::RuleDepGraph`]);
-    /// singleton jobs are not counted.
-    pub component_jobs: usize,
-    /// Scan units carried inside those bundled component jobs.
-    pub component_units: usize,
-    /// Largest unit count of any single component job.
-    pub component_units_max: usize,
     /// Wall-clock time summed over the rounds' scan regions (step 1).
     pub scan_wall: Duration,
-    /// Busy time of the slowest scan worker, summed over rounds.
-    pub scan_busy_max: Duration,
-    /// Total scan worker busy time, summed over rounds.
-    pub scan_busy_total: Duration,
     /// Wall-clock time summed over the rounds' apply regions (steps
-    /// 2+3: state preparation and the sharded commit).
+    /// 2+3: state building and the tracked commit).
     pub apply_wall: Duration,
-    /// Busy time of the slowest apply worker, summed over rounds.
-    pub apply_busy_max: Duration,
-    /// Total apply worker busy time, summed over rounds.
-    pub apply_busy_total: Duration,
-}
-
-impl ParallelStats {
-    /// Scan-phase imbalance: slowest worker's busy share over the
-    /// perfectly-balanced share (1.0 = even, `workers` = one worker
-    /// did everything). `None` until a parallel scan region ran.
-    pub fn scan_imbalance(&self) -> Option<f64> {
-        imbalance(self.workers, self.scan_busy_max, self.scan_busy_total)
-    }
-
-    /// Apply-phase imbalance, same definition.
-    pub fn apply_imbalance(&self) -> Option<f64> {
-        imbalance(self.workers, self.apply_busy_max, self.apply_busy_total)
-    }
-
-    /// Rule-level bundling imbalance: the largest component job's unit
-    /// count over the mean bundled-job size (1.0 = every bundle equal;
-    /// large values mean one dependent-rule cluster dominates the
-    /// round and seed splitting is the only lever left). `None` until
-    /// a component job was scheduled.
-    pub fn rule_imbalance(&self) -> Option<f64> {
-        if self.component_jobs == 0 || self.component_units == 0 {
-            return None;
-        }
-        Some(
-            self.component_units_max as f64 * self.component_jobs as f64
-                / self.component_units as f64,
-        )
-    }
-}
-
-fn imbalance(workers: usize, busy_max: Duration, busy_total: Duration) -> Option<f64> {
-    if workers < 2 || busy_total.is_zero() {
-        return None;
-    }
-    Some(busy_max.as_secs_f64() * workers as f64 / busy_total.as_secs_f64())
 }
 
 impl fmt::Display for EvalStats {
@@ -118,7 +58,7 @@ impl fmt::Display for EvalStats {
         write!(
             f,
             "{} strata, {} rounds, {} fired updates, {} versions created, {} facts copied, \
-             {} rule evaluations ({} skipped, {} seeded), {:?}",
+             {} rule evaluations ({} skipped, {} seeded), {:?}; {}",
             self.strata,
             self.rounds,
             self.fired_updates,
@@ -127,12 +67,9 @@ impl fmt::Display for EvalStats {
             self.rule_evaluations,
             self.rule_evaluations_skipped,
             self.rule_evaluations_seeded,
-            self.elapsed
-        )?;
-        if self.parallel.workers > 1 {
-            write!(f, "; {}", self.parallel)?;
-        }
-        Ok(())
+            self.elapsed,
+            self.parallel
+        )
     }
 }
 
@@ -140,26 +77,9 @@ impl fmt::Display for ParallelStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} workers, {} scan sub-tasks ({} seed splits, {} component jobs, \
-             rule imbalance {}), scan {:?} wall (imbalance {}), \
-             apply {:?} wall (imbalance {})",
-            self.workers,
-            self.scan_subtasks,
-            self.seed_splits,
-            self.component_jobs,
-            fmt_imbalance(self.rule_imbalance()),
-            self.scan_wall,
-            fmt_imbalance(self.scan_imbalance()),
-            self.apply_wall,
-            fmt_imbalance(self.apply_imbalance()),
+            "pool width {}, {} scan sub-tasks, scan {:?} / apply {:?} wall",
+            self.workers, self.scan_subtasks, self.scan_wall, self.apply_wall,
         )
-    }
-}
-
-fn fmt_imbalance(x: Option<f64>) -> String {
-    match x {
-        Some(x) => format!("{x:.2}"),
-        None => "n/a".to_string(),
     }
 }
 
@@ -215,42 +135,24 @@ mod tests {
         assert!(text.contains("3 strata"));
         assert!(text.contains("5 rounds"));
         assert!(text.contains("7 fired"));
-        // Serial runs don't clutter the line with parallel telemetry.
-        assert!(!text.contains("workers"));
     }
 
     #[test]
-    fn stats_display_includes_parallel_telemetry_when_parallel() {
-        let s = EvalStats {
-            parallel: ParallelStats {
-                workers: 4,
-                scan_subtasks: 12,
-                seed_splits: 2,
-                component_jobs: 2,
-                component_units: 6,
-                component_units_max: 4,
-                scan_busy_max: Duration::from_millis(6),
-                scan_busy_total: Duration::from_millis(12),
+    fn stats_display_includes_pool_telemetry_at_every_width() {
+        for workers in [1, 4] {
+            let s = EvalStats {
+                parallel: ParallelStats {
+                    workers,
+                    scan_subtasks: 12,
+                    scan_wall: Duration::from_millis(6),
+                    apply_wall: Duration::from_millis(3),
+                },
                 ..Default::default()
-            },
-            ..Default::default()
-        };
-        let text = s.to_string();
-        assert!(text.contains("4 workers"));
-        assert!(text.contains("12 scan sub-tasks"));
-        assert!(text.contains("2 seed splits"));
-        assert!(text.contains("2 component jobs"), "{text}");
-        // max=4 units over mean 6/2=3 units per bundle: 1.33.
-        assert!(text.contains("rule imbalance 1.33"), "{text}");
-        // busy_max=6ms over total=12ms on 4 workers: 6*4/12 = 2.00.
-        assert!(text.contains("imbalance 2.00"), "{text}");
-    }
-
-    #[test]
-    fn imbalance_is_none_without_parallel_regions() {
-        let p = ParallelStats::default();
-        assert_eq!(p.scan_imbalance(), None);
-        assert_eq!(p.apply_imbalance(), None);
-        assert_eq!(p.rule_imbalance(), None);
+            };
+            let text = s.to_string();
+            assert!(text.contains(&format!("pool width {workers}")), "{text}");
+            assert!(text.contains("12 scan sub-tasks"), "{text}");
+            assert!(text.contains("scan 6ms / apply 3ms wall"), "{text}");
+        }
     }
 }

@@ -124,20 +124,11 @@ fn result_indexed(method: Symbol, result: Const, base: Const) -> bool {
     method != exists_sym() || result != base
 }
 
-/// The shard index an object `base` routes to — the same pure routing
-/// function every `Const`-keyed index uses ([`crate::shard`]). The
-/// engine partitions a seeded scan's seed set with this, so each
-/// sub-task's objects align with the shard layout the subsequent
-/// commit will dirty.
-pub fn base_shard(base: Const) -> usize {
-    ShardKey::shard(&base)
-}
-
 /// The shard index a version routes to in the version table — the
 /// dirty-set unit of incremental checkpoints
 /// ([`ObjectBase::shard_facts_sorted`] /
-/// [`ObjectBase::version_generations`]). Distinct from [`base_shard`]:
-/// the version table routes by the full [`Vid`], not its base.
+/// [`ObjectBase::version_generations`]). The version table routes by
+/// the full [`Vid`], not its base.
 pub fn vid_shard(vid: Vid) -> usize {
     ShardKey::shard(&vid)
 }
@@ -197,20 +188,18 @@ impl RelOp {
     }
 }
 
-/// Edits per diff-then-apply step of the tracked commit: large enough
-/// that a worker team's spawn is amortized over thousands of index
-/// ops, small enough that the bucketed ops of a 10 000-version round
+/// Edits per diff-then-apply step of the tracked commit. It bounds the
+/// commit's scratch memory: the bucketed ops of a 10 000-version round
 /// stay well under a megabyte.
 const COMMIT_CHUNK: usize = 1024;
 
 type CmShard = Arc<FastHashMap<(Chain, Symbol), FastHashSet<Const>>>;
 type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>>;
 
-/// One worker-ownable unit of a batch commit: a shard slot (or the
-/// route-aligned slots of the three `(chain, method)`-routed indexes)
-/// plus the mutations bucketed to it. Jobs borrow disjoint `&mut`
-/// slots, so a worker team can apply any partition of them without
-/// synchronization.
+/// One unit of a batch commit: a shard slot (or the route-aligned
+/// slots of the three `(chain, method)`-routed indexes) plus the
+/// mutations bucketed to it, so each slot is unshared at most once per
+/// chunk and its ops are applied back to back.
 enum CommitJob<'a> {
     Versions {
         slot: &'a mut Arc<FastHashMap<Vid, Arc<VersionState>>>,
@@ -229,14 +218,6 @@ enum CommitJob<'a> {
 }
 
 impl CommitJob<'_> {
-    fn ops_len(&self) -> usize {
-        match self {
-            CommitJob::Versions { ops, .. } => ops.len(),
-            CommitJob::Relations { ops, .. } => ops.len(),
-            CommitJob::Bases { ops, .. } => ops.len(),
-        }
-    }
-
     fn apply(self) {
         match self {
             CommitJob::Versions { slot, ops } => {
@@ -553,37 +534,24 @@ impl ObjectBase {
         state: Arc<VersionState>,
         changed: &mut ChangedSince,
     ) {
-        self.replace_versions_tracked_shared(&[(vid, state)], 1, changed);
+        self.replace_versions_tracked_shared(&[(vid, state)], changed);
     }
 
     /// The tracked commit: install `edits` — one complete new state
     /// per **distinct** vid — and record the semantic delta into
-    /// `changed`, with the index maintenance spread over up to
-    /// `workers` threads.
+    /// `changed`.
     ///
     /// A read-only pre-pass diffs each edit against the stored state
     /// and buckets the *net* index mutations (facts in old∖new removed,
-    /// new∖old added) by target shard; the buckets are then applied —
-    /// on the calling thread at width 1, by a scoped worker team
-    /// otherwise. Re-committing the very `Arc` the store already holds
-    /// (the shape an idempotent fixpoint round produces) or a
-    /// content-equal state under a fresh `Arc` is a no-op: no diff
-    /// recorded, no shard dirtied, the stored state kept.
-    ///
-    /// The committed base, the recorded delta and the fact/preparation
-    /// counters are identical for every `workers` value. Parallelism
-    /// comes from shard ownership: every mutation an edit implies
-    /// routes to a fixed shard of one index ([`crate::shard`]), and
-    /// each worker commits a disjoint set of shard buckets through
-    /// `ShardedMap::shard_slots_mut` — no locks, no shared write
-    /// state. Two different edits can never contend on one index
-    /// *entry* either: a `(chain, method[, key])` cell names the edit's
-    /// own `(base, chain)` version, so its multiplicity updates come
-    /// from a single edit.
+    /// new∖old added) by target shard ([`crate::shard`]); the buckets
+    /// are then applied shard by shard. Re-committing the very `Arc`
+    /// the store already holds (the shape an idempotent fixpoint round
+    /// produces) or a content-equal state under a fresh `Arc` is a
+    /// no-op: no diff recorded, no shard dirtied, the stored state
+    /// kept.
     pub fn replace_versions_tracked_shared(
         &mut self,
         edits: &[(Vid, Arc<VersionState>)],
-        workers: usize,
         changed: &mut ChangedSince,
     ) {
         crate::invariant_assert!(
@@ -594,16 +562,11 @@ impl ObjectBase {
         // are generated, so the commit's scratch memory is bounded by
         // the chunk, not by the batch.
         for chunk in edits.chunks(COMMIT_CHUNK) {
-            self.commit_chunk(chunk, workers, changed);
+            self.commit_chunk(chunk, changed);
         }
     }
 
-    fn commit_chunk(
-        &mut self,
-        edits: &[(Vid, Arc<VersionState>)],
-        workers: usize,
-        changed: &mut ChangedSince,
-    ) {
+    fn commit_chunk(&mut self, edits: &[(Vid, Arc<VersionState>)], changed: &mut ChangedSince) {
         let exists = exists_sym();
         let mut rel_ops: [Vec<RelOp>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
         let mut ver_ops: [Vec<(Vid, Option<Arc<VersionState>>)>; SHARD_COUNT] =
@@ -690,10 +653,9 @@ impl ObjectBase {
         self.fact_count = (self.fact_count as isize + fact_delta) as usize;
         self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
 
-        let mut jobs: Vec<CommitJob> = Vec::new();
         for ((_, slot), ops) in self.versions.shard_slots_mut().zip(ver_ops) {
             if !ops.is_empty() {
-                jobs.push(CommitJob::Versions { slot, ops });
+                CommitJob::Versions { slot, ops }.apply();
             }
         }
         let res_slots = self.by_result.map.shard_slots_mut().map(|(_, s)| s);
@@ -702,33 +664,14 @@ impl ObjectBase {
             self.by_chain_method.shard_slots_mut().zip(res_slots).zip(arg_slots).zip(rel_ops)
         {
             if !ops.is_empty() {
-                jobs.push(CommitJob::Relations { cm, res, arg, ops });
+                CommitJob::Relations { cm, res, arg, ops }.apply();
             }
         }
         for ((_, slot), ops) in self.by_base.shard_slots_mut().zip(base_ops) {
             if !ops.is_empty() {
-                jobs.push(CommitJob::Bases { slot, ops });
+                CommitJob::Bases { slot, ops }.apply();
             }
         }
-        // A one-edit commit is a handful of ops: not worth a team.
-        let n_bins = if edits.len() < 2 { 1 } else { workers.min(jobs.len()) };
-        if n_bins < 2 {
-            jobs.into_iter().for_each(CommitJob::apply);
-            return;
-        }
-        // Largest buckets first, dealt round-robin: a deterministic
-        // assignment that keeps the heaviest shard groups apart.
-        jobs.sort_by_key(|j| std::cmp::Reverse(j.ops_len()));
-        let mut bins: Vec<Vec<CommitJob>> = Vec::new();
-        bins.resize_with(n_bins, Vec::new);
-        for (i, job) in jobs.into_iter().enumerate() {
-            bins[i % n_bins].push(job);
-        }
-        std::thread::scope(|scope| {
-            for bin in bins {
-                scope.spawn(move || bin.into_iter().for_each(CommitJob::apply));
-            }
-        });
     }
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
@@ -1029,11 +972,11 @@ impl ObjectBase {
         }
     }
 
-    /// Build a base from a decoded fact stream with the index
-    /// maintenance spread over up to `workers` threads — the parallel
-    /// reopen path. Equivalent to inserting every fact in order
-    /// (duplicates collapse, as [`ObjectBase::insert`] does).
-    pub fn from_facts(facts: Vec<Fact>, workers: usize) -> ObjectBase {
+    /// Build a base from a decoded fact stream through one tracked
+    /// batch commit — the reopen path. Equivalent to inserting every
+    /// fact in order (duplicates collapse, as [`ObjectBase::insert`]
+    /// does).
+    pub fn from_facts(facts: Vec<Fact>) -> ObjectBase {
         let mut states: FastHashMap<Vid, VersionState> = FastHashMap::default();
         for f in facts {
             states.entry(f.vid).or_default().insert(f.method, MethodApp::new(f.args, f.result));
@@ -1041,8 +984,7 @@ impl ObjectBase {
         let edits: Vec<(Vid, Arc<VersionState>)> =
             states.into_iter().map(|(vid, s)| (vid, Arc::new(s))).collect();
         let mut ob = ObjectBase::new();
-        let mut changed = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, workers, &mut changed);
+        ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
         ob
     }
 
@@ -1274,22 +1216,19 @@ mod tests {
             serial.replace_version_tracked_shared(*vid, Arc::clone(state), &mut ch_serial);
         }
         serial.check_invariants();
-        for workers in [1, 2, 4, 16] {
-            let mut par = ob.clone();
-            let mut ch_par = ChangedSince::new();
-            par.replace_versions_tracked_shared(&edits, workers, &mut ch_par);
-            assert_eq!(par, serial, "base diverged at workers={workers}");
-            assert_eq!(ch_par, ch_serial, "delta diverged at workers={workers}");
-            assert_eq!(par.len(), serial.len(), "fact_count diverged at workers={workers}");
-            par.check_invariants();
-        }
+        let mut batch = ob.clone();
+        let mut ch_batch = ChangedSince::new();
+        batch.replace_versions_tracked_shared(&edits, &mut ch_batch);
+        assert_eq!(batch, serial);
+        assert_eq!(ch_batch, ch_serial);
+        assert_eq!(batch.len(), serial.len());
+        batch.check_invariants();
     }
 
-    /// The single tracked commit on random batches — fresh versions,
-    /// growing and shrinking hot versions, emptied states, pointer- and
-    /// content-equal recommits — lands on the same base, delta and
-    /// counters at widths 1, 2 and 4, and on the base a from-scratch
-    /// rebuild of the expected facts gives.
+    /// The tracked commit on random batches — fresh versions, growing
+    /// and shrinking hot versions, emptied states, pointer- and
+    /// content-equal recommits — lands on the base and counters a
+    /// from-scratch rebuild of the expected facts gives.
     #[test]
     fn random_batches_commit_identically_at_every_width_across_shards() {
         let mut rng = proptest::TestRng::for_test("single_tracked_commit");
@@ -1304,13 +1243,12 @@ mod tests {
             if rng.below(2) == 0 {
                 ob.ensure_exists();
             }
-            let mut at = [ob.clone(), ob.clone(), ob];
             // Successive batches, so versions created by one are the
             // hot versions the next one grows.
             for batch in 0..4 {
                 let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::new();
-                for vid in at[0].versions().collect::<Vec<_>>() {
-                    let stored = at[0].version_shared(vid).unwrap();
+                for vid in ob.versions().collect::<Vec<_>>() {
+                    let stored = ob.version_shared(vid).unwrap();
                     let mut s = (**stored).clone();
                     match rng.below(7) {
                         0 => edits.push((vid, Arc::new(VersionState::new()))),
@@ -1327,7 +1265,7 @@ mod tests {
                         }
                         5 => {
                             let Ok(fresh) = vid.apply(UpdateKind::Mod) else { continue };
-                            if at[0].version(fresh).is_none() {
+                            if ob.version(fresh).is_none() {
                                 s.insert(exists_sym(), MethodApp::new(Args::empty(), vid.base()));
                                 edits.push((fresh, Arc::new(s)));
                             }
@@ -1337,7 +1275,7 @@ mod tests {
                 }
                 let edited: FastHashSet<Vid> = edits.iter().map(|(v, _)| *v).collect();
                 let mut expect = ObjectBase::new();
-                for f in at[0].iter().filter(|f| !edited.contains(&f.vid)) {
+                for f in ob.iter().filter(|f| !edited.contains(&f.vid)) {
                     expect.insert(f.vid, f.method, f.args, f.result);
                 }
                 for (vid, state) in &edits {
@@ -1345,18 +1283,11 @@ mod tests {
                         expect.insert(*vid, method, app.args.clone(), app.result);
                     }
                 }
-                let mut deltas = Vec::new();
-                for (ob, workers) in at.iter_mut().zip([1, 2, 4]) {
-                    let mut changed = ChangedSince::new();
-                    ob.replace_versions_tracked_shared(&edits, workers, &mut changed);
-                    ob.check_invariants();
-                    assert_eq!(*ob, expect, "case {case} batch {batch} workers {workers}");
-                    assert_eq!(ob.fact_count, expect.fact_count);
-                    assert_eq!(ob.prepared_versions, expect.prepared_versions);
-                    deltas.push(changed);
-                }
-                assert_eq!(deltas[1], deltas[0], "case {case} batch {batch}");
-                assert_eq!(deltas[2], deltas[0], "case {case} batch {batch}");
+                ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+                ob.check_invariants();
+                assert_eq!(ob, expect, "case {case} batch {batch}");
+                assert_eq!(ob.fact_count, expect.fact_count);
+                assert_eq!(ob.prepared_versions, expect.prepared_versions);
             }
         }
     }
@@ -1367,7 +1298,7 @@ mod tests {
         // Empty edit list: nothing changes, no recording.
         let mut a = ob.clone();
         let mut ch = ChangedSince::new();
-        a.replace_versions_tracked_shared(&[], 4, &mut ch);
+        a.replace_versions_tracked_shared(&[], &mut ch);
         assert_eq!(a, ob);
         assert!(ch.keys().next().is_none());
         // Removing a version that never existed is a no-op.
@@ -1376,7 +1307,7 @@ mod tests {
             (ghost, Arc::new(VersionState::new())),
             (ghost.apply(UpdateKind::Del).unwrap(), Arc::new(VersionState::new())),
         ];
-        a.replace_versions_tracked_shared(&edits, 4, &mut ch);
+        a.replace_versions_tracked_shared(&edits, &mut ch);
         assert_eq!(a, ob);
         assert!(ch.keys().next().is_none());
         a.check_invariants();
@@ -1692,7 +1623,7 @@ mod tests {
             .map(|&v| (v, Arc::new((**ob.version_shared(v).unwrap()).clone())))
             .collect();
         let mut ch = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, 4, &mut ch);
+        ob.replace_versions_tracked_shared(&edits, &mut ch);
         assert!(ch.is_empty());
         assert_eq!(ob.version_generations(), before, "no-op commits must dirty zero shards");
         ob.check_invariants();
@@ -1744,16 +1675,14 @@ mod tests {
     fn from_facts_matches_serial_inserts() {
         let (ob, _) = shard_commit_fixture();
         let facts = ob.facts_sorted();
-        for workers in [1, 4] {
-            let rebuilt = ObjectBase::from_facts(facts.clone(), workers);
-            assert_eq!(rebuilt, ob, "workers={workers}");
-            assert_eq!(rebuilt.len(), ob.len());
-            rebuilt.check_invariants();
-        }
+        let rebuilt = ObjectBase::from_facts(facts.clone());
+        assert_eq!(rebuilt, ob);
+        assert_eq!(rebuilt.len(), ob.len());
+        rebuilt.check_invariants();
         // Duplicate facts collapse exactly like ObjectBase::insert.
         let mut doubled = facts.clone();
         doubled.extend(facts);
-        let rebuilt = ObjectBase::from_facts(doubled, 4);
+        let rebuilt = ObjectBase::from_facts(doubled);
         assert_eq!(rebuilt, ob);
         assert_eq!(rebuilt.len(), ob.len());
     }

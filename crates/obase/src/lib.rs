@@ -47,7 +47,7 @@ pub mod state;
 pub mod stats;
 
 pub use args::Args;
-pub use base::{base_shard, vid_shard, Fact, ObjectBase};
+pub use base::{vid_shard, Fact, ObjectBase};
 pub use bytes::Bytes;
 pub use codec::DecodeError;
 pub use delta::ChangedSince;

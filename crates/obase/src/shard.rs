@@ -167,15 +167,12 @@ where
         &mut self.shards[i]
     }
 
-    /// Disjoint mutable access to every shard slot at once: one
-    /// `(shard index, slot)` pair per physical shard, all four borrows
-    /// alive simultaneously. This is the access path for parallel bulk
-    /// commits — each worker thread takes ownership of the slots whose
-    /// indices it was assigned and may unshare ([`Arc::make_mut`]) and
-    /// mutate them without synchronization, because routing guarantees
-    /// no key it handles lives in another worker's slot. Borrow
-    /// disjointness is enforced by the compiler (`iter_mut`), so the
-    /// API is safe: no two workers can ever receive the same slot.
+    /// Mutable access to every shard slot in turn, as `(shard index,
+    /// slot)` pairs: the access path of the bucketed batch commit,
+    /// which has already routed its mutations per shard and decides per
+    /// slot whether to unshare ([`Arc::make_mut`]) at all. Bypasses
+    /// generation tracking — callers mark the slots they write with
+    /// [`ShardedMap::note_written`].
     pub(crate) fn shard_slots_mut(
         &mut self,
     ) -> impl Iterator<Item = (usize, &mut Arc<FastHashMap<K, V>>)> {
@@ -336,69 +333,6 @@ mod tests {
         let mut m = filled(64);
         let indices: Vec<usize> = m.shard_slots_mut().map(|(i, _)| i).collect();
         assert_eq!(indices, (0..SHARD_COUNT).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shard_slots_mut_parallel_disjoint_writes() {
-        // The disjoint-&mut contract under real threads: each worker
-        // owns a distinct subset of slots, unshares and writes them
-        // concurrently; all writes land and untouched shards stay
-        // shared with the pre-clone original.
-        let original = filled(256);
-        let mut m = original.clone();
-        let mut slots: Vec<(usize, &mut Arc<FastHashMap<u64, u64>>)> =
-            m.shard_slots_mut().collect();
-        std::thread::scope(|scope| {
-            while !slots.is_empty() {
-                let chunk = slots.split_off(slots.len().saturating_sub(SHARD_COUNT / 4));
-                scope.spawn(move || {
-                    for (i, slot) in chunk {
-                        if i % 2 == 0 {
-                            let map = Arc::make_mut(slot);
-                            let keys: Vec<u64> = map.keys().copied().collect();
-                            for k in keys {
-                                *map.get_mut(&k).unwrap() += 1;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        for i in 0..256u64 {
-            let expected = if i.shard() % 2 == 0 { i * 10 + 1 } else { i * 10 };
-            assert_eq!(m.get(&i), Some(&expected), "key {i}");
-        }
-        // Odd shards were never unshared.
-        assert_eq!(m.shards_shared_with(&original), SHARD_COUNT / 2);
-        m.check_residency();
-    }
-
-    #[test]
-    fn shard_slots_mut_parallel_inserts_by_route() {
-        // Workers may also insert, as long as every key they touch
-        // routes to a slot they own — the invariant the parallel
-        // commit path relies on.
-        let mut m: ShardedMap<u64, u64> = ShardedMap::default();
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); SHARD_COUNT];
-        for k in 0..512u64 {
-            buckets[k.shard()].push(k);
-        }
-        type Job<'a> = (Vec<u64>, &'a mut Arc<FastHashMap<u64, u64>>);
-        let jobs: Vec<Job<'_>> =
-            m.shard_slots_mut().map(|(i, slot)| (std::mem::take(&mut buckets[i]), slot)).collect();
-        std::thread::scope(|scope| {
-            for (keys, slot) in jobs {
-                scope.spawn(move || {
-                    let map = Arc::make_mut(slot);
-                    for k in keys {
-                        map.insert(k, k * 2);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.len(), 512);
-        assert_eq!(m.get(&300), Some(&600));
-        m.check_residency();
     }
 
     #[test]

@@ -327,14 +327,7 @@ pub fn read_facts(data: &[u8]) -> Result<Vec<Fact>, SnapshotError> {
 
 /// Deserialize a snapshot produced by [`fn@write`].
 pub fn read(data: &[u8]) -> Result<ObjectBase, SnapshotError> {
-    read_with_workers(data, 1)
-}
-
-/// [`read`], with the index rebuild spread over up to `workers`
-/// threads ([`ObjectBase::from_facts`]) — the reopen path, where
-/// decode time would otherwise scale with base size on one core.
-pub fn read_with_workers(data: &[u8], workers: usize) -> Result<ObjectBase, SnapshotError> {
-    Ok(ObjectBase::from_facts(read_facts(data)?, workers))
+    Ok(ObjectBase::from_facts(read_facts(data)?))
 }
 
 fn read_symbol(r: &mut Reader<'_>, symbols: &[Symbol]) -> Result<Symbol, SnapshotError> {
@@ -850,17 +843,6 @@ mod tests {
         bytes.extend_from_slice(&sum.to_le_bytes());
         let mut ob = ObjectBase::new();
         assert_eq!(apply_delta(&mut ob, &bytes).unwrap_err(), SnapshotError::Corrupt("dirty mask"));
-    }
-
-    #[test]
-    fn read_with_workers_matches_serial_read() {
-        let ob = broad_base(200);
-        let bytes = write(&ob);
-        for workers in [1, 4] {
-            let back = read_with_workers(&bytes, workers).unwrap();
-            assert_eq!(back, ob, "workers={workers}");
-            back.check_invariants();
-        }
     }
 
     #[test]

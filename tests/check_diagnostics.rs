@@ -178,6 +178,13 @@ fn prepare_attaches_warnings_and_deny_lints_escalates() {
     let err = strict.prepare(CONFLICT).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Lint);
     assert!(err.to_string().contains("write-write"), "got: {err}");
+
+    // The serving handle keeps the gate: neither entry point accepts
+    // the program, and nothing is committed.
+    let serving = strict.into_serving();
+    assert_eq!(serving.prepare(CONFLICT).unwrap_err().kind(), ErrorKind::Lint);
+    assert_eq!(serving.apply_src(CONFLICT).unwrap_err().kind(), ErrorKind::Lint);
+    assert_eq!(serving.commits(), 0);
 }
 
 /// The CI `ruvo check` gate, reproducible locally: every shipped

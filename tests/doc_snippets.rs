@@ -203,10 +203,10 @@ fn parallel_evaluation_docs_match_behavior() {
     assert!(arch.contains("## Parallel evaluation"), "ARCHITECTURE.md lost its parallel section");
     for claim in [
         "bit-identical",
-        "SEED_SPLIT_MIN",
         "RUVO_TEST_THREADS",
         "pool.speedup_x",
-        // One apply path: serial is the width-1 pool of the same round.
+        // One scan path, one apply path: serial is the width-1 pool of
+        // the same round.
         "who executes the jobs",
         "pre-round base",
     ] {

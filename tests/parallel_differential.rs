@@ -6,8 +6,8 @@
 //! change deltas, same logical counters, same traces. These tests
 //! enforce that over randomized update-programs — including deletes,
 //! modifies and negation strata, where an ordering bug would actually
-//! change answers — and over the workloads whose per-round deltas are
-//! large enough to trigger seed splitting.
+//! change answers — and over workloads with wide per-round deltas and
+//! with dependent rules sharing a round.
 //!
 //! CI caps the sweep with `RUVO_TEST_THREADS` (it runs on small
 //! hosts); locally the full {1, 2, 4, 8} sweep runs by default.
@@ -20,9 +20,8 @@ use ruvo::workload::{
 };
 
 /// Thread counts to sweep: {1, 2, 4, 8} capped by `RUVO_TEST_THREADS`.
-/// Width 1 stays in the list on purpose — it runs the full parallel
-/// machinery (seed splitting, pool, canonical merge) on the pool's
-/// serial fast path.
+/// Width 1 stays in the list on purpose: `parallel(true).threads(1)`
+/// must be the serial run under another name.
 fn thread_counts() -> Vec<usize> {
     let cap = std::env::var("RUVO_TEST_THREADS")
         .ok()
@@ -67,6 +66,13 @@ fn assert_parallel_matches(program: &Program, ob: &ObjectBase, cycles: CyclePoli
             (s.rule_evaluations, s.rule_evaluations_skipped, s.rule_evaluations_seeded),
             "rule-evaluation counters diverged at threads={n}"
         );
+        // One scan path: every width issues the same (non-empty) job
+        // list, the serial run included.
+        assert_ne!(s.parallel.scan_subtasks, 0, "serial run recorded no scan jobs");
+        assert_eq!(
+            p.parallel.scan_subtasks, s.parallel.scan_subtasks,
+            "scan job count diverged at threads={n}"
+        );
         par.result().check_invariants();
     }
     serial
@@ -92,7 +98,7 @@ proptest! {
     }
 
     /// Insert-only programs over wider bases: monotone growth keeps
-    /// per-round deltas large, which drives the seed-splitting path.
+    /// per-round deltas (and so the seeded scans) large.
     #[test]
     fn parallel_matches_sequential_on_bulk_inserts(
         seed in 0u64..10_000,
@@ -148,9 +154,9 @@ fn same_round_versions_copy_from_the_round_input() {
     }
 }
 
-/// A transitive-closure chain whose per-round delta spans ~all
-/// objects: large seeded scans must actually be *split* into
-/// per-shard sub-tasks, and the split output must stay identical.
+/// Guards bit-identity at every width on a transitive-closure chain
+/// whose per-round delta — the seed of the next round's one scan job —
+/// spans ~all objects.
 #[test]
 fn seed_splitting_triggers_and_stays_identical() {
     let n = 96;
@@ -165,25 +171,12 @@ fn seed_splitting_triggers_and_stays_identical() {
     )
     .unwrap();
     assert_parallel_matches(&program, &ob, CyclePolicy::Reject);
-
-    // Observe the splitting itself through the parallel telemetry.
-    let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
-    let cfg = EngineConfig { parallel: true, threads: 2, ..EngineConfig::default() };
-    let outcome = run_compiled(&compiled, &cfg, ob).unwrap();
-    let par = &outcome.stats().parallel;
-    assert_eq!(par.workers, 2);
-    assert!(par.seed_splits > 0, "chain workload must split seeded scans, got {par:?}");
-    assert!(
-        par.scan_subtasks > outcome.stats().rule_evaluations,
-        "splitting must yield more sub-tasks than rule evaluations: {par:?}"
-    );
 }
 
-/// Component scheduling: a stratum mixing independent rules with a
-/// dependent (conflicting-write) pair plus a negation stratum. The
-/// dependent pair must be bundled into one pool job (observable via
-/// `ParallelStats::component_jobs`) and the outputs must stay
-/// bit-identical to serial at every width.
+/// Guards bit-identity at every width when dependent rules scan as
+/// separate jobs of one round: a stratum mixing independent rules with
+/// a conflicting-write pair (one dependency component), plus a negation
+/// stratum.
 #[test]
 fn component_scheduling_bundles_and_stays_identical() {
     let mut src = String::new();
@@ -213,11 +206,4 @@ fn component_scheduling_bundles_and_stays_identical() {
     // c and d share a component; a and b are singletons.
     assert_eq!(deps.component_of(2), deps.component_of(3), "ww pair must share a component");
     assert_ne!(deps.component_of(0), deps.component_of(1), "independent rules must not");
-
-    let cfg = EngineConfig { parallel: true, threads: 2, ..EngineConfig::default() };
-    let outcome = run_compiled(&compiled, &cfg, ob).unwrap();
-    let par = &outcome.stats().parallel;
-    assert!(par.component_jobs > 0, "the c/d component must be bundled into one job: {par:?}");
-    assert!(par.component_units >= 2 * par.component_jobs, "bundles hold >= 2 units: {par:?}");
-    assert!(par.rule_imbalance().is_some(), "bundles present => imbalance is measurable");
 }

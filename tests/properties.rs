@@ -287,10 +287,9 @@ proptest! {
         prop_assert_eq!(&reference.result, parallel.result());
     }
 
-    /// Round-1 full-scan splitting (bases above the 32-object gate
-    /// fan every unseeded scan out across shard routes) is an exact
-    /// cover: the parallel result and extracted base are identical to
-    /// serial at every thread width, and the split actually engaged.
+    /// Guards bit-identity of the round-1 full scans (one pool job per
+    /// rule) on bases of 32–80 objects: the parallel result and
+    /// extracted base are identical to serial at every thread width.
     #[test]
     fn full_scan_split_matches_serial(
         seed in 0u64..150,
@@ -309,12 +308,8 @@ proptest! {
             prop_assert_eq!(serial.result(), parallel.result());
             prop_assert_eq!(
                 serial.new_object_base(), parallel.new_object_base(),
-                "full-split ob' diverged at {} threads", threads
+                "ob' diverged at {} threads", threads
             );
-            // Whether the split engages depends on the random rules'
-            // dependency components (bundled rules never split), so
-            // gate engagement is asserted by a deterministic unit
-            // test in core::engine, not here.
         }
     }
 
@@ -606,18 +601,18 @@ proptest! {
         prop_assert!(db.log().is_empty(), "a query must not commit");
     }
 
-    /// The `demand(false)` escape hatch answers through full
-    /// evaluation yet is observationally identical to the demand path.
+    /// The escape hatch — full evaluation, then `match_goal` on its
+    /// `result(P)` — is observationally identical to the demand path
+    /// when goal and program arrive as text.
     #[test]
     fn demand_escape_hatch_agrees(seed in 0u64..300, i in 0usize..5) {
         let config = RandomConfig { seed, ..Default::default() };
-        let ob = random_object_base(config);
-        let program = random_insert_program(config).to_string();
+        let db = Database::open(random_object_base(config));
+        let prepared = db.prepare(&random_insert_program(config).to_string()).unwrap();
         let goal = format!("?- ins(X).m{i} -> R.");
-        let fast_db = Database::open(ob.clone());
-        let slow_db = Database::builder().demand(false).open(ob);
-        let fast = fast_db.query_src(&fast_db.prepare(&program).unwrap(), &goal).unwrap();
-        let slow = slow_db.query_src(&slow_db.prepare(&program).unwrap(), &goal).unwrap();
+        let fast = db.query_src(&prepared, &goal).unwrap();
+        let full = db.evaluate(&prepared).unwrap();
+        let slow = ruvo::core::match_goal(full.result(), &Goal::parse(&goal).unwrap());
         prop_assert_eq!(fast.vars, slow.vars);
         prop_assert_eq!(fast.rows, slow.rows);
     }

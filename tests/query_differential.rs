@@ -1,8 +1,7 @@
 //! Differential battery for demand-driven queries: for random
 //! programs, bases and goals, `Database::query` (the magic-set rewrite
 //! over the seeded matcher) must return exactly the goal's matches
-//! against the *full* evaluation's `result(P)` — and the
-//! `demand(false)` escape hatch must agree with both.
+//! against the *full* evaluation's `result(P)`.
 //!
 //! Error parity caveat: a demand query may succeed where the full
 //! evaluation fails (e.g. a linearity violation among undemanded
@@ -22,9 +21,9 @@ use ruvo::workload::{
     RandomConfig,
 };
 
-/// Compare the demand path, the `demand(false)` escape hatch, and the
-/// oracle (goal matched against the full evaluation's `result(P)`).
-/// Skips silently when the full evaluation errors (error parity).
+/// Compare the demand path with the oracle (goal matched against the
+/// full evaluation's `result(P)`). Skips silently when the full
+/// evaluation errors (error parity).
 fn assert_query_matches_oracle(ob: &ObjectBase, program_src: &str, goal_src: &str) {
     let db = Database::open(ob.clone());
     let prepared = db
@@ -36,12 +35,9 @@ fn assert_query_matches_oracle(ob: &ObjectBase, program_src: &str, goal_src: &st
         return;
     };
     let oracle = match_goal(full.result(), &goal);
-    let fast = db.query(&prepared, goal.clone()).expect("demand query runs");
+    let fast = db.query(&prepared, goal).expect("demand query runs");
     assert_eq!(fast.vars, oracle.vars, "columns diverge for {goal_src}");
     assert_eq!(fast.rows, oracle.rows, "answers diverge for {goal_src}");
-    let slow_db = Database::builder().demand(false).open(ob.clone());
-    let slow = slow_db.query(&prepared, goal).expect("escape hatch runs");
-    assert_eq!(slow.rows, fast.rows, "demand(false) diverges for {goal_src}");
 }
 
 // ----- random programs × goal shapes ---------------------------------
