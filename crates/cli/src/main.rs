@@ -14,7 +14,7 @@
 //! ruvo run     <program.ruvo> <base.ob>       evaluate and print ob′
 //!     --result        print result(P) (all versions) instead of ob′
 //!     --stats         print evaluation statistics
-//!     --trace         print per-stratum traces
+//!     --trace         print per-stratum and per-round traces
 //!     --no-linearity  disable the §5 runtime check
 //!     --parallel      evaluate rules on multiple threads
 //!     --threads N     cap parallel evaluation at N workers (0 = auto)
@@ -230,6 +230,9 @@ fn main() -> ExitCode {
                 eprintln!("stratification: {}", outcome.stratification());
                 for st in outcome.stratum_traces() {
                     eprintln!("  {st}");
+                    for rt in outcome.round_traces().iter().filter(|rt| rt.stratum == st.stratum) {
+                        eprintln!("    {rt}");
+                    }
                 }
             }
             if show_result {

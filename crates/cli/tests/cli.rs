@@ -169,6 +169,37 @@ fn run_produces_new_object_base() {
 }
 
 #[test]
+fn run_trace_prints_strata_and_their_rounds() {
+    let dir = std::env::temp_dir().join("ruvo-cli-run-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = write_file(
+        &dir,
+        "tc.ruvo",
+        "tc1: ins[X].reach -> Y <= X.next -> Y.
+         tc2: ins[X].reach -> Z <= ins(X).reach -> Y & Y.next -> Z.",
+    );
+    let base =
+        write_file(&dir, "chain.ob", "o0.next -> o1. o1.next -> o2. o2.next -> o3. o3.next -> o4.");
+    let out = ruvo(&["run", prog.to_str().unwrap(), base.to_str().unwrap(), "--trace", "--stats"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let lines: Vec<&str> = stderr.lines().map(str::trim_end).collect();
+    let at = lines.iter().position(|l| *l == "  stratum 0: 2 rules, 5 rounds, 10 fired");
+    let at = at.unwrap_or_else(|| panic!("no stratum line, got: {stderr}"));
+    assert_eq!(
+        lines[at + 1],
+        "    round 1: 2 rules evaluated, 4 candidates, 4 new, 4 versions touched",
+        "got: {stderr}"
+    );
+    assert_eq!(
+        lines[at + 5],
+        "    round 5: 1 rule evaluated, 0 candidates, 0 new, 0 versions touched",
+        "got: {stderr}"
+    );
+    assert!(stderr.contains("10 fired updates of 10 candidates"), "got: {stderr}");
+}
+
+#[test]
 fn run_parallel_with_thread_cap_matches_serial() {
     let dir = std::env::temp_dir().join("ruvo-cli-run-threads");
     std::fs::create_dir_all(&dir).unwrap();

@@ -5,10 +5,13 @@
 //!
 //! Within a stratum, each round computes `T¹` for the stratum's rules
 //! against the current object base and applies steps 2+3 of `T_P` for
-//! every version the round's *newly fired* updates touch — re-applying
-//! that version's **full accumulated** update set, since step 3 is
-//! defined over the whole `T¹` (DESIGN.md D1/D7; chained modifies need
-//! the whole set, and re-application is idempotent). The stratification
+//! every version the round's *newly fired* updates touch. Step 3 is
+//! defined over the whole `T¹` (ARCHITECTURE.md, decisions D1/D7), but
+//! the round's delta is exact for `ins(v)`/`del(v)` versions, which
+//! [`crate::tp`] repairs in place; only a version a `mod` creates is
+//! rebuilt from its **accumulated** updates (chained modifies need the
+//! whole set), so only those keep a history here: a round costs what
+//! it adds, not what the stratum has derived. The stratification
 //! conditions guarantee that fired updates stay fired, so `T¹` grows
 //! monotonically and the loop terminates when a round fires nothing
 //! new.
@@ -19,21 +22,27 @@
 //! a `(chain, method)` relation its positive body literals can read
 //! (negated literals and the head's `v*` reads are frozen within a
 //! stratum by conditions (a), (c) and (d)), and then only for joins
-//! touching an object that round changed: it is re-evaluated *seeded*,
-//! one pass per changed body literal. Strata under the runtime
-//! stability check re-evaluate every rule in full each round — the
-//! check needs the whole `T¹`. The hint-less, filter-less evaluation
-//! of §3 lives on as [`crate::reference`], the differential oracle.
+//! touching what that round changed: it is re-evaluated *seeded*, one
+//! pass per changed body literal. A literal true by membership in one
+//! relation (a version-term, `ins[..]`) is seeded with the relation's
+//! delta as recorded — the *facts* added to versions that were already
+//! active, whole versions otherwise; `del[..]`/`mod[..]` literals are
+//! seeded with the changed objects of every relation they read. Strata
+//! under the runtime stability check re-evaluate every rule in full
+//! each round — the check needs the whole `T¹`. The hint-less,
+//! filter-less evaluation of §3 lives on as [`crate::reference`], the
+//! differential oracle.
 //!
 //! ## One round, two pool regions
 //!
 //! A round's tasks all read the same immutable pre-round base, so they
 //! are independent: `collect_round` hands them to the run's worker
 //! pool (`core::pool`) one job per task and appends the outputs in
-//! task order, and [`crate::tp`]'s apply builds the touched versions'
-//! states the same way before committing them once. Serial evaluation
-//! is the width-1 pool — the same code inline on the calling thread —
-//! so every width computes bit-identical results.
+//! task order, and [`crate::tp`]'s apply builds the states it needs
+//! whole the same way, commits them once, then repairs the active
+//! versions on the caller. Serial evaluation is the width-1 pool — the
+//! same code inline on the calling thread — so every width computes
+//! bit-identical results.
 //!
 //! ## Version linearity (§5)
 //!
@@ -41,14 +50,16 @@
 //! [`LinearityTracker`]; the paper's runtime check rejects the program
 //! at the first pair of incomparable versions of one object.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
-use ruvo_lang::{Program, Rule};
+use ruvo_lang::{PlannedLiteral, Program, Rule};
 use ruvo_obase::{exists_sym, ChangedSince, LinearityTracker, LinearityViolation, ObjectBase};
-use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, Vid};
+use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::error::EvalError;
-use crate::plan::IndexPlan;
+use crate::matcher::Seed;
+use crate::plan::{reads_by_membership, IndexPlan};
 use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError};
 use crate::tp::{self, Fired, FiredSet};
 use crate::trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
@@ -279,9 +290,9 @@ impl CompiledProgram {
 /// One rule evaluation of a fixpoint round: the whole rule, or — for a
 /// semi-naive round — the rule with one scan step seeded from the
 /// previous round's delta.
-struct EvalTask {
+struct EvalTask<'a> {
     rule: usize,
-    seed: Option<(usize, FastHashSet<Const>)>,
+    seed: Option<Seed<'a>>,
 }
 
 /// Decide what to evaluate this round. `changed` is `None` for the
@@ -290,13 +301,13 @@ struct EvalTask {
 /// previous round changed and replace full re-evaluation with one
 /// delta-seeded pass per changed body literal. `checked` strata (the
 /// runtime stability check) re-evaluate every rule in full.
-fn round_tasks(
+fn round_tasks<'a>(
+    ctx: &RoundCtx<'_>,
     stratum: &[usize],
-    changed: Option<&ChangedSince>,
+    changed: Option<&'a ChangedSince>,
     checked: bool,
     triggers: &[Option<FastHashSet<(Chain, Symbol)>>],
-    index_plan: &IndexPlan,
-) -> Vec<EvalTask> {
+) -> Vec<EvalTask<'a>> {
     let full = |r: usize| EvalTask { rule: r, seed: None };
     let Some(ch) = changed else {
         return stratum.iter().map(|&r| full(r)).collect();
@@ -317,22 +328,30 @@ fn round_tasks(
             continue; // reads nothing that changed
         }
         // Semi-naive: one seeded pass per scan step whose literal reads
-        // a changed relation, seeded with the objects that changed it.
+        // a changed relation. A membership literal borrows its one
+        // relation's delta, facts included; a del/mod literal is true
+        // *because* something disappeared from one of several
+        // relations, so it gets the union of their changed objects.
+        let rule = &ctx.program.rules[r];
         let before = tasks.len();
         let mut fallback = false;
-        for (step, reads) in index_plan.rules[r].reads.iter().enumerate() {
+        for (step, reads) in ctx.plans.rules[r].reads.iter().enumerate() {
             let Some(keys) = reads else {
                 fallback = true;
                 break;
             };
-            let mut seed: FastHashSet<Const> = FastHashSet::default();
-            for key in keys {
-                if let Some(bases) = ch.bases(key) {
-                    seed.extend(bases.iter().copied());
+            let seed = match (&rule.plan.steps[step], keys.as_slice()) {
+                (&PlannedLiteral::Scan(li), [key]) if reads_by_membership(&rule.body[li]) => {
+                    ch.bases(key).map(|b| (Cow::Borrowed(b), ch.added(key)))
                 }
-            }
-            if !seed.is_empty() {
-                tasks.push(EvalTask { rule: r, seed: Some((step, seed)) });
+                _ => {
+                    let set: FastHashSet<Const> =
+                        keys.iter().filter_map(|k| ch.bases(k)).flatten().copied().collect();
+                    (!set.is_empty()).then_some((Cow::Owned(set), None))
+                }
+            };
+            if let Some((bases, added)) = seed {
+                tasks.push(EvalTask { rule: r, seed: Some(Seed { step, bases, added }) });
             }
         }
         if fallback || tasks.len() == before {
@@ -372,6 +391,7 @@ pub fn run_compiled(
     let ctx = RoundCtx { program, plans: index_plan, pool: &pool };
     let mut stratum_traces = Vec::new();
     let mut round_traces = Vec::new();
+    // Object-level by construction: `merge` carries no per-fact seeds.
     let mut total_changed = ChangedSince::new();
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
@@ -380,11 +400,11 @@ pub fn run_compiled(
         // updates keep firing.
         let checked = config.verify_stability || risky[si];
         let mut fired = FiredSet::new();
-        // Accumulated fired updates per created version: §3's step 3
-        // applies the *full* `T¹` to each relevant version's copy,
-        // so chained modifies on one version (`(a,b)` then `(b,c)`)
-        // keep every to-value regardless of firing round.
-        let mut by_version: FastHashMap<Vid, Vec<Fired>> = FastHashMap::default();
+        // Accumulated fired updates per version a `mod` creates: §3's
+        // step 3 applies the *full* `T¹` to each relevant version's
+        // copy, and chained modifies on one version (`(a,b)` then
+        // `(b,c)`) keep every to-value only if it is re-applied whole.
+        let mut mod_history: FastHashMap<Vid, Vec<Fired>> = FastHashMap::default();
         // `None` marks the first round: evaluate everything.
         let mut changed: Option<ChangedSince> = None;
         let mut round = 0usize;
@@ -396,7 +416,7 @@ pub fn run_compiled(
                     limit: config.max_rounds_per_stratum,
                 });
             }
-            let tasks = round_tasks(stratum, changed.as_ref(), checked, triggers, index_plan);
+            let tasks = round_tasks(&ctx, stratum, changed.as_ref(), checked, triggers);
             // Distinct rules touched this round (tasks per rule are
             // contiguous, so checking the last entry suffices).
             let mut to_eval: Vec<usize> = Vec::new();
@@ -410,6 +430,8 @@ pub fn run_compiled(
             stats.rule_evaluations_seeded += tasks.iter().filter(|t| t.seed.is_some()).count();
 
             let new_fired = collect_round(&ctx, &work, &tasks, &mut stats.parallel);
+            let candidates = new_fired.len();
+            stats.fired_candidates += candidates;
             if checked && round > 1 {
                 // Stability: T¹ w.r.t. the current interpretation
                 // must still contain every previously fired update.
@@ -430,6 +452,7 @@ pub fn run_compiled(
                     stratum: si,
                     round,
                     evaluated: to_eval,
+                    candidates,
                     new_fired: delta.len(),
                     touched: 0, // patched below if updates applied
                 });
@@ -438,22 +461,23 @@ pub fn run_compiled(
             if delta.is_empty() {
                 break;
             }
-            // Re-apply the full accumulated update set of every
-            // version the delta touches (idempotent for ins/del,
-            // required for mod chains; see module docs). The affected
-            // versions are kept in delta first-appearance order so the
-            // apply order is canonical at every pool width.
-            let mut affected: Vec<Vid> = Vec::new();
-            let mut affected_set: FastHashSet<Vid> = FastHashSet::default();
+            // Apply the round's delta, moved as it is. Only a version a
+            // `mod` creates re-applies its accumulated updates (see the
+            // module docs): its history goes in front of its first new
+            // update, which keeps the groups in delta first-appearance
+            // order — the canonical apply order at every pool width.
+            let mut apply_list: Vec<Fired> = Vec::with_capacity(delta.len());
+            let mut replayed: FastHashSet<Vid> = FastHashSet::default();
             for f in delta {
-                let created = f.created();
-                if affected_set.insert(created) {
-                    affected.push(created);
+                if f.kind() == UpdateKind::Mod {
+                    let history = mod_history.entry(f.created()).or_default();
+                    if replayed.insert(f.created()) {
+                        apply_list.extend(history.iter().cloned());
+                    }
+                    history.push(f.clone());
                 }
-                by_version.entry(created).or_default().push(f);
+                apply_list.push(f);
             }
-            let apply_list: Vec<Fired> =
-                affected.iter().flat_map(|v| by_version[v].iter().cloned()).collect();
             let report = tp::apply(&mut work, &apply_list, &pool, &mut stats.parallel);
             if let Some(rt) = round_traces.last_mut() {
                 rt.touched = report.touched.len();
@@ -510,16 +534,15 @@ struct RoundCtx<'a> {
 fn collect_round(
     ctx: &RoundCtx<'_>,
     ob: &ObjectBase,
-    tasks: &[EvalTask],
+    tasks: &[EvalTask<'_>],
     par: &mut ParallelStats,
 ) -> Vec<Fired> {
     let RoundCtx { program, plans, pool } = *ctx;
     let started = Instant::now();
     let outs = pool.run(tasks.len(), |i| {
         let EvalTask { rule, seed } = &tasks[i];
-        let seed = seed.as_ref().map(|(step, set)| (*step, set));
         let mut out = Vec::new();
-        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed, &mut out);
+        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed.as_ref(), &mut out);
         out
     });
     par.scan_subtasks += tasks.len();
@@ -899,13 +922,79 @@ mod tests {
     }
 
     /// The engine against the §3–§5 reference interpreter (no indexes,
-    /// no seeding, no skipped rules): equal `result(P)`.
+    /// no seeding, no skipped rules): equal `result(P)` — also with
+    /// every rule re-evaluated in full each round and on a 2-wide pool.
+    /// Returns the default configuration's outcome.
     fn assert_matches_reference(ob: &ObjectBase, prog: &str) -> Outcome {
         let program = Program::parse(prog).unwrap();
         let slow = crate::reference::evaluate(&program, ob).unwrap();
+        for config in [
+            EngineConfig { verify_stability: true, ..Default::default() },
+            EngineConfig { parallel: true, threads: 2, ..Default::default() },
+        ] {
+            let outcome = run_with(program.clone(), config.clone(), ob).unwrap();
+            assert_eq!(outcome.result(), &slow.result, "{config:?}");
+        }
         let fast = run_default(program, ob).unwrap();
         assert_eq!(fast.result(), &slow.result);
         fast
+    }
+
+    #[test]
+    fn closure_rounds_cost_their_delta() {
+        // 40-object `next` chain: 780 reach facts over 40 rounds. Every
+        // head firing step 1 emits is new — a seeded pass joins from the
+        // facts the previous round added, not from the whole of every
+        // changed version (which emits > 10 000 candidates here).
+        let n = 40;
+        let chain: String = (0..n - 1).map(|i| format!("o{i}.next -> o{}. ", i + 1)).collect();
+        let outcome = run(
+            &chain,
+            "tc1: ins[X].reach -> Y <= X.next -> Y.
+             tc2: ins[X].reach -> Z <= ins(X).reach -> Y & Y.next -> Z.",
+        );
+        let stats = outcome.stats();
+        assert_eq!((stats.fired_updates, stats.fired_candidates), (780, 780), "{stats}");
+        assert_eq!((stats.rounds, stats.versions_created, stats.facts_copied), (40, 39, 78));
+        // The run's delta stays object-level: no per-fact seeds survive.
+        assert!(outcome.changed().keys().all(|k| outcome.changed().added(k).is_none()));
+        outcome.result().check_invariants();
+    }
+
+    #[test]
+    fn late_updates_on_active_versions_match_reference() {
+        for (ob, prog) in [
+            // Two deletes landing on one del(b) in successive rounds.
+            (
+                "a.p -> 1. b.data -> 7. b.data -> 8. b.data -> 9.",
+                "r1: ins[a].go -> 1 <= a.p -> 1.
+                 r2: ins[a].go2 -> 1 <= ins(a).go -> 1.
+                 r3: del[b].data -> 7 <= ins(a).go -> 1.
+                 r4: del[b].data -> 8 <= ins(a).go2 -> 1.",
+            ),
+            // An ins adding a *new method* to an already-active ins(a),
+            // read by a rule that only a seeded pass re-triggers.
+            (
+                "a.p -> 1. c.p -> 2.",
+                "r1: ins[a].go -> 1 <= a.p -> 1.
+                 r2: ins[a].extra -> 5 <= ins(a).go -> 1.
+                 r3: ins[c].saw -> V <= ins(a).extra -> V.",
+            ),
+            // A three-round mod chain (a,b), (b,c), (c,d) on one version.
+            (
+                "o.m -> a. o.m -> b. o.m -> c.",
+                "ins[t].go -> 1 <= o.m -> a.
+                 ins[t].go2 -> 1 <= ins(t).go -> 1.
+                 mod[o].m -> (a, b) <= o.m -> a.
+                 mod[o].m -> (b, c) <= ins(t).go -> 1 & o.m -> b.
+                 mod[o].m -> (c, d) <= ins(t).go2 -> 1 & o.m -> c.",
+            ),
+        ] {
+            let fast = assert_matches_reference(&ObjectBase::parse(ob).unwrap(), prog);
+            assert_eq!(fast.stratification().strata.len(), 1, "program: {prog}");
+            assert!(fast.stats().rounds >= 4, "program: {prog}: {}", fast.stats());
+            fast.result().check_invariants();
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! ## Semantics notes
 //!
 //! The per-stratum iteration uses *overwrite* semantics for the states
-//! of versions relevant in a round (DESIGN.md D1): plain cumulative
-//! union cannot express deletion. Within a stratum the stratification
-//! conditions guarantee that every fired ground update stays fired, so
-//! the set `T¹` grows monotonically and the iteration reaches a
-//! fixpoint; see [`engine`] for the mechanics.
+//! of versions relevant in a round (ARCHITECTURE.md, decision D1):
+//! plain cumulative union cannot express deletion. Within a stratum
+//! the stratification conditions guarantee that every fired ground
+//! update stays fired, so the set `T¹` grows monotonically and the
+//! iteration reaches a fixpoint; see [`engine`] for the mechanics.
 
 pub mod check;
 pub mod database;

@@ -25,21 +25,42 @@
 //! compile-time [`ScanHint`]s of the rule's [`RuleIndexPlan`]: a scan
 //! whose result or first argument is bound when it runs goes through
 //! the object base's value-keyed method index instead of the full
-//! relation. With a *seed* — semi-naive evaluation — one chosen scan
-//! step is restricted to a set of object bases (the objects a previous
-//! fixpoint round changed) and is executed **first** (the plan order
-//! is rotated), so every enumerated match joins from the delta side.
+//! relation. With a [`Seed`] — semi-naive evaluation — one chosen scan
+//! step is restricted to what a previous fixpoint round changed and is
+//! executed **first** (the plan order is rotated), so every enumerated
+//! match joins from the delta side. The restriction is to the changed
+//! object bases and, for a version-term or `ins[..]` literal whose
+//! seed carries the relation's added facts, to exactly those
+//! applications of each base that has them; `del[..]`/`mod[..]` and
+//! `$V` scans stay object-granular.
 //! Rotating a scan to the front is always sound: scans never require
 //! bound variables, and every other step runs with at least the
 //! bindings it had under the original order. A full evaluation is the
 //! seed-less call.
 
+use std::borrow::Cow;
+
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateSpec, VersionAtom};
-use ruvo_obase::{exists_sym, ObjectBase};
+use ruvo_obase::{exists_sym, AddedFacts, MethodApp, ObjectBase};
 use ruvo_term::{ArgTerm, Bindings, Const, FastHashSet, UpdateKind, Vid, VidRef, VidTerm};
 
 use crate::plan::{RuleIndexPlan, ScanHint};
 use crate::truth;
+
+/// The delta side of a seeded evaluation: the scan at plan step `step`
+/// enumerates only what changed.
+pub struct Seed<'a> {
+    /// The seeded plan step.
+    pub step: usize,
+    /// The objects whose facts under a relation the literal reads
+    /// changed (borrowed from the delta when it reads just one).
+    pub bases: Cow<'a, FastHashSet<Const>>,
+    /// For a literal true by membership in one relation: that
+    /// relation's added facts ([`ruvo_obase::ChangedSince::added`]). A
+    /// base of `bases` with an entry is enumerated through it alone;
+    /// one without is enumerated whole.
+    pub added: Option<&'a AddedFacts>,
+}
 
 /// The shared, read-only state of one rule evaluation.
 struct MatchCtx<'a> {
@@ -49,8 +70,7 @@ struct MatchCtx<'a> {
     order: &'a [usize],
     /// Scan hints per plan step.
     hints: &'a [ScanHint],
-    /// Restrict the scan at plan step `.0` to target bases in `.1`.
-    seed: Option<(usize, &'a FastHashSet<Const>)>,
+    seed: Option<&'a Seed<'a>>,
 }
 
 /// Enumerate every satisfying assignment of `rule`'s body over `ob`,
@@ -58,10 +78,10 @@ struct MatchCtx<'a> {
 /// bound key position go through the value-keyed method index, per
 /// `plan`.
 ///
-/// With a `seed`, the scan at that plan step enumerates only versions
-/// whose base is in the seed set, and runs before every other step.
-/// Matches that involve none of the seeded objects at that literal are
-/// *not* produced — the caller is responsible for covering each body
+/// With a `seed`, the scan at that plan step enumerates only the
+/// seed's objects (and facts), and runs before every other step.
+/// Matches that involve nothing of the seed at that literal are *not*
+/// produced — the caller is responsible for covering each body
 /// literal that may have changed with its own seeded pass.
 ///
 /// `sink` must read what it needs from the bindings immediately; they
@@ -70,11 +90,11 @@ pub fn for_each_match(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
-    seed: Option<(usize, &FastHashSet<Const>)>,
+    seed: Option<&Seed<'_>>,
     sink: &mut dyn FnMut(&Bindings),
 ) {
     let steps = rule.plan.steps.len();
-    let first = seed.map(|(step, _)| step);
+    let first = seed.map(|s| s.step);
     debug_assert!(first.is_none_or(|s| s < steps), "seed step out of range");
     let order: Vec<usize> =
         first.into_iter().chain((0..steps).filter(|&s| Some(s) != first)).collect();
@@ -128,10 +148,8 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
             let lit = &ctx.rule.body[li];
             debug_assert!(lit.positive, "Scan plan step on negated literal");
             let hint = ctx.hints[si];
-            let seed = match ctx.seed {
-                Some((s, set)) if s == si => Some(set),
-                _ => None,
-            };
+            let seed = ctx.seed.filter(|s| s.step == si);
+            let seed_bases = seed.map(|s| &*s.bases);
             match &lit.atom {
                 Atom::Version(va) => scan_version(ctx, va, hint, seed, pos, cur),
                 Atom::Update(ua) => match &ua.spec {
@@ -148,10 +166,10 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
                         scan_version(ctx, &va, hint, seed, pos, cur);
                     }
                     spec @ UpdateSpec::Del { .. } => {
-                        scan_del(ctx, ua.target, spec, seed, pos, cur);
+                        scan_del(ctx, ua.target, spec, seed_bases, pos, cur);
                     }
                     spec @ UpdateSpec::Mod { .. } => {
-                        scan_mod(ctx, ua.target, spec, seed, pos, cur);
+                        scan_mod(ctx, ua.target, spec, seed_bases, pos, cur);
                     }
                     UpdateSpec::DelAll => {
                         unreachable!("del-all in a body is rejected by validation")
@@ -254,10 +272,24 @@ fn match_app_and_continue(
 }
 
 /// Enumerate the applications of `va.method` on the concrete version
-/// `vid` and continue matching.
-fn scan_apps_of(ctx: &MatchCtx<'_>, vid: Vid, va: &VersionAtom, pos: usize, cur: &mut Cursor<'_>) {
-    for app in ctx.ob.apps(vid, va.method) {
-        match_app_and_continue(ctx, &va.args, va.result, app.args.as_slice(), app.result, pos, cur);
+/// `vid` and continue matching. Under a seed holding added facts for
+/// the version's base, only those are enumerated: the version existed
+/// before the delta and only grew, so every new match goes through one
+/// of them.
+fn scan_apps_of(
+    ctx: &MatchCtx<'_>,
+    vid: Vid,
+    va: &VersionAtom,
+    seed: Option<&Seed<'_>>,
+    pos: usize,
+    cur: &mut Cursor<'_>,
+) {
+    let mut visit = |app: &MethodApp| {
+        match_app_and_continue(ctx, &va.args, va.result, app.args.as_slice(), app.result, pos, cur)
+    };
+    match seed.and_then(|s| s.added).and_then(|added| added.get(&vid.base())) {
+        Some(apps) => apps.iter().for_each(&mut visit),
+        None => ctx.ob.apps(vid, va.method).for_each(&mut visit),
     }
 }
 
@@ -268,19 +300,20 @@ fn match_base_then_apps(
     t: VidTerm,
     vid: Vid,
     va: &VersionAtom,
+    seed: Option<&Seed<'_>>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
     let mark = cur.b.mark();
     if t.base.matches(vid.base(), cur.b) {
-        scan_apps_of(ctx, vid, va, pos, cur);
+        scan_apps_of(ctx, vid, va, seed, pos, cur);
     }
     cur.b.undo_to(mark);
 }
 
 /// Scan a version-term: enumerate versions, then their applications of
 /// the method. The candidate versions come from (in order of
-/// preference) the seed set, the value-keyed index when a key position
+/// preference) the seed, the value-keyed index when a key position
 /// is bound, or the full `(chain, method)` index. An unbound VID
 /// variable (`$V`, the §6 extension) scans *every* version carrying
 /// the method, regardless of chain.
@@ -288,26 +321,24 @@ fn scan_version(
     ctx: &MatchCtx<'_>,
     va: &VersionAtom,
     hint: ScanHint,
-    seed: Option<&FastHashSet<Const>>,
+    seed: Option<&Seed<'_>>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
     match va.vid.ground(cur.b) {
         Some(vid) => {
-            if seed.is_some_and(|s| !s.contains(&vid.base())) {
+            if seed.is_some_and(|s| !s.bases.contains(&vid.base())) {
                 return;
             }
-            scan_apps_of(ctx, vid, va, pos, cur);
+            scan_apps_of(ctx, vid, va, seed, pos, cur);
         }
         None => match va.vid {
             VidRef::Term(t) => {
                 // Seeded: the delta names the candidate objects directly.
-                if let Some(seed) = seed {
-                    for &base in seed {
+                if let Some(s) = seed {
+                    for &base in s.bases.iter() {
                         let vid = Vid::new(base, t.chain);
-                        if ctx.ob.defines(vid, va.method) {
-                            match_base_then_apps(ctx, t, vid, va, pos, cur);
-                        }
+                        match_base_then_apps(ctx, t, vid, va, seed, pos, cur);
                     }
                     return;
                 }
@@ -316,7 +347,7 @@ fn scan_version(
                     ScanHint::ResultKey => {
                         if let Some(r) = va.result.ground(cur.b) {
                             for vid in ctx.ob.versions_with_result(t.chain, va.method, r) {
-                                match_base_then_apps(ctx, t, vid, va, pos, cur);
+                                match_base_then_apps(ctx, t, vid, va, None, pos, cur);
                             }
                             return;
                         }
@@ -324,7 +355,7 @@ fn scan_version(
                     ScanHint::Arg0Key => {
                         if let Some(a0) = va.args.first().and_then(|a| a.ground(cur.b)) {
                             for vid in ctx.ob.versions_with_arg0(t.chain, va.method, a0) {
-                                match_base_then_apps(ctx, t, vid, va, pos, cur);
+                                match_base_then_apps(ctx, t, vid, va, None, pos, cur);
                             }
                             return;
                         }
@@ -333,20 +364,21 @@ fn scan_version(
                 }
                 // Full: every version of the chain defining the method.
                 for vid in ctx.ob.versions_with(t.chain, va.method) {
-                    match_base_then_apps(ctx, t, vid, va, pos, cur);
+                    match_base_then_apps(ctx, t, vid, va, None, pos, cur);
                 }
             }
             VidRef::Var(vv) => {
                 // The open §6 scan streams straight off the store's
                 // sharded version table — no snapshot allocation; the
-                // base is immutable for the whole evaluation.
+                // base is immutable for the whole evaluation. It reads
+                // any relation, so a seed restricts it by object only.
                 for vid in ctx.ob.versions() {
-                    if seed.is_some_and(|s| !s.contains(&vid.base())) {
+                    if seed.is_some_and(|s| !s.bases.contains(&vid.base())) {
                         continue;
                     }
                     let mark = cur.b.mark();
                     if cur.b.unify_vid_var(vv, vid) {
-                        scan_apps_of(ctx, vid, va, pos, cur);
+                        scan_apps_of(ctx, vid, va, None, pos, cur);
                     }
                     cur.b.undo_to(mark);
                 }
@@ -432,7 +464,7 @@ fn scan_del(
 }
 
 /// Scan `mod[V].m@args -> (R, R2)` in a body, per the two §3 clauses
-/// (changed and unchanged result; DESIGN.md D5).
+/// (changed and unchanged result; ARCHITECTURE.md, decision D5).
 fn scan_mod(
     ctx: &MatchCtx<'_>,
     target: VidTerm,
@@ -557,6 +589,11 @@ mod tests {
             plan.hints.fill(ScanHint::Full);
             plan
         })
+    }
+
+    /// An object-granular seed: changed bases, no recorded facts.
+    fn object_seed(step: usize, bases: &FastHashSet<Const>) -> Seed<'_> {
+        Seed { step, bases: Cow::Borrowed(bases), added: None }
     }
 
     fn base() -> ObjectBase {
@@ -782,8 +819,8 @@ mod tests {
                 continue;
             }
             let mut out = Vec::new();
-            let seed = Some((step, &seed));
-            for_each_match(&ob, &program.rules[0], &plan.rules[0], seed, &mut |b| {
+            let seed = object_seed(step, &seed);
+            for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
                 out.push(b.snapshot())
             });
             assert_eq!(out.len(), 1, "seed step {step}");
@@ -793,10 +830,51 @@ mod tests {
         let mut seed = FastHashSet::default();
         seed.insert(oid("phil"));
         let mut out = Vec::new();
-        for_each_match(&ob, &program.rules[0], &plan.rules[0], Some((0, &seed)), &mut |b| {
+        let seed = object_seed(0, &seed);
+        for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
             out.push(b.snapshot())
         });
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn fact_granular_seed_enumerates_only_added_applications() {
+        // bob has three `likes`; the delta says one was added to him and
+        // that phil changed without facts (a new or shrunken version).
+        let mut ob = base();
+        for (who, what) in [("bob", "tea"), ("bob", "jazz"), ("bob", "chess"), ("phil", "golf")] {
+            ob.insert(Vid::object(oid(who)), sym("likes"), Args::empty(), oid(what));
+        }
+        let program = Program::parse("ins[E].fan -> L <= E.likes -> L.").unwrap();
+        let plan = IndexPlan::of(&program);
+        let run_seeded = |bases: &[Const], added: &AddedFacts| {
+            let bases: FastHashSet<Const> = bases.iter().copied().collect();
+            let seed = Seed { step: 0, bases: Cow::Borrowed(&bases), added: Some(added) };
+            let mut out = Vec::new();
+            for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
+                out.push((b.get(VarId(0)).unwrap(), b.get(VarId(1)).unwrap()))
+            });
+            out.sort();
+            out
+        };
+        let mut added = AddedFacts::default();
+        added.insert(oid("bob"), vec![MethodApp::new(Args::empty(), oid("jazz"))]);
+        // Exactly the one added application of bob...
+        assert_eq!(run_seeded(&[oid("bob")], &added), vec![(oid("bob"), oid("jazz"))]);
+        // ...while phil, recorded without facts, is enumerated whole.
+        let mut expect = vec![(oid("bob"), oid("jazz")), (oid("phil"), oid("golf"))];
+        expect.sort();
+        assert_eq!(run_seeded(&[oid("bob"), oid("phil")], &added), expect);
+        // The same through a ground target.
+        let program = Program::parse("ins[bob].fan -> L <= bob.likes -> L.").unwrap();
+        let plan = IndexPlan::of(&program);
+        let bases: FastHashSet<Const> = [oid("bob")].into_iter().collect();
+        let seed = Seed { step: 0, bases: Cow::Borrowed(&bases), added: Some(&added) };
+        let mut out = Vec::new();
+        for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
+            out.push(b.get(VarId(0)).unwrap())
+        });
+        assert_eq!(out, vec![oid("jazz")]);
     }
 
     #[test]
@@ -809,8 +887,9 @@ mod tests {
         let plan = IndexPlan::of(&program);
         let run_seeded = |bases: &[Const]| {
             let seed: FastHashSet<Const> = bases.iter().copied().collect();
+            let seed = object_seed(0, &seed);
             let mut out = Vec::new();
-            for_each_match(&ob, &program.rules[0], &plan.rules[0], Some((0, &seed)), &mut |b| {
+            for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
                 out.push(b.snapshot())
             });
             out

@@ -109,6 +109,21 @@ pub fn literal_reads(lit: &Literal) -> Option<Vec<(Chain, Symbol)>> {
     Some(out)
 }
 
+/// True if a positive body literal is true by *membership* in the one
+/// relation it reads — a version-term with a concrete chain, or an
+/// `ins[..]` update-term (`ins(v).m -> r ∈ I`). The facts a round adds
+/// to that relation are then the literal's whole delta, so its seeded
+/// scan can be fact-granular. `del[..]` / `mod[..]` literals read
+/// several relations and become true *because* a fact disappeared;
+/// `$V` atoms read any relation.
+pub fn reads_by_membership(lit: &Literal) -> bool {
+    match &lit.atom {
+        Atom::Version(va) => va.vid.as_term().is_some(),
+        Atom::Update(ua) => matches!(ua.spec, UpdateSpec::Ins { .. }),
+        Atom::Cmp(_) => false,
+    }
+}
+
 fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
     let mut bound = vec![false; rule.vars.len()];
     let mut hints = Vec::with_capacity(rule.plan.steps.len());

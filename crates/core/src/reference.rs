@@ -5,9 +5,9 @@
 //! machinery the paper never mentions — relational indexes, join
 //! planning, rule-level delta filtering, per-round delta application,
 //! incremental linearity tracking. Every one of those is a place for a
-//! semantics bug to hide (one did: see DESIGN.md D7). This module
-//! re-derives the result *without any of it*, transcribing the paper
-//! text as directly as Rust allows:
+//! semantics bug to hide (one did: see ARCHITECTURE.md, decision D7).
+//! This module re-derives the result *without any of it*, transcribing
+//! the paper text as directly as Rust allows:
 //!
 //! * **Grounding is naive**: a rule's non-assigned variables range over
 //!   the active domain (every OID occurring in the current object base
@@ -575,8 +575,8 @@ fn enumerate(
 }
 
 /// Steps 2 + 3 of `T_P` as set algebra over the full `T¹`, producing
-/// the next interpretation (overwrite of relevant versions, DESIGN.md
-/// D1/D7).
+/// the next interpretation (overwrite of relevant versions;
+/// ARCHITECTURE.md, decisions D1/D7).
 fn apply_tp(ob: &ObjectBase, t1: &[RefUpdate]) -> ObjectBase {
     let exists = exists_sym();
     let mut by_version: FastHashMap<Vid, Vec<&RefUpdate>> = FastHashMap::default();

@@ -26,9 +26,9 @@
 //!   `ins(del(mod(E)))` reads a state copied from `del(mod(E))`).
 //!
 //! Unification of version-id-terms is chain-exact because variables
-//! range over OIDs only (DESIGN.md D2); this reproduces the paper's own
-//! strata for its running examples, e.g. `{rule1, rule2} < {rule3} <
-//! {rule4}` for the §2.3 enterprise update.
+//! range over OIDs only (ARCHITECTURE.md, decision D2); this
+//! reproduces the paper's own strata for its running examples, e.g.
+//! `{rule1, rule2} < {rule3} < {rule4}` for the §2.3 enterprise update.
 
 use std::fmt;
 

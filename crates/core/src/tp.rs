@@ -15,19 +15,24 @@
 //! 3. **Apply**: inserts add method-applications, deletes remove them,
 //!    modifies replace old results with new ones ([`apply_updates`]).
 //!
-//! Steps 2 and 3 read `I` only: every relevant version's new state is
-//! built against the round's *input* base, and the states are then
-//! committed together. A version created in a round is therefore never
-//! the `v*` another version of the same round copies from — `T_P` is a
-//! function of `I`, not of the order versions are processed in.
+//! Steps 2 and 3 read `I` only: every state that is *built* — a
+//! version new in the round, or one a `mod` creates — is built against
+//! the round's *input* base, and the states are committed together
+//! before anything else is written. A version created in a round is
+//! therefore never the `v*` another version of the same round copies
+//! from — `T_P` is a function of `I`, not of the order versions are
+//! processed in.
 //!
-//! Each round the engine re-applies the *full accumulated* update set
-//! of every version the round's delta touches (not just the delta):
-//! step 3 is defined over the whole `T¹`, and for chained modifies on
-//! one version — `(a,b)` fired in round 1, `(b,c)` in round 2 — only
-//! whole-set application reaches the paper's fixpoint `{b,c}`.
-//! Re-application is idempotent: for removal set `R` and insertion set
-//! `A`, `((X \ R) ∪ A) \ R ∪ A = (X \ R) ∪ A`.
+//! Step 3 is defined over the whole `T¹` of the stratum, yet a round
+//! costs what it adds (ARCHITECTURE.md, decision D7). All updates
+//! creating one version have one kind and only they ever write it, so
+//! for an *active* `ins(v)` / `del(v)` with state `S` the round's own
+//! updates are exact — `S ∪ A = S ∪ A_δ`, `S ∖ R = S ∖ R_δ` — and the
+//! version is **repaired in place**. Chained modifies are different:
+//! `(a,b)` fired in round 1 and `(b,c)` in round 2 must reach `{b,c}`
+//! where the delta alone gives `{c}`, so a `mod(v)` is rebuilt from its
+//! accumulated updates, which the engine passes whole (idempotent:
+//! `((X ∖ R) ∪ A) ∖ R ∪ A = (X ∖ R) ∪ A`).
 
 use std::sync::Arc;
 
@@ -35,6 +40,7 @@ use ruvo_lang::{Rule, UpdateSpec};
 use ruvo_obase::{exists_sym, Args, ChangedSince, MethodApp, ObjectBase, VersionState};
 use ruvo_term::{ArgTerm, Bindings, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
+use crate::matcher::Seed;
 use crate::plan::RuleIndexPlan;
 use crate::pool::WorkerPool;
 use crate::trace::ParallelStats;
@@ -196,10 +202,10 @@ fn ground_args(args: &[ArgTerm], b: &Bindings) -> Args {
 /// head truth, and emit fired updates into `out`. Scans go through the
 /// value-keyed method index per the rule's compile-time
 /// [`RuleIndexPlan`]; with a `seed`, the scan at that plan step is
-/// restricted to the seed's objects and executed first — the
-/// semi-naive delta join (matches not involving a seeded object at
-/// that literal are skipped; the engine issues one seeded pass per
-/// changed body literal).
+/// restricted to the seed's objects (and added facts) and executed
+/// first — the semi-naive delta join (matches involving nothing of the
+/// seed at that literal are skipped; the engine issues one seeded pass
+/// per changed body literal).
 ///
 /// A `del[V].*` head expands into one `Del` per method-application of
 /// `v*` (excluding `exists`, which is not updatable) — "we write
@@ -209,7 +215,7 @@ pub fn collect_rule(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
-    seed: Option<(usize, &FastHashSet<Const>)>,
+    seed: Option<&Seed<'_>>,
     out: &mut Vec<Fired>,
 ) {
     matcher::for_each_match(ob, rule, plan, seed, &mut |b| fire_head(ob, rule, b, out));
@@ -284,10 +290,11 @@ pub struct ApplyReport {
     /// Versions that did not exist before this round.
     pub created: Vec<Vid>,
     /// The round's semantic delta: per `(chain, method)` relation, the
-    /// objects whose fact sets actually changed (diffed by the tracked
-    /// state commit, so idempotent re-applications contribute nothing).
-    /// This both gates rule-level delta filtering and seeds the
-    /// semi-naive join.
+    /// objects whose fact sets actually changed and — for versions that
+    /// were active and only grew — the facts added (recorded by the
+    /// tracked commit and the tracked in-place edits, so ineffective
+    /// updates contribute nothing). This both gates rule-level delta
+    /// filtering and seeds the semi-naive join.
     pub changed: ChangedSince,
     /// Method-applications copied in step 2 (frame-copy volume).
     pub facts_copied: usize,
@@ -312,11 +319,12 @@ fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
     groups
 }
 
-/// Steps 2 + 3 for one created version, **read-only** on `ob`: the
-/// copied source state with the group's updates applied. Returns the
-/// new state plus `(facts_copied, was_created)` bookkeeping. Being a
-/// pure function of `(ob, created, updates)`, any number of these can
-/// run concurrently over a shared `&ObjectBase`.
+/// Steps 2 + 3 for one created version whose state is built whole,
+/// **read-only** on `ob`: the copied source state with the group's
+/// updates applied. Returns the new state plus `(facts_copied,
+/// was_created)` bookkeeping. Being a pure function of `(ob, created,
+/// updates)`, any number of these can run concurrently over a shared
+/// `&ObjectBase`.
 fn build_state(
     ob: &ObjectBase,
     created: Vid,
@@ -327,17 +335,17 @@ fn build_state(
     let mut facts_copied = 0;
     // Step 2: the copy — an `Arc` alias of the source state, not a
     // deep copy. Step 3 unshares it on its first *effective* write
-    // (every removal/insertion peeks first), so a round that
-    // re-applies an already-applied update set touches nothing, and
-    // the tracked commit recognizes the unchanged pointer and skips
-    // the diff and the re-indexing outright.
+    // (every removal/insertion peeks first), so re-applying an
+    // already-applied mod history touches nothing, and the tracked
+    // commit recognizes the unchanged pointer and skips the diff and
+    // the re-indexing outright.
     let mut state: Arc<VersionState> = if active {
         ob.version_shared(created).cloned().unwrap_or_default()
     } else {
         let target = updates[0].target();
         let copied = match ob.v_star(target) {
             Some(v_star) => ob.version_shared(v_star).cloned().unwrap_or_default(),
-            // Brand-new object: empty copy (DESIGN.md D3).
+            // Brand-new object: empty copy (ARCHITECTURE.md, decision D3).
             None => Arc::new(VersionState::new()),
         };
         facts_copied = copied.len();
@@ -391,15 +399,15 @@ fn build_state(
     (state, facts_copied, !active)
 }
 
-/// Steps 2 + 3 for the newly fired updates of one round: group by
-/// created version, build every touched version's state against the
-/// round's input base, then commit all states at once through the
-/// object base's tracked commit
-/// (`ObjectBase::replace_versions_tracked_shared`). The tracked commit
-/// diffs each new state against the old one: freshly created versions
-/// record every method of their state, re-applications record only
-/// what actually changed — and a pointer-identical recommit records
-/// (and re-indexes) nothing.
+/// Steps 2 + 3 for the newly fired updates of one round (for a
+/// version a `mod` creates: its accumulated updates), grouped by
+/// created version. Groups that need a whole state — versions new this
+/// round (the frame copy) and `mod` groups — are built against the
+/// round's input base and committed at once through the tracked commit
+/// (`ObjectBase::replace_versions_tracked_shared`). Only *then* are
+/// the `ins` / `del` groups of active versions repaired in place, fact
+/// by fact, through the tracked edits — nothing built this round reads
+/// them.
 ///
 /// This is the width-1 call of the engine's apply; the report and the
 /// committed base are identical at every pool width.
@@ -408,9 +416,10 @@ pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
 }
 
 /// [`apply_updates`] with the read-only state building spread over
-/// `pool` (the commit itself runs on the caller); accumulates the
-/// region's wall time into `par`. See the module docs of
-/// [`crate::pool`] for why the result does not depend on the width.
+/// `pool` (the commit and the in-place repairs run on the caller, in
+/// canonical group order); accumulates the region's wall time into
+/// `par`. See the module docs of [`crate::pool`] for why the result
+/// does not depend on the width.
 pub(crate) fn apply(
     ob: &mut ObjectBase,
     delta: &[Fired],
@@ -419,20 +428,37 @@ pub(crate) fn apply(
 ) -> ApplyReport {
     let started = std::time::Instant::now();
     let groups = group_by_created(delta);
-    let input: &ObjectBase = ob;
-    let built = pool.run(groups.len(), |i| build_state(input, groups[i].0, &groups[i].1));
-
     let mut report = ApplyReport::default();
-    let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::with_capacity(groups.len());
-    for ((created, _), (state, facts_copied, was_created)) in groups.iter().zip(built) {
+    report.touched.extend(groups.iter().map(|(created, _)| *created));
+    let input: &ObjectBase = ob;
+    let (whole, repairs): (Vec<_>, Vec<_>) = groups.iter().partition(|(created, updates)| {
+        updates[0].kind() == UpdateKind::Mod || !input.exists_fact(*created)
+    });
+    let built = pool.run(whole.len(), |i| build_state(input, whole[i].0, &whole[i].1));
+
+    let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::with_capacity(whole.len());
+    for ((created, _), (state, facts_copied, was_created)) in whole.iter().zip(built) {
         report.facts_copied += facts_copied;
         if was_created {
             report.created.push(*created);
         }
-        report.touched.push(*created);
         edits.push((*created, state));
     }
     ob.replace_versions_tracked_shared(&edits, &mut report.changed);
+
+    for (created, updates) in repairs {
+        for fired in updates {
+            match fired {
+                Fired::Ins { method, args, result, .. } => {
+                    ob.insert_tracked(*created, *method, args.clone(), *result, &mut report.changed)
+                }
+                Fired::Del { method, args, result, .. } => {
+                    ob.remove_tracked(*created, *method, args, *result, &mut report.changed)
+                }
+                Fired::Mod { .. } => unreachable!("mod groups are built whole"),
+            };
+        }
+    }
     par.apply_wall += started.elapsed();
     report
 }
@@ -584,6 +610,16 @@ mod tests {
         let created = f1.created();
         assert!(ob.contains(created, sym("isa"), &[], oid("hpe")));
         assert!(ob.contains(created, sym("isa"), &[], oid("vip")));
+        // The version round 1 created is its own delta; round 2 repaired
+        // it in place and reports exactly the one application it added.
+        let isa = (created.chain(), sym("isa"));
+        assert!(r1.changed.bases(&isa).unwrap().contains(&oid("phil")));
+        assert!(r1.changed.keys().all(|k| r1.changed.added(k).is_none()));
+        assert_eq!(r2.changed.keys().collect::<Vec<_>>(), vec![&isa]);
+        let added = r2.changed.added(&isa).unwrap();
+        assert_eq!(added.len(), 1);
+        assert_eq!(added[&oid("phil")], vec![MethodApp::new(Args::empty(), oid("vip"))]);
+        ob.check_invariants();
     }
 
     #[test]

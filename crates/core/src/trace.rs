@@ -12,6 +12,11 @@ pub struct EvalStats {
     pub rounds: usize,
     /// Distinct fired ground update-terms (|T¹| summed over strata).
     pub fired_updates: usize,
+    /// Head firings step 1 emitted over all rounds, *before* dedup
+    /// against the stratum's `T¹` — the work behind `fired_updates`.
+    /// A logical counter (equal at every width and between runs); the
+    /// closer to `fired_updates`, the less a round re-derives.
+    pub fired_candidates: usize,
     /// Versions created (relevant VIDs that were not active).
     pub versions_created: usize,
     /// Method-applications copied in step 2 (frame-copy volume).
@@ -21,8 +26,9 @@ pub struct EvalStats {
     /// (rule, round) evaluations skipped by delta filtering.
     pub rule_evaluations_skipped: usize,
     /// Delta-seeded (semi-naive) rule passes: evaluations that joined
-    /// from the previous round's changed objects instead of the full
-    /// relations.
+    /// one body literal from the previous round's delta — the facts
+    /// added to active versions, or whole changed versions — instead
+    /// of the full relations.
     pub rule_evaluations_seeded: usize,
     /// Wall-clock time of the run (zero duration if not measured).
     pub elapsed: Duration,
@@ -57,11 +63,12 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} strata, {} rounds, {} fired updates, {} versions created, {} facts copied, \
-             {} rule evaluations ({} skipped, {} seeded), {:?}; {}",
+            "{} strata, {} rounds, {} fired updates of {} candidates, {} versions created, \
+             {} facts copied, {} rule evaluations ({} skipped, {} seeded), {:?}; {}",
             self.strata,
             self.rounds,
             self.fired_updates,
+            self.fired_candidates,
             self.versions_created,
             self.facts_copied,
             self.rule_evaluations,
@@ -92,10 +99,28 @@ pub struct RoundTrace {
     pub round: usize,
     /// Rules (indices) evaluated this round.
     pub evaluated: Vec<usize>,
+    /// Head firings step 1 emitted this round, before dedup.
+    pub candidates: usize,
     /// Newly fired updates this round.
     pub new_fired: usize,
     /// Versions touched this round.
     pub touched: usize,
+}
+
+impl fmt::Display for RoundTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rules = self.evaluated.len();
+        write!(
+            f,
+            "round {}: {} rule{} evaluated, {} candidates, {} new, {} versions touched",
+            self.round,
+            rules,
+            if rules == 1 { "" } else { "s" },
+            self.candidates,
+            self.new_fired,
+            self.touched
+        )
+    }
 }
 
 /// Per-stratum trace entry (collected at `TraceLevel::Strata` and up).
@@ -130,11 +155,33 @@ mod tests {
 
     #[test]
     fn stats_display_mentions_all_counters() {
-        let s = EvalStats { strata: 3, rounds: 5, fired_updates: 7, ..Default::default() };
+        let s = EvalStats {
+            strata: 3,
+            rounds: 5,
+            fired_updates: 7,
+            fired_candidates: 9,
+            ..Default::default()
+        };
         let text = s.to_string();
         assert!(text.contains("3 strata"));
         assert!(text.contains("5 rounds"));
-        assert!(text.contains("7 fired"));
+        assert!(text.contains("7 fired updates of 9 candidates"), "{text}");
+    }
+
+    #[test]
+    fn round_trace_display_is_one_line() {
+        let rt = RoundTrace {
+            stratum: 0,
+            round: 57,
+            evaluated: vec![1],
+            candidates: 63,
+            new_fired: 63,
+            touched: 63,
+        };
+        assert_eq!(
+            rt.to_string(),
+            "round 57: 1 rule evaluated, 63 candidates, 63 new, 63 versions touched"
+        );
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub fn del_body(
 ///
 /// For `r = r'`: true iff `v*.m -> r ∈ I` and `mod(v).m -> r ∈ I`
 /// (the paper's dedicated clause for a modification that did not change
-/// the result; DESIGN.md D5).
+/// the result; ARCHITECTURE.md, decision D5).
 pub fn mod_body(
     ob: &ObjectBase,
     target: Vid,

@@ -465,6 +465,44 @@ impl ObjectBase {
         true
     }
 
+    /// [`ObjectBase::insert`] recording an effective insertion — the
+    /// fact itself — into `changed`. With [`ObjectBase::remove_tracked`]
+    /// this is the in-place write path of a fixpoint round: an active
+    /// version is *repaired* by the round's updates (its state unshared
+    /// once, its indexes adjusted per fact) instead of being rebuilt and
+    /// diffed.
+    pub fn insert_tracked(
+        &mut self,
+        vid: Vid,
+        method: Symbol,
+        args: Args,
+        result: Const,
+        changed: &mut ChangedSince,
+    ) -> bool {
+        let added = self.insert(vid, method, args.clone(), result);
+        if added {
+            changed.record_added(vid.chain(), method, vid.base(), MethodApp { args, result });
+        }
+        added
+    }
+
+    /// [`ObjectBase::remove`] recording an effective removal into
+    /// `changed` (the base alone: see [`ChangedSince`]).
+    pub fn remove_tracked(
+        &mut self,
+        vid: Vid,
+        method: Symbol,
+        args: &Args,
+        result: Const,
+        changed: &mut ChangedSince,
+    ) -> bool {
+        let removed = self.remove(vid, method, args, result);
+        if removed {
+            changed.record(vid.chain(), method, vid.base());
+        }
+        removed
+    }
+
     /// Remove a whole version and all its facts; returns the old state
     /// (unsharing it first if a clone still references it).
     pub fn remove_version(&mut self, vid: Vid) -> Option<VersionState> {
@@ -497,7 +535,8 @@ impl ObjectBase {
 
     /// Install `state` as the (complete) new state of `vid`, replacing
     /// whatever was there — the engine's per-stratum *overwrite* step
-    /// (DESIGN.md D1). Empty states simply remove the version.
+    /// (ARCHITECTURE.md, decision D1). Empty states simply remove the
+    /// version.
     pub fn replace_version(&mut self, vid: Vid, state: VersionState) {
         self.replace_version_shared(vid, Arc::new(state));
     }
@@ -544,11 +583,13 @@ impl ObjectBase {
     /// A read-only pre-pass diffs each edit against the stored state
     /// and buckets the *net* index mutations (facts in old∖new removed,
     /// new∖old added) by target shard ([`crate::shard`]); the buckets
-    /// are then applied shard by shard. Re-committing the very `Arc`
-    /// the store already holds (the shape an idempotent fixpoint round
-    /// produces) or a content-equal state under a fresh `Arc` is a
-    /// no-op: no diff recorded, no shard dirtied, the stored state
-    /// kept.
+    /// are then applied shard by shard. The same diff feeds `changed`:
+    /// every changed method's base, and — for a version that already
+    /// existed and a method that only grew — the facts in new∖old.
+    /// Re-committing the very `Arc` the store already holds (the shape
+    /// an idempotent fixpoint round produces) or a content-equal state
+    /// under a fresh `Arc` is a no-op: no diff recorded, no shard
+    /// dirtied, the stored state kept.
     pub fn replace_versions_tracked_shared(
         &mut self,
         edits: &[(Vid, Arc<VersionState>)],
@@ -590,9 +631,6 @@ impl ObjectBase {
             if old_present && diff.is_empty() {
                 continue; // content-equal recommit: keep the stored state
             }
-            for &m in &diff {
-                changed.record(vid.chain(), m, vid.base());
-            }
             fact_delta += new.len() as isize - old.map_or(0, |s| s.len()) as isize;
             let exists_app = MethodApp::new(Args::empty(), vid.base());
             prepared_delta += new.contains(exists, &exists_app) as isize
@@ -606,18 +644,28 @@ impl ObjectBase {
                     (false, true) => bucket.push(RelOp::cm(true, vid, m)),
                     _ => {}
                 }
-                // Net fact diff, removals before additions.
+                // Net fact diff, removals before additions. A method
+                // of a pre-existing version that only grew records the
+                // added facts; anything else records the base alone.
+                let mut grew_only = old_present;
                 if let Some(old) = old {
                     for app in old.apps(m) {
                         if !new.contains(m, app) {
                             RelOp::keyed(bucket, false, vid, m, app);
+                            grew_only = false;
                         }
                     }
                 }
                 for app in new.apps(m) {
                     if old.is_none_or(|o| !o.contains(m, app)) {
                         RelOp::keyed(bucket, true, vid, m, app);
+                        if grew_only {
+                            changed.record_added(vid.chain(), m, vid.base(), app.clone());
+                        }
                     }
+                }
+                if !grew_only {
+                    changed.record(vid.chain(), m, vid.base());
                 }
             }
 
@@ -791,7 +839,7 @@ impl ObjectBase {
     /// §3's `v*`: "the largest subterm of `v`, such that
     /// `v*.exists -> o ∈ I`" — the deepest existing version at or below
     /// `v`. `None` when not even the bare object exists (a brand-new
-    /// object being created by an `ins`, DESIGN.md D3).
+    /// object being created by an `ins`; ARCHITECTURE.md, decision D3).
     pub fn v_star(&self, vid: Vid) -> Option<Vid> {
         let mut candidates: Vec<Vid> = vid.subterms().collect();
         while let Some(v) = candidates.pop() {
@@ -864,11 +912,6 @@ impl ObjectBase {
         arg0: Const,
     ) -> impl Iterator<Item = Vid> + '_ {
         self.by_arg0.bases(chain, method, arg0).map(move |base| Vid::new(base, chain))
-    }
-
-    /// True if `vid` has at least one application of `method`.
-    pub fn defines(&self, vid: Vid, method: Symbol) -> bool {
-        self.versions.get(&vid).is_some_and(|s| s.has_method(method))
     }
 
     /// Every version of an object, as VIDs.
@@ -1225,6 +1268,92 @@ mod tests {
         batch.check_invariants();
     }
 
+    /// The tracked in-place edits — the repair path of a fixpoint round
+    /// — land on the base, counters and indexes a from-scratch rebuild
+    /// of the expected facts gives, and record exactly the effective
+    /// writes: added facts for what only grew, the base alone for what
+    /// shrank.
+    #[test]
+    fn tracked_in_place_edits_match_a_rebuild_across_shards() {
+        let n = if cfg!(miri) { 12 } else { 90 };
+        let obj = |i: i64| Vid::object(oid(&format!("o{i}")));
+        let app = |r: i64| MethodApp::new(Args::empty(), int(r));
+        let mut ob = ObjectBase::new();
+        for i in 0..n {
+            ob.insert(obj(i), sym("p"), Args::empty(), int(i));
+            ob.insert(obj(i), sym("q"), vec![int(1)], int(i * 2));
+        }
+        ob.ensure_exists();
+        // Every shard and state starts shared, as in an engine run.
+        let before = ob.clone();
+        let mut expect: std::collections::BTreeSet<Fact> = ob.iter().collect();
+        let fact = |i: i64, m: &str, args: Args, r: i64| Fact {
+            vid: obj(i),
+            method: sym(m),
+            args,
+            result: int(r),
+        };
+
+        let mut changed = ChangedSince::new();
+        let (ch, none, one) = (&mut changed, Args::empty(), Args::new(vec![int(1)]));
+        let (p, q, r) = (sym("p"), sym("q"), sym("r"));
+        for i in 0..n {
+            match i % 3 {
+                0 => {
+                    // Grow a method, add a new one; a duplicate is a no-op.
+                    assert!(ob.insert_tracked(obj(i), p, none.clone(), int(i + 1000), ch));
+                    assert!(ob.insert_tracked(obj(i), r, none.clone(), int(7), ch));
+                    assert!(!ob.insert_tracked(obj(i), p, none.clone(), int(i), ch));
+                    expect.insert(fact(i, "p", none.clone(), i + 1000));
+                    expect.insert(fact(i, "r", none.clone(), 7));
+                }
+                1 => {
+                    // Empty the version; removing an absent fact is a no-op.
+                    assert!(ob.remove_tracked(obj(i), p, &none, int(i), ch));
+                    assert!(ob.remove_tracked(obj(i), q, &one, int(i * 2), ch));
+                    assert!(!ob.remove_tracked(obj(i), p, &none, int(999), ch));
+                    expect.remove(&fact(i, "p", none.clone(), i));
+                    expect.remove(&fact(i, "q", one.clone(), i * 2));
+                    assert!(ob.exists_fact(obj(i)), "an emptied version keeps its exists note");
+                    assert!(ob.version(obj(i)).unwrap().is_empty_except(exists_sym()));
+                }
+                _ => {}
+            }
+        }
+        ob.check_invariants();
+        assert_eq!(ob, ObjectBase::from_facts(expect.into_iter().collect()));
+        before.check_invariants();
+        assert_eq!(before.len(), 3 * n as usize, "the shared clone must not see the edits");
+
+        let bases = |m: &str| {
+            let mut v: Vec<Const> =
+                changed.bases(&(Chain::EMPTY, sym(m))).unwrap().iter().copied().collect();
+            v.sort();
+            v
+        };
+        let every = |k: i64| {
+            let mut v: Vec<Const> = (0..n).filter(|i| i % 3 == k).map(|i| obj(i).base()).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(changed.len(), 3);
+        assert_eq!(bases("r"), every(0));
+        assert_eq!(bases("q"), every(1));
+        assert_eq!(bases("p"), {
+            let mut v = [every(0), every(1)].concat();
+            v.sort();
+            v
+        });
+        assert!(changed.added(&(Chain::EMPTY, sym("q"))).is_none(), "removals record no facts");
+        let added_p = changed.added(&(Chain::EMPTY, sym("p"))).unwrap();
+        let added_r = changed.added(&(Chain::EMPTY, sym("r"))).unwrap();
+        assert_eq!((added_p.len(), added_r.len()), (every(0).len(), every(0).len()));
+        for i in (0..n).filter(|i| i % 3 == 0) {
+            assert_eq!(added_p[&obj(i).base()], vec![app(i + 1000)]);
+            assert_eq!(added_r[&obj(i).base()], vec![app(7)]);
+        }
+    }
+
     /// The tracked commit on random batches — fresh versions, growing
     /// and shrinking hot versions, emptied states, pointer- and
     /// content-equal recommits — lands on the base and counters a
@@ -1521,14 +1650,6 @@ mod tests {
         ob.replace_version_tracked(mod_phil, st, &mut changed);
         assert!(changed.contains(&(mod_phil.chain(), sym("sal"))));
         ob.check_invariants();
-    }
-
-    #[test]
-    fn defines_checks_method_presence() {
-        let ob = mk();
-        assert!(ob.defines(Vid::object(oid("phil")), sym("pos")));
-        assert!(!ob.defines(Vid::object(oid("bob")), sym("pos")));
-        assert!(!ob.defines(Vid::object(oid("nobody")), sym("pos")));
     }
 
     #[test]

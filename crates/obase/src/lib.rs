@@ -16,9 +16,11 @@
 //!   enumerates only the matching versions
 //!   ([`ObjectBase::versions_with_result`] /
 //!   [`ObjectBase::versions_with_arg0`]),
-//! * incremental delta sets ([`ChangedSince`]) recorded by
-//!   [`ObjectBase::replace_version_tracked`] commits, feeding the
-//!   engine's semi-naive evaluation,
+//! * incremental delta sets ([`ChangedSince`]) recorded by the tracked
+//!   commit ([`ObjectBase::replace_versions_tracked_shared`]) and the
+//!   tracked in-place edits ([`ObjectBase::insert_tracked`] /
+//!   [`ObjectBase::remove_tracked`]), feeding the engine's semi-naive
+//!   evaluation,
 //! * a `base → chains` index enumerating every version of an object
 //!   (used for §5's final-version extraction),
 //! * copy-on-write structural sharing throughout: every index is
@@ -50,7 +52,7 @@ pub use args::Args;
 pub use base::{vid_shard, Fact, ObjectBase};
 pub use bytes::Bytes;
 pub use codec::DecodeError;
-pub use delta::ChangedSince;
+pub use delta::{AddedFacts, ChangedSince};
 pub use linearity::{check_all_linear, LinearityTracker, LinearityViolation};
 pub use shard::SHARD_COUNT;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotFileError};

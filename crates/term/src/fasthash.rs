@@ -4,7 +4,8 @@
 //! small tuples; SipHash (the `std` default) is measurably slower for
 //! such keys. We implement the well-known Fx multiply-rotate scheme
 //! (as used by rustc) in ~30 lines instead of adding a dependency —
-//! see DESIGN.md §4 for the justification.
+//! see ARCHITECTURE.md ("Engineering extensions" under "Design
+//! decisions") for the justification.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -13,7 +13,7 @@
 //!    unify with a bare variable `X`, because `X` ranges over `O` while
 //!    `mod(E)` denotes an element of `O_V \ O`). This is exactly what
 //!    makes the paper's own stratification of its running example come
-//!    out as printed; see DESIGN.md D2.
+//!    out as printed; see ARCHITECTURE.md, decision D2.
 
 use std::fmt;
 
@@ -151,7 +151,7 @@ impl VidTerm {
     }
 
     /// Unifiability of two version-id-terms standardized apart: chains
-    /// identical and bases unifiable (DESIGN.md D2).
+    /// identical and bases unifiable (ARCHITECTURE.md, decision D2).
     #[inline]
     pub fn unifiable(self, other: VidTerm) -> bool {
         self.chain == other.chain && self.base.unifiable(other.base)

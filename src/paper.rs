@@ -81,11 +81,12 @@
 //! ## §4 Bottom-up evaluation
 //!
 //! Conditions (a)–(d) over unification of version-id-terms:
-//! [`crate::core::stratify`] (chain-exact unification per DESIGN.md
-//! D2); the per-stratum fixpoint loop with overwrite semantics:
-//! [`crate::core::run_compiled`] (DESIGN.md D1). The paper's example
-//! stratification `{rule1, rule2} < {rule3} < {rule4}` is asserted in
-//! `core::stratify::tests` and in `tests/paper_examples.rs`.
+//! [`crate::core::stratify`] (chain-exact unification per
+//! ARCHITECTURE.md, decision D2); the per-stratum fixpoint loop with
+//! overwrite semantics: [`crate::core::run_compiled`] (decision D1).
+//! The paper's example stratification `{rule1, rule2} < {rule3} <
+//! {rule4}` is asserted in `core::stratify::tests` and in
+//! `tests/paper_examples.rs`.
 //!
 //! ## §5 Building the new object base
 //!
@@ -119,4 +120,5 @@
 //! * engineering extensions (snapshots, sessions, REPL, parallel
 //!   evaluation, delta filtering, the `core::reference` executable
 //!   specification with differential tests) are catalogued in
-//!   DESIGN.md §4.
+//!   ARCHITECTURE.md ("Engineering extensions" under "Design
+//!   decisions", then one section each).

@@ -1,8 +1,9 @@
 //! Cross-checks for the documentation: every snippet
 //! `docs/LANGUAGE.md` presents as accepted must parse (and behave as
 //! described), every construct it presents as rejected must be
-//! rejected, and the performance claims `docs/ARCHITECTURE.md` and
-//! `README.md` make about parallel evaluation must hold. Keep this
+//! rejected, the performance claims `docs/ARCHITECTURE.md` and
+//! `README.md` make about parallel evaluation must hold, and every
+//! design decision the code cites must be written down. Keep this
 //! file in sync with the documents.
 
 use ruvo::prelude::*;
@@ -229,6 +230,56 @@ fn parallel_evaluation_docs_match_behavior() {
     let workers = parallel.apply(&prepared).unwrap().outcome.stats().parallel.workers;
     assert_eq!(workers, 3, "threads(3) must cap the worker pool at 3");
     assert_eq!(*serial.current(), *parallel.current());
+}
+
+/// Every `.rs` / `.md` file under `dir`, recursively.
+fn text_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            text_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn design_decisions_are_cited_where_they_are_written() {
+    // The decisions live in ARCHITECTURE.md; there never was a
+    // DESIGN.md, so nothing may send a reader there.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("README.md")];
+    for dir in ["crates", "src", "docs"] {
+        text_files(&root.join(dir), &mut files);
+    }
+    let arch = include_str!("../docs/ARCHITECTURE.md");
+    assert!(arch.contains("## Design decisions"), "ARCHITECTURE.md lost its decisions section");
+    let mut cited = std::collections::BTreeSet::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(!text.contains("DESIGN.md"), "{} cites the nonexistent DESIGN.md", path.display());
+        // "decision D1" / "decisions D1/D7", across comment line breaks.
+        let words: Vec<&str> =
+            text.split_whitespace().filter(|w| !matches!(*w, "//" | "///" | "//!")).collect();
+        for pair in words.windows(2) {
+            if pair[0].trim_start_matches('(') == "decision" || pair[0] == "decisions" {
+                for d in pair[1].split('/') {
+                    let d = d.trim_end_matches(|c: char| !c.is_ascii_digit());
+                    if d.starts_with('D') && d[1..].parse::<u32>().is_ok() {
+                        cited.insert((d.to_owned(), path.display().to_string()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(!cited.is_empty(), "no decision citations found: the scan is broken");
+    for (decision, path) in cited {
+        assert!(
+            arch.contains(&format!("### {decision} — ")),
+            "{path} cites decision {decision}, which has no heading in ARCHITECTURE.md"
+        );
+    }
 }
 
 #[test]

@@ -62,6 +62,10 @@ fn assert_parallel_matches(program: &Program, ob: &ObjectBase, cycles: CyclePoli
             "evaluation counters diverged at threads={n}"
         );
         assert_eq!(
+            p.fired_candidates, s.fired_candidates,
+            "step-1 candidate count diverged at threads={n}"
+        );
+        assert_eq!(
             (p.rule_evaluations, p.rule_evaluations_skipped, p.rule_evaluations_seeded),
             (s.rule_evaluations, s.rule_evaluations_skipped, s.rule_evaluations_seeded),
             "rule-evaluation counters diverged at threads={n}"
