@@ -5,7 +5,7 @@
 //!                                              stratify, lint (conflicts,
 //!                                              dead rules, cycle policy)
 //!     --deps          rule dependency analysis: read/write sets,
-//!                     per-stratum components, advisory lints
+//!                     typed edges, advisory lints
 //!     --dot           with --deps: emit the dependency graph as DOT
 //!     --deny          exit non-zero on warnings too (CI parity with
 //!                     DatabaseBuilder::deny_lints)
@@ -395,8 +395,8 @@ fn main() -> ExitCode {
 struct CheckOpts {
     /// Emit one JSON object instead of rustc-style text.
     json: bool,
-    /// Include the rule dependency analysis: read/write sets,
-    /// per-stratum components, and the advisory lints.
+    /// Include the rule dependency analysis: read/write sets, typed
+    /// edges, and the advisory lints.
     deps: bool,
     /// With `deps`: print the dependency graph as Graphviz DOT on
     /// stdout (text mode only; `--json` embeds the graph instead).
@@ -428,13 +428,13 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
         let mut out = String::from("{");
         out.push_str(&format!("\"file\":\"{}\",", analysis::json_escape(path)));
         match &report.compiled {
-            Some(compiled) => {
+            Some((compiled, deps)) => {
                 let strat = compiled.stratification();
                 out.push_str(&format!(
                     "\"rules\":{},\"strata\":{},\"all_commute\":{},",
                     compiled.program().len(),
                     strat.len(),
-                    compiled.commutativity().all_commute()
+                    deps.commutativity().all_commute()
                 ));
             }
             None => out.push_str("\"rules\":null,\"strata\":null,\"all_commute\":null,"),
@@ -446,10 +446,9 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
         if opts.deps {
             out.push_str(&format!(",\"advisories\":{}", analysis::json_array(&report.advisories)));
             match &report.compiled {
-                Some(compiled) => out.push_str(&format!(
-                    ",\"deps\":{}",
-                    compiled.deps().to_json(compiled.program())
-                )),
+                Some((compiled, deps)) => {
+                    out.push_str(&format!(",\"deps\":{}", deps.to_json(compiled.program())))
+                }
                 None => out.push_str(",\"deps\":null"),
             }
         }
@@ -459,7 +458,7 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
         // DOT mode prints only the graph on stdout so it pipes
         // straight into `dot -Tsvg`; diagnostics still go to stderr.
         match &report.compiled {
-            Some(compiled) => print!("{}", compiled.deps().to_dot(compiled.program())),
+            Some((compiled, deps)) => print!("{}", deps.to_dot(compiled.program())),
             None => eprintln!("error: {path}: program did not compile; no dependency graph"),
         }
         let rendered = analysis::render_all(&report.diagnostics, Some(src), Some(path));
@@ -470,11 +469,11 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     } else {
-        if let Some(compiled) = &report.compiled {
+        if let Some((compiled, deps)) = &report.compiled {
             let strat = compiled.stratification();
             println!("{path}: {} rules, {} strata", compiled.program().len(), strat.len());
             println!("stratification: {strat}");
-            let matrix = compiled.commutativity();
+            let matrix = deps.commutativity();
             if matrix.all_commute() {
                 println!("commutativity: all same-stratum pairs commute");
             } else {
@@ -483,7 +482,7 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
                 println!("commutativity: {conflicts} conflicting, {unknown} undecided pair(s)");
             }
             if opts.deps {
-                print_deps_summary(compiled);
+                print!("{}", deps.to_text(compiled.program()));
             }
         }
         let rendered = analysis::render_all(&report.diagnostics, Some(src), Some(path));
@@ -503,49 +502,6 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// The `--deps` text report: per-rule read/write sets and the
-/// per-stratum dependency components.
-fn print_deps_summary(compiled: &ruvo_core::CompiledProgram) {
-    let deps = compiled.deps();
-    let program = compiled.program();
-    println!("dependency graph: {} rule(s), {} edge(s)", deps.len(), deps.edges().len());
-    for r in 0..deps.len() {
-        let reads = deps.reads(r);
-        let mut read_parts: Vec<String> = reads
-            .keys
-            .iter()
-            .map(|&(c, m)| ruvo_core::deps::read_str(c, m))
-            .chain(
-                reads
-                    .negated
-                    .iter()
-                    .map(|&(c, m)| format!("not {}", ruvo_core::deps::read_str(c, m))),
-            )
-            .collect();
-        if reads.is_top() {
-            read_parts.push("⊤".to_string());
-        }
-        let marker = if deps.self_dependent(r) { " (self-dependent)" } else { "" };
-        println!(
-            "  {}: writes {}, reads {{{}}}{marker}",
-            program.rule_name(r),
-            deps.write_str(r),
-            read_parts.join(", "),
-        );
-    }
-    for si in 0..compiled.stratification().len() {
-        let comps = deps.stratum_components(si);
-        let listing: Vec<String> = comps
-            .iter()
-            .map(|comp| {
-                let names: Vec<String> = comp.iter().map(|&r| program.rule_name(r)).collect();
-                format!("{{{}}}", names.join(", "))
-            })
-            .collect();
-        println!("  stratum {si}: {} component(s): {}", comps.len(), listing.join(" "));
     }
 }
 

@@ -23,7 +23,7 @@ commands:
   :strata <file>      show the stratification of a program file
   :check <file>       static analysis: lints, conflicts, dead rules
   :deps <file>        rule dependency graph: read/write sets,
-                      per-stratum components, advisory lints
+                      typed edges, advisory lints
   :savepoint          create a savepoint
   :rollback <n>       roll back to savepoint n
   :log                list committed transactions
@@ -169,13 +169,13 @@ pub fn run(
                     Ok(src) => {
                         let report =
                             ruvo_core::check::check_source(&src, ruvo_core::CyclePolicy::Reject);
-                        if let Some(compiled) = &report.compiled {
+                        if let Some((compiled, deps)) = &report.compiled {
                             writeln!(
                                 out,
                                 "{} rules, {} strata; commutativity: {}",
                                 compiled.program().len(),
                                 compiled.stratification().len(),
-                                if compiled.commutativity().all_commute() {
+                                if deps.commutativity().all_commute() {
                                     "all same-stratum pairs commute"
                                 } else {
                                     "some pairs conflict or are undecided"
@@ -203,47 +203,8 @@ pub fn run(
                             None => {
                                 writeln!(out, "! program did not compile (:check for details)")?
                             }
-                            Some(compiled) => {
-                                let deps = compiled.deps();
-                                let program = compiled.program();
-                                writeln!(
-                                    out,
-                                    "{} rule(s), {} dependency edge(s)",
-                                    deps.len(),
-                                    deps.edges().len()
-                                )?;
-                                for r in 0..deps.len() {
-                                    let marker = if deps.self_dependent(r) {
-                                        " (self-dependent)"
-                                    } else {
-                                        ""
-                                    };
-                                    writeln!(
-                                        out,
-                                        "  {}: writes {}{marker}",
-                                        program.rule_name(r),
-                                        deps.write_str(r)
-                                    )?;
-                                }
-                                for si in 0..compiled.stratification().len() {
-                                    let comps = deps.stratum_components(si);
-                                    let listing: Vec<String> = comps
-                                        .iter()
-                                        .map(|comp| {
-                                            let names: Vec<String> = comp
-                                                .iter()
-                                                .map(|&r| program.rule_name(r))
-                                                .collect();
-                                            format!("{{{}}}", names.join(", "))
-                                        })
-                                        .collect();
-                                    writeln!(
-                                        out,
-                                        "  stratum {si}: {} component(s): {}",
-                                        comps.len(),
-                                        listing.join(" ")
-                                    )?;
-                                }
+                            Some((compiled, deps)) => {
+                                write!(out, "{}", deps.to_text(compiled.program()))?;
                                 if !report.advisories.is_empty() {
                                     let rendered = ruvo_lang::analysis::render_all(
                                         &report.advisories,

@@ -103,24 +103,26 @@ fn check_deny_fails_on_warnings() {
     assert!(ruvo(&["check", "--deny", "--deps", clean.to_str().unwrap()]).status.success());
 }
 
+/// The ancestors pair: `step` reads the `ins(·)` chain both rules write.
+const DEPS_PROGRAM: &str = "base: ins[X].anc -> P <= X.parents -> P.\n\
+                            step: ins[X].anc -> G <= ins(X).anc -> P & P.parents -> G.\n";
+const DEPS_BLOCK: &str = "dependency graph: 2 rule(s), 1 edge(s)\n  \
+                          base: writes ins(·).*, reads {·.parents}\n  \
+                          step: writes ins(·).*, reads {·.parents, ins(·).anc} (self-dependent)\n  \
+                          base -- step: rw\n";
+
 #[test]
-fn check_deps_reports_graph_and_components() {
+fn check_deps_reports_graph_and_edges() {
     let dir = std::env::temp_dir().join("ruvo-cli-check-deps");
     std::fs::create_dir_all(&dir).unwrap();
-    let prog = write_file(
-        &dir,
-        "indep.ruvo",
-        "a: ins[X].p -> 1 <= X.s -> 1.\n\
-         b: ins[X].q -> 2 <= X.t -> 2.\n",
-    );
+    let prog = write_file(&dir, "deps.ruvo", DEPS_PROGRAM);
     let out = ruvo(&["check", "--deps", prog.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("dependency graph: 2 rule(s)"), "got: {stdout}");
-    assert!(stdout.contains("stratum 0: 2 component(s): {a} {b}"), "got: {stdout}");
-    // The parallel-opportunity advisory is rendered with --deps.
+    assert!(stdout.contains(DEPS_BLOCK), "got: {stdout}");
+    // The self-dependent advisory is rendered with --deps.
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("parallel-opportunity"), "got: {stderr}");
+    assert!(stderr.contains("self-dependent-rule"), "got: {stderr}");
 
     // JSON mode embeds the graph and the advisories.
     let out = ruvo(&["check", "--deps", "--json", prog.to_str().unwrap()]);
@@ -128,7 +130,8 @@ fn check_deps_reports_graph_and_components() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"deps\":{"), "got: {stdout}");
     assert!(stdout.contains("\"advisories\":["), "got: {stdout}");
-    assert!(stdout.contains("parallel-opportunity"), "got: {stdout}");
+    assert!(stdout.contains("self-dependent-rule"), "got: {stdout}");
+    assert!(!stdout.contains("component"), "got: {stdout}");
 }
 
 #[test]
@@ -449,20 +452,37 @@ fn repl_check_command() {
 fn repl_deps_command() {
     let dir = std::env::temp_dir().join("ruvo-cli-repl-deps");
     std::fs::create_dir_all(&dir).unwrap();
-    let prog = write_file(
-        &dir,
-        "indep.ruvo",
-        "a: ins[X].p -> 1 <= X.s -> 1.\n\
-         b: ins[X].q -> 2 <= X.t -> 2.\n",
-    );
+    let prog = write_file(&dir, "deps.ruvo", DEPS_PROGRAM);
     let script = format!(":deps {}\n:deps /no/such/file\n:quit\n", prog.display());
     let out = ruvo_stdin(&["repl"], &script);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("2 rule(s), 0 dependency edge(s)"), "got: {stdout}");
-    assert!(stdout.contains("stratum 0: 2 component(s): {a} {b}"), "got: {stdout}");
-    assert!(stdout.contains("parallel-opportunity"), "got: {stdout}");
+    assert!(stdout.contains("dependency graph: 2 rule(s), 1 edge(s)"), "got: {stdout}");
+    assert!(stdout.contains("self-dependent-rule"), "got: {stdout}");
     assert!(stdout.contains("! cannot read /no/such/file"), "got: {stdout}");
+}
+
+#[test]
+fn check_deps_and_repl_deps_print_the_same_block() {
+    // The `dependency graph:` header plus its indented lines.
+    fn block(stdout: &str) -> Vec<&str> {
+        let from = stdout.lines().skip_while(|l| !l.starts_with("dependency graph:"));
+        from.enumerate()
+            .take_while(|(i, l)| *i == 0 || l.starts_with("  "))
+            .map(|(_, l)| l)
+            .collect()
+    }
+    let dir = std::env::temp_dir().join("ruvo-cli-deps-same-block");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, src) in [("deps.ruvo", DEPS_PROGRAM), ("enterprise.ruvo", ENTERPRISE)] {
+        let prog = write_file(&dir, name, src);
+        let cli = ruvo(&["check", "--deps", prog.to_str().unwrap()]);
+        let repl = ruvo_stdin(&["repl"], &format!(":deps {}\n:quit\n", prog.display()));
+        let (cli, repl) =
+            (String::from_utf8(cli.stdout).unwrap(), String::from_utf8(repl.stdout).unwrap());
+        assert!(block(&cli).len() > 2, "got: {cli}");
+        assert_eq!(block(&cli), block(&repl), "cli: {cli}\nrepl: {repl}");
+    }
 }
 
 #[test]

@@ -9,9 +9,9 @@
 //!   results, making the outcome depend on which rule's update-atom
 //!   one reads ([`Lint::WriteWriteConflict`]);
 //! * the **commutativity matrix** — a per-stratum rule×rule verdict
-//!   ([`Commutativity`]) exported as `CompiledProgram::commutativity()`;
-//!   an all-`Commutes` stratum is the precondition for evaluating its
-//!   rules concurrently (the ROADMAP's parallel-fixpoint item);
+//!   ([`Commutativity`]), built here once per [`check`] together with
+//!   the [`RuleDepGraph`] and carried by the [`CheckReport`] (in an
+//!   all-`Commutes` stratum no firing order is observable);
 //! * **dead rules** — a refinement of the stratifier's condition-(b)
 //!   edge relation (see [`crate::stratify::edges`]): a rule whose body
 //!   demands a created version no rule's head can produce, or asks
@@ -54,7 +54,7 @@ use ruvo_lang::analysis::{self, Diagnostic, Lint};
 use ruvo_lang::{Atom, PlannedLiteral, Program, Rule, UpdateSpec, VersionAtom};
 use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, UpdateKind, VarId, VidTerm};
 
-use crate::deps::RuleDepGraph;
+use crate::deps::{DepEdge, RuleDepGraph};
 use crate::engine::{CompiledProgram, CyclePolicy};
 use crate::stratify::{stratify, Stratification};
 
@@ -107,8 +107,7 @@ impl CommutativityMatrix {
         self.verdicts[i * self.n + j]
     }
 
-    /// True when every same-stratum pair commutes — the precondition
-    /// for evaluating each stratum's rules in parallel.
+    /// True when every same-stratum pair commutes.
     pub fn all_commute(&self) -> bool {
         self.verdicts.iter().all(|v| *v == Commutativity::Commutes)
     }
@@ -129,8 +128,8 @@ impl CommutativityMatrix {
 
 /// Compute the commutativity matrix of `program` under `strat`.
 ///
-/// Prefer `CompiledProgram::commutativity()`, which passes the
-/// stratification it was compiled with.
+/// Prefer [`CheckReport::commutativity`], which [`check`] computed
+/// under the stratification the program was compiled with.
 pub fn commutativity(program: &Program, strat: &Stratification) -> CommutativityMatrix {
     let n = program.rules.len();
     let mut verdicts = vec![Commutativity::Commutes; n * n];
@@ -464,18 +463,16 @@ fn cycle_advisories(compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
 /// `order-sensitive-rules`: same-stratum pairs where one rule reads a
 /// relation chain the other writes, so an engine that fired rules
 /// sequentially (instead of the paper's simultaneous `T_P`) could
-/// observe the write. Uses the *precise* read sets of the
-/// [`RuleDepGraph`] — negated keys stay concrete here, unlike the
-/// graph's edges, which widen negation to ⊤ — and exempts purely
-/// additive pairs (a positive read where both heads insert), which is
-/// the §4(b)-sanctioned ins-recursion pattern.
+/// observe the write. Walks the [`RuleDepGraph`]'s edges (every such
+/// pair has one) and exempts purely additive pairs (a positive read
+/// where both heads insert), which is the §4(b)-sanctioned
+/// ins-recursion pattern.
 fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
-    let n = program.rules.len();
     // Evidence that `reader`'s result can depend on `writer`'s firing.
     let sensitive = |reader: usize, writer: usize| -> Option<String> {
         let wc = deps.writes(writer).chain?;
         let reads = deps.reads(reader);
-        if reads.is_top() {
+        if reads.top {
             return Some(format!(
                 "`{}` reads every version through a `$V` atom, including the \
                  `{}` versions `{}` creates",
@@ -506,48 +503,38 @@ fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagn
             )
         })
     };
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if deps.stratum_of(a) != deps.stratum_of(b) {
-                continue;
-            }
-            let Some(why) = sensitive(a, b).or_else(|| sensitive(b, a)) else { continue };
-            out.push(
-                Diagnostic::new(
-                    Lint::OrderSensitiveRules,
-                    program.rules[b].span,
-                    format!(
-                        "rules `{}` and `{}` are in the same stratum and {why}",
-                        program.rule_name(a),
-                        program.rule_name(b),
-                    ),
-                )
-                .note(
-                    "T_P fires all rules of a stratum against the same pre-state; an \
-                     engine applying rules sequentially could produce different results",
+    for &DepEdge { a, b, .. } in deps.edges() {
+        let Some(why) = sensitive(a, b).or_else(|| sensitive(b, a)) else { continue };
+        out.push(
+            Diagnostic::new(
+                Lint::OrderSensitiveRules,
+                program.rules[b].span,
+                format!(
+                    "rules `{}` and `{}` are in the same stratum and {why}",
+                    program.rule_name(a),
+                    program.rule_name(b),
                 ),
-            );
-        }
+            )
+            .note(
+                "T_P fires all rules of a stratum against the same pre-state; an \
+                 engine applying rules sequentially could produce different results",
+            ),
+        );
     }
 }
 
 /// Advisory observations from the dependency graph: self-dependent
-/// rules and strata that split into independent components. These are
-/// truthful statements about perfectly healthy programs, so they go
-/// into [`CheckReport::advisories`], never into warnings.
-fn deps_advisories(
-    program: &Program,
-    strat: &Stratification,
-    deps: &RuleDepGraph,
-    out: &mut Vec<Diagnostic>,
-) {
+/// rules. These are truthful statements about perfectly healthy
+/// programs, so they go into [`CheckReport::advisories`], never into
+/// warnings.
+fn deps_advisories(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
     for r in 0..program.rules.len() {
         if !deps.self_dependent(r) {
             continue;
         }
         let reads = deps.reads(r);
         let why = match deps.writes(r).chain {
-            Some(wc) if reads.is_top() => format!(
+            Some(wc) if reads.top => format!(
                 "reads every version through a `$V` atom, including the `{}` versions \
                  its own head creates",
                 crate::deps::chain_str(wc),
@@ -570,39 +557,7 @@ fn deps_advisories(
                 program.rules[r].span,
                 format!("rule `{}` {why}", program.rule_name(r)),
             )
-            .note(
-                "it can fire on results of its earlier firings and forms a \
-                 single-rule dependency component",
-            ),
-        );
-    }
-    for (si, rules) in strat.strata.iter().enumerate() {
-        if rules.len() < 2 {
-            continue;
-        }
-        let comps = deps.stratum_components(si);
-        if comps.len() < 2 {
-            continue;
-        }
-        let listing: Vec<String> = comps
-            .iter()
-            .map(|c| {
-                let names: Vec<String> = c.iter().map(|&r| program.rule_name(r)).collect();
-                format!("{{{}}}", names.join(", "))
-            })
-            .collect();
-        out.push(
-            Diagnostic::new(
-                Lint::ParallelOpportunity,
-                None,
-                format!(
-                    "stratum {si} ({} rules) splits into {} independent components; \
-                     their step-1 scans are scheduled in parallel",
-                    rules.len(),
-                    comps.len(),
-                ),
-            )
-            .note(format!("components: {}", listing.join(" / "))),
+            .note("it can fire on results of its earlier firings"),
         );
     }
 }
@@ -614,12 +569,12 @@ pub struct CheckReport {
     /// duplicates) plus the stratification-aware analyses above.
     pub diagnostics: Vec<Diagnostic>,
     /// Advisory notes (allow-level lints): dependency observations
-    /// about healthy programs — self-dependent rules, parallelizable
-    /// strata. Never escalated by `deny_lints`, never in
-    /// `Prepared::warnings()`.
+    /// about healthy programs — self-dependent rules. Never escalated
+    /// by `deny_lints`, never in `Prepared::warnings()`.
     pub advisories: Vec<Diagnostic>,
-    /// The rule×rule commutativity verdicts.
-    pub commutativity: CommutativityMatrix,
+    /// The rule dependency graph the lints above were read from; it
+    /// owns the commutativity matrix.
+    pub deps: RuleDepGraph,
 }
 
 impl CheckReport {
@@ -627,29 +582,36 @@ impl CheckReport {
     pub fn has_errors(&self) -> bool {
         self.diagnostics.iter().any(Diagnostic::is_error)
     }
+
+    /// The rule×rule commutativity verdicts.
+    pub fn commutativity(&self) -> &CommutativityMatrix {
+        self.deps.commutativity()
+    }
 }
 
-/// Run every static analysis over a compiled program.
+/// Run every static analysis over a compiled program. This is the one
+/// place the commutativity matrix and the dependency graph are built.
 pub fn check(compiled: &CompiledProgram) -> CheckReport {
     let program = compiled.program();
-    let deps = compiled.deps();
+    let strat = compiled.stratification();
+    let deps = RuleDepGraph::build(program, strat, commutativity(program, strat));
     let mut diagnostics = analysis::program_diagnostics(program);
-    let matrix = deps.commutativity().clone();
-    write_write_conflicts(program, &matrix, &mut diagnostics);
+    write_write_conflicts(program, deps.commutativity(), &mut diagnostics);
     dead_rules(program, &mut diagnostics);
     cycle_advisories(compiled, &mut diagnostics);
-    order_sensitivity(program, deps, &mut diagnostics);
+    order_sensitivity(program, &deps, &mut diagnostics);
     let mut advisories = Vec::new();
-    deps_advisories(program, compiled.stratification(), deps, &mut advisories);
-    CheckReport { diagnostics, advisories, commutativity: matrix }
+    deps_advisories(program, &deps, &mut advisories);
+    CheckReport { diagnostics, advisories, deps }
 }
 
 /// The result of checking source text (the `ruvo check` entry point).
 #[derive(Clone, Debug)]
 pub struct SourceCheck {
-    /// The compiled program, when it compiles under the requested
-    /// policy with no error-severity front-end diagnostic.
-    pub compiled: Option<CompiledProgram>,
+    /// The compiled program and its dependency graph (out of the same
+    /// [`CheckReport`] as the diagnostics), when it compiles under the
+    /// requested policy with no error-severity front-end diagnostic.
+    pub compiled: Option<(CompiledProgram, RuleDepGraph)>,
     /// Everything found, front-end and compiled-level.
     pub diagnostics: Vec<Diagnostic>,
     /// Allow-level advisory notes (see [`CheckReport::advisories`]).
@@ -675,12 +637,8 @@ pub fn check_source(src: &str, cycles: CyclePolicy) -> SourceCheck {
     };
     match CompiledProgram::compile(program.clone(), cycles) {
         Ok(compiled) => {
-            let report = check(&compiled);
-            SourceCheck {
-                compiled: Some(compiled),
-                diagnostics: report.diagnostics,
-                advisories: report.advisories,
-            }
+            let CheckReport { diagnostics, advisories, deps } = check(&compiled);
+            SourceCheck { compiled: Some((compiled, deps)), diagnostics, advisories }
         }
         Err(e) => {
             let mut diagnostics =
@@ -724,29 +682,35 @@ mod tests {
 
     #[test]
     fn enterprise_commutes_within_every_stratum() {
-        let c = compiled(ENTERPRISE);
-        let m = c.commutativity();
+        let report = check(&compiled(ENTERPRISE));
+        let m = report.commutativity();
         assert_eq!(m.len(), 4);
         // rule1/rule2 share a stratum but are mutually exclusive on
         // `E.pos -> mgr`; everything else is cross-stratum.
         assert!(m.all_commute(), "conflicts: {:?}", m.pairs_with(Commutativity::Conflicts));
-        let report = check(&c);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
 
     #[test]
-    fn enterprise_advisories_note_parallel_components() {
-        // rule1/rule2 share the first stratum; rule2's negation widens
-        // it to ⊤ in the graph, so they form one component and no
-        // parallel-opportunity note fires — but no warning does either.
-        let report = check(&compiled(ENTERPRISE));
-        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-        assert!(
-            !report.advisories.iter().any(|d| d.lint == Lint::ParallelOpportunity),
-            "{:?}",
-            report.advisories
-        );
+    fn prepared_carries_the_report_check_builds() {
+        // One analysis, one place: `Prepared` reads the very report
+        // `check` computes, warnings and advisories included.
+        let ancestors = "base: ins[X].anc -> P <= X.parents -> P.\n\
+                         step: ins[X].anc -> G <= ins(X).anc -> P & P.parents -> G.";
+        for (src, policy) in [
+            (ENTERPRISE, CyclePolicy::Reject),
+            (ENTERPRISE, CyclePolicy::RuntimeStability),
+            (ancestors, CyclePolicy::Reject),
+        ] {
+            let program = Program::parse(src).unwrap();
+            let prepared = crate::Prepared::compile(program.clone(), policy).unwrap();
+            let report = check(&CompiledProgram::compile(program, policy).unwrap());
+            assert_eq!(prepared.warnings(), report.diagnostics);
+            assert_eq!(prepared.advisories(), report.advisories);
+            assert_eq!(prepared.commutativity(), report.commutativity());
+            assert_eq!(prepared.deps().edges(), report.deps.edges());
+        }
     }
 
     #[test]
@@ -802,29 +766,13 @@ mod tests {
     }
 
     #[test]
-    fn independent_rules_note_a_parallel_opportunity() {
-        let report = check_source(
-            "a: ins[X].p -> 1 <= X.s -> 1.\nb: ins[X].q -> 2 <= X.t -> 2.",
-            CyclePolicy::Reject,
-        );
-        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-        let d =
-            report.advisories.iter().find(|d| d.lint == Lint::ParallelOpportunity).unwrap_or_else(
-                || panic!("no parallel-opportunity advisory: {:?}", report.advisories),
-            );
-        assert!(d.message.contains("2 independent components"), "{}", d.message);
-        assert!(d.notes.iter().any(|n| n.contains("{a} / {b}")), "{:?}", d.notes);
-    }
-
-    #[test]
     fn seeded_write_write_conflict_detected() {
         let c = compiled(
             "r1: mod[X].price -> (P, 1) <= X.price -> P.\n\
              r2: mod[X].price -> (P, 2) <= X.price -> P.",
         );
-        let m = c.commutativity();
-        assert_eq!(m.get(0, 1), Commutativity::Conflicts);
         let report = check(&c);
+        assert_eq!(report.commutativity().get(0, 1), Commutativity::Conflicts);
         let d = report
             .diagnostics
             .iter()
@@ -841,7 +789,7 @@ mod tests {
             "r1: mod[X].price -> (P, Q) <= X.price -> P & Q = 10 * 2.\n\
              r2: mod[X].price -> (P, Q) <= X.price -> P & Q = 30.",
         );
-        assert_eq!(c.commutativity().get(0, 1), Commutativity::Conflicts);
+        assert_eq!(check(&c).commutativity().get(0, 1), Commutativity::Conflicts);
     }
 
     #[test]
@@ -850,7 +798,7 @@ mod tests {
             "r1: mod[X].state -> (off, on) <= X.isa -> device.\n\
              r2: mod[X].state -> (broken, scrapped) <= X.isa -> device.",
         );
-        assert_eq!(c.commutativity().get(0, 1), Commutativity::Commutes);
+        assert_eq!(check(&c).commutativity().get(0, 1), Commutativity::Commutes);
     }
 
     #[test]
@@ -859,10 +807,9 @@ mod tests {
             "r1: mod[X].sal -> (S, S2) <= X.isa -> empl & X.sal -> S & S2 = S + 1.\n\
              r2: mod[X].sal -> (S, S2) <= X.isa -> empl & X.sal -> S & S2 = S * 2.",
         );
-        let m = c.commutativity();
-        assert_eq!(m.get(0, 1), Commutativity::Unknown);
-        // Unknown is not reported as a conflict.
         let report = check(&c);
+        assert_eq!(report.commutativity().get(0, 1), Commutativity::Unknown);
+        // Unknown is not reported as a conflict.
         assert!(!report.diagnostics.iter().any(|d| d.lint == Lint::WriteWriteConflict));
     }
 
@@ -872,7 +819,7 @@ mod tests {
             "r1: ins[X].tag -> red <= X.isa -> item.\n\
              r2: ins[X].tag -> blue <= X.isa -> item.",
         );
-        assert_eq!(c.commutativity().get(0, 1), Commutativity::Commutes);
+        assert_eq!(check(&c).commutativity().get(0, 1), Commutativity::Commutes);
     }
 
     #[test]

@@ -360,22 +360,22 @@ impl Prepared {
 
     /// The rule×rule commutativity matrix (see [`crate::check`]).
     pub fn commutativity(&self) -> &crate::check::CommutativityMatrix {
-        &self.report.commutativity
+        self.report.commutativity()
     }
 
     /// Allow-level advisory notes from the dependency analysis
-    /// (self-dependent rules, parallelizable strata). Informational
-    /// only: never escalated by [`DatabaseBuilder::deny_lints`] and
-    /// never part of [`Prepared::warnings`].
+    /// (self-dependent rules). Informational only: never escalated by
+    /// [`DatabaseBuilder::deny_lints`] and never part of
+    /// [`Prepared::warnings`].
     pub fn advisories(&self) -> &[Diagnostic] {
         &self.report.advisories
     }
 
     /// The rule dependency graph computed once at prepare time: per-
-    /// rule read/write sets and the intra-stratum component partition
-    /// behind the order-sensitivity lints (see [`crate::deps`]).
+    /// rule read/write sets and the typed same-stratum edges behind
+    /// the order-sensitivity lints (see [`crate::deps`]).
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
-        self.compiled.deps()
+        &self.report.deps
     }
 
     /// Build the demand-driven query plan for `goal` against this

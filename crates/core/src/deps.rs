@@ -5,7 +5,7 @@
 //! against the same pre-state, so two rules whose static read sets are
 //! disjoint from each other's write sets are provably independent —
 //! their relative order can never change the fired-update set. This
-//! module computes that independence once at compile time:
+//! module computes that independence once at check time:
 //!
 //! * a conservative **read set** per rule — [`crate::plan::literal_reads`]
 //!   over *all* body literals (positive and negated, tracked
@@ -17,31 +17,21 @@
 //!   created chain (the same created-chain reasoning
 //!   [`crate::check`]'s commutativity analysis uses);
 //! * a [`RuleDepGraph`] over same-stratum rule pairs with typed edges
-//!   ([`DepEdgeKind`]) and its connected-component partition. For the
-//!   *graph*, negation is widened to ⊤ like `$V` — a negated read is
-//!   sensitive to anything that could make its relation grow. The lint
-//!   layer in [`crate::check`] keeps the precise negated keys instead,
-//!   so diagnostics don't cry wolf on negations whose relations no
-//!   same-stratum rule writes.
+//!   ([`DepEdgeKind`]). Negation has one reading, here and in the
+//!   lints: a negated literal reads exactly its own keys, so a negation
+//!   whose relation no same-stratum rule writes links nothing.
 //!
-//! The graph is analysis only — the evaluator never reads it (every
-//! round task scans the immutable pre-state as its own pool job,
-//! whatever its component). It feeds the order-sensitivity lints of
-//! [`crate::check`], and `ruvo check --deps` / `--dot` / REPL `:deps`
-//! render it for humans (DOT and JSON, see [`RuleDepGraph::to_dot`]).
+//! The graph is analysis only — the evaluator never reads it and a
+//! [`crate::CompiledProgram`] does not carry it. [`crate::check::check`]
+//! builds it once for the order-sensitivity lints and hands it out in
+//! its report; `ruvo check --deps` / `--dot` / REPL `:deps` render it
+//! for humans (text, DOT and JSON, see [`RuleDepGraph::to_text`]).
 
 use ruvo_lang::{Program, Rule};
 use ruvo_term::{Chain, Symbol};
 
 use crate::check::{Commutativity, CommutativityMatrix};
 use crate::stratify::Stratification;
-
-/// Why a rule's read set was widened to ⊤ (may read any relation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopCause {
-    /// A `$V` VID-variable atom (§6) ranges over every version.
-    VidVariable,
-}
 
 /// The conservative read set of one rule's body.
 #[derive(Clone, Debug, Default)]
@@ -53,20 +43,21 @@ pub struct ReadSet {
     /// Kept separate: a negated read is non-monotone, so overlap with
     /// a same-stratum write is order-sensitive even for ins-heads.
     pub negated: Vec<(Chain, Symbol)>,
-    /// `Some` when some literal widens the rule to ⊤.
-    pub top: Option<TopCause>,
+    /// ⊤: a `$V` VID-variable atom (§6) ranges over every version, so
+    /// the rule may read any relation.
+    pub top: bool,
 }
 
 impl ReadSet {
     fn of(rule: &Rule) -> ReadSet {
         let mut keys = Vec::new();
         let mut negated = Vec::new();
-        let mut top = None;
+        let mut top = false;
         for lit in &rule.body {
             match crate::plan::literal_reads(lit) {
                 Some(ks) if lit.positive => keys.extend(ks),
                 Some(ks) => negated.extend(ks),
-                None => top = Some(TopCause::VidVariable),
+                None => top = true,
             }
         }
         // By method *name*: `Symbol`'s own order is interning order,
@@ -76,18 +67,6 @@ impl ReadSet {
             set.dedup();
         }
         ReadSet { keys, negated, top }
-    }
-
-    /// True when the rule may read any relation (`$V` atom).
-    pub fn is_top(&self) -> bool {
-        self.top.is_some()
-    }
-
-    /// ⊤ for the dependency *graph*: `$V` atoms, plus negation widened
-    /// to ⊤ (the conservative reading its edges use; the lints keep the
-    /// precise negated keys).
-    pub fn is_top_for_scheduling(&self) -> bool {
-        self.is_top() || !self.negated.is_empty()
     }
 
     /// Does any read key (positive or negated) target `chain`?
@@ -120,8 +99,8 @@ pub enum DepEdgeKind {
     /// The [`CommutativityMatrix`] could not prove the pair's writes
     /// commute (`Conflicts` or `Unknown`).
     WriteWrite,
-    /// One side reads ⊤ under the graph's widening (`$V` atom or a
-    /// negated literal), so it conservatively overlaps any writer.
+    /// One side reads ⊤ (a `$V` atom), so it conservatively overlaps
+    /// any writer.
     TopConflict,
 }
 
@@ -149,9 +128,9 @@ pub struct DepEdge {
     pub kind: DepEdgeKind,
 }
 
-/// The per-program rule dependency graph: read/write sets, typed
-/// same-stratum edges, and the connected-component partition (rules
-/// in different components of a stratum are provably independent).
+/// The per-program rule dependency graph: read/write sets and typed
+/// same-stratum edges (same-stratum rules with no edge between them
+/// are provably independent).
 #[derive(Clone, Debug)]
 pub struct RuleDepGraph {
     reads: Vec<ReadSet>,
@@ -159,8 +138,6 @@ pub struct RuleDepGraph {
     self_dependent: Vec<bool>,
     edges: Vec<DepEdge>,
     stratum_of: Vec<usize>,
-    component_of: Vec<usize>,
-    components: Vec<Vec<usize>>,
     matrix: CommutativityMatrix,
 }
 
@@ -177,7 +154,7 @@ impl RuleDepGraph {
         let writes: Vec<WriteSet> = program.rules.iter().map(WriteSet::of).collect();
         let self_dependent: Vec<bool> = (0..n)
             .map(|r| match writes[r].chain {
-                Some(c) => reads[r].is_top() || reads[r].reads_chain(c),
+                Some(c) => reads[r].top || reads[r].reads_chain(c),
                 None => true,
             })
             .collect();
@@ -198,7 +175,7 @@ impl RuleDepGraph {
                     Some(DepEdgeKind::WriteWrite)
                 } else if rw(a, b) || rw(b, a) {
                     Some(DepEdgeKind::ReadWrite)
-                } else if reads[a].is_top_for_scheduling() || reads[b].is_top_for_scheduling() {
+                } else if reads[a].top || reads[b].top {
                     Some(DepEdgeKind::TopConflict)
                 } else {
                     None
@@ -209,46 +186,8 @@ impl RuleDepGraph {
             }
         }
 
-        // Union-find over the edges. Edges never cross strata, so the
-        // partition refines the stratification by construction.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for e in &edges {
-            let (ra, rb) = (find(&mut parent, e.a), find(&mut parent, e.b));
-            if ra != rb {
-                parent[ra.max(rb)] = ra.min(rb);
-            }
-        }
-        // Number components in order of their smallest rule index.
-        let mut component_of = vec![usize::MAX; n];
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        for r in 0..n {
-            let root = find(&mut parent, r);
-            if component_of[root] == usize::MAX {
-                component_of[root] = components.len();
-                components.push(Vec::new());
-            }
-            component_of[r] = component_of[root];
-            components[component_of[r]].push(r);
-        }
-
         let stratum_of = (0..n).map(|r| strat.stratum_of(r)).collect();
-        RuleDepGraph {
-            reads,
-            writes,
-            self_dependent,
-            edges,
-            stratum_of,
-            component_of,
-            components,
-            matrix,
-        }
+        RuleDepGraph { reads, writes, self_dependent, edges, stratum_of, matrix }
     }
 
     /// Number of rules analyzed.
@@ -282,17 +221,6 @@ impl RuleDepGraph {
         &self.edges
     }
 
-    /// The component rule `r` belongs to.
-    pub fn component_of(&self, r: usize) -> usize {
-        self.component_of[r]
-    }
-
-    /// All components, numbered by smallest member rule index; each
-    /// component lists its rules in ascending order.
-    pub fn components(&self) -> &[Vec<usize>] {
-        &self.components
-    }
-
     /// The stratum rule `r` evaluates in.
     pub fn stratum_of(&self, r: usize) -> usize {
         self.stratum_of[r]
@@ -303,13 +231,39 @@ impl RuleDepGraph {
         &self.matrix
     }
 
-    /// The components of one stratum's rules, in component order.
-    pub fn stratum_components(&self, stratum: usize) -> Vec<&[usize]> {
-        self.components
-            .iter()
-            .filter(|c| self.stratum_of[c[0]] == stratum)
-            .map(Vec::as_slice)
-            .collect()
+    /// The text report `ruvo check --deps` and REPL `:deps` print: one
+    /// line per rule (write set, read set, self-dependence), then one
+    /// per edge.
+    pub fn to_text(&self, program: &Program) -> String {
+        let mut out =
+            format!("dependency graph: {} rule(s), {} edge(s)\n", self.len(), self.edges.len());
+        for (r, reads) in self.reads.iter().enumerate() {
+            let mut parts: Vec<String> = reads
+                .keys
+                .iter()
+                .map(|&(c, m)| read_str(c, m))
+                .chain(reads.negated.iter().map(|&(c, m)| format!("not {}", read_str(c, m))))
+                .collect();
+            if reads.top {
+                parts.push("⊤".to_owned());
+            }
+            let marker = if self.self_dependent[r] { " (self-dependent)" } else { "" };
+            out.push_str(&format!(
+                "  {}: writes {}, reads {{{}}}{marker}\n",
+                program.rule_name(r),
+                self.write_str(r),
+                parts.join(", "),
+            ));
+        }
+        for e in &self.edges {
+            out.push_str(&format!(
+                "  {} -- {}: {}\n",
+                program.rule_name(e.a),
+                program.rule_name(e.b),
+                e.kind.name()
+            ));
+        }
+        out
     }
 
     /// Render the graph in Graphviz DOT: one cluster per stratum,
@@ -364,29 +318,21 @@ impl RuleDepGraph {
     pub fn to_json(&self, program: &Program) -> String {
         use ruvo_lang::analysis::json_escape;
         let mut out = String::from("{\n  \"rules\": [\n");
-        for r in 0..self.len() {
-            let reads = &self.reads[r];
-            let keys: Vec<String> = reads
-                .keys
-                .iter()
-                .map(|&(c, m)| format!("\"{}\"", json_escape(&read_str(c, m))))
-                .collect();
-            let negated: Vec<String> = reads
-                .negated
-                .iter()
-                .map(|&(c, m)| format!("\"{}\"", json_escape(&read_str(c, m))))
-                .collect();
+        let quoted = |keys: &[(Chain, Symbol)]| -> String {
+            let keys = keys.iter().map(|&(c, m)| format!("\"{}\"", json_escape(&read_str(c, m))));
+            keys.collect::<Vec<_>>().join(", ")
+        };
+        for (r, reads) in self.reads.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"index\": {r}, \"name\": \"{}\", \"stratum\": {}, \
-                 \"component\": {}, \"writes\": \"{}\", \"reads\": [{}], \
+                 \"writes\": \"{}\", \"reads\": [{}], \
                  \"negated_reads\": [{}], \"top\": {}, \"self_dependent\": {}}}{}\n",
                 json_escape(&program.rule_name(r)),
                 self.stratum_of[r],
-                self.component_of[r],
                 json_escape(&self.write_str(r)),
-                keys.join(", "),
-                negated.join(", "),
-                reads.is_top(),
+                quoted(&reads.keys),
+                quoted(&reads.negated),
+                reads.top,
                 self.self_dependent[r],
                 if r + 1 < self.len() { "," } else { "" },
             ));
@@ -401,17 +347,7 @@ impl RuleDepGraph {
                 if i + 1 < self.edges.len() { "," } else { "" },
             ));
         }
-        out.push_str("  ],\n  \"components\": [");
-        let comps: Vec<String> = self
-            .components
-            .iter()
-            .map(|c| {
-                let rules: Vec<String> = c.iter().map(usize::to_string).collect();
-                format!("[{}]", rules.join(", "))
-            })
-            .collect();
-        out.push_str(&comps.join(", "));
-        out.push_str("]\n}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 
@@ -447,24 +383,25 @@ fn dot_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CompiledProgram, CyclePolicy};
+    use crate::stratify::stratify;
 
     fn graph(src: &str) -> (Program, RuleDepGraph) {
         let program = Program::parse(src).unwrap();
-        let compiled = CompiledProgram::compile(program.clone(), CyclePolicy::Reject).unwrap();
-        (program, compiled.deps().clone())
+        let strat = stratify(&program).unwrap();
+        let matrix = crate::check::commutativity(&program, &strat);
+        let g = RuleDepGraph::build(&program, &strat, matrix);
+        (program, g)
     }
 
     #[test]
-    fn disjoint_rules_form_separate_components() {
+    fn disjoint_rules_share_no_edge() {
         let (_, g) = graph(
             "a: ins[X].p -> 1 <= X.s -> 1.
              b: ins[X].q -> 2 <= X.t -> 2.",
         );
         assert_eq!(g.len(), 2);
+        assert_eq!(g.stratum_of(0), g.stratum_of(1));
         assert!(g.edges().is_empty(), "{:?}", g.edges());
-        assert_eq!(g.components().len(), 2);
-        assert_ne!(g.component_of(0), g.component_of(1));
         assert!(!g.self_dependent(0) && !g.self_dependent(1));
     }
 
@@ -478,19 +415,33 @@ mod tests {
         assert!(g.self_dependent(1));
         assert!(!g.self_dependent(0));
         // Both write ins(·).*; `step` positively reads it, so if they
-        // share a stratum they share a component via a read-write edge.
+        // share a stratum a read-write edge links them.
         if g.stratum_of(0) == g.stratum_of(1) {
-            assert_eq!(g.component_of(0), g.component_of(1));
-            assert!(g.edges().iter().any(|e| e.kind == DepEdgeKind::ReadWrite));
+            assert_eq!(g.edges(), [DepEdge { a: 0, b: 1, kind: DepEdgeKind::ReadWrite }]);
         }
     }
 
     #[test]
     fn vid_variable_reads_top() {
-        let (_, g) = graph("audit: ins[o1].seen -> O <= $V.exists -> O.");
-        assert!(g.reads(0).is_top());
-        assert!(g.reads(0).is_top_for_scheduling());
+        let (_, g) = graph(
+            "audit: ins[o1].seen -> O <= $V.exists -> O.
+             other: ins[X].q -> 2 <= X.t -> 2.",
+        );
+        assert!(g.reads(0).top);
         assert!(g.self_dependent(0), "⊤ reads overlap the own write chain");
+        // Both write ins(·).*, which ⊤ includes.
+        assert_eq!(g.edges(), [DepEdge { a: 0, b: 1, kind: DepEdgeKind::TopConflict }]);
+    }
+
+    #[test]
+    fn negation_reads_its_own_keys_only() {
+        // `a` negates `·.blocked`, which `b` does not write: no edge.
+        let (_, g) = graph(
+            "a: ins[X].p -> 1 <= X.s -> 1 & not X.blocked -> 1.
+             b: ins[X].q -> 2 <= X.t -> 2.",
+        );
+        assert!(!g.reads(0).top);
+        assert!(g.edges().is_empty(), "{:?}", g.edges());
     }
 
     #[test]
@@ -499,15 +450,14 @@ mod tests {
             "up:   mod[X].price -> (P, P2) <= X.isa -> item & X.price -> P & P2 = P * 2.
              down: mod[X].price -> (P, P2) <= X.isa -> item & X.price -> P & P2 = P / 2.",
         );
-        assert_eq!(g.components().len(), 1);
-        assert!(g.edges().iter().any(|e| e.kind == DepEdgeKind::WriteWrite), "{:?}", g.edges());
+        assert_eq!(g.edges(), [DepEdge { a: 0, b: 1, kind: DepEdgeKind::WriteWrite }]);
     }
 
     #[test]
-    fn dot_and_json_renders_are_well_formed() {
+    fn text_dot_and_json_renders_are_well_formed() {
         let (p, g) = graph(
-            "a: ins[X].p -> 1 <= X.s -> 1.
-             b: ins[X].q -> 2 <= X.t -> 2.",
+            "a: ins[X].p -> 1 <= X.s -> 1 & not X.u -> 1.
+             b: ins[X].q -> 2 <= ins(X).p -> 1.",
         );
         let dot = g.to_dot(&p);
         assert!(dot.starts_with("graph ruvo_deps {"));
@@ -516,7 +466,14 @@ mod tests {
             assert!(dot.contains(&format!("r{r} ")), "node r{r} missing:\n{dot}");
         }
         let json = g.to_json(&p);
-        assert!(json.contains("\"components\": [[0], [1]]"), "{json}");
         assert!(json.contains("\"writes\": \"ins(·).*\""), "{json}");
+        assert!(!json.contains("component"), "{json}");
+        assert_eq!(
+            g.to_text(&p),
+            "dependency graph: 2 rule(s), 1 edge(s)\n  \
+             a: writes ins(·).*, reads {·.s, not ·.u}\n  \
+             b: writes ins(·).*, reads {ins(·).p} (self-dependent)\n  \
+             a -- b: rw\n"
+        );
     }
 }

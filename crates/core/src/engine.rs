@@ -160,8 +160,8 @@ fn effective_workers(config: &EngineConfig) -> usize {
     }
 }
 
-/// A program with every run-independent analysis done once: the §4
-/// stratification (under a fixed [`CyclePolicy`]), the per-rule
+/// A program with everything [`run_compiled`] reads computed once: the
+/// §4 stratification (under a fixed [`CyclePolicy`]), the per-rule
 /// re-evaluation triggers, and the [`IndexPlan`] driving indexed,
 /// semi-naive evaluation.
 ///
@@ -191,7 +191,13 @@ fn effective_workers(config: &EngineConfig) -> usize {
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     program: Program,
-    analysis: Analysis,
+    stratification: Stratification,
+    /// Per stratum: does it need the runtime stability check?
+    risky: Vec<bool>,
+    /// Per rule: the relations whose change re-evaluates it (`None`
+    /// for a `$V` rule, which can read any relation).
+    triggers: Vec<Option<FastHashSet<(Chain, Symbol)>>>,
+    index_plan: IndexPlan,
     cycles: CyclePolicy,
     /// The pretty-printed source, rendered lazily once per compiled
     /// program: the durable commit path logs it on every application,
@@ -200,51 +206,38 @@ pub struct CompiledProgram {
     source: std::sync::OnceLock<std::sync::Arc<str>>,
 }
 
-/// The run-independent analysis of a program: stratification, per-
-/// stratum runtime-check flags, per-rule re-evaluation triggers, the
-/// per-rule [`IndexPlan`] (scan hints + per-literal read sets), and
-/// the rule dependency graph (read/write sets, commutativity,
-/// intra-stratum components).
-#[derive(Clone, Debug)]
-struct Analysis {
-    stratification: Stratification,
-    risky: Vec<bool>,
-    triggers: Vec<Option<FastHashSet<(Chain, Symbol)>>>,
-    index_plan: IndexPlan,
-    deps: crate::deps::RuleDepGraph,
-}
-
-impl Analysis {
-    fn of(program: &Program, cycles: CyclePolicy) -> Result<Analysis, StratifyError> {
-        let (stratification, risky) = match cycles {
-            CyclePolicy::Reject => {
-                let s = stratify(program)?;
-                let n = s.strata.len();
-                (s, vec![false; n])
-            }
-            CyclePolicy::RuntimeStability => {
-                let relaxed = stratify_relaxed(program);
-                (relaxed.stratification, relaxed.needs_runtime_check)
-            }
-        };
-        let triggers = program.rules.iter().map(rule_triggers).collect();
-        let index_plan = IndexPlan::of(program);
-        let matrix = crate::check::commutativity(program, &stratification);
-        let deps = crate::deps::RuleDepGraph::build(program, &stratification, matrix);
-        Ok(Analysis { stratification, risky, triggers, index_plan, deps })
-    }
-}
-
 impl CompiledProgram {
     /// Stratify `program` under `cycles` and precompute the rule
-    /// triggers. Fails exactly when [`crate::stratify::stratify`] would
-    /// (or never, under [`CyclePolicy::RuntimeStability`]).
+    /// triggers and the [`IndexPlan`] — exactly what [`run_compiled`]
+    /// reads; the static analyses live in [`crate::check`]. Fails
+    /// exactly when [`crate::stratify::stratify`] would (or never,
+    /// under [`CyclePolicy::RuntimeStability`]).
     pub fn compile(
         program: Program,
         cycles: CyclePolicy,
     ) -> Result<CompiledProgram, StratifyError> {
-        let analysis = Analysis::of(&program, cycles)?;
-        Ok(CompiledProgram { program, analysis, cycles, source: std::sync::OnceLock::new() })
+        let (stratification, risky) = match cycles {
+            CyclePolicy::Reject => {
+                let s = stratify(&program)?;
+                let n = s.strata.len();
+                (s, vec![false; n])
+            }
+            CyclePolicy::RuntimeStability => {
+                let relaxed = stratify_relaxed(&program);
+                (relaxed.stratification, relaxed.needs_runtime_check)
+            }
+        };
+        let triggers = program.rules.iter().map(rule_triggers).collect();
+        let index_plan = IndexPlan::of(&program);
+        Ok(CompiledProgram {
+            program,
+            stratification,
+            risky,
+            triggers,
+            index_plan,
+            cycles,
+            source: std::sync::OnceLock::new(),
+        })
     }
 
     /// The compiled program.
@@ -262,28 +255,12 @@ impl CompiledProgram {
 
     /// The stratification computed at compile time.
     pub fn stratification(&self) -> &Stratification {
-        &self.analysis.stratification
+        &self.stratification
     }
 
     /// The cycle policy the program was compiled under.
     pub fn cycle_policy(&self) -> CyclePolicy {
         self.cycles
-    }
-
-    /// The rule×rule commutativity matrix under this compilation's
-    /// stratification — see [`crate::check`] for the semantics. An
-    /// all-commuting stratum may evaluate its rules in any order (the
-    /// precondition for parallel fixpoint evaluation). Computed once
-    /// at compile time as part of the dependency graph.
-    pub fn commutativity(&self) -> crate::check::CommutativityMatrix {
-        self.analysis.deps.commutativity().clone()
-    }
-
-    /// The rule dependency graph: per-rule read/write sets, typed
-    /// same-stratum edges, and their connected-component partition —
-    /// see [`crate::deps`]. Analysis only: evaluation never reads it.
-    pub fn deps(&self) -> &crate::deps::RuleDepGraph {
-        &self.analysis.deps
     }
 }
 
@@ -377,8 +354,7 @@ pub fn run_compiled(
     mut work: ObjectBase,
 ) -> Result<Outcome, EvalError> {
     let started = Instant::now();
-    let program = &compiled.program;
-    let Analysis { stratification, risky, triggers, index_plan, .. } = &compiled.analysis;
+    let CompiledProgram { program, stratification, risky, triggers, index_plan, .. } = compiled;
 
     let mut tracker = config.check_linearity.then(LinearityTracker::new);
     let mut stats = EvalStats::default();

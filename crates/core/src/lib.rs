@@ -46,7 +46,7 @@ pub mod truth;
 
 pub use check::{CheckReport, Commutativity, CommutativityMatrix, SourceCheck};
 pub use database::{Database, DatabaseBuilder, Error, ErrorKind, Prepared, Transaction};
-pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, TopCause, WriteSet};
+pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, WriteSet};
 pub use engine::{
     run_compiled, CompiledProgram, CyclePolicy, EngineConfig, FinalVersionPolicy, Outcome,
     TraceLevel,
@@ -60,7 +60,7 @@ pub use session::{SavepointId, Session, SessionError, Txn};
 pub use store::{
     encode_checkpoint_plan, Checkpoint, CheckpointMode, CheckpointOutcome, CheckpointPlan,
     CheckpointPolicy, DurabilitySink, EncodedCheckpoint, FsyncPolicy, GenerationInfo,
-    GenerationKind, StorageError, Volatile, WalProgram, WalStore,
+    GenerationKind, StorageError, WalProgram, WalStore,
 };
 pub use stratify::{Condition, EdgeInfo, RelaxedStratification, Stratification, StratifyError};
 pub use temporal::{FactProp, Formula, Timeline};

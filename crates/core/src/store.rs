@@ -44,10 +44,11 @@
 //!
 //! ## Commit pipeline
 //!
-//! [`Session`](crate::Session) owns a [`DurabilitySink`]; the default
-//! ([`Volatile`]) is a no-op, [`WalStore`] is the durable
-//! implementation. A commit batch — one program, a group-commit drain,
-//! or a whole `transact` block — is appended and fsynced (per
+//! [`Session`](crate::Session) owns an optional [`DurabilitySink`]
+//! (none by default: commits live and die with the process);
+//! [`WalStore`] is the durable implementation. A commit batch — one
+//! program, a group-commit drain, or a whole `transact` block — is
+//! appended and fsynced (per
 //! [`FsyncPolicy`]) as **one** record *before* the caller is
 //! acknowledged and before the serving layer publishes the new head:
 //! an acknowledged write is never lost, an unacknowledged torn tail is
@@ -286,8 +287,8 @@ pub struct WalRecord {
 }
 
 /// Where committed batches go. [`Session`](crate::Session) writes
-/// every commit through its sink; [`Volatile`] (the default) drops
-/// them, [`WalStore`] makes them durable.
+/// every commit through its sink when it has one; [`WalStore`] makes
+/// them durable.
 ///
 /// Contract: when [`DurabilitySink::append_batch`] returns `Ok`, the
 /// batch is as durable as the configured policy promises — callers
@@ -335,26 +336,6 @@ pub trait DurabilitySink: fmt::Debug + Send {
         encoded: EncodedCheckpoint,
     ) -> Result<CheckpointOutcome, StorageError> {
         let _ = encoded;
-        Ok(CheckpointOutcome::Skipped)
-    }
-}
-
-/// The no-op sink: commits live and die with the process. This is the
-/// default for [`Database::open`](crate::Database::open) — durability
-/// is opt-in via [`Database::open_dir`](crate::Database::open_dir).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Volatile;
-
-impl DurabilitySink for Volatile {
-    fn append_batch(&mut self, _: &[WalProgram], _: &ObjectBase) -> Result<(), StorageError> {
-        Ok(())
-    }
-
-    fn rewind(&mut self, _: &ObjectBase) -> Result<(), StorageError> {
-        Ok(())
-    }
-
-    fn checkpoint(&mut self, _: &ObjectBase) -> Result<CheckpointOutcome, StorageError> {
         Ok(CheckpointOutcome::Skipped)
     }
 }

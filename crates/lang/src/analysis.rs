@@ -21,7 +21,7 @@ use std::fmt;
 
 use ruvo_term::Symbol;
 
-use crate::ast::{Atom, Program, UpdateSpec};
+use crate::ast::{Atom, Program, Rule, UpdateSpec};
 use crate::error::Span;
 
 /// How bad a diagnostic is.
@@ -108,17 +108,13 @@ pub enum Lint {
     /// simultaneous `T_P`) could produce a different result set.
     OrderSensitiveRules,
     /// A rule whose body reads the relation chain its own head writes
-    /// (e.g. §4(b) ins-recursion, or a `$V` atom); it forms a
-    /// single-rule dependency component.
+    /// (e.g. §4(b) ins-recursion, or a `$V` atom).
     SelfDependentRule,
-    /// A stratum with two or more rules that split into independent
-    /// dependency components — intra-stratum rule parallelism applies.
-    ParallelOpportunity,
 }
 
 impl Lint {
     /// Every known lint, in registry order.
-    pub const ALL: [Lint; 14] = [
+    pub const ALL: [Lint; 13] = [
         Lint::Syntax,
         Lint::DuplicateLabel,
         Lint::ExistsUpdate,
@@ -132,7 +128,6 @@ impl Lint {
         Lint::DynamicPolicyRequired,
         Lint::OrderSensitiveRules,
         Lint::SelfDependentRule,
-        Lint::ParallelOpportunity,
     ];
 
     /// Stable kebab-case name (the `[...]` tag in rendered output).
@@ -151,7 +146,6 @@ impl Lint {
             Lint::DynamicPolicyRequired => "dynamic-policy-required",
             Lint::OrderSensitiveRules => "order-sensitive-rules",
             Lint::SelfDependentRule => "self-dependent-rule",
-            Lint::ParallelOpportunity => "parallel-opportunity",
         }
     }
 
@@ -175,41 +169,11 @@ impl Lint {
             | Lint::DuplicateRule
             | Lint::NeedlessDynamicPolicy
             | Lint::OrderSensitiveRules => Level::Warn,
-            // Advisory-only: truthful observations about healthy
-            // programs (sanctioned recursion, parallelism notes);
-            // reported through the `advisories` channel, never through
+            // Advisory-only: a truthful observation about healthy
+            // programs (sanctioned recursion); reported through the
+            // `advisories` channel, never through
             // `Prepared::warnings()`.
-            Lint::SelfDependentRule | Lint::ParallelOpportunity => Level::Allow,
-        }
-    }
-
-    /// One-line description for `ruvo check --lints` style listings.
-    pub fn description(self) -> &'static str {
-        match self {
-            Lint::Syntax => "the source text does not lex or parse",
-            Lint::DuplicateLabel => "two rules carry the same label",
-            Lint::ExistsUpdate => "an update-term on the system method `exists`",
-            Lint::DelAllInBody => "`del[V].*` used in a rule body",
-            Lint::UnsafeRule => "the rule is not range-restricted (unsafe)",
-            Lint::ArityMismatch => "a method is used with differing argument counts",
-            Lint::WriteWriteConflict => {
-                "two same-stratum rules may write conflicting results to one (version, method)"
-            }
-            Lint::DeadRule => "the rule depends on versions or updates no rule produces",
-            Lint::DuplicateRule => "two rules are identical; the later one is shadowed",
-            Lint::NeedlessDynamicPolicy => {
-                "statically stratifiable program run under the relaxed cycle policy"
-            }
-            Lint::DynamicPolicyRequired => {
-                "program needs CyclePolicy::RuntimeStability to be accepted"
-            }
-            Lint::OrderSensitiveRules => {
-                "a same-stratum rule reads what another writes; rule order could matter"
-            }
-            Lint::SelfDependentRule => "the rule reads the relation chain its own head writes",
-            Lint::ParallelOpportunity => {
-                "a stratum splits into independent rule components that can evaluate in parallel"
-            }
+            Lint::SelfDependentRule => Level::Allow,
         }
     }
 }
@@ -432,56 +396,41 @@ impl LintLevels {
     }
 }
 
-fn rule_name(program: &Program, i: usize) -> String {
-    program.rule_name(i)
+/// One §3 structural violation of a rule.
+pub(crate) struct Structural {
+    pub(crate) lint: Lint,
+    /// The 1-based body literal at fault; `None` for the head.
+    pub(crate) literal: Option<usize>,
+    pub(crate) message: &'static str,
+    note: Option<&'static str>,
 }
 
-/// Structural diagnostics of one rule (mirrors
-/// [`crate::validate::validate_rule`], but collects instead of
-/// stopping at the first violation).
-fn rule_structural(program: &Program, i: usize, out: &mut Vec<Diagnostic>) {
-    let rule = &program.rules[i];
+/// The §3 structural checks of one rule, every finding in source
+/// order: `exists` updated in the head, `del[..].*` or an `exists`
+/// update-term in the body. [`program_diagnostics`] reports them all;
+/// [`crate::validate`] fails on the first.
+pub(crate) fn rule_structural(rule: &Rule) -> Vec<Structural> {
     let exists = ruvo_term::sym("exists");
-    let name = rule_name(program, i);
+    let mut out = Vec::new();
+    let mut found =
+        |lint, literal, message, note| out.push(Structural { lint, literal, message, note });
     if rule.head.spec.method() == Some(exists) {
-        out.push(
-            Diagnostic::new(
-                Lint::ExistsUpdate,
-                rule.span,
-                format!("rule `{name}`: the system method `exists` cannot be updated"),
-            )
-            .note("§3 reserves `exists`: `o.exists -> o` is maintained by the engine"),
-        );
+        let note = "§3 reserves `exists`: `o.exists -> o` is maintained by the engine";
+        found(Lint::ExistsUpdate, None, "the system method `exists` cannot be updated", Some(note));
     }
     for (j, lit) in rule.body.iter().enumerate() {
-        if let Atom::Update(ua) = &lit.atom {
-            if matches!(ua.spec, UpdateSpec::DelAll) {
-                out.push(
-                    Diagnostic::new(
-                        Lint::DelAllInBody,
-                        rule.span,
-                        format!(
-                            "rule `{name}`, body literal {}: `del[...].*` (delete all) \
-                             is only meaningful in rule heads",
-                            j + 1
-                        ),
-                    )
-                    .note("ask `del[V].m -> r` about a specific deletion instead"),
-                );
-            }
-            if ua.spec.method() == Some(exists) {
-                out.push(Diagnostic::new(
-                    Lint::ExistsUpdate,
-                    rule.span,
-                    format!(
-                        "rule `{name}`, body literal {}: update-terms on the system \
-                         method `exists` are not allowed",
-                        j + 1
-                    ),
-                ));
-            }
+        let Atom::Update(ua) = &lit.atom else { continue };
+        if matches!(ua.spec, UpdateSpec::DelAll) {
+            let message = "`del[...].*` (delete all) is only meaningful in rule heads";
+            let note = "ask `del[V].m -> r` about a specific deletion instead";
+            found(Lint::DelAllInBody, Some(j + 1), message, Some(note));
+        }
+        if ua.spec.method() == Some(exists) {
+            let message = "update-terms on the system method `exists` are not allowed";
+            found(Lint::ExistsUpdate, Some(j + 1), message, None);
         }
     }
+    out
 }
 
 /// All duplicate-label diagnostics — one per *extra* occurrence, so a
@@ -543,8 +492,8 @@ fn duplicate_rules(program: &Program, out: &mut Vec<Diagnostic>) {
                         rj.span,
                         format!(
                             "rule `{}` duplicates rule `{}` (identical head and body)",
-                            rule_name(program, j),
-                            rule_name(program, i)
+                            program.rule_name(j),
+                            program.rule_name(i)
                         ),
                     )
                     .note(
@@ -595,8 +544,8 @@ fn arity_mismatches(program: &Program, out: &mut Vec<Diagnostic>) {
                             format!(
                                 "method `{m}` is used with {arity} argument(s) in rule `{}` \
                                  but with {prev} argument(s) in rule `{}`",
-                                rule_name(program, i),
-                                rule_name(program, orig)
+                                program.rule_name(i),
+                                program.rule_name(orig)
                             ),
                         )
                         .note(
@@ -625,8 +574,14 @@ fn spec_arity(spec: &UpdateSpec) -> usize {
 /// arity mismatches. Does *not* require rule plans to be filled in.
 pub fn program_diagnostics(program: &Program) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for i in 0..program.rules.len() {
-        rule_structural(program, i, &mut out);
+    for (i, rule) in program.rules.iter().enumerate() {
+        for f in rule_structural(rule) {
+            let at = f.literal.map(|j| format!(", body literal {j}")).unwrap_or_default();
+            let message = format!("rule `{}`{at}: {}", program.rule_name(i), f.message);
+            let mut d = Diagnostic::new(f.lint, rule.span, message);
+            d.notes.extend(f.note.map(str::to_owned));
+            out.push(d);
+        }
     }
     out.extend(duplicate_labels(program));
     for (i, rule) in program.rules.iter().enumerate() {
@@ -635,7 +590,7 @@ pub fn program_diagnostics(program: &Program) -> Vec<Diagnostic> {
                 Diagnostic::new(
                     Lint::UnsafeRule,
                     rule.span,
-                    format!("unsafe rule {}: {}", rule_name(program, i), e.message),
+                    format!("unsafe rule {}: {}", program.rule_name(i), e.message),
                 )
                 .note("§2.1 requires rules to be safe (range-restricted, cf. [Ull88])"),
             );
@@ -687,7 +642,6 @@ mod tests {
     fn lint_names_round_trip() {
         for lint in Lint::ALL {
             assert_eq!(Lint::from_name(lint.name()), Some(lint), "{lint:?}");
-            assert!(!lint.description().is_empty());
         }
         assert_eq!(Lint::from_name("no-such-lint"), None);
     }

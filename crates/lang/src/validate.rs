@@ -1,8 +1,6 @@
 //! Structural validation of programs (§2.1/§3 side conditions).
 
-use ruvo_term::sym;
-
-use crate::ast::{Atom, Program, Rule, UpdateSpec};
+use crate::ast::{Program, Rule};
 use crate::error::ValidateError;
 
 fn rule_name(rule: &Rule, idx: Option<usize>) -> String {
@@ -19,38 +17,15 @@ pub fn validate_rule(rule: &Rule) -> Result<(), ValidateError> {
 }
 
 fn validate_rule_at(rule: &Rule, idx: Option<usize>) -> Result<(), ValidateError> {
-    let exists = sym("exists");
-    // §3: "we require, that for all programs P, this 'system-method'
-    // exists does not occur in the head of any rule".
-    if rule.head.spec.method() == Some(exists) {
-        return Err(ValidateError {
-            rule: rule_name(rule, idx),
-            message: "the system method `exists` cannot be updated".into(),
-        });
-    }
-    for (i, lit) in rule.body.iter().enumerate() {
-        if let Atom::Update(ua) = &lit.atom {
-            if matches!(ua.spec, UpdateSpec::DelAll) {
-                return Err(ValidateError {
-                    rule: rule_name(rule, idx),
-                    message: format!(
-                        "body literal {}: `del[...].*` (delete all) is only meaningful in rule heads",
-                        i + 1
-                    ),
-                });
-            }
-            if ua.spec.method() == Some(exists) {
-                return Err(ValidateError {
-                    rule: rule_name(rule, idx),
-                    message: format!(
-                        "body literal {}: update-terms on the system method `exists` are not allowed",
-                        i + 1
-                    ),
-                });
-            }
+    // The checks themselves live in `analysis`; this entry point stops
+    // at the first finding.
+    match crate::analysis::rule_structural(rule).into_iter().next() {
+        None => Ok(()),
+        Some(f) => {
+            let at = f.literal.map(|j| format!("body literal {j}: ")).unwrap_or_default();
+            Err(ValidateError { rule: rule_name(rule, idx), message: format!("{at}{}", f.message) })
         }
     }
-    Ok(())
 }
 
 /// Validate a whole program: every rule, plus label uniqueness.

@@ -536,49 +536,17 @@ impl ObjectBase {
     /// Install `state` as the (complete) new state of `vid`, replacing
     /// whatever was there — the engine's per-stratum *overwrite* step
     /// (ARCHITECTURE.md, decision D1). Empty states simply remove the
-    /// version.
-    pub fn replace_version(&mut self, vid: Vid, state: VersionState) {
-        self.replace_version_shared(vid, Arc::new(state));
-    }
-
-    /// [`ObjectBase::replace_version`] for an already-shared state:
-    /// the store adopts the `Arc` as-is, so a state read out of one
-    /// version (or another base) can be installed without deep-copying
-    /// it — the commit-side half of the copy-on-write discipline.
-    pub fn replace_version_shared(&mut self, vid: Vid, state: Arc<VersionState>) {
-        self.replace_version_tracked_shared(vid, state, &mut ChangedSince::new());
-    }
-
-    /// [`ObjectBase::replace_version`] that also records the commit's
-    /// semantic delta into `changed`: every method whose application
-    /// set differs between the old and the new state of `vid` (all of
-    /// the new state's methods when the version is new). Idempotent
-    /// re-commits therefore record nothing — the property the
-    /// semi-naive evaluator's seeding relies on.
-    pub fn replace_version_tracked(
-        &mut self,
-        vid: Vid,
-        state: VersionState,
-        changed: &mut ChangedSince,
-    ) {
-        self.replace_version_tracked_shared(vid, Arc::new(state), changed);
-    }
-
-    /// [`ObjectBase::replace_version_tracked`] for an already-shared
-    /// state: the one-edit call of
+    /// version. The one-edit, untracked call of
     /// [`ObjectBase::replace_versions_tracked_shared`].
-    pub fn replace_version_tracked_shared(
-        &mut self,
-        vid: Vid,
-        state: Arc<VersionState>,
-        changed: &mut ChangedSince,
-    ) {
-        self.replace_versions_tracked_shared(&[(vid, state)], changed);
+    pub fn replace_version(&mut self, vid: Vid, state: VersionState) {
+        self.replace_versions_tracked_shared(&[(vid, Arc::new(state))], &mut ChangedSince::new());
     }
 
     /// The tracked commit: install `edits` — one complete new state
     /// per **distinct** vid — and record the semantic delta into
-    /// `changed`.
+    /// `changed`. The store adopts each `Arc` as-is, so a state read
+    /// out of one version (or another base) is installed without a
+    /// deep copy.
     ///
     /// A read-only pre-pass diffs each edit against the stored state
     /// and buckets the *net* index mutations (facts in old∖new removed,
@@ -800,7 +768,7 @@ impl ObjectBase {
 
     /// The shared handle to a version's state. Cloning the `Arc` and
     /// handing it back through
-    /// [`ObjectBase::replace_version_tracked_shared`] (possibly after
+    /// [`ObjectBase::replace_versions_tracked_shared`] (possibly after
     /// [`Arc::make_mut`] writes) is the allocation-free commit path
     /// the engine's `T_P` step 2 uses.
     pub fn version_shared(&self, vid: Vid) -> Option<&Arc<VersionState>> {
@@ -1256,7 +1224,7 @@ mod tests {
         let mut serial = ob.clone();
         let mut ch_serial = ChangedSince::new();
         for (vid, state) in &edits {
-            serial.replace_version_tracked_shared(*vid, Arc::clone(state), &mut ch_serial);
+            serial.replace_versions_tracked_shared(&[(*vid, Arc::clone(state))], &mut ch_serial);
         }
         serial.check_invariants();
         let mut batch = ob.clone();
@@ -1628,7 +1596,7 @@ mod tests {
 
         // Same state back: no delta recorded.
         let same = ob.version(phil).unwrap().clone();
-        ob.replace_version_tracked(phil, same, &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Arc::new(same))], &mut changed);
         assert!(changed.is_empty(), "idempotent commit must record nothing");
 
         // Change sal, drop pos, keep isa.
@@ -1636,7 +1604,7 @@ mod tests {
         st.remove(sym("pos"), &MethodApp::new(Args::empty(), oid("mgr")));
         st.remove(sym("sal"), &MethodApp::new(Args::empty(), int(4000)));
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(4600)));
-        ob.replace_version_tracked(phil, st, &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Arc::new(st))], &mut changed);
         assert!(changed.contains(&(Chain::EMPTY, sym("sal"))));
         assert!(changed.contains(&(Chain::EMPTY, sym("pos"))));
         assert!(!changed.contains(&(Chain::EMPTY, sym("isa"))));
@@ -1647,7 +1615,7 @@ mod tests {
         let mod_phil = phil.apply(ruvo_term::UpdateKind::Mod).unwrap();
         let mut st = VersionState::new();
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(5000)));
-        ob.replace_version_tracked(mod_phil, st, &mut changed);
+        ob.replace_versions_tracked_shared(&[(mod_phil, Arc::new(st))], &mut changed);
         assert!(changed.contains(&(mod_phil.chain(), sym("sal"))));
         ob.check_invariants();
     }
@@ -1718,7 +1686,7 @@ mod tests {
         let shared = Arc::clone(ob.version_shared(phil).unwrap());
         let mut changed = ChangedSince::new();
         let snapshot = ob.clone();
-        ob.replace_version_tracked_shared(phil, shared, &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, shared)], &mut changed);
         assert!(changed.is_empty(), "pointer-identical recommit must record nothing");
         assert!(ob.cow_stats(&snapshot).fully_shared(), "recommit must not reindex");
         ob.check_invariants();
@@ -1734,9 +1702,9 @@ mod tests {
         for &vid in &vids {
             let shared = Arc::clone(ob.version_shared(vid).unwrap());
             let mut ch = ChangedSince::new();
-            ob.replace_version_tracked_shared(vid, shared, &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, shared)], &mut ch);
             let fresh = Arc::new((**ob.version_shared(vid).unwrap()).clone());
-            ob.replace_version_tracked_shared(vid, fresh, &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, fresh)], &mut ch);
             assert!(ch.is_empty());
         }
         let edits: Vec<(Vid, Arc<VersionState>)> = vids
@@ -1809,14 +1777,14 @@ mod tests {
     }
 
     #[test]
-    fn replace_version_shared_adopts_foreign_state() {
+    fn tracked_commit_adopts_foreign_state() {
         let mut ob = mk();
         let phil = Vid::object(oid("phil"));
         let bob = Vid::object(oid("bob"));
         // Alias bob's state under a new version of phil.
         let state = Arc::clone(ob.version_shared(bob).unwrap());
         let mod_phil = phil.apply(UpdateKind::Mod).unwrap();
-        ob.replace_version_shared(mod_phil, state);
+        ob.replace_versions_tracked_shared(&[(mod_phil, state)], &mut ChangedSince::new());
         assert_eq!(ob.lookup1(oid("bob"), "boss"), vec![oid("phil")]);
         assert!(ob.contains(mod_phil, sym("boss"), &[], oid("phil")));
         ob.check_invariants();

@@ -80,8 +80,8 @@ pub use ruvo_workload as workload;
 pub use ruvo_core::{
     Applied, CheckReport, CheckpointPolicy, Commutativity, CommutativityMatrix, Database,
     DatabaseBuilder, DepEdge, DepEdgeKind, Error, ErrorKind, FsyncPolicy, Prepared, QueryAnswers,
-    QueryMode, QueryPlan, ReadSet, RuleDepGraph, ServingDatabase, SourceCheck, TopCause,
-    Transaction, WriteSet,
+    QueryMode, QueryPlan, ReadSet, RuleDepGraph, ServingDatabase, SourceCheck, Transaction,
+    WriteSet,
 };
 pub use ruvo_lang::{Diagnostic, Goal, Level, Lint, LintLevels, Severity, Span};
 pub use ruvo_obase::Snapshot;

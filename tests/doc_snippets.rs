@@ -96,7 +96,7 @@ fn lint_appendix_examples_are_minimal_and_triggering() {
     // must appear verbatim in Appendix A and must trigger exactly the
     // lint the appendix files it under. Allow-level lints report
     // through the advisories channel instead of diagnostics.
-    let appendix: [(&str, &str, CyclePolicy); 14] = [
+    let appendix: [(&str, &str, CyclePolicy); 13] = [
         ("syntax", "ins[X].p -> ??? .", CyclePolicy::Reject),
         ("duplicate-label", "r: ins[a].p -> 1.\nr: ins[b].p -> 2.", CyclePolicy::Reject),
         ("exists-update", "ins[x].exists -> x.", CyclePolicy::Reject),
@@ -132,11 +132,6 @@ fn lint_appendix_examples_are_minimal_and_triggering() {
         (
             "self-dependent-rule",
             "step: ins[X].anc -> G <= ins(X).anc -> P & P.parents -> G.",
-            CyclePolicy::Reject,
-        ),
-        (
-            "parallel-opportunity",
-            "a: ins[X].p -> 1 <= X.s -> 1.\nb: ins[X].q -> 2 <= X.t -> 2.",
             CyclePolicy::Reject,
         ),
     ];

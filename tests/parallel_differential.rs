@@ -13,7 +13,7 @@
 //! hosts); locally the full {1, 2, 4, 8} sweep runs by default.
 
 use proptest::prelude::*;
-use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, TraceLevel};
+use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, DepEdge, DepEdgeKind, TraceLevel};
 use ruvo::prelude::*;
 use ruvo::workload::{
     random_insert_program, random_object_base, random_update_program, RandomConfig,
@@ -179,7 +179,7 @@ fn seed_splitting_triggers_and_stays_identical() {
 
 /// Guards bit-identity at every width when dependent rules scan as
 /// separate jobs of one round: a stratum mixing independent rules with
-/// a conflicting-write pair (one dependency component), plus a negation
+/// a conflicting-write pair (linked by a `ww` edge), plus a negation
 /// stratum.
 #[test]
 fn component_scheduling_bundles_and_stays_identical() {
@@ -191,11 +191,10 @@ fn component_scheduling_bundles_and_stays_identical() {
     let program = Program::parse(
         // Two independent rules (disjoint read/write namespaces),
         // then a write-write conflicting pair the commutativity
-        // matrix cannot prove commutes (one dependency component),
-        // then a strictly-later negation stratum keeping the
-        // multi-stratum path hot. `e` negates `ins(X).q` so it lands
-        // above `a`..`d`; its ⊤-widened read must not leak edges into
-        // the earlier stratum.
+        // matrix cannot prove commutes (a `ww` edge), then a
+        // strictly-later negation stratum keeping the multi-stratum
+        // path hot. `e` negates `ins(X).q` so it lands above `a`..`d`;
+        // its reads must not leak edges into the earlier stratum.
         "a: ins[X].p -> 1 <= X.s -> 1.
          b: ins[X].q -> 2 <= X.t -> 2.
          c: mod[X].price -> (P, 1) <= X.price -> P & X.s -> 1.
@@ -206,8 +205,8 @@ fn component_scheduling_bundles_and_stays_identical() {
     assert_parallel_matches(&program, &ob, CyclePolicy::Reject);
 
     let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
-    let deps = compiled.deps();
-    // c and d share a component; a and b are singletons.
-    assert_eq!(deps.component_of(2), deps.component_of(3), "ww pair must share a component");
-    assert_ne!(deps.component_of(0), deps.component_of(1), "independent rules must not");
+    let report = ruvo::core::check::check(&compiled);
+    // The only edge: `ww` between c and d. None between a and b, and
+    // none from the negating rule e into the earlier stratum.
+    assert_eq!(report.deps.edges(), [DepEdge { a: 2, b: 3, kind: DepEdgeKind::WriteWrite }]);
 }
