@@ -1033,7 +1033,7 @@ impl Database {
     /// [`crate::Session::plan_checkpoint`]): an O(shards) plan plus
     /// the matching shared state handle, to be encoded off-thread.
     pub fn plan_checkpoint(
-        &mut self,
+        &self,
         mode: crate::store::CheckpointMode,
     ) -> Option<(crate::store::CheckpointPlan, std::sync::Arc<ObjectBase>)> {
         self.session.plan_checkpoint(mode)

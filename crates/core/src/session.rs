@@ -308,22 +308,17 @@ impl Session {
     /// extract `ob′`, install it, and log the transaction. On error
     /// (non-version-linear result) the session is untouched.
     ///
-    /// On a durable session an outcome has no program source to log,
-    /// so this re-converges the durable image with a full checkpoint —
-    /// correct but heavy; prefer the `apply*` paths, which log the
-    /// program as one WAL record.
+    /// A durable session refuses with [`StorageError::Misuse`] and
+    /// stays untouched: an outcome carries no program source for the
+    /// write-ahead log. Commit through the `apply*` paths there, which
+    /// log the program as one WAL record.
     pub fn commit(&mut self, outcome: Outcome) -> Result<&Txn, SessionError> {
-        let pre_ob = Arc::clone(&self.ob);
-        let pre_len = self.log.len();
-        self.commit_install(outcome)?;
-        if self.buffered.is_none() {
-            if let Some(sink) = &mut self.sink {
-                if let Err(e) = sink.checkpoint(&self.ob) {
-                    self.restore(pre_ob, pre_len);
-                    return Err(SessionError::Storage(e));
-                }
-            }
+        if self.sink.is_some() {
+            return Err(SessionError::Storage(StorageError::Misuse(
+                "a durable session cannot log a bare outcome; apply its program instead",
+            )));
         }
+        self.commit_install(outcome)?;
         Ok(self.log.last().expect("just pushed"))
     }
 
@@ -332,11 +327,7 @@ impl Session {
     fn commit_install(&mut self, outcome: Outcome) -> Result<(), SessionError> {
         // try_new_object_base cannot fail here when the linearity check
         // is on; with the check disabled this is the commit gate.
-        let mut new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
-        // The extraction built a fresh base; re-anchor its shard
-        // generations onto the committed lineage so incremental
-        // checkpoints see exactly the shards this commit changed.
-        new_ob.rebase_generations(&self.ob);
+        let new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
         self.ob = Arc::new(new_ob);
         self.prepared = std::sync::OnceLock::new();
         self.log.push(Txn { seq: self.log.len(), outcome, facts_after: self.ob.len() });
@@ -445,11 +436,10 @@ impl Session {
     /// to [`Session::install_checkpoint`]. Returns `None` on volatile
     /// sessions.
     pub fn plan_checkpoint(
-        &mut self,
+        &self,
         mode: CheckpointMode,
     ) -> Option<(CheckpointPlan, Arc<ObjectBase>)> {
-        let sink = self.sink.as_mut()?;
-        let plan = sink.plan_checkpoint(&self.ob, mode)?;
+        let plan = self.sink.as_ref()?.plan_checkpoint(mode);
         Some((plan, Arc::clone(&self.ob)))
     }
 
@@ -495,14 +485,15 @@ impl Session {
     /// valid and can be rolled back to again.
     ///
     /// On a durable session the rolled-back transactions are already
-    /// in the WAL, so the sink *rewinds*: it checkpoints the restored
-    /// state and truncates the log, making the dead suffix
-    /// unreachable to recovery.
+    /// in the WAL, so the sink checkpoints the restored state — a delta
+    /// of the shards that differ from the last checkpoint, or a full
+    /// generation when the policy asks for one — and truncates the
+    /// log, making the dead suffix unreachable to recovery.
     pub fn rollback_to(&mut self, savepoint: SavepointId) -> Result<(), SessionError> {
         self.rollback_to_unlogged(savepoint)?;
         if self.buffered.is_none() {
             if let Some(sink) = &mut self.sink {
-                sink.rewind(&self.ob).map_err(SessionError::Storage)?;
+                sink.checkpoint(&self.ob).map_err(SessionError::Storage)?;
             }
         }
         Ok(())
@@ -691,6 +682,34 @@ mod tests {
         // The failing member committed nothing; both credits landed.
         assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(200)]);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn commit_refuses_a_bare_outcome_on_a_durable_session() {
+        use crate::store::{CheckpointPolicy, FsyncPolicy, WalStore};
+        let dir = std::env::temp_dir().join(format!("ruvo-session-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        let mut durable = start().with_sink(Box::new(store.store));
+        let compiled = CompiledProgram::compile(
+            Program::parse("mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap(),
+            crate::engine::CyclePolicy::Reject,
+        )
+        .unwrap();
+        let outcome = run_compiled(&compiled, durable.config(), durable.prepared_work()).unwrap();
+
+        let err = durable.commit(outcome.clone()).unwrap_err();
+        assert!(matches!(err, SessionError::Storage(StorageError::Misuse(_))), "got {err:?}");
+        assert_eq!(durable.current(), start().current(), "the refused commit installed nothing");
+        assert!(durable.is_empty());
+        assert!(crate::store::read_state(&dir).unwrap().checkpoint.is_none(), "nothing written");
+
+        let mut volatile = start();
+        volatile.commit(outcome).unwrap();
+        assert_eq!(volatile.current().lookup1(oid("acct"), "balance"), vec![int(150)]);
+        assert_eq!(volatile.len(), 1);
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

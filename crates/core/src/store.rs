@@ -24,7 +24,12 @@
 //! Generation 0 is always full; each delta names the `seq` of the
 //! generation it builds on. A **full** checkpoint atomically replaces
 //! the whole file (tmp + rename + dir sync); a **delta** is appended
-//! and fsynced in place — O(dirtied shards), not O(base). The chain
+//! and fsynced in place — O(dirtied shards), not O(base). A shard is
+//! dirty when its versions differ from the state the chain's tip
+//! generation holds, which the store keeps as an O(shards)
+//! copy-on-write clone; the comparison
+//! ([`ObjectBase::version_shards_differing`]) runs when the delta is
+//! encoded, off the writer lock for a background checkpoint. The chain
 //! is compacted back into a single full generation when the deltas
 //! outgrow [`CheckpointPolicy::compact_fraction`] of the base.
 //!
@@ -245,8 +250,9 @@ impl Default for CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// Never checkpoint automatically ([`WalStore::checkpoint`] and
-    /// rollback-driven rewinds still do, with default compaction).
+    /// Never checkpoint automatically (explicit
+    /// [`DurabilitySink::checkpoint`] calls — savepoint rollbacks
+    /// included — still do, with default compaction).
     pub fn never() -> Self {
         CheckpointPolicy {
             max_wal_records: u64::MAX,
@@ -293,6 +299,10 @@ pub struct WalRecord {
 /// Contract: when [`DurabilitySink::append_batch`] returns `Ok`, the
 /// batch is as durable as the configured policy promises — callers
 /// acknowledge commits (and publish new heads) only after it returns.
+/// A checkpoint of any state — including one a savepoint rollback
+/// moved backwards to — makes it the durable image: the sink diffs it
+/// by content against the state it last wrote, which it need not
+/// descend from.
 pub trait DurabilitySink: fmt::Debug + Send {
     /// Persist one commit batch as a single record. `current` is the
     /// committed base *after* the batch (for opportunistic
@@ -303,29 +313,16 @@ pub trait DurabilitySink: fmt::Debug + Send {
         current: &ObjectBase,
     ) -> Result<(), StorageError>;
 
-    /// Re-converge the durable image to `current` after an in-memory
-    /// rollback invalidated logged suffixes.
-    fn rewind(&mut self, current: &ObjectBase) -> Result<(), StorageError>;
-
     /// Force a checkpoint of `current` now (plan + encode + install
     /// in one synchronous call).
     fn checkpoint(&mut self, current: &ObjectBase) -> Result<CheckpointOutcome, StorageError>;
 
-    /// Decide what the next checkpoint of `current` should persist —
-    /// cheap (O(shards)), safe to call under the writer lock. Returns
-    /// `None` when this sink does not checkpoint at all (the plan
-    /// would be meaningless). The returned plan is paired with a
-    /// snapshot of `current`; encode it off-thread with
-    /// [`encode_checkpoint_plan`] and hand the result back to
-    /// [`DurabilitySink::install_checkpoint`].
-    fn plan_checkpoint(
-        &mut self,
-        current: &ObjectBase,
-        mode: CheckpointMode,
-    ) -> Option<CheckpointPlan> {
-        let _ = (current, mode);
-        None
-    }
+    /// Decide what the next checkpoint should persist — O(shards),
+    /// safe to call under the writer lock. The plan covers the
+    /// committed state as of this call; encode it against that state
+    /// off-thread with [`encode_checkpoint_plan`] and hand the result
+    /// back to [`DurabilitySink::install_checkpoint`].
+    fn plan_checkpoint(&self, mode: CheckpointMode) -> CheckpointPlan;
 
     /// Make an encoded checkpoint durable. The sink re-validates the
     /// plan against the chain (another checkpoint may have landed in
@@ -334,10 +331,7 @@ pub trait DurabilitySink: fmt::Debug + Send {
     fn install_checkpoint(
         &mut self,
         encoded: EncodedCheckpoint,
-    ) -> Result<CheckpointOutcome, StorageError> {
-        let _ = encoded;
-        Ok(CheckpointOutcome::Skipped)
-    }
+    ) -> Result<CheckpointOutcome, StorageError>;
 }
 
 // ----- record encode/decode ------------------------------------------
@@ -582,8 +576,8 @@ fn decode_chain(data: &[u8], path: &Path) -> Result<Checkpoint, StorageError> {
 /// kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointMode {
-    /// Delta when possible, full when required (no chain yet, unknown
-    /// dirty state, or compaction due per [`CheckpointPolicy`]).
+    /// Delta when possible, full when required (no chain yet, an
+    /// unknown chain tail, or compaction due per [`CheckpointPolicy`]).
     Auto,
     /// Always write a fresh full generation, compacting the chain.
     ForceFull,
@@ -593,12 +587,12 @@ pub enum CheckpointMode {
 enum PlannedKind {
     Full,
     Delta {
-        dirty: [bool; SHARD_COUNT],
         base_seq: u64,
         /// The state the chain's tip generation holds (an O(shards)
         /// structural-sharing clone) — the diff base for the delta's
-        /// removed-vid lists. See [`snapshot::write_delta`]. Boxed so
-        /// a `Full` plan is not sized for the delta machinery.
+        /// dirty shards and removed-vid lists. See
+        /// [`snapshot::write_delta`]. Boxed so a `Full` plan is not
+        /// sized for the delta machinery.
         prev: Box<ObjectBase>,
     },
 }
@@ -611,28 +605,12 @@ pub struct CheckpointPlan {
     kind: PlannedKind,
     seq: u64,
     epoch: u64,
-    /// Version-table shard generations of the planned state; becomes
-    /// the store's dirty-tracking reference once installed.
-    gens: [u64; SHARD_COUNT],
 }
 
 impl CheckpointPlan {
     /// True when the plan writes a full generation.
     pub fn is_full(&self) -> bool {
         matches!(self.kind, PlannedKind::Full)
-    }
-
-    /// Shards the plan persists ([`SHARD_COUNT`] for a full plan).
-    pub fn dirty_shards(&self) -> u32 {
-        match &self.kind {
-            PlannedKind::Full => SHARD_COUNT as u32,
-            PlannedKind::Delta { dirty, .. } => dirty.iter().filter(|d| **d).count() as u32,
-        }
-    }
-
-    /// Transactions the planned generation folds in.
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -646,13 +624,9 @@ pub struct EncodedCheckpoint {
     /// plan was taken against): once installed it becomes the store's
     /// diff reference for the *next* delta.
     state: ObjectBase,
-}
-
-impl EncodedCheckpoint {
-    /// The plan this encoding realizes.
-    pub fn plan(&self) -> &CheckpointPlan {
-        &self.plan
-    }
+    /// Version-table shards the body carries ([`SHARD_COUNT`] for a
+    /// full generation).
+    dirty_shards: u32,
 }
 
 /// Drop a value off the caller's critical path, on a detached thread.
@@ -670,15 +644,18 @@ fn retire<T: Send + 'static>(value: T) {
 /// Encode a planned generation's body — pure CPU, no store access, so
 /// it can run on a background thread while the writer keeps
 /// committing. `base` must be the same state (an `Arc`-cheap clone of
-/// it) that the plan was taken against.
+/// it) that the plan was taken against. A delta carries exactly the
+/// version-table shards whose contents differ from the chain tip's.
 pub fn encode_checkpoint_plan(plan: &CheckpointPlan, base: &ObjectBase) -> EncodedCheckpoint {
-    let body = match &plan.kind {
-        PlannedKind::Full => snapshot::write(base),
-        PlannedKind::Delta { dirty, base_seq, prev } => {
-            snapshot::write_delta(base, prev, dirty, *base_seq)
+    let (body, dirty_shards) = match &plan.kind {
+        PlannedKind::Full => (snapshot::write(base), SHARD_COUNT as u32),
+        PlannedKind::Delta { base_seq, prev } => {
+            let dirty = base.version_shards_differing(prev);
+            let count = dirty.iter().filter(|d| **d).count() as u32;
+            (snapshot::write_delta(base, prev, &dirty, *base_seq), count)
         }
     };
-    EncodedCheckpoint { plan: plan.clone(), body, state: base.clone() }
+    EncodedCheckpoint { plan: plan.clone(), body, state: base.clone(), dirty_shards }
 }
 
 /// What a checkpoint attempt actually wrote.
@@ -882,18 +859,21 @@ impl Opened {
 #[derive(Clone, Debug)]
 struct ChainState {
     /// Generations on disk, oldest first (index 0 is the full base).
-    gens: Vec<GenerationInfo>,
-    /// Payload bytes of the full base generation.
-    base_bytes: u64,
-    /// Payload bytes across the delta generations.
-    delta_bytes: u64,
-    /// Valid file length — the append offset for the next delta.
-    file_len: u64,
+    generations: Vec<GenerationInfo>,
+    /// The state the tip generation holds (an O(shards)
+    /// structural-sharing clone): what the next delta diffs against.
+    tip: ObjectBase,
 }
 
 impl ChainState {
     fn seq(&self) -> u64 {
-        self.gens.last().expect("chains are never empty").seq
+        self.generations.last().expect("chains are never empty").seq
+    }
+
+    /// Valid file length — the append offset for the next delta.
+    fn file_len(&self) -> u64 {
+        let frames = self.generations.iter().map(|g| g.bytes + codec::FRAME_OVERHEAD as u64);
+        CKPT_HEADER_LEN + frames.sum::<u64>()
     }
 }
 
@@ -924,15 +904,6 @@ pub struct WalStore {
     /// tail state became unknown after a failed delta append — either
     /// way the next checkpoint is a full rewrite).
     chain: Option<ChainState>,
-    /// Version-table shard generations of the base as of the chain's
-    /// last installed generation (`None`: unknown → next checkpoint
-    /// must be full).
-    last_ckpt_gens: Option<[u64; SHARD_COUNT]>,
-    /// The state of the chain's last installed generation itself (an
-    /// O(shards) structural-sharing clone): the diff base a delta's
-    /// removed-vid lists are computed against. `None` whenever
-    /// `last_ckpt_gens` is.
-    last_ckpt_base: Option<ObjectBase>,
 }
 
 impl WalStore {
@@ -979,13 +950,7 @@ impl WalStore {
         let ckpt_path = dir.join(CHECKPOINT_FILE);
         let chain = match &state.checkpoint {
             Some(c) => {
-                let base_bytes = c.generations[0].bytes;
-                let delta_bytes = c.generations[1..].iter().map(|g| g.bytes).sum();
-                let file_len = CKPT_HEADER_LEN
-                    + c.generations
-                        .iter()
-                        .map(|g| g.bytes + codec::FRAME_OVERHEAD as u64)
-                        .sum::<u64>();
+                let chain = ChainState { generations: c.generations.clone(), tip: c.base.clone() };
                 if c.torn_bytes > 0 {
                     // Cut the torn delta append away so the next delta
                     // extends the valid prefix.
@@ -993,18 +958,13 @@ impl WalStore {
                         .write(true)
                         .open(&ckpt_path)
                         .map_err(|e| StorageError::io("open", &ckpt_path, e))?;
-                    f.set_len(file_len).map_err(|e| StorageError::io("truncate", &ckpt_path, e))?;
+                    f.set_len(chain.file_len())
+                        .map_err(|e| StorageError::io("truncate", &ckpt_path, e))?;
                 }
-                Some(ChainState { gens: c.generations.clone(), base_bytes, delta_bytes, file_len })
+                Some(chain)
             }
             None => None,
         };
-        // The decoded base's shard generations are the dirty-tracking
-        // reference: the caller replays the WAL tail onto this very
-        // base, so any shard the replay (or later commits) touches
-        // diverges from these values.
-        let last_ckpt_gens = state.checkpoint.as_ref().map(|c| c.base.version_generations());
-        let last_ckpt_base = state.checkpoint.as_ref().map(|c| c.base.clone());
 
         let ckpt_seq = state.checkpoint.as_ref().map_or(0, |c| c.seq);
         let ckpt_epoch = state.checkpoint.as_ref().map_or(0, |c| c.epoch);
@@ -1029,8 +989,6 @@ impl WalStore {
             policy,
             wedged: false,
             chain,
-            last_ckpt_gens,
-            last_ckpt_base,
         };
         Ok(Opened {
             store,
@@ -1063,7 +1021,7 @@ impl WalStore {
     /// Metadata of the on-disk checkpoint chain, oldest generation
     /// first (empty when no chain exists yet).
     pub fn chain_generations(&self) -> &[GenerationInfo] {
-        self.chain.as_ref().map_or(&[], |c| &c.gens)
+        self.chain.as_ref().map_or(&[], |c| &c.generations)
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
@@ -1088,26 +1046,10 @@ impl WalStore {
 
     fn compaction_due(&self) -> bool {
         let Some(c) = &self.chain else { return false };
-        let deltas = c.gens.len().saturating_sub(1) as u64;
-        deltas >= self.policy.max_delta_generations
-            || (c.delta_bytes as f64) > (c.base_bytes as f64) * self.policy.compact_fraction
-    }
-
-    fn plan(&self, current: &ObjectBase, mode: CheckpointMode) -> CheckpointPlan {
-        let gens = current.version_generations();
-        let kind = match (&self.chain, self.last_ckpt_gens, &self.last_ckpt_base) {
-            (Some(chain), Some(last), Some(prev))
-                if mode == CheckpointMode::Auto && !self.compaction_due() =>
-            {
-                let mut dirty = [false; SHARD_COUNT];
-                for (d, (a, b)) in dirty.iter_mut().zip(gens.iter().zip(last.iter())) {
-                    *d = a != b;
-                }
-                PlannedKind::Delta { dirty, base_seq: chain.seq(), prev: Box::new(prev.clone()) }
-            }
-            _ => PlannedKind::Full,
-        };
-        CheckpointPlan { kind, seq: self.seq, epoch: self.epoch, gens }
+        let (base, deltas) = c.generations.split_first().expect("chains are never empty");
+        let delta_bytes: u64 = deltas.iter().map(|g| g.bytes).sum();
+        deltas.len() as u64 >= self.policy.max_delta_generations
+            || (delta_bytes as f64) > (base.bytes as f64) * self.policy.compact_fraction
     }
 
     /// Truncate the WAL after a generation covering `plan_seq` became
@@ -1134,7 +1076,7 @@ impl WalStore {
     }
 
     fn install_full(&mut self, enc: EncodedCheckpoint) -> Result<CheckpointOutcome, StorageError> {
-        let EncodedCheckpoint { plan, body, state } = enc;
+        let EncodedCheckpoint { plan, body, state, .. } = enc;
         // Atomic replace: write + sync a temp file, rename over the
         // final name, sync the directory. A crash at any point leaves
         // either the old chain or the new checkpoint fully intact
@@ -1157,37 +1099,29 @@ impl WalStore {
         let d = File::open(&self.dir).map_err(|e| StorageError::io("open", &self.dir, e))?;
         d.sync_all().map_err(|e| StorageError::io("fsync", &self.dir, e))?;
 
-        self.chain = Some(ChainState {
-            gens: vec![GenerationInfo {
+        let chain = ChainState {
+            generations: vec![GenerationInfo {
                 kind: GenerationKind::Full,
                 seq: plan.seq,
                 epoch: plan.epoch,
                 bytes: payload_len,
                 dirty_shards: SHARD_COUNT as u32,
             }],
-            base_bytes: payload_len,
-            delta_bytes: 0,
-            file_len: bytes.len() as u64,
-        });
+            tip: state,
+        };
         let seq = plan.seq;
-        self.last_ckpt_gens = Some(plan.gens);
-        retire((self.last_ckpt_base.replace(state), plan));
+        retire((self.chain.replace(chain), plan));
         self.maybe_truncate_wal(seq)?;
         Ok(CheckpointOutcome::Full { bytes: payload_len })
     }
 
-    fn install_delta(
-        &mut self,
-        enc: EncodedCheckpoint,
-        dirty_shards: u32,
-    ) -> Result<CheckpointOutcome, StorageError> {
-        let EncodedCheckpoint { plan, body, state } = enc;
+    fn install_delta(&mut self, enc: EncodedCheckpoint) -> Result<CheckpointOutcome, StorageError> {
+        let EncodedCheckpoint { plan, body, state, dirty_shards } = enc;
         let payload = encode_generation(GenerationKind::Delta, plan.seq, plan.epoch, &body);
         let mut frame = Vec::with_capacity(payload.len() + codec::FRAME_OVERHEAD);
         codec::append_frame(&mut frame, &payload);
 
-        let chain = self.chain.as_ref().expect("install_delta requires a chain");
-        let file_len = chain.file_len;
+        let file_len = self.chain.as_ref().expect("install_delta requires a chain").file_len();
         let append = (|| -> std::io::Result<()> {
             let mut f = OpenOptions::new().write(true).open(&self.ckpt_path)?;
             // Seek to the *known-valid* length rather than the end:
@@ -1203,66 +1137,22 @@ impl WalStore {
             // may not be on disk). Recovery handles it as a torn tail;
             // in-process, forget the chain so the next checkpoint is
             // a full atomic rewrite, which heals everything.
-            self.chain = None;
-            self.last_ckpt_gens = None;
-            retire((self.last_ckpt_base.take(), plan, state));
+            retire((self.chain.take(), plan, state));
             return Err(StorageError::io("append", &self.ckpt_path, e));
         }
 
         let chain = self.chain.as_mut().expect("checked above");
-        chain.gens.push(GenerationInfo {
+        chain.generations.push(GenerationInfo {
             kind: GenerationKind::Delta,
             seq: plan.seq,
             epoch: plan.epoch,
             bytes: payload.len() as u64,
             dirty_shards,
         });
-        chain.delta_bytes += payload.len() as u64;
-        chain.file_len += frame.len() as u64;
         let seq = plan.seq;
-        self.last_ckpt_gens = Some(plan.gens);
-        retire((self.last_ckpt_base.replace(state), plan));
+        retire((std::mem::replace(&mut chain.tip, state), plan));
         self.maybe_truncate_wal(seq)?;
         Ok(CheckpointOutcome::Delta { bytes: payload.len() as u64, dirty_shards })
-    }
-
-    fn install(&mut self, enc: EncodedCheckpoint) -> Result<CheckpointOutcome, StorageError> {
-        match &enc.plan.kind {
-            PlannedKind::Full => self.install_full(enc),
-            PlannedKind::Delta { dirty, base_seq, .. } => {
-                match &self.chain {
-                    // Another checkpoint moved the chain while this one
-                    // was encoding: the delta no longer stacks. The
-                    // competing generation covers at least as much.
-                    Some(c) if c.seq() != *base_seq => Ok(CheckpointOutcome::Skipped),
-                    None => Ok(CheckpointOutcome::Skipped),
-                    Some(c) => {
-                        let dirty_shards = dirty.iter().filter(|d| **d).count() as u32;
-                        if dirty_shards == 0 && enc.plan.seq == c.seq() {
-                            // Nothing changed since the last generation
-                            // at all — don't grow the chain.
-                            self.maybe_truncate_wal(enc.plan.seq)?;
-                            return Ok(CheckpointOutcome::Skipped);
-                        }
-                        self.install_delta(enc, dirty_shards)
-                    }
-                }
-            }
-        }
-    }
-
-    fn write_checkpoint(
-        &mut self,
-        current: &ObjectBase,
-    ) -> Result<CheckpointOutcome, StorageError> {
-        let plan = self.plan(current, CheckpointMode::Auto);
-        let enc = encode_checkpoint_plan(&plan, current);
-        let r = self.install(enc);
-        // The plan holds a reference to the previous diff base; if the
-        // install retired the store's own reference, this one is the
-        // last — don't pay its O(facts) drop here.
-        retire(plan);
-        r
     }
 }
 
@@ -1315,41 +1205,54 @@ impl DurabilitySink for WalStore {
             // error is deferred: the counters stay over threshold, the
             // checkpoint retries on the next append, and explicit
             // `checkpoint()` calls still propagate failures.
-            let _ = self.write_checkpoint(current);
+            let _ = self.checkpoint(current);
         }
         Ok(())
     }
 
-    fn rewind(&mut self, current: &ObjectBase) -> Result<(), StorageError> {
-        // The in-memory state moved backwards (rollback): logged
-        // suffixes are dead. Re-base the durable image on a fresh
-        // generation of the rolled-back state; seq stays monotone so
-        // any stale records still fail the `seq >= chain.seq` replay
-        // filter. A delta is sound here too: the rolled-back state
-        // and the last generation sit on one linear history, so equal
-        // shard generations still imply equal contents — and the
-        // install resets the dirty-tracking reference to the
-        // rolled-back state.
-        self.write_checkpoint(current).map(|_| ())
-    }
-
     fn checkpoint(&mut self, current: &ObjectBase) -> Result<CheckpointOutcome, StorageError> {
-        self.write_checkpoint(current)
+        let plan = self.plan_checkpoint(CheckpointMode::Auto);
+        let enc = encode_checkpoint_plan(&plan, current);
+        let r = self.install_checkpoint(enc);
+        // The plan holds a reference to the previous diff base; if the
+        // install retired the store's own reference, this one is the
+        // last — don't pay its O(facts) drop here.
+        retire(plan);
+        r
     }
 
-    fn plan_checkpoint(
-        &mut self,
-        current: &ObjectBase,
-        mode: CheckpointMode,
-    ) -> Option<CheckpointPlan> {
-        Some(self.plan(current, mode))
+    fn plan_checkpoint(&self, mode: CheckpointMode) -> CheckpointPlan {
+        let kind = match &self.chain {
+            Some(chain) if mode == CheckpointMode::Auto && !self.compaction_due() => {
+                PlannedKind::Delta { base_seq: chain.seq(), prev: Box::new(chain.tip.clone()) }
+            }
+            _ => PlannedKind::Full,
+        };
+        CheckpointPlan { kind, seq: self.seq, epoch: self.epoch }
     }
 
     fn install_checkpoint(
         &mut self,
         encoded: EncodedCheckpoint,
     ) -> Result<CheckpointOutcome, StorageError> {
-        self.install(encoded)
+        let PlannedKind::Delta { base_seq, .. } = &encoded.plan.kind else {
+            return self.install_full(encoded);
+        };
+        match &self.chain {
+            Some(c) if c.seq() == *base_seq => {
+                if encoded.dirty_shards == 0 && encoded.plan.seq == c.seq() {
+                    // Nothing changed since the last generation at
+                    // all — don't grow the chain.
+                    self.maybe_truncate_wal(encoded.plan.seq)?;
+                    return Ok(CheckpointOutcome::Skipped);
+                }
+                self.install_delta(encoded)
+            }
+            // Another checkpoint moved the chain while this one was
+            // encoding: the delta no longer stacks. The competing
+            // generation covers at least as much.
+            _ => Ok(CheckpointOutcome::Skipped),
+        }
     }
 }
 
@@ -1660,18 +1563,18 @@ mod tests {
     }
 
     #[test]
-    fn rewind_rebases_on_the_rolled_back_state() {
-        let dir = tmp_dir("rewind");
+    fn checkpoint_rebases_on_a_rolled_back_state() {
+        let dir = tmp_dir("rollback");
         let mut opened =
             WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
         opened.store.append_batch(&[prog("doomed.")], &base(9)).unwrap();
         let rolled_back = base(3);
-        opened.store.rewind(&rolled_back).unwrap();
+        opened.store.checkpoint(&rolled_back).unwrap();
         drop(opened);
 
         let reopened =
             WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
-        assert_eq!(reopened.checkpoint.expect("rewind checkpoints").base, rolled_back);
+        assert_eq!(reopened.checkpoint.expect("rollback checkpoints").base, rolled_back);
         assert!(reopened.records.is_empty());
     }
 
@@ -1705,9 +1608,7 @@ mod tests {
 
     // ----- chain-specific coverage -----------------------------------
 
-    /// Add `n` fresh facts to an *evolving* base (the sink contract:
-    /// every call sees the same linear history, so dirty tracking via
-    /// shard generations is meaningful).
+    /// Add `n` fresh facts to an evolving base.
     fn grow(ob: &mut ObjectBase, tag: &str, n: i64) {
         for i in 0..n {
             ob.insert(
@@ -1990,8 +1891,7 @@ mod tests {
 
         grow(&mut ob, "b", 2);
         opened.store.append_batch(&[prog("p2.")], &ob).unwrap();
-        let plan =
-            opened.store.plan_checkpoint(&ob, CheckpointMode::Auto).expect("durable sink plans");
+        let plan = opened.store.plan_checkpoint(CheckpointMode::Auto);
         assert!(!plan.is_full());
         // The writer's cheap head snapshot.
         let planned_at = ob.clone();
@@ -2028,7 +1928,7 @@ mod tests {
 
         grow(&mut ob, "b", 2);
         opened.store.append_batch(&[prog("p2.")], &ob).unwrap();
-        let plan = opened.store.plan_checkpoint(&ob, CheckpointMode::Auto).unwrap();
+        let plan = opened.store.plan_checkpoint(CheckpointMode::Auto);
         let planned_at = ob.clone();
         // A synchronous checkpoint lands before the install.
         grow(&mut ob, "c", 2);
@@ -2054,7 +1954,7 @@ mod tests {
         opened.store.checkpoint(&ob).unwrap();
         assert_eq!(opened.store.chain_generations().len(), 2);
 
-        let plan = opened.store.plan_checkpoint(&ob, CheckpointMode::ForceFull).unwrap();
+        let plan = opened.store.plan_checkpoint(CheckpointMode::ForceFull);
         assert!(plan.is_full());
         let enc = encode_checkpoint_plan(&plan, &ob);
         assert!(matches!(
@@ -2095,7 +1995,7 @@ mod tests {
         let mut store = reopened.store;
         grow(&mut ob, "c", 2);
         store.append_batch(&[prog("p3.")], &ob).unwrap();
-        let plan = store.plan_checkpoint(&ob, CheckpointMode::ForceFull).unwrap();
+        let plan = store.plan_checkpoint(CheckpointMode::ForceFull);
         let enc = encode_checkpoint_plan(&plan, &ob);
         store.install_checkpoint(enc).unwrap();
         drop(store);

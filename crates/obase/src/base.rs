@@ -127,8 +127,8 @@ fn result_indexed(method: Symbol, result: Const, base: Const) -> bool {
 /// The shard index a version routes to in the version table — the
 /// dirty-set unit of incremental checkpoints
 /// ([`ObjectBase::shard_facts_sorted`] /
-/// [`ObjectBase::version_generations`]). The version table routes by
-/// the full [`Vid`], not its base.
+/// [`ObjectBase::version_shards_differing`]). The version table routes
+/// by the full [`Vid`], not its base.
 pub fn vid_shard(vid: Vid) -> usize {
     ShardKey::shard(&vid)
 }
@@ -650,40 +650,24 @@ impl ObjectBase {
             }
         }
 
-        // `shard_slots_mut` bypasses the generation-tracked entry
-        // points, so note which slots the jobs below will write before
-        // the op buckets are moved into them.
-        for i in 0..SHARD_COUNT {
-            if !ver_ops[i].is_empty() {
-                self.versions.note_written(i);
-            }
-            if !rel_ops[i].is_empty() {
-                self.by_chain_method.note_written(i);
-                self.by_result.map.note_written(i);
-                self.by_arg0.map.note_written(i);
-            }
-            if !base_ops[i].is_empty() {
-                self.by_base.note_written(i);
-            }
-        }
         self.fact_count = (self.fact_count as isize + fact_delta) as usize;
         self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
 
-        for ((_, slot), ops) in self.versions.shard_slots_mut().zip(ver_ops) {
+        for (slot, ops) in self.versions.shard_slots_mut().zip(ver_ops) {
             if !ops.is_empty() {
                 CommitJob::Versions { slot, ops }.apply();
             }
         }
-        let res_slots = self.by_result.map.shard_slots_mut().map(|(_, s)| s);
-        let arg_slots = self.by_arg0.map.shard_slots_mut().map(|(_, s)| s);
-        for ((((_, cm), res), arg), ops) in
+        let res_slots = self.by_result.map.shard_slots_mut();
+        let arg_slots = self.by_arg0.map.shard_slots_mut();
+        for (((cm, res), arg), ops) in
             self.by_chain_method.shard_slots_mut().zip(res_slots).zip(arg_slots).zip(rel_ops)
         {
             if !ops.is_empty() {
                 CommitJob::Relations { cm, res, arg, ops }.apply();
             }
         }
-        for ((_, slot), ops) in self.by_base.shard_slots_mut().zip(base_ops) {
+        for (slot, ops) in self.by_base.shard_slots_mut().zip(base_ops) {
             if !ops.is_empty() {
                 CommitJob::Bases { slot, ops }.apply();
             }
@@ -733,17 +717,16 @@ impl ObjectBase {
         let exists = exists_sym();
         let mut added_by_chain: FastHashMap<Chain, Vec<Const>> = FastHashMap::default();
         let mut added = 0usize;
-        for i in 0..SHARD_COUNT {
-            let missing = |vid: &Vid, state: &VersionState| {
-                !state.contains(exists, &MethodApp::new(Args::empty(), vid.base()))
-            };
+        let missing = |vid: &Vid, state: &VersionState| {
+            !state.contains(exists, &MethodApp::new(Args::empty(), vid.base()))
+        };
+        for slot in self.versions.shard_slots_mut() {
             // Peek through the shared shard first: only unshare it if
             // some state actually lacks its `exists` fact.
-            if !self.versions.shard_at(i).iter().any(|(vid, s)| missing(vid, s)) {
+            if !slot.iter().any(|(vid, s)| missing(vid, s)) {
                 continue;
             }
-            let shard = Arc::make_mut(self.versions.shard_slot(i));
-            for (vid, state_arc) in shard.iter_mut() {
+            for (vid, state_arc) in Arc::make_mut(slot).iter_mut() {
                 if !missing(vid, state_arc) {
                     continue;
                 }
@@ -918,28 +901,16 @@ impl ObjectBase {
 
     // ----- incremental-checkpoint surface ----------------------------
 
-    /// The per-shard write generations of the version table. Clones
-    /// inherit the counters, so comparing against generations captured
-    /// at the last checkpoint yields the set of shards that *may* hold
-    /// different versions — the dirty set a shard-delta checkpoint
-    /// writes. Only the version table matters here: every join index
-    /// is reconstructible from the facts, and the snapshot codec
-    /// encodes facts straight out of the version states.
-    pub fn version_generations(&self) -> [u64; SHARD_COUNT] {
-        self.versions.generations()
-    }
-
-    /// Re-anchor this base's version-table generations onto `prev`'s
-    /// lineage by *exact* per-shard content comparison: an equal
-    /// shard inherits `prev`'s counter, a differing one advances it.
-    /// Commit paths that extract a fresh base from an evaluation
-    /// result (instead of mutating a clone of the committed one) must
-    /// call this with the previously committed base, or generation
-    /// comparison across the commit would be meaningless — two
-    /// independently built tables can collide on counters. O(facts)
-    /// worst case, the same bound as the extraction itself.
-    pub fn rebase_generations(&mut self, prev: &ObjectBase) {
-        self.versions.rebase_generations(&prev.versions);
+    /// The version-table shards whose versions differ from `prev`'s —
+    /// the dirty set a shard-delta checkpoint writes against the state
+    /// it last wrote. Exact, by content: a shard still sharing its
+    /// allocation with `prev` costs one pointer comparison, any other
+    /// an entry-wise one, however either base was built. Only the
+    /// version table matters here: every join index is reconstructible
+    /// from the facts, and the snapshot codec encodes facts straight
+    /// out of the version states.
+    pub fn version_shards_differing(&self, prev: &ObjectBase) -> [bool; SHARD_COUNT] {
+        self.versions.shards_differing(&prev.versions)
     }
 
     /// The facts of every version routed to version-table shard `i`,
@@ -1695,10 +1666,10 @@ mod tests {
     #[test]
     fn noop_commits_dirty_zero_version_shards() {
         let (mut ob, _) = shard_commit_fixture();
+        let before = ob.clone();
         let vids: Vec<Vid> = ob.versions().collect();
-        let before = ob.version_generations();
         // Pointer-equal and content-equal recommits of every version,
-        // serial and batched: no shard generation may move.
+        // serial and batched: no shard may differ afterwards.
         for &vid in &vids {
             let shared = Arc::clone(ob.version_shared(vid).unwrap());
             let mut ch = ChangedSince::new();
@@ -1714,24 +1685,34 @@ mod tests {
         let mut ch = ChangedSince::new();
         ob.replace_versions_tracked_shared(&edits, &mut ch);
         assert!(ch.is_empty());
-        assert_eq!(ob.version_generations(), before, "no-op commits must dirty zero shards");
+        assert_eq!(
+            ob.version_shards_differing(&before),
+            [false; SHARD_COUNT],
+            "no-op commits must dirty zero shards"
+        );
+        assert!(ob.cow_stats(&before).fully_shared(), "no-op commits must not unshare");
         ob.check_invariants();
     }
 
     #[test]
-    fn real_commits_bump_only_routed_shards() {
-        let mut ob = mk();
-        let before = ob.version_generations();
+    fn rebuilt_base_differs_in_no_shard() {
+        let (ob, _) = shard_commit_fixture();
+        let rebuilt = ObjectBase::from_facts(ob.facts_sorted());
+        assert_eq!(rebuilt.cow_stats(&ob).shared_shards, 0, "a rebuild shares no allocation");
+        assert_eq!(rebuilt.version_shards_differing(&ob), [false; SHARD_COUNT]);
+    }
+
+    #[test]
+    fn one_insert_differs_in_exactly_its_shard() {
+        let before = mk();
+        let mut ob = before.clone();
         let phil = Vid::object(oid("phil"));
         ob.insert(phil, sym("note"), Args::empty(), int(1));
-        let after = ob.version_generations();
-        let s = vid_shard(phil);
-        assert!(after[s] > before[s]);
-        for i in 0..SHARD_COUNT {
-            if i != s {
-                assert_eq!(after[i], before[i], "unrelated shard {i} dirtied");
-            }
-        }
+        let differing = ob.version_shards_differing(&before);
+        assert!((0..SHARD_COUNT).all(|i| differing[i] == (i == vid_shard(phil))));
+        // Undoing the write makes the shard equal again.
+        assert!(ob.remove(phil, sym("note"), &Args::empty(), int(1)));
+        assert_eq!(ob.version_shards_differing(&before), [false; SHARD_COUNT]);
     }
 
     #[test]

@@ -58,15 +58,6 @@ pub(crate) trait ShardKey {
 /// shared reference first.
 pub(crate) struct ShardedMap<K, V> {
     shards: [Arc<FastHashMap<K, V>>; SHARD_COUNT],
-    /// Per-shard write generations: bumped every time the shard is
-    /// unshared for writing (any mutating entry point that reaches
-    /// [`Arc::make_mut`]). Clones inherit the counters, so comparing a
-    /// map's generations against a snapshot of them taken earlier in
-    /// the same lineage tells exactly which shards *may* have changed
-    /// since — the dirty-set oracle behind incremental checkpoints.
-    /// Over-approximation is fine (a bumped-but-equal shard is merely
-    /// re-written); missing a write would be a correctness bug.
-    gens: [u64; SHARD_COUNT],
 }
 
 impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for ShardedMap<K, V> {
@@ -77,16 +68,13 @@ impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for ShardedMap<K, V
 
 impl<K, V> Clone for ShardedMap<K, V> {
     fn clone(&self) -> Self {
-        ShardedMap { shards: std::array::from_fn(|i| Arc::clone(&self.shards[i])), gens: self.gens }
+        ShardedMap { shards: std::array::from_fn(|i| Arc::clone(&self.shards[i])) }
     }
 }
 
 impl<K, V> Default for ShardedMap<K, V> {
     fn default() -> Self {
-        ShardedMap {
-            shards: std::array::from_fn(|_| Arc::new(FastHashMap::default())),
-            gens: [0; SHARD_COUNT],
-        }
+        ShardedMap { shards: std::array::from_fn(|_| Arc::new(FastHashMap::default())) }
     }
 }
 
@@ -126,57 +114,25 @@ where
         &self.shards[i]
     }
 
-    /// The current per-shard write generations (see the field docs).
-    pub(crate) fn generations(&self) -> [u64; SHARD_COUNT] {
-        self.gens
-    }
-
-    /// Record a write to shard `i` that bypassed the tracked entry
-    /// points — used by bulk passes that take `shard_slots_mut` and
-    /// know afterwards which slots they actually mutated.
-    pub(crate) fn note_written(&mut self, i: usize) {
-        self.gens[i] = self.gens[i].wrapping_add(1);
-    }
-
-    /// Re-anchor this map's write generations onto `prev`'s lineage:
-    /// a shard whose *contents* equal the corresponding shard of
-    /// `prev` inherits its generation, a differing shard advances it.
-    /// Commit paths that rebuild the map from scratch (rather than
-    /// mutating a clone) call this so that generation comparison
-    /// stays a valid dirty-shard oracle across them — and, because
-    /// the comparison is against actual contents, an *exact* one.
-    /// O(entries) worst case, but so is the rebuild that precedes it.
-    pub(crate) fn rebase_generations(&mut self, prev: &Self)
+    /// Per shard, whether its entries differ from the same shard of
+    /// `other` — exact, by content, whatever lineage either map has.
+    /// Shards still sharing one allocation skip the entry-wise
+    /// comparison: O(shards) when the two share every allocation,
+    /// O(entries of the unshared shards) otherwise.
+    pub(crate) fn shards_differing(&self, other: &Self) -> [bool; SHARD_COUNT]
     where
         V: PartialEq,
     {
-        for i in 0..SHARD_COUNT {
-            let same = Arc::ptr_eq(&self.shards[i], &prev.shards[i])
-                || self.shards[i].as_ref() == prev.shards[i].as_ref();
-            self.gens[i] = if same { prev.gens[i] } else { prev.gens[i].wrapping_add(1) };
-        }
+        let (a, b) = (&self.shards, &other.shards);
+        std::array::from_fn(|i| !Arc::ptr_eq(&a[i], &b[i]) && a[i] != b[i])
     }
 
-    /// The `Arc` slot of one physical shard, for bulk passes that
-    /// decide per shard whether to unshare ([`Arc::make_mut`]) at all.
-    /// Counts as a write for generation tracking — callers peek
-    /// through [`ShardedMap::shard_at`] first and only take the slot
-    /// when they intend to mutate.
-    pub(crate) fn shard_slot(&mut self, i: usize) -> &mut Arc<FastHashMap<K, V>> {
-        self.gens[i] = self.gens[i].wrapping_add(1);
-        &mut self.shards[i]
-    }
-
-    /// Mutable access to every shard slot in turn, as `(shard index,
-    /// slot)` pairs: the access path of the bucketed batch commit,
-    /// which has already routed its mutations per shard and decides per
-    /// slot whether to unshare ([`Arc::make_mut`]) at all. Bypasses
-    /// generation tracking — callers mark the slots they write with
-    /// [`ShardedMap::note_written`].
-    pub(crate) fn shard_slots_mut(
-        &mut self,
-    ) -> impl Iterator<Item = (usize, &mut Arc<FastHashMap<K, V>>)> {
-        self.shards.iter_mut().enumerate()
+    /// Mutable access to every shard slot in shard order, for bulk
+    /// passes (the bucketed batch commit, `exists` preparation) that
+    /// decide per slot whether to unshare ([`Arc::make_mut`]) at all —
+    /// reading through a slot first never copies.
+    pub(crate) fn shard_slots_mut(&mut self) -> impl Iterator<Item = &mut Arc<FastHashMap<K, V>>> {
+        self.shards.iter_mut()
     }
 
     /// Assert that every entry lives in the shard its key routes to
@@ -202,7 +158,6 @@ where
         if !self.shards[i].contains_key(key) {
             return None;
         }
-        self.gens[i] = self.gens[i].wrapping_add(1);
         Arc::make_mut(&mut self.shards[i]).get_mut(key)
     }
 
@@ -213,16 +168,12 @@ where
     where
         V: Default,
     {
-        let i = key.shard();
-        self.gens[i] = self.gens[i].wrapping_add(1);
-        Arc::make_mut(&mut self.shards[i]).entry(key).or_default()
+        Arc::make_mut(&mut self.shards[key.shard()]).entry(key).or_default()
     }
 
     #[cfg(test)]
     pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let i = key.shard();
-        self.gens[i] = self.gens[i].wrapping_add(1);
-        Arc::make_mut(&mut self.shards[i]).insert(key, value)
+        Arc::make_mut(&mut self.shards[key.shard()]).insert(key, value)
     }
 
     /// Remove an entry. A miss does not unshare the shard.
@@ -231,7 +182,6 @@ where
         if !self.shards[i].contains_key(key) {
             return None;
         }
-        self.gens[i] = self.gens[i].wrapping_add(1);
         Arc::make_mut(&mut self.shards[i]).remove(key)
     }
 }
@@ -243,12 +193,8 @@ where
 {
     fn eq(&self, other: &Self) -> bool {
         // Routing is deterministic, so equal contents imply shard-wise
-        // equal maps; shards still sharing one allocation skip the
-        // entry-wise comparison entirely.
-        self.shards
-            .iter()
-            .zip(&other.shards)
-            .all(|(a, b)| Arc::ptr_eq(a, b) || a.as_ref() == b.as_ref())
+        // equal maps.
+        self.shards_differing(other) == [false; SHARD_COUNT]
     }
 }
 
@@ -329,49 +275,38 @@ mod tests {
     }
 
     #[test]
-    fn shard_slots_mut_covers_every_shard_once() {
+    fn shard_slots_mut_yields_every_shard_in_order() {
         let mut m = filled(64);
-        let indices: Vec<usize> = m.shard_slots_mut().map(|(i, _)| i).collect();
-        assert_eq!(indices, (0..SHARD_COUNT).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn generations_track_writes_not_reads() {
-        let mut m = filled(64);
-        let before = m.generations();
-        // Reads and misses never bump a generation.
-        assert_eq!(m.get(&1), Some(&10));
-        assert_eq!(m.get_mut(&99_999), None);
-        assert_eq!(m.remove(&99_999), None);
-        assert_eq!(m.iter().count(), 64);
-        assert_eq!(m.generations(), before);
-        // A hit through any mutating entry point bumps exactly the
-        // target shard's generation.
-        let s = 1u64.shard();
-        m.insert(1, 11);
-        let after = m.generations();
-        assert_eq!(after[s], before[s] + 1);
-        for i in 0..SHARD_COUNT {
-            if i != s {
-                assert_eq!(after[i], before[i], "shard {i} spuriously dirtied");
-            }
+        let mut n = 0;
+        for (i, slot) in m.shard_slots_mut().enumerate() {
+            assert!(slot.keys().all(|k| k.shard() == i), "slot {i} out of shard order");
+            n += 1;
         }
-        *m.get_mut(&1).unwrap() += 1;
-        m.remove(&1);
-        assert_eq!(m.generations()[s], before[s] + 3);
+        assert_eq!(n, SHARD_COUNT);
     }
 
     #[test]
-    fn clones_inherit_generations() {
-        let mut m = filled(32);
-        m.insert(7, 70);
-        let copy = m.clone();
-        assert_eq!(copy.generations(), m.generations());
-        // Divergence after the clone is per-lineage.
-        let mut copy = copy;
-        copy.insert(8, 80);
-        let s = 8u64.shard();
-        assert_eq!(copy.generations()[s], m.generations()[s] + 1);
+    fn shards_differing_compares_contents_not_lineage() {
+        let original = filled(64);
+        let mut copy = original.clone();
+        assert_eq!(copy.shards_differing(&original), [false; SHARD_COUNT]);
+        // Reads, misses and same-value writes (which unshare) change
+        // nothing.
+        assert_eq!(copy.get_mut(&99_999), None);
+        assert_eq!(copy.remove(&99_999), None);
+        copy.insert(3, 30);
+        assert_eq!(copy.shards_differing(&original), [false; SHARD_COUNT]);
+        // A real write differs in exactly its shard, and undoing it
+        // makes the shard equal again.
+        copy.insert(1, 11);
+        let differing = copy.shards_differing(&original);
+        assert!((0..SHARD_COUNT).all(|i| differing[i] == (i == 1u64.shard())));
+        copy.insert(1, 10);
+        assert_eq!(copy.shards_differing(&original), [false; SHARD_COUNT]);
+        // A map rebuilt from scratch shares no allocation yet is equal.
+        let rebuilt = filled(64);
+        assert_eq!(rebuilt.shards_shared_with(&original), 0);
+        assert_eq!(rebuilt.shards_differing(&original), [false; SHARD_COUNT]);
     }
 
     #[test]

@@ -737,20 +737,11 @@ mod tests {
         ob
     }
 
-    fn dirty_since(
-        live: &ObjectBase,
-        gens: &[u64; crate::SHARD_COUNT],
-    ) -> [bool; crate::SHARD_COUNT] {
-        let now = live.version_generations();
-        std::array::from_fn(|i| now[i] != gens[i])
-    }
-
     #[test]
     fn delta_roundtrip_is_bit_identical() {
         let mut live = broad_base(300);
         let prev = live.clone();
         let full = write(&live);
-        let gens = live.version_generations();
 
         // Mutate a handful of objects: updates, a delete of a whole
         // version, a fact-level delete, a new object.
@@ -759,7 +750,7 @@ mod tests {
         live.remove_version(Vid::object(oid("o7")));
         live.insert(Vid::object(oid("brand-new")), sym("p"), Args::empty(), num(0.5));
 
-        let dirty = dirty_since(&live, &gens);
+        let dirty = live.version_shards_differing(&prev);
         assert!(dirty.iter().any(|&d| d), "mutations must dirty at least one shard");
         assert!(!dirty.iter().all(|&d| d), "a small edit must not dirty every shard");
         let delta = write_delta(&live, &prev, &dirty, 42);
@@ -811,9 +802,8 @@ mod tests {
     fn delta_detects_every_flipped_byte() {
         let mut live = broad_base(40);
         let prev = live.clone();
-        let gens = live.version_generations();
         live.insert(Vid::object(oid("o1")), sym("x"), Args::empty(), int(9));
-        let delta = write_delta(&live, &prev, &dirty_since(&live, &gens), 3);
+        let delta = write_delta(&live, &prev, &live.version_shards_differing(&prev), 3);
         for i in 0..delta.len() {
             let mut corrupted = delta.to_vec();
             corrupted[i] ^= 0xFF;

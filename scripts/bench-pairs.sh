@@ -13,10 +13,15 @@
 # executables. Prints one line per run, then per end-to-end metric both
 # sides' median / q1 / q3 and how many pairs each side won. Exits
 # non-zero if a run fails to produce a result line.
+#
+# Check every table a change reports in as records/prNN-<workload>.txt
+# and cite its medians from CHANGES.md instead of inlining the runs:
+#
+#   scripts/bench-pairs.sh P C txn_stream 5 | tee records/pr25-txn_stream.txt
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3

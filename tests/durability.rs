@@ -17,6 +17,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 const CREDIT: &str = "mod[A].balance -> (B, B2) <= A.balance -> B & B2 = B + 50.";
+const DEBIT: &str = "mod[A].balance -> (B, B2) <= A.balance -> B & B2 = B - 50.";
 
 #[test]
 fn open_dir_recovers_acknowledged_commits() {
@@ -264,9 +265,60 @@ fn rollback_rewinds_the_durable_image() {
     db.apply_src(CREDIT).unwrap();
     drop(db);
     // Recovery must see 100 + 50, not 100 + 150: the rolled-back
-    // commits are unreachable behind the rewind checkpoint.
+    // commits are unreachable behind the rollback's checkpoint.
     let db = Database::open_dir(&dir).unwrap();
     assert_eq!(db.current().lookup1(oid("acct"), "balance"), vec![int(150)]);
+}
+
+#[test]
+fn commits_that_cancel_out_checkpoint_zero_dirty_shards() {
+    let dir = tmp_dir("net-zero");
+    let mut db = Database::builder()
+        .data_dir(&dir)
+        .seed_src("acct.balance -> 100. other.balance -> 7.")
+        .unwrap()
+        .open_dir()
+        .unwrap();
+    let seeded = db.current().clone();
+    db.apply_src(CREDIT).unwrap();
+    db.apply_src(DEBIT).unwrap();
+    assert_eq!(db.current(), &seeded);
+    // The checkpoint diffs against the state it last wrote, not the
+    // commits in between: nothing differs, yet the delta still folds
+    // the two logged commits.
+    match db.checkpoint().unwrap() {
+        store::CheckpointOutcome::Delta { dirty_shards, .. } => assert_eq!(dirty_shards, 0),
+        other => panic!("expected a zero-shard delta, got {other:?}"),
+    }
+    let state = store::read_state(dir.as_path()).unwrap();
+    assert!(state.records.is_empty(), "the delta truncated the wal");
+    let head = db.current().clone();
+    drop(db);
+    assert_eq!(Database::open_dir(&dir).unwrap().current(), &head);
+}
+
+#[test]
+fn rollback_across_a_checkpoint_recovers_the_head() {
+    let dir = tmp_dir("rollback-across");
+    let mut db = Database::builder()
+        .data_dir(&dir)
+        .seed_src("acct.balance -> 100. other.balance -> 7.")
+        .unwrap()
+        .open_dir()
+        .unwrap();
+    let sp = db.savepoint();
+    db.apply_src(CREDIT).unwrap();
+    db.checkpoint().unwrap();
+    db.apply_src(CREDIT).unwrap();
+    db.apply_src("ins[other].note -> 1.").unwrap();
+    // Back behind the checkpoint: the restored state does not descend
+    // from the chain's tip generation.
+    db.rollback_to(sp).unwrap();
+    db.apply_src(DEBIT).unwrap();
+    let head = db.current().clone();
+    assert_eq!(head.lookup1(oid("acct"), "balance"), vec![int(50)]);
+    drop(db);
+    assert_eq!(Database::open_dir(&dir).unwrap().current(), &head);
 }
 
 #[test]
