@@ -23,7 +23,7 @@
 //! version lives in `ruvo_core::store`'s unit tests).
 
 use ruvo_core::store::{read_state, GenerationKind};
-use ruvo_core::Database;
+use ruvo_core::{CheckpointOutcome, Database};
 use ruvo_term::{int, oid, Const};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -165,16 +165,24 @@ fn multi_generation_chain_survives_the_crash_matrix() {
     let (data_dir, _) = run_killed_workload(&dir, &base_src, 40);
     let recovered = recovered_commits(&data_dir);
 
-    // Deterministically extend whatever chain the kill left behind:
-    // the first explicit checkpoint is full or delta depending on
-    // where the kill landed, the following two are guaranteed deltas.
+    // Deterministically extend whatever chain the kill left behind
+    // until its last two generations are deltas. The kill may leave the
+    // chain just short of its compaction threshold, so one of these
+    // checkpoints may write a full generation; the deltas after it
+    // stack on that one.
     let mut db = Database::open_dir(&data_dir).unwrap();
-    for _ in 0..3 {
+    let mut outcomes = Vec::new();
+    let stacked = |o: &[CheckpointOutcome]| {
+        o.len() >= 3
+            && o[o.len() - 2..].iter().all(|o| matches!(o, CheckpointOutcome::Delta { .. }))
+    };
+    while !stacked(&outcomes) {
+        assert!(outcomes.len() < 16, "the chain never stacked: {outcomes:?}");
         db.apply_src("mod[A].balance -> (B, B2) <= A.balance -> B & B2 = B + 1.").unwrap();
-        db.checkpoint().unwrap();
+        outcomes.push(db.checkpoint().unwrap());
     }
     drop(db);
-    let balance = recovered + 3;
+    let balance = recovered + outcomes.len() as i64;
 
     let state = read_state(&data_dir).unwrap();
     let gens = &state.checkpoint.as_ref().expect("chain exists").generations;

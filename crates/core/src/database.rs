@@ -912,8 +912,10 @@ impl Database {
         self.session.snapshot()
     }
 
-    /// Committed transactions, oldest first (each keeps its full
-    /// `result(P)` version history and statistics).
+    /// Committed transactions, oldest first. The newest keeps its full
+    /// `result(P)` version history; every entry keeps its statistics,
+    /// its `changed()` delta and `facts_after` (see [`Txn::outcome`]
+    /// and [`Session::log`]).
     pub fn log(&self) -> &[Txn] {
         self.session.log()
     }

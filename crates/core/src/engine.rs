@@ -51,10 +51,13 @@
 //! at the first pair of incomparable versions of one object.
 
 use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ruvo_lang::{PlannedLiteral, Program, Rule};
-use ruvo_obase::{exists_sym, ChangedSince, LinearityTracker, LinearityViolation, ObjectBase};
+use ruvo_obase::{
+    exists_sym, ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, VersionState,
+};
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::error::EvalError;
@@ -617,6 +620,35 @@ impl Outcome {
     /// relation, the objects whose fact sets the evaluation changed.
     pub fn changed(&self) -> &ChangedSince {
         &self.changed
+    }
+
+    /// How many objects the run touched, or `None` when it ran without
+    /// the runtime linearity check and so kept no record of them.
+    pub(crate) fn touched_objects(&self) -> Option<usize> {
+        self.finals.as_ref().map(LinearityTracker::len)
+    }
+
+    /// Each object the run touched, with the state of its final version
+    /// (§5) — `None` when that version holds no facts. Empty when the
+    /// run kept no record (see [`Outcome::touched_objects`]).
+    pub(crate) fn touched_finals(
+        &self,
+    ) -> impl Iterator<Item = (Const, Option<&Arc<VersionState>>)> + '_ {
+        let finals = self.finals.iter().flat_map(LinearityTracker::iter);
+        finals.map(|(base, fv)| (base, self.result.version_shared(fv)))
+    }
+
+    /// Drop `result(P)`, the traces and the final-version record,
+    /// keeping the statistics, the stratification and
+    /// [`Outcome::changed`] — what a session log keeps of every
+    /// transaction but the newest.
+    pub(crate) fn trim(&mut self) {
+        static EMPTY: OnceLock<ObjectBase> = OnceLock::new();
+        // A clone of one shared empty base: no allocation per entry.
+        self.result = EMPTY.get_or_init(ObjectBase::new).clone();
+        self.stratum_traces = Vec::new();
+        self.round_traces = Vec::new();
+        self.finals = None;
     }
 
     /// The final version of every object in `result(P)` (§5), validated

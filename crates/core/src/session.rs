@@ -9,8 +9,12 @@
 //! explicit rollback across transactions.
 //!
 //! Between transactions the object base is the *flat* `ob′` of §5
-//! (final versions only); version histories of the individual
-//! transactions remain inspectable through the kept [`Outcome`]s.
+//! (final versions only). A commit that touched few objects edits the
+//! committed base once per touched object; a wide one rebuilds `ob′`
+//! from `result(P)`. The version history of the newest transaction
+//! stays inspectable through its [`Outcome`]; older log entries keep
+//! only its summary (see [`Txn::outcome`]), so the log costs O(1) per
+//! transaction, not O(`result(P)`).
 //!
 //! ## Durability
 //!
@@ -27,7 +31,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use ruvo_lang::{LangError, Program};
-use ruvo_obase::{ObjectBase, Snapshot};
+use ruvo_obase::{exists_sym, ChangedSince, ObjectBase, Snapshot, VersionState};
+use ruvo_term::Vid;
 
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig, Outcome};
 use crate::error::EvalError;
@@ -82,13 +87,26 @@ impl From<EvalError> for SessionError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SavepointId(u64);
 
+/// A commit edits the head in place when the run touched at most one
+/// object in this many of the head's; wider runs rebuild `ob′` (§5).
+/// An edit pays per touched fact and copies each shard it writes to,
+/// while a rebuild re-inserts only what survives into empty maps: on a
+/// 10 000-object base, emptying the touched objects is cheaper to
+/// rebuild from a touched share between 1/3 and 1/2 on, and 1/4 keeps
+/// the edit under 0.6× the rebuild (`records/pr26-crossover.txt`,
+/// from `tests::commit_width_crossover_sweep`).
+const NARROW_COMMIT_SHARE: usize = 4;
+
 /// One committed transaction.
 #[derive(Clone, Debug)]
 pub struct Txn {
     /// Sequence number (0-based).
     pub seq: usize,
-    /// The evaluation outcome, including `result(P)` with all versions
-    /// and the run statistics.
+    /// The evaluation outcome. The newest entry of a session's log keeps
+    /// all of it, including `result(P)` with every version; once a
+    /// later commit is acknowledged, an entry keeps only its
+    /// [`Outcome::stats`], stratification and [`Outcome::changed`] —
+    /// its `result()` is empty and its traces are gone.
     pub outcome: Outcome,
     /// Facts in the object base after this transaction.
     pub facts_after: usize,
@@ -103,14 +121,18 @@ pub struct Txn {
 pub struct Session {
     ob: Arc<ObjectBase>,
     log: Vec<Txn>,
+    /// Entries of `log` below this index are trimmed (see
+    /// [`Txn::outcome`]).
+    trimmed: usize,
     config: EngineConfig,
     savepoints: Vec<(SavepointId, usize, Arc<ObjectBase>)>,
     next_savepoint: u64,
     /// The committed base with `exists` facts materialized (§3 prep),
-    /// built lazily on first use and shared until the next commit or
-    /// rollback. Working copies clone it copy-on-write, so repeated
-    /// applications and dry runs against one committed state pay the
-    /// O(#versions) preparation exactly once.
+    /// built lazily on first use, carried forward by commits that edit
+    /// the head, and dropped by rebuilding commits and rollbacks.
+    /// Working copies clone it copy-on-write, so repeated applications
+    /// and dry runs against one committed state pay the O(#versions)
+    /// preparation at most once.
     prepared: std::sync::OnceLock<Arc<ObjectBase>>,
     /// Where committed batches go; `None` is the volatile fast path
     /// (no program-source rendering, no appends).
@@ -132,6 +154,7 @@ impl Clone for Session {
         Session {
             ob: Arc::clone(&self.ob),
             log: self.log.clone(),
+            trimmed: self.trimmed,
             config: self.config.clone(),
             savepoints: self.savepoints.clone(),
             next_savepoint: self.next_savepoint,
@@ -253,7 +276,10 @@ impl Session {
         &mut self.config
     }
 
-    /// Committed transactions, oldest first.
+    /// Committed transactions, oldest first. Only the newest keeps its
+    /// whole [`Outcome`]; the others are trimmed to their summary (see
+    /// [`Txn::outcome`]). After a rollback the newest remaining entry
+    /// may already be trimmed.
     pub fn log(&self) -> &[Txn] {
         &self.log
     }
@@ -291,10 +317,11 @@ impl Session {
 
     /// A working copy of the committed base with `exists` facts in
     /// place (§3's preparation step), ready for the engine. The
-    /// prepared state is cached until the next commit or rollback, so
-    /// every call after the first is an O(shards) copy-on-write clone
-    /// — this is what makes repeated [`Session::apply_compiled`] and
-    /// hypothetical dry runs against one committed state cheap.
+    /// prepared state is cached, and a commit that edits the head
+    /// edits it too; only a rebuilding commit or a rollback drops it.
+    /// So every call after the first is an O(shards) copy-on-write
+    /// clone — this is what makes repeated [`Session::apply_compiled`]
+    /// and hypothetical dry runs against one committed state cheap.
     pub fn prepared_work(&self) -> ObjectBase {
         let shared = self.prepared.get_or_init(|| {
             let mut work = (*self.ob).clone();
@@ -304,9 +331,12 @@ impl Session {
         (**shared).clone()
     }
 
-    /// Commit an evaluation outcome produced against the current base:
-    /// extract `ob′`, install it, and log the transaction. On error
-    /// (non-version-linear result) the session is untouched.
+    /// Commit an evaluation outcome produced against the current base
+    /// (a [`Session::prepared_work`] copy of it): install its `ob′` and
+    /// log the transaction. On error (non-version-linear result) the
+    /// session is untouched. A narrow outcome only rewrites the objects
+    /// it touched, so one produced against any other base commits
+    /// those objects onto this one.
     ///
     /// A durable session refuses with [`StorageError::Misuse`] and
     /// stays untouched: an outcome carries no program source for the
@@ -319,19 +349,81 @@ impl Session {
             )));
         }
         self.commit_install(outcome)?;
+        self.acknowledge();
         Ok(self.log.last().expect("just pushed"))
     }
 
     /// Install an outcome in memory only (the shared half of
     /// [`Session::commit`] and [`Session::commit_logged`]).
     fn commit_install(&mut self, outcome: Outcome) -> Result<(), SessionError> {
-        // try_new_object_base cannot fail here when the linearity check
-        // is on; with the check disabled this is the commit gate.
-        let new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
-        self.ob = Arc::new(new_ob);
-        self.prepared = std::sync::OnceLock::new();
+        if self.commits_narrow(&outcome) {
+            self.edit_head(&outcome);
+        } else {
+            // try_new_object_base cannot fail here when the linearity
+            // check is on; with the check disabled this is the commit
+            // gate.
+            let new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
+            self.ob = Arc::new(new_ob);
+            self.prepared = std::sync::OnceLock::new();
+        }
         self.log.push(Txn { seq: self.log.len(), outcome, facts_after: self.ob.len() });
         Ok(())
+    }
+
+    /// Whether `outcome` commits by editing the head
+    /// ([`Session::edit_head`]) rather than by the §5 rebuild: the run
+    /// kept its final versions, touched at most one object in
+    /// [`NARROW_COMMIT_SHARE`] of the head's, and the head is flat.
+    /// Decided in O(shards + relations), before anything is collected.
+    fn commits_narrow(&self, outcome: &Outcome) -> bool {
+        outcome.touched_objects().is_some_and(|n| n * NARROW_COMMIT_SHARE <= self.ob.object_count())
+            && self.ob.is_flat()
+    }
+
+    /// §5 object by object: give every object `outcome` touched the
+    /// facts of its final version minus `exists` (an empty state
+    /// removes the object); every other object keeps its state. On a
+    /// flat head this is the base [`Outcome::try_new_object_base`]
+    /// builds, at the cost of the touched objects. The cached prepared
+    /// copy takes the same edits with its `exists` fact, so it moves
+    /// forward with the head instead of being rebuilt.
+    fn edit_head(&mut self, outcome: &Outcome) {
+        let exists = exists_sym();
+        let mut head = Vec::new();
+        let mut prepared = Vec::new();
+        for (base, state) in outcome.touched_finals() {
+            let vid = Vid::object(base);
+            // Every version's one `exists` fact is `exists -> base` (§3;
+            // programs cannot update `exists`), so a final state is the
+            // prepared copy's state for its object as it stands.
+            let (flat, with_exists) = match state {
+                Some(s) if !s.is_empty_except(exists) => {
+                    let mut flat = (**s).clone();
+                    flat.remove_method(exists);
+                    (Arc::new(flat), Arc::clone(s))
+                }
+                _ => (Arc::new(VersionState::new()), Arc::new(VersionState::new())),
+            };
+            head.push((vid, flat));
+            prepared.push((vid, with_exists));
+        }
+        Arc::make_mut(&mut self.ob)
+            .replace_versions_tracked_shared(&head, &mut ChangedSince::new());
+        if let Some(work) = self.prepared.get_mut() {
+            Arc::make_mut(work)
+                .replace_versions_tracked_shared(&prepared, &mut ChangedSince::new());
+        }
+    }
+
+    /// Trim every log entry but the newest to its summary (see
+    /// [`Txn::outcome`]) — once the commits that pushed them are
+    /// acknowledged, so a failed append leaves the log as it was.
+    fn acknowledge(&mut self) {
+        let newest = self.log.len().saturating_sub(1);
+        for txn in self.log.get_mut(self.trimmed..newest).into_iter().flatten() {
+            txn.outcome.trim();
+        }
+        self.trimmed = self.trimmed.max(newest);
     }
 
     /// Commit an outcome whose producing program is known: install it,
@@ -346,6 +438,7 @@ impl Session {
     ) -> Result<&Txn, SessionError> {
         if self.sink.is_none() {
             self.commit_install(outcome)?;
+            self.acknowledge();
             return Ok(self.log.last().expect("just pushed"));
         }
         let pre_ob = Arc::clone(&self.ob);
@@ -353,6 +446,7 @@ impl Session {
         self.commit_install(outcome)?;
         let entry = entry();
         if let Some(buffer) = &mut self.buffered {
+            // Acknowledged when the buffer's owner flushes it.
             buffer.push(entry);
         } else {
             let sink = self.sink.as_mut().expect("checked above");
@@ -360,6 +454,7 @@ impl Session {
                 self.restore(pre_ob, pre_len);
                 return Err(SessionError::Storage(e));
             }
+            self.acknowledge();
         }
         Ok(self.log.last().expect("just pushed"))
     }
@@ -369,8 +464,13 @@ impl Session {
     /// the log).
     fn restore(&mut self, ob: Arc<ObjectBase>, log_len: usize) {
         self.ob = ob;
-        self.log.truncate(log_len);
+        self.truncate_log(log_len);
         self.prepared = std::sync::OnceLock::new();
+    }
+
+    fn truncate_log(&mut self, len: usize) {
+        self.log.truncate(len);
+        self.trimmed = self.trimmed.min(len);
     }
 
     /// Start deferring durable log entries into a buffer, so a whole
@@ -398,7 +498,9 @@ impl Session {
             return Ok(());
         }
         let sink = self.sink.as_mut().expect("buffer exists only with a sink");
-        sink.append_batch(&entries, &self.ob).map_err(SessionError::Storage)
+        sink.append_batch(&entries, &self.ob).map_err(SessionError::Storage)?;
+        self.acknowledge();
+        Ok(())
     }
 
     /// Drop the active buffer without appending (the batch is being
@@ -514,7 +616,7 @@ impl Session {
         let (_, log_len, ob) = self.savepoints[idx].clone();
         self.ob = ob; // Arc clone: the captured state is re-shared.
         self.prepared = std::sync::OnceLock::new();
-        self.log.truncate(log_len);
+        self.truncate_log(log_len);
         self.savepoints.truncate(idx + 1);
         Ok(())
     }
@@ -549,8 +651,10 @@ mod tests {
         assert!(w1.cow_stats(&w2).fully_shared());
         assert!(w1.exists_fact(ruvo_term::Vid::object(oid("acct"))));
 
-        // A commit invalidates the cache; the new prepared copy
-        // reflects the new state.
+        // A rebuilding commit (it touches the one object there is)
+        // drops the cache; the new prepared copy reflects the new
+        // state. Narrow commits carry it forward instead
+        // (`commit_paths_agree`).
         let sp = s.savepoint();
         s.apply_src("t: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
         let w3 = s.prepared_work();
@@ -586,24 +690,38 @@ mod tests {
     }
 
     #[test]
-    fn chained_transactions_flatten_versions() {
+    fn only_the_newest_log_entry_keeps_its_result() {
         let mut s = start();
+        let sp = s.savepoint();
         s.apply_src("a: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
+        let after_a = s.savepoint();
         // The committed base is flat: the next program's `acct` is the
         // *initial* version again, as §5 prescribes.
         s.apply_src("b: mod[acct].balance -> (150, 75) <= acct.balance -> 150.").unwrap();
         assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(75)]);
-        assert_eq!(s.len(), 2);
-        // Each transaction's version history remains inspectable.
-        let first = &s.log()[0];
-        let mod_acct =
-            ruvo_term::Vid::object(oid("acct")).apply(ruvo_term::UpdateKind::Mod).unwrap();
-        assert!(first.outcome.result().contains(
-            mod_acct,
-            ruvo_term::sym("balance"),
-            &[],
-            int(150)
-        ));
+        let [first, newest] = s.log() else { panic!("two transactions") };
+        let mod_acct = Vid::object(oid("acct")).apply(ruvo_term::UpdateKind::Mod).unwrap();
+        let balance = ruvo_term::sym("balance");
+        // The newest transaction's version history stays inspectable.
+        assert!(newest.outcome.result().contains(mod_acct, balance, &[], int(75)));
+        assert!(!newest.outcome.stratum_traces().is_empty());
+        // An older one keeps its summary only.
+        assert!(first.outcome.result().is_empty());
+        assert!(first.outcome.stratum_traces().is_empty());
+        assert_eq!(first.outcome.stats().fired_updates, 1);
+        assert!(first.outcome.changed().bases(&(mod_acct.chain(), balance)).is_some());
+        assert_eq!((first.seq, first.facts_after), (0, 2));
+        assert_eq!(first.outcome.stratification().strata.len(), 1);
+
+        // After a rollback the newest remaining entry may be trimmed.
+        s.rollback_to(after_a).unwrap();
+        assert_eq!(s.len(), 1);
+        assert!(s.log()[0].outcome.result().is_empty());
+        // A later commit trims nothing twice and keeps its own result.
+        s.apply_src("c: mod[acct].balance -> (150, 90) <= acct.balance -> 150.").unwrap();
+        assert!(s.log()[1].outcome.result().contains(mod_acct, balance, &[], int(90)));
+        s.rollback_to(sp).unwrap();
+        assert!(s.is_empty());
     }
 
     #[test]
@@ -717,5 +835,290 @@ mod tests {
         let mut s = start();
         let t = s.apply_src("a: ins[acct].extra -> 1 <= acct.balance -> 100.").unwrap();
         assert_eq!(t.facts_after, 3);
+    }
+
+    /// `n` flat accounts `acct{i}` with a balance, a tag `t{i}` and
+    /// `extra` facts appended by the caller.
+    fn accounts(n: usize, extra: impl Fn(usize) -> String) -> ObjectBase {
+        let src: String = (0..n)
+            .map(|i| format!("acct{i}.balance -> {}. acct{i}.tag -> t{i}. {}\n", 10 * i, extra(i)))
+            .collect();
+        ObjectBase::parse(&src).unwrap()
+    }
+
+    fn outcome_of(s: &Session, src: &str) -> Outcome {
+        let compiled = CompiledProgram::compile(
+            Program::parse(src).unwrap(),
+            crate::engine::CyclePolicy::Reject,
+        )
+        .unwrap();
+        run_compiled(&compiled, s.config(), s.prepared_work()).unwrap()
+    }
+
+    /// Commit `outcome` both ways — the head edit called directly and
+    /// §5's rebuild — and check that they agree, that the carried
+    /// prepared copy is the §3 preparation of the result, and that
+    /// every index is consistent. Returns the edited session.
+    fn both_paths(s: &Session, outcome: &Outcome) -> Session {
+        let rebuilt = outcome.try_new_object_base().unwrap();
+        rebuilt.check_invariants();
+        let mut edited = s.clone();
+        assert!(edited.prepared.get().is_some(), "the outcome was run on the prepared copy");
+        edited.edit_head(outcome);
+        assert_eq!(edited.current(), &rebuilt);
+        edited.current().check_invariants();
+        let mut fresh = rebuilt.clone();
+        fresh.ensure_exists();
+        let prepared = edited.prepared_work();
+        assert_eq!(prepared, fresh);
+        prepared.check_invariants();
+        edited
+    }
+
+    #[test]
+    fn commit_paths_agree() {
+        // Wide enough that every program below stays narrow after the
+        // 32 steps' closes.
+        let n = 16 * NARROW_COMMIT_SHARE;
+        for seed in 0..6u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = |k: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % k as u64) as usize
+            };
+            let mut s = Session::new(accounts(n, |i| {
+                if i % 3 == 0 {
+                    format!("acct{i}.flagged -> 1.")
+                } else {
+                    String::new()
+                }
+            }));
+            let mut opened = n;
+            for step in 0..32 {
+                let a = below(opened);
+                let src = match below(6) {
+                    0 => format!(
+                        "mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B + 1."
+                    ),
+                    1 => format!("ins[A].flagged -> 1 <= A.tag -> t{a} & not A.flagged -> 1."),
+                    2 => format!("del[A].* <= A.tag -> t{a}."),
+                    3 => {
+                        opened += 1;
+                        let o = opened - 1;
+                        format!("ins[acct{o}].tag -> t{o}. ins[acct{o}].balance -> {step}.")
+                    }
+                    4 => format!(
+                        "r1: mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B + 1.
+                         r2: mod[mod(A)].balance -> (B2, B3) <= mod(A).balance -> B2 & B3 = B2 * 2."
+                    ),
+                    _ => {
+                        // Three objects: a credit, a close of another
+                        // account, an open.
+                        let b = below(opened);
+                        opened += 1;
+                        let o = opened - 1;
+                        format!(
+                            "mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B - 1.
+                             del[A].* <= A.tag -> t{b} & not A.tag -> t{a}.
+                             ins[acct{o}].tag -> t{o}."
+                        )
+                    }
+                };
+                let outcome = outcome_of(&s, &src);
+                let edited = both_paths(&s, &outcome);
+                assert!(s.commits_narrow(&outcome), "seed {seed} step {step}: {src}");
+                s.commit(outcome).unwrap();
+                assert_eq!(s.current(), edited.current(), "seed {seed} step {step}: {src}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_width_constant_splits_narrow_from_wide() {
+        // `under` touches exactly one object in NARROW_COMMIT_SHARE,
+        // `over` one more.
+        let n = 8 * NARROW_COMMIT_SHARE;
+        let s = Session::new(accounts(n, |i| match i {
+            _ if i < 8 => format!("acct{i}.grp -> under. acct{i}.grp -> over."),
+            8 => format!("acct{i}.grp -> over."),
+            _ => String::new(),
+        }));
+        for (group, narrow) in [("under", true), ("over", false)] {
+            let outcome = outcome_of(&s, &format!("ins[A].hit -> 1 <= A.grp -> {group}."));
+            assert_eq!(s.commits_narrow(&outcome), narrow, "{group}");
+            let edited = both_paths(&s, &outcome);
+            let mut committed = s.clone();
+            committed.commit(outcome).unwrap();
+            assert_eq!(committed.current(), edited.current());
+            // The wide commit dropped the prepared copy; the narrow one
+            // carried it forward.
+            assert_eq!(committed.prepared.get().is_some(), narrow, "{group}");
+        }
+    }
+
+    #[test]
+    fn non_flat_heads_take_the_rebuild() {
+        let credit = "mod[A].balance -> (B, B2) <= A.tag -> t1 & A.balance -> B & B2 = B + 1.";
+        // A head holding a non-initial version, and one holding `exists`.
+        for extra in ["mod(acct0).balance -> 1.", "acct2.exists -> acct2."] {
+            let mut s = Session::new(accounts(8 * NARROW_COMMIT_SHARE, |i| {
+                if i == 0 {
+                    extra.to_string()
+                } else {
+                    String::new()
+                }
+            }));
+            assert!(!s.current().is_flat(), "{extra}");
+            let outcome = outcome_of(&s, credit);
+            assert!(!s.commits_narrow(&outcome), "{extra}");
+            let rebuilt = outcome.try_new_object_base().unwrap();
+            s.commit(outcome).unwrap();
+            assert_eq!(s.current(), &rebuilt, "{extra}");
+            assert!(s.current().is_flat());
+        }
+    }
+
+    /// A sink that forwards to a real store until told to fail.
+    #[derive(Debug)]
+    struct Flaky {
+        inner: crate::store::WalStore,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl DurabilitySink for Flaky {
+        fn append_batch(
+            &mut self,
+            programs: &[WalProgram],
+            current: &ObjectBase,
+        ) -> Result<(), StorageError> {
+            if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(StorageError::Misuse("injected append failure"));
+            }
+            self.inner.append_batch(programs, current)
+        }
+
+        fn checkpoint(&mut self, current: &ObjectBase) -> Result<CheckpointOutcome, StorageError> {
+            self.inner.checkpoint(current)
+        }
+
+        fn plan_checkpoint(&self, mode: CheckpointMode) -> CheckpointPlan {
+            self.inner.plan_checkpoint(mode)
+        }
+
+        fn install_checkpoint(
+            &mut self,
+            encoded: EncodedCheckpoint,
+        ) -> Result<CheckpointOutcome, StorageError> {
+            self.inner.install_checkpoint(encoded)
+        }
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_log_as_it_was() {
+        use crate::store::{CheckpointPolicy, FsyncPolicy, WalStore};
+        let dir = std::env::temp_dir().join(format!("ruvo-session-flaky-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sink = Flaky { inner: store.store, fail: Arc::clone(&fail) };
+        let mut s = Session::new(accounts(8 * NARROW_COMMIT_SHARE, |_| String::new()))
+            .with_sink(Box::new(sink));
+        let credit = |a: usize| {
+            format!("mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B + 1.")
+        };
+        s.apply_src(&credit(0)).unwrap();
+        s.apply_src(&credit(1)).unwrap();
+        let entries = |s: &Session| s.log().iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
+        let (log, head) = (entries(&s), s.current().clone());
+        assert!(s.log()[0].outcome.result().is_empty() && !s.log()[1].outcome.result().is_empty());
+
+        fail.store(true, std::sync::atomic::Ordering::Relaxed);
+        // One program, appended as its own record.
+        assert!(matches!(s.apply_src(&credit(2)), Err(SessionError::Storage(_))));
+        assert_eq!(entries(&s), log, "entry by entry");
+        assert_eq!(s.current(), &head);
+        // A group-commit batch, appended as one record.
+        let compiled: Vec<CompiledProgram> = (2..4)
+            .map(|a| {
+                CompiledProgram::compile(
+                    Program::parse(&credit(a)).unwrap(),
+                    crate::engine::CyclePolicy::Reject,
+                )
+                .unwrap()
+            })
+            .collect();
+        let results = s.apply_compiled_batch(&compiled.iter().collect::<Vec<_>>());
+        assert!(results.iter().all(|r| matches!(r, Err(SessionError::Storage(_)))));
+        assert_eq!(entries(&s), log, "entry by entry");
+        assert_eq!(s.current(), &head);
+        let mut fresh = head.clone();
+        fresh.ensure_exists();
+        assert_eq!(s.prepared_work(), fresh, "the prepared copy matches the restored head");
+
+        // Acknowledged again: the entry before the new one is trimmed.
+        fail.store(false, std::sync::atomic::Ordering::Relaxed);
+        s.apply_src(&credit(2)).unwrap();
+        assert!(s.log()[1].outcome.result().is_empty() && !s.log()[2].outcome.result().is_empty());
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The measurement behind [`NARROW_COMMIT_SHARE`]: on a 10 000-object
+    /// base, both commit paths for a growing share of touched objects,
+    /// under a program that rewrites one method of each (`raise`) and
+    /// one that empties each (`close`). The edited head and prepared
+    /// copy are shared, as a serving head and a cloned database's are.
+    /// `rebuild+prep` adds the §3 preparation the next operation pays
+    /// after a rebuild. Medians of 5, in ms. Run with
+    /// `cargo test --release -p ruvo-core commit_width_crossover_sweep
+    /// -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a timing sweep, not a check"]
+    fn commit_width_crossover_sweep() {
+        use std::time::Instant;
+        let n = 10_000;
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let programs = [
+            ("raise", "mod[A].balance -> (B, B2) <= A.pick -> yes & A.balance -> B & B2 = B + 1."),
+            ("close", "del[A].* <= A.pick -> yes."),
+        ];
+        println!("program  touched   share  edit_ms  rebuild_ms  rebuild+prep_ms");
+        for (name, program) in programs {
+            for divisor in [1024, 256, 64, 32, 16, 12, 8, 6, 4, 3, 2, 1] {
+                let s = Session::new(accounts(n, |i| {
+                    let pick = if i % divisor == 0 { " / pick -> yes" } else { "" };
+                    format!("acct{i}.isa -> empl / boss -> acct{}{pick}.", i / 10)
+                }));
+                let outcome = outcome_of(&s, program);
+                let (mut edit, mut rebuild, mut prep) = (Vec::new(), Vec::new(), Vec::new());
+                for _ in 0..5 {
+                    let mut edited = s.clone();
+                    let reader = edited.snapshot();
+                    let t = Instant::now();
+                    edited.edit_head(&outcome);
+                    edit.push(t.elapsed().as_secs_f64() * 1e3);
+                    drop((edited, reader));
+                    let t = Instant::now();
+                    let rebuilt = outcome.try_new_object_base().unwrap();
+                    rebuild.push(t.elapsed().as_secs_f64() * 1e3);
+                    let mut prepared = rebuilt.clone();
+                    prepared.ensure_exists();
+                    prep.push(t.elapsed().as_secs_f64() * 1e3);
+                }
+                let touched = outcome.touched_objects().unwrap();
+                println!(
+                    "{name:<7} {touched:>8} {:>7.4} {:>8.2} {:>11.2} {:>16.2}",
+                    touched as f64 / n as f64,
+                    median(edit),
+                    median(rebuild),
+                    median(prep)
+                );
+            }
+        }
     }
 }

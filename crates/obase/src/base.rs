@@ -6,6 +6,7 @@ use std::sync::Arc;
 use ruvo_lang::{parse_facts, ParseError};
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, Vid};
 
+use crate::bag::Bag;
 use crate::shard::{route, ShardKey, ShardedMap, SHARD_COUNT};
 use crate::{exists_sym, Args, ChangedSince, CowStats, MethodApp, ObStats, VersionState};
 
@@ -71,14 +72,14 @@ impl fmt::Display for Fact {
 /// defining `isa`. Multiplicities are needed because several facts of
 /// one version can share a key (same result under different
 /// arguments, and vice versa).
-#[derive(Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 struct KeyIndex {
-    map: ShardedMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>,
+    map: ShardedMap<(Chain, Symbol, Const), Bag<Const>>,
 }
 
 impl KeyIndex {
     fn add(&mut self, chain: Chain, method: Symbol, key: Const, base: Const) {
-        *self.map.get_or_default((chain, method, key)).entry(base).or_insert(0) += 1;
+        self.map.get_or_default((chain, method, key)).add(base);
     }
 
     fn remove(&mut self, chain: Chain, method: Symbol, key: Const, base: Const) {
@@ -86,7 +87,7 @@ impl KeyIndex {
         // Peek through the shared shard first: in a consistent index
         // the entry is always present, and a miss — an index bug —
         // must not CoW-copy the shard on its way to doing nothing.
-        let present = self.map.get(&full).is_some_and(|bases| bases.contains_key(&base));
+        let present = self.map.get(&full).is_some_and(|bases| bases.contains(base));
         crate::invariant_assert!(
             present,
             "KeyIndex multiplicity underflow: removing absent entry \
@@ -96,18 +97,14 @@ impl KeyIndex {
             return;
         }
         let bases = self.map.get_mut(&full).expect("presence checked above");
-        let count = bases.get_mut(&base).expect("presence checked above");
-        *count -= 1;
-        if *count == 0 {
-            bases.remove(&base);
-            if bases.is_empty() {
-                self.map.remove(&full);
-            }
+        bases.remove(base);
+        if bases.is_empty() {
+            self.map.remove(&full);
         }
     }
 
     fn bases(&self, chain: Chain, method: Symbol, key: Const) -> impl Iterator<Item = Const> + '_ {
-        self.map.get(&(chain, method, key)).into_iter().flatten().map(|(&b, _)| b)
+        self.map.get(&(chain, method, key)).into_iter().flat_map(Bag::members)
     }
 }
 
@@ -194,7 +191,7 @@ impl RelOp {
 const COMMIT_CHUNK: usize = 1024;
 
 type CmShard = Arc<FastHashMap<(Chain, Symbol), FastHashSet<Const>>>;
-type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>>;
+type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), Bag<Const>>>;
 
 /// One unit of a batch commit: a shard slot (or the route-aligned
 /// slots of the three `(chain, method)`-routed indexes) plus the
@@ -212,7 +209,7 @@ enum CommitJob<'a> {
         ops: Vec<RelOp>,
     },
     Bases {
-        slot: &'a mut Arc<FastHashMap<Const, FastHashSet<Chain>>>,
+        slot: &'a mut Arc<FastHashMap<Const, Bag<Chain>>>,
         ops: Vec<(Const, Chain, bool)>,
     },
 }
@@ -272,9 +269,9 @@ impl CommitJob<'_> {
                 let map = Arc::make_mut(slot);
                 for (base, chain, add) in ops {
                     if add {
-                        map.entry(base).or_default().insert(chain);
+                        map.entry(base).or_default().add(chain);
                     } else if let Some(chains) = map.get_mut(&base) {
-                        chains.remove(&chain);
+                        chains.remove(chain);
                         if chains.is_empty() {
                             map.remove(&base);
                         }
@@ -289,7 +286,7 @@ impl CommitJob<'_> {
 /// mirror of `KeyIndex::add` / `KeyIndex::remove`, including the
 /// underflow invariant).
 fn apply_key_op(
-    map: &mut FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>,
+    map: &mut FastHashMap<(Chain, Symbol, Const), Bag<Const>>,
     add: bool,
     chain: Chain,
     method: Symbol,
@@ -298,27 +295,24 @@ fn apply_key_op(
 ) {
     let full = (chain, method, key);
     if add {
-        *map.entry(full).or_default().entry(base).or_insert(0) += 1;
+        map.entry(full).or_default().add(base);
         return;
     }
-    let present = map.get(&full).is_some_and(|bases| bases.contains_key(&base));
+    let removed = match map.get_mut(&full) {
+        Some(bases) if bases.contains(base) => {
+            bases.remove(base);
+            if bases.is_empty() {
+                map.remove(&full);
+            }
+            true
+        }
+        _ => false,
+    };
     crate::invariant_assert!(
-        present,
+        removed,
         "KeyIndex multiplicity underflow in batch commit: \
          chain={chain} method={method} key={key} base={base}"
     );
-    if !present {
-        return;
-    }
-    let bases = map.get_mut(&full).expect("presence checked above");
-    let count = bases.get_mut(&base).expect("presence checked above");
-    *count -= 1;
-    if *count == 0 {
-        bases.remove(&base);
-        if bases.is_empty() {
-            map.remove(&full);
-        }
-    }
 }
 
 /// A set of ground version-terms, indexed for bottom-up evaluation.
@@ -349,8 +343,8 @@ pub struct ObjectBase {
     /// `(chain, method) → bases`: which objects have a version with this
     /// chain defining this method.
     by_chain_method: ShardedMap<(Chain, Symbol), FastHashSet<Const>>,
-    /// `base → chains`: every version of an object.
-    by_base: ShardedMap<Const, FastHashSet<Chain>>,
+    /// `base → chains`: every version of an object (each chain once).
+    by_base: ShardedMap<Const, Bag<Chain>>,
     /// `(chain, method, result) → bases`: the value-keyed scan index.
     by_result: KeyIndex,
     /// `(chain, method, first-arg) → bases`: ditto for argument keys.
@@ -426,8 +420,8 @@ impl ObjectBase {
     /// shared shard first: adding a second fact to an already-indexed
     /// version must not unshare anything.
     fn index_version(&mut self, vid: Vid) {
-        if !self.by_base.get(&vid.base()).is_some_and(|chains| chains.contains(&vid.chain())) {
-            self.by_base.get_or_default(vid.base()).insert(vid.chain());
+        if !self.by_base.get(&vid.base()).is_some_and(|chains| chains.contains(vid.chain())) {
+            self.by_base.get_or_default(vid.base()).add(vid.chain());
         }
     }
 
@@ -690,7 +684,7 @@ impl ObjectBase {
 
     fn unindex_version(&mut self, vid: Vid) {
         if let Some(chains) = self.by_base.get_mut(&vid.base()) {
-            chains.remove(&vid.chain());
+            chains.remove(vid.chain());
             if chains.is_empty() {
                 self.by_base.remove(&vid.base());
             }
@@ -867,12 +861,32 @@ impl ObjectBase {
 
     /// Every version of an object, as VIDs.
     pub fn versions_of(&self, base: Const) -> impl Iterator<Item = Vid> + '_ {
-        self.by_base.get(&base).into_iter().flatten().map(move |&chain| Vid::new(base, chain))
+        self.by_base
+            .get(&base)
+            .into_iter()
+            .flat_map(Bag::members)
+            .map(move |chain| Vid::new(base, chain))
     }
 
     /// Every object (base OID) with at least one version in the store.
     pub fn objects(&self) -> impl Iterator<Item = Const> + '_ {
         self.by_base.keys().copied()
+    }
+
+    /// Number of objects, in O(shards).
+    pub fn object_count(&self) -> usize {
+        self.by_base.len()
+    }
+
+    /// True when the base has the shape of a §5 `ob′`: every version is
+    /// an initial one and no state holds `exists`. O(shards +
+    /// relations): every version defines some method, so the
+    /// `(chain, method)` relations list every chain in the store.
+    pub fn is_flat(&self) -> bool {
+        let exists = exists_sym();
+        self.by_chain_method
+            .keys()
+            .all(|&(chain, method)| chain == Chain::EMPTY && method != exists)
     }
 
     /// Every version in the store.
@@ -1034,7 +1048,7 @@ impl ObjectBase {
                 );
             }
             assert!(
-                self.by_base.get(&vid.base()).is_some_and(|s| s.contains(&vid.chain())),
+                self.by_base.get(&vid.base()).is_some_and(|s| s.contains(vid.chain())),
                 "missing by_base entry for {vid}"
             );
         }
@@ -1055,7 +1069,8 @@ impl ObjectBase {
             }
         }
         for (&base, chains) in self.by_base.iter() {
-            for &chain in chains {
+            assert!(!chains.is_empty(), "empty by_base entry {base}");
+            for chain in chains.members() {
                 assert!(
                     self.versions.contains_key(&Vid::new(base, chain)),
                     "stale by_base entry {base} {chain}"
@@ -1087,7 +1102,7 @@ impl ObjectBase {
         }
         let flatten =
             |idx: &KeyIndex| -> FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>> {
-                idx.map.iter().map(|(k, v)| (*k, v.clone())).collect()
+                idx.map.iter().map(|(k, v)| (*k, v.counts().collect())).collect()
             };
         assert_eq!(flatten(&self.by_result), expect_result, "by_result index out of sync");
         assert_eq!(flatten(&self.by_arg0), expect_arg0, "by_arg0 index out of sync");

@@ -39,6 +39,7 @@
 //! of scope, as in the paper.
 
 pub mod args;
+mod bag;
 pub mod base;
 pub mod codec;
 pub mod delta;

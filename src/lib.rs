@@ -51,7 +51,7 @@
 //! // The snapshot still sees the pre-transaction state.
 //! assert_eq!(before.lookup1(oid("henry"), "sal"), vec![int(250)]);
 //!
-//! // The transaction log keeps every version the update created.
+//! // The newest log entry keeps every version the update created.
 //! let txn = db.log().last().unwrap();
 //! assert!(txn.outcome.result().contains(
 //!     Vid::object(oid("henry")).apply(UpdateKind::Mod).unwrap(),
