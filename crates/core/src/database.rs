@@ -780,10 +780,9 @@ impl Database {
     /// [`DatabaseBuilder::check_linearity`]`(false)`.
     ///
     /// The working copy is an O(shards) copy-on-write clone of the
-    /// session's cached prepared base (see
-    /// [`Session::prepared_work`]), so a what-if loop — many
-    /// `evaluate` calls against one committed state — pays the §3
-    /// preparation once, not per call.
+    /// committed base (see [`Session::prepared_work`]), so a what-if
+    /// loop — many `evaluate` calls against one committed state — pays
+    /// for what each run touches, not for the base.
     pub fn evaluate(&self, prepared: &Prepared) -> Result<Outcome, Error> {
         let work = self.session.prepared_work();
         Ok(crate::engine::run_compiled(prepared.compiled(), self.session.config(), work)?)

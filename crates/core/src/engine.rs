@@ -55,9 +55,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ruvo_lang::{PlannedLiteral, Program, Rule};
-use ruvo_obase::{
-    exists_sym, ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, VersionState,
-};
+use ruvo_obase::{ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, VersionState};
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::error::EvalError;
@@ -185,9 +183,8 @@ fn effective_workers(config: &EngineConfig) -> usize {
 /// let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
 /// assert_eq!(compiled.stratification().strata.len(), 1);
 ///
-/// // Evaluate it on any prepared base, as often as needed.
-/// let mut ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
-/// ob.ensure_exists();
+/// // Evaluate it on any base, as often as needed.
+/// let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
 /// let outcome = run_compiled(&compiled, &EngineConfig::default(), ob).unwrap();
 /// assert_eq!(outcome.new_object_base().lookup1(oid("henry"), "sal"), vec![int(300)]);
 /// ```
@@ -344,13 +341,11 @@ fn round_tasks<'a>(
     tasks
 }
 
-/// Evaluate a [`CompiledProgram`] on a prepared object base (every
-/// version must carry its `exists` fact; see
-/// [`ObjectBase::ensure_exists`]) — the stratum-by-stratum fixpoint
-/// every entry point runs. Performs **no** parsing, validation or
-/// stratification — all of that happened at compile time.
-/// `config.cycles` is ignored in favor of the policy the program was
-/// compiled under.
+/// Evaluate a [`CompiledProgram`] on an object base — the
+/// stratum-by-stratum fixpoint every entry point runs. Performs **no**
+/// parsing, validation or stratification — all of that happened at
+/// compile time. `config.cycles` is ignored in favor of the policy the
+/// program was compiled under.
 pub fn run_compiled(
     compiled: &CompiledProgram,
     config: &EngineConfig,
@@ -629,8 +624,8 @@ impl Outcome {
     }
 
     /// Each object the run touched, with the state of its final version
-    /// (§5) — `None` when that version holds no facts. Empty when the
-    /// run kept no record (see [`Outcome::touched_objects`]).
+    /// (§5). Empty when the run kept no record (see
+    /// [`Outcome::touched_objects`]).
     pub(crate) fn touched_finals(
         &self,
     ) -> impl Iterator<Item = (Const, Option<&Arc<VersionState>>)> + '_ {
@@ -686,19 +681,15 @@ impl Outcome {
     }
 
     /// §5: derive the updated object base `ob'` by copying, for each
-    /// object, the method-applications of its final version (dropping
-    /// the system method `exists`; objects whose final state is empty
-    /// disappear).
+    /// object, the method-applications of its final version (objects
+    /// whose final state is empty — only `exists` defined — disappear).
     pub fn try_new_object_base(&self) -> Result<ObjectBase, LinearityViolation> {
         let finals = self.final_versions()?;
-        let exists = exists_sym();
         let mut out = ObjectBase::new();
         for (base, fv) in finals {
             let Some(state) = self.result.version(fv) else { continue };
             for (method, app) in state.iter() {
-                if method != exists {
-                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
-                }
+                out.insert(Vid::object(base), method, app.args.clone(), app.result);
             }
         }
         Ok(out)
@@ -730,7 +721,6 @@ impl Outcome {
         if policy == FinalVersionPolicy::RequireLinear {
             return self.try_new_object_base();
         }
-        let exists = exists_sym();
         let mut out = ObjectBase::new();
         for base in self.result.objects() {
             let maximal = self.maximal_versions(base);
@@ -746,9 +736,7 @@ impl Outcome {
             for &v in chosen {
                 let Some(state) = self.result.version(v) else { continue };
                 for (method, app) in state.iter() {
-                    if method != exists {
-                        out.insert(Vid::object(base), method, app.args.clone(), app.result);
-                    }
+                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
                 }
             }
         }
@@ -794,17 +782,15 @@ mod tests {
     use super::*;
     use ruvo_term::{int, oid, UpdateKind};
 
-    /// Compile `program` under `config` and evaluate it on a prepared
-    /// copy of `ob`.
+    /// Compile `program` under `config` and evaluate it on a copy of
+    /// `ob`.
     fn run_with(
         program: Program,
         config: EngineConfig,
         ob: &ObjectBase,
     ) -> Result<Outcome, EvalError> {
         let compiled = CompiledProgram::compile(program, config.cycles)?;
-        let mut work = ob.clone();
-        work.ensure_exists();
-        run_compiled(&compiled, &config, work)
+        run_compiled(&compiled, &config, ob.clone())
     }
 
     fn run_default(program: Program, ob: &ObjectBase) -> Result<Outcome, EvalError> {
@@ -924,7 +910,7 @@ mod tests {
         assert_eq!(ob2.lookup1(oid("victim"), "only"), vec![]);
         assert!(!ob2.objects().any(|o| o == oid("victim")));
         assert_eq!(ob2.lookup1(oid("other"), "p"), vec![int(2)]);
-        // result(P) still knows the deletion happened (the exists note).
+        // result(P) still knows the deletion happened: del(victim) exists.
         let del_victim = Vid::object(oid("victim")).apply(UpdateKind::Del).unwrap();
         assert!(outcome.result().exists_fact(del_victim));
     }
@@ -963,7 +949,7 @@ mod tests {
         );
         let stats = outcome.stats();
         assert_eq!((stats.fired_updates, stats.fired_candidates), (780, 780), "{stats}");
-        assert_eq!((stats.rounds, stats.versions_created, stats.facts_copied), (40, 39, 78));
+        assert_eq!((stats.rounds, stats.versions_created, stats.facts_copied), (40, 39, 39));
         // The run's delta stays object-level: no per-fact seeds survive.
         assert!(outcome.changed().keys().all(|k| outcome.changed().added(k).is_none()));
         outcome.result().check_invariants();

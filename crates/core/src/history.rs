@@ -7,7 +7,7 @@
 //! object's linear version timeline and the per-step differences —
 //! an audit view of the update-process.
 
-use ruvo_obase::{exists_sym, Args, ObjectBase, VersionState};
+use ruvo_obase::{Args, ObjectBase, VersionState};
 use ruvo_term::{Const, Symbol, UpdateKind, Vid};
 
 /// One method-application as reported in a diff: `(method, args, result)`.
@@ -55,16 +55,10 @@ impl History {
 fn diff(
     prev: Option<&VersionState>,
     cur: Option<&VersionState>,
-    exists: Symbol,
 ) -> (Vec<DiffEntry>, Vec<DiffEntry>) {
     let collect = |state: Option<&VersionState>| -> Vec<DiffEntry> {
         state
-            .map(|s| {
-                s.iter()
-                    .filter(|(m, _)| *m != exists)
-                    .map(|(m, app)| (m, app.args.clone(), app.result))
-                    .collect()
-            })
+            .map(|s| s.iter().map(|(m, app)| (m, app.args.clone(), app.result)).collect())
             .unwrap_or_default()
     };
     let p = collect(prev);
@@ -84,7 +78,6 @@ fn diff(
 /// Returns `None` if the object has versions that do not lie on one
 /// chain (non-version-linear store).
 pub fn history(result: &ObjectBase, base: Const) -> Option<History> {
-    let exists = exists_sym();
     let mut versions: Vec<Vid> = result.versions_of(base).collect();
     if versions.is_empty() {
         return None;
@@ -99,17 +92,13 @@ pub fn history(result: &ObjectBase, base: Const) -> Option<History> {
     let mut prev_state: Option<&VersionState> = None;
     let mut prev_vid: Option<Vid> = None;
     for vid in deepest.subterms() {
-        // Versions skipped by v* fallback have no facts; diff against
-        // the last materialized state.
+        // Versions skipped by v* fallback never existed: elide them, and
+        // diff against the last existing state.
         let cur_state = result.version(vid);
         if cur_state.is_none() && vid != deepest && vid.depth() > 0 {
-            // Skipped intermediate: show it as a no-op step only if it
-            // genuinely never existed.
-            if !result.exists_fact(vid) {
-                continue;
-            }
+            continue;
         }
-        let (added, removed) = diff(prev_state, cur_state.or(prev_state), exists);
+        let (added, removed) = diff(prev_state, cur_state.or(prev_state));
         let kind = if vid.depth() == 0 {
             None
         } else {

@@ -275,7 +275,8 @@ fn match_app_and_continue(
 /// `vid` and continue matching. Under a seed holding added facts for
 /// the version's base, only those are enumerated: the version existed
 /// before the delta and only grew, so every new match goes through one
-/// of them.
+/// of them. `exists` is the version table: `vid.exists -> base(vid)`
+/// when `vid` is in it (§3).
 fn scan_apps_of(
     ctx: &MatchCtx<'_>,
     vid: Vid,
@@ -284,6 +285,12 @@ fn scan_apps_of(
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
+    if va.method == exists_sym() {
+        if ctx.ob.exists_fact(vid) {
+            match_app_and_continue(ctx, &va.args, va.result, &[], vid.base(), pos, cur);
+        }
+        return;
+    }
     let mut visit = |app: &MethodApp| {
         match_app_and_continue(ctx, &va.args, va.result, app.args.as_slice(), app.result, pos, cur)
     };
@@ -435,7 +442,8 @@ fn scan_del(
     };
     let (method, result) = (*method, *result);
     let ob = ctx.ob;
-    // Candidates must have del(v).exists: enumerate via the exists index.
+    // Candidates must have del(v).exists: enumerate the del-chain's
+    // versions through the `(chain, exists)` presence index.
     for tvid in target_candidates(ob, target, UpdateKind::Del, exists_sym(), seed, cur.b) {
         let Ok(created) = tvid.apply(UpdateKind::Del) else { continue };
         if !ob.exists_fact(created) {
@@ -597,13 +605,11 @@ mod tests {
     }
 
     fn base() -> ObjectBase {
-        let mut ob = ObjectBase::parse(
+        ObjectBase::parse(
             "phil.isa -> empl / pos -> mgr / sal -> 4000.
              bob.isa -> empl / boss -> phil / sal -> 4200.",
         )
-        .unwrap();
-        ob.ensure_exists();
-        ob
+        .unwrap()
     }
 
     #[test]
@@ -650,7 +656,6 @@ mod tests {
     fn arity_mismatch_never_matches() {
         let mut ob = ObjectBase::new();
         ob.insert(Vid::object(oid("g")), sym("edge"), Args::new(vec![oid("a")]), int(1));
-        ob.ensure_exists();
         let m = matches(&ob, "ins[X].d -> 1 <= X.edge @ A, B -> W.");
         assert!(m.is_empty());
         let m = matches(&ob, "ins[X].d -> W <= X.edge @ A -> W.");
@@ -662,7 +667,6 @@ mod tests {
         let mut ob = ObjectBase::new();
         ob.insert(Vid::object(oid("a")), sym("p"), Args::empty(), oid("a"));
         ob.insert(Vid::object(oid("b")), sym("p"), Args::empty(), oid("c"));
-        ob.ensure_exists();
         // X.p -> X: only a.p -> a matches.
         let m = matches(&ob, "ins[X].fix -> 1 <= X.p -> X.");
         assert_eq!(m.len(), 1);
@@ -797,7 +801,6 @@ mod tests {
         let mut ob = ObjectBase::new();
         ob.insert(Vid::object(oid("g")), sym("edge"), Args::new(vec![oid("a")]), int(1));
         ob.insert(Vid::object(oid("h")), sym("edge"), Args::new(vec![oid("b")]), int(2));
-        ob.ensure_exists();
         let m = matches(&ob, "ins[X].d -> W <= X.edge @ a -> W.");
         assert_eq!(m.len(), 1);
         assert_eq!(m[0][0], Some(oid("g")));

@@ -44,6 +44,7 @@
 //! no rule writes, so guarding never adds stratification edges: the
 //! guarded program stratifies exactly like the pruned one.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use ruvo_lang::pretty::{const_str, literal_str};
@@ -117,6 +118,9 @@ struct SeedPlan {
     seeds: Vec<Const>,
     /// Demand-propagation rules, evaluated over the input base.
     demands: Vec<DemandRule>,
+    /// The kept rules, unguarded: what [`run_query`] runs when a
+    /// demanded object is missing from the base.
+    pruned: Program,
 }
 
 /// A compiled query: the goal, the rewritten program, and the demand
@@ -294,22 +298,32 @@ pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
     }
 }
 
-/// Run a query plan over `work`, which may be unprepared (`exists`
-/// facts are materialized first — before the magic facts go in, so a
-/// demanded-but-nonexistent object stays nonexistent for `exists`
-/// reads, exactly as under full evaluation).
+/// Run a query plan over `work`, as it is: nothing is prepared.
+///
+/// A seeded plan puts a magic fact on the initial version of every
+/// demanded object. That version must exist already, because a fact
+/// makes its version exist (§3): demanding an object `work` lacks would
+/// let `exists` reads and `v*` see an object full evaluation never has.
+/// So when one is missing, the plan runs its kept rules unguarded —
+/// the pruned program, same answers.
 pub fn run_query(
     plan: &QueryPlan,
     config: &EngineConfig,
     mut work: ObjectBase,
 ) -> Result<QueryAnswers, EvalError> {
-    work.ensure_exists();
+    let mut exec = Cow::Borrowed(&plan.exec);
     if let Some(seeding) = &plan.seeding {
-        for c in demand_fixpoint(seeding, &work) {
-            work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
+        let demanded = demand_fixpoint(seeding, &work);
+        if demanded.iter().all(|&c| work.exists_fact(Vid::object(c))) {
+            for c in demanded {
+                work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
+            }
+        } else {
+            let cycles = plan.exec.cycle_policy();
+            exec = Cow::Owned(CompiledProgram::compile(seeding.pruned.clone(), cycles)?);
         }
     }
-    let outcome = run_compiled(&plan.exec, config, work)?;
+    let outcome = run_compiled(&exec, config, work)?;
     Ok(match_goal_planned(outcome.result(), &plan.goal, &plan.goal_plan))
 }
 
@@ -371,8 +385,7 @@ fn pruned_plan(
     if kept.len() == program.rules.len() {
         return full_plan(compiled, goal, goal_plan, Some(reason));
     }
-    let pruned = Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() };
-    match compile_like(pruned, compiled) {
+    match compile_like(kept_program(program, &kept), compiled) {
         Ok(exec) => QueryPlan {
             goal,
             goal_plan,
@@ -388,6 +401,11 @@ fn pruned_plan(
         // gracefully anyway.
         Err(e) => full_plan(compiled, goal, goal_plan, Some(format!("{reason}; {e}"))),
     }
+}
+
+/// The rules of `program` at `kept`, in order.
+fn kept_program(program: &Program, kept: &[usize]) -> Program {
+    Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() }
 }
 
 /// Compile `program` under the same cycle policy as `like`.
@@ -638,7 +656,7 @@ fn seeding(
 
     let mut seeds: Vec<Const> = seeds.into_iter().collect();
     seeds.sort();
-    Ok(SeedPlan { magic, seeds, demands })
+    Ok(SeedPlan { magic, seeds, demands, pruned: kept_program(program, kept) })
 }
 
 /// The kept rules with magic guards prepended to every variable-headed
@@ -671,7 +689,7 @@ fn guarded_program(program: &Program, kept: &[usize], magic: Symbol) -> Result<P
 }
 
 /// Close the demanded-object set over the demand rules, evaluated
-/// against the (prepared, magic-free) input base. Each demand rule is
+/// against the (magic-free) input base. Each demand rule is
 /// evaluated once — its base-complete body never changes — and the
 /// conditional (SIP) edges iterate to fixpoint.
 fn demand_fixpoint(seeding: &SeedPlan, base: &ObjectBase) -> FastHashSet<Const> {
@@ -713,9 +731,7 @@ mod tests {
     }
 
     fn prepared(src: &str) -> ObjectBase {
-        let mut ob = ObjectBase::parse(src).unwrap();
-        ob.ensure_exists();
-        ob
+        ObjectBase::parse(src).unwrap()
     }
 
     /// The full-evaluation oracle: run the original program, match the
@@ -769,7 +785,6 @@ mod tests {
         assert_eq!(demanded.len(), 1, "only the queried object is demanded");
         // And the guarded run must leave e2..e4 underived.
         let mut work = ob.clone();
-        work.ensure_exists();
         for c in demanded {
             work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
         }
@@ -813,6 +828,34 @@ mod tests {
         let got = run_query(&plan, &EngineConfig::default(), ob.clone()).unwrap();
         assert_eq!(got, oracle(&c, &ob, &goal));
         assert_eq!(got.rows.len(), 4, "e1..e4 all reach e0");
+    }
+
+    #[test]
+    fn demanding_a_missing_object_runs_the_pruned_program() {
+        // `ghost` is demanded but not in the base. A magic fact would
+        // make it exist, so `real` (which reads `exists`) and `gone`
+        // (whose `del[X].*` expands `v*`) would see it; full evaluation
+        // never does.
+        let ins = compiled(
+            "seen: ins[X].seen -> 1 <= y.ref -> X.
+             real: ins[X].real -> 1 <= y.ref -> X & X.exists -> X.",
+        );
+        let gone = compiled("gone: del[X].* <= y.ref -> X.");
+        let ob = prepared("y.ref -> ghost. y.ref -> e0. e0.p -> 1.");
+        for (c, goal_src, holds) in [
+            (&ins, "?- ins(ghost).seen -> S.", true),
+            (&ins, "?- ins(ghost).real -> R.", false),
+            (&ins, "?- ins(e0).real -> R.", true),
+            (&gone, "?- del(ghost).exists -> G.", false),
+            (&gone, "?- del(e0).exists -> G.", true),
+        ] {
+            let goal = Goal::parse(goal_src).unwrap();
+            let plan = plan_query(c, goal.clone());
+            assert_eq!(plan.mode(), QueryMode::Seeded, "{}", plan.describe());
+            let got = run_query(&plan, &EngineConfig::default(), ob.clone()).unwrap();
+            assert_eq!(got, oracle(c, &ob, &goal), "goal: {goal_src}");
+            assert_eq!(got.holds(), holds, "goal: {goal_src}");
+        }
     }
 
     #[test]

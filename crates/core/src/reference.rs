@@ -27,8 +27,9 @@
 //! The only analyses shared with the engine are the §4 stratification
 //! (a static program property with its own test catalog) and the
 //! arithmetic of [`Expr::eval`] (leaf evaluation). The §3 truth
-//! relation, `v*`, `T_P`, the fixpoint loop, linearity and the §5
-//! extraction are all re-implemented here from the paper text.
+//! relation, `exists`, `v*`, `T_P`, the fixpoint loop, linearity and
+//! the §5 extraction are all re-implemented here from the paper text;
+//! the store is only asked for its stored facts and its version list.
 //!
 //! Complexity is `O(|D|^vars)` per rule per round — strictly a testing
 //! and documentation artifact. Keep inputs small.
@@ -55,12 +56,11 @@ pub struct RefOutcome {
 
 impl RefOutcome {
     /// §5 extraction, re-implemented: for each object the state of its
-    /// final version is copied (minus `exists`); objects whose final
-    /// state is empty disappear. Errors if some object's versions are
-    /// not linearly ordered (only reachable if evaluation skipped the
-    /// per-round check, which [`evaluate`] never does).
+    /// final version is copied; objects whose final state is empty
+    /// (only `exists` defined) disappear. Errors if some object's
+    /// versions are not linearly ordered (only reachable if evaluation
+    /// skipped the per-round check, which [`evaluate`] never does).
     pub fn new_object_base(&self) -> Result<ObjectBase, ruvo_obase::LinearityViolation> {
-        let exists = exists_sym();
         let mut out = ObjectBase::new();
         for base in self.result.objects() {
             // The final version: deepest VID; every other VID of the
@@ -82,9 +82,7 @@ impl RefOutcome {
             }
             if let Some(state) = self.result.version(final_vid) {
                 for (method, app) in state.iter() {
-                    if method != exists {
-                        out.insert(Vid::object(base), method, app.args.clone(), app.result);
-                    }
+                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
                 }
             }
         }
@@ -106,7 +104,6 @@ pub fn evaluate_bounded(
 ) -> Result<RefOutcome, EvalError> {
     let stratification = stratify(program)?;
     let mut interp = ob.clone();
-    interp.ensure_exists();
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
         let mut round = 0usize;
@@ -247,16 +244,32 @@ fn push_spec(spec: &UpdateSpec, set: &mut FastHashSet<Const>) {
     }
 }
 
+/// §3's `exists` by definition: `v.exists -> base(v) ∈ I` iff `v` is
+/// one of `I`'s versions. A scan of [`ObjectBase::versions`], not the
+/// store's own `exists` reads, which the differential tests check
+/// against this.
+pub fn exists(ob: &ObjectBase, v: Vid) -> bool {
+    ob.versions().any(|w| w == v)
+}
+
 /// §3's `v*`: the largest subterm of `v` whose version exists in `I`.
-fn v_star(ob: &ObjectBase, v: Vid) -> Option<Vid> {
+pub fn v_star(ob: &ObjectBase, v: Vid) -> Option<Vid> {
     let mut best = None;
     for chain in v.chain().prefixes() {
         let candidate = Vid::new(v.base(), chain);
-        if ob.exists_fact(candidate) {
+        if exists(ob, candidate) {
             best = Some(candidate);
         }
     }
     best
+}
+
+/// Case 1 membership `v.m@args -> r ∈ I`, `exists` by its definition.
+fn holds(ob: &ObjectBase, vid: Vid, method: Symbol, args: &[Const], result: Const) -> bool {
+    if method == exists_sym() {
+        return args.is_empty() && result == vid.base() && exists(ob, vid);
+    }
+    ob.contains(vid, method, args, result)
 }
 
 fn ground_arg(t: ArgTerm, b: &Bindings) -> Option<Const> {
@@ -275,7 +288,7 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
             let vid = va.vid.ground(b)?;
             let args = ground_args(&va.args, b)?;
             let result = ground_arg(va.result, b)?;
-            Some(ob.contains(vid, va.method, &args, result))
+            Some(holds(ob, vid, va.method, &args, result))
         }
         // Case 3: update-terms in rule bodies.
         Atom::Update(ua) => {
@@ -304,7 +317,7 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
                     };
                     Some(
                         in_v_star
-                            && ob.exists_fact(created)
+                            && exists(ob, created)
                             && !ob.contains(created, *method, &args, result),
                     )
                 }
@@ -353,7 +366,6 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
 /// Truth of the ground head (§3, case 2) — and expansion of `del[V].*`
 /// into one delete per method-application of `v*` (§2.3).
 fn emit_if_head_true(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<RefUpdate>) {
-    let exists = exists_sym();
     let Some(target) = rule.head.target.ground(b) else { return };
     match &rule.head.spec {
         // "an ins[...] in a rule-head is always true".
@@ -380,14 +392,12 @@ fn emit_if_head_true(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<R
             let Some(vs) = v_star(ob, target) else { return };
             let Some(state) = ob.version(vs) else { return };
             for (method, app) in state.iter() {
-                if method != exists {
-                    out.push(RefUpdate::Del {
-                        target,
-                        method,
-                        args: app.args.as_slice().to_vec(),
-                        result: app.result,
-                    });
-                }
+                out.push(RefUpdate::Del {
+                    target,
+                    method,
+                    args: app.args.as_slice().to_vec(),
+                    result: app.result,
+                });
             }
         }
         // "a mod[...] is true iff v*.m -> r ∈ I".
@@ -578,7 +588,6 @@ fn enumerate(
 /// the next interpretation (overwrite of relevant versions;
 /// ARCHITECTURE.md, decisions D1/D7).
 fn apply_tp(ob: &ObjectBase, t1: &[RefUpdate]) -> ObjectBase {
-    let exists = exists_sym();
     let mut by_version: FastHashMap<Vid, Vec<&RefUpdate>> = FastHashMap::default();
     for u in t1 {
         by_version.entry(u.created()).or_default().push(u);
@@ -587,7 +596,7 @@ fn apply_tp(ob: &ObjectBase, t1: &[RefUpdate]) -> ObjectBase {
     for (created, updates) in by_version {
         // Step 2: the copy. Active versions copy their own state; a
         // relevant-but-not-active version copies v*.
-        let mut state: VersionState = if ob.exists_fact(created) {
+        let mut state: VersionState = if exists(ob, created) {
             ob.version(created).cloned().unwrap_or_default()
         } else {
             match v_star(ob, updates[0].target()) {
@@ -595,7 +604,6 @@ fn apply_tp(ob: &ObjectBase, t1: &[RefUpdate]) -> ObjectBase {
                 None => VersionState::new(),
             }
         };
-        state.insert(exists, MethodApp::new(Args::empty(), created.base()));
         // Step 3, removal half: del-results and mod-from-values.
         for u in &updates {
             match u {
@@ -620,6 +628,7 @@ fn apply_tp(ob: &ObjectBase, t1: &[RefUpdate]) -> ObjectBase {
                 RefUpdate::Del { .. } => {}
             }
         }
+        // An emptied state stays: the version exists (§3).
         next.replace_version(created, state);
     }
     next
@@ -778,7 +787,6 @@ mod tests {
     #[test]
     fn v_star_walks_prefixes() {
         let mut ob = ObjectBase::parse("o.m -> 1.").unwrap();
-        ob.ensure_exists();
         let o = Vid::object(oid("o"));
         let mod_o = o.apply(UpdateKind::Mod).unwrap();
         let del_mod_o = mod_o.apply(UpdateKind::Del).unwrap();

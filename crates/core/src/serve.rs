@@ -19,9 +19,9 @@
 //!   [`ServingDatabase::apply`] enqueues the prepared program and
 //!   joins the writer queue; whichever thread holds the writer lock
 //!   drains the whole queue as one batch — each program its own
-//!   all-or-nothing transaction, reusing the session's cached
-//!   prepared working copy ([`crate::Session::prepared_work`]) — and
-//!   publishes the new head **once** per batch.
+//!   all-or-nothing transaction on an O(shards) working copy of the
+//!   head ([`crate::Session::prepared_work`]) — and publishes the new
+//!   head **once** per batch.
 //! * **Multi-step atomicity is unchanged.**
 //!   [`ServingDatabase::transact`] runs the existing
 //!   [`Database::transact`] savepoint machinery under the writer lock

@@ -31,7 +31,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ruvo_lang::{LangError, Program};
-use ruvo_obase::{exists_sym, ChangedSince, ObjectBase, Snapshot, VersionState};
+use ruvo_obase::{ChangedSince, ObjectBase, Snapshot};
 use ruvo_term::Vid;
 
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig, Outcome};
@@ -127,13 +127,6 @@ pub struct Session {
     config: EngineConfig,
     savepoints: Vec<(SavepointId, usize, Arc<ObjectBase>)>,
     next_savepoint: u64,
-    /// The committed base with `exists` facts materialized (§3 prep),
-    /// built lazily on first use, carried forward by commits that edit
-    /// the head, and dropped by rebuilding commits and rollbacks.
-    /// Working copies clone it copy-on-write, so repeated applications
-    /// and dry runs against one committed state pay the O(#versions)
-    /// preparation at most once.
-    prepared: std::sync::OnceLock<Arc<ObjectBase>>,
     /// Where committed batches go; `None` is the volatile fast path
     /// (no program-source rendering, no appends).
     sink: Option<Box<dyn DurabilitySink>>,
@@ -158,7 +151,6 @@ impl Clone for Session {
             config: self.config.clone(),
             savepoints: self.savepoints.clone(),
             next_savepoint: self.next_savepoint,
-            prepared: self.prepared.clone(),
             sink: None,
             buffered: None,
         }
@@ -166,8 +158,12 @@ impl Clone for Session {
 }
 
 impl Session {
-    /// Start a session on `ob`.
-    pub fn new(ob: ObjectBase) -> Session {
+    /// Start a session on `ob`, minus its empty versions: a version
+    /// holding only `exists` disappears, as §5 would make it on the
+    /// first commit. So a committed base never holds one, and
+    /// [`ObjectBase::is_flat`] is its shape check.
+    pub fn new(mut ob: ObjectBase) -> Session {
+        ob.remove_empty_versions();
         Session { ob: Arc::new(ob), ..Default::default() }
     }
 
@@ -226,9 +222,7 @@ impl Session {
     /// ([`crate::ServingDatabase`] drains its write queue through
     /// it): programs are **not** atomic as a unit — a failing program
     /// leaves the session exactly as the previous one committed it,
-    /// and later programs still run. Consecutive applications reuse
-    /// the [`Session::prepared_work`] cache, so the §3 preparation is
-    /// paid once per committed state, not once per program.
+    /// and later programs still run.
     ///
     /// On a durable session the whole batch is appended and fsynced
     /// as **one** WAL record (containing only the successful members)
@@ -315,20 +309,13 @@ impl Session {
         })
     }
 
-    /// A working copy of the committed base with `exists` facts in
-    /// place (§3's preparation step), ready for the engine. The
-    /// prepared state is cached, and a commit that edits the head
-    /// edits it too; only a rebuilding commit or a rollback drops it.
-    /// So every call after the first is an O(shards) copy-on-write
-    /// clone — this is what makes repeated [`Session::apply_compiled`]
-    /// and hypothetical dry runs against one committed state cheap.
+    /// A working copy of the committed base, ready for the engine: an
+    /// O(shards) copy-on-write clone. Nothing needs preparing — `exists`
+    /// is the version table (§3) — so repeated
+    /// [`Session::apply_compiled`] and hypothetical dry runs against
+    /// one committed state pay for what they touch.
     pub fn prepared_work(&self) -> ObjectBase {
-        let shared = self.prepared.get_or_init(|| {
-            let mut work = (*self.ob).clone();
-            work.ensure_exists();
-            Arc::new(work)
-        });
-        (**shared).clone()
+        (*self.ob).clone()
     }
 
     /// Commit an evaluation outcome produced against the current base
@@ -364,7 +351,6 @@ impl Session {
             // gate.
             let new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
             self.ob = Arc::new(new_ob);
-            self.prepared = std::sync::OnceLock::new();
         }
         self.log.push(Txn { seq: self.log.len(), outcome, facts_after: self.ob.len() });
         Ok(())
@@ -381,38 +367,17 @@ impl Session {
     }
 
     /// §5 object by object: give every object `outcome` touched the
-    /// facts of its final version minus `exists` (an empty state
+    /// state of its final version, adopted as-is (an empty state
     /// removes the object); every other object keeps its state. On a
     /// flat head this is the base [`Outcome::try_new_object_base`]
-    /// builds, at the cost of the touched objects. The cached prepared
-    /// copy takes the same edits with its `exists` fact, so it moves
-    /// forward with the head instead of being rebuilt.
+    /// builds, at the cost of the touched objects.
     fn edit_head(&mut self, outcome: &Outcome) {
-        let exists = exists_sym();
-        let mut head = Vec::new();
-        let mut prepared = Vec::new();
-        for (base, state) in outcome.touched_finals() {
-            let vid = Vid::object(base);
-            // Every version's one `exists` fact is `exists -> base` (§3;
-            // programs cannot update `exists`), so a final state is the
-            // prepared copy's state for its object as it stands.
-            let (flat, with_exists) = match state {
-                Some(s) if !s.is_empty_except(exists) => {
-                    let mut flat = (**s).clone();
-                    flat.remove_method(exists);
-                    (Arc::new(flat), Arc::clone(s))
-                }
-                _ => (Arc::new(VersionState::new()), Arc::new(VersionState::new())),
-            };
-            head.push((vid, flat));
-            prepared.push((vid, with_exists));
-        }
+        let edits: Vec<_> = outcome
+            .touched_finals()
+            .map(|(base, state)| (Vid::object(base), state.filter(|s| !s.is_empty()).cloned()))
+            .collect();
         Arc::make_mut(&mut self.ob)
-            .replace_versions_tracked_shared(&head, &mut ChangedSince::new());
-        if let Some(work) = self.prepared.get_mut() {
-            Arc::make_mut(work)
-                .replace_versions_tracked_shared(&prepared, &mut ChangedSince::new());
-        }
+            .replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
     }
 
     /// Trim every log entry but the newest to its summary (see
@@ -465,7 +430,6 @@ impl Session {
     fn restore(&mut self, ob: Arc<ObjectBase>, log_len: usize) {
         self.ob = ob;
         self.truncate_log(log_len);
-        self.prepared = std::sync::OnceLock::new();
     }
 
     fn truncate_log(&mut self, len: usize) {
@@ -615,7 +579,6 @@ impl Session {
             .ok_or(SessionError::UnknownSavepoint(savepoint))?;
         let (_, log_len, ob) = self.savepoints[idx].clone();
         self.ob = ob; // Arc clone: the captured state is re-shared.
-        self.prepared = std::sync::OnceLock::new();
         self.truncate_log(log_len);
         self.savepoints.truncate(idx + 1);
         Ok(())
@@ -642,26 +605,20 @@ mod tests {
     }
 
     #[test]
-    fn prepared_work_is_cached_until_commit_or_rollback() {
+    fn prepared_work_is_a_shared_copy_of_the_head() {
         let mut s = start();
-        // Two working copies off one committed state share every
-        // copy-on-write shard: the §3 prep ran once.
+        // Nothing to prepare: the working copy shares every
+        // copy-on-write shard with the head, `exists` included.
         let w1 = s.prepared_work();
-        let w2 = s.prepared_work();
-        assert!(w1.cow_stats(&w2).fully_shared());
+        assert!(w1.cow_stats(s.current()).fully_shared());
         assert!(w1.exists_fact(ruvo_term::Vid::object(oid("acct"))));
 
-        // A rebuilding commit (it touches the one object there is)
-        // drops the cache; the new prepared copy reflects the new
-        // state. Narrow commits carry it forward instead
-        // (`commit_paths_agree`).
+        // It follows commits and rollbacks.
         let sp = s.savepoint();
         s.apply_src("t: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
-        let w3 = s.prepared_work();
-        assert_eq!(w3.lookup1(oid("acct"), "balance"), vec![int(150)]);
-        assert!(!w1.cow_stats(&w3).fully_shared());
-
-        // So does a rollback.
+        let w2 = s.prepared_work();
+        assert_eq!(w2.lookup1(oid("acct"), "balance"), vec![int(150)]);
+        assert!(w2.cow_stats(s.current()).fully_shared());
         s.rollback_to(sp).unwrap();
         assert_eq!(s.prepared_work().lookup1(oid("acct"), "balance"), vec![int(100)]);
     }
@@ -856,22 +813,17 @@ mod tests {
     }
 
     /// Commit `outcome` both ways — the head edit called directly and
-    /// §5's rebuild — and check that they agree, that the carried
-    /// prepared copy is the §3 preparation of the result, and that
-    /// every index is consistent. Returns the edited session.
+    /// §5's rebuild — and check that they agree and that every index,
+    /// `result(P)`'s included, is consistent. Returns the edited
+    /// session.
     fn both_paths(s: &Session, outcome: &Outcome) -> Session {
+        outcome.result().check_invariants();
         let rebuilt = outcome.try_new_object_base().unwrap();
         rebuilt.check_invariants();
         let mut edited = s.clone();
-        assert!(edited.prepared.get().is_some(), "the outcome was run on the prepared copy");
         edited.edit_head(outcome);
         assert_eq!(edited.current(), &rebuilt);
         edited.current().check_invariants();
-        let mut fresh = rebuilt.clone();
-        fresh.ensure_exists();
-        let prepared = edited.prepared_work();
-        assert_eq!(prepared, fresh);
-        prepared.check_invariants();
         edited
     }
 
@@ -952,17 +904,19 @@ mod tests {
             let mut committed = s.clone();
             committed.commit(outcome).unwrap();
             assert_eq!(committed.current(), edited.current());
-            // The wide commit dropped the prepared copy; the narrow one
-            // carried it forward.
-            assert_eq!(committed.prepared.get().is_some(), narrow, "{group}");
         }
     }
 
     #[test]
     fn non_flat_heads_take_the_rebuild() {
         let credit = "mod[A].balance -> (B, B2) <= A.tag -> t1 & A.balance -> B & B2 = B + 1.";
-        // A head holding a non-initial version, and one holding `exists`.
-        for extra in ["mod(acct0).balance -> 1.", "acct2.exists -> acct2."] {
+        // A head holding a non-initial version takes the rebuild. A seed
+        // naming `exists` stores nothing, and a version holding only
+        // `exists` is dropped by `Session::new`: that head is flat.
+        for (extra, flat) in [
+            ("mod(acct0).balance -> 1.", false),
+            ("acct2.exists -> acct2. ghost.exists -> ghost.", true),
+        ] {
             let mut s = Session::new(accounts(8 * NARROW_COMMIT_SHARE, |i| {
                 if i == 0 {
                     extra.to_string()
@@ -970,9 +924,10 @@ mod tests {
                     String::new()
                 }
             }));
-            assert!(!s.current().is_flat(), "{extra}");
+            assert_eq!(s.current().is_flat(), flat, "{extra}");
+            assert!(!s.current().exists_fact(Vid::object(oid("ghost"))));
             let outcome = outcome_of(&s, credit);
-            assert!(!s.commits_narrow(&outcome), "{extra}");
+            assert_eq!(s.commits_narrow(&outcome), flat, "{extra}");
             let rebuilt = outcome.try_new_object_base().unwrap();
             s.commit(outcome).unwrap();
             assert_eq!(s.current(), &rebuilt, "{extra}");
@@ -1053,9 +1008,6 @@ mod tests {
         assert!(results.iter().all(|r| matches!(r, Err(SessionError::Storage(_)))));
         assert_eq!(entries(&s), log, "entry by entry");
         assert_eq!(s.current(), &head);
-        let mut fresh = head.clone();
-        fresh.ensure_exists();
-        assert_eq!(s.prepared_work(), fresh, "the prepared copy matches the restored head");
 
         // Acknowledged again: the entry before the new one is trimmed.
         fail.store(false, std::sync::atomic::Ordering::Relaxed);
@@ -1068,10 +1020,9 @@ mod tests {
     /// The measurement behind [`NARROW_COMMIT_SHARE`]: on a 10 000-object
     /// base, both commit paths for a growing share of touched objects,
     /// under a program that rewrites one method of each (`raise`) and
-    /// one that empties each (`close`). The edited head and prepared
-    /// copy are shared, as a serving head and a cloned database's are.
-    /// `rebuild+prep` adds the §3 preparation the next operation pays
-    /// after a rebuild. Medians of 5, in ms. Run with
+    /// one that empties each (`close`). The edited head is shared, as a
+    /// serving head and a cloned database's are. Medians of 5, in ms.
+    /// Run with
     /// `cargo test --release -p ruvo-core commit_width_crossover_sweep
     /// -- --ignored --nocapture`.
     #[test]
@@ -1087,7 +1038,7 @@ mod tests {
             ("raise", "mod[A].balance -> (B, B2) <= A.pick -> yes & A.balance -> B & B2 = B + 1."),
             ("close", "del[A].* <= A.pick -> yes."),
         ];
-        println!("program  touched   share  edit_ms  rebuild_ms  rebuild+prep_ms");
+        println!("program  touched   share  edit_ms  rebuild_ms");
         for (name, program) in programs {
             for divisor in [1024, 256, 64, 32, 16, 12, 8, 6, 4, 3, 2, 1] {
                 let s = Session::new(accounts(n, |i| {
@@ -1095,7 +1046,7 @@ mod tests {
                     format!("acct{i}.isa -> empl / boss -> acct{}{pick}.", i / 10)
                 }));
                 let outcome = outcome_of(&s, program);
-                let (mut edit, mut rebuild, mut prep) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut edit, mut rebuild) = (Vec::new(), Vec::new());
                 for _ in 0..5 {
                     let mut edited = s.clone();
                     let reader = edited.snapshot();
@@ -1104,19 +1055,15 @@ mod tests {
                     edit.push(t.elapsed().as_secs_f64() * 1e3);
                     drop((edited, reader));
                     let t = Instant::now();
-                    let rebuilt = outcome.try_new_object_base().unwrap();
+                    let _rebuilt = outcome.try_new_object_base().unwrap();
                     rebuild.push(t.elapsed().as_secs_f64() * 1e3);
-                    let mut prepared = rebuilt.clone();
-                    prepared.ensure_exists();
-                    prep.push(t.elapsed().as_secs_f64() * 1e3);
                 }
                 let touched = outcome.touched_objects().unwrap();
                 println!(
-                    "{name:<7} {touched:>8} {:>7.4} {:>8.2} {:>11.2} {:>16.2}",
+                    "{name:<7} {touched:>8} {:>7.4} {:>8.2} {:>11.2}",
                     touched as f64 / n as f64,
                     median(edit),
-                    median(rebuild),
-                    median(prep)
+                    median(rebuild)
                 );
             }
         }

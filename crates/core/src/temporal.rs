@@ -19,7 +19,7 @@
 //! store — the same data [`mod@crate::history`] diffs, but with full
 //! per-step states so point queries are O(1) set lookups.
 
-use ruvo_obase::{exists_sym, Args, ObjectBase, VersionState};
+use ruvo_obase::{Args, ObjectBase, VersionState};
 use ruvo_term::{Const, FastHashSet, Symbol, UpdateKind, Vid};
 
 /// A ground method-application as a temporal proposition.
@@ -110,7 +110,7 @@ impl Formula {
 }
 
 /// One state of a timeline: the version and its full method-application
-/// set (minus the system method `exists`).
+/// set.
 #[derive(Clone, Debug)]
 pub struct TimelineState {
     /// The version this state belongs to.
@@ -150,16 +150,10 @@ pub struct Timeline {
     states: Vec<TimelineState>,
 }
 
-fn state_props(state: Option<&VersionState>, exists: Symbol) -> FastHashSet<FactProp> {
-    let mut out = FastHashSet::default();
-    if let Some(s) = state {
-        for (method, app) in s.iter() {
-            if method != exists {
-                out.insert(FactProp { method, args: app.args.clone(), result: app.result });
-            }
-        }
-    }
-    out
+fn state_props(state: Option<&VersionState>) -> FastHashSet<FactProp> {
+    let apps = state.into_iter().flat_map(VersionState::iter);
+    apps.map(|(method, app)| FactProp { method, args: app.args.clone(), result: app.result })
+        .collect()
 }
 
 impl Timeline {
@@ -170,7 +164,6 @@ impl Timeline {
     /// trace, exactly as in [`mod@crate::history`]). Returns `None` for
     /// unknown objects or non-version-linear stores.
     pub fn of(result: &ObjectBase, base: Const) -> Option<Timeline> {
-        let exists = exists_sym();
         let versions: Vec<Vid> = result.versions_of(base).collect();
         if versions.is_empty() {
             return None;
@@ -190,11 +183,7 @@ impl Timeline {
                 continue; // elided intermediate (v* fallback)
             }
             let kind = if vid.depth() == 0 { None } else { vid.chain().outermost() };
-            states.push(TimelineState {
-                vid,
-                kind,
-                facts: state_props(result.version(vid), exists),
-            });
+            states.push(TimelineState { vid, kind, facts: state_props(result.version(vid)) });
         }
         Some(Timeline { base, states })
     }
@@ -312,17 +301,6 @@ impl std::ops::Not for Formula {
 /// the crate).
 pub fn prop(method: Symbol, args: Vec<Const>, result: Const) -> FactProp {
     FactProp { method, args: Args::new(args), result }
-}
-
-/// Internal helper re-exported for tests: the propositions of a raw
-/// version state.
-#[doc(hidden)]
-pub fn props_of(state: &VersionState, exists: Symbol) -> Vec<FactProp> {
-    state
-        .iter()
-        .filter(|(m, _)| *m != exists)
-        .map(|(m, app)| FactProp { method: m, args: app.args.clone(), result: app.result })
-        .collect()
 }
 
 #[cfg(test)]

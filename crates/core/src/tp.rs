@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use ruvo_lang::{Rule, UpdateSpec};
-use ruvo_obase::{exists_sym, Args, ChangedSince, MethodApp, ObjectBase, VersionState};
+use ruvo_obase::{Args, ChangedSince, MethodApp, ObjectBase, VersionState};
 use ruvo_term::{ArgTerm, Bindings, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::matcher::Seed;
@@ -207,10 +207,11 @@ fn ground_args(args: &[ArgTerm], b: &Bindings) -> Args {
 /// seed at that literal are skipped; the engine issues one seeded pass
 /// per changed body literal).
 ///
-/// A `del[V].*` head expands into one `Del` per method-application of
-/// `v*` (excluding `exists`, which is not updatable) — "we write
-/// del[…]: to express the deletion of all method-applications of the
-/// respective version" (§2.3).
+/// A `del[V].*` head expands into one `Del` per stored
+/// method-application of `v*` (`exists`, which is not updatable, is
+/// the version table, not a stored fact) — "we write del[…]: to
+/// express the deletion of all method-applications of the respective
+/// version" (§2.3).
 pub fn collect_rule(
     ob: &ObjectBase,
     rule: &Rule,
@@ -234,7 +235,6 @@ pub fn collect_rule_planned(
 /// Ground the head under a complete body match, check §3 head truth,
 /// and emit the fired update(s).
 fn fire_head(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<Fired>) {
-    let exists = exists_sym();
     let target =
         rule.head.target.ground(b).expect("safety analysis guarantees head variables are bound");
     match &rule.head.spec {
@@ -258,9 +258,6 @@ fn fire_head(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<Fired>) {
             if let Some(v_star) = ob.v_star(target) {
                 if let Some(state) = ob.version(v_star) {
                     for (method, app) in state.iter() {
-                        if method == exists {
-                            continue;
-                        }
                         out.push(Fired::Del {
                             target,
                             method,
@@ -330,7 +327,6 @@ fn build_state(
     created: Vid,
     updates: &[&Fired],
 ) -> (Arc<VersionState>, usize, bool) {
-    let exists = exists_sym();
     let active = ob.exists_fact(created);
     let mut facts_copied = 0;
     // Step 2: the copy — an `Arc` alias of the source state, not a
@@ -351,11 +347,6 @@ fn build_state(
         facts_copied = copied.len();
         copied
     };
-    // Every version notes its own existence (survives deletion; §3).
-    let exists_app = MethodApp::new(Args::empty(), created.base());
-    if !state.contains(exists, &exists_app) {
-        Arc::make_mut(&mut state).insert(exists, exists_app);
-    }
 
     // Step 3: apply. The paper defines this as set algebra — the kept
     // copies are those whose result is no del-result and no
@@ -436,13 +427,13 @@ pub(crate) fn apply(
     });
     let built = pool.run(whole.len(), |i| build_state(input, whole[i].0, &whole[i].1));
 
-    let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::with_capacity(whole.len());
+    let mut edits: Vec<(Vid, Option<Arc<VersionState>>)> = Vec::with_capacity(whole.len());
     for ((created, _), (state, facts_copied, was_created)) in whole.iter().zip(built) {
         report.facts_copied += facts_copied;
         if was_created {
             report.created.push(*created);
         }
-        edits.push((*created, state));
+        edits.push((*created, Some(state)));
     }
     ob.replace_versions_tracked_shared(&edits, &mut report.changed);
 
@@ -470,13 +461,11 @@ mod tests {
     use ruvo_term::{int, oid, sym};
 
     fn base() -> ObjectBase {
-        let mut ob = ObjectBase::parse(
+        ObjectBase::parse(
             "phil.isa -> empl / pos -> mgr / sal -> 4000.
              bob.isa -> empl / boss -> phil / sal -> 4200.",
         )
-        .unwrap();
-        ob.ensure_exists();
-        ob
+        .unwrap()
     }
 
     fn collect(ob: &ObjectBase, src: &str) -> Vec<Fired> {
@@ -520,10 +509,9 @@ mod tests {
     fn del_all_expands_to_every_application() {
         let ob = base();
         let fired = collect(&ob, "del[bob].* .");
-        // bob has isa, boss, sal (exists excluded).
+        // bob has isa, boss, sal (`exists` is not a stored fact).
         assert_eq!(fired.len(), 3);
         assert!(fired.iter().all(|f| matches!(f, Fired::Del { .. })));
-        assert!(fired.iter().all(|f| f.method() != exists_sym()));
     }
 
     #[test]
@@ -541,7 +529,7 @@ mod tests {
         // Copy carried the old state...
         assert!(ob.contains(created, sym("sal"), &[], int(4000)));
         assert!(ob.contains(created, sym("isa"), &[], oid("empl")));
-        // ...plus the insert and the exists note.
+        // ...plus the insert; the new version exists.
         assert!(ob.contains(created, sym("isa"), &[], oid("hpe")));
         assert!(ob.exists_fact(created));
         // The original version is untouched (frame problem note).
@@ -590,9 +578,10 @@ mod tests {
         let fired: Vec<Fired> = collect(&ob, "del[bob].* .");
         apply_updates(&mut ob, &fired);
         let del_bob = Vid::object(oid("bob")).apply(UpdateKind::Del).unwrap();
-        let state = ob.version(del_bob).expect("version survives as exists note");
-        assert!(state.is_empty_except(exists_sym()));
+        let state = ob.version(del_bob).expect("the emptied version stays in the table");
+        assert!(state.is_empty());
         assert!(ob.exists_fact(del_bob));
+        ob.check_invariants();
     }
 
     #[test]
@@ -640,7 +629,6 @@ mod tests {
         for pair in [vec![fired("a", "b"), fired("b", "c")], vec![fired("b", "c"), fired("a", "b")]]
         {
             let mut ob = ObjectBase::parse("o.m -> a. o.m -> b.").unwrap();
-            ob.ensure_exists();
             apply_updates(&mut ob, &pair);
             let created = pair[0].created();
             assert!(!ob.contains(created, sym("m"), &[], oid("a")));
@@ -655,7 +643,6 @@ mod tests {
         // {a, b} and adds {b, a} — the state is unchanged.
         let target = Vid::object(oid("o"));
         let mut ob = ObjectBase::parse("o.m -> a. o.m -> b.").unwrap();
-        ob.ensure_exists();
         let fired = vec![
             Fired::Mod {
                 target,

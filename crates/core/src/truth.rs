@@ -126,10 +126,9 @@ mod tests {
     use ruvo_term::{int, oid, sym};
     use UpdateKind::{Del, Ins, Mod};
 
-    /// henry.sal -> 250 with exists facts; mod(henry) with sal -> 275.
+    /// henry.sal -> 250; mod(henry) with sal -> 275.
     fn fixture() -> ObjectBase {
         let mut ob = ObjectBase::parse("henry.sal -> 250.").unwrap();
-        ob.ensure_exists();
         let henry = Vid::object(oid("henry"));
         let mod_h = henry.apply(Mod).unwrap();
         ob.insert(mod_h, sym("exists"), Args::empty(), oid("henry"));
@@ -194,7 +193,7 @@ mod tests {
         let henry = Vid::object(oid("henry"));
         // No del(henry) version yet.
         assert!(!del_body(&ob, henry, sym("sal"), &[], int(250)));
-        // Create del(henry) that kept exists but dropped sal -> 250.
+        // Create del(henry), which dropped sal -> 250.
         let del_h = henry.apply(Del).unwrap();
         ob.insert(del_h, sym("exists"), Args::empty(), oid("henry"));
         assert!(del_body(&ob, henry, sym("sal"), &[], int(250)));
@@ -235,7 +234,6 @@ mod tests {
         // ¬del[mod(e)].isa -> empl (update-term) asks that no such
         // delete *transition* happened.
         let mut ob = ObjectBase::parse("e.isa -> empl.").unwrap();
-        ob.ensure_exists();
         let e = Vid::object(oid("e"));
         let mod_e = e.apply(Mod).unwrap();
         ob.insert(mod_e, sym("exists"), Args::empty(), oid("e"));

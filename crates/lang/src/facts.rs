@@ -51,23 +51,33 @@ fn ground_base(t: BaseTerm) -> Const {
     }
 }
 
-/// Parse a sequence of ground facts.
+/// Parse a sequence of ground facts. The only `exists` fact there is
+/// is §3's `v.exists -> o` for `v`'s object `o`; any other is an error.
 pub fn parse_facts(src: &str) -> Result<Vec<GroundFact>, ParseError> {
     let toks = crate::lexer::lex(src)?;
     let mut parser = Parser::ground(&toks);
     let empty = Bindings::new(0);
+    let exists = ruvo_term::sym("exists");
     let mut out = Vec::new();
     while !parser.at_end() {
+        let at = parser.pos();
         let atoms = parser.version_path()?;
         parser.expect_period()?;
         for va in atoms {
             let vid = va.vid.ground(&empty).expect("ground parser produced a variable");
-            out.push(GroundFact {
+            let fact = GroundFact {
                 vid,
                 method: va.method,
                 args: va.args.into_iter().map(ground_base).collect(),
                 result: ground_base(va.result),
-            });
+            };
+            if fact.method == exists && !(fact.args.is_empty() && fact.result == vid.base()) {
+                let base = crate::pretty::const_str(vid.base());
+                let msg =
+                    format!("the only `exists` fact of {vid} is `{vid}.exists -> {base}` (§3)");
+                return Err(ParseError::new(at, msg));
+            }
+            out.push(fact);
         }
     }
     Ok(out)
@@ -116,6 +126,15 @@ mod tests {
     fn rejects_variables() {
         assert!(parse_facts("henry.sal -> S.").is_err());
         assert!(parse_facts("E.sal -> 1.").is_err());
+    }
+
+    #[test]
+    fn exists_facts_must_be_canonical() {
+        assert_eq!(parse_facts("mod(o).exists -> o.").unwrap().len(), 1);
+        for bad in ["o.exists -> p.", "o.exists @ o -> o.", "o.p -> 1 / exists -> 2."] {
+            let err = parse_facts(bad).unwrap_err();
+            assert!(err.message.contains("o.exists -> o"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl<'t> Parser<'t> {
         Parser { ground_only: true, ..Parser::new(toks) }
     }
 
-    fn pos(&self) -> Pos {
+    pub(crate) fn pos(&self) -> Pos {
         self.toks.get(self.i).map(|t| t.pos).unwrap_or(Pos { line: u32::MAX, col: 0 })
     }
 

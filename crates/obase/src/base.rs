@@ -108,17 +108,35 @@ impl KeyIndex {
     }
 }
 
-/// Whether a fact's result participates in the value-keyed index.
-///
-/// Canonical `exists` facts (`v.exists -> base(v)`, §3) are excluded:
-/// the version is computable directly from the lookup key — see
-/// [`ObjectBase::versions_with_result`] — so indexing them would just
-/// mirror the whole version table into one `(chain, exists)` shard and
-/// make every preparation pass (`ensure_exists`) O(#versions) index
-/// work. Non-canonical `exists` facts (result ≠ base; only raw
-/// [`ObjectBase::insert`] can produce them) stay indexed.
-fn result_indexed(method: Symbol, result: Const, base: Const) -> bool {
-    method != exists_sym() || result != base
+/// Whether `vid.exists @ args -> result` is §3's `v.exists -> base(v)`,
+/// the only `exists` fact there is. The parser and the snapshot
+/// decoders refuse any other; [`ObjectBase::insert`] never stores one.
+pub(crate) fn is_canonical_exists(vid: Vid, args: &[Const], result: Const) -> bool {
+    args.is_empty() && result == vid.base()
+}
+
+/// The facts a version contributes to the enumerations
+/// ([`ObjectBase::iter`], [`ObjectBase::len`], text, snapshots): its
+/// stored facts, or — for an empty state — the one canonical `exists`
+/// fact that is all it holds (§5's "only `exists` is defined").
+fn version_facts(vid: Vid, state: &VersionState) -> impl Iterator<Item = Fact> + '_ {
+    let exists = state.is_empty().then(|| Fact {
+        vid,
+        method: exists_sym(),
+        args: Args::empty(),
+        result: vid.base(),
+    });
+    exists.into_iter().chain(state.iter().map(move |(method, app)| Fact {
+        vid,
+        method,
+        args: app.args.clone(),
+        result: app.result,
+    }))
+}
+
+/// How many facts [`version_facts`] enumerates for `state`.
+fn weight(state: &VersionState) -> usize {
+    state.len().max(1)
 }
 
 /// The shard index a version routes to in the version table — the
@@ -162,16 +180,14 @@ impl RelOp {
     /// [`ObjectBase::insert`] / [`ObjectBase::remove`] maintenance of
     /// the two key indexes).
     fn keyed(bucket: &mut Vec<RelOp>, add: bool, vid: Vid, method: Symbol, app: &MethodApp) {
-        if result_indexed(method, app.result, vid.base()) {
-            bucket.push(RelOp::Key {
-                add,
-                arg: false,
-                chain: vid.chain(),
-                method,
-                key: app.result,
-                base: vid.base(),
-            });
-        }
+        bucket.push(RelOp::Key {
+            add,
+            arg: false,
+            chain: vid.chain(),
+            method,
+            key: app.result,
+            base: vid.base(),
+        });
         if let Some(&a0) = app.args.as_slice().first() {
             bucket.push(RelOp::Key {
                 add,
@@ -337,11 +353,24 @@ fn apply_key_op(
 /// transactions and [`crate::Snapshot`] read views pay for what they
 /// touch rather than for what the base holds; see
 /// [`ObjectBase::cow_stats`] for the sharing diagnostics.
+///
+/// ## `exists` is the version table
+///
+/// §3's system method `v.exists -> base(v)` cannot be updated, so it
+/// holds exactly when `v` has an entry in the version table, and no
+/// [`VersionState`] stores it. A version may sit in the table with an
+/// empty state (every fact deleted, §5's "only `exists` is defined").
+/// Reads of `exists` — [`ObjectBase::exists_fact`],
+/// [`ObjectBase::v_star`], [`ObjectBase::contains`],
+/// [`ObjectBase::results`], [`ObjectBase::versions_with`] and
+/// [`ObjectBase::versions_with_result`] — answer from the table.
 #[derive(Clone, Default)]
 pub struct ObjectBase {
     versions: ShardedMap<Vid, Arc<VersionState>>,
     /// `(chain, method) → bases`: which objects have a version with this
-    /// chain defining this method.
+    /// chain defining this method. Under `(chain, exists)` it lists
+    /// every version of the chain (the presence index, kept beside
+    /// `by_base`).
     by_chain_method: ShardedMap<(Chain, Symbol), FastHashSet<Const>>,
     /// `base → chains`: every version of an object (each chain once).
     by_base: ShardedMap<Const, Bag<Chain>>,
@@ -349,13 +378,8 @@ pub struct ObjectBase {
     by_result: KeyIndex,
     /// `(chain, method, first-arg) → bases`: ditto for argument keys.
     by_arg0: KeyIndex,
+    /// Facts the enumerations yield: Σ [`weight`] over the versions.
     fact_count: usize,
-    /// Versions whose state carries the canonical `v.exists -> base(v)`
-    /// fact (§3). When this equals the version count the base is fully
-    /// *prepared* and [`ObjectBase::ensure_exists`] is O(1) — the
-    /// common case for working copies cloned from an already-prepared
-    /// base.
-    prepared_versions: usize,
 }
 
 impl ObjectBase {
@@ -366,8 +390,10 @@ impl ObjectBase {
 
     /// Parse the textual format (see [`ruvo_lang::parse_facts`]).
     ///
-    /// Does *not* add `exists` facts; the engine does that when an
-    /// update-program is run (§3's preparation step).
+    /// Every version the text names exists (§3). A canonical
+    /// `v.exists -> o` fact only makes `v` present — the form the text
+    /// dump gives an empty version; any other `exists` fact is a
+    /// [`ParseError`].
     pub fn parse(src: &str) -> Result<ObjectBase, ParseError> {
         let mut ob = ObjectBase::new();
         for f in parse_facts(src)? {
@@ -379,6 +405,10 @@ impl ObjectBase {
     // ----- mutation --------------------------------------------------
 
     /// Insert one ground version-term. Returns true if it was new.
+    ///
+    /// `vid` exists afterwards. A canonical `v.exists -> o` fact adds
+    /// nothing else; any other `exists` fact is not a fact (§3) and is
+    /// not stored (returns false).
     pub fn insert(
         &mut self,
         vid: Vid,
@@ -387,84 +417,86 @@ impl ObjectBase {
         result: Const,
     ) -> bool {
         let app = MethodApp::new(args, result);
-        // Peek before copying: a duplicate insert must not CoW-copy
-        // anything (neither the versions shard nor the shared state).
-        // This is what keeps `ensure_exists` on an already-prepared
-        // working copy from deep-copying every state it visits.
-        if self.versions.get(&vid).is_some_and(|s| s.contains(method, &app)) {
+        let exists = method == exists_sym();
+        if exists && !is_canonical_exists(vid, app.args.as_slice(), result) {
             return false;
         }
-        let arg0 = app.args.as_slice().first().copied();
-        if method == exists_sym() && result == vid.base() && app.args.is_empty() {
-            self.prepared_versions += 1;
+        // Peek before copying: a duplicate insert must not CoW-copy
+        // anything (neither the versions shard nor the shared state).
+        let before = self.versions.get(&vid);
+        if before.is_some_and(|s| exists || s.contains(method, &app)) {
+            return false;
         }
-        let state = Arc::make_mut(self.versions.get_or_default(vid));
+        // An empty state already counts its canonical `exists` fact.
+        self.fact_count += usize::from(!before.is_some_and(|s| s.is_empty()));
+        if before.is_none() {
+            self.index_version(vid);
+        }
+        let state = self.versions.get_or_default(vid);
+        if exists {
+            return true;
+        }
+        let arg0 = app.args.as_slice().first().copied();
+        let state = Arc::make_mut(state);
         let was_empty_method = !state.has_method(method);
         let added = state.insert(method, app);
         crate::invariant_assert!(added, "presence peeked above");
-        self.fact_count += 1;
         if was_empty_method {
             self.by_chain_method.get_or_default((vid.chain(), method)).insert(vid.base());
         }
-        self.index_version(vid);
-        if result_indexed(method, result, vid.base()) {
-            self.by_result.add(vid.chain(), method, result, vid.base());
-        }
+        self.by_result.add(vid.chain(), method, result, vid.base());
         if let Some(a0) = arg0 {
             self.by_arg0.add(vid.chain(), method, a0, vid.base());
         }
         true
     }
 
-    /// Record `vid` in the `base → chains` index. Peeks through the
-    /// shared shard first: adding a second fact to an already-indexed
-    /// version must not unshare anything.
+    /// Record a new version in `base → chains` and in the `(chain,
+    /// exists)` presence index.
     fn index_version(&mut self, vid: Vid) {
-        if !self.by_base.get(&vid.base()).is_some_and(|chains| chains.contains(vid.chain())) {
-            self.by_base.get_or_default(vid.base()).add(vid.chain());
-        }
+        self.by_base.get_or_default(vid.base()).add(vid.chain());
+        self.by_chain_method.get_or_default((vid.chain(), exists_sym())).insert(vid.base());
     }
 
     /// Remove one ground version-term. Returns true if it was present.
+    ///
+    /// The version stays, with an empty state once its last fact goes:
+    /// deleting facts never deletes `exists` (§3). `exists` itself is
+    /// not removable here (returns false); [`ObjectBase::remove_version`]
+    /// removes a whole version.
     pub fn remove(&mut self, vid: Vid, method: Symbol, args: &Args, result: Const) -> bool {
         let app = MethodApp { args: args.clone(), result };
         // Peek before copying: a miss must not CoW-copy the shard or
         // the state.
-        if !self.versions.get(&vid).is_some_and(|s| s.contains(method, &app)) {
+        if method == exists_sym()
+            || !self.versions.get(&vid).is_some_and(|s| s.contains(method, &app))
+        {
             return false;
         }
-        let (method_gone, version_gone) = {
+        let (method_gone, emptied) = {
             let state_arc = self.versions.get_mut(&vid).expect("presence peeked above");
             let state = Arc::make_mut(state_arc);
             let removed = state.remove(method, &app);
             crate::invariant_assert!(removed, "presence peeked above");
             (!state.has_method(method), state.is_empty())
         };
-        self.fact_count -= 1;
-        if method == exists_sym() && result == vid.base() && args.is_empty() {
-            self.prepared_versions -= 1;
-        }
-        if result_indexed(method, result, vid.base()) {
-            self.by_result.remove(vid.chain(), method, result, vid.base());
-        }
+        self.fact_count -= usize::from(!emptied);
+        self.by_result.remove(vid.chain(), method, result, vid.base());
         if let Some(&a0) = args.as_slice().first() {
             self.by_arg0.remove(vid.chain(), method, a0, vid.base());
         }
         if method_gone {
             self.unindex_method(vid, method);
         }
-        if version_gone {
-            self.drop_version_entry(vid);
-        }
         true
     }
 
     /// [`ObjectBase::insert`] recording an effective insertion — the
-    /// fact itself — into `changed`. With [`ObjectBase::remove_tracked`]
-    /// this is the in-place write path of a fixpoint round: an active
-    /// version is *repaired* by the round's updates (its state unshared
-    /// once, its indexes adjusted per fact) instead of being rebuilt and
-    /// diffed.
+    /// fact itself, and `(chain, exists)` if the version is new — into
+    /// `changed`. With [`ObjectBase::remove_tracked`] this is the
+    /// in-place write path of a fixpoint round: an active version is
+    /// *repaired* by the round's updates (its state unshared once, its
+    /// indexes adjusted per fact) instead of being rebuilt and diffed.
     pub fn insert_tracked(
         &mut self,
         vid: Vid,
@@ -473,8 +505,12 @@ impl ObjectBase {
         result: Const,
         changed: &mut ChangedSince,
     ) -> bool {
+        let appears = !self.exists_fact(vid);
         let added = self.insert(vid, method, args.clone(), result);
         if added {
+            if appears {
+                changed.record(vid.chain(), exists_sym(), vid.base());
+            }
             changed.record_added(vid.chain(), method, vid.base(), MethodApp { args, result });
         }
         added
@@ -508,17 +544,12 @@ impl ObjectBase {
     /// the state out of its (possibly shared) allocation.
     pub(crate) fn discard_version(&mut self, vid: Vid) -> Option<Arc<VersionState>> {
         let state = self.versions.remove(&vid)?;
-        self.fact_count -= state.len();
-        if state.contains(exists_sym(), &MethodApp::new(Args::empty(), vid.base())) {
-            self.prepared_versions -= 1;
-        }
+        self.fact_count -= weight(&state);
         for method in state.methods() {
             self.unindex_method(vid, method);
         }
         for (method, app) in state.iter() {
-            if result_indexed(method, app.result, vid.base()) {
-                self.by_result.remove(vid.chain(), method, app.result, vid.base());
-            }
+            self.by_result.remove(vid.chain(), method, app.result, vid.base());
             if let Some(&a0) = app.args.as_slice().first() {
                 self.by_arg0.remove(vid.chain(), method, a0, vid.base());
             }
@@ -529,32 +560,36 @@ impl ObjectBase {
 
     /// Install `state` as the (complete) new state of `vid`, replacing
     /// whatever was there — the engine's per-stratum *overwrite* step
-    /// (ARCHITECTURE.md, decision D1). Empty states simply remove the
-    /// version. The one-edit, untracked call of
+    /// (ARCHITECTURE.md, decision D1). An empty state keeps the version
+    /// present. The one-edit, untracked call of
     /// [`ObjectBase::replace_versions_tracked_shared`].
     pub fn replace_version(&mut self, vid: Vid, state: VersionState) {
-        self.replace_versions_tracked_shared(&[(vid, Arc::new(state))], &mut ChangedSince::new());
+        self.replace_versions_tracked_shared(
+            &[(vid, Some(Arc::new(state)))],
+            &mut ChangedSince::new(),
+        );
     }
 
-    /// The tracked commit: install `edits` — one complete new state
-    /// per **distinct** vid — and record the semantic delta into
-    /// `changed`. The store adopts each `Arc` as-is, so a state read
-    /// out of one version (or another base) is installed without a
-    /// deep copy.
+    /// The tracked commit: install `edits` — per **distinct** vid, its
+    /// complete new state, or `None` to remove the version — and record
+    /// the semantic delta into `changed`. The store adopts each `Arc`
+    /// as-is, so a state read out of one version (or another base) is
+    /// installed without a deep copy. No state may hold `exists`.
     ///
     /// A read-only pre-pass diffs each edit against the stored state
     /// and buckets the *net* index mutations (facts in old∖new removed,
     /// new∖old added) by target shard ([`crate::shard`]); the buckets
     /// are then applied shard by shard. The same diff feeds `changed`:
-    /// every changed method's base, and — for a version that already
-    /// existed and a method that only grew — the facts in new∖old.
+    /// every changed method's base, `(chain, exists)` for a version
+    /// that appears or goes, and — for a version that already existed
+    /// and a method that only grew — the facts in new∖old.
     /// Re-committing the very `Arc` the store already holds (the shape
     /// an idempotent fixpoint round produces) or a content-equal state
     /// under a fresh `Arc` is a no-op: no diff recorded, no shard
     /// dirtied, the stored state kept.
     pub fn replace_versions_tracked_shared(
         &mut self,
-        edits: &[(Vid, Arc<VersionState>)],
+        edits: &[(Vid, Option<Arc<VersionState>>)],
         changed: &mut ChangedSince,
     ) {
         crate::invariant_assert!(
@@ -569,39 +604,53 @@ impl ObjectBase {
         }
     }
 
-    fn commit_chunk(&mut self, edits: &[(Vid, Arc<VersionState>)], changed: &mut ChangedSince) {
+    fn commit_chunk(
+        &mut self,
+        edits: &[(Vid, Option<Arc<VersionState>>)],
+        changed: &mut ChangedSince,
+    ) {
         let exists = exists_sym();
+        let absent = VersionState::new();
         let mut rel_ops: [Vec<RelOp>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
         let mut ver_ops: [Vec<(Vid, Option<Arc<VersionState>>)>; SHARD_COUNT] =
             std::array::from_fn(|_| Vec::new());
         let mut base_ops: [Vec<(Const, Chain, bool)>; SHARD_COUNT] =
             std::array::from_fn(|_| Vec::new());
         let mut fact_delta = 0isize;
-        let mut prepared_delta = 0isize;
 
         for (vid, new) in edits {
             let vid = *vid;
             let old = self.versions.get(&vid);
-            if old.is_some_and(|o| Arc::ptr_eq(o, new)) {
-                continue; // idempotent recommit: nothing to diff or record
-            }
-            let old_present = old.is_some();
-            let diff: Vec<Symbol> = match old {
-                Some(old) => old.changed_methods(new),
-                None => new.methods().collect(),
+            let diff: Vec<Symbol> = match (old, new) {
+                (None, None) => continue, // removing what is not there
+                // Idempotent recommit: nothing to diff or record.
+                (Some(o), Some(n)) if Arc::ptr_eq(o, n) => continue,
+                (Some(o), Some(n)) => match o.changed_methods(n) {
+                    d if d.is_empty() => continue, // content-equal: keep the stored state
+                    d => d,
+                },
+                (Some(o), None) => o.methods().collect(),
+                (None, Some(n)) => n.methods().collect(),
             };
-            if old_present && diff.is_empty() {
-                continue; // content-equal recommit: keep the stored state
+            crate::invariant_assert!(
+                new.as_ref().is_none_or(|n| !n.has_method(exists)),
+                "a version state never holds `exists` ({vid})"
+            );
+            let new_state = new.as_deref().unwrap_or(&absent);
+            fact_delta +=
+                new.as_deref().map_or(0, weight) as isize - old.map_or(0, |s| weight(s)) as isize;
+            if old.is_some() != new.is_some() {
+                // The version appears or goes: `(chain, exists)` changes.
+                let add = new.is_some();
+                rel_ops[(vid.chain(), exists).shard()].push(RelOp::cm(add, vid, exists));
+                base_ops[vid.base().shard()].push((vid.base(), vid.chain(), add));
+                changed.record(vid.chain(), exists, vid.base());
             }
-            fact_delta += new.len() as isize - old.map_or(0, |s| s.len()) as isize;
-            let exists_app = MethodApp::new(Args::empty(), vid.base());
-            prepared_delta += new.contains(exists, &exists_app) as isize
-                - old.is_some_and(|s| s.contains(exists, &exists_app)) as isize;
 
             for &m in &diff {
                 let bucket = &mut rel_ops[(vid.chain(), m).shard()];
                 let old_has = old.is_some_and(|s| s.has_method(m));
-                match (old_has, new.has_method(m)) {
+                match (old_has, new_state.has_method(m)) {
                     (true, false) => bucket.push(RelOp::cm(false, vid, m)),
                     (false, true) => bucket.push(RelOp::cm(true, vid, m)),
                     _ => {}
@@ -609,16 +658,16 @@ impl ObjectBase {
                 // Net fact diff, removals before additions. A method
                 // of a pre-existing version that only grew records the
                 // added facts; anything else records the base alone.
-                let mut grew_only = old_present;
+                let mut grew_only = old.is_some();
                 if let Some(old) = old {
                     for app in old.apps(m) {
-                        if !new.contains(m, app) {
+                        if !new_state.contains(m, app) {
                             RelOp::keyed(bucket, false, vid, m, app);
                             grew_only = false;
                         }
                     }
                 }
-                for app in new.apps(m) {
+                for app in new_state.apps(m) {
                     if old.is_none_or(|o| !o.contains(m, app)) {
                         RelOp::keyed(bucket, true, vid, m, app);
                         if grew_only {
@@ -630,22 +679,10 @@ impl ObjectBase {
                     changed.record(vid.chain(), m, vid.base());
                 }
             }
-
-            if new.is_empty() {
-                if old_present {
-                    ver_ops[vid.shard()].push((vid, None));
-                    base_ops[vid.base().shard()].push((vid.base(), vid.chain(), false));
-                }
-            } else {
-                ver_ops[vid.shard()].push((vid, Some(Arc::clone(new))));
-                if !old_present {
-                    base_ops[vid.base().shard()].push((vid.base(), vid.chain(), true));
-                }
-            }
+            ver_ops[vid.shard()].push((vid, new.clone()));
         }
 
         self.fact_count = (self.fact_count as isize + fact_delta) as usize;
-        self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
 
         for (slot, ops) in self.versions.shard_slots_mut().zip(ver_ops) {
             if !ops.is_empty() {
@@ -677,11 +714,6 @@ impl ObjectBase {
         }
     }
 
-    fn drop_version_entry(&mut self, vid: Vid) {
-        self.versions.remove(&vid);
-        self.unindex_version(vid);
-    }
-
     fn unindex_version(&mut self, vid: Vid) {
         if let Some(chains) = self.by_base.get_mut(&vid.base()) {
             chains.remove(vid.chain());
@@ -689,52 +721,24 @@ impl ObjectBase {
                 self.by_base.remove(&vid.base());
             }
         }
+        self.unindex_method(vid, exists_sym());
     }
 
-    /// §3: define the system method for every version currently present
-    /// (`v.exists -> base`). For a freshly loaded object base this is
-    /// exactly the paper's "for each object o in the given object base
-    /// ob there is defined a method exists: o.exists -> o".
-    ///
-    /// Runs as one bulk pass over the version shards: shards whose
-    /// states all carry their `exists` fact already are left *shared*
-    /// (a prepared working copy costs nothing to re-prepare), and the
-    /// per-chain `(chain, exists)` index entries are batched. Canonical
-    /// `exists` facts are not value-indexed (see
-    /// [`ObjectBase::versions_with_result`]).
-    pub fn ensure_exists(&mut self) {
-        // Already prepared (the usual case for a working copy cloned
-        // from a prepared base): O(1), nothing scanned, nothing CoW'd.
-        if self.prepared_versions == self.versions.len() {
-            return;
-        }
-        let exists = exists_sym();
-        let mut added_by_chain: FastHashMap<Chain, Vec<Const>> = FastHashMap::default();
-        let mut added = 0usize;
-        let missing = |vid: &Vid, state: &VersionState| {
-            !state.contains(exists, &MethodApp::new(Args::empty(), vid.base()))
-        };
-        for slot in self.versions.shard_slots_mut() {
-            // Peek through the shared shard first: only unshare it if
-            // some state actually lacks its `exists` fact.
-            if !slot.iter().any(|(vid, s)| missing(vid, s)) {
-                continue;
-            }
-            for (vid, state_arc) in Arc::make_mut(slot).iter_mut() {
-                if !missing(vid, state_arc) {
-                    continue;
-                }
-                Arc::make_mut(state_arc).insert(exists, MethodApp::new(Args::empty(), vid.base()));
-                added += 1;
-                added_by_chain.entry(vid.chain()).or_default().push(vid.base());
-            }
-        }
-        self.fact_count += added;
-        self.prepared_versions += added;
-        for (chain, bases) in added_by_chain {
-            self.by_chain_method.get_or_default((chain, exists)).extend(bases);
+    /// Drop every version whose state is empty — what §5's extraction
+    /// does to an object whose final state holds only `exists`.
+    /// O(versions); copies nothing when there is nothing to drop.
+    pub fn remove_empty_versions(&mut self) {
+        let empty: Vec<Vid> =
+            self.versions.iter().filter(|(_, s)| s.is_empty()).map(|(&vid, _)| vid).collect();
+        for vid in empty {
+            self.discard_version(vid);
         }
     }
+
+    /// A no-op: `exists` is the version table, so there is nothing to
+    /// prepare (§3). Kept only for callers that still name it.
+    #[doc(hidden)]
+    pub fn ensure_exists(&mut self) {}
 
     // ----- queries ---------------------------------------------------
 
@@ -770,15 +774,19 @@ impl ObjectBase {
 
     /// Membership of one ground version-term.
     pub fn contains(&self, vid: Vid, method: Symbol, args: &[Const], result: Const) -> bool {
+        if method == exists_sym() {
+            return is_canonical_exists(vid, args, result) && self.exists_fact(vid);
+        }
         self.versions
             .get(&vid)
             .is_some_and(|s| s.contains(method, &MethodApp { args: Args::from(args), result }))
     }
 
-    /// True if `vid.exists -> base(vid)` holds — the paper's criterion
-    /// for "the version exists" used by `v*` and by step 2 of `T_P`.
+    /// True if `vid.exists -> base(vid)` holds — the version is in the
+    /// table. The paper's criterion for "the version exists", used by
+    /// `v*` and by step 2 of `T_P`.
     pub fn exists_fact(&self, vid: Vid) -> bool {
-        self.contains(vid, exists_sym(), &[], vid.base())
+        self.versions.contains_key(&vid)
     }
 
     /// §3's `v*`: "the largest subterm of `v`, such that
@@ -802,16 +810,21 @@ impl ObjectBase {
         method: Symbol,
         args: &'a [Const],
     ) -> impl Iterator<Item = Const> + 'a {
-        self.versions.get(&vid).into_iter().flat_map(move |s| s.results(method, args))
+        let exists = (method == exists_sym() && self.contains(vid, method, args, vid.base()))
+            .then_some(vid.base());
+        let stored = self.versions.get(&vid).into_iter().flat_map(move |s| s.results(method, args));
+        exists.into_iter().chain(stored)
     }
 
-    /// All applications of `method` on `vid`.
+    /// All stored applications of `method` on `vid` (none for `exists`,
+    /// which is the version table: see [`ObjectBase::exists_fact`]).
     pub fn apps(&self, vid: Vid, method: Symbol) -> impl Iterator<Item = &MethodApp> {
         self.versions.get(&vid).into_iter().flat_map(move |s| s.apps(method))
     }
 
     /// The versions with update-chain `chain` that define `method` —
     /// the scan index for a body literal with an unbound base variable.
+    /// For `exists`: every version of the chain.
     pub fn versions_with(&self, chain: Chain, method: Symbol) -> impl Iterator<Item = Vid> + '_ {
         self.by_chain_method
             .get(&(chain, method))
@@ -826,25 +839,19 @@ impl ObjectBase {
     /// `E.isa -> empl` with `E` unbound enumerates only the versions
     /// that are `empl`s, not every version defining `isa`).
     ///
-    /// For `exists` the canonical fact `v.exists -> base(v)` is
-    /// answered *directly* — the only candidate is `result@chain`, so
-    /// no index entry is kept for it; non-canonical `exists` facts
-    /// (result ≠ base) still come from the index.
+    /// For `exists` the only candidate is `result@chain`, present or
+    /// not (`exists` is not value-indexed: it is the version table).
     pub fn versions_with_result(
         &self,
         chain: Chain,
         method: Symbol,
         result: Const,
     ) -> impl Iterator<Item = Vid> + '_ {
-        let canonical = (method == exists_sym())
-            .then(|| {
-                let vid = Vid::new(result, chain);
-                self.apps(vid, method).any(|a| a.result == result).then_some(vid)
-            })
-            .flatten();
-        canonical.into_iter().chain(
-            self.by_result.bases(chain, method, result).map(move |base| Vid::new(base, chain)),
-        )
+        let exists = Some(Vid::new(result, chain))
+            .filter(|&vid| method == exists_sym() && self.exists_fact(vid));
+        let stored =
+            self.by_result.bases(chain, method, result).map(move |base| Vid::new(base, chain));
+        exists.into_iter().chain(stored)
     }
 
     /// The versions with update-chain `chain` that have at least one
@@ -878,15 +885,12 @@ impl ObjectBase {
         self.by_base.len()
     }
 
-    /// True when the base has the shape of a §5 `ob′`: every version is
-    /// an initial one and no state holds `exists`. O(shards +
-    /// relations): every version defines some method, so the
-    /// `(chain, method)` relations list every chain in the store.
+    /// True when every version is an initial one: the shape of a §5
+    /// `ob′`, for a base that also holds no empty version (as a
+    /// committed head never does). O(shards + relations): the `(chain,
+    /// exists)` presence index lists every chain in the store.
     pub fn is_flat(&self) -> bool {
-        let exists = exists_sym();
-        self.by_chain_method
-            .keys()
-            .all(|&(chain, method)| chain == Chain::EMPTY && method != exists)
+        self.by_chain_method.keys().all(|&(chain, _)| chain == Chain::EMPTY)
     }
 
     /// Every version in the store.
@@ -894,16 +898,10 @@ impl ObjectBase {
         self.versions.keys().copied()
     }
 
-    /// All facts (unordered).
+    /// All facts (unordered): the stored ones, and the canonical
+    /// `v.exists -> o` of every empty version.
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.versions.iter().flat_map(|(&vid, state)| {
-            state.iter().map(move |(method, app)| Fact {
-                vid,
-                method,
-                args: app.args.clone(),
-                result: app.result,
-            })
-        })
+        self.versions.iter().flat_map(|(&vid, state)| version_facts(vid, state))
     }
 
     /// All facts, sorted for deterministic output.
@@ -935,14 +933,7 @@ impl ObjectBase {
             .versions
             .shard_at(i)
             .iter()
-            .flat_map(|(&vid, state)| {
-                state.iter().map(move |(method, app)| Fact {
-                    vid,
-                    method,
-                    args: app.args.clone(),
-                    result: app.result,
-                })
-            })
+            .flat_map(|(&vid, state)| version_facts(vid, state))
             .collect();
         v.sort_by(fact_cmp);
         v
@@ -975,21 +966,27 @@ impl ObjectBase {
     pub fn from_facts(facts: Vec<Fact>) -> ObjectBase {
         let mut states: FastHashMap<Vid, VersionState> = FastHashMap::default();
         for f in facts {
-            states.entry(f.vid).or_default().insert(f.method, MethodApp::new(f.args, f.result));
+            if f.method != exists_sym() {
+                states.entry(f.vid).or_default().insert(f.method, MethodApp::new(f.args, f.result));
+            } else if is_canonical_exists(f.vid, f.args.as_slice(), f.result) {
+                states.entry(f.vid).or_default();
+            }
         }
-        let edits: Vec<(Vid, Arc<VersionState>)> =
-            states.into_iter().map(|(vid, s)| (vid, Arc::new(s))).collect();
+        let edits: Vec<(Vid, Option<Arc<VersionState>>)> =
+            states.into_iter().map(|(vid, s)| (vid, Some(Arc::new(s)))).collect();
         let mut ob = ObjectBase::new();
         ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
         ob
     }
 
-    /// Number of facts.
+    /// Number of facts the enumerations yield: the stored ones, plus
+    /// one canonical `exists` fact per empty version. A flat `ob′` has
+    /// no empty version, so this is its stored facts.
     pub fn len(&self) -> usize {
         self.fact_count
     }
 
-    /// True if the store has no facts.
+    /// True if the store has no version.
     pub fn is_empty(&self) -> bool {
         self.fact_count == 0
     }
@@ -1003,26 +1000,16 @@ impl ObjectBase {
         v
     }
 
-    /// A copy without any `exists` facts (for comparing evaluation
-    /// results against hand-written expectations).
-    pub fn without_exists(&self) -> ObjectBase {
-        let exists = exists_sym();
-        let mut out = ObjectBase::new();
-        for f in self.iter() {
-            if f.method != exists {
-                out.insert(f.vid, f.method, f.args, f.result);
-            }
-        }
-        out
-    }
-
-    /// Summary statistics.
+    /// Summary statistics (of the facts [`ObjectBase::iter`] yields).
     pub fn stats(&self) -> ObStats {
         let mut methods: FastHashSet<Symbol> = FastHashSet::default();
         let mut max_depth = 0;
         for (vid, state) in self.versions.iter() {
             max_depth = max_depth.max(vid.depth());
             methods.extend(state.methods());
+            if state.is_empty() {
+                methods.insert(exists_sym());
+            }
         }
         ObStats {
             objects: self.by_base.len(),
@@ -1033,12 +1020,21 @@ impl ObjectBase {
         }
     }
 
-    /// Exhaustive index consistency check (test helper; O(n)).
+    /// Exhaustive index consistency check (test helper; O(n)): among
+    /// others, no state holds `exists` and the `(chain, exists)`
+    /// presence index equals the version table.
     pub fn check_invariants(&self) {
+        let exists = exists_sym();
         let mut count = 0;
         for (vid, state) in self.versions.iter() {
-            assert!(!state.is_empty(), "empty version state for {vid}");
-            count += state.len();
+            assert!(!state.has_method(exists), "version state for {vid} holds `exists`");
+            count += weight(state);
+            assert!(
+                self.by_chain_method
+                    .get(&(vid.chain(), exists))
+                    .is_some_and(|s| s.contains(&vid.base())),
+                "missing (chain, exists) presence entry for {vid}"
+            );
             for method in state.methods() {
                 assert!(
                     self.by_chain_method
@@ -1053,17 +1049,13 @@ impl ObjectBase {
             );
         }
         assert_eq!(count, self.fact_count, "fact_count out of sync");
-        let prepared = self
-            .versions
-            .iter()
-            .filter(|(vid, s)| s.contains(exists_sym(), &MethodApp::new(Args::empty(), vid.base())))
-            .count();
-        assert_eq!(prepared, self.prepared_versions, "prepared_versions out of sync");
         for (&(chain, method), bases) in self.by_chain_method.iter() {
             for base in bases {
                 let vid = Vid::new(*base, chain);
                 assert!(
-                    self.versions.get(&vid).is_some_and(|s| s.has_method(method)),
+                    self.versions
+                        .get(&vid)
+                        .is_some_and(|s| method == exists || s.has_method(method)),
                     "stale by_chain_method entry {vid}.{method}"
                 );
             }
@@ -1084,13 +1076,11 @@ impl ObjectBase {
             FastHashMap::default();
         for (&vid, state) in self.versions.iter() {
             for (method, app) in state.iter() {
-                if result_indexed(method, app.result, vid.base()) {
-                    *expect_result
-                        .entry((vid.chain(), method, app.result))
-                        .or_default()
-                        .entry(vid.base())
-                        .or_insert(0) += 1;
-                }
+                *expect_result
+                    .entry((vid.chain(), method, app.result))
+                    .or_default()
+                    .entry(vid.base())
+                    .or_insert(0) += 1;
                 if let Some(&a0) = app.args.as_slice().first() {
                     *expect_arg0
                         .entry((vid.chain(), method, a0))
@@ -1152,11 +1142,14 @@ mod tests {
         .unwrap()
     }
 
+    type Edits = Vec<(Vid, Option<Arc<VersionState>>)>;
+
     /// A broad base plus a batch of edits covering every commit shape:
     /// in-place modification, version creation (object and mod-chain),
-    /// deletion, idempotent (pointer-equal) recommit and content-equal
-    /// recommit under a fresh `Arc`, spread over many shards.
-    fn shard_commit_fixture() -> (ObjectBase, Vec<(Vid, Arc<VersionState>)>) {
+    /// emptying, deletion, idempotent (pointer-equal) recommit and
+    /// content-equal recommit under a fresh `Arc`, spread over many
+    /// shards.
+    fn shard_commit_fixture() -> (ObjectBase, Edits) {
         let n = if cfg!(miri) { 40 } else { 120 };
         let mut ob = ObjectBase::new();
         for i in 0..n {
@@ -1164,42 +1157,42 @@ mod tests {
             ob.insert(v, sym("p"), Args::empty(), int(i));
             ob.insert(v, sym("q"), vec![int(1)], int(i * 2));
         }
-        ob.ensure_exists();
-        let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::new();
+        let mut edits: Edits = Vec::new();
         for i in 0..n {
             let v = Vid::object(oid(&format!("o{i}")));
             let stored = ob.version_shared(v).unwrap();
-            match i % 5 {
+            match i % 6 {
                 0 => {
                     // Modify: new result for p, keep everything else.
                     let mut s = (**stored).clone();
                     s.remove(sym("p"), &MethodApp::new(Args::empty(), int(i)));
                     s.insert(sym("p"), MethodApp::new(Args::empty(), int(i + 1000)));
-                    edits.push((v, Arc::new(s)));
+                    edits.push((v, Some(Arc::new(s))));
                 }
-                1 => edits.push((v, Arc::new(VersionState::new()))), // delete
-                2 => edits.push((v, Arc::clone(stored))),            // ptr-equal recommit
-                3 => edits.push((v, Arc::new((**stored).clone()))),  // content-equal recommit
+                1 => edits.push((v, None)),                     // delete
+                2 => edits.push((v, Some(Arc::clone(stored)))), // ptr-equal recommit
+                3 => edits.push((v, Some(Arc::new((**stored).clone())))), // content-equal
+                4 => edits.push((v, Some(Arc::new(VersionState::new())))), // empty it
                 _ => {
                     // Create a mod-chain version aliasing the stored
                     // state plus the modification — the shape step 2
                     // of T_P produces.
                     let mv = v.apply(UpdateKind::Mod).unwrap();
                     let mut s = (**stored).clone();
-                    s.insert(exists_sym(), MethodApp::new(Args::empty(), mv.base()));
                     s.remove(sym("q"), &MethodApp::new(vec![int(1)], int(i * 2)));
                     s.insert(sym("q"), MethodApp::new(vec![int(1)], int(i * 3)));
-                    edits.push((mv, Arc::new(s)));
+                    edits.push((mv, Some(Arc::new(s))));
                 }
             }
         }
-        // Brand-new objects too (no prior version at all).
+        // Brand-new objects too (no prior version at all), one empty.
         for i in 0..n / 4 {
             let v = Vid::object(oid(&format!("fresh{i}")));
             let mut s = VersionState::new();
-            s.insert(exists_sym(), MethodApp::new(Args::empty(), v.base()));
-            s.insert(sym("p"), MethodApp::new(Args::empty(), int(i)));
-            edits.push((v, Arc::new(s)));
+            if i > 0 {
+                s.insert(sym("p"), MethodApp::new(Args::empty(), int(i)));
+            }
+            edits.push((v, Some(Arc::new(s))));
         }
         (ob, edits)
     }
@@ -1209,8 +1202,8 @@ mod tests {
         let (ob, edits) = shard_commit_fixture();
         let mut serial = ob.clone();
         let mut ch_serial = ChangedSince::new();
-        for (vid, state) in &edits {
-            serial.replace_versions_tracked_shared(&[(*vid, Arc::clone(state))], &mut ch_serial);
+        for edit in &edits {
+            serial.replace_versions_tracked_shared(std::slice::from_ref(edit), &mut ch_serial);
         }
         serial.check_invariants();
         let mut batch = ob.clone();
@@ -1237,7 +1230,6 @@ mod tests {
             ob.insert(obj(i), sym("p"), Args::empty(), int(i));
             ob.insert(obj(i), sym("q"), vec![int(1)], int(i * 2));
         }
-        ob.ensure_exists();
         // Every shard and state starts shared, as in an engine run.
         let before = ob.clone();
         let mut expect: std::collections::BTreeSet<Fact> = ob.iter().collect();
@@ -1268,8 +1260,9 @@ mod tests {
                     assert!(!ob.remove_tracked(obj(i), p, &none, int(999), ch));
                     expect.remove(&fact(i, "p", none.clone(), i));
                     expect.remove(&fact(i, "q", one.clone(), i * 2));
-                    assert!(ob.exists_fact(obj(i)), "an emptied version keeps its exists note");
-                    assert!(ob.version(obj(i)).unwrap().is_empty_except(exists_sym()));
+                    expect.extend(version_facts(obj(i), &VersionState::new()));
+                    assert!(ob.exists_fact(obj(i)), "an emptied version still exists");
+                    assert!(ob.version(obj(i)).unwrap().is_empty());
                 }
                 _ => {}
             }
@@ -1277,7 +1270,7 @@ mod tests {
         ob.check_invariants();
         assert_eq!(ob, ObjectBase::from_facts(expect.into_iter().collect()));
         before.check_invariants();
-        assert_eq!(before.len(), 3 * n as usize, "the shared clone must not see the edits");
+        assert_eq!(before.len(), 2 * n as usize, "the shared clone must not see the edits");
 
         let bases = |m: &str| {
             let mut v: Vec<Const> =
@@ -1323,36 +1316,35 @@ mod tests {
                 ob.insert(v, sym("p"), Args::empty(), int(rng.below(4) as i64));
                 ob.insert(v, sym("q"), vec![int(rng.below(3) as i64)], int(i as i64));
             }
-            if rng.below(2) == 0 {
-                ob.ensure_exists();
-            }
             // Successive batches, so versions created by one are the
             // hot versions the next one grows.
             for batch in 0..4 {
-                let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::new();
+                let mut edits: Edits = Vec::new();
                 for vid in ob.versions().collect::<Vec<_>>() {
                     let stored = ob.version_shared(vid).unwrap();
                     let mut s = (**stored).clone();
-                    match rng.below(7) {
-                        0 => edits.push((vid, Arc::new(VersionState::new()))),
-                        1 => edits.push((vid, Arc::clone(stored))),
-                        2 => edits.push((vid, Arc::new(s))),
+                    match rng.below(8) {
+                        0 => edits.push((vid, Some(Arc::new(VersionState::new())))),
+                        1 => edits.push((vid, Some(Arc::clone(stored)))),
+                        2 => edits.push((vid, Some(Arc::new(s)))),
                         3 => {
                             s.insert(sym("p"), MethodApp::new(Args::empty(), int(10 + batch)));
                             s.insert(sym("r"), MethodApp::new(vec![int(batch)], int(case)));
-                            edits.push((vid, Arc::new(s)));
+                            edits.push((vid, Some(Arc::new(s))));
                         }
                         4 => {
-                            s.remove_method(sym("q"));
-                            edits.push((vid, Arc::new(s)));
+                            for app in s.apps(sym("q")).cloned().collect::<Vec<_>>() {
+                                s.remove(sym("q"), &app);
+                            }
+                            edits.push((vid, Some(Arc::new(s))));
                         }
                         5 => {
                             let Ok(fresh) = vid.apply(UpdateKind::Mod) else { continue };
                             if ob.version(fresh).is_none() {
-                                s.insert(exists_sym(), MethodApp::new(Args::empty(), vid.base()));
-                                edits.push((fresh, Arc::new(s)));
+                                edits.push((fresh, Some(Arc::new(s))));
                             }
                         }
+                        6 => edits.push((vid, None)),
                         _ => {}
                     }
                 }
@@ -1362,17 +1354,54 @@ mod tests {
                     expect.insert(f.vid, f.method, f.args, f.result);
                 }
                 for (vid, state) in &edits {
-                    for (method, app) in state.iter() {
-                        expect.insert(*vid, method, app.args.clone(), app.result);
+                    for f in state.iter().flat_map(|s| version_facts(*vid, s)) {
+                        expect.insert(f.vid, f.method, f.args, f.result);
                     }
                 }
                 ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
                 ob.check_invariants();
                 assert_eq!(ob, expect, "case {case} batch {batch}");
                 assert_eq!(ob.fact_count, expect.fact_count);
-                assert_eq!(ob.prepared_versions, expect.prepared_versions);
             }
         }
+    }
+
+    /// Every `exists` read answers from the version table — emptied,
+    /// removed and brand-new versions included — and the commit records
+    /// a version's appearance or removal under `(chain, exists)`.
+    #[test]
+    fn exists_is_the_version_table_across_shards() {
+        let (before, edits) = shard_commit_fixture();
+        let mut ob = before.clone();
+        let mut changed = ChangedSince::new();
+        ob.replace_versions_tracked_shared(&edits, &mut changed);
+        ob.check_invariants();
+        let exists = exists_sym();
+        for (vid, state) in &edits {
+            let present = state.is_some();
+            assert_eq!(ob.exists_fact(*vid), present, "{vid}");
+            assert_eq!(ob.contains(*vid, exists, &[], vid.base()), present);
+            assert!(!ob.contains(*vid, exists, &[], int(0)));
+            assert_eq!(ob.results(*vid, exists, &[]).collect::<Vec<_>>().len(), present as usize);
+            let found: Vec<Vid> =
+                ob.versions_with_result(vid.chain(), exists, vid.base()).collect();
+            assert_eq!(found, if present { vec![*vid] } else { vec![] });
+            assert_eq!(ob.v_star(*vid), if present { Some(*vid) } else { None });
+            let recorded =
+                changed.bases(&(vid.chain(), exists)).is_some_and(|b| b.contains(&vid.base()));
+            assert_eq!(recorded, before.exists_fact(*vid) != present, "{vid}");
+        }
+        for chain in [Chain::EMPTY, Chain::EMPTY.push(UpdateKind::Mod).unwrap()] {
+            let mut indexed: Vec<Vid> = ob.versions_with(chain, exists).collect();
+            let mut table: Vec<Vid> = ob.versions().filter(|v| v.chain() == chain).collect();
+            indexed.sort();
+            table.sort();
+            assert_eq!(indexed, table);
+        }
+        let empty = ob.versions().filter(|&v| ob.version(v).unwrap().is_empty()).count();
+        assert!(empty > 0);
+        assert_eq!(ob.len(), ob.iter().count());
+        assert_eq!(ob.iter().filter(|f| f.method == exists).count(), empty);
     }
 
     #[test]
@@ -1386,10 +1415,7 @@ mod tests {
         assert!(ch.keys().next().is_none());
         // Removing a version that never existed is a no-op.
         let ghost = Vid::object(oid("nobody"));
-        let edits = vec![
-            (ghost, Arc::new(VersionState::new())),
-            (ghost.apply(UpdateKind::Del).unwrap(), Arc::new(VersionState::new())),
-        ];
+        let edits = vec![(ghost, None), (ghost.apply(UpdateKind::Del).unwrap(), None)];
         a.replace_versions_tracked_shared(&edits, &mut ch);
         assert_eq!(a, ob);
         assert!(ch.keys().next().is_none());
@@ -1426,14 +1452,21 @@ mod tests {
     }
 
     #[test]
-    fn removing_last_fact_drops_version() {
+    fn removing_the_last_fact_keeps_the_version() {
         let mut ob = ObjectBase::new();
         let v = Vid::object(oid("x"));
         ob.insert(v, sym("p"), Args::empty(), int(1));
-        assert!(ob.version(v).is_some());
-        ob.remove(v, sym("p"), &Args::empty(), int(1));
-        assert!(ob.version(v).is_none());
-        assert_eq!(ob.objects().count(), 0);
+        assert!(ob.remove(v, sym("p"), &Args::empty(), int(1)));
+        // Deleting facts never deletes `exists` (§3): the version stays,
+        // and enumerates as its one canonical `exists` fact.
+        assert!(ob.version(v).unwrap().is_empty());
+        assert!(ob.exists_fact(v));
+        assert!(!ob.remove(v, exists_sym(), &Args::empty(), oid("x")), "`exists` is not removable");
+        assert_eq!(ob.to_string(), "x.exists -> x .\n");
+        assert_eq!(ob.len(), 1);
+        ob.check_invariants();
+        assert!(ob.remove_version(v).is_some());
+        assert!(ob.is_empty());
         ob.check_invariants();
     }
 
@@ -1451,9 +1484,8 @@ mod tests {
     }
 
     #[test]
-    fn ensure_exists_and_v_star() {
+    fn v_star_reads_the_version_table() {
         let mut ob = mk();
-        ob.ensure_exists();
         let phil = Vid::object(oid("phil"));
         assert!(ob.exists_fact(phil));
         let mod_phil = phil.apply(UpdateKind::Mod).unwrap();
@@ -1476,9 +1508,10 @@ mod tests {
         assert_eq!(ob.lookup1(oid("phil"), "sal"), vec![int(1)]);
         assert_eq!(ob.lookup1(oid("phil"), "isa"), vec![]);
         ob.check_invariants();
-        // Replacing with an empty state removes the version.
+        // An empty state keeps the version present.
         ob.replace_version(phil, VersionState::new());
-        assert!(ob.version(phil).is_none());
+        assert!(ob.version(phil).unwrap().is_empty());
+        assert_eq!(ob.lookup1(oid("phil"), "exists"), vec![oid("phil")]);
         ob.check_invariants();
     }
 
@@ -1491,16 +1524,13 @@ mod tests {
             Args::empty(),
             int(4600),
         );
+        ob.replace_version(
+            Vid::object(oid("bob")).apply(UpdateKind::Del).unwrap(),
+            VersionState::new(),
+        );
         let text = ob.to_string();
         let back = ObjectBase::parse(&text).unwrap();
         assert_eq!(ob, back, "text was:\n{text}");
-    }
-
-    #[test]
-    fn without_exists_strips() {
-        let mut ob = mk();
-        ob.ensure_exists();
-        assert_eq!(ob.without_exists(), mk());
     }
 
     #[test]
@@ -1582,7 +1612,7 @@ mod tests {
 
         // Same state back: no delta recorded.
         let same = ob.version(phil).unwrap().clone();
-        ob.replace_versions_tracked_shared(&[(phil, Arc::new(same))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(same)))], &mut changed);
         assert!(changed.is_empty(), "idempotent commit must record nothing");
 
         // Change sal, drop pos, keep isa.
@@ -1590,7 +1620,7 @@ mod tests {
         st.remove(sym("pos"), &MethodApp::new(Args::empty(), oid("mgr")));
         st.remove(sym("sal"), &MethodApp::new(Args::empty(), int(4000)));
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(4600)));
-        ob.replace_versions_tracked_shared(&[(phil, Arc::new(st))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(st)))], &mut changed);
         assert!(changed.contains(&(Chain::EMPTY, sym("sal"))));
         assert!(changed.contains(&(Chain::EMPTY, sym("pos"))));
         assert!(!changed.contains(&(Chain::EMPTY, sym("isa"))));
@@ -1601,8 +1631,9 @@ mod tests {
         let mod_phil = phil.apply(ruvo_term::UpdateKind::Mod).unwrap();
         let mut st = VersionState::new();
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(5000)));
-        ob.replace_versions_tracked_shared(&[(mod_phil, Arc::new(st))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(mod_phil, Some(Arc::new(st)))], &mut changed);
         assert!(changed.contains(&(mod_phil.chain(), sym("sal"))));
+        assert!(changed.contains(&(mod_phil.chain(), exists_sym())), "the version appeared");
         ob.check_invariants();
     }
 
@@ -1645,34 +1676,25 @@ mod tests {
         copy.insert(Vid::object(oid("phil")), sym("sal"), Args::empty(), int(4000));
         assert!(!copy.remove(Vid::object(oid("phil")), sym("sal"), &Args::empty(), int(9)));
         assert!(copy.cow_stats(&original).fully_shared());
-        // A real write dirties at most one shard per index.
+        // A real write dirties at most one shard per index, plus the
+        // `(chain, exists)` entry of a new version.
         copy.insert(Vid::object(oid("newbie")), sym("sal"), Args::empty(), int(1));
         let stats = copy.cow_stats(&original);
         assert!(!stats.fully_shared());
-        assert!(stats.unshared_shards() <= 4, "dirtied {} shards", stats.unshared_shards());
+        assert!(stats.unshared_shards() <= 5, "dirtied {} shards", stats.unshared_shards());
         copy.check_invariants();
         original.check_invariants();
         assert_eq!(original, mk(), "original must be untouched");
     }
 
     #[test]
-    fn ensure_exists_on_prepared_clone_copies_nothing() {
-        let mut prepared = mk();
-        prepared.ensure_exists();
-        let mut copy = prepared.clone();
-        copy.ensure_exists();
-        assert!(copy.cow_stats(&prepared).fully_shared());
-    }
-
-    #[test]
     fn tracked_shared_recommit_short_circuits_on_pointer_identity() {
         let mut ob = mk();
-        ob.ensure_exists();
         let phil = Vid::object(oid("phil"));
         let shared = Arc::clone(ob.version_shared(phil).unwrap());
         let mut changed = ChangedSince::new();
         let snapshot = ob.clone();
-        ob.replace_versions_tracked_shared(&[(phil, shared)], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(shared))], &mut changed);
         assert!(changed.is_empty(), "pointer-identical recommit must record nothing");
         assert!(ob.cow_stats(&snapshot).fully_shared(), "recommit must not reindex");
         ob.check_invariants();
@@ -1688,14 +1710,14 @@ mod tests {
         for &vid in &vids {
             let shared = Arc::clone(ob.version_shared(vid).unwrap());
             let mut ch = ChangedSince::new();
-            ob.replace_versions_tracked_shared(&[(vid, shared)], &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, Some(shared))], &mut ch);
             let fresh = Arc::new((**ob.version_shared(vid).unwrap()).clone());
-            ob.replace_versions_tracked_shared(&[(vid, fresh)], &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, Some(fresh))], &mut ch);
             assert!(ch.is_empty());
         }
-        let edits: Vec<(Vid, Arc<VersionState>)> = vids
+        let edits: Edits = vids
             .iter()
-            .map(|&v| (v, Arc::new((**ob.version_shared(v).unwrap()).clone())))
+            .map(|&v| (v, Some(Arc::new((**ob.version_shared(v).unwrap()).clone()))))
             .collect();
         let mut ch = ChangedSince::new();
         ob.replace_versions_tracked_shared(&edits, &mut ch);
@@ -1780,7 +1802,7 @@ mod tests {
         // Alias bob's state under a new version of phil.
         let state = Arc::clone(ob.version_shared(bob).unwrap());
         let mod_phil = phil.apply(UpdateKind::Mod).unwrap();
-        ob.replace_versions_tracked_shared(&[(mod_phil, state)], &mut ChangedSince::new());
+        ob.replace_versions_tracked_shared(&[(mod_phil, Some(state))], &mut ChangedSince::new());
         assert_eq!(ob.lookup1(oid("bob"), "boss"), vec![oid("phil")]);
         assert!(ob.contains(mod_phil, sym("boss"), &[], oid("phil")));
         ob.check_invariants();

@@ -48,7 +48,8 @@ pub type AddedFacts = FastHashMap<Const, Vec<MethodApp>>;
 /// // Commit a new state for phil's initial version: sal changes.
 /// let mut state = VersionState::new();
 /// state.insert(sym("sal"), MethodApp::new(Args::empty(), int(4600)));
-/// ob.replace_versions_tracked_shared(&[(Vid::object(oid("phil")), state.into())], &mut delta);
+/// let edit = (Vid::object(oid("phil")), Some(state.into()));
+/// ob.replace_versions_tracked_shared(&[edit], &mut delta);
 ///
 /// assert!(delta.contains(&(Chain::EMPTY, sym("sal"))));
 /// assert_eq!(delta.bases(&(Chain::EMPTY, sym("sal"))).unwrap().len(), 1);

@@ -38,7 +38,10 @@
 //! ```
 //!
 //! Symbol indices refer to the file-local table, so snapshots are
-//! stable across processes with differently-populated interners.
+//! stable across processes with differently-populated interners. The
+//! facts are those [`ObjectBase::iter`] yields: an empty version is one
+//! canonical `v.exists -> o` fact, and a decoder refuses any other
+//! `exists` fact.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use ruvo_term::{Chain, Symbol, UpdateKind, Vid};
@@ -46,6 +49,7 @@ use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::base::is_canonical_exists;
 use crate::codec::{self, put_const, DecodeError, Reader, SymbolTable};
 use crate::shard::SHARD_COUNT;
 use crate::{Args, Fact, ObjectBase};
@@ -250,7 +254,8 @@ fn put_fact(body: &mut BytesMut, fact: &Fact, table: &mut SymbolTable) {
     put_const(body, fact.result, table);
 }
 
-/// Decode one fact written by [`put_fact`].
+/// Decode one fact written by [`put_fact`]. An `exists` fact must be
+/// the canonical `v.exists -> base(v)` (it only makes `v` present).
 fn read_fact(r: &mut Reader<'_>, symbols: &[Symbol]) -> Result<Fact, SnapshotError> {
     let vid = read_vid(r, symbols)?;
     let method = read_symbol(r, symbols)?;
@@ -260,18 +265,25 @@ fn read_fact(r: &mut Reader<'_>, symbols: &[Symbol]) -> Result<Fact, SnapshotErr
         args.push(r.constant(symbols)?);
     }
     let result = r.constant(symbols)?;
+    if method == crate::exists_sym() && !is_canonical_exists(vid, &args, result) {
+        return Err(SnapshotError::Corrupt("non-canonical exists fact"));
+    }
     Ok(Fact { vid, method, args: Args::new(args), result })
 }
 
 /// Serialize an object base to a checksummed snapshot.
 pub fn write(ob: &ObjectBase) -> Bytes {
+    encode_facts(&ob.facts_sorted())
+}
+
+/// The snapshot of a fact list, as [`fn@write`] lays it out.
+fn encode_facts(facts: &[Fact]) -> Bytes {
     // Two passes: body first (which populates the symbol table), then
     // splice the table between header and body.
     let mut table = SymbolTable::new();
-    let mut body = BytesMut::with_capacity(ob.len() * 24);
-    let facts = ob.facts_sorted();
+    let mut body = BytesMut::with_capacity(facts.len() * 24);
     body.put_u64_le(facts.len() as u64);
-    for fact in &facts {
+    for fact in facts {
         put_fact(&mut body, fact, &mut table);
     }
 
@@ -611,7 +623,7 @@ mod tests {
         assert_eq!(write(&ob), bytes);
         // ...and undoing the mutations restores byte-identical output
         // even though the copy's shards are now partially unshared.
-        copy.remove(Vid::object(oid("extra")), sym("p"), &Args::empty(), int(1));
+        copy.remove_version(Vid::object(oid("extra")));
         copy.insert(Vid::object(oid("phil")), sym("sal"), Args::empty(), int(4000));
         assert_eq!(write(&copy), bytes);
         assert!(!copy.cow_stats(&ob).fully_shared());
@@ -833,6 +845,67 @@ mod tests {
         bytes.extend_from_slice(&sum.to_le_bytes());
         let mut ob = ObjectBase::new();
         assert_eq!(apply_delta(&mut ob, &bytes).unwrap_err(), SnapshotError::Corrupt("dirty mask"));
+    }
+
+    fn fact(vid: Vid, method: &str, args: Vec<ruvo_term::Const>, result: ruvo_term::Const) -> Fact {
+        Fact { vid, method: sym(method), args: Args::new(args), result }
+    }
+
+    /// What a store that kept `exists` as a stored fact wrote for a seed
+    /// naming `o.exists -> o.`: canonical `exists` facts beside other
+    /// facts. They decode to the base without them; an empty version's
+    /// alone keeps it present.
+    #[test]
+    fn stored_exists_facts_decode_to_presence() {
+        let o = Vid::object(oid("o"));
+        let gone = o.apply(UpdateKind::Del).unwrap();
+        let bytes = encode_facts(&[
+            fact(o, "exists", vec![], oid("o")),
+            fact(o, "p", vec![], int(1)),
+            fact(gone, "exists", vec![], oid("o")),
+        ]);
+        let ob = read(&bytes).unwrap();
+        let mut want = ObjectBase::parse("o.p -> 1.").unwrap();
+        want.replace_version(gone, crate::VersionState::new());
+        assert_eq!(ob, want);
+        assert!(!ob.version(o).unwrap().has_method(crate::exists_sym()));
+        assert_eq!(ob.len(), 2);
+        assert_eq!(write(&ob), write(&want));
+        ob.check_invariants();
+    }
+
+    /// Any other `exists` fact is not a fact: a typed decode error,
+    /// never a panic, never stored — in full snapshots and in deltas.
+    #[test]
+    fn non_canonical_exists_facts_are_refused() {
+        let o = Vid::object(oid("o"));
+        let corrupt = SnapshotError::Corrupt("non-canonical exists fact");
+        for bad in
+            [fact(o, "exists", vec![], oid("p")), fact(o, "exists", vec![oid("o")], oid("o"))]
+        {
+            let bytes = encode_facts(&[fact(o, "p", vec![], int(1)), bad]);
+            assert_eq!(read(&bytes).unwrap_err(), corrupt);
+        }
+        // A delta carrying one, built from a valid delta by swapping the
+        // result constant of its one `exists` fact.
+        let prev = ObjectBase::parse("o.p -> 1.").unwrap();
+        let mut live = prev.clone();
+        live.replace_version(o, crate::VersionState::new());
+        let delta = write_delta(&live, &prev, &live.version_shards_differing(&prev), 1).to_vec();
+        let mut ob = prev.clone();
+        apply_delta(&mut ob, &delta).unwrap();
+        assert_eq!(ob, live);
+        let payload = &delta[..delta.len() - 8];
+        // The result is the last constant: symbol tag 0 and the index
+        // of `o` (first interned, so 0). Point it at `exists` (1).
+        let mut bad = payload.to_vec();
+        let n = bad.len();
+        assert_eq!(&bad[n - 5..], &[0, 0, 0, 0, 0]);
+        bad[n - 4] = 1;
+        let sum = codec::checksum(&bad);
+        bad.extend_from_slice(&sum.to_le_bytes());
+        let mut ob = prev.clone();
+        assert_eq!(apply_delta(&mut ob, &bad).unwrap_err(), corrupt);
     }
 
     #[test]

@@ -40,10 +40,13 @@ impl fmt::Debug for MethodApp {
 
 /// The state of one version: its method-applications, grouped by method.
 ///
+/// A state stored in an [`crate::ObjectBase`] never holds `exists`: the
+/// version's presence in the table is its `exists` fact (§3), so a
+/// state may be empty (every fact deleted, §5).
+///
 /// Each method's application set is `Arc`-shared: cloning a state — the
-/// frame-copy step `T_P` performs per updated version, and what
-/// `ensure_exists` pays per version of a raw base — allocates one map
-/// and bumps one refcount per method instead of deep-copying every
+/// frame-copy step `T_P` performs per updated version — allocates one
+/// map and bumps one refcount per method instead of deep-copying every
 /// set, and a mutation unshares only the one method it touches. This
 /// is the innermost level of the store's copy-on-write stack (index
 /// shards → version states → method sets); it also lets
@@ -92,17 +95,6 @@ impl VersionState {
         true
     }
 
-    /// Remove every application of `method`; returns how many were removed.
-    pub fn remove_method(&mut self, method: Symbol) -> usize {
-        match self.methods.remove(&method) {
-            Some(set) => {
-                self.fact_count -= set.len();
-                set.len()
-            }
-            None => 0,
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, method: Symbol, app: &MethodApp) -> bool {
         self.methods.get(&method).is_some_and(|s| s.contains(app))
@@ -145,13 +137,6 @@ impl VersionState {
     /// True if the state has no method-applications at all.
     pub fn is_empty(&self) -> bool {
         self.fact_count == 0
-    }
-
-    /// §5: "it may be the case that for an object all method-applications
-    /// are deleted in its final version, i.e. the only method defined for
-    /// this version is the method `exists`."
-    pub fn is_empty_except(&self, method: Symbol) -> bool {
-        self.methods.keys().all(|&m| m == method)
     }
 
     /// The methods whose application sets differ between `self` and
@@ -229,17 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_method_bulk() {
-        let mut s = VersionState::new();
-        s.insert(sym("p"), app(int(1)));
-        s.insert(sym("p"), app(int(2)));
-        s.insert(sym("q"), app(int(3)));
-        assert_eq!(s.remove_method(sym("p")), 2);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.remove_method(sym("p")), 0);
-    }
-
-    #[test]
     fn changed_methods_is_a_symmetric_method_diff() {
         let mut a = VersionState::new();
         a.insert(sym("sal"), app(int(250)));
@@ -252,15 +226,5 @@ mod tests {
         let mut diff = a.changed_methods(&b);
         diff.sort_by_key(|m| m.as_str().to_owned());
         assert_eq!(diff, vec![sym("isa"), sym("pos"), sym("sal")]);
-    }
-
-    #[test]
-    fn is_empty_except_exists() {
-        let mut s = VersionState::new();
-        let exists = sym("exists");
-        s.insert(exists, app(oid("o")));
-        assert!(s.is_empty_except(exists));
-        s.insert(sym("p"), app(int(1)));
-        assert!(!s.is_empty_except(exists));
     }
 }

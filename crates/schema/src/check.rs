@@ -171,7 +171,7 @@ pub fn check(schema: &Schema, ob: &ObjectBase) -> Vec<Violation> {
         // Per-application checks.
         let mut seen_args: FastHashMap<(Symbol, Vec<Const>), usize> = FastHashMap::default();
         for (method, app) in state.iter() {
-            if method == isa || method == ruvo_obase::exists_sym() {
+            if method == isa {
                 continue;
             }
             let Some(sig) = sigs.get(&method) else {

@@ -73,7 +73,6 @@ struct ClassMethods {
 
 fn class_methods(ob: &ObjectBase, schema: &Schema) -> ClassMethods {
     let isa = isa_sym();
-    let exists = ruvo_obase::exists_sym();
     let member_of = membership(ob, schema);
     let mut per_class: FastHashMap<Symbol, MethodObservations> = FastHashMap::default();
     let mut inhabited: FastHashSet<Symbol> = FastHashSet::default();
@@ -85,7 +84,7 @@ fn class_methods(ob: &ObjectBase, schema: &Schema) -> ClassMethods {
             let slot = per_class.entry(class).or_default();
             let mut args_seen: FastHashMap<(Symbol, Vec<Const>), usize> = FastHashMap::default();
             for (method, app) in state.iter() {
-                if method == isa || method == exists {
+                if method == isa {
                     continue;
                 }
                 let entry = slot.entry(method).or_default();

@@ -44,12 +44,9 @@ fn main() {
         let mut versions: Vec<Vid> = outcome.result().versions_of(oid(base)).collect();
         versions.sort_by_key(|v| v.depth());
         for v in versions {
-            let state = outcome.result().version(v).expect("has facts");
-            let mut line: Vec<String> = state
-                .iter()
-                .filter(|(m, _)| *m != sym("exists"))
-                .map(|(m, app)| format!("{m} {app:?}"))
-                .collect();
+            let state = outcome.result().version(v).expect("the version exists");
+            let mut line: Vec<String> =
+                state.iter().map(|(m, app)| format!("{m} {app:?}")).collect();
             line.sort();
             println!("  depth {}: {v}\n           {}", v.depth(), line.join(", "));
         }

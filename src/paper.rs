@@ -68,15 +68,16 @@
 //!   (one function per clause, including the `mod[v].m→(r,r)` case).
 //! * The system method `exists` and `v*`:
 //!   [`crate::obase::ObjectBase::exists_fact`] /
-//!   [`crate::obase::ObjectBase::v_star`];
-//!   `exists` is unupdatable by validation
-//!   ([`crate::lang::validate`]).
+//!   [`crate::obase::ObjectBase::v_star`]; `exists` is unupdatable by
+//!   validation ([`crate::lang::validate`]), so it is the version
+//!   table itself: no state stores it, and there is no preparation
+//!   step.
 //! * `T_P` steps 1–3: [`crate::core::tp::collect_rule`] (step 1, with
 //!   head-truth filtering) and [`crate::core::tp::apply_updates`]
 //!   (steps 2+3: relevant/active copy, then insert/delete/modify).
 //! * The frame-problem note ("copying old states only for the objects
 //!   being updated") is measured by the `benchmark/` driver's
-//!   `tp.facts_copied` and `obase.ensure_exists_ms`.
+//!   `tp.facts_copied`.
 //!
 //! ## §4 Bottom-up evaluation
 //!
@@ -94,7 +95,9 @@
 //! [`crate::obase::LinearityTracker`] (the paper's keep-the-most-recent
 //! -VID scheme, O(1) per version); final versions and `ob′` extraction:
 //! [`crate::core::Outcome::try_new_object_base`]. Objects whose final
-//! state holds only `exists` vanish, as prescribed.
+//! state holds only `exists` (an empty state) vanish, as prescribed;
+//! [`crate::core::Session::new`] drops such versions from a base it
+//! opens, so a committed base never holds one.
 //!
 //! ## §6 Conclusion (future work) — implemented extensions
 //!

@@ -1,5 +1,5 @@
-//! Cost contracts: what a commit costs follows what it changes, not the
-//! size of the object base it changes.
+//! Cost contracts: what a commit, a read or an evaluation costs follows
+//! what it changes or asks, not the size of the object base.
 //!
 //! A test-only counting allocator supplies the counts, per thread, so
 //! the harness's other test threads do not leak into a measurement.
@@ -64,7 +64,7 @@ static COUNTING: Counting = Counting;
 
 /// `n` accounts shaped like the `txn_stream` benchmark's: distinct
 /// balances, tags and owners, one shared `kind`.
-fn accounts(n: usize) -> Session {
+fn accounts_base(n: usize) -> ObjectBase {
     let mut src = String::new();
     for a in 0..n {
         src.push_str(&format!(
@@ -72,8 +72,16 @@ fn accounts(n: usize) -> Session {
             100 * (a + 1)
         ));
     }
-    Session::parse(&src).unwrap()
+    ObjectBase::parse(&src).unwrap()
 }
+
+fn accounts(n: usize) -> Session {
+    Session::new(accounts_base(n))
+}
+
+/// Credit every live account: a wide program.
+const CREDIT_ALL: &str =
+    "credit: mod[A].balance -> (B, B2) <= A.kind -> live & A.balance -> B & B2 = B + 1.";
 
 fn compile(src: &str) -> CompiledProgram {
     CompiledProgram::compile(Program::parse(src).unwrap(), CyclePolicy::Reject).unwrap()
@@ -152,4 +160,63 @@ fn the_log_retains_o1_per_commit() {
     eprintln!("retained per commit: {per_commit:.0} bytes");
     assert!(per_commit < 7_500.0, "the session retains {per_commit:.0} bytes per commit");
     assert_eq!(session.len(), 2_000);
+}
+
+/// Mean allocations of `queries` point goals through the serving read
+/// path, after a warm-up.
+fn allocations_per_query(n: usize, queries: usize) -> f64 {
+    let db = ServingDatabase::open(accounts_base(n));
+    let credit = db.prepare(CREDIT_ALL).unwrap();
+    let mut total = 0;
+    for i in 0..queries + 16 {
+        let goal = Goal::parse(&format!("?- mod(acct{}).balance -> B.", (i * 7919) % n)).unwrap();
+        let before = ALLOCATIONS.with(Cell::get);
+        let answers = db.query(&credit, goal).unwrap();
+        if i >= 16 {
+            total += ALLOCATIONS.with(Cell::get) - before;
+        }
+        assert_eq!(answers.rows.len(), 1);
+    }
+    total as f64 / queries as f64
+}
+
+#[test]
+fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
+    let small = allocations_per_query(1_000, 100);
+    let large = allocations_per_query(10_000, 100);
+    eprintln!("allocations per served point query: {small:.1} at 1k accounts, {large:.1} at 10k");
+    assert!(
+        (large - small).abs() <= 8.0,
+        "a served point query allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
+    );
+}
+
+/// Mean allocations of `prepared_work()` plus a one-object evaluation,
+/// each right after a wide commit (the §5 rebuild) installed a new head.
+fn allocations_after_a_wide_commit(n: usize, rounds: usize) -> f64 {
+    let mut session = accounts(n);
+    let credit_all = compile(CREDIT_ALL);
+    let mut total = 0;
+    for i in 0..rounds {
+        session.commit(evaluate(&session, &credit_all)).unwrap();
+        let one = one_object_program(i, n);
+        let before = ALLOCATIONS.with(Cell::get);
+        let outcome = run_compiled(&one, session.config(), session.prepared_work()).unwrap();
+        total += ALLOCATIONS.with(Cell::get) - before;
+        assert!(outcome.stats().fired_updates > 0);
+    }
+    total as f64 / rounds as f64
+}
+
+#[test]
+fn evaluations_after_a_wide_commit_allocate_the_same_at_1k_and_10k_accounts() {
+    let small = allocations_after_a_wide_commit(1_000, 4);
+    let large = allocations_after_a_wide_commit(10_000, 4);
+    eprintln!(
+        "allocations of a one-object evaluation after a wide commit: {small:.1} at 1k accounts, {large:.1} at 10k"
+    );
+    assert!(
+        (large - small).abs() <= 8.0,
+        "after a wide commit, a one-object evaluation allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
+    );
 }

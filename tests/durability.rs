@@ -76,9 +76,13 @@ fn recovered_state_equals_reference_for_a_mixed_stream() {
             .unwrap();
         for src in &workload.programs {
             db.apply_src(src).unwrap();
+            // Every index consistent, on the head and on `result(P)`.
+            db.current().check_invariants();
+            db.log().last().expect("just committed").outcome.result().check_invariants();
         }
     }
     let recovered = Database::open_dir(&dir).unwrap();
+    recovered.current().check_invariants();
     assert_eq!(recovered.current(), &workload.state_after(workload.programs.len()));
 }
 

@@ -71,10 +71,10 @@ fn section_2_3_enterprise_figure_2() {
     assert!(result.contains(mod_phil, sym("pos"), &[], oid("mgr")));
     assert!(result.contains(mod_bob, sym("boss"), &[], oid("phil")));
 
-    // Stratum 2 (rule 3): bob (4620 > 4600) loses everything; only the
-    // existence note survives. phil has no superior: no del(mod(phil)).
+    // Stratum 2 (rule 3): bob (4620 > 4600) loses everything; only its
+    // existence survives. phil has no superior: no del(mod(phil)).
     let del_state = result.version(del_mod_bob).expect("del(mod(bob)) exists");
-    assert!(del_state.is_empty_except(sym("exists")));
+    assert!(del_state.is_empty());
     assert!(result.version(mod_phil.apply(UpdateKind::Del).unwrap()).is_none());
 
     // Stratum 3 (rule 4): phil (4600 > 4500, not deleted) joins hpe.

@@ -138,8 +138,7 @@ fn parallel_matches_sequential_under_runtime_stability() {
 /// of `O`, which has no `a`.
 #[test]
 fn same_round_versions_copy_from_the_round_input() {
-    let mut ob = ObjectBase::parse("o.isa -> t. o.sal -> 10. p.isa -> t. p.sal -> 20.").unwrap();
-    ob.ensure_exists();
+    let ob = ObjectBase::parse("o.isa -> t. o.sal -> 10. p.isa -> t. p.sal -> 20.").unwrap();
     let program = Program::parse(
         "r1: ins[O].a -> 1 <= O.isa -> t & not mod(ins(O)).zzz -> 1.
          r2: mod[ins(O)].sal -> (S, S2) <= O.isa -> t & O.sal -> S & S2 = S + 1.",
@@ -185,7 +184,11 @@ fn seed_splitting_triggers_and_stays_identical() {
 fn component_scheduling_bundles_and_stays_identical() {
     let mut src = String::new();
     for i in 0..24 {
-        src.push_str(&format!("o{i}.s -> 1. o{i}.t -> 2. o{i}.price -> {i}.\n"));
+        // `o*` objects get `ins` versions, `m*` objects `mod` ones:
+        // one update chain per object keeps the result version-linear.
+        src.push_str(&format!(
+            "o{i}.s -> 1. o{i}.t -> 2. m{i}.u -> 1. m{i}.v -> 2. m{i}.price -> {i}.\n"
+        ));
     }
     let ob = ObjectBase::parse(&src).unwrap();
     let program = Program::parse(
@@ -197,8 +200,8 @@ fn component_scheduling_bundles_and_stays_identical() {
         // its reads must not leak edges into the earlier stratum.
         "a: ins[X].p -> 1 <= X.s -> 1.
          b: ins[X].q -> 2 <= X.t -> 2.
-         c: mod[X].price -> (P, 1) <= X.price -> P & X.s -> 1.
-         d: mod[X].price -> (P, 2) <= X.price -> P & X.t -> 2.
+         c: mod[X].price -> (P, 1) <= X.price -> P & X.u -> 1.
+         d: mod[X].price -> (P, 2) <= X.price -> P & X.v -> 2.
          e: ins[ins(X)].flag -> 1 <= ins(X).p -> 1 & not ins(X).q -> 9.",
     )
     .unwrap();

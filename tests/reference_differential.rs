@@ -16,7 +16,9 @@
 //! * the extracted new object base,
 //!
 //! and all engine configurations (delta filtering on/off, parallel
-//! on/off) must produce that same result.
+//! on/off) must produce that same result. The store's own `exists` and
+//! `v*` reads on that result are checked against the §3 definition the
+//! reference keeps (a scan of the version list), not assumed.
 
 use proptest::prelude::*;
 use ruvo::core::reference;
@@ -34,6 +36,39 @@ fn evaluate_with(
 
 fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
     evaluate_with(program, EngineConfig::default(), ob)
+}
+
+/// The store answers `exists` and `v*` from its version table; check
+/// every such read against [`reference::exists`] / [`reference::v_star`]
+/// on `ob`'s versions, their prefixes and one-update extensions.
+fn assert_exists_reads_match_definition(ob: &ObjectBase) {
+    let exists = ruvo::obase::exists_sym();
+    let mut probes: Vec<Vid> = Vec::new();
+    for v in ob.versions() {
+        probes.extend(v.subterms());
+        probes.extend(
+            [UpdateKind::Ins, UpdateKind::Del, UpdateKind::Mod]
+                .into_iter()
+                .filter_map(|k| v.apply(k).ok()),
+        );
+    }
+    for v in probes {
+        let defined = reference::exists(ob, v);
+        assert_eq!(ob.exists_fact(v), defined, "exists_fact({v})");
+        assert_eq!(ob.contains(v, exists, &[], v.base()), defined, "contains({v}.exists)");
+        assert_eq!(
+            ob.results(v, exists, &[]).collect::<Vec<_>>(),
+            if defined { vec![v.base()] } else { vec![] }
+        );
+        let keyed: Vec<Vid> = ob.versions_with_result(v.chain(), exists, v.base()).collect();
+        assert_eq!(keyed, if defined { vec![v] } else { vec![] }, "versions_with_result({v})");
+        assert_eq!(ob.v_star(v), reference::v_star(ob, v), "v_star({v})");
+        let mut scanned: Vec<Vid> = ob.versions_with(v.chain(), exists).collect();
+        let mut listed: Vec<Vid> = ob.versions().filter(|w| w.chain() == v.chain()).collect();
+        scanned.sort();
+        listed.sort();
+        assert_eq!(scanned, listed, "versions_with({}, exists)", v.chain());
+    }
 }
 
 /// One template instantiation. `h`, `a`, `b` pick method names, `obj`
@@ -137,6 +172,7 @@ proptest! {
                     e.result(), &r.result,
                     "result(P) differs\nprogram:\n{}\nbase: {}", prog_src, ob_src
                 );
+                assert_exists_reads_match_definition(e.result());
                 prop_assert_eq!(
                     e.try_new_object_base().unwrap(),
                     r.new_object_base().unwrap(),
@@ -234,6 +270,7 @@ fn fixed_seed_differential_sweep() {
         match (engine, reference) {
             (Ok(e), Ok(r)) => {
                 assert_eq!(e.result(), &r.result, "seed {seed}\n{prog_src}\n{ob_src}");
+                assert_exists_reads_match_definition(e.result());
                 checked += 1;
             }
             (Err(ee), Err(re)) => {

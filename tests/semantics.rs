@@ -104,9 +104,9 @@ fn mod_body_unchanged_result_clause() {
     assert_eq!(bad.new_object_base().lookup1(oid("x"), "wrong"), vec![]);
 }
 
-/// Deleting the last method-application keeps the existence note, and
-/// `del[v].m -> r` in a body still reports the transition (§3's "loss
-/// of information" discussion).
+/// Deleting the last method-application keeps the version — it still
+/// exists — and `del[v].m -> r` in a body still reports the transition
+/// (§3's "loss of information" discussion).
 #[test]
 fn exists_note_survives_total_deletion() {
     let outcome = run(
@@ -116,10 +116,60 @@ fn exists_note_survives_total_deletion() {
     );
     let result = outcome.result();
     let del_v = Vid::object(oid("victim")).apply(UpdateKind::Del).unwrap();
-    assert!(result.exists_fact(del_v), "existence note survives");
+    assert!(result.exists_fact(del_v), "the emptied version still exists");
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("x"), "killed"), vec![oid("victim")]);
     assert!(!ob2.objects().any(|o| o == oid("victim")));
+}
+
+/// An emptied version holds no stored fact yet exists: `result(P)`'s
+/// text and snapshot write it as its one `v.exists -> o` fact and read
+/// it back as an empty present version — on §2.3's enterprise run
+/// (`del(mod(bob))`) and on a `del[o].*` run.
+#[test]
+fn emptied_versions_round_trip_through_text_and_snapshots() {
+    let enterprise = evaluate(
+        ruvo::workload::enterprise_program(),
+        &ObjectBase::parse(ruvo::workload::PAPER_ENTERPRISE_OB).unwrap(),
+    )
+    .unwrap();
+    let del_all = run("o.p -> 1. o.q -> 2. keep.p -> 3.", "del[o].* <= o.p -> 1.");
+    let del_mod_bob = Vid::object(oid("bob"))
+        .apply(UpdateKind::Mod)
+        .and_then(|v| v.apply(UpdateKind::Del))
+        .unwrap();
+    let del_o = Vid::object(oid("o")).apply(UpdateKind::Del).unwrap();
+    for (outcome, emptied) in [(&enterprise, del_mod_bob), (&del_all, del_o)] {
+        let result = outcome.result();
+        result.check_invariants();
+        assert!(result.version(emptied).unwrap().is_empty());
+        let text = result.to_string();
+        let canonical = format!("{emptied}.exists -> {} .", emptied.base());
+        assert_eq!(
+            text.lines().filter(|l| l.contains(".exists ->")).collect::<Vec<_>>(),
+            [canonical]
+        );
+        let back = ObjectBase::parse(&text).unwrap();
+        assert_eq!(&back, result, "text was:\n{text}");
+        assert_eq!(back.len(), result.len());
+        let bytes = ruvo::obase::snapshot::write(result);
+        let decoded = ruvo::obase::snapshot::read(&bytes).unwrap();
+        assert_eq!(&decoded, result);
+        decoded.check_invariants();
+        assert_eq!(ruvo::obase::snapshot::write(&decoded), bytes);
+    }
+}
+
+/// The only `exists` fact an object base can name is `v.exists -> o`:
+/// any other is a typed parse error, never stored.
+#[test]
+fn non_canonical_exists_facts_do_not_parse() {
+    for bad in ["o.exists -> p.", "o.exists @ o -> o.", "mod(o).exists -> 3."] {
+        let err = ObjectBase::parse(bad).unwrap_err();
+        assert!(err.to_string().contains("exists"), "{bad}: {err}");
+    }
+    let ob = ObjectBase::parse("o.exists -> o. o.p -> 1.").unwrap();
+    assert_eq!(ob, ObjectBase::parse("o.p -> 1.").unwrap());
 }
 
 /// `exists` cannot be updated (§3): validation rejects it in heads.

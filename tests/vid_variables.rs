@@ -155,3 +155,31 @@ fn wildcard_rules_agree_with_the_reference_serial_and_parallel() {
         assert_eq!(v.result(), &r.result, "parallel={parallel}");
     }
 }
+
+/// `$V.exists -> O` enumerates exactly the versions of `result(P)`, an
+/// emptied one included: `exists` is the version table (§3).
+#[test]
+fn vid_exists_scan_enumerates_every_version() {
+    use ruvo::term::{VarId, VidVarId};
+    let ob = ObjectBase::parse("o.p -> 1. o.q -> 2. k.p -> 3.").unwrap();
+    let program =
+        Program::parse("wipe: del[o].* <= o.p -> 1. tag: ins[k].t -> 1 <= k.p -> 3.").unwrap();
+    let outcome = evaluate(program, &ob).unwrap();
+    let result = outcome.result();
+    let del_o = Vid::object(oid("o")).apply(UpdateKind::Del).unwrap();
+    assert!(result.version(del_o).unwrap().is_empty(), "del(o) is emptied");
+
+    let scan = Program::parse("s: ins[x].seen -> O <= $V.exists -> O.").unwrap();
+    let plan = ruvo::core::IndexPlan::of(&scan);
+    let mut seen = Vec::new();
+    ruvo::core::matcher::for_each_match(result, &scan.rules[0], &plan.rules[0], None, &mut |b| {
+        let v = b.get_vid(VidVarId(0)).expect("$V is bound");
+        assert_eq!(b.get(VarId(0)), Some(v.base()), "O is the object of $V");
+        seen.push(v);
+    });
+    seen.sort();
+    let mut versions: Vec<Vid> = result.versions().collect();
+    versions.sort();
+    assert_eq!(seen, versions);
+    assert!(seen.contains(&del_o));
+}

@@ -90,9 +90,7 @@ fn run_entry_points_agree() {
     let program = Program::parse("x: ins[X].r -> V <= X.p -> V.").unwrap();
     let db = Database::open(ob.clone());
     let by_ref = db.evaluate(&db.prepare_program(program.clone()).unwrap()).unwrap();
-    let mut prepared = ob.clone();
-    prepared.ensure_exists();
     let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
-    let pre = run_compiled(&compiled, &EngineConfig::default(), prepared).unwrap();
+    let pre = run_compiled(&compiled, &EngineConfig::default(), ob).unwrap();
     assert_eq!(by_ref.result(), pre.result());
 }
