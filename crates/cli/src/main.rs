@@ -16,8 +16,6 @@
 //!     --stats         print evaluation statistics
 //!     --trace         print per-stratum and per-round traces
 //!     --no-linearity  disable the §5 runtime check
-//!     --parallel      evaluate rules on multiple threads
-//!     --threads N     cap parallel evaluation at N workers (0 = auto)
 //!     --dynamic       accept statically non-stratifiable programs
 //!                     under the runtime stability check (§6 extension)
 //! ruvo serve   <base.ob> <program.ruvo>       concurrent serving demo
@@ -50,8 +48,7 @@ fn usage() -> ExitCode {
         "usage:\n  ruvo check   <program.ruvo> [--json] [--deps] [--dot] [--deny]\n  \
          ruvo explain <program.ruvo>\n  \
          ruvo fmt     <program.ruvo>\n  ruvo run     <program.ruvo> <base.ob> \
-         [--result] [--stats] [--trace] [--no-linearity] [--parallel] [--threads N] \
-         [--dynamic]\n  \
+         [--result] [--stats] [--trace] [--no-linearity] [--dynamic]\n  \
          ruvo serve   <base.ob> <program.ruvo> [--readers N] [--commits K] \
          [--data-dir D] [--ack-file F]\n  \
          ruvo recover <data-dir> [--compact]\n  \
@@ -150,19 +147,11 @@ fn main() -> ExitCode {
                 return usage();
             };
             let mut flags: Vec<&str> = Vec::new();
-            let mut threads: usize = 0;
-            let mut rest = args[3..].iter().map(String::as_str);
-            while let Some(arg) = rest.next() {
+            for arg in args[3..].iter().map(String::as_str) {
                 match arg {
-                    "--result" | "--stats" | "--trace" | "--no-linearity" | "--parallel"
-                    | "--dynamic" => flags.push(arg),
-                    "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                        Some(n) => threads = n,
-                        None => {
-                            eprintln!("error: --threads needs a number");
-                            return usage();
-                        }
-                    },
+                    "--result" | "--stats" | "--trace" | "--no-linearity" | "--dynamic" => {
+                        flags.push(arg)
+                    }
                     unknown => {
                         eprintln!("error: unknown flag {unknown}");
                         return usage();
@@ -185,8 +174,6 @@ fn main() -> ExitCode {
             };
             let mut db = Database::builder()
                 .check_linearity(!flags.contains(&"--no-linearity"))
-                .parallel(flags.contains(&"--parallel"))
-                .threads(threads)
                 .trace(if flags.contains(&"--trace") {
                     TraceLevel::Rounds
                 } else {

@@ -28,8 +28,6 @@ commands:
   :rollback <n>       roll back to savepoint n
   :log                list committed transactions
   :stats              object base statistics
-  :set threads <n>    parallel evaluation with n worker threads
-                      (0 = serial, the default; results are identical)
   :help               this help
   :quit               leave
 ?- B1 & ... & Bk .    query goal, answered against the current base
@@ -234,29 +232,6 @@ pub fn run(
                             Ok(()) => writeln!(out, "rolled back")?,
                             Err(e) => writeln!(out, "! {e}")?,
                         },
-                    }
-                }
-                ("set", arg) => {
-                    // One knob for now: `:set threads <n>`. n = 0 turns
-                    // parallel evaluation off; n >= 1 turns it on with
-                    // an n-worker cap. Either way results are
-                    // unchanged — only execution strategy moves.
-                    let parsed = arg.and_then(|a| {
-                        let (key, value) = a.split_once(char::is_whitespace)?;
-                        (key == "threads").then(|| value.trim().parse::<usize>().ok())?
-                    });
-                    match parsed {
-                        Some(0) => {
-                            db.set_parallel(false);
-                            db.set_threads(0);
-                            writeln!(out, "threads: serial evaluation")?;
-                        }
-                        Some(n) => {
-                            db.set_parallel(true);
-                            db.set_threads(n);
-                            writeln!(out, "threads: parallel evaluation, {n} workers")?;
-                        }
-                        None => writeln!(out, "! :set threads <n>")?,
                     }
                 }
                 (other, _) => writeln!(out, "! unknown command :{other} (:help)")?,

@@ -203,31 +203,6 @@ fn run_trace_prints_strata_and_their_rounds() {
 }
 
 #[test]
-fn run_parallel_with_thread_cap_matches_serial() {
-    let dir = std::env::temp_dir().join("ruvo-cli-run-threads");
-    std::fs::create_dir_all(&dir).unwrap();
-    let prog = write_file(&dir, "p.ruvo", ENTERPRISE);
-    let base = write_file(&dir, "b.ob", BASE);
-    let serial = ruvo(&["run", prog.to_str().unwrap(), base.to_str().unwrap()]);
-    assert!(serial.status.success());
-    for threads in ["1", "2", "4"] {
-        let par = ruvo(&[
-            "run",
-            prog.to_str().unwrap(),
-            base.to_str().unwrap(),
-            "--parallel",
-            "--threads",
-            threads,
-        ]);
-        assert!(par.status.success());
-        assert_eq!(par.stdout, serial.stdout, "--threads {threads} diverged from serial");
-    }
-    // The flag needs a numeric value.
-    let bad = ruvo(&["run", prog.to_str().unwrap(), base.to_str().unwrap(), "--threads"]);
-    assert!(!bad.status.success());
-}
-
-#[test]
 fn run_result_shows_versions() {
     let dir = std::env::temp_dir().join("ruvo-cli-result");
     std::fs::create_dir_all(&dir).unwrap();
@@ -323,11 +298,13 @@ fn usage_on_bad_invocation() {
     assert!(!ruvo(&["run", "only-one-arg"]).status.success());
     let out = ruvo(&["run", "a", "b", "--bogus"]);
     assert!(!out.status.success());
-    // The retired ablation flag takes the same exit as any unknown one.
-    let out = ruvo(&["run", "a", "b", "--naive"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("error: unknown flag --naive"), "got: {stderr}");
+    // Retired flags take the same exit as any unknown one.
+    for flag in ["--naive", "--parallel", "--threads"] {
+        let out = ruvo(&["run", "a", "b", flag]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("error: unknown flag {flag}")), "got: {stderr}");
+    }
 }
 
 // ----- repl ----------------------------------------------------------
@@ -408,26 +385,6 @@ ins[x].p -> 1.
     assert!(stdout.contains("! parse error"), "got: {stdout}");
     assert!(stdout.contains("! unknown command"), "got: {stdout}");
     assert!(stdout.contains("ok: txn #0"), "got: {stdout}");
-}
-
-#[test]
-fn repl_set_threads_switches_evaluation_strategy() {
-    let script = "\
-:set threads 2
-ins[x].p -> 1.
-:set threads 0
-ins[y].p -> 2.
-:set threads
-:quit
-";
-    let out = ruvo_stdin(&["repl"], script);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("parallel evaluation, 2 workers"), "got: {stdout}");
-    assert!(stdout.contains("serial evaluation"), "got: {stdout}");
-    assert!(stdout.contains("! :set threads <n>"), "got: {stdout}");
-    assert!(stdout.contains("ok: txn #0"), "got: {stdout}");
-    assert!(stdout.contains("ok: txn #1"), "got: {stdout}");
 }
 
 #[test]

@@ -455,18 +455,15 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Evaluate the rules of a round on multiple threads.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.config.parallel = on;
+    /// No-op: evaluation is serial. Sole caller `benchmark/src/layers.rs:345-347` (ROADMAP item 2).
+    #[doc(hidden)]
+    pub fn parallel(self, _on: bool) -> Self {
         self
     }
 
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto; see
-    /// [`EngineConfig::threads`]). Only takes effect together with
-    /// [`DatabaseBuilder::parallel`]; results are bit-identical for
-    /// every value.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
+    /// No-op: evaluation is serial. Sole caller `benchmark/src/layers.rs:345-347` (ROADMAP item 2).
+    #[doc(hidden)]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -646,21 +643,6 @@ impl Database {
     /// The engine configuration transactions run under.
     pub fn config(&self) -> &EngineConfig {
         self.session.config()
-    }
-
-    /// Switch parallel evaluation on/off for subsequent transactions
-    /// (the [`DatabaseBuilder::parallel`] knob, adjustable at
-    /// runtime — e.g. by the REPL's `:set` command). Results are
-    /// unaffected; only the execution strategy changes.
-    pub fn set_parallel(&mut self, on: bool) {
-        self.session.config_mut().parallel = on;
-    }
-
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto) for
-    /// subsequent transactions; the runtime twin of
-    /// [`DatabaseBuilder::threads`].
-    pub fn set_threads(&mut self, n: usize) {
-        self.session.config_mut().threads = n;
     }
 
     // ----- preparing and applying programs ---------------------------

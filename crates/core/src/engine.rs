@@ -33,16 +33,16 @@
 //! filter-less evaluation of §3 lives on as [`crate::reference`], the
 //! differential oracle.
 //!
-//! ## One round, two pool regions
+//! ## One round
 //!
-//! A round's tasks all read the same immutable pre-round base, so they
-//! are independent: `collect_round` hands them to the run's worker
-//! pool (`core::pool`) one job per task and appends the outputs in
-//! task order, and [`crate::tp`]'s apply builds the states it needs
-//! whole the same way, commits them once, then repairs the active
-//! versions on the caller. Serial evaluation is the width-1 pool — the
-//! same code inline on the calling thread — so every width computes
-//! bit-identical results.
+//! A round's tasks all read the same immutable pre-round base:
+//! `collect_round` runs them in task order and appends their matches
+//! to one list. [`tp::apply_updates`] then groups the round's new
+//! updates by created version in first-appearance order, builds the
+//! states it needs whole against that same base, commits them once,
+//! and only then repairs the active versions in place. Both orders are
+//! fixed by the round's inputs, so the fired sequence, the commit and
+//! every logical counter repeat from run to run.
 //!
 //! ## Version linearity (§5)
 //!
@@ -103,17 +103,6 @@ pub struct EngineConfig {
     pub max_rounds_per_stratum: usize,
     /// Trace detail.
     pub trace: TraceLevel,
-    /// Evaluate the rules of a round on multiple threads.
-    pub parallel: bool,
-    /// Worker cap for parallel evaluation: the width of the run's
-    /// worker pool (`core::pool`). `0` (the default) means "auto" — use
-    /// the host's available parallelism. Ignored unless
-    /// [`EngineConfig::parallel`] is on (the pool is then width 1), and
-    /// read by engine runs only — opening a data directory does not
-    /// consult it. The computed results are bit-identical for every
-    /// value (see ARCHITECTURE.md §"Parallel evaluation"); only
-    /// wall-clock telemetry varies.
-    pub threads: usize,
     /// Handling of statically non-stratifiable programs (§6 extension).
     pub cycles: CyclePolicy,
     /// Run the stability check on *every* stratum, not just flagged
@@ -130,34 +119,9 @@ impl Default for EngineConfig {
             check_linearity: true,
             max_rounds_per_stratum: 1_000_000,
             trace: TraceLevel::Strata,
-            parallel: false,
-            threads: 0,
             cycles: CyclePolicy::Reject,
             verify_stability: false,
         }
-    }
-}
-
-impl EngineConfig {
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto,
-    /// see [`EngineConfig::threads`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-}
-
-/// The worker count a run's pool is created with: 1 when parallel
-/// evaluation is off, else the configured cap or (for `threads: 0`)
-/// the host's available parallelism.
-fn effective_workers(config: &EngineConfig) -> usize {
-    if !config.parallel {
-        return 1;
-    }
-    if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 }
 
@@ -356,13 +320,7 @@ pub fn run_compiled(
 
     let mut tracker = config.check_linearity.then(LinearityTracker::new);
     let mut stats = EvalStats::default();
-    // One pool for the whole run; every round's two regions (the
-    // step-1 scans and the step-2+3 state building) borrow it. With
-    // parallel evaluation off this is a width-1 pool: the same code,
-    // inline on this thread.
-    let pool = crate::pool::WorkerPool::new(effective_workers(config));
-    stats.parallel.workers = pool.workers();
-    let ctx = RoundCtx { program, plans: index_plan, pool: &pool };
+    let ctx = RoundCtx { program, plans: index_plan };
     let mut stratum_traces = Vec::new();
     let mut round_traces = Vec::new();
     // Object-level by construction: `merge` carries no per-fact seeds.
@@ -439,7 +397,7 @@ pub fn run_compiled(
             // `mod` creates re-applies its accumulated updates (see the
             // module docs): its history goes in front of its first new
             // update, which keeps the groups in delta first-appearance
-            // order — the canonical apply order at every pool width.
+            // order — the canonical apply order.
             let mut apply_list: Vec<Fired> = Vec::with_capacity(delta.len());
             let mut replayed: FastHashSet<Vid> = FastHashSet::default();
             for f in delta {
@@ -452,7 +410,9 @@ pub fn run_compiled(
                 }
                 apply_list.push(f);
             }
-            let report = tp::apply(&mut work, &apply_list, &pool, &mut stats.parallel);
+            let applying = Instant::now();
+            let report = tp::apply_updates(&mut work, &apply_list);
+            stats.parallel.apply_wall += applying.elapsed();
             if let Some(rt) = round_traces.last_mut() {
                 rt.touched = report.touched.len();
             }
@@ -496,36 +456,26 @@ pub fn run_compiled(
 struct RoundCtx<'a> {
     program: &'a Program,
     plans: &'a IndexPlan,
-    pool: &'a crate::pool::WorkerPool,
 }
 
-/// Step 1 of `T_P` over a round's evaluation tasks: one pool job per
-/// task, each an independent read of the immutable pre-round base that
-/// follows the compiled index plan (and the seed, for seeded tasks).
-/// The per-task outputs are appended in task order, so the fired
-/// sequence is the same at every pool width — width 1 runs the jobs
-/// inline on the caller (see [`crate::pool`]).
+/// Step 1 of `T_P` over a round's evaluation tasks, in task order: each
+/// task reads the immutable pre-round base through the compiled index
+/// plan (and its seed, for seeded tasks) and appends its matches to the
+/// round's one list.
 fn collect_round(
     ctx: &RoundCtx<'_>,
     ob: &ObjectBase,
     tasks: &[EvalTask<'_>],
     par: &mut ParallelStats,
 ) -> Vec<Fired> {
-    let RoundCtx { program, plans, pool } = *ctx;
+    let RoundCtx { program, plans } = *ctx;
     let started = Instant::now();
-    let outs = pool.run(tasks.len(), |i| {
-        let EvalTask { rule, seed } = &tasks[i];
-        let mut out = Vec::new();
-        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed.as_ref(), &mut out);
-        out
-    });
+    let mut fired = Vec::new();
+    for EvalTask { rule, seed } in tasks {
+        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed.as_ref(), &mut fired);
+    }
     par.scan_subtasks += tasks.len();
     par.scan_wall += started.elapsed();
-    let mut outs = outs.into_iter();
-    let mut fired = outs.next().unwrap_or_default();
-    for out in outs {
-        fired.extend(out);
-    }
     fired
 }
 
@@ -917,18 +867,14 @@ mod tests {
 
     /// The engine against the §3–§5 reference interpreter (no indexes,
     /// no seeding, no skipped rules): equal `result(P)` — also with
-    /// every rule re-evaluated in full each round and on a 2-wide pool.
-    /// Returns the default configuration's outcome.
+    /// every rule re-evaluated in full each round. Returns the default
+    /// configuration's outcome.
     fn assert_matches_reference(ob: &ObjectBase, prog: &str) -> Outcome {
         let program = Program::parse(prog).unwrap();
         let slow = crate::reference::evaluate(&program, ob).unwrap();
-        for config in [
-            EngineConfig { verify_stability: true, ..Default::default() },
-            EngineConfig { parallel: true, threads: 2, ..Default::default() },
-        ] {
-            let outcome = run_with(program.clone(), config.clone(), ob).unwrap();
-            assert_eq!(outcome.result(), &slow.result, "{config:?}");
-        }
+        let config = EngineConfig { verify_stability: true, ..Default::default() };
+        let checked = run_with(program.clone(), config, ob).unwrap();
+        assert_eq!(checked.result(), &slow.result, "verify_stability");
         let fast = run_default(program, ob).unwrap();
         assert_eq!(fast.result(), &slow.result);
         fast
@@ -1058,25 +1004,6 @@ mod tests {
         // after w1 moved v* to ins(a)/ins(b) in round 2.
         assert!(fast.result().contains(ins_out1, ruvo_term::sym("got"), &[], oid("new")));
         assert!(fast.result().contains(ins_out2, ruvo_term::sym("from"), &[], oid("new")));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let ob_src = "phil.isa -> empl / pos -> mgr / sal -> 4000.
-                      bob.isa -> empl / boss -> phil / sal -> 4200.";
-        let prog = "
-            rule1: mod[E].sal -> (S, S2) <= E.isa -> empl / pos -> mgr / sal -> S & S2 = S * 1.1 + 200.
-            rule2: mod[E].sal -> (S, S2) <= E.isa -> empl / sal -> S & not E.pos -> mgr & S2 = S * 1.1.
-        ";
-        let ob = ObjectBase::parse(ob_src).unwrap();
-        let seq = run_default(Program::parse(prog).unwrap(), &ob).unwrap();
-        let par = run_with(
-            Program::parse(prog).unwrap(),
-            EngineConfig { parallel: true, ..Default::default() },
-            &ob,
-        )
-        .unwrap();
-        assert_eq!(seq.result(), par.result());
     }
 
     #[test]

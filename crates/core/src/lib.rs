@@ -32,7 +32,6 @@ pub mod error;
 pub mod history;
 pub mod matcher;
 pub mod plan;
-pub(crate) mod pool;
 pub mod query;
 pub mod reference;
 pub mod serve;

@@ -41,7 +41,7 @@ use ruvo_term::{
 };
 
 use crate::error::EvalError;
-use crate::stratify::stratify;
+use crate::stratify::{stratify, Stratification};
 
 /// Round budget per stratum; safe stratified programs terminate long
 /// before this, so hitting it indicates an interpreter bug.
@@ -90,19 +90,23 @@ impl RefOutcome {
     }
 }
 
-/// Evaluate `program` on `ob` with the default round budget.
+/// Evaluate `program` on `ob` under its §4 stratification, with the
+/// default round budget.
 pub fn evaluate(program: &Program, ob: &ObjectBase) -> Result<RefOutcome, EvalError> {
-    evaluate_bounded(program, ob, DEFAULT_MAX_ROUNDS)
+    evaluate_bounded(program, &stratify(program)?, ob, DEFAULT_MAX_ROUNDS)
 }
 
-/// Evaluate `program` on `ob`, allowing at most `max_rounds` rounds per
-/// stratum.
+/// Evaluate `program` on `ob` stratum by stratum in the order
+/// `stratification` gives, allowing at most `max_rounds` rounds per
+/// stratum. The strata of [`crate::stratify::stratify_relaxed`] run a
+/// program only [`crate::CyclePolicy::RuntimeStability`] accepts; the
+/// reference checks no stability, so it speaks for stable runs only.
 pub fn evaluate_bounded(
     program: &Program,
+    stratification: &Stratification,
     ob: &ObjectBase,
     max_rounds: usize,
 ) -> Result<RefOutcome, EvalError> {
-    let stratification = stratify(program)?;
     let mut interp = ob.clone();
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
@@ -760,7 +764,9 @@ mod tests {
              ins[c].p -> 1 <= ins(b).p -> 1.",
         )
         .unwrap();
-        assert!(matches!(evaluate_bounded(&program, &ob, 2), Err(EvalError::RoundLimit { .. })));
+        let strata = stratify(&program).unwrap();
+        let capped = evaluate_bounded(&program, &strata, &ob, 2);
+        assert!(matches!(capped, Err(EvalError::RoundLimit { .. })));
         assert!(evaluate(&program, &ob).is_ok());
     }
 

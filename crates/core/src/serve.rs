@@ -630,22 +630,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_config_flows_through_serving_and_matches_serial() {
-        let ob = ObjectBase::parse(BASE).unwrap();
-        let serial = ServingDatabase::open(ob.clone());
-        let parallel =
-            ServingDatabase::new(crate::Database::builder().parallel(true).threads(2).open(ob));
-        assert!(parallel.config().parallel);
-        assert_eq!(parallel.config().threads, 2);
-        let p1 = serial.prepare(RAISE).unwrap();
-        let p2 = parallel.prepare(RAISE).unwrap();
-        for _ in 0..3 {
-            serial.apply(&p1).unwrap();
-            parallel.apply(&p2).unwrap();
-        }
-        // The group-commit writer runs under the parallel config; the
-        // published state must be bit-identical to serial commits.
-        assert_eq!(*serial.current(), *parallel.current());
+    fn builder_config_reaches_the_group_commit_writer() {
+        // RAISE fires in round 1 and needs round 2 to see the fixpoint:
+        // a one-round budget must fail it in the writer and commit
+        // nothing, where the default budget commits it.
+        let capped = crate::Database::builder()
+            .max_rounds_per_stratum(1)
+            .open_src(BASE)
+            .unwrap()
+            .into_serving();
+        assert_eq!(capped.config().max_rounds_per_stratum, 1);
+        let raise = capped.prepare(RAISE).unwrap();
+        assert_eq!(capped.apply(&raise).unwrap_err().kind(), ErrorKind::RoundLimit);
+        assert_eq!(capped.commits(), 0, "a failed run must not commit");
+        assert_eq!(capped.snapshot().lookup1(oid("henry"), "sal"), vec![int(250)]);
+
+        let default = ServingDatabase::open_src(BASE).unwrap();
+        default.apply(&default.prepare(RAISE).unwrap()).unwrap();
+        assert_eq!(default.snapshot().lookup1(oid("henry"), "sal"), vec![int(275)]);
     }
 
     #[test]

@@ -42,8 +42,6 @@ use ruvo_term::{ArgTerm, Bindings, Const, FastHashMap, FastHashSet, Symbol, Upda
 
 use crate::matcher::Seed;
 use crate::plan::RuleIndexPlan;
-use crate::pool::WorkerPool;
-use crate::trace::ParallelStats;
 use crate::{matcher, truth};
 
 /// A fired ground update-term (an element of `T¹`).
@@ -298,10 +296,9 @@ pub struct ApplyReport {
 }
 
 /// Group a round's delta by created version, in first-appearance
-/// order. This is the **canonical apply order**: every pool width
-/// deposits its results into slots indexed by it, so `touched`/
-/// `created` lists and the recorded delta are identical across
-/// configurations.
+/// order. This is the **canonical apply order**: states are built,
+/// committed and repaired in it, so the `touched` / `created` lists and
+/// the recorded delta follow the delta's order, never hash order.
 fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
     let mut index: FastHashMap<Vid, usize> = FastHashMap::default();
     let mut groups: Vec<(Vid, Vec<&Fired>)> = Vec::new();
@@ -320,8 +317,7 @@ fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
 /// **read-only** on `ob`: the copied source state with the group's
 /// updates applied. Returns the new state plus `(facts_copied,
 /// was_created)` bookkeeping. Being a pure function of `(ob, created,
-/// updates)`, any number of these can run concurrently over a shared
-/// `&ObjectBase`.
+/// updates)`, it never sees a state built in the same round.
 fn build_state(
     ob: &ObjectBase,
     created: Vid,
@@ -399,36 +395,17 @@ fn build_state(
 /// the `ins` / `del` groups of active versions repaired in place, fact
 /// by fact, through the tracked edits — nothing built this round reads
 /// them.
-///
-/// This is the width-1 call of the engine's apply; the report and the
-/// committed base are identical at every pool width.
 pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
-    apply(ob, delta, &WorkerPool::new(1), &mut ParallelStats::default())
-}
-
-/// [`apply_updates`] with the read-only state building spread over
-/// `pool` (the commit and the in-place repairs run on the caller, in
-/// canonical group order); accumulates the region's wall time into
-/// `par`. See the module docs of [`crate::pool`] for why the result
-/// does not depend on the width.
-pub(crate) fn apply(
-    ob: &mut ObjectBase,
-    delta: &[Fired],
-    pool: &WorkerPool,
-    par: &mut ParallelStats,
-) -> ApplyReport {
-    let started = std::time::Instant::now();
     let groups = group_by_created(delta);
     let mut report = ApplyReport::default();
     report.touched.extend(groups.iter().map(|(created, _)| *created));
-    let input: &ObjectBase = ob;
     let (whole, repairs): (Vec<_>, Vec<_>) = groups.iter().partition(|(created, updates)| {
-        updates[0].kind() == UpdateKind::Mod || !input.exists_fact(*created)
+        updates[0].kind() == UpdateKind::Mod || !ob.exists_fact(*created)
     });
-    let built = pool.run(whole.len(), |i| build_state(input, whole[i].0, &whole[i].1));
 
     let mut edits: Vec<(Vid, Option<Arc<VersionState>>)> = Vec::with_capacity(whole.len());
-    for ((created, _), (state, facts_copied, was_created)) in whole.iter().zip(built) {
+    for (created, updates) in whole {
+        let (state, facts_copied, was_created) = build_state(ob, *created, updates);
         report.facts_copied += facts_copied;
         if was_created {
             report.created.push(*created);
@@ -450,7 +427,6 @@ pub(crate) fn apply(
             };
         }
     }
-    par.apply_wall += started.elapsed();
     report
 }
 

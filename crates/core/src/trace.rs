@@ -14,7 +14,7 @@ pub struct EvalStats {
     pub fired_updates: usize,
     /// Head firings step 1 emitted over all rounds, *before* dedup
     /// against the stratum's `T¹` — the work behind `fired_updates`.
-    /// A logical counter (equal at every width and between runs); the
+    /// A logical counter (equal between runs of one input); the
     /// closer to `fired_updates`, the less a round re-derives.
     pub fired_candidates: usize,
     /// Versions created (relevant VIDs that were not active).
@@ -32,30 +32,26 @@ pub struct EvalStats {
     pub rule_evaluations_seeded: usize,
     /// Wall-clock time of the run (zero duration if not measured).
     pub elapsed: Duration,
-    /// Pool-execution telemetry of the run's two parallel regions.
+    /// The run's serial stage timings: scan jobs and per-stage wall
+    /// time.
     pub parallel: ParallelStats,
 }
 
-/// Telemetry of the worker pool's two regions per round — the step-1
-/// rule scans and the step-2+3 apply — recorded at every width: with
-/// [`crate::EngineConfig::parallel`] off the run is the width-1 pool of
-/// the same rounds.
+/// The serial stage timings of a run's rounds — the step-1 rule scans
+/// and the step-2+3 apply — summed over all rounds.
 ///
-/// `workers` and the wall durations are *execution* telemetry: they
-/// vary with the configuration and run to run, and are deliberately
-/// excluded from the determinism contract (which covers results,
-/// deltas, `scan_subtasks` and the logical counters of [`EvalStats`]).
+/// `scan_subtasks` is a logical counter, like those of [`EvalStats`]:
+/// equal between runs of one input. The wall durations vary run to run
+/// and sum to at most [`EvalStats::elapsed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Width of the run's pool (1 when parallel evaluation is off).
-    pub workers: usize,
     /// Scan jobs issued across all rounds: one per round task (a rule,
     /// or a rule with one scan step seeded from the previous delta).
     pub scan_subtasks: usize,
-    /// Wall-clock time summed over the rounds' scan regions (step 1).
+    /// Wall-clock time summed over the rounds' scans (step 1).
     pub scan_wall: Duration,
-    /// Wall-clock time summed over the rounds' apply regions (steps
-    /// 2+3: state building and the tracked commit).
+    /// Wall-clock time summed over the rounds' applies (steps 2+3:
+    /// state building, the tracked commit and the in-place repairs).
     pub apply_wall: Duration,
 }
 
@@ -84,8 +80,8 @@ impl fmt::Display for ParallelStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "pool width {}, {} scan sub-tasks, scan {:?} / apply {:?} wall",
-            self.workers, self.scan_subtasks, self.scan_wall, self.apply_wall,
+            "{} scan sub-tasks, scan {:?} / apply {:?} wall",
+            self.scan_subtasks, self.scan_wall, self.apply_wall,
         )
     }
 }
@@ -185,21 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_display_includes_pool_telemetry_at_every_width() {
-        for workers in [1, 4] {
-            let s = EvalStats {
-                parallel: ParallelStats {
-                    workers,
-                    scan_subtasks: 12,
-                    scan_wall: Duration::from_millis(6),
-                    apply_wall: Duration::from_millis(3),
-                },
-                ..Default::default()
-            };
-            let text = s.to_string();
-            assert!(text.contains(&format!("pool width {workers}")), "{text}");
-            assert!(text.contains("12 scan sub-tasks"), "{text}");
-            assert!(text.contains("scan 6ms / apply 3ms wall"), "{text}");
-        }
+    fn stats_display_includes_stage_timings() {
+        let s = EvalStats {
+            parallel: ParallelStats {
+                scan_subtasks: 12,
+                scan_wall: Duration::from_millis(6),
+                apply_wall: Duration::from_millis(3),
+            },
+            ..Default::default()
+        };
+        let text = s.to_string();
+        assert!(text.ends_with("; 12 scan sub-tasks, scan 6ms / apply 3ms wall"), "{text}");
     }
 }

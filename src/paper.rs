@@ -120,8 +120,8 @@
 //!   (LTLf with past operators over those timelines);
 //! * §2.4's schema-evolution remark → [`crate::schema`] (conformance
 //!   checking + update-driven schema deltas);
-//! * engineering extensions (snapshots, sessions, REPL, parallel
-//!   evaluation, delta filtering, the `core::reference` executable
-//!   specification with differential tests) are catalogued in
+//! * engineering extensions (snapshots, sessions, REPL, delta
+//!   filtering, the `core::reference` executable specification with
+//!   differential tests) are catalogued in
 //!   ARCHITECTURE.md ("Engineering extensions" under "Design
 //!   decisions", then one section each).

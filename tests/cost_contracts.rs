@@ -208,6 +208,40 @@ fn allocations_after_a_wide_commit(n: usize, rounds: usize) -> f64 {
     total as f64 / rounds as f64
 }
 
+/// The `tc1` / `tc2` closure over a `next` chain of `n` objects: the
+/// engine's logical counters.
+fn closure_counts(n: usize) -> (usize, usize, usize, usize, usize, usize) {
+    let chain: String = (0..n - 1).map(|i| format!("o{i}.next -> o{}. ", i + 1)).collect();
+    let closure = compile(
+        "tc1: ins[X].reach -> Y <= X.next -> Y.
+         tc2: ins[X].reach -> Z <= ins(X).reach -> Y & Y.next -> Z.",
+    );
+    let outcome =
+        run_compiled(&closure, &EngineConfig::default(), ObjectBase::parse(&chain).unwrap())
+            .unwrap();
+    let s = outcome.stats();
+    (
+        s.fired_updates,
+        s.fired_candidates,
+        s.rounds,
+        s.versions_created,
+        s.facts_copied,
+        s.parallel.scan_subtasks,
+    )
+}
+
+#[test]
+fn closure_work_grows_with_what_it_derives() {
+    // Doubling the chain quadruples the derived facts (n(n−1)/2) and
+    // doubles the rounds; every head step 1 emits is new, each round
+    // after the first is one seeded pass, and only the n−1 objects
+    // with a `next` get a version, copied once.
+    for n in [40, 80] {
+        let derived = n * (n - 1) / 2;
+        assert_eq!(closure_counts(n), (derived, derived, n, n - 1, n - 1, n + 1), "n = {n}");
+    }
+}
+
 #[test]
 fn evaluations_after_a_wide_commit_allocate_the_same_at_1k_and_10k_accounts() {
     let small = allocations_after_a_wide_commit(1_000, 4);

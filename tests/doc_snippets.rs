@@ -1,8 +1,8 @@
 //! Cross-checks for the documentation: every snippet
 //! `docs/LANGUAGE.md` presents as accepted must parse (and behave as
 //! described), every construct it presents as rejected must be
-//! rejected, the performance claims `docs/ARCHITECTURE.md` and
-//! `README.md` make about parallel evaluation must hold, and every
+//! rejected, the claims `docs/ARCHITECTURE.md` and `README.md` make
+//! about one evaluation round must hold, and every
 //! design decision the code cites must be written down. Keep this
 //! file in sync with the documents.
 
@@ -194,37 +194,54 @@ fn query_goal_snippets_behave_as_documented() {
 
 #[test]
 fn parallel_evaluation_docs_match_behavior() {
-    // The documented section and knobs exist.
+    // Evaluation is serial: the round section states the order on its
+    // own terms, and no document offers a parallel knob.
     let arch = include_str!("../docs/ARCHITECTURE.md");
-    assert!(arch.contains("## Parallel evaluation"), "ARCHITECTURE.md lost its parallel section");
+    let section =
+        arch.split("## One round").nth(1).expect("ARCHITECTURE.md lost its round section");
+    let section = section.split("\n## ").next().unwrap().split_whitespace().collect::<Vec<_>>();
+    let section = section.join(" ");
     for claim in [
-        "bit-identical",
-        "RUVO_TEST_THREADS",
-        "pool.speedup_x",
-        // One scan path, one apply path: serial is the width-1 pool of
-        // the same round.
-        "who executes the jobs",
         "pre-round base",
+        "first-appearance order",
+        "on the caller",
+        "serial stage timings",
+        "pool.speedup_x",
     ] {
-        assert!(arch.contains(claim), "ARCHITECTURE.md parallel section lost claim: {claim}");
+        assert!(section.contains(claim), "ARCHITECTURE.md round section lost claim: {claim}");
     }
     let readme = include_str!("../README.md");
-    for claim in ["--threads", ":set threads", "pool.speedup_x", "benchmark/README.md"] {
-        assert!(readme.contains(claim), "README.md lost parallel perf note: {claim}");
+    assert!(readme.contains("\"One round\""), "README.md must point at the round section");
+    for doc in [arch, readme] {
+        for knob in ["--threads", ":set threads", "parallel(true)", "## Parallel evaluation"] {
+            assert!(!doc.contains(knob), "a document still offers {knob}");
+        }
     }
 
-    // The documented behavior: `threads(n)` caps the workers, and the
-    // parallel result is bit-identical to the serial one.
+    // The documented behavior: one scan job per round task — both rules
+    // in round 1, then one seeded `step` pass per round — and two
+    // serial stage timings that fit inside the run's wall time. Every
+    // logical counter repeats between runs.
     let src = "chief: ins[X].chief -> B <= X.boss -> B.
                step:  ins[X].chief -> C <= ins(X).chief -> B & B.boss -> C.";
-    let ob = ObjectBase::parse("bob.boss -> phil. phil.boss -> mary.").unwrap();
-    let mut serial = Database::open(ob.clone());
-    serial.apply(&serial.prepare(src).unwrap()).unwrap();
-    let mut parallel = Database::builder().parallel(true).threads(3).open(ob);
-    let prepared = parallel.prepare(src).unwrap();
-    let workers = parallel.apply(&prepared).unwrap().outcome.stats().parallel.workers;
-    assert_eq!(workers, 3, "threads(3) must cap the worker pool at 3");
-    assert_eq!(*serial.current(), *parallel.current());
+    let db = Database::open_src("bob.boss -> phil. phil.boss -> mary.").unwrap();
+    let prepared = db.prepare(src).unwrap();
+    let outcome = db.evaluate(&prepared).unwrap();
+    let stats = outcome.stats();
+    assert_eq!((stats.rounds, stats.parallel.scan_subtasks), (3, 4), "{stats}");
+    assert!(stats.parallel.scan_wall + stats.parallel.apply_wall <= stats.elapsed, "{stats}");
+    let again = db.evaluate(&prepared).unwrap();
+    let logical = |s: &ruvo::core::EvalStats| {
+        (
+            s.rounds,
+            s.fired_updates,
+            s.fired_candidates,
+            s.rule_evaluations,
+            s.parallel.scan_subtasks,
+        )
+    };
+    assert_eq!(logical(again.stats()), logical(stats));
+    assert_eq!(again.result(), outcome.result());
 }
 
 /// Every `.rs` / `.md` file under `dir`, recursively.

@@ -15,14 +15,22 @@
 //! * the full `result(P)` (every version state),
 //! * the extracted new object base,
 //!
-//! and all engine configurations (delta filtering on/off, parallel
-//! on/off) must produce that same result. The store's own `exists` and
-//! `v*` reads on that result are checked against the §3 definition the
-//! reference keeps (a scan of the version list), not assumed.
+//! and re-evaluating every rule in full each round must produce that
+//! same result. The store's own `exists` and `v*` reads on that result
+//! are checked against the §3 definition the reference keeps (a scan of
+//! the version list), not assumed.
+//!
+//! Fixed cases and [`random_update_program`]'s layered programs follow
+//! the template battery: a runtime-stability round that creates a
+//! version and a version of it at once, a closure chain, a stratum
+//! mixing independent rules with a conflicting `mod` pair, and random
+//! deletes, modifies and negation strata.
 
 use proptest::prelude::*;
-use ruvo::core::reference;
+use ruvo::core::stratify::{stratify, stratify_relaxed};
+use ruvo::core::{reference, CompiledProgram, CyclePolicy, DepEdge, DepEdgeKind};
 use ruvo::prelude::*;
+use ruvo::workload::{random_object_base, random_update_program, RandomConfig};
 
 /// `result(P)` of `program` on `ob` under `config`, nothing committed.
 fn evaluate_with(
@@ -160,7 +168,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("template program must parse: {e}\n{prog_src}"));
         // Non-stratifiable template combinations are rejected identically
         // by both sides (they share the static analysis); skip them.
-        prop_assume!(ruvo::core::stratify::stratify(&program).is_ok());
+        prop_assume!(stratify(&program).is_ok());
         let ob = ObjectBase::parse(&ob_src).unwrap();
 
         let engine = evaluate(program.clone(), &ob);
@@ -191,24 +199,17 @@ proptest! {
                         policy, prog_src, ob_src
                     );
                 }
-                // All engine configurations agree with the reference.
-                // verify_stability additionally asserts the §4 theorem:
-                // on stratifiable programs, fired updates never un-fire
-                // (an Unstable error here is a stratifier bug).
-                for (parallel, verify) in [(true, false), (false, true)] {
-                    let cfg = EngineConfig {
-                        parallel,
-                        verify_stability: verify,
-                        ..EngineConfig::default()
-                    };
-                    let variant = evaluate_with(program.clone(), cfg, &ob)
-                        .expect("variant config must succeed when default does");
-                    prop_assert_eq!(
-                        variant.result(), &r.result,
-                        "config (parallel={}, verify={}) differs\nprogram:\n{}\nbase: {}",
-                        parallel, verify, prog_src, ob_src
-                    );
-                }
+                // Full re-evaluation agrees with the reference too, and
+                // asserts the §4 theorem: on stratifiable programs, fired
+                // updates never un-fire (an Unstable error here is a
+                // stratifier bug).
+                let cfg = EngineConfig { verify_stability: true, ..EngineConfig::default() };
+                let full = evaluate_with(program.clone(), cfg, &ob)
+                    .expect("verify_stability must succeed when the default does");
+                prop_assert_eq!(
+                    full.result(), &r.result,
+                    "verify_stability differs\nprogram:\n{}\nbase: {}", prog_src, ob_src
+                );
             }
             (Err(ee), Err(re)) => {
                 prop_assert_eq!(
@@ -261,7 +262,7 @@ fn fixed_seed_differential_sweep() {
             prog_src.push('\n');
         }
         let program = Program::parse(&prog_src).unwrap();
-        if ruvo::core::stratify::stratify(&program).is_err() {
+        if stratify(&program).is_err() {
             continue;
         }
         let ob = ObjectBase::parse(&ob_src).unwrap();
@@ -281,4 +282,152 @@ fn fixed_seed_differential_sweep() {
         }
     }
     assert!(checked >= 20, "too few stratifiable seeds: {checked}");
+}
+
+/// The engine under `cycles` against the reference on the strata the
+/// same policy gives: equal `result(P)` and `ob′`, and a `result(P)`
+/// that keeps the store's invariants. Returns the engine's outcome.
+fn assert_engine_matches_reference(
+    program: &Program,
+    ob: &ObjectBase,
+    cycles: CyclePolicy,
+) -> Outcome {
+    let strata = match cycles {
+        CyclePolicy::Reject => stratify(program).unwrap(),
+        CyclePolicy::RuntimeStability => stratify_relaxed(program).stratification,
+    };
+    let config = EngineConfig { cycles, ..EngineConfig::default() };
+    let engine = evaluate_with(program.clone(), config, ob)
+        .unwrap_or_else(|e| panic!("engine: {e}\n{program}"));
+    let r = reference::evaluate_bounded(program, &strata, ob, reference::DEFAULT_MAX_ROUNDS)
+        .unwrap_or_else(|e| panic!("reference: {e}\n{program}"));
+    assert_eq!(engine.result(), &r.result, "result(P) differs\n{program}");
+    assert_eq!(
+        engine.try_new_object_base().unwrap(),
+        r.new_object_base().unwrap(),
+        "ob' differs\n{program}"
+    );
+    engine.result().check_invariants();
+    engine
+}
+
+/// One round of `T_P` is a function of the round's input `I`: step 2
+/// copies `v*` w.r.t. `I`, so a version created in a round is never
+/// the source another version of the *same* round copies from. Here
+/// `ins(O)` and `mod(ins(O))` are both created in round 1 (one flagged
+/// stratum under the runtime stability check); `mod(ins(O))` is a copy
+/// of `O`, which has no `a`.
+#[test]
+fn same_round_versions_copy_from_the_round_input() {
+    let ob = ObjectBase::parse("o.isa -> t. o.sal -> 10. p.isa -> t. p.sal -> 20.").unwrap();
+    let program = Program::parse(
+        "r1: ins[O].a -> 1 <= O.isa -> t & not mod(ins(O)).zzz -> 1.
+         r2: mod[ins(O)].sal -> (S, S2) <= O.isa -> t & O.sal -> S & S2 = S + 1.",
+    )
+    .unwrap();
+    assert!(stratify(&program).is_err(), "the case needs the runtime stability policy");
+    let outcome = assert_engine_matches_reference(&program, &ob, CyclePolicy::RuntimeStability);
+    for (object, raised) in [("o", 11), ("p", 21)] {
+        let ins = Vid::object(oid(object)).apply(UpdateKind::Ins).unwrap();
+        let mod_ins = ins.apply(UpdateKind::Mod).unwrap();
+        assert!(outcome.result().contains(ins, sym("a"), &[], int(1)));
+        assert!(outcome.result().contains(mod_ins, sym("sal"), &[], int(raised)));
+        assert!(
+            !outcome.result().contains(mod_ins, sym("a"), &[], int(1)),
+            "mod(ins({object})) was copied from a version of its own round"
+        );
+    }
+}
+
+/// A transitive-closure chain: after round 1 every round is one seeded
+/// pass, seeded with the facts the previous round added.
+#[test]
+fn closure_chain_matches_reference() {
+    let n = 32;
+    let chain: String = (0..n - 1).map(|i| format!("o{i}.next -> o{}.\n", i + 1)).collect();
+    let ob = ObjectBase::parse(&chain).unwrap();
+    let program = Program::parse(
+        "tc1: ins[X].reach -> R <= X.next -> R.
+         tc2: ins[X].reach -> S <= ins(X).reach -> R & R.next -> S.",
+    )
+    .unwrap();
+    let outcome = assert_engine_matches_reference(&program, &ob, CyclePolicy::Reject);
+    assert_eq!(outcome.stats().fired_updates, n * (n - 1) / 2);
+}
+
+/// A stratum mixing independent rules with a conflicting-write pair
+/// (linked by a `ww` edge), plus a negation stratum.
+#[test]
+fn mixed_strata_match_reference_with_one_ww_edge() {
+    let mut src = String::new();
+    for i in 0..24 {
+        // `o*` objects get `ins` versions, `m*` objects `mod` ones:
+        // one update chain per object keeps the result version-linear.
+        src.push_str(&format!(
+            "o{i}.s -> 1. o{i}.t -> 2. m{i}.u -> 1. m{i}.v -> 2. m{i}.price -> {i}.\n"
+        ));
+    }
+    let ob = ObjectBase::parse(&src).unwrap();
+    let program = Program::parse(
+        // Two independent rules (disjoint read/write namespaces),
+        // then a write-write conflicting pair the commutativity
+        // matrix cannot prove commutes (a `ww` edge), then a
+        // strictly-later negation stratum. `e` negates `ins(X).q` so
+        // it lands above `a`..`d`; its reads must not leak edges into
+        // the earlier stratum.
+        "a: ins[X].p -> 1 <= X.s -> 1.
+         b: ins[X].q -> 2 <= X.t -> 2.
+         c: mod[X].price -> (P, 1) <= X.price -> P & X.u -> 1.
+         d: mod[X].price -> (P, 2) <= X.price -> P & X.v -> 2.
+         e: ins[ins(X)].flag -> 1 <= ins(X).p -> 1 & not ins(X).q -> 9.",
+    )
+    .unwrap();
+    let outcome = assert_engine_matches_reference(&program, &ob, CyclePolicy::Reject);
+    assert_eq!(outcome.stratification().strata.len(), 2);
+
+    let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
+    let report = ruvo::core::check::check(&compiled);
+    // The only edge: `ww` between c and d. None between a and b, and
+    // none from the negating rule e into the earlier stratum.
+    assert_eq!(report.deps.edges(), [DepEdge { a: 2, b: 3, kind: DepEdgeKind::WriteWrite }]);
+}
+
+/// The `random_update_program` cases both update-program tests run:
+/// seeds 0..200 at two base sizes.
+fn random_update_cases() -> impl Iterator<Item = (RandomConfig, ObjectBase, Program)> {
+    [(6, 20, 6), (10, 36, 8)].into_iter().flat_map(|(objects, facts, rules)| {
+        (0..200).map(move |seed| {
+            let config = RandomConfig { objects, facts, rules, seed, ..RandomConfig::default() };
+            (config, random_object_base(config), random_update_program(config))
+        })
+    })
+}
+
+/// Layered update-programs — deletes, modifies and negation strata,
+/// where an evaluation-order bug changes answers — against the
+/// reference.
+#[test]
+fn random_update_programs_match_reference() {
+    for (_, ob, program) in random_update_cases() {
+        assert_engine_matches_reference(&program, &ob, CyclePolicy::Reject);
+    }
+}
+
+/// The same programs under the runtime stability policy, which
+/// re-evaluates every rule in full each round: each is statically
+/// stratifiable, so the engine must match the reference on the relaxed
+/// strata and reach the `result(P)` of the static run.
+#[test]
+fn random_update_programs_match_reference_under_runtime_stability() {
+    for (config, ob, program) in random_update_cases() {
+        let relaxed = assert_engine_matches_reference(&program, &ob, CyclePolicy::RuntimeStability);
+        let stratified = evaluate(program, &ob).unwrap();
+        assert_eq!(
+            relaxed.result(),
+            stratified.result(),
+            "seed {}, {} objects",
+            config.seed,
+            config.objects
+        );
+    }
 }
