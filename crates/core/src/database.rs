@@ -10,8 +10,14 @@
 //! * [`Database::prepare`] parses, safety-checks and stratifies
 //!   **once**, returning a reusable [`Prepared`] handle;
 //! * [`Database::apply`] runs a prepared program against the current
-//!   base with the all-or-nothing [`Session`] semantics, amortizing
-//!   compilation across applications.
+//!   base with all-or-nothing semantics, amortizing compilation across
+//!   applications.
+//!
+//! Every write goes through the database's one [`Session`], the
+//! writer core [`crate::ServingDatabase`] shares: an `apply`, a
+//! [`Database::transact`] block and a serving group-commit drain are
+//! each one record scope there, so they fail, log and acknowledge the
+//! same way, volatile or durable (see the [`crate::session`] docs).
 //!
 //! Readers call [`Database::snapshot`] for an O(1) point-in-time view
 //! that stays stable while the database keeps committing (commits
@@ -46,7 +52,7 @@ use ruvo_obase::{LinearityViolation, ObjectBase, Snapshot, SnapshotError, Snapsh
 use crate::engine::{CompiledProgram, CyclePolicy, EngineConfig, Outcome, TraceLevel};
 use crate::error::EvalError;
 use crate::query::{QueryAnswers, QueryPlan};
-use crate::session::{SavepointId, Session, SessionError, Txn};
+use crate::session::{SavepointId, Session, Txn};
 use crate::store::{CheckpointPolicy, DurabilitySink, FsyncPolicy, StorageError, WalStore};
 use crate::stratify::{Stratification, StratifyError};
 
@@ -122,8 +128,9 @@ impl fmt::Display for ErrorKind {
 }
 
 /// Any failure the `ruvo` facade can report, unifying the per-layer
-/// errors (`LangError`, `StratifyError`, `EvalError`, `SessionError`,
-/// `SnapshotError`) behind one type with a stable [`ErrorKind`].
+/// errors (`LangError`, `StratifyError`, `EvalError`, `StorageError`,
+/// `SnapshotError`) behind one type with a stable [`ErrorKind`]. It is
+/// also what every [`Session`] operation returns.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
@@ -202,7 +209,9 @@ impl fmt::Display for Error {
             Error::Stratify(e) => e.fmt(f),
             Error::Linearity(e) => e.fmt(f),
             Error::RoundLimit { .. } | Error::Unstable { .. } => self.as_eval().fmt(f),
-            Error::UnknownSavepoint(id) => SessionError::UnknownSavepoint(*id).fmt(f),
+            Error::UnknownSavepoint(id) => {
+                write!(f, "unknown or invalidated savepoint {}", id.0)
+            }
             Error::Snapshot(e) => e.fmt(f),
             Error::Storage(e) => e.fmt(f),
             Error::PoisonedWriter => f.write_str(
@@ -275,17 +284,6 @@ impl From<EvalError> for Error {
             EvalError::Unstable { stratum, round, update } => {
                 Error::Unstable { stratum, round, update }
             }
-        }
-    }
-}
-
-impl From<SessionError> for Error {
-    fn from(e: SessionError) -> Error {
-        match e {
-            SessionError::Lang(e) => e.into(),
-            SessionError::Eval(e) => e.into(),
-            SessionError::UnknownSavepoint(id) => Error::UnknownSavepoint(id),
-            SessionError::Storage(e) => Error::Storage(e),
         }
     }
 }
@@ -736,7 +734,7 @@ impl Database {
     /// the committed base (copy-on-write) and pays only for the states
     /// the update process actually touches.
     pub fn apply(&mut self, prepared: &Prepared) -> Result<&Txn, Error> {
-        Ok(self.session.apply_compiled(prepared.compiled())?)
+        self.session.apply_compiled(prepared.compiled())
     }
 
     /// Prepare and apply program text in one step (no compilation
@@ -840,44 +838,18 @@ impl Database {
     ///     vec![ruvo_term::int(100)],
     /// );
     /// ```
-    /// On a durable database the block's commits are buffered and
-    /// appended as **one** WAL record when the closure succeeds — an
-    /// aborted block leaves no trace in the log, and a crash inside
-    /// the block can never replay half a transaction.
+    /// The block is one record scope of the [`Session`], and each
+    /// application inside it a nested one. On a durable database the
+    /// block's commits are appended as **one** WAL record when the
+    /// closure succeeds — an aborted block leaves no trace in the log,
+    /// and a crash inside the block can never replay half a
+    /// transaction. Volatile or durable, nothing in the log is trimmed
+    /// until the block commits.
     pub fn transact<T>(
         &mut self,
         f: impl FnOnce(&mut Transaction<'_>) -> Result<T, Error>,
     ) -> Result<T, Error> {
-        let guard = self.session.savepoint();
-        let owns_buffer = self.session.begin_txn_buffer();
-        let mut txn = Transaction { db: self };
-        match f(&mut txn) {
-            Ok(value) => {
-                if owns_buffer {
-                    if let Err(e) = self.session.flush_txn_buffer() {
-                        // Nothing was appended: a plain in-memory
-                        // rollback re-aligns with the durable image.
-                        self.session
-                            .rollback_to_unlogged(guard)
-                            .expect("transact guard savepoint is always valid");
-                        self.session.release(guard);
-                        return Err(e.into());
-                    }
-                }
-                self.session.release(guard);
-                Ok(value)
-            }
-            Err(e) => {
-                if owns_buffer {
-                    self.session.discard_txn_buffer();
-                }
-                self.session
-                    .rollback_to_unlogged(guard)
-                    .expect("transact guard savepoint is always valid");
-                self.session.release(guard);
-                Err(e)
-            }
-        }
+        Session::record(self, |db| &mut db.session, |db| f(&mut Transaction { db }))
     }
 
     // ----- reads -----------------------------------------------------
@@ -890,34 +862,41 @@ impl Database {
     /// An O(1) point-in-time read view of the committed state; stays
     /// stable (and cheap) while this database keeps committing.
     pub fn snapshot(&self) -> Snapshot {
-        self.session.snapshot()
+        Snapshot::new(self.session.current_shared())
     }
 
     /// Committed transactions, oldest first. The newest keeps its full
     /// `result(P)` version history; every entry keeps its statistics,
-    /// its `changed()` delta and `facts_after` (see [`Txn::outcome`]
-    /// and [`Session::log`]).
+    /// its `changed()` delta and `facts_after` (see [`Txn::outcome`]).
+    /// After a rollback the newest remaining entry may already be
+    /// trimmed.
     pub fn log(&self) -> &[Txn] {
         self.session.log()
     }
 
     /// Number of committed transactions.
     pub fn len(&self) -> usize {
-        self.session.len()
+        self.session.log().len()
     }
 
     /// True if no transaction has been committed.
     pub fn is_empty(&self) -> bool {
-        self.session.is_empty()
+        self.session.log().is_empty()
     }
 
-    /// The underlying session (log, savepoints and engine config).
+    /// The writer core this database commits through. Its public
+    /// surface drives the engine by hand: a
+    /// [`Session::prepared_work`] copy for [`crate::run_compiled`], the
+    /// [`Session::config`] to run it under, and — on a volatile clone —
+    /// [`Session::commit`]. Every other write goes through `apply`,
+    /// `transact` and the savepoint verbs here.
     pub fn session(&self) -> &Session {
         &self.session
     }
 
     /// Mutable session access for the serving layer's group-commit
-    /// drain (the public mutation surface stays `apply`/`transact`).
+    /// drain and checkpoints (the public mutation surface stays
+    /// `apply`/`transact`).
     pub(crate) fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
@@ -987,7 +966,7 @@ impl Database {
                 let program = Program::parse(&logged.source).map_err(|e| replay(e.into()))?;
                 let compiled = CompiledProgram::compile(program, logged.cycles)
                     .map_err(|e| replay(e.into()))?;
-                self.session.apply_compiled(&compiled).map_err(|e| replay(e.into()))?;
+                self.session.apply_compiled(&compiled).map_err(replay)?;
                 replayed += 1;
             }
         }
@@ -1002,33 +981,14 @@ impl Database {
     /// plus the chain, so checkpointing before shutdown makes the
     /// next open fast.
     pub fn checkpoint(&mut self) -> Result<crate::store::CheckpointOutcome, Error> {
-        Ok(self.session.checkpoint()?)
+        self.session.checkpoint()
     }
 
     /// Compact the checkpoint chain into a single fresh full
     /// generation now (what `ruvo recover --compact` runs). A no-op
     /// without a data directory.
     pub fn compact(&mut self) -> Result<crate::store::CheckpointOutcome, Error> {
-        Ok(self.session.checkpoint_full()?)
-    }
-
-    /// First half of a background checkpoint (see
-    /// [`crate::Session::plan_checkpoint`]): an O(shards) plan plus
-    /// the matching shared state handle, to be encoded off-thread.
-    pub fn plan_checkpoint(
-        &self,
-        mode: crate::store::CheckpointMode,
-    ) -> Option<(crate::store::CheckpointPlan, std::sync::Arc<ObjectBase>)> {
-        self.session.plan_checkpoint(mode)
-    }
-
-    /// Second half of a background checkpoint: install an encoded
-    /// generation produced by [`crate::store::encode_checkpoint_plan`].
-    pub fn install_checkpoint(
-        &mut self,
-        encoded: crate::store::EncodedCheckpoint,
-    ) -> Result<crate::store::CheckpointOutcome, Error> {
-        Ok(self.session.install_checkpoint(encoded)?)
+        self.session.checkpoint_full()
     }
 
     // ----- savepoints ------------------------------------------------
@@ -1040,8 +1000,14 @@ impl Database {
 
     /// Restore the committed state and transaction log to `savepoint`
     /// (later savepoints are invalidated; the target stays valid).
+    ///
+    /// On a durable database the rolled-back transactions are already
+    /// in the WAL, so the restored state is checkpointed — a delta of
+    /// the shards that differ from the last checkpoint, or a full
+    /// generation when the policy asks for one — and the log truncated,
+    /// making the dead suffix unreachable to recovery.
     pub fn rollback_to(&mut self, savepoint: SavepointId) -> Result<(), Error> {
-        Ok(self.session.rollback_to(savepoint)?)
+        self.session.rollback_to(savepoint)
     }
 }
 

@@ -55,7 +55,7 @@ pub use history::{history, History, HistoryStep};
 pub use plan::{IndexPlan, RuleIndexPlan, ScanHint};
 pub use query::{match_goal, plan_query, run_query, QueryAnswers, QueryMode, QueryPlan};
 pub use serve::{Applied, ServingDatabase};
-pub use session::{SavepointId, Session, SessionError, Txn};
+pub use session::{SavepointId, Session, Txn};
 pub use store::{
     encode_checkpoint_plan, Checkpoint, CheckpointMode, CheckpointOutcome, CheckpointPlan,
     CheckpointPolicy, DurabilitySink, EncodedCheckpoint, FsyncPolicy, GenerationInfo,

@@ -23,18 +23,17 @@
 //!   head ([`crate::Session::prepared_work`]) — and publishes the new
 //!   head **once** per batch.
 //! * **Multi-step atomicity is unchanged.**
-//!   [`ServingDatabase::transact`] runs the existing
-//!   [`Database::transact`] savepoint machinery under the writer lock
-//!   (which is **not reentrant** — write through the closure's
-//!   handle, never through the database, or the thread deadlocks;
-//!   see the method's deadlock note).
+//!   [`ServingDatabase::transact`] runs [`Database::transact`] under
+//!   the writer lock (which is **not reentrant** — write through the
+//!   closure's handle, never through the database, or the thread
+//!   deadlocks; see the method's deadlock note).
 //!
 //! * **Durability rides the same batch boundary.** Serving a database
 //!   opened with [`Database::open_dir`] (or upgraded via
-//!   [`Database::into_serving_durable`]), a drained batch is appended
-//!   and fsynced to the write-ahead log as **one** record — inside
-//!   [`crate::Session::apply_compiled_batch`], before the head is
-//!   published and before any ticket is acknowledged. Group commit
+//!   [`Database::into_serving_durable`]), a drained batch is one record
+//!   scope of the writer's [`crate::Session`]: it is appended and
+//!   fsynced to the write-ahead log as **one** record before the head
+//!   is published and before any ticket is acknowledged. Group commit
 //!   thus amortizes the fsync across every writer in the batch, and a
 //!   crash can never lose an acknowledged commit (see
 //!   [`crate::store`]).
@@ -473,7 +472,7 @@ impl ServingDatabase {
         let plan = {
             let mut writer = self.lock_writer()?;
             self.drain(&mut writer);
-            writer.plan_checkpoint(CheckpointMode::Auto)
+            writer.session().plan_checkpoint(CheckpointMode::Auto)
         };
         let Some((plan, at)) = plan else { return Ok(false) };
         let shared = Arc::clone(&self.shared);
@@ -482,7 +481,7 @@ impl ServingDatabase {
             let encoded = encode_checkpoint_plan(&plan, &at);
             drop(at);
             let mut writer = shared.writer.lock().map_err(|_| Error::PoisonedWriter)?;
-            writer.install_checkpoint(encoded)
+            writer.session_mut().install_checkpoint(encoded)
         }));
         Ok(true)
     }
@@ -554,9 +553,9 @@ impl ServingDatabase {
         self.shared.ckpt.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Commit everything currently queued as one batch (through
-    /// [`crate::Session::apply_compiled_batch`]) and publish the head
-    /// once. Entries enqueued *after* the drain picked up the queue
+    /// Commit everything currently queued as one batch (one record
+    /// scope of the writer's session, each member its own transaction)
+    /// and publish the head once. Entries enqueued *after* the drain picked up the queue
     /// are served by their own (currently lock-blocked) owners.
     ///
     /// Tickets are filled only **after** the publication: if a batch
@@ -571,14 +570,15 @@ impl ServingDatabase {
         }
         let epoch = self.shared.epoch.load(Ordering::Relaxed) + 1;
         let compiled: Vec<_> = batch.iter().map(|e| e.prepared.compiled()).collect();
-        let results = writer.session_mut().apply_compiled_batch(&compiled);
+        let results = writer.session_mut().apply_batch(&compiled);
         self.publish(writer);
         for (entry, result) in batch.iter().zip(results) {
-            entry.ticket.fill(
-                result
-                    .map(|(seq, facts_after, at)| Applied { seq, facts_after, epoch, at })
-                    .map_err(Error::from),
-            );
+            entry.ticket.fill(result.map(|(seq, facts_after, at)| Applied {
+                seq,
+                facts_after,
+                epoch,
+                at,
+            }));
         }
     }
 

@@ -1,12 +1,22 @@
-//! A transactional session: a sequence of update-programs applied to
-//! an evolving object base.
+//! The one writer core: a sequence of update-programs applied to an
+//! evolving object base.
 //!
 //! §2.2: "We conceive an update-program as a mapping from an (old)
 //! object-base into a (new) object-base." A [`Session`] chains such
 //! mappings with all-or-nothing semantics: a program that fails —
 //! not stratifiable, unsafe, non-version-linear, or over the round
-//! budget — leaves the object base exactly as it was. Savepoints give
-//! explicit rollback across transactions.
+//! budget — leaves the object base exactly as it was.
+//!
+//! Every handle writes through one session: [`crate::Database`] owns
+//! one, its [`crate::Transaction`] borrows it, and
+//! [`crate::ServingDatabase`] keeps one behind its writer lock. Every
+//! write — one program, a group-commit drain, a whole `transact` block
+//! — runs in one *record scope*. The scope captures the head, the log
+//! length and the pending WAL entries; a failing body restores all
+//! three, and only the outermost scope's success appends (one WAL
+//! record) and acknowledges. So a write means the same thing whichever
+//! handle delivers it, and an aborted block leaves the log — on disk
+//! and in memory — as it was.
 //!
 //! Between transactions the object base is the *flat* `ob′` of §5
 //! (final versions only). A commit that touched few objects edits the
@@ -16,76 +26,39 @@
 //! only its summary (see [`Txn::outcome`]), so the log costs O(1) per
 //! transaction, not O(`result(P)`).
 //!
+//! A `Session` is public only for driving the engine by hand: start
+//! one ([`Session::new`]), read its head, hand a
+//! [`Session::prepared_work`] copy to [`crate::run_compiled`] and
+//! [`Session::commit`] the outcome. Programs, transactions, savepoints
+//! and checkpoints go through the handles.
+//!
 //! ## Durability
 //!
 //! A session owns a [`DurabilitySink`]; the default is volatile
-//! (no sink — commits live and die with the process). With a sink
-//! attached (see [`crate::Database::open_dir`]), every committed
-//! batch — a single program, a group-commit drain, or a whole
-//! `transact` block — is appended to the write-ahead log as **one**
-//! record *before* the caller is acknowledged; if the append fails,
-//! the in-memory commit is rolled back too, so memory and disk never
-//! disagree about what was acknowledged.
+//! (no sink — commits live and die with the process, and no program
+//! source is rendered). With a sink attached (see
+//! [`crate::Database::open_dir`]), the outermost record scope appends
+//! its commits to the write-ahead log as **one** record *before* the
+//! caller is acknowledged; if the append fails, the in-memory commits
+//! are rolled back too, so memory and disk never disagree about what
+//! was acknowledged.
 
-use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ruvo_lang::{LangError, Program};
 use ruvo_obase::{ChangedSince, ObjectBase, Snapshot};
 use ruvo_term::Vid;
 
+use crate::database::Error;
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig, Outcome};
-use crate::error::EvalError;
 use crate::store::{
     CheckpointMode, CheckpointOutcome, CheckpointPlan, DurabilitySink, EncodedCheckpoint,
     StorageError, WalProgram,
 };
 
-/// Why a session operation failed. The object base is unchanged in
-/// every failure case.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SessionError {
-    /// Program text did not parse / validate / pass safety analysis.
-    Lang(LangError),
-    /// Evaluation failed (stratification, linearity, round budget).
-    Eval(EvalError),
-    /// Rollback target does not exist (or was invalidated).
-    UnknownSavepoint(SavepointId),
-    /// The durability sink failed; the in-memory commit was rolled
-    /// back, so the session still matches the durable image.
-    Storage(StorageError),
-}
-
-impl fmt::Display for SessionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionError::Lang(e) => e.fmt(f),
-            SessionError::Eval(e) => e.fmt(f),
-            SessionError::UnknownSavepoint(id) => {
-                write!(f, "unknown or invalidated savepoint {}", id.0)
-            }
-            SessionError::Storage(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
-impl From<LangError> for SessionError {
-    fn from(e: LangError) -> Self {
-        SessionError::Lang(e)
-    }
-}
-
-impl From<EvalError> for SessionError {
-    fn from(e: EvalError) -> Self {
-        SessionError::Eval(e)
-    }
-}
-
-/// Handle to a rollback point; see [`Session::savepoint`].
+/// Handle to a rollback point; see [`crate::Database::savepoint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SavepointId(u64);
+pub struct SavepointId(pub(crate) u64);
 
 /// A commit edits the head in place when the run touched at most one
 /// object in this many of the head's; wider runs rebuild `ob′` (§5).
@@ -115,8 +88,8 @@ pub struct Txn {
 /// A sequence of update-program applications over one object base.
 ///
 /// The committed base is held behind an [`Arc`]: commits install a new
-/// shared state, so [`Session::snapshot`] read views and savepoints
-/// are O(1) and never block or copy the store.
+/// shared state, so read views and savepoints are O(1) and never block
+/// or copy the store.
 #[derive(Debug, Default)]
 pub struct Session {
     ob: Arc<ObjectBase>,
@@ -130,12 +103,12 @@ pub struct Session {
     /// Where committed batches go; `None` is the volatile fast path
     /// (no program-source rendering, no appends).
     sink: Option<Box<dyn DurabilitySink>>,
-    /// While `Some`, commits buffer their log entries instead of
-    /// appending immediately; flushing writes them as one record.
-    /// Used by `transact` blocks and group-commit batches so a whole
-    /// logical batch costs one append + one fsync — and so an aborted
-    /// `transact` leaves no trace in the log at all.
-    buffered: Option<Vec<WalProgram>>,
+    /// The WAL entries of the open record scope's commits, appended as
+    /// one record when the outermost scope succeeds. Only durable
+    /// sessions push entries.
+    buffered: Vec<WalProgram>,
+    /// True while a record scope is open (see `Session::record`).
+    recording: bool,
 }
 
 impl Clone for Session {
@@ -152,7 +125,8 @@ impl Clone for Session {
             savepoints: self.savepoints.clone(),
             next_savepoint: self.next_savepoint,
             sink: None,
-            buffered: None,
+            buffered: Vec::new(),
+            recording: false,
         }
     }
 }
@@ -167,32 +141,20 @@ impl Session {
         Session { ob: Arc::new(ob), ..Default::default() }
     }
 
-    /// Start from object-base text.
-    pub fn parse(src: &str) -> Result<Session, SessionError> {
-        let ob = ObjectBase::parse(src).map_err(LangError::Parse)?;
-        Ok(Session::new(ob))
-    }
-
     /// Use `config` for subsequent transactions.
-    pub fn with_config(mut self, config: EngineConfig) -> Session {
+    pub(crate) fn with_config(mut self, config: EngineConfig) -> Session {
         self.config = config;
         self
     }
 
     /// Write every subsequent commit through `sink` (see the
     /// [module docs](self) on durability).
-    pub fn with_sink(mut self, sink: Box<dyn DurabilitySink>) -> Session {
-        self.set_sink(sink);
-        self
-    }
-
-    /// Attach a durability sink to an existing session.
-    pub fn set_sink(&mut self, sink: Box<dyn DurabilitySink>) {
+    pub(crate) fn set_sink(&mut self, sink: Box<dyn DurabilitySink>) {
         self.sink = Some(sink);
     }
 
     /// True when commits are written through a durability sink.
-    pub fn is_durable(&self) -> bool {
+    pub(crate) fn is_durable(&self) -> bool {
         self.sink.is_some()
     }
 
@@ -201,60 +163,10 @@ impl Session {
         &self.ob
     }
 
-    /// An O(1) point-in-time read view of the committed state. The
-    /// view stays valid (and unchanged) across later commits and
-    /// rollbacks.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::new(Arc::clone(&self.ob))
-    }
-
     /// The committed base as its shared handle (what a commit installs
     /// and what [`crate::ServingDatabase`] publishes as the head).
     pub fn current_shared(&self) -> Arc<ObjectBase> {
         Arc::clone(&self.ob)
-    }
-
-    /// Apply several compiled programs back to back, one transaction
-    /// each, returning per-program receipts of `(seq, facts_after,
-    /// state right after that member's commit)`.
-    ///
-    /// This is the group-commit batch path
-    /// ([`crate::ServingDatabase`] drains its write queue through
-    /// it): programs are **not** atomic as a unit — a failing program
-    /// leaves the session exactly as the previous one committed it,
-    /// and later programs still run.
-    ///
-    /// On a durable session the whole batch is appended and fsynced
-    /// as **one** WAL record (containing only the successful members)
-    /// before this returns — group commit amortizes the fsync. If the
-    /// append fails, every member is rolled back and reports the
-    /// storage error: nothing is acknowledged that is not durable.
-    pub fn apply_compiled_batch(
-        &mut self,
-        batch: &[&CompiledProgram],
-    ) -> Vec<Result<(usize, usize, Snapshot), SessionError>> {
-        let owns_buffer = self.begin_txn_buffer();
-        let pre_ob = Arc::clone(&self.ob);
-        let pre_len = self.log.len();
-        let mut results: Vec<Result<(usize, usize, Snapshot), SessionError>> = batch
-            .iter()
-            .map(|compiled| {
-                let (seq, facts_after) =
-                    self.apply_compiled(compiled).map(|txn| (txn.seq, txn.facts_after))?;
-                Ok((seq, facts_after, self.snapshot()))
-            })
-            .collect();
-        if owns_buffer {
-            if let Err(e) = self.flush_txn_buffer() {
-                self.restore(pre_ob, pre_len);
-                for r in &mut results {
-                    if r.is_ok() {
-                        *r = Err(e.clone());
-                    }
-                }
-            }
-        }
-        results
     }
 
     /// The engine configuration used for transactions.
@@ -266,46 +178,15 @@ impl Session {
     /// whole [`Outcome`]; the others are trimmed to their summary (see
     /// [`Txn::outcome`]). After a rollback the newest remaining entry
     /// may already be trimmed.
-    pub fn log(&self) -> &[Txn] {
+    pub(crate) fn log(&self) -> &[Txn] {
         &self.log
-    }
-
-    /// Number of committed transactions.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// True if no transaction has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Apply one update-program transactionally: on success the object
-    /// base becomes the program's `ob′` and the transaction is logged;
-    /// on any error the session is untouched.
-    pub fn apply(&mut self, program: Program) -> Result<&Txn, SessionError> {
-        let compiled =
-            CompiledProgram::compile(program, self.config.cycles).map_err(EvalError::from)?;
-        self.apply_compiled(&compiled)
-    }
-
-    /// Apply an already-compiled program transactionally, skipping all
-    /// per-run analysis (see [`CompiledProgram`]). The compiled cycle
-    /// policy wins over the session config's.
-    pub fn apply_compiled(&mut self, compiled: &CompiledProgram) -> Result<&Txn, SessionError> {
-        let work = self.prepared_work();
-        let outcome = run_compiled(compiled, &self.config, work)?;
-        self.commit_logged(outcome, || WalProgram {
-            cycles: compiled.cycle_policy(),
-            source: compiled.source_text(),
-        })
     }
 
     /// A working copy of the committed base, ready for the engine: an
     /// O(shards) copy-on-write clone. Nothing needs preparing — `exists`
-    /// is the version table (§3) — so repeated
-    /// [`Session::apply_compiled`] and hypothetical dry runs against
-    /// one committed state pay for what they touch.
+    /// is the version table (§3) — so repeated applications and
+    /// hypothetical dry runs against one committed state pay for what
+    /// they touch.
     pub fn prepared_work(&self) -> ObjectBase {
         (*self.ob).clone()
     }
@@ -319,30 +200,140 @@ impl Session {
     ///
     /// A durable session refuses with [`StorageError::Misuse`] and
     /// stays untouched: an outcome carries no program source for the
-    /// write-ahead log. Commit through the `apply*` paths there, which
-    /// log the program as one WAL record.
-    pub fn commit(&mut self, outcome: Outcome) -> Result<&Txn, SessionError> {
+    /// write-ahead log. Commit through the handles' `apply` there,
+    /// which logs the program as one WAL record.
+    pub fn commit(&mut self, outcome: Outcome) -> Result<&Txn, Error> {
         if self.sink.is_some() {
-            return Err(SessionError::Storage(StorageError::Misuse(
+            return Err(Error::Storage(StorageError::Misuse(
                 "a durable session cannot log a bare outcome; apply its program instead",
             )));
         }
-        self.commit_install(outcome)?;
-        self.acknowledge();
-        Ok(self.log.last().expect("just pushed"))
+        Session::record(self, |s| s, |s| s.install(outcome))?;
+        Ok(self.log.last().expect("just committed"))
     }
 
-    /// Install an outcome in memory only (the shared half of
-    /// [`Session::commit`] and [`Session::commit_logged`]).
-    fn commit_install(&mut self, outcome: Outcome) -> Result<(), SessionError> {
+    /// Run one compiled program and commit its outcome, as one record
+    /// scope: the program's WAL entry is rendered only on durable
+    /// sessions. The compiled cycle policy wins over the session
+    /// config's.
+    pub(crate) fn apply_compiled(&mut self, compiled: &CompiledProgram) -> Result<&Txn, Error> {
+        Session::record(
+            self,
+            |s| s,
+            |s| {
+                let outcome = run_compiled(compiled, &s.config, s.prepared_work())?;
+                s.install(outcome)?;
+                if s.sink.is_some() {
+                    let source = compiled.source_text();
+                    s.buffered.push(WalProgram { cycles: compiled.cycle_policy(), source });
+                }
+                Ok(())
+            },
+        )?;
+        Ok(self.log.last().expect("just committed"))
+    }
+
+    /// Apply several compiled programs back to back, one transaction
+    /// each, returning per-program receipts of `(seq, facts_after,
+    /// state right after that member's commit)` — the group-commit
+    /// drain of [`crate::ServingDatabase`].
+    ///
+    /// The batch is one record scope and each member a nested one, so
+    /// members are **not** atomic as a unit: a failing program leaves
+    /// the session exactly as the previous one committed it, keeps its
+    /// own error, and later programs still run. On a durable session
+    /// the successful members are appended as **one** WAL record; if
+    /// that append fails, every one of them is rolled back and reports
+    /// the storage error.
+    pub(crate) fn apply_batch(
+        &mut self,
+        batch: &[&CompiledProgram],
+    ) -> Vec<Result<(usize, usize, Snapshot), Error>> {
+        let mut results = Vec::with_capacity(batch.len());
+        let appended = Session::record(
+            self,
+            |s| s,
+            |s| {
+                for compiled in batch {
+                    let receipt = s.apply_compiled(compiled).map(|txn| (txn.seq, txn.facts_after));
+                    results.push(receipt.map(|(seq, facts_after)| {
+                        (seq, facts_after, Snapshot::new(Arc::clone(&s.ob)))
+                    }));
+                }
+                Ok(())
+            },
+        );
+        if let Err(e) = appended {
+            for result in results.iter_mut().filter(|r| r.is_ok()) {
+                *result = Err(e.clone());
+            }
+        }
+        results
+    }
+
+    /// The one record scope every write runs in. It captures the head,
+    /// the log length and the number of buffered WAL entries, then runs
+    /// `body` on `host` (the session itself, or the [`crate::Database`]
+    /// that `session` projects it out of):
+    ///
+    /// * `Err` — or a panic, which then resumes — restores all three,
+    ///   at any depth;
+    /// * `Ok` in a nested scope leaves the outcome to the outermost one;
+    /// * `Ok` in the outermost scope appends the buffered entries as
+    ///   one WAL record, then acknowledges: every log entry but the
+    ///   newest is trimmed. A failed append restores the captured state
+    ///   and reports [`Error::Storage`].
+    ///
+    /// Nothing is trimmed and nothing reaches the log before the
+    /// outermost scope succeeds, so an aborted scope leaves the log —
+    /// on disk and in memory — as it was. A panic also closes the
+    /// scope: were it left open, later commits would count as nested
+    /// and be acknowledged without ever being appended.
+    pub(crate) fn record<H, T>(
+        host: &mut H,
+        session: fn(&mut H) -> &mut Session,
+        body: impl FnOnce(&mut H) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let s = session(host);
+        let (head, log_len, buffered) = (Arc::clone(&s.ob), s.log.len(), s.buffered.len());
+        let outermost = !std::mem::replace(&mut s.recording, true);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(host)));
+        let s = session(host);
+        s.recording = !outermost;
+        let result = result.map(|result| {
+            result.and_then(|value| {
+                if outermost && !s.buffered.is_empty() {
+                    let sink = s.sink.as_mut().expect("only durable sessions buffer entries");
+                    let appended = sink.append_batch(&s.buffered, &s.ob);
+                    s.buffered.clear();
+                    appended.map_err(Error::Storage)?;
+                }
+                Ok(value)
+            })
+        });
+        match &result {
+            Ok(Ok(_)) if outermost => s.acknowledge(),
+            Ok(Ok(_)) => {}
+            Ok(Err(_)) | Err(_) => {
+                s.ob = head;
+                s.truncate_log(log_len);
+                s.buffered.truncate(buffered);
+            }
+        }
+        result.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// Install an outcome in memory and push its log entry; by width
+    /// (see [`NARROW_COMMIT_SHARE`]) either edit the head or rebuild
+    /// `ob′`.
+    fn install(&mut self, outcome: Outcome) -> Result<(), Error> {
         if self.commits_narrow(&outcome) {
             self.edit_head(&outcome);
         } else {
             // try_new_object_base cannot fail here when the linearity
             // check is on; with the check disabled this is the commit
             // gate.
-            let new_ob = outcome.try_new_object_base().map_err(EvalError::Linearity)?;
-            self.ob = Arc::new(new_ob);
+            self.ob = Arc::new(outcome.try_new_object_base()?);
         }
         self.log.push(Txn { seq: self.log.len(), outcome, facts_after: self.ob.len() });
         Ok(())
@@ -373,8 +364,8 @@ impl Session {
     }
 
     /// Trim every log entry but the newest to its summary (see
-    /// [`Txn::outcome`]) — once the commits that pushed them are
-    /// acknowledged, so a failed append leaves the log as it was.
+    /// [`Txn::outcome`]). O(1) amortised: the `trimmed` watermark
+    /// visits each entry once.
     fn acknowledge(&mut self) {
         let newest = self.log.len().saturating_sub(1);
         for txn in self.log.get_mut(self.trimmed..newest).into_iter().flatten() {
@@ -383,103 +374,25 @@ impl Session {
         self.trimmed = self.trimmed.max(newest);
     }
 
-    /// Commit an outcome whose producing program is known: install it,
-    /// then make it durable — immediately as a one-entry record, or
-    /// deferred into the active transaction buffer. `entry` is only
-    /// rendered on durable sessions, so the volatile path never pays
-    /// for program pretty-printing.
-    fn commit_logged(
-        &mut self,
-        outcome: Outcome,
-        entry: impl FnOnce() -> WalProgram,
-    ) -> Result<&Txn, SessionError> {
-        if self.sink.is_none() {
-            self.commit_install(outcome)?;
-            self.acknowledge();
-            return Ok(self.log.last().expect("just pushed"));
-        }
-        let pre_ob = Arc::clone(&self.ob);
-        let pre_len = self.log.len();
-        self.commit_install(outcome)?;
-        let entry = entry();
-        if let Some(buffer) = &mut self.buffered {
-            // Acknowledged when the buffer's owner flushes it.
-            buffer.push(entry);
-        } else {
-            let sink = self.sink.as_mut().expect("checked above");
-            if let Err(e) = sink.append_batch(&[entry], &self.ob) {
-                self.restore(pre_ob, pre_len);
-                return Err(SessionError::Storage(e));
-            }
-            self.acknowledge();
-        }
-        Ok(self.log.last().expect("just pushed"))
-    }
-
-    /// Roll the in-memory state back to a captured point (durability
-    /// failure paths; nothing about the rolled-back commits reached
-    /// the log).
-    fn restore(&mut self, ob: Arc<ObjectBase>, log_len: usize) {
-        self.ob = ob;
-        self.truncate_log(log_len);
-    }
-
     fn truncate_log(&mut self, len: usize) {
         self.log.truncate(len);
         self.trimmed = self.trimmed.min(len);
     }
 
-    /// Start deferring durable log entries into a buffer, so a whole
-    /// logical batch (a `transact` block, a group-commit drain) is
-    /// appended as **one** record by [`Session::flush_txn_buffer`].
-    /// Returns whether this call owns the buffer (false on volatile
-    /// sessions and when a buffer is already active — the owner
-    /// flushes, nested scopes must not).
-    pub(crate) fn begin_txn_buffer(&mut self) -> bool {
-        if self.sink.is_some() && self.buffered.is_none() {
-            self.buffered = Some(Vec::new());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Append everything buffered since [`Session::begin_txn_buffer`]
-    /// as one durable record. On failure the entries are gone from the
-    /// buffer but the in-memory commits are **not** undone — the
-    /// caller owns that rollback (it knows the pre-batch state).
-    pub(crate) fn flush_txn_buffer(&mut self) -> Result<(), SessionError> {
-        let Some(entries) = self.buffered.take() else { return Ok(()) };
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let sink = self.sink.as_mut().expect("buffer exists only with a sink");
-        sink.append_batch(&entries, &self.ob).map_err(SessionError::Storage)?;
-        self.acknowledge();
-        Ok(())
-    }
-
-    /// Drop the active buffer without appending (the batch is being
-    /// rolled back; an aborted `transact` must leave no trace in the
-    /// log).
-    pub(crate) fn discard_txn_buffer(&mut self) {
-        self.buffered = None;
-    }
-
     /// Force a durable checkpoint of the committed state now,
     /// synchronously (no-op on a volatile session). With an attached
-    /// [`WalStore`](crate::WalStore) this is incremental: only the
-    /// shards dirtied since the last checkpoint are persisted, as a
-    /// delta generation appended to the chain.
-    pub fn checkpoint(&mut self) -> Result<CheckpointOutcome, SessionError> {
+    /// [`crate::WalStore`] this is incremental: only the shards dirtied
+    /// since the last checkpoint are persisted, as a delta generation
+    /// appended to the chain.
+    pub(crate) fn checkpoint(&mut self) -> Result<CheckpointOutcome, Error> {
         match &mut self.sink {
-            Some(sink) => sink.checkpoint(&self.ob).map_err(SessionError::Storage),
+            Some(sink) => sink.checkpoint(&self.ob).map_err(Error::Storage),
             None => Ok(CheckpointOutcome::Skipped),
         }
     }
 
     /// Force a full (compacting) checkpoint of the committed state.
-    pub fn checkpoint_full(&mut self) -> Result<CheckpointOutcome, SessionError> {
+    pub(crate) fn checkpoint_full(&mut self) -> Result<CheckpointOutcome, Error> {
         let Some((plan, at)) = self.plan_checkpoint(CheckpointMode::ForceFull) else {
             return Ok(CheckpointOutcome::Skipped);
         };
@@ -493,7 +406,7 @@ impl Session {
     /// [`crate::store::encode_checkpoint_plan`], then hand the result
     /// to [`Session::install_checkpoint`]. Returns `None` on volatile
     /// sessions.
-    pub fn plan_checkpoint(
+    pub(crate) fn plan_checkpoint(
         &self,
         mode: CheckpointMode,
     ) -> Option<(CheckpointPlan, Arc<ObjectBase>)> {
@@ -506,36 +419,23 @@ impl Session {
     /// install are handled — the WAL keeps covering them, and a plan
     /// the chain has outrun installs as
     /// [`CheckpointOutcome::Skipped`].
-    pub fn install_checkpoint(
+    pub(crate) fn install_checkpoint(
         &mut self,
         encoded: EncodedCheckpoint,
-    ) -> Result<CheckpointOutcome, SessionError> {
+    ) -> Result<CheckpointOutcome, Error> {
         match &mut self.sink {
-            Some(sink) => sink.install_checkpoint(encoded).map_err(SessionError::Storage),
+            Some(sink) => sink.install_checkpoint(encoded).map_err(Error::Storage),
             None => Ok(CheckpointOutcome::Skipped),
         }
     }
 
-    /// Parse and [`Session::apply`] program text.
-    pub fn apply_src(&mut self, src: &str) -> Result<&Txn, SessionError> {
-        let program = Program::parse(src)?;
-        self.apply(program)
-    }
-
     /// Record a rollback point capturing the current object base.
     /// O(1): the captured state is shared, not copied.
-    pub fn savepoint(&mut self) -> SavepointId {
+    pub(crate) fn savepoint(&mut self) -> SavepointId {
         let id = SavepointId(self.next_savepoint);
         self.next_savepoint += 1;
         self.savepoints.push((id, self.log.len(), Arc::clone(&self.ob)));
         id
-    }
-
-    /// Discard a savepoint without rolling back (used by
-    /// [`crate::Database::transact`] to release its guard on commit).
-    /// Unknown ids are ignored.
-    pub fn release(&mut self, savepoint: SavepointId) {
-        self.savepoints.retain(|(id, ..)| *id != savepoint);
     }
 
     /// Restore the object base and transaction log to `savepoint`.
@@ -547,108 +447,64 @@ impl Session {
     /// of the shards that differ from the last checkpoint, or a full
     /// generation when the policy asks for one — and truncates the
     /// log, making the dead suffix unreachable to recovery.
-    pub fn rollback_to(&mut self, savepoint: SavepointId) -> Result<(), SessionError> {
-        self.rollback_to_unlogged(savepoint)?;
-        if self.buffered.is_none() {
-            if let Some(sink) = &mut self.sink {
-                sink.checkpoint(&self.ob).map_err(SessionError::Storage)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Session::rollback_to`] without touching the sink — for
-    /// rollbacks of commits that never reached the log (a `transact`
-    /// block whose entries were still buffered).
-    pub(crate) fn rollback_to_unlogged(
-        &mut self,
-        savepoint: SavepointId,
-    ) -> Result<(), SessionError> {
+    pub(crate) fn rollback_to(&mut self, savepoint: SavepointId) -> Result<(), Error> {
         let idx = self
             .savepoints
             .iter()
             .position(|(id, ..)| *id == savepoint)
-            .ok_or(SessionError::UnknownSavepoint(savepoint))?;
+            .ok_or(Error::UnknownSavepoint(savepoint))?;
         let (_, log_len, ob) = self.savepoints[idx].clone();
         self.ob = ob; // Arc clone: the captured state is re-shared.
         self.truncate_log(log_len);
         self.savepoints.truncate(idx + 1);
-        Ok(())
+        self.checkpoint().map(|_| ())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CyclePolicy;
+    use crate::Database;
+    use ruvo_lang::Program;
     use ruvo_term::{int, oid};
 
-    fn start() -> Session {
-        Session::parse("acct.balance -> 100. acct.status -> active.").unwrap()
-    }
+    const START: &str = "acct.balance -> 100. acct.status -> active.";
 
-    #[test]
-    fn apply_commits_on_success() {
-        let mut s = start();
-        let txn =
-            s.apply_src("t: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
-        assert_eq!(txn.seq, 0);
-        assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(150)]);
-        assert_eq!(s.len(), 1);
+    fn compile(src: &str) -> CompiledProgram {
+        CompiledProgram::compile(Program::parse(src).unwrap(), CyclePolicy::Reject).unwrap()
     }
 
     #[test]
     fn prepared_work_is_a_shared_copy_of_the_head() {
-        let mut s = start();
+        let mut db = Database::open_src(START).unwrap();
         // Nothing to prepare: the working copy shares every
         // copy-on-write shard with the head, `exists` included.
-        let w1 = s.prepared_work();
-        assert!(w1.cow_stats(s.current()).fully_shared());
-        assert!(w1.exists_fact(ruvo_term::Vid::object(oid("acct"))));
+        let w1 = db.session().prepared_work();
+        assert!(w1.cow_stats(db.current()).fully_shared());
+        assert!(w1.exists_fact(Vid::object(oid("acct"))));
 
         // It follows commits and rollbacks.
-        let sp = s.savepoint();
-        s.apply_src("t: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
-        let w2 = s.prepared_work();
+        let sp = db.savepoint();
+        db.apply_src("t: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
+        let w2 = db.session().prepared_work();
         assert_eq!(w2.lookup1(oid("acct"), "balance"), vec![int(150)]);
-        assert!(w2.cow_stats(s.current()).fully_shared());
-        s.rollback_to(sp).unwrap();
-        assert_eq!(s.prepared_work().lookup1(oid("acct"), "balance"), vec![int(100)]);
-    }
-
-    #[test]
-    fn failed_parse_leaves_session_untouched() {
-        let mut s = start();
-        let before = s.current().clone();
-        assert!(s.apply_src("this is not a program").is_err());
-        assert_eq!(s.current(), &before);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn failed_linearity_rolls_back() {
-        let mut s = start();
-        let err = s
-            .apply_src(
-                "mod[acct].balance -> (100, 1) <= acct.balance -> 100.
-                 del[acct].balance -> 100 <= acct.balance -> 100.",
-            )
-            .unwrap_err();
-        assert!(matches!(err, SessionError::Eval(EvalError::Linearity(_))));
-        assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(100)]);
-        assert!(s.is_empty());
+        assert!(w2.cow_stats(db.current()).fully_shared());
+        db.rollback_to(sp).unwrap();
+        assert_eq!(db.session().prepared_work().lookup1(oid("acct"), "balance"), vec![int(100)]);
     }
 
     #[test]
     fn only_the_newest_log_entry_keeps_its_result() {
-        let mut s = start();
-        let sp = s.savepoint();
-        s.apply_src("a: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
-        let after_a = s.savepoint();
+        let mut db = Database::open_src(START).unwrap();
+        let sp = db.savepoint();
+        db.apply_src("a: mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap();
+        let after_a = db.savepoint();
         // The committed base is flat: the next program's `acct` is the
         // *initial* version again, as §5 prescribes.
-        s.apply_src("b: mod[acct].balance -> (150, 75) <= acct.balance -> 150.").unwrap();
-        assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(75)]);
-        let [first, newest] = s.log() else { panic!("two transactions") };
+        db.apply_src("b: mod[acct].balance -> (150, 75) <= acct.balance -> 150.").unwrap();
+        assert_eq!(db.current().lookup1(oid("acct"), "balance"), vec![int(75)]);
+        let [first, newest] = db.log() else { panic!("two transactions") };
         let mod_acct = Vid::object(oid("acct")).apply(ruvo_term::UpdateKind::Mod).unwrap();
         let balance = ruvo_term::sym("balance");
         // The newest transaction's version history stays inspectable.
@@ -663,92 +519,51 @@ mod tests {
         assert_eq!(first.outcome.stratification().strata.len(), 1);
 
         // After a rollback the newest remaining entry may be trimmed.
-        s.rollback_to(after_a).unwrap();
-        assert_eq!(s.len(), 1);
-        assert!(s.log()[0].outcome.result().is_empty());
+        db.rollback_to(after_a).unwrap();
+        assert_eq!(db.len(), 1);
+        assert!(db.log()[0].outcome.result().is_empty());
         // A later commit trims nothing twice and keeps its own result.
-        s.apply_src("c: mod[acct].balance -> (150, 90) <= acct.balance -> 150.").unwrap();
-        assert!(s.log()[1].outcome.result().contains(mod_acct, balance, &[], int(90)));
-        s.rollback_to(sp).unwrap();
-        assert!(s.is_empty());
+        db.apply_src("c: mod[acct].balance -> (150, 90) <= acct.balance -> 150.").unwrap();
+        assert!(db.log()[1].outcome.result().contains(mod_acct, balance, &[], int(90)));
+        // An aborted `transact` trims nothing either: the entry it
+        // would have trimmed keeps its result.
+        let credit = db.prepare("mod[acct].balance -> (90, 95) <= acct.balance -> 90.").unwrap();
+        let aborted = db.transact(|txn| {
+            txn.apply(&credit)?;
+            txn.apply_src("no parse")
+        });
+        assert!(aborted.is_err());
+        assert_eq!(db.len(), 2);
+        assert!(db.log()[1].outcome.result().contains(mod_acct, balance, &[], int(90)));
+        db.rollback_to(sp).unwrap();
+        assert!(db.is_empty());
     }
 
     #[test]
-    fn savepoint_rollback() {
-        let mut s = start();
-        let sp = s.savepoint();
-        s.apply_src("a: del[acct].status -> active <= acct.balance -> 100.").unwrap();
-        assert!(s.current().lookup1(oid("acct"), "status").is_empty());
-        s.rollback_to(sp).unwrap();
-        assert_eq!(s.current().lookup1(oid("acct"), "status"), vec![oid("active")]);
-        assert!(s.is_empty());
-        // The savepoint survives a rollback and later commits.
-        s.apply_src("b: ins[acct].note -> 1 <= acct.balance -> 100.").unwrap();
-        s.rollback_to(sp).unwrap();
-        assert!(s.current().lookup1(oid("acct"), "note").is_empty());
-    }
-
-    #[test]
-    fn rollback_invalidates_later_savepoints() {
-        let mut s = start();
-        let sp1 = s.savepoint();
-        s.apply_src("a: ins[acct].x -> 1 <= acct.balance -> 100.").unwrap();
-        let sp2 = s.savepoint();
-        s.rollback_to(sp1).unwrap();
-        let err = s.rollback_to(sp2).unwrap_err();
-        assert!(matches!(err, SessionError::UnknownSavepoint(_)));
-    }
-
-    #[test]
-    fn config_is_respected() {
-        let mut s =
-            start().with_config(EngineConfig { max_rounds_per_stratum: 1, ..Default::default() });
-        // Needs 2+ rounds → round limit error, session untouched.
-        let err = s
-            .apply_src(
-                "r1: ins[acct].a -> 1 <= acct.balance -> 100.
-                 r2: ins[acct].b -> 1 <= ins(acct).a -> 1.",
-            )
-            .unwrap_err();
-        assert!(matches!(err, SessionError::Eval(EvalError::RoundLimit { .. })));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn apply_compiled_batch_isolates_member_failures() {
-        use crate::engine::{CompiledProgram, CyclePolicy};
-        let mut s = start();
-        let credit = CompiledProgram::compile(
-            Program::parse("mod[A].balance -> (B, B2) <= A.balance -> B & B2 = B + 50.").unwrap(),
-            CyclePolicy::Reject,
-        )
-        .unwrap();
+    fn apply_batch_isolates_member_failures() {
+        let credit = compile("mod[A].balance -> (B, B2) <= A.balance -> B & B2 = B + 50.");
         // A program that needs more rounds than the config allows:
         // r2 only fires in round 2, so quiescence needs round 3 —
         // while the one-rule credit settles within the limit of 2.
-        let looping = CompiledProgram::compile(
-            Program::parse(
-                "r1: ins[acct].a -> 1 <= acct.balance -> 150.
-                 r2: ins[acct].b -> 1 <= ins(acct).a -> 1.",
-            )
-            .unwrap(),
-            CyclePolicy::Reject,
-        )
-        .unwrap();
-        s.config.max_rounds_per_stratum = 2;
-        let results = s.apply_compiled_batch(&[&credit, &looping, &credit]);
+        let looping = compile(
+            "r1: ins[acct].a -> 1 <= acct.balance -> 150.
+             r2: ins[acct].b -> 1 <= ins(acct).a -> 1.",
+        );
+        let mut s = Session::new(ObjectBase::parse(START).unwrap())
+            .with_config(EngineConfig { max_rounds_per_stratum: 2, ..Default::default() });
+        let results = s.apply_batch(&[&credit, &looping, &credit]);
         let (seq0, facts0, at0) = results[0].as_ref().unwrap();
         assert_eq!((*seq0, *facts0), (0, 2));
         // The per-member snapshot is that member's post-state, not
         // the batch's final state.
         assert_eq!(at0.lookup1(oid("acct"), "balance"), vec![int(150)]);
-        assert!(matches!(results[1], Err(SessionError::Eval(EvalError::RoundLimit { .. }))));
+        assert!(matches!(results[1], Err(Error::RoundLimit { .. })));
         let (seq2, facts2, at2) = results[2].as_ref().unwrap();
         assert_eq!((*seq2, *facts2), (1, 2));
         assert_eq!(at2.lookup1(oid("acct"), "balance"), vec![int(200)]);
         // The failing member committed nothing; both credits landed.
         assert_eq!(s.current().lookup1(oid("acct"), "balance"), vec![int(200)]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.log().len(), 2);
     }
 
     #[test]
@@ -757,33 +572,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ruvo-session-commit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
-        let mut durable = start().with_sink(Box::new(store.store));
-        let compiled = CompiledProgram::compile(
-            Program::parse("mod[acct].balance -> (100, 150) <= acct.balance -> 100.").unwrap(),
-            crate::engine::CyclePolicy::Reject,
-        )
-        .unwrap();
+        let start = || Session::new(ObjectBase::parse(START).unwrap());
+        let mut durable = start();
+        durable.set_sink(Box::new(store.store));
+        let compiled = compile("mod[acct].balance -> (100, 150) <= acct.balance -> 100.");
         let outcome = run_compiled(&compiled, durable.config(), durable.prepared_work()).unwrap();
 
         let err = durable.commit(outcome.clone()).unwrap_err();
-        assert!(matches!(err, SessionError::Storage(StorageError::Misuse(_))), "got {err:?}");
+        assert!(matches!(err, Error::Storage(StorageError::Misuse(_))), "got {err:?}");
         assert_eq!(durable.current(), start().current(), "the refused commit installed nothing");
-        assert!(durable.is_empty());
+        assert!(durable.log().is_empty());
         assert!(crate::store::read_state(&dir).unwrap().checkpoint.is_none(), "nothing written");
 
         let mut volatile = start();
         volatile.commit(outcome).unwrap();
         assert_eq!(volatile.current().lookup1(oid("acct"), "balance"), vec![int(150)]);
-        assert_eq!(volatile.len(), 1);
+        assert_eq!(volatile.log().len(), 1);
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn facts_after_tracks_size() {
-        let mut s = start();
-        let t = s.apply_src("a: ins[acct].extra -> 1 <= acct.balance -> 100.").unwrap();
-        assert_eq!(t.facts_after, 3);
     }
 
     /// `n` flat accounts `acct{i}` with a balance, a tag `t{i}` and
@@ -796,12 +602,7 @@ mod tests {
     }
 
     fn outcome_of(s: &Session, src: &str) -> Outcome {
-        let compiled = CompiledProgram::compile(
-            Program::parse(src).unwrap(),
-            crate::engine::CyclePolicy::Reject,
-        )
-        .unwrap();
-        run_compiled(&compiled, s.config(), s.prepared_work()).unwrap()
+        run_compiled(&compile(src), s.config(), s.prepared_work()).unwrap()
     }
 
     /// Commit `outcome` both ways — the head edit called directly and
@@ -970,42 +771,44 @@ mod tests {
         let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
         let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let sink = Flaky { inner: store.store, fail: Arc::clone(&fail) };
-        let mut s = Session::new(accounts(8 * NARROW_COMMIT_SHARE, |_| String::new()))
-            .with_sink(Box::new(sink));
+        let mut db = Database::open(accounts(8 * NARROW_COMMIT_SHARE, |_| String::new()));
+        db.session_mut().set_sink(Box::new(sink));
         let credit = |a: usize| {
             format!("mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B + 1.")
         };
-        s.apply_src(&credit(0)).unwrap();
-        s.apply_src(&credit(1)).unwrap();
-        let entries = |s: &Session| s.log().iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
-        let (log, head) = (entries(&s), s.current().clone());
-        assert!(s.log()[0].outcome.result().is_empty() && !s.log()[1].outcome.result().is_empty());
+        db.apply_src(&credit(0)).unwrap();
+        db.apply_src(&credit(1)).unwrap();
+        let entries = |db: &Database| db.log().iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
+        let (log, head) = (entries(&db), db.current().clone());
+        assert!(db.log()[0].outcome.result().is_empty());
+        assert!(!db.log()[1].outcome.result().is_empty());
 
         fail.store(true, std::sync::atomic::Ordering::Relaxed);
         // One program, appended as its own record.
-        assert!(matches!(s.apply_src(&credit(2)), Err(SessionError::Storage(_))));
-        assert_eq!(entries(&s), log, "entry by entry");
-        assert_eq!(s.current(), &head);
+        assert!(matches!(db.apply_src(&credit(2)), Err(Error::Storage(_))));
+        assert_eq!(entries(&db), log, "entry by entry");
+        assert_eq!(db.current(), &head);
         // A group-commit batch, appended as one record.
-        let compiled: Vec<CompiledProgram> = (2..4)
-            .map(|a| {
-                CompiledProgram::compile(
-                    Program::parse(&credit(a)).unwrap(),
-                    crate::engine::CyclePolicy::Reject,
-                )
-                .unwrap()
-            })
-            .collect();
-        let results = s.apply_compiled_batch(&compiled.iter().collect::<Vec<_>>());
-        assert!(results.iter().all(|r| matches!(r, Err(SessionError::Storage(_)))));
-        assert_eq!(entries(&s), log, "entry by entry");
-        assert_eq!(s.current(), &head);
+        let compiled: Vec<CompiledProgram> = (2..4).map(|a| compile(&credit(a))).collect();
+        let results = db.session_mut().apply_batch(&compiled.iter().collect::<Vec<_>>());
+        assert!(results.iter().all(|r| matches!(r, Err(Error::Storage(_)))));
+        assert_eq!(entries(&db), log, "entry by entry");
+        assert_eq!(db.current(), &head);
+        // A `transact` block, appended as one record.
+        let err = db.transact(|txn| {
+            txn.apply_src(&credit(2))?;
+            txn.apply_src(&credit(3))
+        });
+        assert!(matches!(err, Err(Error::Storage(_))));
+        assert_eq!(entries(&db), log, "entry by entry");
+        assert_eq!(db.current(), &head);
 
         // Acknowledged again: the entry before the new one is trimmed.
         fail.store(false, std::sync::atomic::Ordering::Relaxed);
-        s.apply_src(&credit(2)).unwrap();
-        assert!(s.log()[1].outcome.result().is_empty() && !s.log()[2].outcome.result().is_empty());
-        drop(s);
+        db.apply_src(&credit(2)).unwrap();
+        assert!(db.log()[1].outcome.result().is_empty());
+        assert!(!db.log()[2].outcome.result().is_empty());
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1041,7 +844,7 @@ mod tests {
                 let (mut edit, mut rebuild) = (Vec::new(), Vec::new());
                 for _ in 0..5 {
                     let mut edited = s.clone();
-                    let reader = edited.snapshot();
+                    let reader = edited.current_shared();
                     let t = Instant::now();
                     edited.edit_head(&outcome);
                     edit.push(t.elapsed().as_secs_f64() * 1e3);

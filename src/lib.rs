@@ -91,7 +91,7 @@ pub mod prelude {
     pub use ruvo_core::{
         Applied, CheckReport, CheckpointPolicy, Commutativity, CommutativityMatrix, Database,
         DatabaseBuilder, EngineConfig, Error, ErrorKind, EvalError, FsyncPolicy, Outcome, Prepared,
-        QueryAnswers, QueryMode, QueryPlan, ServingDatabase, Session, SourceCheck, Stratification,
+        QueryAnswers, QueryMode, QueryPlan, ServingDatabase, SourceCheck, Stratification,
         Transaction,
     };
     pub use ruvo_lang::{Diagnostic, Goal, Lint, Program, Rule, Severity};

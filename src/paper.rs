@@ -40,10 +40,13 @@
 //! "An update-program \[is\] a mapping from an (old) object-base into a
 //! (new) object-base" → [`crate::Database`]: programs are compiled
 //! once ([`crate::Database::prepare`]) and applied repeatedly as
-//! transactions ([`crate::Database::apply`], with commit/rollback from
-//! [`crate::core::Session`]) or dry-run into an
-//! [`crate::core::Outcome`] ([`crate::Database::evaluate`]), with O(1)
-//! [`crate::Snapshot`] read views between them.
+//! transactions ([`crate::Database::apply`],
+//! [`crate::Database::transact`], [`crate::Database::rollback_to`]) or
+//! dry-run into an [`crate::core::Outcome`]
+//! ([`crate::Database::evaluate`]), with O(1) [`crate::Snapshot`] read
+//! views between them. Every handle chains those mappings through one
+//! writer core, [`crate::core::Session`], whose record scope makes a
+//! chain all-or-nothing the same way on every handle.
 //!
 //! ## §2.3 Examples
 //!

@@ -1,5 +1,6 @@
 //! Cost contracts: what a commit, a read or an evaluation costs follows
-//! what it changes or asks, not the size of the object base.
+//! what it changes or asks, not the size of the object base — on the
+//! bare session commit and through the handles that write through it.
 //!
 //! A test-only counting allocator supplies the counts, per thread, so
 //! the harness's other test threads do not leak into a measurement.
@@ -9,7 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, Outcome};
+use ruvo::core::store::FsyncPolicy;
+use ruvo::core::{run_compiled, CompiledProgram, CyclePolicy, Outcome, Session};
 use ruvo::prelude::*;
 
 struct Counting;
@@ -90,9 +92,9 @@ fn compile(src: &str) -> CompiledProgram {
 /// The `i`-th one-object program of a stream over accounts `0..n`:
 /// credits, flags (`ins` under negation), closes (`del[..].*`) and
 /// opens of a fresh account, in turn.
-fn one_object_program(i: usize, n: usize) -> CompiledProgram {
+fn one_object_source(i: usize, n: usize) -> String {
     let a = (i * 7919) % n;
-    compile(&match i % 4 {
+    match i % 4 {
         0 | 1 => {
             format!("mod[A].balance -> (B, B2) <= A.tag -> t{a} & A.balance -> B & B2 = B + 1.")
         }
@@ -100,7 +102,11 @@ fn one_object_program(i: usize, n: usize) -> CompiledProgram {
         _ => format!(
             "del[A].* <= A.tag -> t{a}. ins[fresh{i}].balance -> 5. ins[fresh{i}].tag -> f{i}."
         ),
-    })
+    }
+}
+
+fn one_object_program(i: usize, n: usize) -> CompiledProgram {
+    compile(&one_object_source(i, n))
 }
 
 /// Evaluate `compiled` against the session's committed base, outside
@@ -145,13 +151,13 @@ fn the_log_retains_o1_per_commit() {
     // `result(P)`.
     let n = 1_000;
     let mut session = accounts(n);
-    let mut at = Vec::new();
+    let (mut at, mut seq) = (Vec::new(), 0);
     for i in 0..2_000 {
         let compiled = compile(&format!(
             "mod[A].balance -> (B, B2) <= A.tag -> t{} & A.balance -> B & B2 = B + 1.",
             (i * 7919) % n
         ));
-        session.commit(evaluate(&session, &compiled)).unwrap();
+        seq = session.commit(evaluate(&session, &compiled)).unwrap().seq;
         if i + 1 == 200 || i + 1 == 2_000 {
             at.push(LIVE_BYTES.with(Cell::get));
         }
@@ -159,7 +165,78 @@ fn the_log_retains_o1_per_commit() {
     let per_commit = (at[1] - at[0]) as f64 / 1_800.0;
     eprintln!("retained per commit: {per_commit:.0} bytes");
     assert!(per_commit < 7_500.0, "the session retains {per_commit:.0} bytes per commit");
-    assert_eq!(session.len(), 2_000);
+    assert_eq!(seq, 1_999);
+}
+
+/// Mean allocations of `applies` one-object programs through `apply`,
+/// after a warm-up; each is prepared outside the measurement. This is
+/// the whole write path of a handle: evaluation, commit and, on a
+/// durable handle, the WAL append.
+fn allocations_per_apply(n: usize, applies: usize, mut apply: impl FnMut(&Prepared)) -> f64 {
+    let programs: Vec<Prepared> = (0..applies + 64)
+        .map(|i| {
+            let program = Program::parse(&one_object_source(i, n)).unwrap();
+            Prepared::compile(program, CyclePolicy::Reject).unwrap()
+        })
+        .collect();
+    let mut total = 0;
+    for (i, prepared) in programs.iter().enumerate() {
+        let before = ALLOCATIONS.with(Cell::get);
+        apply(prepared);
+        if i >= 64 {
+            total += ALLOCATIONS.with(Cell::get) - before;
+        }
+    }
+    total as f64 / applies as f64
+}
+
+#[test]
+fn database_applies_allocate_the_same_at_1k_and_10k_accounts() {
+    let per_apply = |n| {
+        let mut db = Database::open(accounts_base(n));
+        allocations_per_apply(n, 200, |prepared| {
+            db.apply(prepared).unwrap();
+        })
+    };
+    let (small, large) = (per_apply(1_000), per_apply(10_000));
+    eprintln!(
+        "allocations per one-object Database::apply: {small:.1} at 1k accounts, {large:.1} at 10k"
+    );
+    assert!(
+        (large - small).abs() <= 8.0,
+        "a one-object Database::apply allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
+    );
+}
+
+#[test]
+fn durable_serving_applies_allocate_the_same_at_1k_and_10k_accounts() {
+    let per_apply = |n| {
+        let dir =
+            std::env::temp_dir().join(format!("ruvo-cost-serving-{n}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let serving = Database::builder()
+            .data_dir(&dir)
+            .fsync(FsyncPolicy::Never)
+            .checkpoint_policy(CheckpointPolicy::never())
+            .seed(accounts_base(n))
+            .open_dir()
+            .unwrap()
+            .into_serving();
+        let mean = allocations_per_apply(n, 200, |prepared| {
+            serving.apply(prepared).unwrap();
+        });
+        drop(serving);
+        let _ = std::fs::remove_dir_all(&dir);
+        mean
+    };
+    let (small, large) = (per_apply(1_000), per_apply(10_000));
+    eprintln!(
+        "allocations per one-object durable ServingDatabase::apply: {small:.1} at 1k accounts, {large:.1} at 10k"
+    );
+    assert!(
+        (large - small).abs() <= 8.0,
+        "a one-object durable ServingDatabase::apply allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
+    );
 }
 
 /// Mean allocations of `queries` point goals through the serving read

@@ -181,10 +181,11 @@ fn error_kind_mapping() {
 
 #[test]
 fn errors_unify_the_layer_types() {
-    use ruvo::core::{EvalError, SessionError};
+    use ruvo::core::store::StorageError;
+    use ruvo::core::EvalError;
     use ruvo::lang::LangError;
 
-    // From<LangError>, From<EvalError>, From<SessionError> all land on
+    // From<LangError>, From<EvalError>, From<StorageError> all land on
     // the same unified type with the right kind.
     let parse: LangError = Program::parse("nope").unwrap_err();
     let e: Error = parse.into();
@@ -195,17 +196,21 @@ fn errors_unify_the_layer_types() {
     assert_eq!(e.kind(), ErrorKind::RoundLimit);
     assert!(e.to_string().contains("7 rounds"));
 
-    let mut session = Session::new(ObjectBase::new());
-    let sp = {
-        let mut other = Session::new(ObjectBase::new());
-        other.savepoint()
-    };
-    let err = session.rollback_to(sp).unwrap_err();
-    let e: Error = err.into();
-    assert_eq!(e.kind(), ErrorKind::UnknownSavepoint);
+    let e: Error = StorageError::Misuse("x").into();
+    assert_eq!(e.kind(), ErrorKind::Storage);
 
-    let e: Error = SessionError::Lang(Program::parse("x").unwrap_err()).into();
-    assert_eq!(e.kind(), ErrorKind::Parse);
+    // The session under every handle reports the same type: a
+    // savepoint this database never took is unknown, and a commit the
+    // §5 gate refuses is a linearity error.
+    let mut db = Database::builder().check_linearity(false).open_src("o.m -> a.").unwrap();
+    let foreign = Database::open(ObjectBase::new()).savepoint();
+    let e = db.rollback_to(foreign).unwrap_err();
+    assert_eq!(e.kind(), ErrorKind::UnknownSavepoint);
+    assert!(e.to_string().contains("unknown or invalidated savepoint"));
+    let branchy = db.prepare("mod[o].m -> (a, b) <= o.m -> a. del[o].m -> a <= o.m -> a.").unwrap();
+    let outcome = db.evaluate(&branchy).unwrap();
+    let e: Error = db.session().clone().commit(outcome).map(|_| ()).unwrap_err();
+    assert_eq!(e.kind(), ErrorKind::Linearity);
 }
 
 #[test]

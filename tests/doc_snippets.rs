@@ -2,9 +2,10 @@
 //! `docs/LANGUAGE.md` presents as accepted must parse (and behave as
 //! described), every construct it presents as rejected must be
 //! rejected, the claims `docs/ARCHITECTURE.md` and `README.md` make
-//! about one evaluation round must hold, and every
-//! design decision the code cites must be written down. Keep this
-//! file in sync with the documents.
+//! about one evaluation round must hold, every
+//! design decision the code cites must be written down, and no
+//! document may name a retired entry point. Keep this file in sync
+//! with the documents.
 
 use ruvo::prelude::*;
 
@@ -291,6 +292,34 @@ fn design_decisions_are_cited_where_they_are_written() {
             arch.contains(&format!("### {decision} — ")),
             "{path} cites decision {decision}, which has no heading in ARCHITECTURE.md"
         );
+    }
+}
+
+#[test]
+fn retired_entry_points_are_not_named() {
+    // `Session` is the writer core under every handle and public only
+    // for driving the engine by hand; no document may send a reader to
+    // the entry points and the error type it no longer has.
+    let docs = [
+        ("README.md", include_str!("../README.md")),
+        ("docs/ARCHITECTURE.md", include_str!("../docs/ARCHITECTURE.md")),
+        ("docs/LANGUAGE.md", include_str!("../docs/LANGUAGE.md")),
+    ];
+    let retired = [
+        "SessionError",
+        "Session::apply",
+        "Session::apply_src",
+        "Session::parse",
+        "rollback_to_unlogged",
+    ];
+    for (name, text) in docs {
+        for entry in retired {
+            // A whole name, not the prefix of a longer one.
+            let named = text.match_indices(entry).any(|(at, _)| {
+                !text[at + entry.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            });
+            assert!(!named, "{name} names the retired `{entry}`");
+        }
     }
 }
 

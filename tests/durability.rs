@@ -254,6 +254,59 @@ fn transact_is_one_wal_record_and_aborts_leave_no_trace() {
 }
 
 #[test]
+fn an_aborted_transact_keeps_the_newest_result_volatile_and_durable() {
+    let dir = tmp_dir("abort-keeps-result");
+    let volatile = Database::open_src("acct.balance -> 100.").unwrap();
+    let durable =
+        Database::builder().data_dir(&dir).seed_src("acct.balance -> 100.").unwrap().open_dir();
+    for mut db in [volatile, durable.unwrap()] {
+        let credit = db.prepare(CREDIT).unwrap();
+        db.apply(&credit).unwrap();
+        let err = db.transact(|txn| {
+            txn.apply(&credit)?;
+            txn.apply_src("this does not parse")
+        });
+        assert_eq!(err.unwrap_err().kind(), ErrorKind::Parse);
+        // The block acknowledged nothing, so the entry that survives it
+        // is still the newest and keeps its version history.
+        let [newest] = db.log() else { panic!("one transaction") };
+        assert!(
+            !newest.outcome.result().is_empty(),
+            "durable = {}: the surviving newest entry lost result(P)",
+            db.is_durable()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_panicking_transact_rolls_back_and_later_commits_are_logged() {
+    let dir = tmp_dir("transact-panic");
+    let mut db = Database::builder()
+        .data_dir(&dir)
+        .seed_src("acct.balance -> 100.")
+        .unwrap()
+        .open_dir()
+        .unwrap();
+    let credit = db.prepare(CREDIT).unwrap();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.transact(|txn| -> Result<(), Error> {
+            txn.apply(&credit)?;
+            panic!("a transact closure panics")
+        })
+    }));
+    assert!(caught.is_err());
+    // The block's commit is undone, and the next commit is logged.
+    assert_eq!(db.current().lookup1(oid("acct"), "balance"), vec![int(100)]);
+    db.apply(&credit).unwrap();
+    assert_eq!(store::read_state(dir.as_path()).unwrap().records.len(), 1);
+    drop(db);
+    let db = Database::open_dir(&dir).unwrap();
+    assert_eq!(db.current().lookup1(oid("acct"), "balance"), vec![int(150)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn rollback_rewinds_the_durable_image() {
     let dir = tmp_dir("rollback");
     let mut db = Database::builder()
