@@ -62,11 +62,11 @@ pub struct SavepointId(pub(crate) u64);
 
 /// A commit edits the head in place when the run touched at most one
 /// object in this many of the head's; wider runs rebuild `ob′` (§5).
-/// An edit pays per touched fact and copies each shard it writes to,
-/// while a rebuild re-inserts only what survives into empty maps: on a
-/// 10 000-object base, emptying the touched objects is cheaper to
-/// rebuild from a touched share between 1/3 and 1/2 on, and 1/4 keeps
-/// the edit under 0.6× the rebuild (`records/pr26-crossover.txt`,
+/// An edit pays per touched fact and copies each copy-on-write leaf it
+/// writes to, while a rebuild re-inserts only what survives into empty
+/// maps: on a 10 000-object base, emptying the touched objects is
+/// cheaper to rebuild from a touched share between 1/3 and 1/2 on, and
+/// 1/4 keeps the edit near 0.35× the rebuild (`records/pr30-crossover.txt`,
 /// from `tests::commit_width_crossover_sweep`).
 const NARROW_COMMIT_SHARE: usize = 4;
 

@@ -7,33 +7,34 @@ use ruvo_lang::{parse_facts, ParseError};
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, Vid};
 
 use crate::bag::Bag;
-use crate::shard::{route, ShardKey, ShardedMap, SHARD_COUNT};
+use crate::shard::{route, ShardKey, ShardedMap, Slot, SHARD_COUNT};
 use crate::{exists_sym, Args, ChangedSince, CowStats, MethodApp, ObStats, VersionState};
 
-// Shard routing for the index key types. The key indexes route by
-// their `(chain, method)` prefix so that one relation — the unit a
-// version-state commit dirties — stays within one shard per index.
+// Slot routing for the index key types. The key indexes pick their
+// shard by their `(chain, method)` prefix so that one relation — the
+// unit a version-state commit dirties — stays within one shard per
+// index; the full key picks the leaf.
 impl ShardKey for Vid {
-    fn shard(&self) -> usize {
-        route(self)
+    fn slot(&self) -> Slot {
+        route(self, ())
     }
 }
 
 impl ShardKey for Const {
-    fn shard(&self) -> usize {
-        route(self)
+    fn slot(&self) -> Slot {
+        route(self, ())
     }
 }
 
 impl ShardKey for (Chain, Symbol) {
-    fn shard(&self) -> usize {
-        route(self)
+    fn slot(&self) -> Slot {
+        route(self, ())
     }
 }
 
 impl ShardKey for (Chain, Symbol, Const) {
-    fn shard(&self) -> usize {
-        route((self.0, self.1))
+    fn slot(&self) -> Slot {
+        route((self.0, self.1), self.2)
     }
 }
 
@@ -84,9 +85,9 @@ impl KeyIndex {
 
     fn remove(&mut self, chain: Chain, method: Symbol, key: Const, base: Const) {
         let full = (chain, method, key);
-        // Peek through the shared shard first: in a consistent index
+        // Peek through the shared leaf first: in a consistent index
         // the entry is always present, and a miss — an index bug —
-        // must not CoW-copy the shard on its way to doing nothing.
+        // must not CoW-copy the leaf on its way to doing nothing.
         let present = self.map.get(&full).is_some_and(|bases| bases.contains(base));
         crate::invariant_assert!(
             present,
@@ -159,178 +160,6 @@ fn fact_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
     ))
 }
 
-/// One net index mutation of a batch commit
-/// ([`ObjectBase::replace_versions_tracked_shared`]), bucketed by the
-/// `(chain, method)` shard route that `by_chain_method`, `by_result`
-/// and `by_arg0` share.
-enum RelOp {
-    /// ± `base` in `by_chain_method[(chain, method)]`.
-    Cm { add: bool, chain: Chain, method: Symbol, base: Const },
-    /// ± one multiplicity of `base` under `(chain, method, key)` in
-    /// `by_result` (`arg: false`) or `by_arg0` (`arg: true`).
-    Key { add: bool, arg: bool, chain: Chain, method: Symbol, key: Const, base: Const },
-}
-
-impl RelOp {
-    fn cm(add: bool, vid: Vid, method: Symbol) -> RelOp {
-        RelOp::Cm { add, chain: vid.chain(), method, base: vid.base() }
-    }
-
-    /// The value-keyed ops one fact implies (mirroring the
-    /// [`ObjectBase::insert`] / [`ObjectBase::remove`] maintenance of
-    /// the two key indexes).
-    fn keyed(bucket: &mut Vec<RelOp>, add: bool, vid: Vid, method: Symbol, app: &MethodApp) {
-        bucket.push(RelOp::Key {
-            add,
-            arg: false,
-            chain: vid.chain(),
-            method,
-            key: app.result,
-            base: vid.base(),
-        });
-        if let Some(&a0) = app.args.as_slice().first() {
-            bucket.push(RelOp::Key {
-                add,
-                arg: true,
-                chain: vid.chain(),
-                method,
-                key: a0,
-                base: vid.base(),
-            });
-        }
-    }
-}
-
-/// Edits per diff-then-apply step of the tracked commit. It bounds the
-/// commit's scratch memory: the bucketed ops of a 10 000-version round
-/// stay well under a megabyte.
-const COMMIT_CHUNK: usize = 1024;
-
-type CmShard = Arc<FastHashMap<(Chain, Symbol), FastHashSet<Const>>>;
-type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), Bag<Const>>>;
-
-/// One unit of a batch commit: a shard slot (or the route-aligned
-/// slots of the three `(chain, method)`-routed indexes) plus the
-/// mutations bucketed to it, so each slot is unshared at most once per
-/// chunk and its ops are applied back to back.
-enum CommitJob<'a> {
-    Versions {
-        slot: &'a mut Arc<FastHashMap<Vid, Arc<VersionState>>>,
-        ops: Vec<(Vid, Option<Arc<VersionState>>)>,
-    },
-    Relations {
-        cm: &'a mut CmShard,
-        res: &'a mut KeyShard,
-        arg: &'a mut KeyShard,
-        ops: Vec<RelOp>,
-    },
-    Bases {
-        slot: &'a mut Arc<FastHashMap<Const, Bag<Chain>>>,
-        ops: Vec<(Const, Chain, bool)>,
-    },
-}
-
-impl CommitJob<'_> {
-    fn apply(self) {
-        match self {
-            CommitJob::Versions { slot, ops } => {
-                let map = Arc::make_mut(slot);
-                for (vid, state) in ops {
-                    match state {
-                        Some(state) => {
-                            map.insert(vid, state);
-                        }
-                        None => {
-                            map.remove(&vid);
-                        }
-                    }
-                }
-            }
-            CommitJob::Relations { cm, res, arg, ops } => {
-                // Unshare only the planes ops actually target.
-                let mut cm =
-                    ops.iter().any(|o| matches!(o, RelOp::Cm { .. })).then(|| Arc::make_mut(cm));
-                let mut res = ops
-                    .iter()
-                    .any(|o| matches!(o, RelOp::Key { arg: false, .. }))
-                    .then(|| Arc::make_mut(res));
-                let mut arg_m = ops
-                    .iter()
-                    .any(|o| matches!(o, RelOp::Key { arg: true, .. }))
-                    .then(|| Arc::make_mut(arg));
-                for op in ops {
-                    match op {
-                        RelOp::Cm { add: true, chain, method, base } => {
-                            let map = cm.as_mut().expect("plane unshared above");
-                            map.entry((chain, method)).or_default().insert(base);
-                        }
-                        RelOp::Cm { add: false, chain, method, base } => {
-                            let map = cm.as_mut().expect("plane unshared above");
-                            if let Some(set) = map.get_mut(&(chain, method)) {
-                                set.remove(&base);
-                                if set.is_empty() {
-                                    map.remove(&(chain, method));
-                                }
-                            }
-                        }
-                        RelOp::Key { add, arg, chain, method, key, base } => {
-                            let map = if arg { &mut arg_m } else { &mut res };
-                            let map = map.as_mut().expect("plane unshared above");
-                            apply_key_op(map, add, chain, method, key, base);
-                        }
-                    }
-                }
-            }
-            CommitJob::Bases { slot, ops } => {
-                let map = Arc::make_mut(slot);
-                for (base, chain, add) in ops {
-                    if add {
-                        map.entry(base).or_default().add(chain);
-                    } else if let Some(chains) = map.get_mut(&base) {
-                        chains.remove(chain);
-                        if chains.is_empty() {
-                            map.remove(&base);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Apply one multiplicity op to a key-index shard (the batch-commit
-/// mirror of `KeyIndex::add` / `KeyIndex::remove`, including the
-/// underflow invariant).
-fn apply_key_op(
-    map: &mut FastHashMap<(Chain, Symbol, Const), Bag<Const>>,
-    add: bool,
-    chain: Chain,
-    method: Symbol,
-    key: Const,
-    base: Const,
-) {
-    let full = (chain, method, key);
-    if add {
-        map.entry(full).or_default().add(base);
-        return;
-    }
-    let removed = match map.get_mut(&full) {
-        Some(bases) if bases.contains(base) => {
-            bases.remove(base);
-            if bases.is_empty() {
-                map.remove(&full);
-            }
-            true
-        }
-        _ => false,
-    };
-    crate::invariant_assert!(
-        removed,
-        "KeyIndex multiplicity underflow in batch commit: \
-         chain={chain} method={method} key={key} base={base}"
-    );
-}
-
 /// A set of ground version-terms, indexed for bottom-up evaluation.
 ///
 /// See the crate docs for the index structure. All mutating operations
@@ -341,13 +170,14 @@ fn apply_key_op(
 ///
 /// ## Copy-on-write clones
 ///
-/// Sharing is structural at two levels. Every map — the version table
-/// and all four join indexes — is split into [`SHARD_COUNT`] fixed
-/// `Arc`-wrapped shards (see [`crate::shard`]), and every per-version
-/// fact set is an `Arc<VersionState>` of its own. [`Clone`] therefore
-/// bumps 5 × [`SHARD_COUNT`] reference counts — **O(shards), not
-/// O(facts) or O(versions)** — and a subsequent mutation unshares only
-/// the shards and the one state it actually dirties
+/// Sharing is structural at every level. Every map — the version
+/// table and all four join indexes — is split into [`SHARD_COUNT`]
+/// fixed `Arc`-wrapped shards of 16 `Arc`-wrapped leaves (see
+/// [`crate::shard`]), and every per-version fact set is an
+/// `Arc<VersionState>` of its own. [`Clone`] therefore bumps
+/// 5 × [`SHARD_COUNT`] reference counts — **O(shards), not O(facts) or
+/// O(versions)** — and a subsequent mutation unshares only the shard
+/// nodes, the leaves and the one state it actually dirties
 /// ([`Arc::make_mut`]). This is what makes engine runs (which evaluate
 /// on a working copy), session savepoints, hypothetical what-if
 /// transactions and [`crate::Snapshot`] read views pay for what they
@@ -422,32 +252,27 @@ impl ObjectBase {
             return false;
         }
         // Peek before copying: a duplicate insert must not CoW-copy
-        // anything (neither the versions shard nor the shared state).
+        // anything (neither the versions leaf nor the shared state).
         let before = self.versions.get(&vid);
         if before.is_some_and(|s| exists || s.contains(method, &app)) {
             return false;
         }
         // An empty state already counts its canonical `exists` fact.
         self.fact_count += usize::from(!before.is_some_and(|s| s.is_empty()));
+        let had_method = before.is_some_and(|s| s.has_method(method));
         if before.is_none() {
             self.index_version(vid);
         }
-        let state = self.versions.get_or_default(vid);
         if exists {
+            self.versions.get_or_default(vid);
             return true;
         }
-        let arg0 = app.args.as_slice().first().copied();
-        let state = Arc::make_mut(state);
-        let was_empty_method = !state.has_method(method);
-        let added = state.insert(method, app);
+        if !had_method {
+            self.index_method(vid, method);
+        }
+        self.index_app(vid, method, &app);
+        let added = Arc::make_mut(self.versions.get_or_default(vid)).insert(method, app);
         crate::invariant_assert!(added, "presence peeked above");
-        if was_empty_method {
-            self.by_chain_method.get_or_default((vid.chain(), method)).insert(vid.base());
-        }
-        self.by_result.add(vid.chain(), method, result, vid.base());
-        if let Some(a0) = arg0 {
-            self.by_arg0.add(vid.chain(), method, a0, vid.base());
-        }
         true
     }
 
@@ -455,7 +280,28 @@ impl ObjectBase {
     /// exists)` presence index.
     fn index_version(&mut self, vid: Vid) {
         self.by_base.get_or_default(vid.base()).add(vid.chain());
-        self.by_chain_method.get_or_default((vid.chain(), exists_sym())).insert(vid.base());
+        self.index_method(vid, exists_sym());
+    }
+
+    /// Record that `vid` defines `method` in `by_chain_method`.
+    fn index_method(&mut self, vid: Vid, method: Symbol) {
+        self.by_chain_method.get_or_default((vid.chain(), method)).insert(vid.base());
+    }
+
+    /// Add one fact of `vid` to the two value-keyed indexes.
+    fn index_app(&mut self, vid: Vid, method: Symbol, app: &MethodApp) {
+        self.by_result.add(vid.chain(), method, app.result, vid.base());
+        if let Some(&a0) = app.args.as_slice().first() {
+            self.by_arg0.add(vid.chain(), method, a0, vid.base());
+        }
+    }
+
+    /// Remove one fact of `vid` from the two value-keyed indexes.
+    fn unindex_app(&mut self, vid: Vid, method: Symbol, app: &MethodApp) {
+        self.by_result.remove(vid.chain(), method, app.result, vid.base());
+        if let Some(&a0) = app.args.as_slice().first() {
+            self.by_arg0.remove(vid.chain(), method, a0, vid.base());
+        }
     }
 
     /// Remove one ground version-term. Returns true if it was present.
@@ -466,7 +312,7 @@ impl ObjectBase {
     /// removes a whole version.
     pub fn remove(&mut self, vid: Vid, method: Symbol, args: &Args, result: Const) -> bool {
         let app = MethodApp { args: args.clone(), result };
-        // Peek before copying: a miss must not CoW-copy the shard or
+        // Peek before copying: a miss must not CoW-copy the leaf or
         // the state.
         if method == exists_sym()
             || !self.versions.get(&vid).is_some_and(|s| s.contains(method, &app))
@@ -481,10 +327,7 @@ impl ObjectBase {
             (!state.has_method(method), state.is_empty())
         };
         self.fact_count -= usize::from(!emptied);
-        self.by_result.remove(vid.chain(), method, result, vid.base());
-        if let Some(&a0) = args.as_slice().first() {
-            self.by_arg0.remove(vid.chain(), method, a0, vid.base());
-        }
+        self.unindex_app(vid, method, &app);
         if method_gone {
             self.unindex_method(vid, method);
         }
@@ -549,10 +392,7 @@ impl ObjectBase {
             self.unindex_method(vid, method);
         }
         for (method, app) in state.iter() {
-            self.by_result.remove(vid.chain(), method, app.result, vid.base());
-            if let Some(&a0) = app.args.as_slice().first() {
-                self.by_arg0.remove(vid.chain(), method, a0, vid.base());
-            }
+            self.unindex_app(vid, method, app);
         }
         self.unindex_version(vid);
         Some(state)
@@ -576,17 +416,17 @@ impl ObjectBase {
     /// as-is, so a state read out of one version (or another base) is
     /// installed without a deep copy. No state may hold `exists`.
     ///
-    /// A read-only pre-pass diffs each edit against the stored state
-    /// and buckets the *net* index mutations (facts in old∖new removed,
-    /// new∖old added) by target shard ([`crate::shard`]); the buckets
-    /// are then applied shard by shard. The same diff feeds `changed`:
-    /// every changed method's base, `(chain, exists)` for a version
-    /// that appears or goes, and — for a version that already existed
-    /// and a method that only grew — the facts in new∖old.
+    /// Each edit is diffed against the stored state, and the *net*
+    /// index mutations (facts in old∖new removed, new∖old added) are
+    /// written through the maps' own mutators, each unsharing at most
+    /// the one leaf it writes ([`crate::shard`]). The same diff feeds
+    /// `changed`: every changed method's base, `(chain, exists)` for a
+    /// version that appears or goes, and — for a version that already
+    /// existed and a method that only grew — the facts in new∖old.
     /// Re-committing the very `Arc` the store already holds (the shape
     /// an idempotent fixpoint round produces) or a content-equal state
-    /// under a fresh `Arc` is a no-op: no diff recorded, no shard
-    /// dirtied, the stored state kept.
+    /// under a fresh `Arc` is a no-op: no diff recorded, no leaf
+    /// unshared, the stored state kept.
     pub fn replace_versions_tracked_shared(
         &mut self,
         edits: &[(Vid, Option<Arc<VersionState>>)],
@@ -596,113 +436,80 @@ impl ObjectBase {
             edits.iter().map(|(v, _)| v).collect::<FastHashSet<_>>().len() == edits.len(),
             "replace_versions_tracked_shared requires distinct vids"
         );
-        // One chunk's op buckets are applied before the next chunk's
-        // are generated, so the commit's scratch memory is bounded by
-        // the chunk, not by the batch.
-        for chunk in edits.chunks(COMMIT_CHUNK) {
-            self.commit_chunk(chunk, changed);
+        for (vid, new) in edits {
+            self.commit_version(*vid, new.as_ref(), changed);
         }
     }
 
-    fn commit_chunk(
+    /// One edit of [`ObjectBase::replace_versions_tracked_shared`].
+    fn commit_version(
         &mut self,
-        edits: &[(Vid, Option<Arc<VersionState>>)],
+        vid: Vid,
+        new: Option<&Arc<VersionState>>,
         changed: &mut ChangedSince,
     ) {
         let exists = exists_sym();
+        let old = self.versions.get(&vid).cloned();
+        let diff: Vec<Symbol> = match (&old, new) {
+            (None, None) => return, // removing what is not there
+            // Idempotent recommit: nothing to diff or record.
+            (Some(o), Some(n)) if Arc::ptr_eq(o, n) => return,
+            (Some(o), Some(n)) => match o.changed_methods(n) {
+                d if d.is_empty() => return, // content-equal: keep the stored state
+                d => d,
+            },
+            (Some(o), None) => o.methods().collect(),
+            (None, Some(n)) => n.methods().collect(),
+        };
+        crate::invariant_assert!(
+            new.is_none_or(|n| !n.has_method(exists)),
+            "a version state never holds `exists` ({vid})"
+        );
         let absent = VersionState::new();
-        let mut rel_ops: [Vec<RelOp>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        let mut ver_ops: [Vec<(Vid, Option<Arc<VersionState>>)>; SHARD_COUNT] =
-            std::array::from_fn(|_| Vec::new());
-        let mut base_ops: [Vec<(Const, Chain, bool)>; SHARD_COUNT] =
-            std::array::from_fn(|_| Vec::new());
-        let mut fact_delta = 0isize;
-
-        for (vid, new) in edits {
-            let vid = *vid;
-            let old = self.versions.get(&vid);
-            let diff: Vec<Symbol> = match (old, new) {
-                (None, None) => continue, // removing what is not there
-                // Idempotent recommit: nothing to diff or record.
-                (Some(o), Some(n)) if Arc::ptr_eq(o, n) => continue,
-                (Some(o), Some(n)) => match o.changed_methods(n) {
-                    d if d.is_empty() => continue, // content-equal: keep the stored state
-                    d => d,
-                },
-                (Some(o), None) => o.methods().collect(),
-                (None, Some(n)) => n.methods().collect(),
-            };
-            crate::invariant_assert!(
-                new.as_ref().is_none_or(|n| !n.has_method(exists)),
-                "a version state never holds `exists` ({vid})"
-            );
-            let new_state = new.as_deref().unwrap_or(&absent);
-            fact_delta +=
-                new.as_deref().map_or(0, weight) as isize - old.map_or(0, |s| weight(s)) as isize;
-            if old.is_some() != new.is_some() {
-                // The version appears or goes: `(chain, exists)` changes.
-                let add = new.is_some();
-                rel_ops[(vid.chain(), exists).shard()].push(RelOp::cm(add, vid, exists));
-                base_ops[vid.base().shard()].push((vid.base(), vid.chain(), add));
-                changed.record(vid.chain(), exists, vid.base());
+        let (old, new_state) = (old.as_deref(), new.map_or(&absent, |n| &**n));
+        self.fact_count = self.fact_count + new.map_or(0, |n| weight(n)) - old.map_or(0, weight);
+        if old.is_some() != new.is_some() {
+            // The version appears or goes: `(chain, exists)` changes.
+            if new.is_some() {
+                self.index_version(vid);
+            } else {
+                self.unindex_version(vid);
             }
+            changed.record(vid.chain(), exists, vid.base());
+        }
 
-            for &m in &diff {
-                let bucket = &mut rel_ops[(vid.chain(), m).shard()];
-                let old_has = old.is_some_and(|s| s.has_method(m));
-                match (old_has, new_state.has_method(m)) {
-                    (true, false) => bucket.push(RelOp::cm(false, vid, m)),
-                    (false, true) => bucket.push(RelOp::cm(true, vid, m)),
-                    _ => {}
+        for &m in &diff {
+            match (old.is_some_and(|s| s.has_method(m)), new_state.has_method(m)) {
+                (true, false) => self.unindex_method(vid, m),
+                (false, true) => self.index_method(vid, m),
+                _ => {}
+            }
+            // Net fact diff, removals before additions. A method of a
+            // pre-existing version that only grew records the added
+            // facts; anything else records the base alone.
+            let mut grew_only = old.is_some();
+            for app in old.into_iter().flat_map(|o| o.apps(m)) {
+                if !new_state.contains(m, app) {
+                    self.unindex_app(vid, m, app);
+                    grew_only = false;
                 }
-                // Net fact diff, removals before additions. A method
-                // of a pre-existing version that only grew records the
-                // added facts; anything else records the base alone.
-                let mut grew_only = old.is_some();
-                if let Some(old) = old {
-                    for app in old.apps(m) {
-                        if !new_state.contains(m, app) {
-                            RelOp::keyed(bucket, false, vid, m, app);
-                            grew_only = false;
-                        }
+            }
+            for app in new_state.apps(m) {
+                if old.is_none_or(|o| !o.contains(m, app)) {
+                    self.index_app(vid, m, app);
+                    if grew_only {
+                        changed.record_added(vid.chain(), m, vid.base(), app.clone());
                     }
                 }
-                for app in new_state.apps(m) {
-                    if old.is_none_or(|o| !o.contains(m, app)) {
-                        RelOp::keyed(bucket, true, vid, m, app);
-                        if grew_only {
-                            changed.record_added(vid.chain(), m, vid.base(), app.clone());
-                        }
-                    }
-                }
-                if !grew_only {
-                    changed.record(vid.chain(), m, vid.base());
-                }
             }
-            ver_ops[vid.shard()].push((vid, new.clone()));
-        }
-
-        self.fact_count = (self.fact_count as isize + fact_delta) as usize;
-
-        for (slot, ops) in self.versions.shard_slots_mut().zip(ver_ops) {
-            if !ops.is_empty() {
-                CommitJob::Versions { slot, ops }.apply();
+            if !grew_only {
+                changed.record(vid.chain(), m, vid.base());
             }
         }
-        let res_slots = self.by_result.map.shard_slots_mut();
-        let arg_slots = self.by_arg0.map.shard_slots_mut();
-        for (((cm, res), arg), ops) in
-            self.by_chain_method.shard_slots_mut().zip(res_slots).zip(arg_slots).zip(rel_ops)
-        {
-            if !ops.is_empty() {
-                CommitJob::Relations { cm, res, arg, ops }.apply();
-            }
-        }
-        for (slot, ops) in self.by_base.shard_slots_mut().zip(base_ops) {
-            if !ops.is_empty() {
-                CommitJob::Bases { slot, ops }.apply();
-            }
-        }
+        match new {
+            Some(n) => self.versions.insert(vid, Arc::clone(n)),
+            None => self.versions.remove(&vid),
+        };
     }
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
@@ -757,9 +564,10 @@ impl ObjectBase {
     }
 
     /// Copy-on-write sharing diagnostics against another base —
-    /// typically a clone of this one, before or after mutations. A
-    /// fresh clone shares everything; each write unshares at most one
-    /// shard per affected index.
+    /// typically a clone of this one, before or after mutations —
+    /// counted in shard nodes. A fresh clone shares everything; each
+    /// write unshares at most one shard node (and one leaf) per
+    /// affected index.
     pub fn cow_stats(&self, other: &ObjectBase) -> CowStats {
         CowStats {
             indexes: 5,
@@ -880,14 +688,14 @@ impl ObjectBase {
         self.by_base.keys().copied()
     }
 
-    /// Number of objects, in O(shards).
+    /// Number of objects, in O(leaves): 256 per map, not O(objects).
     pub fn object_count(&self) -> usize {
         self.by_base.len()
     }
 
     /// True when every version is an initial one: the shape of a §5
     /// `ob′`, for a base that also holds no empty version (as a
-    /// committed head never does). O(shards + relations): the `(chain,
+    /// committed head never does). O(leaves + relations): the `(chain,
     /// exists)` presence index lists every chain in the store.
     pub fn is_flat(&self) -> bool {
         self.by_chain_method.keys().all(|&(chain, _)| chain == Chain::EMPTY)
@@ -915,9 +723,9 @@ impl ObjectBase {
 
     /// The version-table shards whose versions differ from `prev`'s —
     /// the dirty set a shard-delta checkpoint writes against the state
-    /// it last wrote. Exact, by content: a shard still sharing its
-    /// allocation with `prev` costs one pointer comparison, any other
-    /// an entry-wise one, however either base was built. Only the
+    /// it last wrote. Exact, by content: a shard or leaf still sharing
+    /// its allocation with `prev` costs one pointer comparison, any
+    /// other leaf an entry-wise one, however either base was built. Only the
     /// version table matters here: every join index is reconstructible
     /// from the facts, and the snapshot codec encodes facts straight
     /// out of the version states.
@@ -932,7 +740,7 @@ impl ObjectBase {
         let mut v: Vec<Fact> = self
             .versions
             .shard_at(i)
-            .iter()
+            .flat_map(|leaf| leaf.iter())
             .flat_map(|(&vid, state)| version_facts(vid, state))
             .collect();
         v.sort_by(fact_cmp);
@@ -945,7 +753,7 @@ impl ObjectBase {
     /// set against the previously checkpointed state to find the
     /// versions the delta must explicitly remove.
     pub fn shard_vids_sorted(&self, i: usize) -> Vec<Vid> {
-        let mut v: Vec<Vid> = self.versions.shard_at(i).keys().copied().collect();
+        let mut v: Vec<Vid> = self.versions.shard_at(i).flat_map(|l| l.keys()).copied().collect();
         v.sort_unstable();
         v
     }
@@ -953,7 +761,7 @@ impl ObjectBase {
     /// Remove every version routed to version-table shard `i`,
     /// keeping all indexes consistent.
     pub fn clear_versions_shard(&mut self, i: usize) {
-        let vids: Vec<Vid> = self.versions.shard_at(i).keys().copied().collect();
+        let vids: Vec<Vid> = self.versions.shard_at(i).flat_map(|l| l.keys()).copied().collect();
         for vid in vids {
             self.discard_version(vid);
         }
@@ -1687,6 +1495,42 @@ mod tests {
         assert_eq!(original, mk(), "original must be untouched");
     }
 
+    /// Leaves each map of `a` no longer shares with `b`: the version
+    /// table, `by_chain_method`, `by_base`, `by_result`, `by_arg0`.
+    fn leaves_unshared(a: &ObjectBase, b: &ObjectBase) -> [usize; 5] {
+        [
+            a.versions.leaves_unshared_with(&b.versions),
+            a.by_chain_method.leaves_unshared_with(&b.by_chain_method),
+            a.by_base.leaves_unshared_with(&b.by_base),
+            a.by_result.map.leaves_unshared_with(&b.by_result.map),
+            a.by_arg0.map.leaves_unshared_with(&b.by_arg0.map),
+        ]
+    }
+
+    /// A point query's writes on a working copy — one fact on an
+    /// existing object, one new `ins(o)` version — copy one leaf
+    /// (≈ 1/256) of each map they write, not a shard.
+    #[test]
+    fn one_fact_and_one_new_version_unshare_one_leaf_per_map_across_shards() {
+        let n = if cfg!(miri) { 200 } else { 4000 };
+        let mut base = ObjectBase::new();
+        for i in 0..n {
+            base.insert(Vid::object(oid(&format!("o{i}"))), sym("p"), Args::empty(), int(i));
+        }
+        let mut ob = base.clone();
+        ob.insert(Vid::object(oid("o7")), sym("p"), Args::empty(), int(n + 7));
+        assert_eq!(leaves_unshared(&ob, &base), [1, 0, 0, 1, 0]);
+        let after_fact = ob.clone();
+        let ins = Vid::object(oid("o9")).apply(UpdateKind::Ins).unwrap();
+        ob.insert(ins, exists_sym(), Args::empty(), oid("o9"));
+        assert_eq!(leaves_unshared(&ob, &after_fact), [1, 1, 1, 0, 0]);
+        // Each write also copied one shard node per map it wrote.
+        let version_shards = 1 + usize::from(Vid::object(oid("o7")).shard() != ins.shard());
+        assert_eq!(ob.cow_stats(&base).unshared_shards(), version_shards + 3);
+        ob.check_invariants();
+        base.check_invariants();
+    }
+
     #[test]
     fn tracked_shared_recommit_short_circuits_on_pointer_identity() {
         let mut ob = mk();
@@ -1769,7 +1613,7 @@ mod tests {
     #[test]
     fn clear_versions_shard_is_index_consistent() {
         let (mut ob, _) = shard_commit_fixture();
-        let victims = ob.versions.shard_at(3).len();
+        let victims = ob.versions.shard_at(3).map(|l| l.len()).sum::<usize>();
         let before = ob.len();
         ob.clear_versions_shard(3);
         assert!(ob.shard_facts_sorted(3).is_empty());

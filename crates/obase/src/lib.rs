@@ -24,10 +24,11 @@
 //! * a `base → chains` index enumerating every version of an object
 //!   (used for §5's final-version extraction),
 //! * copy-on-write structural sharing throughout: every index is
-//!   split into [`SHARD_COUNT`] `Arc`-wrapped shards and every
-//!   per-version state is `Arc`-shared, so cloning an [`ObjectBase`]
-//!   is O(shards) and mutation pays only for what it dirties (see
-//!   [`mod@shard`] and [`ObjectBase::cow_stats`]),
+//!   split into [`SHARD_COUNT`] `Arc`-wrapped shards of 16 lazily
+//!   allocated `Arc`-wrapped leaves, and every per-version state is
+//!   `Arc`-shared, so cloning an [`ObjectBase`] is O(shards) and a
+//!   write copies one shard node and one leaf (≈ 1/256) of each map it
+//!   writes (see [`mod@shard`] and [`ObjectBase::cow_stats`]),
 //! * the `exists` system method bookkeeping and the `v*` operator of §3,
 //! * the §5 *version-linearity* tracker ([`LinearityTracker`]).
 //!

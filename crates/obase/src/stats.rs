@@ -29,11 +29,12 @@ impl fmt::Display for ObStats {
 
 /// Copy-on-write sharing diagnostics between two object bases, as
 /// reported by [`crate::ObjectBase::cow_stats`]: of the
-/// `indexes × shards_per_index` index shards, how many are still the
-/// *same allocation* in both bases. A fresh clone shares all of them;
-/// every write unshares at most one shard per affected index, so
-/// `total() - shared_shards` bounds how much index data a working
-/// copy has actually duplicated.
+/// `indexes × shards_per_index` index shard nodes, how many are still
+/// the *same allocation* in both bases. A fresh clone shares all of
+/// them; every write unshares at most one shard node and one leaf
+/// (≈ 1/256 of the map) per map written, so `total() - shared_shards`
+/// counts the maps' shards a working copy has written to, each of
+/// which has duplicated 16 leaf pointers plus the leaves written.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Sharded maps per object base (the version table + 4 indexes).

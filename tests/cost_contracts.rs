@@ -18,12 +18,16 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes ever requested (a growing `realloc` counts its growth);
+    /// `LIVE_BYTES` is net of frees.
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn record(allocations: u64, bytes: i64) {
     // `try_with`: the counters are gone while a thread shuts down.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + allocations));
+    let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + bytes.max(0) as u64));
     let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
@@ -239,32 +243,44 @@ fn durable_serving_applies_allocate_the_same_at_1k_and_10k_accounts() {
     );
 }
 
-/// Mean allocations of `queries` point goals through the serving read
-/// path, after a warm-up.
-fn allocations_per_query(n: usize, queries: usize) -> f64 {
+/// Mean allocations and mean bytes allocated of `queries` point goals
+/// through the serving read path, after a warm-up.
+fn allocations_per_query(n: usize, queries: usize) -> (f64, f64) {
     let db = ServingDatabase::open(accounts_base(n));
     let credit = db.prepare(CREDIT_ALL).unwrap();
-    let mut total = 0;
+    let (mut total, mut bytes) = (0, 0);
     for i in 0..queries + 16 {
         let goal = Goal::parse(&format!("?- mod(acct{}).balance -> B.", (i * 7919) % n)).unwrap();
-        let before = ALLOCATIONS.with(Cell::get);
+        let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
         let answers = db.query(&credit, goal).unwrap();
         if i >= 16 {
-            total += ALLOCATIONS.with(Cell::get) - before;
+            total += ALLOCATIONS.with(Cell::get) - before.0;
+            bytes += ALLOCATED_BYTES.with(Cell::get) - before.1;
         }
         assert_eq!(answers.rows.len(), 1);
     }
-    total as f64 / queries as f64
+    (total as f64 / queries as f64, bytes as f64 / queries as f64)
 }
 
+/// A point query writes a few versions on a working copy of the base:
+/// it must allocate as often at 1k as at 10k accounts, and copy only
+/// the copy-on-write leaves those writes land in — at 16k accounts a
+/// 1/16 shard of one index alone would blow the byte budget.
 #[test]
 fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
-    let small = allocations_per_query(1_000, 100);
-    let large = allocations_per_query(10_000, 100);
+    let (small, _) = allocations_per_query(1_000, 100);
+    let (large, _) = allocations_per_query(10_000, 100);
     eprintln!("allocations per served point query: {small:.1} at 1k accounts, {large:.1} at 10k");
     assert!(
         (large - small).abs() <= 8.0,
         "a served point query allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
+    );
+    const BUDGET: f64 = 512.0 * 1024.0;
+    let (_, bytes) = allocations_per_query(16_000, 100);
+    eprintln!("bytes allocated per served point query at 16k accounts: {bytes:.0}");
+    assert!(
+        bytes <= BUDGET,
+        "a served point query allocates {bytes:.0} bytes at 16k accounts (budget {BUDGET})"
     );
 }
 
