@@ -39,7 +39,7 @@ mod repl;
 use std::process::ExitCode;
 
 use ruvo_core::store;
-use ruvo_core::{CyclePolicy, Database, Prepared, TraceLevel};
+use ruvo_core::{CyclePolicy, Database, Prepared};
 use ruvo_lang::Program;
 use ruvo_obase::ObjectBase;
 
@@ -174,11 +174,6 @@ fn main() -> ExitCode {
             };
             let mut db = Database::builder()
                 .check_linearity(!flags.contains(&"--no-linearity"))
-                .trace(if flags.contains(&"--trace") {
-                    TraceLevel::Rounds
-                } else {
-                    TraceLevel::Strata
-                })
                 .cycle_policy(if flags.contains(&"--dynamic") {
                     CyclePolicy::RuntimeStability
                 } else {

@@ -49,7 +49,7 @@ use ruvo_lang::{
 };
 use ruvo_obase::{LinearityViolation, ObjectBase, Snapshot, SnapshotError, SnapshotFileError};
 
-use crate::engine::{CompiledProgram, CyclePolicy, EngineConfig, Outcome, TraceLevel};
+use crate::engine::{CompiledProgram, CyclePolicy, EngineConfig, Outcome};
 use crate::error::EvalError;
 use crate::query::{QueryAnswers, QueryPlan};
 use crate::session::{SavepointId, Session, Txn};
@@ -436,17 +436,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// [`DatabaseBuilder::deny_lints`] for a single lint.
-    pub fn deny_lint(self, lint: Lint) -> Self {
-        self.deny_lints([lint])
-    }
-
-    /// Trace detail recorded per transaction.
-    pub fn trace(mut self, level: TraceLevel) -> Self {
-        self.config.trace = level;
-        self
-    }
-
     /// §5 runtime version-linearity check (default on).
     pub fn check_linearity(mut self, on: bool) -> Self {
         self.config.check_linearity = on;
@@ -468,18 +457,6 @@ impl DatabaseBuilder {
     /// Safety valve for the per-stratum fixpoint loop.
     pub fn max_rounds_per_stratum(mut self, limit: usize) -> Self {
         self.config.max_rounds_per_stratum = limit;
-        self
-    }
-
-    /// Verify firing stability on every stratum (diagnostic).
-    pub fn verify_stability(mut self, on: bool) -> Self {
-        self.config.verify_stability = on;
-        self
-    }
-
-    /// Replace the whole configuration at once.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -1169,7 +1146,7 @@ mod tests {
         // With the lint denied, prepare fails with ErrorKind::Lint and the
         // diagnostics are re-severitied to errors.
         let strict = Database::builder()
-            .deny_lint(Lint::WriteWriteConflict)
+            .deny_lints([Lint::WriteWriteConflict])
             .open_src("item.price -> 7.")
             .unwrap();
         let err = strict.prepare(CONFLICT).unwrap_err();
@@ -1183,17 +1160,13 @@ mod tests {
         }
         // Denying an unrelated lint leaves the program preparable.
         let unrelated =
-            Database::builder().deny_lint(Lint::DeadRule).open_src("item.price -> 7.").unwrap();
+            Database::builder().deny_lints([Lint::DeadRule]).open_src("item.price -> 7.").unwrap();
         assert!(unrelated.prepare(CONFLICT).is_ok());
     }
 
     #[test]
     fn builder_config_is_respected() {
-        let mut db = Database::builder()
-            .max_rounds_per_stratum(1)
-            .trace(TraceLevel::Rounds)
-            .open_src("a.p -> 1.")
-            .unwrap();
+        let mut db = Database::builder().max_rounds_per_stratum(1).open_src("a.p -> 1.").unwrap();
         let err = db
             .apply_src("r1: ins[a].x -> 1 <= a.p -> 1. r2: ins[a].y -> 1 <= ins(a).x -> 1.")
             .unwrap_err();

@@ -27,11 +27,20 @@
 //! relation (a version-term, `ins[..]`) is seeded with the relation's
 //! delta as recorded — the *facts* added to versions that were already
 //! active, whole versions otherwise; `del[..]`/`mod[..]` literals are
-//! seeded with the changed objects of every relation they read. Strata
-//! under the runtime stability check re-evaluate every rule in full
-//! each round — the check needs the whole `T¹`. The hint-less,
-//! filter-less evaluation of §3 lives on as [`crate::reference`], the
-//! differential oracle.
+//! seeded with the changed objects of every relation they read. The
+//! strata [`CyclePolicy::RuntimeStability`] flags re-evaluate every
+//! rule in full each round — their stability check needs the whole
+//! `T¹`. On every other stratum stability is the §4 theorem; the
+//! hint-less, filter-less evaluation of §3 lives on as
+//! [`crate::reference`], the differential oracle, which checks it on
+//! every stratum.
+//!
+//! ## Traces
+//!
+//! Every run records one [`StratumTrace`] per stratum and one
+//! [`RoundTrace`] per round, built from what the loop computes anyway
+//! (a round's evaluated rules, candidates, new updates and touched
+//! versions); `ruvo run --trace` only decides whether to print them.
 //!
 //! ## One round
 //!
@@ -65,18 +74,6 @@ use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError}
 use crate::tp::{self, Fired, FiredSet};
 use crate::trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
 
-/// How much trace detail [`run_compiled`] records in its [`Outcome`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceLevel {
-    /// Counters only.
-    Off,
-    /// Per-stratum summaries (cheap; the default).
-    #[default]
-    Strata,
-    /// Per-round entries as well.
-    Rounds,
-}
-
 /// What to do with programs the static conditions (a)–(d) reject.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CyclePolicy {
@@ -101,16 +98,8 @@ pub struct EngineConfig {
     pub check_linearity: bool,
     /// Safety valve for the per-stratum fixpoint loop.
     pub max_rounds_per_stratum: usize,
-    /// Trace detail.
-    pub trace: TraceLevel,
     /// Handling of statically non-stratifiable programs (§6 extension).
     pub cycles: CyclePolicy,
-    /// Run the stability check on *every* stratum, not just flagged
-    /// ones (default off). For statically stratified programs stability
-    /// is a theorem following from conditions (a)–(d); this knob lets
-    /// tests validate that theorem empirically. Forces full rule
-    /// re-evaluation per round (no seeding, no skipped rules).
-    pub verify_stability: bool,
 }
 
 impl Default for EngineConfig {
@@ -118,9 +107,7 @@ impl Default for EngineConfig {
         EngineConfig {
             check_linearity: true,
             max_rounds_per_stratum: 1_000_000,
-            trace: TraceLevel::Strata,
             cycles: CyclePolicy::Reject,
-            verify_stability: false,
         }
     }
 }
@@ -327,10 +314,10 @@ pub fn run_compiled(
     let mut total_changed = ChangedSince::new();
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
-        // Flagged strata (and all strata under `verify_stability`)
-        // re-evaluate every rule each round and verify that fired
-        // updates keep firing.
-        let checked = config.verify_stability || risky[si];
+        // Flagged strata re-evaluate every rule each round and verify
+        // that fired updates keep firing. Elsewhere stability is the
+        // §4 theorem, which `crate::reference` checks.
+        let checked = risky[si];
         let mut fired = FiredSet::new();
         // Accumulated fired updates per version a `mod` creates: §3's
         // step 3 applies the *full* `T¹` to each relevant version's
@@ -379,16 +366,14 @@ pub fn run_compiled(
             let delta: Vec<Fired> =
                 new_fired.into_iter().filter(|f| fired.insert(f.clone())).collect();
 
-            if config.trace >= TraceLevel::Rounds {
-                round_traces.push(RoundTrace {
-                    stratum: si,
-                    round,
-                    evaluated: to_eval,
-                    candidates,
-                    new_fired: delta.len(),
-                    touched: 0, // patched below if updates applied
-                });
-            }
+            round_traces.push(RoundTrace {
+                stratum: si,
+                round,
+                evaluated: to_eval,
+                candidates,
+                new_fired: delta.len(),
+                touched: 0, // patched below if updates applied
+            });
             stats.rounds += 1;
             if delta.is_empty() {
                 break;
@@ -413,9 +398,7 @@ pub fn run_compiled(
             let applying = Instant::now();
             let report = tp::apply_updates(&mut work, &apply_list);
             stats.parallel.apply_wall += applying.elapsed();
-            if let Some(rt) = round_traces.last_mut() {
-                rt.touched = report.touched.len();
-            }
+            round_traces.last_mut().expect("pushed this round").touched = report.touched.len();
             stats.versions_created += report.created.len();
             stats.facts_copied += report.facts_copied;
             if let Some(tr) = &mut tracker {
@@ -427,14 +410,12 @@ pub fn run_compiled(
             changed = Some(report.changed);
         }
         stats.fired_updates += fired.len();
-        if config.trace >= TraceLevel::Strata {
-            stratum_traces.push(StratumTrace {
-                stratum: si,
-                rules: stratum.clone(),
-                rounds: round,
-                fired: fired.len(),
-            });
-        }
+        stratum_traces.push(StratumTrace {
+            stratum: si,
+            rules: stratum.clone(),
+            rounds: round,
+            fired: fired.len(),
+        });
     }
 
     stats.strata = stratification.strata.len();
@@ -551,12 +532,12 @@ impl Outcome {
         &self.stats
     }
 
-    /// Per-stratum traces (if `TraceLevel::Strata` or higher).
+    /// Per-stratum traces, one per evaluated stratum.
     pub fn stratum_traces(&self) -> &[StratumTrace] {
         &self.stratum_traces
     }
 
-    /// Per-round traces (if `TraceLevel::Rounds`).
+    /// Per-round traces, one per fixpoint round, in evaluation order.
     pub fn round_traces(&self) -> &[RoundTrace] {
         &self.round_traces
     }
@@ -866,15 +847,11 @@ mod tests {
     }
 
     /// The engine against the §3–§5 reference interpreter (no indexes,
-    /// no seeding, no skipped rules): equal `result(P)` — also with
-    /// every rule re-evaluated in full each round. Returns the default
-    /// configuration's outcome.
+    /// no seeding, no skipped rules, and the stability check on every
+    /// stratum): equal `result(P)`. Returns the engine's outcome.
     fn assert_matches_reference(ob: &ObjectBase, prog: &str) -> Outcome {
         let program = Program::parse(prog).unwrap();
         let slow = crate::reference::evaluate(&program, ob).unwrap();
-        let config = EngineConfig { verify_stability: true, ..Default::default() };
-        let checked = run_with(program.clone(), config, ob).unwrap();
-        assert_eq!(checked.result(), &slow.result, "verify_stability");
         let fast = run_default(program, ob).unwrap();
         assert_eq!(fast.result(), &slow.result);
         fast
@@ -1024,18 +1001,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_levels_record() {
-        let ob = ObjectBase::parse("a.p -> 1.").unwrap();
-        let program = Program::parse("ins[a].q -> 1 <= a.p -> 1.").unwrap();
-        let outcome = run_with(
-            program,
-            EngineConfig { trace: TraceLevel::Rounds, ..Default::default() },
-            &ob,
-        )
-        .unwrap();
+    fn traces_are_always_recorded() {
+        let outcome = run("a.p -> 1.", "ins[a].q -> 1 <= a.p -> 1.");
         assert_eq!(outcome.stratum_traces().len(), 1);
-        assert_eq!(outcome.round_traces().len(), 2); // firing round + empty round
-        assert_eq!(outcome.round_traces()[0].new_fired, 1);
+        let rounds = outcome.round_traces();
+        assert_eq!(rounds.len(), 2); // firing round + empty round
+        assert_eq!(
+            (rounds[0].evaluated.as_slice(), rounds[0].new_fired, rounds[0].touched),
+            (&[0][..], 1, 1)
+        );
+        assert_eq!((rounds[1].new_fired, rounds[1].touched), (0, 0));
     }
 
     #[test]
@@ -1141,7 +1116,8 @@ mod tests {
     #[test]
     fn runtime_policy_matches_static_on_stratifiable_programs() {
         // The paper's enterprise example: identical strata, identical
-        // result under either policy, with or without paranoia.
+        // result under either policy, and the reference's (which checks
+        // stability on every stratum).
         let ob_src = "phil.isa -> empl / pos -> mgr / sal -> 4000.
                       bob.isa -> empl / boss -> phil / sal -> 4200.";
         let prog = "
@@ -1151,17 +1127,11 @@ mod tests {
             rule4: ins[mod(E)].isa -> hpe <= mod(E).isa -> empl / sal -> S & S > 4500 & not del[mod(E)].isa -> empl.
         ";
         let ob = ObjectBase::parse(ob_src).unwrap();
-        let strict = run_default(Program::parse(prog).unwrap(), &ob).unwrap();
-        for verify in [false, true] {
-            let config = EngineConfig {
-                cycles: CyclePolicy::RuntimeStability,
-                verify_stability: verify,
-                ..Default::default()
-            };
-            let relaxed = run_with(Program::parse(prog).unwrap(), config, &ob).unwrap();
-            assert_eq!(strict.result(), relaxed.result(), "verify_stability = {verify}");
-            assert_eq!(strict.stratification().strata, relaxed.stratification().strata);
-        }
+        let strict = assert_matches_reference(&ob, prog);
+        let config = EngineConfig { cycles: CyclePolicy::RuntimeStability, ..Default::default() };
+        let relaxed = run_with(Program::parse(prog).unwrap(), config, &ob).unwrap();
+        assert_eq!(strict.result(), relaxed.result());
+        assert_eq!(strict.stratification().strata, relaxed.stratification().strata);
     }
 
     #[test]

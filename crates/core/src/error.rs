@@ -23,11 +23,11 @@ pub enum EvalError {
         /// Configured limit.
         limit: usize,
     },
-    /// Runtime stability checking (`CyclePolicy::RuntimeStability` or
-    /// `EngineConfig::verify_stability`) found a previously fired ground
-    /// update that no longer fires — the evaluation order would
-    /// influence the result, so the program is rejected on this object
-    /// base.
+    /// Runtime stability checking (the engine on the strata
+    /// `CyclePolicy::RuntimeStability` flags, the reference interpreter
+    /// on every stratum) found a previously fired ground update that no
+    /// longer fires — the evaluation order would influence the result,
+    /// so the program is rejected on this object base.
     Unstable {
         /// Stratum in which the instability surfaced.
         stratum: usize,

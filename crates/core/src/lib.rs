@@ -13,7 +13,8 @@
 //!   computed via unification of version-id-terms,
 //! * [`engine`] — stratum-by-stratum fixpoint evaluation with the §5
 //!   version-linearity runtime check and new-object-base construction,
-//! * [`trace`] — evaluation statistics and per-stratum traces.
+//! * [`trace`] — evaluation statistics and per-stratum and per-round
+//!   traces.
 //!
 //! ## Semantics notes
 //!
@@ -48,7 +49,6 @@ pub use database::{Database, DatabaseBuilder, Error, ErrorKind, Prepared, Transa
 pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, WriteSet};
 pub use engine::{
     run_compiled, CompiledProgram, CyclePolicy, EngineConfig, FinalVersionPolicy, Outcome,
-    TraceLevel,
 };
 pub use error::EvalError;
 pub use history::{history, History, HistoryStep};

@@ -20,6 +20,13 @@
 //!   from the full `T¹`.
 //! * **The fixpoint test is whole-object-base equality** (`I' == I`),
 //!   the most literal reading of "iterating the operator `T_P`".
+//! * **Stability is checked on every stratum**: a ground update fired
+//!   in one round must fire again in every later round of its stratum,
+//!   or the run fails with [`EvalError::Unstable`]. For a statically
+//!   stratified program this is §4's theorem, so every differential
+//!   test asserts it; on the strata of
+//!   [`crate::stratify::stratify_relaxed`] it is the check
+//!   [`crate::CyclePolicy::RuntimeStability`] makes the engine run.
 //! * **Version-linearity is checked quadratically** over all version
 //!   pairs after every application, independent of the engine's
 //!   incremental [`ruvo_obase::LinearityTracker`].
@@ -33,6 +40,8 @@
 //!
 //! Complexity is `O(|D|^vars)` per rule per round — strictly a testing
 //! and documentation artifact. Keep inputs small.
+
+use std::fmt;
 
 use ruvo_lang::{Atom, Expr, Program, Rule, UpdateSpec};
 use ruvo_obase::{exists_sym, Args, MethodApp, ObjectBase, VersionState};
@@ -98,9 +107,9 @@ pub fn evaluate(program: &Program, ob: &ObjectBase) -> Result<RefOutcome, EvalEr
 
 /// Evaluate `program` on `ob` stratum by stratum in the order
 /// `stratification` gives, allowing at most `max_rounds` rounds per
-/// stratum. The strata of [`crate::stratify::stratify_relaxed`] run a
-/// program only [`crate::CyclePolicy::RuntimeStability`] accepts; the
-/// reference checks no stability, so it speaks for stable runs only.
+/// stratum and checking stability on every stratum. The strata of
+/// [`crate::stratify::stratify_relaxed`] run a program only
+/// [`crate::CyclePolicy::RuntimeStability`] accepts.
 pub fn evaluate_bounded(
     program: &Program,
     stratification: &Stratification,
@@ -111,6 +120,9 @@ pub fn evaluate_bounded(
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
         let mut round = 0usize;
+        // The previous round's T¹; by induction it holds every update
+        // fired so far in this stratum.
+        let mut fired: Vec<RefUpdate> = Vec::new();
         loop {
             round += 1;
             if round > max_rounds {
@@ -124,6 +136,9 @@ pub fn evaluate_bounded(
             }
             t1.sort();
             t1.dedup();
+            if let Some(lost) = fired.iter().find(|u| t1.binary_search(u).is_err()) {
+                return Err(EvalError::Unstable { stratum: si, round, update: lost.to_string() });
+            }
             // Steps 2 + 3: a fresh object base with the states of every
             // relevant VID recomputed from the full T¹.
             let next = apply_tp(&interp, &t1);
@@ -132,6 +147,7 @@ pub fn evaluate_bounded(
                 break;
             }
             interp = next;
+            fired = t1;
         }
     }
     Ok(RefOutcome { result: interp })
@@ -165,6 +181,25 @@ impl RefUpdate {
 
     fn created(&self) -> Vid {
         self.target().apply(self.kind()).expect("chain depth checked at parse time")
+    }
+}
+
+/// The update-term syntax, as [`crate::tp::Fired`] prints it.
+impl fmt::Display for RefUpdate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (RefUpdate::Ins { method, args, .. }
+        | RefUpdate::Del { method, args, .. }
+        | RefUpdate::Mod { method, args, .. }) = self;
+        write!(f, "{}[{}].{method}", self.kind(), self.target())?;
+        if !args.is_empty() {
+            write!(f, " @ {}", Args::new(args.clone()))?;
+        }
+        match self {
+            RefUpdate::Ins { result, .. } | RefUpdate::Del { result, .. } => {
+                write!(f, " -> {result}")
+            }
+            RefUpdate::Mod { from, to, .. } => write!(f, " -> ({from}, {to})"),
+        }
     }
 }
 

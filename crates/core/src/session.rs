@@ -443,10 +443,12 @@ impl Session {
     /// valid and can be rolled back to again.
     ///
     /// On a durable session the rolled-back transactions are already
-    /// in the WAL, so the sink checkpoints the restored state — a delta
-    /// of the shards that differ from the last checkpoint, or a full
-    /// generation when the policy asks for one — and truncates the
-    /// log, making the dead suffix unreachable to recovery.
+    /// in the WAL, so the sink first checkpoints the restored state — a
+    /// delta of the shards that differ from the last checkpoint, or a
+    /// full generation when compaction is due — and truncates the log,
+    /// making the dead suffix unreachable to recovery. Only then is the
+    /// state installed: a failed checkpoint leaves the session, like
+    /// the log, as it was.
     pub(crate) fn rollback_to(&mut self, savepoint: SavepointId) -> Result<(), Error> {
         let idx = self
             .savepoints
@@ -454,10 +456,13 @@ impl Session {
             .position(|(id, ..)| *id == savepoint)
             .ok_or(Error::UnknownSavepoint(savepoint))?;
         let (_, log_len, ob) = self.savepoints[idx].clone();
+        if let Some(sink) = &mut self.sink {
+            sink.checkpoint(&ob).map_err(Error::Storage)?;
+        }
         self.ob = ob; // Arc clone: the captured state is re-shared.
         self.truncate_log(log_len);
         self.savepoints.truncate(idx + 1);
-        self.checkpoint().map(|_| ())
+        Ok(())
     }
 }
 
@@ -728,11 +733,13 @@ mod tests {
         }
     }
 
-    /// A sink that forwards to a real store until told to fail.
+    /// A sink that forwards to a real store until told to fail its
+    /// appends (`fail`) or its checkpoints (`fail_checkpoint`).
     #[derive(Debug)]
     struct Flaky {
         inner: crate::store::WalStore,
         fail: Arc<std::sync::atomic::AtomicBool>,
+        fail_checkpoint: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl DurabilitySink for Flaky {
@@ -748,6 +755,9 @@ mod tests {
         }
 
         fn checkpoint(&mut self, current: &ObjectBase) -> Result<CheckpointOutcome, StorageError> {
+            if self.fail_checkpoint.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(StorageError::Misuse("injected checkpoint failure"));
+            }
             self.inner.checkpoint(current)
         }
 
@@ -770,7 +780,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
         let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let sink = Flaky { inner: store.store, fail: Arc::clone(&fail) };
+        let sink =
+            Flaky { inner: store.store, fail: Arc::clone(&fail), fail_checkpoint: Arc::default() };
         let mut db = Database::open(accounts(8 * NARROW_COMMIT_SHARE, |_| String::new()));
         db.session_mut().set_sink(Box::new(sink));
         let credit = |a: usize| {
@@ -809,6 +820,45 @@ mod tests {
         assert!(db.log()[1].outcome.result().is_empty());
         assert!(!db.log()[2].outcome.result().is_empty());
         drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rollback_checkpoint_leaves_head_and_log_as_they_were() {
+        use crate::store::{CheckpointPolicy, FsyncPolicy, WalStore};
+        let dir =
+            std::env::temp_dir().join(format!("ruvo-session-rollback-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::builder().data_dir(&dir).seed_src(START).unwrap().open_dir().unwrap();
+        let seeded = db.current().clone();
+        drop(db);
+        let store = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        let fail_checkpoint = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sink = Flaky {
+            inner: store.store,
+            fail: Arc::default(),
+            fail_checkpoint: Arc::clone(&fail_checkpoint),
+        };
+        let mut db = Database::open(seeded);
+        db.session_mut().set_sink(Box::new(sink));
+        let credit = "mod[acct].balance -> (B, B2) <= acct.balance -> B & B2 = B + 10.";
+        let sp = db.savepoint();
+        db.apply_src(credit).unwrap();
+        let entries = |db: &Database| db.log().iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
+        let (log, head) = (entries(&db), db.current().clone());
+
+        fail_checkpoint.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(matches!(db.rollback_to(sp), Err(Error::Storage(_))));
+        assert_eq!(db.current(), &head, "the head keeps the credit the WAL still holds");
+        assert_eq!(entries(&db), log);
+
+        // Memory and log still agree: one more commit, then reopen.
+        fail_checkpoint.store(false, std::sync::atomic::Ordering::Relaxed);
+        db.apply_src(credit).unwrap();
+        assert_eq!(db.current().lookup1(oid("acct"), "balance"), vec![int(120)]);
+        let live = db.current().clone();
+        drop(db);
+        assert_eq!(Database::open_dir(&dir).unwrap().current(), &live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

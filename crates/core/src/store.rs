@@ -31,7 +31,8 @@
 //! ([`ObjectBase::version_shards_differing`]) runs when the delta is
 //! encoded, off the writer lock for a background checkpoint. The chain
 //! is compacted back into a single full generation when the deltas
-//! outgrow [`CheckpointPolicy::compact_fraction`] of the base.
+//! outgrow half the base or number 64 (`COMPACT_FRACTION`,
+//! `MAX_DELTA_GENERATIONS`).
 //!
 //! Chain damage is asymmetric by design: a *torn tail* (crash during
 //! a delta append) is dropped — the WAL was not yet truncated, so the
@@ -218,49 +219,39 @@ pub enum FsyncPolicy {
 }
 
 /// When an append triggers an automatic checkpoint (persist the
-/// current base, truncate the log), and when the checkpoint chain is
-/// compacted back into a single full generation. Either WAL threshold
-/// suffices to trigger; either compaction threshold suffices to force
-/// the next checkpoint full.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// current base, truncate the log). Either threshold suffices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once the WAL holds this many records.
     pub max_wal_records: u64,
     /// Checkpoint once the WAL holds this many payload bytes.
     pub max_wal_bytes: u64,
-    /// Rewrite the chain into a fresh full checkpoint once the delta
-    /// generations' on-disk bytes exceed this fraction of the full
-    /// base generation's bytes. Reopen cost is bounded by roughly
-    /// `base · (1 + compact_fraction)` decoded bytes.
-    pub compact_fraction: f64,
-    /// Hard cap on delta generations per chain regardless of size
-    /// (bounds the frame count recovery must walk).
-    pub max_delta_generations: u64,
 }
 
 impl Default for CheckpointPolicy {
     fn default() -> Self {
-        CheckpointPolicy {
-            max_wal_records: 1024,
-            max_wal_bytes: 8 * 1024 * 1024,
-            compact_fraction: 0.5,
-            max_delta_generations: 64,
-        }
+        CheckpointPolicy { max_wal_records: 1024, max_wal_bytes: 8 * 1024 * 1024 }
     }
 }
 
 impl CheckpointPolicy {
     /// Never checkpoint automatically (explicit
     /// [`DurabilitySink::checkpoint`] calls — savepoint rollbacks
-    /// included — still do, with default compaction).
+    /// included — still do, and still compact).
     pub fn never() -> Self {
-        CheckpointPolicy {
-            max_wal_records: u64::MAX,
-            max_wal_bytes: u64::MAX,
-            ..CheckpointPolicy::default()
-        }
+        CheckpointPolicy { max_wal_records: u64::MAX, max_wal_bytes: u64::MAX }
     }
 }
+
+/// A checkpoint rewrites the chain into one full generation once the
+/// delta generations' on-disk bytes exceed this fraction of the full
+/// base generation's, so reopening decodes at most about
+/// `base · (1 + COMPACT_FRACTION)` bytes.
+const COMPACT_FRACTION: f64 = 0.5;
+
+/// A checkpoint also compacts once the chain holds this many deltas,
+/// whatever their size: it bounds the frames recovery walks.
+const MAX_DELTA_GENERATIONS: usize = 64;
 
 // ----- the sink trait ------------------------------------------------
 
@@ -577,7 +568,8 @@ fn decode_chain(data: &[u8], path: &Path) -> Result<Checkpoint, StorageError> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointMode {
     /// Delta when possible, full when required (no chain yet, an
-    /// unknown chain tail, or compaction due per [`CheckpointPolicy`]).
+    /// unknown chain tail, or a chain due for compaction; see the
+    /// [module docs](self)).
     Auto,
     /// Always write a fresh full generation, compacting the chain.
     ForceFull,
@@ -1048,8 +1040,8 @@ impl WalStore {
         let Some(c) = &self.chain else { return false };
         let (base, deltas) = c.generations.split_first().expect("chains are never empty");
         let delta_bytes: u64 = deltas.iter().map(|g| g.bytes).sum();
-        deltas.len() as u64 >= self.policy.max_delta_generations
-            || (delta_bytes as f64) > (base.bytes as f64) * self.policy.compact_fraction
+        deltas.len() >= MAX_DELTA_GENERATIONS
+            || (delta_bytes as f64) > (base.bytes as f64) * COMPACT_FRACTION
     }
 
     /// Truncate the WAL after a generation covering `plan_seq` became
@@ -1831,31 +1823,61 @@ mod tests {
         assert!(msg.contains("generation #1"), "got: {msg}");
     }
 
+    /// A base whose bytes all sit in one version shard — one object
+    /// with 4 000 facts — and a one-fact object routed to another, so a
+    /// delta that only touches the latter stays a few dozen bytes.
+    fn lopsided_base() -> (ObjectBase, ruvo_term::Vid) {
+        let big = ruvo_term::Vid::object(oid("big"));
+        let mut ob = ObjectBase::new();
+        for i in 0..4_000 {
+            ob.insert(big, sym("m"), ruvo_obase::Args::new(vec![int(i)]), int(i));
+        }
+        let small = (0..)
+            .map(|i| ruvo_term::Vid::object(oid(&format!("small{i}"))))
+            .find(|&v| ruvo_obase::vid_shard(v) != ruvo_obase::vid_shard(big))
+            .unwrap();
+        ob.insert(small, sym("n"), ruvo_obase::Args::empty(), int(0));
+        (ob, small)
+    }
+
+    /// Rewrite `small`'s one fact to `value`, log it and checkpoint.
+    fn bump(
+        store: &mut WalStore,
+        ob: &mut ObjectBase,
+        small: ruvo_term::Vid,
+        value: i64,
+    ) -> CheckpointOutcome {
+        let n = sym("n");
+        let old = ob.results(small, n, &[]).next().unwrap();
+        ob.remove(small, n, &ruvo_obase::Args::empty(), old);
+        ob.insert(small, n, ruvo_obase::Args::empty(), int(value));
+        store.append_batch(&[prog("p.")], ob).unwrap();
+        store.checkpoint(ob).unwrap()
+    }
+
     #[test]
     fn compaction_rewrites_the_chain_into_a_full_generation() {
         let dir = tmp_dir("chain-compact");
-        let policy = CheckpointPolicy { max_delta_generations: 2, ..CheckpointPolicy::never() };
-        let mut opened = WalStore::open(&dir, FsyncPolicy::Always, policy).unwrap();
-        let mut ob = ObjectBase::new();
-        grow(&mut ob, "a", 20);
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        let (mut ob, small) = lopsided_base();
         opened.store.append_batch(&[prog("p1.")], &ob).unwrap();
         opened.store.checkpoint(&ob).unwrap();
-        for tag in ["b", "c"] {
-            grow(&mut ob, tag, 2);
-            opened.store.append_batch(&[prog("p.")], &ob).unwrap();
-            assert!(matches!(
-                opened.store.checkpoint(&ob).unwrap(),
-                CheckpointOutcome::Delta { .. }
-            ));
+        for value in 1..=MAX_DELTA_GENERATIONS as i64 {
+            let outcome = bump(&mut opened.store, &mut ob, small, value);
+            assert!(matches!(outcome, CheckpointOutcome::Delta { .. }), "{value}: {outcome}");
         }
-        // Two deltas hit the cap: the next checkpoint compacts.
-        grow(&mut ob, "d", 2);
-        opened.store.append_batch(&[prog("p.")], &ob).unwrap();
-        assert!(matches!(opened.store.checkpoint(&ob).unwrap(), CheckpointOutcome::Full { .. }));
+        // The deltas stay far below the byte threshold: the count caps
+        // the chain.
+        let (base, deltas) = opened.store.chain_generations().split_first().unwrap();
+        let delta_bytes: u64 = deltas.iter().map(|g| g.bytes).sum();
+        assert!((delta_bytes as f64) < base.bytes as f64 * COMPACT_FRACTION / 2.0);
+        let outcome = bump(&mut opened.store, &mut ob, small, -1);
+        assert!(matches!(outcome, CheckpointOutcome::Full { .. }), "{outcome}");
         assert_eq!(opened.store.chain_generations().len(), 1);
         drop(opened);
 
-        let reopened = WalStore::open(&dir, FsyncPolicy::Always, policy).unwrap();
+        let reopened = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
         let ckpt = reopened.checkpoint.expect("compacted chain");
         assert_eq!(ckpt.generations.len(), 1);
         assert_eq!(ckpt.base, ob);
@@ -1864,19 +1886,28 @@ mod tests {
     #[test]
     fn compaction_byte_threshold_forces_a_full_rewrite() {
         let dir = tmp_dir("chain-compact-bytes");
-        // Any delta at all exceeds 0.0 × base bytes.
-        let policy = CheckpointPolicy { compact_fraction: 0.0, ..CheckpointPolicy::never() };
-        let mut opened = WalStore::open(&dir, FsyncPolicy::Always, policy).unwrap();
-        let mut ob = ObjectBase::new();
-        grow(&mut ob, "a", 20);
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        let (mut ob, small) = lopsided_base();
         opened.store.append_batch(&[prog("p1.")], &ob).unwrap();
         opened.store.checkpoint(&ob).unwrap();
-        grow(&mut ob, "b", 1);
+        assert!(matches!(
+            bump(&mut opened.store, &mut ob, small, 1),
+            CheckpointOutcome::Delta { .. }
+        ));
+        // One more fact on `big` dirties the shard holding nearly the
+        // whole base: a delta as large as the base.
+        let big = ruvo_term::Vid::object(oid("big"));
+        ob.insert(big, sym("m"), ruvo_obase::Args::new(vec![int(-1)]), int(-1));
         opened.store.append_batch(&[prog("p2.")], &ob).unwrap();
         assert!(matches!(opened.store.checkpoint(&ob).unwrap(), CheckpointOutcome::Delta { .. }));
-        grow(&mut ob, "c", 1);
-        opened.store.append_batch(&[prog("p3.")], &ob).unwrap();
-        assert!(matches!(opened.store.checkpoint(&ob).unwrap(), CheckpointOutcome::Full { .. }));
+        // Two deltas, past the byte threshold: the next one is full.
+        assert_eq!(opened.store.chain_generations().len(), 3);
+        let outcome = bump(&mut opened.store, &mut ob, small, 2);
+        assert!(matches!(outcome, CheckpointOutcome::Full { .. }), "{outcome}");
+        drop(opened);
+        let reopened = WalStore::open(&dir, FsyncPolicy::Never, CheckpointPolicy::never()).unwrap();
+        assert_eq!(reopened.checkpoint.expect("compacted chain").base, ob);
     }
 
     #[test]

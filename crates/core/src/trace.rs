@@ -1,4 +1,10 @@
 //! Evaluation statistics and traces.
+//!
+//! Every [`crate::Outcome`] carries its run's [`EvalStats`], one
+//! [`StratumTrace`] per stratum and one [`RoundTrace`] per fixpoint
+//! round. Recording them costs the engine nothing it does not compute
+//! anyway, so there is no switch; a caller that does not want them
+//! ignores them (`ruvo run --trace` prints them).
 
 use std::fmt;
 use std::time::Duration;
@@ -86,7 +92,7 @@ impl fmt::Display for ParallelStats {
     }
 }
 
-/// Per-round trace entry (collected at `TraceLevel::Rounds`).
+/// Per-round trace entry, recorded for every fixpoint round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundTrace {
     /// Stratum index.
@@ -119,7 +125,7 @@ impl fmt::Display for RoundTrace {
     }
 }
 
-/// Per-stratum trace entry (collected at `TraceLevel::Strata` and up).
+/// Per-stratum trace entry, recorded for every stratum.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StratumTrace {
     /// Stratum index.

@@ -758,15 +758,6 @@ impl ObjectBase {
         v
     }
 
-    /// Remove every version routed to version-table shard `i`,
-    /// keeping all indexes consistent.
-    pub fn clear_versions_shard(&mut self, i: usize) {
-        let vids: Vec<Vid> = self.versions.shard_at(i).flat_map(|l| l.keys()).copied().collect();
-        for vid in vids {
-            self.discard_version(vid);
-        }
-    }
-
     /// Build a base from a decoded fact stream through one tracked
     /// batch commit — the reopen path. Equivalent to inserting every
     /// fact in order (duplicates collapse, as [`ObjectBase::insert`]
@@ -1608,18 +1599,6 @@ mod tests {
         }
         all.sort_by(super::fact_cmp);
         assert_eq!(all, ob.facts_sorted());
-    }
-
-    #[test]
-    fn clear_versions_shard_is_index_consistent() {
-        let (mut ob, _) = shard_commit_fixture();
-        let victims = ob.versions.shard_at(3).map(|l| l.len()).sum::<usize>();
-        let before = ob.len();
-        ob.clear_versions_shard(3);
-        assert!(ob.shard_facts_sorted(3).is_empty());
-        assert!(ob.versions().all(|v| vid_shard(v) != 3));
-        assert!(victims == 0 || ob.len() < before);
-        ob.check_invariants();
     }
 
     #[test]

@@ -448,11 +448,6 @@ pub fn write_delta(
     out.freeze()
 }
 
-/// True if `data` carries a shard-delta payload (vs a full snapshot).
-pub fn is_delta(data: &[u8]) -> bool {
-    data.get(..4) == Some(DELTA_MAGIC.as_slice())
-}
-
 /// One dirty shard's decoded operations.
 struct DeltaShard {
     /// Versions `prev` held in this writer-shard that are now gone.
@@ -505,11 +500,6 @@ fn read_delta(data: &[u8]) -> Result<(DeltaInfo, Vec<DeltaShard>), SnapshotError
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
     Ok((DeltaInfo { base_seq, dirty_mask: mask, facts: total, removed: total_removed }, shards))
-}
-
-/// Decode a delta's header without applying it (chain inspection).
-pub fn delta_info(data: &[u8]) -> Result<DeltaInfo, SnapshotError> {
-    read_delta(data).map(|(info, _)| info)
 }
 
 /// Replay a delta produced by [`write_delta`] onto `ob`: removed
@@ -766,7 +756,7 @@ mod tests {
         assert!(dirty.iter().any(|&d| d), "mutations must dirty at least one shard");
         assert!(!dirty.iter().all(|&d| d), "a small edit must not dirty every shard");
         let delta = write_delta(&live, &prev, &dirty, 42);
-        assert!(is_delta(&delta) && !is_delta(&full));
+        assert!(read(&delta).is_err() && apply_delta(&mut ObjectBase::new(), &full).is_err());
 
         let mut recovered = read(&full).unwrap();
         let info = apply_delta(&mut recovered, &delta).unwrap();
@@ -776,7 +766,6 @@ mod tests {
         assert_eq!(recovered, live);
         assert_eq!(write(&recovered), write(&live), "recovered state must be bit-identical");
         recovered.check_invariants();
-        assert_eq!(delta_info(&delta).unwrap(), info);
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn prepare_attaches_warnings_and_deny_lints_escalates() {
     assert_eq!(prepared.commutativity().pairs_with(Commutativity::Conflicts), vec![(0, 1)]);
 
     let strict = Database::builder()
-        .deny_lint(Lint::WriteWriteConflict)
+        .deny_lints([Lint::WriteWriteConflict])
         .open_src("item.price -> 10.")
         .unwrap();
     let err = strict.prepare(CONFLICT).unwrap_err();

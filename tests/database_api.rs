@@ -215,13 +215,15 @@ fn errors_unify_the_layer_types() {
 
 #[test]
 fn builder_knobs_flow_through() {
-    use ruvo::core::{CyclePolicy, TraceLevel};
+    use ruvo::core::CyclePolicy;
 
-    let mut db = Database::builder().trace(TraceLevel::Rounds).open_src(ENTERPRISE).unwrap();
+    // Traces need no knob: every transaction records them.
+    let mut db = Database::open_src(ENTERPRISE).unwrap();
     let raise = db.prepare(RAISE).unwrap();
     db.apply(&raise).unwrap();
     let txn = db.log().last().unwrap();
-    assert!(!txn.outcome.round_traces().is_empty(), "round traces were requested");
+    assert!(!txn.outcome.round_traces().is_empty());
+    assert!(!txn.outcome.stratum_traces().is_empty());
 
     // cycle_policy at build time changes what prepare accepts.
     let strict = Database::open_src("a.m -> 1. a.trigger -> 1.").unwrap();

@@ -92,7 +92,7 @@ struct Handle {
 }
 
 fn builder() -> ruvo::DatabaseBuilder {
-    Database::builder().deny_lint(Lint::DeadRule).max_rounds_per_stratum(3)
+    Database::builder().deny_lints([Lint::DeadRule]).max_rounds_per_stratum(3)
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

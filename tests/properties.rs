@@ -5,18 +5,19 @@ use ruvo::obase::{check_all_linear, LinearityTracker};
 use ruvo::prelude::*;
 use ruvo::workload::{random_insert_program, random_object_base, RandomConfig};
 
-/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+/// `result(P)` of `program` on `ob` under `builder`'s configuration,
+/// nothing committed.
 fn evaluate_with(
     program: Program,
-    config: EngineConfig,
+    builder: DatabaseBuilder,
     ob: &ObjectBase,
 ) -> Result<Outcome, Error> {
-    let db = Database::builder().config(config).open(ob.clone());
+    let db = builder.open(ob.clone());
     db.evaluate(&db.prepare_program(program)?)
 }
 
 fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
-    evaluate_with(program, EngineConfig::default(), ob)
+    evaluate_with(program, Database::builder(), ob)
 }
 
 // ----- term layer ----------------------------------------------------
@@ -273,20 +274,23 @@ proptest! {
         prop_assert_eq!(fast.new_object_base(), slow.new_object_base().unwrap());
     }
 
-    /// The default configuration and the one re-evaluating every rule
-    /// in full each round agree with the naive reference on random
-    /// workloads.
+    /// Every engine configuration — the linearity check on or off,
+    /// either cycle policy — agrees with the naive reference, which
+    /// checks stability on every stratum, on random workloads.
     #[test]
     fn engine_configs_agree(seed in 0u64..200) {
+        use ruvo::core::CyclePolicy;
         let config = RandomConfig { seed, objects: 12, facts: 36, rules: 6, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
         let reference = ruvo::core::reference::evaluate(&program, &ob).unwrap();
-        let seminaive = evaluate(program.clone(), &ob).unwrap();
-        prop_assert_eq!(&reference.result, seminaive.result());
-        let full = evaluate_with(program, EngineConfig { verify_stability: true, ..Default::default() }, &ob)
-        .unwrap();
-        prop_assert_eq!(&reference.result, full.result());
+        for linearity in [true, false] {
+            for cycles in [CyclePolicy::Reject, CyclePolicy::RuntimeStability] {
+                let builder = Database::builder().check_linearity(linearity).cycle_policy(cycles);
+                let outcome = evaluate_with(program.clone(), builder, &ob).unwrap();
+                prop_assert_eq!(&reference.result, outcome.result(), "{} {:?}", linearity, cycles);
+            }
+        }
     }
 
     /// result(P) always contains the input versions unchanged (updates

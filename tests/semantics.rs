@@ -4,18 +4,19 @@
 
 use ruvo::prelude::*;
 
-/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+/// `result(P)` of `program` on `ob` under `builder`'s configuration,
+/// nothing committed.
 fn evaluate_with(
     program: Program,
-    config: EngineConfig,
+    builder: DatabaseBuilder,
     ob: &ObjectBase,
 ) -> Result<Outcome, Error> {
-    let db = Database::builder().config(config).open(ob.clone());
+    let db = builder.open(ob.clone());
     db.evaluate(&db.prepare_program(program)?)
 }
 
 fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
-    evaluate_with(program, EngineConfig::default(), ob)
+    evaluate_with(program, Database::builder(), ob)
 }
 
 fn run(ob: &str, program: &str) -> Outcome {
@@ -316,8 +317,8 @@ fn round_limit_is_enforced() {
     let ob = ObjectBase::parse("p0.isa -> person. p1.isa -> person. p1.parents -> p0.
                                 p2.isa -> person. p2.parents -> p1. p3.isa -> person. p3.parents -> p2.").unwrap();
     let program = ruvo::workload::ancestors_program();
-    let config = EngineConfig { max_rounds_per_stratum: 1, ..Default::default() };
-    let err = evaluate_with(program, config, &ob).unwrap_err();
+    let err =
+        evaluate_with(program, Database::builder().max_rounds_per_stratum(1), &ob).unwrap_err();
     assert!(err.to_string().contains("fixpoint"), "got: {err}");
 }
 
@@ -330,9 +331,7 @@ fn deferred_linearity_validation() {
          del[o].m -> a <= o.m -> a.",
     )
     .unwrap();
-    let outcome =
-        evaluate_with(program, EngineConfig { check_linearity: false, ..Default::default() }, &ob)
-            .unwrap();
+    let outcome = evaluate_with(program, Database::builder().check_linearity(false), &ob).unwrap();
     assert!(outcome.try_new_object_base().is_err());
     assert!(outcome.final_versions().is_err());
 }

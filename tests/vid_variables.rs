@@ -11,18 +11,19 @@
 use ruvo::core::{reference, CyclePolicy};
 use ruvo::prelude::*;
 
-/// `result(P)` of `program` on `ob` under `config`, nothing committed.
+/// `result(P)` of `program` on `ob` under `builder`'s configuration,
+/// nothing committed.
 fn evaluate_with(
     program: Program,
-    config: EngineConfig,
+    builder: DatabaseBuilder,
     ob: &ObjectBase,
 ) -> Result<Outcome, Error> {
-    let db = Database::builder().config(config).open(ob.clone());
+    let db = builder.open(ob.clone());
     db.evaluate(&db.prepare_program(program)?)
 }
 
 fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
-    evaluate_with(program, EngineConfig::default(), ob)
+    evaluate_with(program, Database::builder(), ob)
 }
 
 #[test]
@@ -114,8 +115,8 @@ fn wildcard_in_del_rule_needs_dynamic_mode() {
     let err = evaluate(program.clone(), &ob).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Stratify);
 
-    let config = EngineConfig { cycles: CyclePolicy::RuntimeStability, ..Default::default() };
-    let outcome = evaluate_with(program, config, &ob).unwrap();
+    let dynamic = Database::builder().cycle_policy(CyclePolicy::RuntimeStability);
+    let outcome = evaluate_with(program, dynamic, &ob).unwrap();
     let ob2 = outcome.new_object_base();
     assert_eq!(ob2.lookup1(oid("o"), "m"), vec![]);
 }
