@@ -616,14 +616,9 @@ impl Outcome {
     /// whose final state is empty — only `exists` defined — disappear).
     pub fn try_new_object_base(&self) -> Result<ObjectBase, LinearityViolation> {
         let finals = self.final_versions()?;
-        let mut out = ObjectBase::new();
-        for (base, fv) in finals {
-            let Some(state) = self.result.version(fv) else { continue };
-            for (method, app) in state.iter() {
-                out.insert(Vid::object(base), method, app.args.clone(), app.result);
-            }
-        }
-        Ok(out)
+        Ok(base_of_finals(
+            finals.into_iter().map(|(base, fv)| (base, self.result.version_shared(fv).cloned())),
+        ))
     }
 
     /// The *maximal* versions of an object in `result(P)`: those that
@@ -652,8 +647,7 @@ impl Outcome {
         if policy == FinalVersionPolicy::RequireLinear {
             return self.try_new_object_base();
         }
-        let mut out = ObjectBase::new();
-        for base in self.result.objects() {
+        let finals = self.result.objects().map(|base| {
             let maximal = self.maximal_versions(base);
             let chosen: &[Vid] = match policy {
                 FinalVersionPolicy::RequireLinear => unreachable!("handled above"),
@@ -664,14 +658,22 @@ impl Outcome {
                 }
                 FinalVersionPolicy::MergeMaximal => &maximal,
             };
-            for &v in chosen {
-                let Some(state) = self.result.version(v) else { continue };
-                for (method, app) in state.iter() {
-                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
+            // One chosen state is adopted as-is; several are merged.
+            let mut merged: Option<Arc<VersionState>> = None;
+            for state in chosen.iter().filter_map(|&v| self.result.version_shared(v)) {
+                match &mut merged {
+                    None => merged = Some(Arc::clone(state)),
+                    Some(m) => {
+                        let m = Arc::make_mut(m);
+                        for (method, app) in state.iter() {
+                            m.insert(method, app.clone());
+                        }
+                    }
                 }
             }
-        }
-        Ok(out)
+            (base, merged)
+        });
+        Ok(base_of_finals(finals))
     }
 
     /// The version timeline of one object in `result(P)` (see
@@ -706,6 +708,22 @@ impl Outcome {
             )
         })
     }
+}
+
+/// §5's `ob′` from each object's final state: every non-empty state
+/// becomes its object's initial version, adopted as-is (no fact is
+/// re-inserted); an object whose final state is empty — only `exists`
+/// defined — or absent disappears. One tracked commit into an empty
+/// base, as [`ObjectBase::from_facts`] builds one.
+fn base_of_finals(finals: impl Iterator<Item = (Const, Option<Arc<VersionState>>)>) -> ObjectBase {
+    let edits: Vec<_> = finals
+        .filter_map(|(base, state)| {
+            state.filter(|s| !s.is_empty()).map(|s| (Vid::object(base), Some(s)))
+        })
+        .collect();
+    let mut out = ObjectBase::new();
+    out.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+    out
 }
 
 #[cfg(test)]
@@ -1182,6 +1200,76 @@ mod tests {
             assert_eq!(outcome.new_object_base_with(policy).unwrap(), linear, "{policy:?}");
         }
         assert_eq!(outcome.maximal_versions(oid("henry")).len(), 1);
+    }
+
+    /// §5 the slow way: insert every fact of each object's chosen final
+    /// versions, one by one, into an empty base.
+    fn ob_prime_fact_by_fact(outcome: &Outcome, policy: FinalVersionPolicy) -> ObjectBase {
+        let mut out = ObjectBase::new();
+        for base in outcome.result().objects() {
+            let chosen = match policy {
+                FinalVersionPolicy::RequireLinear => {
+                    vec![outcome.final_versions().unwrap()[&base]]
+                }
+                FinalVersionPolicy::DeepestWins => {
+                    outcome.maximal_versions(base).last().copied().into_iter().collect()
+                }
+                FinalVersionPolicy::MergeMaximal => outcome.maximal_versions(base),
+            };
+            for v in chosen {
+                let Some(state) = outcome.result().version(v) else { continue };
+                for (method, app) in state.iter() {
+                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ob_prime_adopts_final_states_equal_to_fact_by_fact_insertion() {
+        // Raised, deleted (bob disappears: an empty final state), grown
+        // by a multi-valued `isa`, and untouched objects.
+        let ob = ObjectBase::parse(
+            "phil.isa -> empl / sal -> 4000 / boss -> bob / kids -> ann / kids -> tom.
+             bob.isa -> empl / sal -> 4200 / boss -> phil. ann.age -> 3. tom.age -> 5.",
+        )
+        .unwrap();
+        let program = Program::parse(
+            "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = S * 1.15.
+             del[mod(E)].* <= mod(E).boss -> B / sal -> SE & mod(B).sal -> SB & SE > SB.
+             ins[mod(E)].isa -> hpe <= mod(E).sal -> S & S > 4500 & not del[mod(E)].isa -> empl.",
+        )
+        .unwrap();
+        let outcome = run_default(program, &ob).unwrap();
+        let linear = outcome.try_new_object_base().unwrap();
+        let slow = ob_prime_fact_by_fact(&outcome, FinalVersionPolicy::RequireLinear);
+        assert_eq!(linear, slow);
+        assert_eq!(linear.facts_sorted(), slow.facts_sorted());
+        assert_eq!(linear.len(), slow.len());
+        linear.check_invariants();
+        assert_eq!(linear.lookup1(oid("bob"), "sal"), vec![], "bob's final state is empty");
+        assert_eq!(linear.lookup1(oid("phil"), "isa"), vec![oid("empl"), oid("hpe")]);
+        assert!(linear.is_flat());
+
+        // Branching results: one chosen state adopted, several merged.
+        let ob = ObjectBase::parse("o.m -> a. p.m -> a.").unwrap();
+        let program = Program::parse(
+            "mod[o].m -> (a, b) <= o.m -> a.
+             ins[o].extra -> 1 <= o.m -> a.
+             del[p].m -> a <= p.m -> a.",
+        )
+        .unwrap();
+        let config = EngineConfig { check_linearity: false, ..Default::default() };
+        let outcome = run_with(program, config, &ob).unwrap();
+        for policy in [FinalVersionPolicy::DeepestWins, FinalVersionPolicy::MergeMaximal] {
+            let adopted = outcome.new_object_base_with(policy).unwrap();
+            let slow = ob_prime_fact_by_fact(&outcome, policy);
+            assert_eq!(adopted, slow, "{policy:?}");
+            assert_eq!(adopted.facts_sorted(), slow.facts_sorted(), "{policy:?}");
+            adopted.check_invariants();
+            assert!(adopted.objects().all(|base| base == oid("o")), "p's final state is empty");
+        }
     }
 
     #[test]

@@ -585,9 +585,7 @@ impl ObjectBase {
         if method == exists_sym() {
             return is_canonical_exists(vid, args, result) && self.exists_fact(vid);
         }
-        self.versions
-            .get(&vid)
-            .is_some_and(|s| s.contains(method, &MethodApp { args: Args::from(args), result }))
+        self.versions.get(&vid).is_some_and(|s| s.contains_parts(method, args, result))
     }
 
     /// True if `vid.exists -> base(vid)` holds — the version is in the
@@ -602,13 +600,7 @@ impl ObjectBase {
     /// `v`. `None` when not even the bare object exists (a brand-new
     /// object being created by an `ins`; ARCHITECTURE.md, decision D3).
     pub fn v_star(&self, vid: Vid) -> Option<Vid> {
-        let mut candidates: Vec<Vid> = vid.subterms().collect();
-        while let Some(v) = candidates.pop() {
-            if self.exists_fact(v) {
-                return Some(v);
-            }
-        }
-        None
+        vid.subterms().rev().find(|&v| self.exists_fact(v))
     }
 
     /// Results of `method@args` on `vid`.

@@ -7,7 +7,8 @@
 //! * per-version states (`Vid → {method → {(args, result)}}`) — "The
 //!   state of a version w.r.t. a certain object-base is given by the set
 //!   of all ground method-applications, which can be derived from its
-//!   version-terms",
+//!   version-terms" — each one vector sorted by method, a single
+//!   application inline ([`VersionState`]),
 //! * a `(chain, method) → bases` index, so a rule literal like
 //!   `mod(E).sal -> S` enumerates exactly the `mod(·)`-versions that
 //!   define `sal`,

@@ -176,7 +176,7 @@ impl Chain {
 
     /// All prefixes from the empty chain up to and including `self`
     /// (the subterm chains of a VID with this chain), innermost first.
-    pub fn prefixes(self) -> impl Iterator<Item = Chain> {
+    pub fn prefixes(self) -> impl DoubleEndedIterator<Item = Chain> {
         (0..=self.len()).map(move |k| {
             let mask = if k == 0 { 0 } else { u64::MAX >> (64 - 2 * k as u64) };
             Chain { bits: self.bits & mask, len: k as u8 }

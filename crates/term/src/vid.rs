@@ -77,7 +77,7 @@ impl Vid {
     }
 
     /// All subterm VIDs, innermost (bare object) first, ending in `self`.
-    pub fn subterms(self) -> impl Iterator<Item = Vid> {
+    pub fn subterms(self) -> impl DoubleEndedIterator<Item = Vid> {
         let base = self.base;
         self.chain.prefixes().map(move |c| Vid { base, chain: c })
     }

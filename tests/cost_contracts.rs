@@ -347,3 +347,49 @@ fn evaluations_after_a_wide_commit_allocate_the_same_at_1k_and_10k_accounts() {
         "after a wide commit, a one-object evaluation allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
     );
 }
+
+/// Allocations per created version of one `Database::apply` of §2.3's
+/// enterprise program on `n` generated employees, with the created
+/// version count. The program is prepared outside the measurement.
+fn allocations_per_created_version(n: usize) -> (f64, usize) {
+    use ruvo::workload::enterprise::{Enterprise, EnterpriseConfig};
+    let config = EnterpriseConfig { employees: n, seed: 1, ..EnterpriseConfig::default() };
+    let mut db = Database::open(Enterprise::generate(config).ob);
+    let prepared =
+        Prepared::compile(ruvo::workload::programs::enterprise_program(), CyclePolicy::Reject)
+            .unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    let created = db.apply(&prepared).unwrap().outcome.stats().versions_created;
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    (allocations as f64 / created as f64, created)
+}
+
+/// The enterprise program creates about 1.6 versions per employee:
+/// building, indexing and committing each must cost a constant number
+/// of allocations, whatever the base's size — and few of them, since a
+/// version's state is one vector of inline applications (8.2 at 1k
+/// employees, 7.4 at 2k; 17.1 and 16.4 with a hash map of `Arc`'d sets
+/// per state). The ratio falls a little with size because a wide
+/// commit's once-per-leaf copies are spread over more versions.
+#[test]
+fn enterprise_applies_allocate_the_same_per_created_version_at_1k_and_2k_employees() {
+    const BUDGET: f64 = 8.5;
+    let (small, small_created) = allocations_per_created_version(1_000);
+    let (large, large_created) = allocations_per_created_version(2_000);
+    eprintln!(
+        "allocations per created version of the enterprise Database::apply: \
+         {small:.2} at 1k employees ({small_created} versions), \
+         {large:.2} at 2k ({large_created} versions)"
+    );
+    assert!(small_created >= 1_000 && large_created >= 2_000);
+    assert!(
+        (large - small).abs() <= 1.0,
+        "an enterprise apply allocates {small:.2} times per created version at 1k employees \
+         but {large:.2} at 2k"
+    );
+    assert!(
+        small.max(large) <= BUDGET,
+        "an enterprise apply allocates {:.2} times per created version (budget {BUDGET})",
+        small.max(large)
+    );
+}
