@@ -1,11 +1,10 @@
-//! The counted member sets behind the store's per-key index entries.
+//! The counted member sets behind the key indexes' per-key entries.
 //!
 //! Most index keys hold one member: a distinct salary or tag names one
-//! object, and an object of a flat base has one version. A [`Bag`]
-//! keeps that member inline, so building such an entry allocates
-//! nothing, and neither does copying the shard that holds it on write —
-//! a commit that unshares an index shard pays one allocation for the
-//! table, not one per key in it.
+//! object. A [`Bag`] keeps that member inline, so building such an
+//! entry allocates nothing, and neither does copying the shard that
+//! holds it on write — a commit that unshares an index shard pays one
+//! allocation for the table, not one per key in it.
 
 use std::hash::Hash;
 

@@ -14,15 +14,9 @@ use crate::{exists_sym, Args, ChangedSince, CowStats, MethodApp, ObStats, Versio
 // shard by their `(chain, method)` prefix so that one relation — the
 // unit a version-state commit dirties — stays within one shard per
 // index; the full key picks the leaf.
-impl ShardKey for Vid {
-    fn slot(&self) -> Slot {
-        route(self, ())
-    }
-}
-
 impl ShardKey for Const {
     fn slot(&self) -> Slot {
-        route(self, ())
+        route(Vid::object(*self), ())
     }
 }
 
@@ -109,6 +103,98 @@ impl KeyIndex {
     }
 }
 
+/// One object's entry in the version table: the `(chain, state)` pair
+/// of each of its versions. A single pair — every object of a flat
+/// base — is stored inline; two or more sit in a vector sorted by
+/// chain, back inline when removals leave one. As with [`Bag`], the
+/// form is canonical, so the derived `==` is content equality. Empty
+/// only as the default, before the first [`Versions::insert`].
+#[derive(Clone, PartialEq, Eq)]
+enum Versions {
+    One((Chain, Arc<VersionState>)),
+    Many(Vec<(Chain, Arc<VersionState>)>),
+}
+
+impl Default for Versions {
+    fn default() -> Self {
+        Versions::Many(Vec::new())
+    }
+}
+
+impl Versions {
+    /// The pairs, sorted by chain.
+    fn pairs(&self) -> &[(Chain, Arc<VersionState>)] {
+        match self {
+            Versions::One(pair) => std::slice::from_ref(pair),
+            Versions::Many(pairs) => pairs,
+        }
+    }
+
+    fn pairs_mut(&mut self) -> &mut [(Chain, Arc<VersionState>)] {
+        match self {
+            Versions::One(pair) => std::slice::from_mut(pair),
+            Versions::Many(pairs) => pairs,
+        }
+    }
+
+    /// Where `chain` is, or where it would go. An entry holds a few
+    /// pairs, so an equality scan beats a search on `Chain`'s order.
+    fn find(&self, chain: Chain) -> Result<usize, usize> {
+        let pairs = self.pairs();
+        pairs
+            .iter()
+            .position(|&(c, _)| c == chain)
+            .ok_or_else(|| pairs.partition_point(|&(c, _)| c < chain))
+    }
+
+    fn get(&self, chain: Chain) -> Option<&Arc<VersionState>> {
+        self.find(chain).ok().map(|i| &self.pairs()[i].1)
+    }
+
+    /// The state under `chain`, an empty one installed first if absent.
+    fn get_or_default(&mut self, chain: Chain) -> &mut Arc<VersionState> {
+        let i = self.find(chain).unwrap_or_else(|_| self.insert(chain, Arc::default()));
+        &mut self.pairs_mut()[i].1
+    }
+
+    /// Install `state` under `chain`, replacing any; returns its index.
+    fn insert(&mut self, chain: Chain, state: Arc<VersionState>) -> usize {
+        let (found, pair) = (self.find(chain), (chain, state));
+        *self = match (found, std::mem::take(self)) {
+            (Ok(i), mut entry) => {
+                entry.pairs_mut()[i] = pair;
+                entry
+            }
+            (Err(_), Versions::Many(pairs)) if pairs.is_empty() => Versions::One(pair),
+            (Err(0), Versions::One(one)) => Versions::Many(vec![pair, one]),
+            (Err(_), Versions::One(one)) => Versions::Many(vec![one, pair]),
+            (Err(i), Versions::Many(mut pairs)) => {
+                pairs.insert(i, pair);
+                Versions::Many(pairs)
+            }
+        };
+        found.unwrap_or_else(|i| i)
+    }
+
+    /// Remove the state under `chain`; the last one leaves it empty.
+    fn remove(&mut self, chain: Chain) -> Option<Arc<VersionState>> {
+        let i = self.find(chain).ok()?;
+        let mut pairs = match std::mem::take(self) {
+            Versions::One((_, state)) => return Some(state),
+            Versions::Many(pairs) => pairs,
+        };
+        let (_, state) = pairs.remove(i);
+        *self =
+            if pairs.len() == 1 { Versions::One(pairs.remove(0)) } else { Versions::Many(pairs) };
+        Some(state)
+    }
+
+    /// The versions of object `base`, with their states.
+    fn states(&self, base: Const) -> impl Iterator<Item = (Vid, &Arc<VersionState>)> {
+        self.pairs().iter().map(move |(chain, state)| (Vid::new(base, *chain), state))
+    }
+}
+
 /// Whether `vid.exists @ args -> result` is §3's `v.exists -> base(v)`,
 /// the only `exists` fact there is. The parser and the snapshot
 /// decoders refuse any other; [`ObjectBase::insert`] never stores one.
@@ -140,13 +226,12 @@ fn weight(state: &VersionState) -> usize {
     state.len().max(1)
 }
 
-/// The shard index a version routes to in the version table — the
-/// dirty-set unit of incremental checkpoints
-/// ([`ObjectBase::shard_facts_sorted`] /
-/// [`ObjectBase::version_shards_differing`]). The version table routes
-/// by the full [`Vid`], not its base.
+/// The version-table shard a version lives in: its object's, which
+/// routes by the hash of the object's initial version. The dirty-set
+/// unit of incremental checkpoints ([`ObjectBase::shard_facts_sorted`]
+/// / [`ObjectBase::version_shards_differing`]).
 pub fn vid_shard(vid: Vid) -> usize {
-    ShardKey::shard(&vid)
+    ShardKey::shard(&vid.base())
 }
 
 /// The deterministic fact order used by [`ObjectBase::facts_sorted`]
@@ -171,11 +256,11 @@ fn fact_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
 /// ## Copy-on-write clones
 ///
 /// Sharing is structural at every level. Every map — the version
-/// table and all four join indexes — is split into [`SHARD_COUNT`]
+/// table and all three join indexes — is split into [`SHARD_COUNT`]
 /// fixed `Arc`-wrapped shards of 16 `Arc`-wrapped leaves (see
 /// [`crate::shard`]), and every per-version fact set is an
 /// `Arc<VersionState>` of its own. [`Clone`] therefore bumps
-/// 5 × [`SHARD_COUNT`] reference counts — **O(shards), not O(facts) or
+/// 4 × [`SHARD_COUNT`] reference counts — **O(shards), not O(facts) or
 /// O(versions)** — and a subsequent mutation unshares only the shard
 /// nodes, the leaves and the one state it actually dirties
 /// ([`Arc::make_mut`]). This is what makes engine runs (which evaluate
@@ -187,7 +272,7 @@ fn fact_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
 /// ## `exists` is the version table
 ///
 /// §3's system method `v.exists -> base(v)` cannot be updated, so it
-/// holds exactly when `v` has an entry in the version table, and no
+/// holds exactly when the version table lists `v`, and no
 /// [`VersionState`] stores it. A version may sit in the table with an
 /// empty state (every fact deleted, §5's "only `exists` is defined").
 /// Reads of `exists` — [`ObjectBase::exists_fact`],
@@ -196,14 +281,12 @@ fn fact_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
 /// [`ObjectBase::versions_with_result`] — answer from the table.
 #[derive(Clone, Default)]
 pub struct ObjectBase {
-    versions: ShardedMap<Vid, Arc<VersionState>>,
+    /// The version table, keyed by object.
+    versions: ShardedMap<Const, Versions>,
     /// `(chain, method) → bases`: which objects have a version with this
     /// chain defining this method. Under `(chain, exists)` it lists
-    /// every version of the chain (the presence index, kept beside
-    /// `by_base`).
+    /// every version of the chain (the presence index).
     by_chain_method: ShardedMap<(Chain, Symbol), FastHashSet<Const>>,
-    /// `base → chains`: every version of an object (each chain once).
-    by_base: ShardedMap<Const, Bag<Chain>>,
     /// `(chain, method, result) → bases`: the value-keyed scan index.
     by_result: KeyIndex,
     /// `(chain, method, first-arg) → bases`: ditto for argument keys.
@@ -253,34 +336,46 @@ impl ObjectBase {
         }
         // Peek before copying: a duplicate insert must not CoW-copy
         // anything (neither the versions leaf nor the shared state).
-        let before = self.versions.get(&vid);
+        let before = self.version_shared(vid);
         if before.is_some_and(|s| exists || s.contains(method, &app)) {
             return false;
         }
+        let present = before.is_some();
+        let had_method = before.is_some_and(|s| s.has_method(method));
         // An empty state already counts its canonical `exists` fact.
         self.fact_count += usize::from(!before.is_some_and(|s| s.is_empty()));
-        let had_method = before.is_some_and(|s| s.has_method(method));
-        if before.is_none() {
-            self.index_version(vid);
+        if !present {
+            self.index_method(vid, exists_sym());
         }
         if exists {
-            self.versions.get_or_default(vid);
+            self.state_mut(vid);
             return true;
         }
         if !had_method {
             self.index_method(vid, method);
         }
         self.index_app(vid, method, &app);
-        let added = Arc::make_mut(self.versions.get_or_default(vid)).insert(method, app);
+        let added = Arc::make_mut(self.state_mut(vid)).insert(method, app);
         crate::invariant_assert!(added, "presence peeked above");
         true
     }
 
-    /// Record a new version in `base → chains` and in the `(chain,
-    /// exists)` presence index.
-    fn index_version(&mut self, vid: Vid) {
-        self.by_base.get_or_default(vid.base()).add(vid.chain());
-        self.index_method(vid, exists_sym());
+    /// Mutable access to `vid`'s state, an empty one installed first if
+    /// absent. Unshares its object's leaf.
+    fn state_mut(&mut self, vid: Vid) -> &mut Arc<VersionState> {
+        self.versions.get_or_default(vid.base()).get_or_default(vid.chain())
+    }
+
+    /// Take a version's state out of the table, and its object's entry
+    /// with the last one. A miss copies nothing.
+    fn take_state(&mut self, vid: Vid) -> Option<Arc<VersionState>> {
+        self.version_shared(vid)?;
+        let entry = self.versions.get_mut(&vid.base())?;
+        let state = entry.remove(vid.chain());
+        if entry.pairs().is_empty() {
+            self.versions.remove(&vid.base());
+        }
+        state
     }
 
     /// Record that `vid` defines `method` in `by_chain_method`.
@@ -315,13 +410,12 @@ impl ObjectBase {
         // Peek before copying: a miss must not CoW-copy the leaf or
         // the state.
         if method == exists_sym()
-            || !self.versions.get(&vid).is_some_and(|s| s.contains(method, &app))
+            || !self.version_shared(vid).is_some_and(|s| s.contains(method, &app))
         {
             return false;
         }
         let (method_gone, emptied) = {
-            let state_arc = self.versions.get_mut(&vid).expect("presence peeked above");
-            let state = Arc::make_mut(state_arc);
+            let state = Arc::make_mut(self.state_mut(vid));
             let removed = state.remove(method, &app);
             crate::invariant_assert!(removed, "presence peeked above");
             (!state.has_method(method), state.is_empty())
@@ -386,15 +480,14 @@ impl ObjectBase {
     /// Remove a whole version, unindexing its facts, without forcing
     /// the state out of its (possibly shared) allocation.
     pub(crate) fn discard_version(&mut self, vid: Vid) -> Option<Arc<VersionState>> {
-        let state = self.versions.remove(&vid)?;
+        let state = self.take_state(vid)?;
         self.fact_count -= weight(&state);
-        for method in state.methods() {
+        for method in state.methods().chain([exists_sym()]) {
             self.unindex_method(vid, method);
         }
         for (method, app) in state.iter() {
             self.unindex_app(vid, method, app);
         }
-        self.unindex_version(vid);
         Some(state)
     }
 
@@ -449,7 +542,7 @@ impl ObjectBase {
         changed: &mut ChangedSince,
     ) {
         let exists = exists_sym();
-        let old = self.versions.get(&vid).cloned();
+        let old = self.version_shared(vid).cloned();
         let diff: Vec<Symbol> = match (&old, new) {
             (None, None) => return, // removing what is not there
             // Idempotent recommit: nothing to diff or record.
@@ -471,9 +564,9 @@ impl ObjectBase {
         if old.is_some() != new.is_some() {
             // The version appears or goes: `(chain, exists)` changes.
             if new.is_some() {
-                self.index_version(vid);
+                self.index_method(vid, exists);
             } else {
-                self.unindex_version(vid);
+                self.unindex_method(vid, exists);
             }
             changed.record(vid.chain(), exists, vid.base());
         }
@@ -506,10 +599,11 @@ impl ObjectBase {
                 changed.record(vid.chain(), m, vid.base());
             }
         }
-        match new {
-            Some(n) => self.versions.insert(vid, Arc::clone(n)),
-            None => self.versions.remove(&vid),
-        };
+        if let Some(n) = new {
+            self.versions.get_or_default(vid.base()).insert(vid.chain(), Arc::clone(n));
+        } else {
+            self.take_state(vid);
+        }
     }
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
@@ -521,22 +615,12 @@ impl ObjectBase {
         }
     }
 
-    fn unindex_version(&mut self, vid: Vid) {
-        if let Some(chains) = self.by_base.get_mut(&vid.base()) {
-            chains.remove(vid.chain());
-            if chains.is_empty() {
-                self.by_base.remove(&vid.base());
-            }
-        }
-        self.unindex_method(vid, exists_sym());
-    }
-
     /// Drop every version whose state is empty — what §5's extraction
     /// does to an object whose final state holds only `exists`.
     /// O(versions); copies nothing when there is nothing to drop.
     pub fn remove_empty_versions(&mut self) {
         let empty: Vec<Vid> =
-            self.versions.iter().filter(|(_, s)| s.is_empty()).map(|(&vid, _)| vid).collect();
+            self.states().filter(|(_, s)| s.is_empty()).map(|(vid, _)| vid).collect();
         for vid in empty {
             self.discard_version(vid);
         }
@@ -551,7 +635,7 @@ impl ObjectBase {
 
     /// The state of a version, if it has any facts.
     pub fn version(&self, vid: Vid) -> Option<&VersionState> {
-        self.versions.get(&vid).map(Arc::as_ref)
+        self.version_shared(vid).map(Arc::as_ref)
     }
 
     /// The shared handle to a version's state. Cloning the `Arc` and
@@ -560,7 +644,17 @@ impl ObjectBase {
     /// [`Arc::make_mut`] writes) is the allocation-free commit path
     /// the engine's `T_P` step 2 uses.
     pub fn version_shared(&self, vid: Vid) -> Option<&Arc<VersionState>> {
-        self.versions.get(&vid)
+        self.versions.get(&vid.base())?.get(vid.chain())
+    }
+
+    /// Every version, with its state.
+    fn states(&self) -> impl Iterator<Item = (Vid, &Arc<VersionState>)> {
+        self.versions.iter().flat_map(|(&base, entry)| entry.states(base))
+    }
+
+    /// The versions in version-table shard `i`, with their states.
+    fn shard_states(&self, i: usize) -> impl Iterator<Item = (Vid, &Arc<VersionState>)> {
+        self.versions.shard_at(i).flat_map(|leaf| leaf.iter()).flat_map(|(&b, e)| e.states(b))
     }
 
     /// Copy-on-write sharing diagnostics against another base —
@@ -570,11 +664,10 @@ impl ObjectBase {
     /// affected index.
     pub fn cow_stats(&self, other: &ObjectBase) -> CowStats {
         CowStats {
-            indexes: 5,
+            indexes: 4,
             shards_per_index: SHARD_COUNT,
             shared_shards: self.versions.shards_shared_with(&other.versions)
                 + self.by_chain_method.shards_shared_with(&other.by_chain_method)
-                + self.by_base.shards_shared_with(&other.by_base)
                 + self.by_result.map.shards_shared_with(&other.by_result.map)
                 + self.by_arg0.map.shards_shared_with(&other.by_arg0.map),
         }
@@ -585,14 +678,14 @@ impl ObjectBase {
         if method == exists_sym() {
             return is_canonical_exists(vid, args, result) && self.exists_fact(vid);
         }
-        self.versions.get(&vid).is_some_and(|s| s.contains_parts(method, args, result))
+        self.version_shared(vid).is_some_and(|s| s.contains_parts(method, args, result))
     }
 
     /// True if `vid.exists -> base(vid)` holds — the version is in the
     /// table. The paper's criterion for "the version exists", used by
     /// `v*` and by step 2 of `T_P`.
     pub fn exists_fact(&self, vid: Vid) -> bool {
-        self.versions.contains_key(&vid)
+        self.version_shared(vid).is_some()
     }
 
     /// §3's `v*`: "the largest subterm of `v`, such that
@@ -600,7 +693,11 @@ impl ObjectBase {
     /// `v`. `None` when not even the bare object exists (a brand-new
     /// object being created by an `ins`; ARCHITECTURE.md, decision D3).
     pub fn v_star(&self, vid: Vid) -> Option<Vid> {
-        vid.subterms().rev().find(|&v| self.exists_fact(v))
+        // The entry is sorted by chain, and a chain sorts after its
+        // prefixes: the last prefix of `vid`'s chain is the deepest.
+        let pairs = self.versions.get(&vid.base())?.pairs();
+        let (chain, _) = pairs.iter().rev().find(|(c, _)| c.is_prefix_of(vid.chain()))?;
+        Some(Vid::new(vid.base(), *chain))
     }
 
     /// Results of `method@args` on `vid`.
@@ -612,14 +709,15 @@ impl ObjectBase {
     ) -> impl Iterator<Item = Const> + 'a {
         let exists = (method == exists_sym() && self.contains(vid, method, args, vid.base()))
             .then_some(vid.base());
-        let stored = self.versions.get(&vid).into_iter().flat_map(move |s| s.results(method, args));
+        let stored =
+            self.version_shared(vid).into_iter().flat_map(move |s| s.results(method, args));
         exists.into_iter().chain(stored)
     }
 
     /// All stored applications of `method` on `vid` (none for `exists`,
     /// which is the version table: see [`ObjectBase::exists_fact`]).
     pub fn apps(&self, vid: Vid, method: Symbol) -> impl Iterator<Item = &MethodApp> {
-        self.versions.get(&vid).into_iter().flat_map(move |s| s.apps(method))
+        self.version_shared(vid).into_iter().flat_map(move |s| s.apps(method))
     }
 
     /// The versions with update-chain `chain` that define `method` —
@@ -668,21 +766,21 @@ impl ObjectBase {
 
     /// Every version of an object, as VIDs.
     pub fn versions_of(&self, base: Const) -> impl Iterator<Item = Vid> + '_ {
-        self.by_base
+        self.versions
             .get(&base)
             .into_iter()
-            .flat_map(Bag::members)
-            .map(move |chain| Vid::new(base, chain))
+            .flat_map(move |entry| entry.states(base))
+            .map(|(v, _)| v)
     }
 
     /// Every object (base OID) with at least one version in the store.
     pub fn objects(&self) -> impl Iterator<Item = Const> + '_ {
-        self.by_base.keys().copied()
+        self.versions.keys().copied()
     }
 
     /// Number of objects, in O(leaves): 256 per map, not O(objects).
     pub fn object_count(&self) -> usize {
-        self.by_base.len()
+        self.versions.len()
     }
 
     /// True when every version is an initial one: the shape of a §5
@@ -695,13 +793,13 @@ impl ObjectBase {
 
     /// Every version in the store.
     pub fn versions(&self) -> impl Iterator<Item = Vid> + '_ {
-        self.versions.keys().copied()
+        self.states().map(|(vid, _)| vid)
     }
 
     /// All facts (unordered): the stored ones, and the canonical
     /// `v.exists -> o` of every empty version.
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.versions.iter().flat_map(|(&vid, state)| version_facts(vid, state))
+        self.states().flat_map(|(vid, state)| version_facts(vid, state))
     }
 
     /// All facts, sorted for deterministic output.
@@ -729,12 +827,8 @@ impl ObjectBase {
     /// in the same deterministic order [`ObjectBase::facts_sorted`]
     /// uses — the unit of a shard-delta checkpoint.
     pub fn shard_facts_sorted(&self, i: usize) -> Vec<Fact> {
-        let mut v: Vec<Fact> = self
-            .versions
-            .shard_at(i)
-            .flat_map(|leaf| leaf.iter())
-            .flat_map(|(&vid, state)| version_facts(vid, state))
-            .collect();
+        let mut v: Vec<Fact> =
+            self.shard_states(i).flat_map(|(vid, state)| version_facts(vid, state)).collect();
         v.sort_by(fact_cmp);
         v
     }
@@ -745,7 +839,7 @@ impl ObjectBase {
     /// set against the previously checkpointed state to find the
     /// versions the delta must explicitly remove.
     pub fn shard_vids_sorted(&self, i: usize) -> Vec<Vid> {
-        let mut v: Vec<Vid> = self.versions.shard_at(i).flat_map(|l| l.keys()).copied().collect();
+        let mut v: Vec<Vid> = self.shard_states(i).map(|(vid, _)| vid).collect();
         v.sort_unstable();
         v
     }
@@ -794,8 +888,9 @@ impl ObjectBase {
     /// Summary statistics (of the facts [`ObjectBase::iter`] yields).
     pub fn stats(&self) -> ObStats {
         let mut methods: FastHashSet<Symbol> = FastHashSet::default();
-        let mut max_depth = 0;
-        for (vid, state) in self.versions.iter() {
+        let (mut max_depth, mut versions) = (0, 0);
+        for (vid, state) in self.states() {
+            versions += 1;
             max_depth = max_depth.max(vid.depth());
             methods.extend(state.methods());
             if state.is_empty() {
@@ -803,8 +898,8 @@ impl ObjectBase {
             }
         }
         ObStats {
-            objects: self.by_base.len(),
-            versions: self.versions.len(),
+            objects: self.versions.len(),
+            versions,
             facts: self.fact_count,
             distinct_methods: methods.len(),
             max_version_depth: max_depth,
@@ -812,12 +907,20 @@ impl ObjectBase {
     }
 
     /// Exhaustive index consistency check (test helper; O(n)): among
-    /// others, no state holds `exists` and the `(chain, exists)`
-    /// presence index equals the version table.
+    /// others, every object entry is in canonical form, no state holds
+    /// `exists` and the `(chain, exists)` presence index equals the
+    /// version table.
     pub fn check_invariants(&self) {
         let exists = exists_sym();
+        for (base, entry) in self.versions.iter() {
+            let pairs = entry.pairs();
+            assert!(!pairs.is_empty(), "empty version-table entry for {base}");
+            let inline = matches!(entry, Versions::One(_));
+            assert!(inline == (pairs.len() == 1), "one version of {base} held in a vector");
+            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "{base}'s chains not sorted");
+        }
         let mut count = 0;
-        for (vid, state) in self.versions.iter() {
+        for (vid, state) in self.states() {
             assert!(!state.has_method(exists), "version state for {vid} holds `exists`");
             count += weight(state);
             assert!(
@@ -834,29 +937,15 @@ impl ObjectBase {
                     "missing by_chain_method entry for {vid}.{method}"
                 );
             }
-            assert!(
-                self.by_base.get(&vid.base()).is_some_and(|s| s.contains(vid.chain())),
-                "missing by_base entry for {vid}"
-            );
         }
         assert_eq!(count, self.fact_count, "fact_count out of sync");
         for (&(chain, method), bases) in self.by_chain_method.iter() {
             for base in bases {
                 let vid = Vid::new(*base, chain);
                 assert!(
-                    self.versions
-                        .get(&vid)
+                    self.version_shared(vid)
                         .is_some_and(|s| method == exists || s.has_method(method)),
                     "stale by_chain_method entry {vid}.{method}"
-                );
-            }
-        }
-        for (&base, chains) in self.by_base.iter() {
-            assert!(!chains.is_empty(), "empty by_base entry {base}");
-            for chain in chains.members() {
-                assert!(
-                    self.versions.contains_key(&Vid::new(base, chain)),
-                    "stale by_base entry {base} {chain}"
                 );
             }
         }
@@ -865,7 +954,7 @@ impl ObjectBase {
             FastHashMap::default();
         let mut expect_arg0: FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>> =
             FastHashMap::default();
-        for (&vid, state) in self.versions.iter() {
+        for (vid, state) in self.states() {
             for (method, app) in state.iter() {
                 *expect_result
                     .entry((vid.chain(), method, app.result))
@@ -891,7 +980,6 @@ impl ObjectBase {
         // otherwise lookups would miss it while iteration still sees it.
         self.versions.check_residency();
         self.by_chain_method.check_residency();
-        self.by_base.check_residency();
         self.by_result.map.check_residency();
         self.by_arg0.map.check_residency();
     }
@@ -1461,7 +1549,7 @@ mod tests {
         let original = mk();
         let mut copy = original.clone();
         assert!(copy.cow_stats(&original).fully_shared());
-        assert_eq!(copy.cow_stats(&original).total(), 5 * SHARD_COUNT);
+        assert_eq!(copy.cow_stats(&original).total(), 4 * SHARD_COUNT);
         // A no-op mutation (duplicate insert, miss remove) must not
         // unshare anything.
         copy.insert(Vid::object(oid("phil")), sym("sal"), Args::empty(), int(4000));
@@ -1472,19 +1560,18 @@ mod tests {
         copy.insert(Vid::object(oid("newbie")), sym("sal"), Args::empty(), int(1));
         let stats = copy.cow_stats(&original);
         assert!(!stats.fully_shared());
-        assert!(stats.unshared_shards() <= 5, "dirtied {} shards", stats.unshared_shards());
+        assert!(stats.unshared_shards() <= 4, "dirtied {} shards", stats.unshared_shards());
         copy.check_invariants();
         original.check_invariants();
         assert_eq!(original, mk(), "original must be untouched");
     }
 
     /// Leaves each map of `a` no longer shares with `b`: the version
-    /// table, `by_chain_method`, `by_base`, `by_result`, `by_arg0`.
-    fn leaves_unshared(a: &ObjectBase, b: &ObjectBase) -> [usize; 5] {
+    /// table, `by_chain_method`, `by_result`, `by_arg0`.
+    fn leaves_unshared(a: &ObjectBase, b: &ObjectBase) -> [usize; 4] {
         [
             a.versions.leaves_unshared_with(&b.versions),
             a.by_chain_method.leaves_unshared_with(&b.by_chain_method),
-            a.by_base.leaves_unshared_with(&b.by_base),
             a.by_result.map.leaves_unshared_with(&b.by_result.map),
             a.by_arg0.map.leaves_unshared_with(&b.by_arg0.map),
         ]
@@ -1502,16 +1589,159 @@ mod tests {
         }
         let mut ob = base.clone();
         ob.insert(Vid::object(oid("o7")), sym("p"), Args::empty(), int(n + 7));
-        assert_eq!(leaves_unshared(&ob, &base), [1, 0, 0, 1, 0]);
+        assert_eq!(leaves_unshared(&ob, &base), [1, 0, 1, 0]);
         let after_fact = ob.clone();
         let ins = Vid::object(oid("o9")).apply(UpdateKind::Ins).unwrap();
         ob.insert(ins, exists_sym(), Args::empty(), oid("o9"));
-        assert_eq!(leaves_unshared(&ob, &after_fact), [1, 1, 1, 0, 0]);
+        assert_eq!(leaves_unshared(&ob, &after_fact), [1, 1, 0, 0]);
         // Each write also copied one shard node per map it wrote.
-        let version_shards = 1 + usize::from(Vid::object(oid("o7")).shard() != ins.shard());
-        assert_eq!(ob.cow_stats(&base).unshared_shards(), version_shards + 3);
+        let version_shards = 1 + usize::from(vid_shard(Vid::object(oid("o7"))) != vid_shard(ins));
+        assert_eq!(ob.cow_stats(&base).unshared_shards(), version_shards + 2);
         ob.check_invariants();
         base.check_invariants();
+    }
+
+    /// A point query's demand fact on an existing object and that
+    /// object's new `ins(o)` version land in one version-table leaf:
+    /// the one the first write already copied.
+    #[test]
+    fn object_entry_takes_a_fact_and_a_new_version_of_one_object_in_one_leaf() {
+        let n = if cfg!(miri) { 200 } else { 4000 };
+        let mut base = ObjectBase::new();
+        for i in 0..n {
+            base.insert(Vid::object(oid(&format!("o{i}"))), sym("p"), Args::empty(), int(i));
+        }
+        let mut ob = base.clone();
+        let o7 = Vid::object(oid("o7"));
+        ob.insert(o7, sym("p"), Args::empty(), int(n + 7));
+        let ins = o7.apply(UpdateKind::Ins).unwrap();
+        ob.insert(ins, exists_sym(), Args::empty(), oid("o7"));
+        assert_eq!(ob.versions.leaves_unshared_with(&base.versions), 1);
+        // One shard node each of the version table, `(ins, exists)` and
+        // `(p, result)`.
+        assert_eq!(ob.cow_stats(&base).unshared_shards(), 3);
+        assert_eq!(ob.versions_of(oid("o7")).collect::<Vec<_>>(), vec![o7, ins]);
+        ob.check_invariants();
+    }
+
+    fn entry<'a>(ob: &'a ObjectBase, base: &str) -> Option<&'a Versions> {
+        ob.versions.get(&oid(base))
+    }
+
+    fn entry_len(ob: &ObjectBase, base: &str) -> (bool, usize) {
+        let e = entry(ob, base).unwrap();
+        (matches!(e, Versions::One(_)), e.pairs().len())
+    }
+
+    /// An object's entry spills from inline into a vector at its second
+    /// version and folds back inline when removals leave one, whichever
+    /// way the versions go: `remove_version`, the tracked commit, or
+    /// `remove_empty_versions`.
+    #[test]
+    fn object_entry_goes_from_inline_to_a_vector_and_back() {
+        let mut ob = mk();
+        let phil = Vid::object(oid("phil"));
+        let ins = phil.apply(UpdateKind::Ins).unwrap();
+        let mod_ins = ins.apply(UpdateKind::Mod).unwrap();
+        assert_eq!(entry_len(&ob, "phil"), (true, 1));
+        ob.insert(ins, sym("sal"), Args::empty(), int(1));
+        assert_eq!(entry_len(&ob, "phil"), (false, 2));
+        ob.replace_version(mod_ins, VersionState::new());
+        assert_eq!(entry_len(&ob, "phil"), (false, 3));
+        assert_eq!(ob.versions_of(oid("phil")).collect::<Vec<_>>(), vec![phil, ins, mod_ins]);
+        assert_eq!(ob.v_star(mod_ins.apply(UpdateKind::Del).unwrap()), Some(mod_ins));
+        ob.check_invariants();
+        ob.replace_versions_tracked_shared(&[(ins, None)], &mut ChangedSince::new());
+        assert_eq!(entry_len(&ob, "phil"), (false, 2));
+        assert_eq!(ob.v_star(mod_ins), Some(mod_ins));
+        assert_eq!(ob.v_star(ins), Some(phil), "ins(phil) is gone: v* falls back");
+        // Back to one version: inline again, and the survivor need not
+        // be the initial version.
+        assert!(ob.remove_version(phil).is_some());
+        assert_eq!(entry_len(&ob, "phil"), (true, 1));
+        assert_eq!(ob.v_star(mod_ins), Some(mod_ins));
+        assert_eq!(ob.v_star(phil), None);
+        ob.check_invariants();
+        // The last version takes the entry with it.
+        ob.remove_empty_versions();
+        assert!(entry(&ob, "phil").is_none());
+        assert_eq!((ob.object_count(), ob.versions_of(oid("phil")).count()), (1, 0));
+        ob.check_invariants();
+    }
+
+    /// Chains stay sorted whatever the insertion order, entries built
+    /// in different orders compare equal, and the states' `Arc`s are
+    /// moved between the two forms, never leaked or duplicated.
+    #[test]
+    fn object_entry_keeps_chains_sorted_across_insertion_orders() {
+        use UpdateKind::{Del, Ins, Mod};
+        let chains: Vec<Chain> = [&[][..], &[Ins], &[Ins, Mod], &[Mod], &[Del], &[Mod, Del]]
+            .iter()
+            .map(|kinds| Chain::from_kinds(kinds).unwrap())
+            .collect();
+        let state = Arc::new(VersionState::new());
+        let build = |order: &[usize]| {
+            let mut e = Versions::default();
+            for &i in order {
+                e.insert(chains[i], Arc::clone(&state));
+            }
+            e
+        };
+        let a = build(&[0, 1, 2, 3, 4, 5]);
+        let mut b = build(&[5, 2, 4, 0, 3, 1]);
+        assert!(a == b);
+        assert!(a.pairs().windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(Arc::strong_count(&state), 1 + 2 * chains.len());
+        // Re-inserting a chain replaces its state in place.
+        b.insert(chains[3], Arc::new(VersionState::new()));
+        assert!(a == b, "content-equal states compare equal");
+        assert_eq!(Arc::strong_count(&state), 2 * chains.len());
+        for i in [2, 0, 5, 4, 3] {
+            assert!(b.remove(chains[i]).is_some());
+        }
+        assert!(matches!(&b, Versions::One((c, _)) if *c == chains[1]));
+        assert!(b.remove(chains[1]).is_some() && b.pairs().is_empty());
+        assert!(b.remove(chains[1]).is_none());
+        drop(a);
+        assert_eq!(Arc::strong_count(&state), 1);
+        // The same through the store: two bases, two orders, one base.
+        let vids = |order: &[usize]| {
+            let mut ob = mk();
+            for &i in order {
+                ob.insert(
+                    Vid::new(oid("bob"), chains[i]),
+                    sym("sal"),
+                    Args::empty(),
+                    int(i as i64),
+                );
+            }
+            ob.check_invariants();
+            ob
+        };
+        let (x, y) = (vids(&[1, 2, 3, 4, 5]), vids(&[5, 3, 1, 4, 2]));
+        assert_eq!(x, y);
+        let listed: Vec<Chain> = x.versions_of(oid("bob")).map(Vid::chain).collect();
+        let mut sorted = chains.clone();
+        sorted.sort();
+        assert_eq!(listed, sorted);
+    }
+
+    #[test]
+    #[should_panic(expected = "held in a vector")]
+    fn object_entry_with_one_pair_in_a_vector_fails_the_invariants() {
+        let mut ob = mk();
+        let entry = ob.versions.get_mut(&oid("phil")).unwrap();
+        let Versions::One(pair) = std::mem::take(entry) else { panic!("phil has one version") };
+        *entry = Versions::Many(vec![pair]);
+        ob.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "empty version-table entry")]
+    fn object_entry_that_is_empty_fails_the_invariants() {
+        let mut ob = mk();
+        ob.versions.get_or_default(oid("ghost"));
+        ob.check_invariants();
     }
 
     #[test]

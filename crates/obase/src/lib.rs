@@ -4,11 +4,14 @@
 //! *object-base*." This crate stores such sets with the indexes the
 //! evaluator needs:
 //!
-//! * per-version states (`Vid → {method → {(args, result)}}`) — "The
-//!   state of a version w.r.t. a certain object-base is given by the set
-//!   of all ground method-applications, which can be derived from its
-//!   version-terms" — each one vector sorted by method, a single
-//!   application inline ([`VersionState`]),
+//! * a version table keyed by object: each object's versions live
+//!   together in one entry, one `(chain, state)` pair inline and two or
+//!   more in a vector sorted by chain — the table behind §3's `v*` and
+//!   §5's final-version extraction. A per-version state (`{method →
+//!   {(args, result)}}`) — "The state of a version w.r.t. a certain
+//!   object-base is given by the set of all ground method-applications,
+//!   which can be derived from its version-terms" — is one vector sorted
+//!   by method, a single application inline ([`VersionState`]),
 //! * a `(chain, method) → bases` index, so a rule literal like
 //!   `mod(E).sal -> S` enumerates exactly the `mod(·)`-versions that
 //!   define `sal`,
@@ -22,8 +25,6 @@
 //!   tracked in-place edits ([`ObjectBase::insert_tracked`] /
 //!   [`ObjectBase::remove_tracked`]), feeding the engine's semi-naive
 //!   evaluation,
-//! * a `base → chains` index enumerating every version of an object
-//!   (used for §5's final-version extraction),
 //! * copy-on-write structural sharing throughout: every index is
 //!   split into [`SHARD_COUNT`] `Arc`-wrapped shards of 16 lazily
 //!   allocated `Arc`-wrapped leaves, and every per-version state is

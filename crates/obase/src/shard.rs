@@ -33,7 +33,7 @@ use ruvo_term::{FastHashMap, FastHasher};
 
 /// Number of copy-on-write shards per index (a fixed power of two).
 ///
-/// 16 keeps a clone at 5 × 16 `Arc` bumps for the whole object base
+/// 16 keeps a clone at 4 × 16 `Arc` bumps for the whole object base
 /// and is the dirty-set unit of shard-delta checkpoints; it is part of
 /// the on-disk format.
 pub const SHARD_COUNT: usize = 16;
@@ -141,10 +141,6 @@ where
         self.leaf(key.slot())?.get(key)
     }
 
-    pub(crate) fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Total entries (O(leaves), not O(entries)).
     pub(crate) fn len(&self) -> usize {
         self.leaves().map(|l| l.len()).sum()
@@ -230,10 +226,6 @@ where
         self.leaf_mut(key.slot()).entry(key).or_default()
     }
 
-    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.leaf_mut(key.slot()).insert(key, value)
-    }
-
     /// Remove an entry. A miss does not unshare the slot.
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         let slot = key.slot();
@@ -294,7 +286,7 @@ mod tests {
     fn filled(n: u64) -> ShardedMap<u64, u64> {
         let mut m = ShardedMap::default();
         for i in 0..n {
-            m.insert(i, i * 10);
+            *m.get_or_default(i) = i * 10;
         }
         m
     }
@@ -332,7 +324,7 @@ mod tests {
         let original = filled(if cfg!(miri) { 300 } else { 2000 });
         let mut copy = original.clone();
         assert_eq!(copy.shards_shared_with(&original), SHARD_COUNT);
-        copy.insert(100, 1);
+        *copy.get_or_default(100) = 1;
         // One shard node and one of its leaves are copied; the other
         // 15 nodes and the written node's other 15 leaves stay shared.
         assert_eq!(copy.shards_shared_with(&original), SHARD_COUNT - 1);
@@ -341,7 +333,7 @@ mod tests {
         assert_eq!(copy.leaves_unshared_with(&original), 1);
         // A second write into another leaf of the same shard copies
         // that leaf only.
-        copy.insert(sibling_of(100), 1);
+        *copy.get_or_default(sibling_of(100)) = 1;
         assert_eq!(copy.shards_shared_with(&original), SHARD_COUNT - 1);
         assert_eq!(copy.leaves_unshared_in(&original, written), 2);
         // The original is untouched.
@@ -354,7 +346,6 @@ mod tests {
         let original = filled(64);
         let mut copy = original.clone();
         assert_eq!(copy.get(&3), Some(&30));
-        assert!(copy.contains_key(&3));
         assert_eq!(copy.iter().count(), 64);
         assert_eq!(copy.remove(&99_999), None);
         assert_eq!(copy.get_mut(&99_999), None);
@@ -371,9 +362,9 @@ mod tests {
         let original = filled(64);
         let mut copy = original.clone();
         assert_eq!(copy, original);
-        copy.insert(3, 30); // same value: unshared but still equal
+        *copy.get_or_default(3) = 30; // same value: unshared but still equal
         assert_eq!(copy, original);
-        copy.insert(3, 31);
+        *copy.get_or_default(3) = 31;
         assert_ne!(copy, original);
     }
 
@@ -399,14 +390,14 @@ mod tests {
         // nothing.
         assert_eq!(copy.get_mut(&99_999), None);
         assert_eq!(copy.remove(&99_999), None);
-        copy.insert(3, 30);
+        *copy.get_or_default(3) = 30;
         assert_eq!(copy.shards_differing(&original), [false; SHARD_COUNT]);
         // A real write differs in exactly its shard, and undoing it
         // makes the shard equal again.
-        copy.insert(1, 11);
+        *copy.get_or_default(1) = 11;
         let differing = copy.shards_differing(&original);
         assert!((0..SHARD_COUNT).all(|i| differing[i] == (i == 1u64.shard())));
-        copy.insert(1, 10);
+        *copy.get_or_default(1) = 10;
         assert_eq!(copy.shards_differing(&original), [false; SHARD_COUNT]);
         // A map rebuilt from scratch shares no allocation yet is equal.
         let rebuilt = filled(64);
@@ -421,7 +412,7 @@ mod tests {
         let key = (1000..).find(|k| original.leaf(k.slot()).is_none()).unwrap();
         let shard = key.shard();
         let mut copy = original.clone();
-        copy.insert(key, 1);
+        *copy.get_or_default(key) = 1;
         let differing = copy.shards_differing(&original);
         assert!((0..SHARD_COUNT).all(|i| differing[i] == (i == shard)));
         assert_ne!(copy, original);
@@ -433,7 +424,7 @@ mod tests {
         assert_eq!(original.shards_differing(&copy), [false; SHARD_COUNT]);
         assert_eq!(copy, original);
         // A non-empty leaf against an absent one differs, from either side.
-        copy.insert(key, 2);
+        *copy.get_or_default(key) = 2;
         assert!(original.shards_differing(&copy)[shard]);
         assert!(copy.shards_differing(&original)[shard]);
     }

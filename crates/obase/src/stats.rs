@@ -37,7 +37,7 @@ impl fmt::Display for ObStats {
 /// which has duplicated 16 leaf pointers plus the leaves written.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CowStats {
-    /// Sharded maps per object base (the version table + 4 indexes).
+    /// Sharded maps per object base (the version table + 3 indexes).
     pub indexes: usize,
     /// Copy-on-write shards per map ([`crate::SHARD_COUNT`]).
     pub shards_per_index: usize,

@@ -520,3 +520,37 @@ fn open_dir_without_data_dir_is_a_typed_misuse() {
     assert_eq!(err.kind(), ErrorKind::Storage);
     assert!(err.to_string().contains("data_dir"), "got: {err}");
 }
+
+/// A head that is not flat — one object with its initial, `ins` and
+/// `mod(ins)` versions in the version table — survives a full
+/// checkpoint, the §5 commit that flattens it, a delta checkpoint that
+/// must remove the two dropped versions, and a reopen.
+#[test]
+fn a_non_flat_head_survives_full_and_delta_checkpoints() {
+    let dir = tmp_dir("non-flat");
+    let mut db = Database::builder()
+        .data_dir(&dir)
+        .seed_src("o.p -> 1. ins(o).p -> 2. mod(ins(o)).p -> 3. other.p -> 5.")
+        .unwrap()
+        .open_dir()
+        .unwrap();
+    assert!(!db.current().is_flat());
+    assert_eq!(db.current().versions_of(oid("o")).count(), 3);
+    assert!(matches!(db.compact().unwrap(), store::CheckpointOutcome::Full { .. }));
+    drop(db);
+    let mut db = Database::open_dir(&dir).unwrap();
+    assert_eq!(db.current().versions_of(oid("o")).count(), 3, "the full checkpoint kept them");
+    db.apply_src("ins[other].q -> 6.").unwrap();
+    assert!(db.current().is_flat());
+    assert_eq!(db.current().versions_of(oid("o")).count(), 1);
+    match db.checkpoint().unwrap() {
+        store::CheckpointOutcome::Delta { dirty_shards, .. } => assert!(dirty_shards >= 1),
+        other => panic!("expected a delta, got {other:?}"),
+    }
+    let head = db.current().clone();
+    drop(db);
+    let reopened = Database::open_dir(&dir).unwrap();
+    assert_eq!(reopened.current(), &head);
+    assert_eq!(reopened.current().versions_of(oid("o")).count(), 1);
+    reopened.current().check_invariants();
+}
