@@ -15,7 +15,6 @@
 //!     --result        print result(P) (all versions) instead of ob′
 //!     --stats         print evaluation statistics
 //!     --trace         print per-stratum and per-round traces
-//!     --no-linearity  disable the §5 runtime check
 //!     --dynamic       accept statically non-stratifiable programs
 //!                     under the runtime stability check (§6 extension)
 //! ruvo serve   <base.ob> <program.ruvo>       concurrent serving demo
@@ -48,7 +47,7 @@ fn usage() -> ExitCode {
         "usage:\n  ruvo check   <program.ruvo> [--json] [--deps] [--dot] [--deny]\n  \
          ruvo explain <program.ruvo>\n  \
          ruvo fmt     <program.ruvo>\n  ruvo run     <program.ruvo> <base.ob> \
-         [--result] [--stats] [--trace] [--no-linearity] [--dynamic]\n  \
+         [--result] [--stats] [--trace] [--dynamic]\n  \
          ruvo serve   <base.ob> <program.ruvo> [--readers N] [--commits K] \
          [--data-dir D] [--ack-file F]\n  \
          ruvo recover <data-dir> [--compact]\n  \
@@ -149,9 +148,7 @@ fn main() -> ExitCode {
             let mut flags: Vec<&str> = Vec::new();
             for arg in args[3..].iter().map(String::as_str) {
                 match arg {
-                    "--result" | "--stats" | "--trace" | "--no-linearity" | "--dynamic" => {
-                        flags.push(arg)
-                    }
+                    "--result" | "--stats" | "--trace" | "--dynamic" => flags.push(arg),
                     unknown => {
                         eprintln!("error: unknown flag {unknown}");
                         return usage();
@@ -173,7 +170,6 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             };
             let mut db = Database::builder()
-                .check_linearity(!flags.contains(&"--no-linearity"))
                 .cycle_policy(if flags.contains(&"--dynamic") {
                     CyclePolicy::RuntimeStability
                 } else {
@@ -189,7 +185,7 @@ fn main() -> ExitCode {
             };
             // --result inspects result(P) without extracting ob′, so it
             // must not hit the commit gate: a dry-run `evaluate` keeps
-            // non-version-linear results printable (--no-linearity).
+            // the result of a branching seeded base printable.
             let show_result = flags.contains(&"--result");
             let outcome = if show_result {
                 match db.evaluate(&prepared) {

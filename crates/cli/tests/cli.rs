@@ -275,20 +275,6 @@ fn linearity_violation_is_reported() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("version-linearity"), "got: {stderr}");
-
-    // With the §5 check disabled, --result must still let the user
-    // inspect the raw (non-linear) result(P).
-    let out = ruvo(&[
-        "run",
-        prog.to_str().unwrap(),
-        base.to_str().unwrap(),
-        "--no-linearity",
-        "--result",
-    ]);
-    assert!(out.status.success(), "got: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("mod(o).m -> b"), "got: {stdout}");
-    assert!(stdout.contains("del(o).exists -> o"), "got: {stdout}");
 }
 
 #[test]
@@ -299,7 +285,7 @@ fn usage_on_bad_invocation() {
     let out = ruvo(&["run", "a", "b", "--bogus"]);
     assert!(!out.status.success());
     // Retired flags take the same exit as any unknown one.
-    for flag in ["--naive", "--parallel", "--threads"] {
+    for flag in ["--naive", "--parallel", "--threads", "--no-linearity"] {
         let out = ruvo(&["run", "a", "b", flag]);
         assert_eq!(out.status.code(), Some(2));
         let stderr = String::from_utf8(out.stderr).unwrap();

@@ -436,12 +436,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// §5 runtime version-linearity check (default on).
-    pub fn check_linearity(mut self, on: bool) -> Self {
-        self.config.check_linearity = on;
-        self
-    }
-
     /// No-op: evaluation is serial. Sole caller `benchmark/src/layers.rs:345-347` (ROADMAP item 2).
     #[doc(hidden)]
     pub fn parallel(self, _on: bool) -> Self {
@@ -732,9 +726,10 @@ impl Database {
     /// **without committing**: a dry run. The full [`Outcome`]
     /// (including `result(P)` with every version, traces and stats)
     /// is returned and the database is unchanged — even for results
-    /// that would fail the §5 commit gate, which makes this the way
-    /// to inspect non-version-linear results under
-    /// [`DatabaseBuilder::check_linearity`]`(false)`.
+    /// that would fail the §5 commit gate, which only a branching
+    /// seeded head (`ins(o)` beside `del(o)`) produces: its
+    /// [`Outcome::new_object_base`] panics, and
+    /// [`Outcome::try_new_object_base`] reports the violation.
     ///
     /// The working copy is an O(shards) copy-on-write clone of the
     /// committed base (see [`Session::prepared_work`]), so a what-if
@@ -1199,15 +1194,14 @@ mod tests {
         assert_eq!(outcome.new_object_base().lookup1(oid("henry"), "sal"), vec![int(275)]);
         assert_eq!(db.current().lookup1(oid("henry"), "sal"), vec![int(250)]);
         assert!(db.is_empty());
-        // With the §5 check off, evaluate exposes non-linear results
-        // that apply would refuse to commit.
-        let mut loose = Database::builder().check_linearity(false).open_src("o.m -> a.").unwrap();
-        let branchy =
-            loose.prepare("mod[o].m -> (a, b) <= o.m -> a. del[o].m -> a <= o.m -> a.").unwrap();
-        let outcome = loose.evaluate(&branchy).unwrap();
+        // On a branching seeded head, evaluate exposes the non-linear
+        // result that apply refuses to commit.
+        let mut branchy = Database::open_src("o.m -> a. ins(o).m -> b. del(o).m -> c.").unwrap();
+        let unrelated = branchy.prepare("ins[z].p -> 1.").unwrap();
+        let outcome = branchy.evaluate(&unrelated).unwrap();
         assert!(outcome.try_new_object_base().is_err(), "result is non-linear");
         assert!(!outcome.result().is_empty(), "result(P) is still inspectable");
-        assert_eq!(loose.apply(&branchy).unwrap_err().kind(), ErrorKind::Linearity);
+        assert_eq!(branchy.apply(&unrelated).unwrap_err().kind(), ErrorKind::Linearity);
     }
 
     #[test]

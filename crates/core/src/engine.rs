@@ -56,8 +56,13 @@
 //! ## Version linearity (§5)
 //!
 //! Every version touched by an applied update is recorded in a
-//! [`LinearityTracker`]; the paper's runtime check rejects the program
-//! at the first pair of incomparable versions of one object.
+//! [`LinearityTracker`], and on an object's first touch so are the
+//! versions the run started from; the paper's runtime check rejects
+//! the program at the first pair of incomparable versions of one
+//! object. The check is not optional. [`Outcome::final_versions`]
+//! takes each object's deepest version in `result(P)` and validates
+//! the objects the run never touched, so a branching seeded head
+//! fails at extraction, with the same [`LinearityViolation`].
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -92,10 +97,6 @@ pub enum CyclePolicy {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// §5 runtime version-linearity check (default on). Off backs the
-    /// CLI's `--no-linearity` and the §6 [`FinalVersionPolicy`]
-    /// extension; `new_object_base` then validates lazily.
-    pub check_linearity: bool,
     /// Safety valve for the per-stratum fixpoint loop.
     pub max_rounds_per_stratum: usize,
     /// Handling of statically non-stratifiable programs (§6 extension).
@@ -104,11 +105,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            check_linearity: true,
-            max_rounds_per_stratum: 1_000_000,
-            cycles: CyclePolicy::Reject,
-        }
+        EngineConfig { max_rounds_per_stratum: 1_000_000, cycles: CyclePolicy::Reject }
     }
 }
 
@@ -305,7 +302,7 @@ pub fn run_compiled(
     let started = Instant::now();
     let CompiledProgram { program, stratification, risky, triggers, index_plan, .. } = compiled;
 
-    let mut tracker = config.check_linearity.then(LinearityTracker::new);
+    let mut tracker = LinearityTracker::new();
     let mut stats = EvalStats::default();
     let ctx = RoundCtx { program, plans: index_plan };
     let mut stratum_traces = Vec::new();
@@ -401,9 +398,17 @@ pub fn run_compiled(
             round_traces.last_mut().expect("pushed this round").touched = report.touched.len();
             stats.versions_created += report.created.len();
             stats.facts_copied += report.facts_copied;
-            if let Some(tr) = &mut tracker {
-                for &v in &report.touched {
-                    tr.record(v)?;
+            for &v in &report.touched {
+                let tracked = tracker.len();
+                tracker.record(v)?;
+                // A new entry is the object's first touch: record the
+                // versions the run started from too, so a version
+                // branching off one fails here, in the round that
+                // creates it.
+                if tracker.len() > tracked {
+                    for w in work.versions_of(v.base()) {
+                        tracker.record(w)?;
+                    }
                 }
             }
             total_changed.merge(&report.changed);
@@ -481,28 +486,6 @@ fn rule_triggers(rule: &Rule) -> Option<FastHashSet<(Chain, Symbol)>> {
     Some(out)
 }
 
-/// How to pick each object's contribution to `ob'` when `result(P)` is
-/// *not* version-linear — §6's "alternatives to version-linearity may
-/// be interesting", made concrete.
-///
-/// Only meaningful together with `check_linearity: false` (the default
-/// runtime check rejects non-linear results before extraction).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FinalVersionPolicy {
-    /// The paper's §5 rule: reject non-linear version sets.
-    #[default]
-    RequireLinear,
-    /// Per object, the deepest *maximal* version wins; equal depths are
-    /// resolved by the total order on update chains (deterministic but
-    /// arbitrary — "the update branch that got furthest").
-    DeepestWins,
-    /// Union the states of all maximal versions. Branches are treated
-    /// as independent update threads whose effects combine — natural
-    /// under the language's set-valued method semantics, and the
-    /// analogue of version-merge in OODB versioning \[Kim91\].
-    MergeMaximal,
-}
-
 /// The result of a successful run.
 #[derive(Clone, Debug)]
 pub struct Outcome {
@@ -511,7 +494,7 @@ pub struct Outcome {
     stats: EvalStats,
     stratum_traces: Vec<StratumTrace>,
     round_traces: Vec<RoundTrace>,
-    finals: Option<LinearityTracker>,
+    finals: LinearityTracker,
     changed: ChangedSince,
 }
 
@@ -548,20 +531,17 @@ impl Outcome {
         &self.changed
     }
 
-    /// How many objects the run touched, or `None` when it ran without
-    /// the runtime linearity check and so kept no record of them.
-    pub(crate) fn touched_objects(&self) -> Option<usize> {
-        self.finals.as_ref().map(LinearityTracker::len)
+    /// How many objects the run touched.
+    pub(crate) fn touched_objects(&self) -> usize {
+        self.finals.len()
     }
 
     /// Each object the run touched, with the state of its final version
-    /// (§5). Empty when the run kept no record (see
-    /// [`Outcome::touched_objects`]).
+    /// (§5): the tracker recorded every version of a touched object.
     pub(crate) fn touched_finals(
         &self,
     ) -> impl Iterator<Item = (Const, Option<&Arc<VersionState>>)> + '_ {
-        let finals = self.finals.iter().flat_map(LinearityTracker::iter);
-        finals.map(|(base, fv)| (base, self.result.version_shared(fv)))
+        self.finals.iter().map(|(base, fv)| (base, self.result.version_shared(fv)))
     }
 
     /// Drop `result(P)`, the traces and the final-version record,
@@ -574,106 +554,36 @@ impl Outcome {
         self.result = EMPTY.get_or_init(ObjectBase::new).clone();
         self.stratum_traces = Vec::new();
         self.round_traces = Vec::new();
-        self.finals = None;
+        self.finals = LinearityTracker::new();
     }
 
-    /// The final version of every object in `result(P)` (§5), validated
-    /// for version-linearity when the runtime check was disabled.
+    /// The final version of every object in `result(P)` (§5): the
+    /// version "whose VID contains all VIDs of the other versions of
+    /// o", i.e. the deepest one. The run-time check saw only the
+    /// objects the run touched, so this validates every object's
+    /// versions, including those of objects the run never touched.
     pub fn final_versions(&self) -> Result<FastHashMap<Const, Vid>, LinearityViolation> {
-        let mut out: FastHashMap<Const, Vid> = FastHashMap::default();
-        match &self.finals {
-            Some(tracker) => {
-                for base in self.result.objects() {
-                    out.insert(base, tracker.final_version(base));
-                }
-            }
-            None => {
-                for base in self.result.objects() {
-                    let mut deepest = Vid::object(base);
-                    for v in self.result.versions_of(base) {
-                        if deepest.is_subterm_of(v) {
-                            deepest = v;
-                        }
-                    }
-                    for v in self.result.versions_of(base) {
-                        if !v.is_subterm_of(deepest) {
-                            return Err(LinearityViolation {
-                                object: base,
-                                existing: deepest,
-                                conflicting: v,
-                            });
-                        }
-                    }
-                    out.insert(base, deepest);
-                }
-            }
+        Ok(self.every_version()?.iter().collect())
+    }
+
+    /// Every version of `result(P)` recorded in one tracker, which
+    /// keeps each object's deepest.
+    fn every_version(&self) -> Result<LinearityTracker, LinearityViolation> {
+        let mut all = LinearityTracker::new();
+        for v in self.result.versions() {
+            all.record(v)?;
         }
-        Ok(out)
+        Ok(all)
     }
 
     /// §5: derive the updated object base `ob'` by copying, for each
     /// object, the method-applications of its final version (objects
     /// whose final state is empty — only `exists` defined — disappear).
     pub fn try_new_object_base(&self) -> Result<ObjectBase, LinearityViolation> {
-        let finals = self.final_versions()?;
+        let finals = self.every_version()?;
         Ok(base_of_finals(
-            finals.into_iter().map(|(base, fv)| (base, self.result.version_shared(fv).cloned())),
+            finals.iter().map(|(base, fv)| (base, self.result.version_shared(fv).cloned())),
         ))
-    }
-
-    /// The *maximal* versions of an object in `result(P)`: those that
-    /// are not a proper subterm of another version. A version-linear
-    /// object has exactly one; branches have one per leaf.
-    pub fn maximal_versions(&self, base: Const) -> Vec<Vid> {
-        let versions: Vec<Vid> = self.result.versions_of(base).collect();
-        let mut out: Vec<Vid> = versions
-            .iter()
-            .copied()
-            .filter(|&v| !versions.iter().any(|&w| w != v && v.is_subterm_of(w)))
-            .collect();
-        out.sort_by_key(|v| (v.depth(), v.chain()));
-        out
-    }
-
-    /// §5 extraction under an explicit [`FinalVersionPolicy`].
-    ///
-    /// `RequireLinear` is [`Outcome::try_new_object_base`]; the other
-    /// policies never fail and resolve version branches as documented
-    /// on the enum. On version-linear results all three agree.
-    pub fn new_object_base_with(
-        &self,
-        policy: FinalVersionPolicy,
-    ) -> Result<ObjectBase, LinearityViolation> {
-        if policy == FinalVersionPolicy::RequireLinear {
-            return self.try_new_object_base();
-        }
-        let finals = self.result.objects().map(|base| {
-            let maximal = self.maximal_versions(base);
-            let chosen: &[Vid] = match policy {
-                FinalVersionPolicy::RequireLinear => unreachable!("handled above"),
-                // maximal_versions sorts ascending by (depth, chain);
-                // the last entry is the deepest (tie-broken) winner.
-                FinalVersionPolicy::DeepestWins => {
-                    maximal.last().map(std::slice::from_ref).unwrap_or(&[])
-                }
-                FinalVersionPolicy::MergeMaximal => &maximal,
-            };
-            // One chosen state is adopted as-is; several are merged.
-            let mut merged: Option<Arc<VersionState>> = None;
-            for state in chosen.iter().filter_map(|&v| self.result.version_shared(v)) {
-                match &mut merged {
-                    None => merged = Some(Arc::clone(state)),
-                    Some(m) => {
-                        let m = Arc::make_mut(m);
-                        for (method, app) in state.iter() {
-                            m.insert(method, app.clone());
-                        }
-                    }
-                }
-            }
-            (base, merged)
-        });
-        Ok(base_of_finals(finals))
     }
 
     /// The version timeline of one object in `result(P)` (see
@@ -685,20 +595,18 @@ impl Outcome {
 
     /// Like [`Outcome::try_new_object_base`].
     ///
-    /// Library consumers running with
-    /// [`EngineConfig::check_linearity`]`: false` (or
-    /// [`crate::DatabaseBuilder::check_linearity`]`(false)`) should
-    /// call [`Outcome::try_new_object_base`] instead and surface the
-    /// violation as [`crate::ErrorKind::Linearity`] — this convenience
-    /// wrapper is for contexts where the result is known linear
-    /// (the check was on, so a non-linear result already failed the
-    /// run) and a violation would be a programming error.
+    /// The run-time check rejects every non-linear version the run
+    /// creates, so `result(P)` is non-linear only when the base the
+    /// run started from was: a seeded head holding branching versions
+    /// of one object (`ins(o)` beside `del(o)`). Library consumers
+    /// that evaluate such bases should call
+    /// [`Outcome::try_new_object_base`] instead and surface the
+    /// violation as [`crate::ErrorKind::Linearity`].
     ///
     /// # Panics
-    /// Panics on a version-linearity violation — only possible when the
-    /// engine ran with `check_linearity: false`. The panic is
-    /// attributed to the caller (`#[track_caller]`) and names the
-    /// violating version pair.
+    /// Panics on a version-linearity violation — only possible on a
+    /// branching seeded head. The panic is attributed to the caller
+    /// (`#[track_caller]`) and names the violating version pair.
     #[track_caller]
     pub fn new_object_base(&self) -> ObjectBase {
         self.try_new_object_base().unwrap_or_else(|v| {
@@ -840,16 +748,27 @@ mod tests {
     }
 
     #[test]
-    fn linearity_check_disabled_defers_error() {
-        let ob = ObjectBase::parse("o.m -> a.").unwrap();
-        let program = Program::parse(
-            "mod[o].m -> (a, b) <= o.m -> a.
-             del[o].m -> a <= o.m -> a.",
-        )
-        .unwrap();
-        let config = EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = run_with(program, config, &ob).unwrap();
-        assert!(outcome.try_new_object_base().is_err());
+    fn final_versions_read_the_starting_base_too() {
+        // A non-flat, linear starting base: `o`'s final version is the
+        // deepest one, though the run never touches `o`.
+        let ob =
+            ObjectBase::parse("o.p -> 1. ins(o).p -> 2. mod(ins(o)).p -> 3. z.q -> 0.").unwrap();
+        let program = Program::parse("ins[z].r -> 1 <= z.q -> 0.").unwrap();
+        let outcome = run_default(program.clone(), &ob).unwrap();
+        assert_eq!(outcome.touched_objects(), 1);
+        assert_eq!(outcome.new_object_base().lookup1(oid("o"), "p"), vec![int(3)]);
+        // A branching starting base runs, but has no `ob′`.
+        let ob = ObjectBase::parse("o.p -> 1. ins(o).p -> 2. del(o).p -> 3. z.q -> 0.").unwrap();
+        let outcome = run_default(program, &ob).unwrap();
+        assert_eq!(outcome.try_new_object_base().unwrap_err().object, oid("o"));
+        // A version the run creates beside one it started from fails
+        // the run-time check, in the round that creates it.
+        let ob = ObjectBase::parse("o.p -> 1. mod(o).p -> 2.").unwrap();
+        let program = Program::parse("ins[o].q -> 1 <= o.p -> 1.").unwrap();
+        match run_default(program, &ob).unwrap_err() {
+            EvalError::Linearity(v) => assert_eq!(v.object, oid("o")),
+            other => panic!("expected linearity violation, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1152,75 +1071,14 @@ mod tests {
         assert_eq!(strict.stratification().strata, relaxed.stratification().strata);
     }
 
-    #[test]
-    fn final_version_policies_on_branching_result() {
-        // ins(o) and mod(o) branch off the initial version: ins adds
-        // extra -> 1 (keeping m -> a), mod rewrites m to b.
-        let ob = ObjectBase::parse("o.m -> a.").unwrap();
-        let program = Program::parse(
-            "mod[o].m -> (a, b) <= o.m -> a.
-             ins[o].extra -> 1 <= o.m -> a.",
-        )
-        .unwrap();
-        let config = EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = run_with(program, config, &ob).unwrap();
-
-        // The paper's policy rejects.
-        assert!(outcome.new_object_base_with(FinalVersionPolicy::RequireLinear).is_err());
-
-        // Two maximal versions, sorted ins(o) < mod(o) (chain order).
-        let maximal = outcome.maximal_versions(oid("o"));
-        assert_eq!(maximal.len(), 2);
-        assert!(maximal[0].chain() < maximal[1].chain());
-
-        // DeepestWins: equal depth, mod(o) wins the chain tie-break.
-        let deep = outcome.new_object_base_with(FinalVersionPolicy::DeepestWins).unwrap();
-        assert_eq!(deep.lookup1(oid("o"), "m"), vec![oid("b")]);
-        assert_eq!(deep.lookup1(oid("o"), "extra"), vec![]);
-
-        // MergeMaximal: union of both branches.
-        let merged = outcome.new_object_base_with(FinalVersionPolicy::MergeMaximal).unwrap();
-        let mut m = merged.lookup1(oid("o"), "m");
-        m.sort();
-        assert_eq!(m, vec![oid("a"), oid("b")]);
-        assert_eq!(merged.lookup1(oid("o"), "extra"), vec![int(1)]);
-    }
-
-    #[test]
-    fn final_version_policies_agree_on_linear_results() {
-        let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
-        let program = Program::parse(
-            "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = S * 1.1.
-             ins[mod(E)].isa -> hpe <= mod(E).sal -> S & S > 270.",
-        )
-        .unwrap();
-        let outcome = run_default(program, &ob).unwrap();
-        let linear = outcome.try_new_object_base().unwrap();
-        for policy in [FinalVersionPolicy::DeepestWins, FinalVersionPolicy::MergeMaximal] {
-            assert_eq!(outcome.new_object_base_with(policy).unwrap(), linear, "{policy:?}");
-        }
-        assert_eq!(outcome.maximal_versions(oid("henry")).len(), 1);
-    }
-
-    /// §5 the slow way: insert every fact of each object's chosen final
-    /// versions, one by one, into an empty base.
-    fn ob_prime_fact_by_fact(outcome: &Outcome, policy: FinalVersionPolicy) -> ObjectBase {
+    /// §5 the slow way: insert every fact of each object's final
+    /// version, one by one, into an empty base.
+    fn ob_prime_fact_by_fact(outcome: &Outcome) -> ObjectBase {
         let mut out = ObjectBase::new();
-        for base in outcome.result().objects() {
-            let chosen = match policy {
-                FinalVersionPolicy::RequireLinear => {
-                    vec![outcome.final_versions().unwrap()[&base]]
-                }
-                FinalVersionPolicy::DeepestWins => {
-                    outcome.maximal_versions(base).last().copied().into_iter().collect()
-                }
-                FinalVersionPolicy::MergeMaximal => outcome.maximal_versions(base),
-            };
-            for v in chosen {
-                let Some(state) = outcome.result().version(v) else { continue };
-                for (method, app) in state.iter() {
-                    out.insert(Vid::object(base), method, app.args.clone(), app.result);
-                }
+        for (base, v) in outcome.final_versions().unwrap() {
+            let Some(state) = outcome.result().version(v) else { continue };
+            for (method, app) in state.iter() {
+                out.insert(Vid::object(base), method, app.args.clone(), app.result);
             }
         }
         out
@@ -1243,7 +1101,7 @@ mod tests {
         .unwrap();
         let outcome = run_default(program, &ob).unwrap();
         let linear = outcome.try_new_object_base().unwrap();
-        let slow = ob_prime_fact_by_fact(&outcome, FinalVersionPolicy::RequireLinear);
+        let slow = ob_prime_fact_by_fact(&outcome);
         assert_eq!(linear, slow);
         assert_eq!(linear.facts_sorted(), slow.facts_sorted());
         assert_eq!(linear.len(), slow.len());
@@ -1252,24 +1110,18 @@ mod tests {
         assert_eq!(linear.lookup1(oid("phil"), "isa"), vec![oid("empl"), oid("hpe")]);
         assert!(linear.is_flat());
 
-        // Branching results: one chosen state adopted, several merged.
-        let ob = ObjectBase::parse("o.m -> a. p.m -> a.").unwrap();
-        let program = Program::parse(
-            "mod[o].m -> (a, b) <= o.m -> a.
-             ins[o].extra -> 1 <= o.m -> a.
-             del[p].m -> a <= p.m -> a.",
-        )
-        .unwrap();
-        let config = EngineConfig { check_linearity: false, ..Default::default() };
-        let outcome = run_with(program, config, &ob).unwrap();
-        for policy in [FinalVersionPolicy::DeepestWins, FinalVersionPolicy::MergeMaximal] {
-            let adopted = outcome.new_object_base_with(policy).unwrap();
-            let slow = ob_prime_fact_by_fact(&outcome, policy);
-            assert_eq!(adopted, slow, "{policy:?}");
-            assert_eq!(adopted.facts_sorted(), slow.facts_sorted(), "{policy:?}");
-            adopted.check_invariants();
-            assert!(adopted.objects().all(|base| base == oid("o")), "p's final state is empty");
-        }
+        // A non-flat starting base: untouched `o` adopts its deepest
+        // state, touched `p` empties and disappears.
+        let ob = ObjectBase::parse("o.m -> a. ins(o).m -> b. p.m -> a.").unwrap();
+        let program = Program::parse("del[p].m -> a <= p.m -> a.").unwrap();
+        let outcome = run_default(program, &ob).unwrap();
+        let adopted = outcome.try_new_object_base().unwrap();
+        let slow = ob_prime_fact_by_fact(&outcome);
+        assert_eq!(adopted, slow);
+        assert_eq!(adopted.facts_sorted(), slow.facts_sorted());
+        adopted.check_invariants();
+        assert_eq!(adopted.lookup1(oid("o"), "m"), vec![oid("b")]);
+        assert!(adopted.objects().all(|base| base == oid("o")), "p's final state is empty");
     }
 
     #[test]

@@ -47,9 +47,7 @@ pub mod truth;
 pub use check::{CheckReport, Commutativity, CommutativityMatrix, SourceCheck};
 pub use database::{Database, DatabaseBuilder, Error, ErrorKind, Prepared, Transaction};
 pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, WriteSet};
-pub use engine::{
-    run_compiled, CompiledProgram, CyclePolicy, EngineConfig, FinalVersionPolicy, Outcome,
-};
+pub use engine::{run_compiled, CompiledProgram, CyclePolicy, EngineConfig, Outcome};
 pub use error::EvalError;
 pub use history::{history, History, HistoryStep};
 pub use plan::{IndexPlan, RuleIndexPlan, ScanHint};

@@ -330,9 +330,8 @@ impl Session {
         if self.commits_narrow(&outcome) {
             self.edit_head(&outcome);
         } else {
-            // try_new_object_base cannot fail here when the linearity
-            // check is on; with the check disabled this is the commit
-            // gate.
+            // The run-time check saw only what the run touched; a
+            // branching seeded head fails here, the §5 commit gate.
             self.ob = Arc::new(outcome.try_new_object_base()?);
         }
         self.log.push(Txn { seq: self.log.len(), outcome, facts_after: self.ob.len() });
@@ -341,11 +340,11 @@ impl Session {
 
     /// Whether `outcome` commits by editing the head
     /// ([`Session::edit_head`]) rather than by the §5 rebuild: the run
-    /// kept its final versions, touched at most one object in
+    /// touched at most one object in
     /// [`NARROW_COMMIT_SHARE`] of the head's, and the head is flat.
     /// Decided in O(shards + relations), before anything is collected.
     fn commits_narrow(&self, outcome: &Outcome) -> bool {
-        outcome.touched_objects().is_some_and(|n| n * NARROW_COMMIT_SHARE <= self.ob.object_count())
+        outcome.touched_objects() * NARROW_COMMIT_SHARE <= self.ob.object_count()
             && self.ob.is_flat()
     }
 
@@ -903,7 +902,7 @@ mod tests {
                     let _rebuilt = outcome.try_new_object_base().unwrap();
                     rebuild.push(t.elapsed().as_secs_f64() * 1e3);
                 }
-                let touched = outcome.touched_objects().unwrap();
+                let touched = outcome.touched_objects();
                 println!(
                     "{name:<7} {touched:>8} {:>7.4} {:>8.2} {:>11.2}",
                     touched as f64 / n as f64,

@@ -429,14 +429,9 @@ mod tests {
 
     #[test]
     fn non_linear_store_yields_none() {
-        let ob = ObjectBase::parse("o.m -> a.").unwrap();
-        let program = Program::parse(
-            "mod[o].m -> (a, b) <= o.m -> a.
-             ins[o].extra -> 1 <= o.m -> a.",
-        )
-        .unwrap();
-        let outcome = evaluate(&Database::builder().check_linearity(false).open(ob), program);
-        assert!(Timeline::of(outcome.result(), oid("o")).is_none());
+        let ob = ObjectBase::parse("o.m -> a. mod(o).m -> b. ins(o).m -> a. ins(o).extra -> 1.")
+            .unwrap();
+        assert!(Timeline::of(&ob, oid("o")).is_none());
     }
 
     #[test]

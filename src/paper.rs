@@ -96,7 +96,8 @@
 //!
 //! Version-linearity and its runtime check:
 //! [`crate::obase::LinearityTracker`] (the paper's keep-the-most-recent
-//! -VID scheme, O(1) per version); final versions and `ob′` extraction:
+//! -VID scheme, O(1) per version; always on); final versions (each
+//! object's deepest) and `ob′` extraction:
 //! [`crate::core::Outcome::try_new_object_base`]. Objects whose final
 //! state holds only `exists` (an empty state) vanish, as prescribed;
 //! [`crate::core::Session::new`] drops such versions from a base it
@@ -104,7 +105,7 @@
 //!
 //! ## §6 Conclusion (future work) — implemented extensions
 //!
-//! Every direction the conclusion names is implemented:
+//! Every direction the conclusion names but one is implemented:
 //!
 //! * "quantify over VIDs in addition to OIDs … carefully not to
 //!   destroy the termination properties" → `$V` variables
@@ -113,9 +114,10 @@
 //! * "stratification or related criteria which allow to accept a
 //!   broader class of programs" → runtime stability checking
 //!   ([`crate::core::CyclePolicy`], [`crate::core::stratify::stratify_relaxed`]);
-//! * "alternatives to version-linearity" →
-//!   [`crate::core::FinalVersionPolicy`] (deepest-wins / merge-maximal
-//!   extraction of branching results);
+//! * "alternatives to version-linearity" → tried and removed: a
+//!   deepest-wins and a merge-maximal extraction differ from §5 only
+//!   on a non-linear `result(P)`, which the always-on runtime check
+//!   never lets a run produce, so nothing could reach them;
 //! * "derived objects" → [`crate::datalog::bridge`] (Datalog views
 //!   over the flat `ob′`, outside the update fixpoint);
 //! * "relationship to temporal logics" → [`mod@crate::core::history`]

@@ -202,13 +202,13 @@ fn errors_unify_the_layer_types() {
     // The session under every handle reports the same type: a
     // savepoint this database never took is unknown, and a commit the
     // §5 gate refuses is a linearity error.
-    let mut db = Database::builder().check_linearity(false).open_src("o.m -> a.").unwrap();
+    let mut db = Database::open_src(BRANCHING_SEED).unwrap();
     let foreign = Database::open(ObjectBase::new()).savepoint();
     let e = db.rollback_to(foreign).unwrap_err();
     assert_eq!(e.kind(), ErrorKind::UnknownSavepoint);
     assert!(e.to_string().contains("unknown or invalidated savepoint"));
-    let branchy = db.prepare("mod[o].m -> (a, b) <= o.m -> a. del[o].m -> a <= o.m -> a.").unwrap();
-    let outcome = db.evaluate(&branchy).unwrap();
+    let unrelated = db.prepare(UNRELATED).unwrap();
+    let outcome = db.evaluate(&unrelated).unwrap();
     let e: Error = db.session().clone().commit(outcome).map(|_| ()).unwrap_err();
     assert_eq!(e.kind(), ErrorKind::Linearity);
 }
@@ -313,34 +313,37 @@ fn database_roundtrips_binary_snapshots() {
     assert_eq!(err.kind(), ErrorKind::Snapshot);
 }
 
-/// Panic-path audit for `check_linearity(false)` consumers: every
-/// library path that can encounter a non-version-linear result must
+/// A seeded head whose object `o` has two incomparable versions.
+const BRANCHING_SEED: &str = "o.m -> a. ins(o).m -> b. del(o).m -> c. z.q -> 0.";
+/// A program that never touches `o`.
+const UNRELATED: &str = "ins[z].r -> 1 <= z.q -> 0.";
+
+/// Panic-path audit: the run-time §5 check rejects every non-linear
+/// version a run creates, so only a branching seeded head reaches
+/// extraction non-linear, and every library path that meets one must
 /// surface `ErrorKind::Linearity` — the panicking
-/// `Outcome::new_object_base` is reserved for results the §5 check
-/// already validated.
+/// `Outcome::new_object_base` is reserved for linear results.
 #[test]
-fn linearity_off_surfaces_errors_instead_of_panicking() {
-    const BRANCHY: &str = "
-        mod[o].m -> (a, b) <= o.m -> a.
-        del[o].m -> a <= o.m -> a.
-    ";
+fn branching_seed_surfaces_errors_instead_of_panicking() {
     // Path 1: apply — the commit gate rejects the result.
-    let mut db = Database::builder().check_linearity(false).open_src("o.m -> a.").unwrap();
-    let branchy = db.prepare(BRANCHY).unwrap();
-    assert_eq!(db.apply(&branchy).unwrap_err().kind(), ErrorKind::Linearity);
+    let mut db = Database::open_src(BRANCHING_SEED).unwrap();
+    let head = db.current().clone();
+    let unrelated = db.prepare(UNRELATED).unwrap();
+    assert_eq!(db.apply(&unrelated).unwrap_err().kind(), ErrorKind::Linearity);
     assert!(db.is_empty(), "failed apply must not commit");
+    assert_eq!(db.current(), &head);
 
     // Path 2: evaluate — the dry run succeeds, extraction reports.
-    let outcome = db.evaluate(&branchy).unwrap();
+    let outcome = db.evaluate(&unrelated).unwrap();
     let violation = outcome.try_new_object_base().unwrap_err();
     assert_eq!(Error::from(violation).kind(), ErrorKind::Linearity);
 
     // Path 3: the serving layer — same gate, same error kind, and the
     // published head never moves.
-    let serving =
-        Database::builder().check_linearity(false).open_src("o.m -> a.").unwrap().into_serving();
-    let branchy = serving.prepare(BRANCHY).unwrap();
-    assert_eq!(serving.apply(&branchy).unwrap_err().kind(), ErrorKind::Linearity);
+    let serving = Database::open_src(BRANCHING_SEED).unwrap().into_serving();
+    let unrelated = serving.prepare(UNRELATED).unwrap();
+    assert_eq!(serving.apply(&unrelated).unwrap_err().kind(), ErrorKind::Linearity);
     assert_eq!(serving.epoch(), 0);
     assert_eq!(serving.commits(), 0);
+    assert_eq!(&*serving.current(), &head);
 }

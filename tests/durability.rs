@@ -543,6 +543,7 @@ fn a_non_flat_head_survives_full_and_delta_checkpoints() {
     db.apply_src("ins[other].q -> 6.").unwrap();
     assert!(db.current().is_flat());
     assert_eq!(db.current().versions_of(oid("o")).count(), 1);
+    assert_eq!(db.current().lookup1(oid("o"), "p"), vec![int(3)], "§5: the deepest version");
     match db.checkpoint().unwrap() {
         store::CheckpointOutcome::Delta { dirty_shards, .. } => assert!(dirty_shards >= 1),
         other => panic!("expected a delta, got {other:?}"),

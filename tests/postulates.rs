@@ -15,6 +15,7 @@
 //! | deleting an absent fact is a no-op                  | holds   |
 //! | `del` then `ins` of one application restores        | holds   |
 //! | committing P₁; P₂ equals recovering from their log  | holds   |
+//! | `ob′` holds each object's deepest version (§5)      | holds   |
 
 use ruvo::core::reference;
 use ruvo::prelude::*;
@@ -131,4 +132,68 @@ fn committing_p1_then_p2_equals_recovering_from_the_log() {
         assert_eq!(recovered.current(), &live, "seed {}\nP1:\n{p1}\nP2:\n{p2}", config.seed);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A seeded head whose object `o` has a linear chain of three versions.
+const LINEAR_SEED: &str = "o.p -> 1. ins(o).p -> 2. mod(ins(o)).p -> 3. z.q -> 0.";
+/// A seeded head whose object `o` has two incomparable versions.
+const BRANCHING_SEED: &str = "o.p -> 1. ins(o).p -> 2. del(o).p -> 3. z.q -> 0.";
+/// A program that never touches `o`.
+const UNRELATED: &str = "ins[z].r -> 1 <= z.q -> 0.";
+
+/// §5: "the final version of o is that version … whose VID contains
+/// all VIDs of the other versions of o as a subterm", whether or not
+/// the run touched `o`, and a head without one is refused.
+#[test]
+fn ob_prime_holds_each_objects_deepest_version() {
+    let program = Program::parse(UNRELATED).unwrap();
+    let dir = std::env::temp_dir().join(format!("ruvo-postulates-final-{}", std::process::id()));
+    let durable = |seed: &str| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = ObjectBase::parse(seed).unwrap();
+        let builder = Database::builder().data_dir(&dir).fsync(FsyncPolicy::Never);
+        builder.seed(seed).open_dir().unwrap()
+    };
+
+    // A linear, non-flat head: `o` commits `mod(ins(o))`'s state on
+    // every handle, volatile or durable, and after a reopen.
+    let seed = ObjectBase::parse(LINEAR_SEED).unwrap();
+    let expected = reference::evaluate(&program, &seed).unwrap().new_object_base().unwrap();
+    assert_eq!(expected.lookup1(oid("o"), "p"), vec![int(3)]);
+    let mut db = Database::open(seed.clone());
+    assert_eq!(commit(&mut db, UNRELATED), expected);
+    let serving = ServingDatabase::open(seed);
+    serving.apply_src(UNRELATED).unwrap();
+    assert_eq!(&*serving.current(), &expected);
+    let mut db = durable(LINEAR_SEED);
+    assert_eq!(commit(&mut db, UNRELATED), expected);
+    drop(db);
+    assert_eq!(Database::open_dir(&dir).unwrap().current(), &expected);
+    let serving = durable(LINEAR_SEED).into_serving();
+    serving.apply_src(UNRELATED).unwrap();
+    assert_eq!(&*serving.current(), &expected);
+    drop(serving);
+    assert_eq!(Database::open_dir(&dir).unwrap().current(), &expected);
+
+    // A branching head has no final version for `o`: the reference
+    // and every handle refuse it with one error kind, and nothing moves.
+    let seed = ObjectBase::parse(BRANCHING_SEED).unwrap();
+    let refused = reference::evaluate(&program, &seed).unwrap_err();
+    assert_eq!(Error::from(refused).kind(), ErrorKind::Linearity);
+    for mut db in [Database::open(seed.clone()), durable(BRANCHING_SEED)] {
+        let head = db.current().clone();
+        assert_eq!(db.apply_src(UNRELATED).unwrap_err().kind(), ErrorKind::Linearity);
+        assert_eq!(db.current(), &head);
+        assert!(db.is_empty(), "a refused apply logs nothing");
+    }
+    let serving = durable(BRANCHING_SEED).into_serving();
+    let head = serving.current();
+    assert_eq!(serving.apply_src(UNRELATED).unwrap_err().kind(), ErrorKind::Linearity);
+    assert_eq!(serving.current(), head);
+    assert_eq!((serving.epoch(), serving.commits()), (0, 0));
+    drop(serving);
+    let reopened = Database::open_dir(&dir).unwrap();
+    assert_eq!(reopened.current(), &*head);
+    assert!(reopened.is_empty(), "a refused apply writes no WAL record");
+    let _ = std::fs::remove_dir_all(&dir);
 }

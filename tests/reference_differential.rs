@@ -13,7 +13,8 @@
 //!
 //! * success vs failure, and the failure kind (linearity / round limit),
 //! * the full `result(P)` (every version state),
-//! * the extracted new object base,
+//! * the extracted new object base, and the head `Database::apply`
+//!   commits (either commit path),
 //!
 //! The reference recomputes `T¹` from scratch every round and checks
 //! stability on every stratum, so its success also asserts §4's
@@ -21,6 +22,10 @@
 //! store's own `exists` and `v*` reads on that result are checked
 //! against the §3 definition the reference keeps (a scan of the version
 //! list), not assumed.
+//!
+//! Generated bases are version-linear but not always flat: an object
+//! may carry an `ins(oN)` → `mod(ins(oN))` or a `mod(oN)` line, so §5's
+//! final version is read from the starting base as well as the run.
 //!
 //! Fixed cases and [`random_update_program`]'s layered programs follow
 //! the template battery: a runtime-stability round that creates a
@@ -139,12 +144,20 @@ fn arb_rule() -> impl Strategy<Value = TRule> {
         .prop_map(|(template, h, a, b, obj, k)| TRule { template, h, a, b, obj, k })
 }
 
-/// A small object base: facts `o{i}.m{j} -> value` where value is an
-/// int or an object (so joins through results are possible).
+/// The version lines a seeded object can hold, deepest last: flat, an
+/// `ins(oN)` → `mod(ins(oN))` chain, or a `mod(oN)` chain. Each line is
+/// linear, so every generated base is.
+const LINES: [&[&str]; 3] = [&["{}"], &["{}", "ins({})", "mod(ins({}))"], &["{}", "mod({})"]];
+
+/// A small, version-linear object base: facts `v.m{j} -> value` where
+/// `v` is a version of `o{i}` on that object's line (see [`LINES`]) and
+/// value is an int or an object (so joins through results are
+/// possible).
 fn arb_base() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
+    let facts = proptest::collection::vec(
         (
             0usize..4,
+            0usize..3,
             0usize..3,
             prop_oneof![
                 (0i64..6).prop_map(|v| v.to_string()),
@@ -152,9 +165,17 @@ fn arb_base() -> impl Strategy<Value = String> {
             ],
         ),
         0..10,
-    )
-    .prop_map(|facts| {
-        facts.iter().map(|(o, m, v)| format!("o{o}.m{m} -> {v}.")).collect::<Vec<_>>().join(" ")
+    );
+    (proptest::collection::vec(0..LINES.len(), 4), facts).prop_map(|(lines, facts)| {
+        facts
+            .iter()
+            .map(|&(o, depth, m, ref v)| {
+                let line = LINES[lines[o]];
+                let version = line[depth.min(line.len() - 1)].replace("{}", &format!("o{o}"));
+                format!("{version}.m{m} -> {v}.")
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
     })
 }
 
@@ -185,24 +206,20 @@ proptest! {
                     "result(P) differs\nprogram:\n{}\nbase: {}", prog_src, ob_src
                 );
                 assert_exists_reads_match_definition(e.result());
+                let expected = r.new_object_base().unwrap();
                 prop_assert_eq!(
-                    e.try_new_object_base().unwrap(),
-                    r.new_object_base().unwrap(),
+                    &e.try_new_object_base().unwrap(), &expected,
                     "ob' differs\nprogram:\n{}\nbase: {}", prog_src, ob_src
                 );
-                // On version-linear results, every final-version policy
-                // coincides with the paper's extraction.
-                for policy in [
-                    ruvo::core::FinalVersionPolicy::DeepestWins,
-                    ruvo::core::FinalVersionPolicy::MergeMaximal,
-                ] {
-                    prop_assert_eq!(
-                        e.new_object_base_with(policy).unwrap(),
-                        e.try_new_object_base().unwrap(),
-                        "policy {:?} diverges on a linear result\nprogram:\n{}\nbase: {}",
-                        policy, prog_src, ob_src
-                    );
-                }
+                // The head a commit installs is the same `ob′`, by
+                // either commit path.
+                let mut db = Database::open(ob.clone());
+                let prepared = db.prepare_program(program.clone()).unwrap();
+                db.apply(&prepared).unwrap();
+                prop_assert_eq!(
+                    db.current(), &expected,
+                    "committed head differs\nprogram:\n{}\nbase: {}", prog_src, ob_src
+                );
             }
             // The reference checks stability on every stratum: an
             // Unstable error there while the engine succeeds lands in

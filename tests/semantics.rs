@@ -321,17 +321,3 @@ fn round_limit_is_enforced() {
         evaluate_with(program, Database::builder().max_rounds_per_stratum(1), &ob).unwrap_err();
     assert!(err.to_string().contains("fixpoint"), "got: {err}");
 }
-
-/// Disabled linearity check defers the violation to extraction time.
-#[test]
-fn deferred_linearity_validation() {
-    let ob = ObjectBase::parse("o.m -> a.").unwrap();
-    let program = Program::parse(
-        "mod[o].m -> (a, b) <= o.m -> a.
-         del[o].m -> a <= o.m -> a.",
-    )
-    .unwrap();
-    let outcome = evaluate_with(program, Database::builder().check_linearity(false), &ob).unwrap();
-    assert!(outcome.try_new_object_base().is_err());
-    assert!(outcome.final_versions().is_err());
-}
