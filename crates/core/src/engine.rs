@@ -77,7 +77,7 @@ use crate::matcher::Seed;
 use crate::plan::{reads_by_membership, IndexPlan};
 use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError};
 use crate::tp::{self, Fired, FiredSet};
-use crate::trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
+use crate::trace::{EvalStats, RoundTrace, StratumTrace};
 
 /// What to do with programs the static conditions (a)–(d) reject.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -345,7 +345,7 @@ pub fn run_compiled(
             stats.rule_evaluations_skipped += stratum.len() - to_eval.len();
             stats.rule_evaluations_seeded += tasks.iter().filter(|t| t.seed.is_some()).count();
 
-            let new_fired = collect_round(&ctx, &work, &tasks, &mut stats.parallel);
+            let new_fired = collect_round(&ctx, &work, &tasks, &mut stats);
             let candidates = new_fired.len();
             stats.fired_candidates += candidates;
             if checked && round > 1 {
@@ -452,16 +452,17 @@ fn collect_round(
     ctx: &RoundCtx<'_>,
     ob: &ObjectBase,
     tasks: &[EvalTask<'_>],
-    par: &mut ParallelStats,
+    stats: &mut EvalStats,
 ) -> Vec<Fired> {
     let RoundCtx { program, plans } = *ctx;
     let started = Instant::now();
     let mut fired = Vec::new();
     for EvalTask { rule, seed } in tasks {
-        tp::collect_rule(ob, &program.rules[*rule], &plans.rules[*rule], seed.as_ref(), &mut fired);
+        let (rule, plan) = (&program.rules[*rule], &plans.rules[*rule]);
+        stats.scan_candidates += tp::collect_rule(ob, rule, plan, seed.as_ref(), &mut fired);
     }
-    par.scan_subtasks += tasks.len();
-    par.scan_wall += started.elapsed();
+    stats.parallel.scan_subtasks += tasks.len();
+    stats.parallel.scan_wall += started.elapsed();
     fired
 }
 

@@ -50,7 +50,7 @@ pub use deps::{DepEdge, DepEdgeKind, ReadSet, RuleDepGraph, WriteSet};
 pub use engine::{run_compiled, CompiledProgram, CyclePolicy, EngineConfig, Outcome};
 pub use error::EvalError;
 pub use history::{history, History, HistoryStep};
-pub use plan::{IndexPlan, RuleIndexPlan, ScanHint};
+pub use plan::{IndexPlan, RuleIndexPlan, ScanHint, StartCandidate};
 pub use query::{match_goal, plan_query, run_query, QueryAnswers, QueryMode, QueryPlan};
 pub use serve::{Applied, ServingDatabase};
 pub use session::{SavepointId, Session, Txn};

@@ -33,10 +33,21 @@
 //! seed carries the relation's added facts, to exactly those
 //! applications of each base that has them; `del[..]`/`mod[..]` and
 //! `$V` scans stay object-granular.
+//!
+//! A full evaluation is the seed-less call, and it too may start
+//! elsewhere than plan step 0. The safety order scores every constant
+//! key alike, so of `A.kind -> live & A.tag -> t42` the literal written
+//! first would open the join and enumerate every live account. When
+//! plan step 0 is one of the rule's [start
+//! candidates](RuleIndexPlan::starts), the matcher reads each
+//! candidate's key count from the object base in O(1) and rotates the
+//! strictly smallest to the front, with the key hint it needs there
+//! ([`StartCandidate::hint`]); ties keep plan order, so the choice is a
+//! function of program and base.
+//!
 //! Rotating a scan to the front is always sound: scans never require
 //! bound variables, and every other step runs with at least the
-//! bindings it had under the original order. A full evaluation is the
-//! seed-less call.
+//! bindings it had under the original order.
 
 use std::borrow::Cow;
 
@@ -44,7 +55,7 @@ use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateSpec, VersionAtom};
 use ruvo_obase::{exists_sym, AddedFacts, MethodApp, ObjectBase};
 use ruvo_term::{ArgTerm, Bindings, Const, FastHashSet, UpdateKind, Vid, VidRef, VidTerm};
 
-use crate::plan::{RuleIndexPlan, ScanHint};
+use crate::plan::{RuleIndexPlan, ScanHint, StartCandidate};
 use crate::truth;
 
 /// The delta side of a seeded evaluation: the scan at plan step `step`
@@ -70,6 +81,9 @@ struct MatchCtx<'a> {
     order: &'a [usize],
     /// Scan hints per plan step.
     hints: &'a [ScanHint],
+    /// The hint of the step at position 0 (its start hint when a start
+    /// candidate was rotated there).
+    first_hint: ScanHint,
     seed: Option<&'a Seed<'a>>,
 }
 
@@ -84,35 +98,63 @@ struct MatchCtx<'a> {
 /// produced — the caller is responsible for covering each body
 /// literal that may have changed with its own seeded pass.
 ///
+/// Without a seed, the scan to start from is chosen by key counts
+/// (see the module docs).
+///
 /// `sink` must read what it needs from the bindings immediately; they
-/// are reused (backtracked) after it returns.
+/// are reused (backtracked) after it returns. Returns the number of
+/// candidate versions the scans enumerated
+/// ([`crate::EvalStats::scan_candidates`]).
 pub fn for_each_match(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
     seed: Option<&Seed<'_>>,
     sink: &mut dyn FnMut(&Bindings),
-) {
+) -> usize {
     let steps = rule.plan.steps.len();
-    let first = seed.map(|s| s.step);
-    debug_assert!(first.is_none_or(|s| s < steps), "seed step out of range");
+    let (first, first_hint) = match seed {
+        Some(s) => (Some(s.step), plan.hints[s.step]),
+        None => match smallest_start(ob, &plan.starts) {
+            Some(start) => (Some(start.step), start.hint),
+            None => (None, plan.hints.first().copied().unwrap_or_default()),
+        },
+    };
+    debug_assert!(first.is_none_or(|s| s < steps), "first step out of range");
     let order: Vec<usize> =
         first.into_iter().chain((0..steps).filter(|&s| Some(s) != first)).collect();
-    let ctx = MatchCtx { ob, rule, order: &order, hints: &plan.hints, seed };
+    let ctx = MatchCtx { ob, rule, order: &order, hints: &plan.hints, first_hint, seed };
     let mut bindings = Bindings::with_vid_vars(rule.vars.len(), rule.vid_vars.len());
     let mut buf = Vec::new();
-    exec(&ctx, 0, &mut Cursor { b: &mut bindings, buf: &mut buf, sink });
+    let mut cur = Cursor { b: &mut bindings, buf: &mut buf, sink, candidates: 0 };
+    exec(&ctx, 0, &mut cur);
+    cur.candidates
+}
+
+/// The start candidate with the smallest key count, if it is not plan
+/// step 0; ties keep plan order (`min_by_key` returns the first).
+fn smallest_start<'p>(ob: &ObjectBase, starts: &'p [StartCandidate]) -> Option<&'p StartCandidate> {
+    let start = starts.iter().min_by_key(|c| {
+        let (chain, method, key) = c.key;
+        match c.hint {
+            ScanHint::Arg0Key => ob.count_with_arg0(chain, method, key),
+            _ => ob.count_with_result(chain, method, key),
+        }
+    })?;
+    (start.step != 0).then_some(start)
 }
 
 /// The mutable traversal state of one rule evaluation, threaded
 /// through every scan/match helper: the single backtracking
 /// [`Bindings`], the reusable grounding buffer (`Check` steps run once
 /// per candidate of every enclosing scan, so per-candidate argument
-/// grounding must not allocate), and the match sink.
+/// grounding must not allocate), the match sink, and the count of
+/// candidate versions enumerated so far.
 struct Cursor<'a> {
     b: &'a mut Bindings,
     buf: &'a mut Vec<Const>,
     sink: &'a mut dyn FnMut(&Bindings),
+    candidates: usize,
 }
 
 fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
@@ -147,7 +189,7 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
         PlannedLiteral::Scan(li) => {
             let lit = &ctx.rule.body[li];
             debug_assert!(lit.positive, "Scan plan step on negated literal");
-            let hint = ctx.hints[si];
+            let hint = if pos == 0 { ctx.first_hint } else { ctx.hints[si] };
             let seed = ctx.seed.filter(|s| s.step == si);
             let seed_bases = seed.map(|s| &*s.bases);
             match &lit.atom {
@@ -285,6 +327,7 @@ fn scan_apps_of(
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
+    cur.candidates += 1;
     if va.method == exists_sym() {
         if ctx.ob.exists_fact(vid) {
             match_app_and_continue(ctx, &va.args, va.result, &[], vid.base(), pos, cur);
@@ -445,6 +488,7 @@ fn scan_del(
     // Candidates must have del(v).exists: enumerate the del-chain's
     // versions through the `(chain, exists)` presence index.
     for tvid in target_candidates(ob, target, UpdateKind::Del, exists_sym(), seed, cur.b) {
+        cur.candidates += 1;
         let Ok(created) = tvid.apply(UpdateKind::Del) else { continue };
         if !ob.exists_fact(created) {
             continue;
@@ -488,6 +532,7 @@ fn scan_mod(
     let ob = ctx.ob;
     // Both clauses require mod(v).m defined; use it as candidate index.
     for tvid in target_candidates(ob, target, UpdateKind::Mod, method, seed, cur.b) {
+        cur.candidates += 1;
         let Ok(created) = tvid.apply(UpdateKind::Mod) else { continue };
         let Some(v_star) = ob.v_star(tvid) else { continue };
         let mark = cur.b.mark();
@@ -597,6 +642,43 @@ mod tests {
             plan.hints.fill(ScanHint::Full);
             plan
         })
+    }
+
+    /// The same rule with the start always plan step 0.
+    fn matches_in_plan_order(ob: &ObjectBase, rule_src: &str) -> Vec<Vec<Option<Const>>> {
+        matches_with(ob, rule_src, |p| {
+            let mut plan = IndexPlan::of(p).rules.remove(0);
+            plan.starts.clear();
+            plan
+        })
+    }
+
+    /// The plan step an unseeded evaluation of `rule_src` starts from,
+    /// and the candidate versions it enumerates.
+    fn start_and_candidates(ob: &ObjectBase, rule_src: &str) -> (usize, usize) {
+        let program = Program::parse(rule_src).unwrap();
+        let plan = IndexPlan::of(&program).rules.remove(0);
+        let start = smallest_start(ob, &plan.starts).map_or(0, |c| c.step);
+        (start, for_each_match(ob, &program.rules[0], &plan, None, &mut |_| {}))
+    }
+
+    /// `n` live accounts `acct0..`, each with its own `tag -> tI`, the
+    /// first three also `kind -> gold`, and `acct0` and `acct1`
+    /// `owner@acct0 -> yes`.
+    fn accounts(n: usize) -> ObjectBase {
+        let mut ob = ObjectBase::new();
+        for i in 0..n {
+            let v = Vid::object(oid(&format!("acct{i}")));
+            ob.insert(v, sym("kind"), Args::empty(), oid("live"));
+            ob.insert(v, sym("tag"), Args::empty(), oid(&format!("t{i}")));
+            if i < 3 {
+                ob.insert(v, sym("tier"), Args::empty(), oid("gold"));
+            }
+            if i < 2 {
+                ob.insert(v, sym("owner"), Args::new(vec![oid("acct0")]), oid("yes"));
+            }
+        }
+        ob
     }
 
     /// An object-granular seed: changed bases, no recorded facts.
@@ -781,6 +863,80 @@ mod tests {
             "ins[phil].ok -> 1 <= phil.sal -> 4000.",
         ] {
             assert_eq!(matches(&ob, src), matches_unindexed(&ob, src), "program: {src}");
+        }
+        // Two constant keys, written in both orders: the start chosen
+        // by counts changes no match.
+        let ob = accounts(8);
+        for src in [
+            "mod[A].kind -> (K, dead) <= A.kind -> live & A.tag -> t5 & A.kind -> K.",
+            "mod[A].kind -> (K, dead) <= A.tag -> t5 & A.kind -> live & A.kind -> K.",
+            "ins[A].vip -> 1 <= A.kind -> live & A.tier -> gold.",
+            "ins[A].vip -> 1 <= A.tier -> gold & A.kind -> live.",
+            "ins[A].mine -> W <= A.kind -> live & A.owner @ acct0 -> W.",
+            "ins[A].mine -> W <= A.owner @ acct0 -> W & A.kind -> live.",
+            "ins[A].pair -> B <= A.kind -> live & B.tag -> t2 & A.tier -> gold.",
+            "ins[A].none -> 1 <= A.kind -> live & A.tag -> t99.",
+        ] {
+            let indexed = matches(&ob, src);
+            assert_eq!(indexed, matches_in_plan_order(&ob, src), "program: {src}");
+            assert_eq!(indexed, matches_unindexed(&ob, src), "program: {src}");
+        }
+    }
+
+    #[test]
+    fn unseeded_join_starts_at_the_smallest_constant_key() {
+        let ob = accounts(8);
+        // `tag -> t5` names one account of eight live ones: it starts,
+        // and each literal then reads one version.
+        let credit = "mod[A].kind -> (K, dead) <= A.kind -> live & A.tag -> t5 & A.kind -> K.";
+        assert_eq!(start_and_candidates(&ob, credit), (1, 3));
+        // In plan order it reads every live account, then each one's tag.
+        let program = Program::parse(credit).unwrap();
+        let mut plan = IndexPlan::of(&program).rules.remove(0);
+        plan.starts.clear();
+        assert_eq!(for_each_match(&ob, &program.rules[0], &plan, None, &mut |_| {}), 8 + 8 + 1);
+        // Written the other way round, the plan already starts there.
+        let credit = "mod[A].kind -> (K, dead) <= A.tag -> t5 & A.kind -> live & A.kind -> K.";
+        assert_eq!(start_and_candidates(&ob, credit), (0, 3));
+        // A first-argument key competes the same way (2 owners vs 8).
+        let owned = "ins[A].mine -> W <= A.kind -> live & A.owner @ acct0 -> W.";
+        assert_eq!(start_and_candidates(&ob, owned), (1, 4));
+        // An absent key counts 0 and starts: nothing is enumerated.
+        let absent = "ins[A].none -> 1 <= A.kind -> live & A.tag -> t99.";
+        assert_eq!(start_and_candidates(&ob, absent), (1, 0));
+    }
+
+    #[test]
+    fn equal_key_counts_keep_plan_order() {
+        let ob = accounts(8);
+        // tag -> t1 and tag -> t2 both count 1: no rotation.
+        let tied = "ins[A].x -> B <= A.tag -> t1 & B.tag -> t2.";
+        assert_eq!(start_and_candidates(&ob, tied).0, 0);
+        // Steps 1 and 2 tie below step 0: the earlier one starts.
+        let two = "ins[A].x -> B <= A.kind -> live & A.tag -> t1 & B.tag -> t2.";
+        let program = Program::parse(two).unwrap();
+        let plan = IndexPlan::of(&program).rules.remove(0);
+        assert_eq!(plan.starts.iter().map(|c| c.step).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(smallest_start(&ob, &plan.starts).map(|c| c.step), Some(1));
+    }
+
+    #[test]
+    fn assign_first_and_ground_base_rules_are_never_rotated() {
+        let ob = accounts(8);
+        for src in [
+            // The assignment binds X first; the kind scan is then a
+            // direct lookup however many accounts are live.
+            "ins[X].ok -> 1 <= X = acct4 & X.kind -> live & Y.tag -> t4.",
+            // A ground base is a direct lookup already.
+            "ins[x].ok -> A <= acct3.kind -> live & A.tag -> t3 & A.kind -> live.",
+            // One constant key: nothing to choose between.
+            "ins[A].ok -> 1 <= A.kind -> live & A.tag -> T.",
+        ] {
+            let program = Program::parse(src).unwrap();
+            let plan = IndexPlan::of(&program).rules.remove(0);
+            assert!(plan.starts.is_empty(), "{src}: {:?}", plan.starts);
+            assert_eq!(start_and_candidates(&ob, src).0, 0, "{src}");
+            assert_eq!(matches(&ob, src), matches_unindexed(&ob, src), "{src}");
         }
     }
 

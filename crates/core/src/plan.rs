@@ -13,13 +13,18 @@
 //!   per-literal *trigger* set the semi-naive engine intersects with a
 //!   round's delta to decide which scan to seed from the delta side.
 //!
+//! Per rule it also records the *start candidates*: the scans that
+//! could open the join through a constant key. The safety order scores
+//! every constant key alike, so the matcher breaks that tie at run time
+//! by the keys' counts in the object base.
+//!
 //! An [`IndexPlan`] is computed once per program (inside
 //! [`crate::CompiledProgram`], so [`crate::Database::prepare`] pays for
 //! it exactly once) and borrowed by every evaluation.
 
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Program, Rule, UpdateSpec};
 use ruvo_obase::exists_sym;
-use ruvo_term::{ArgTerm, BaseTerm, Chain, Symbol, UpdateKind, VidRef};
+use ruvo_term::{ArgTerm, BaseTerm, Chain, Const, Symbol, UpdateKind, VidRef};
 
 /// How a `Scan` plan step enumerates candidate versions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,16 +42,38 @@ pub enum ScanHint {
     Arg0Key,
 }
 
-/// The index plan of one rule; both vectors are parallel to
+/// The index plan of one rule; `hints` and `reads` are parallel to
 /// `rule.plan.steps`.
 #[derive(Clone, Debug, Default)]
 pub struct RuleIndexPlan {
-    /// Enumeration strategy per plan step (meaningful for `Scan`s).
+    /// Enumeration strategy per plan step (meaningful for `Scan`s), for
+    /// the step run in plan order.
     pub hints: Vec<ScanHint>,
     /// Per plan step: the `(chain, method)` relations a `Scan` literal
     /// reads, `None` for a VID-variable scan (which can read any
     /// relation). Non-scan steps read nothing (`Some` of empty).
     pub reads: Vec<Option<Vec<(Chain, Symbol)>>>,
+    /// The scans an unseeded evaluation may start from, in plan order:
+    /// every version-term or `ins[..]` scan with an unbound base and a
+    /// constant key. Step 0 is the first when it is listed at all; the
+    /// list is empty unless step 0 is a candidate and another one is
+    /// too, so a rule with no alternative start pays nothing.
+    pub starts: Vec<StartCandidate>,
+}
+
+/// A scan that can open a rule's join through a constant key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StartCandidate {
+    /// The plan step.
+    pub step: usize,
+    /// The step's hint when it runs *first*, with nothing bound:
+    /// [`ScanHint::ResultKey`] or [`ScanHint::Arg0Key`]. It differs
+    /// from the step's entry in [`RuleIndexPlan::hints`] when plan
+    /// order binds the step's base before it runs.
+    pub hint: ScanHint,
+    /// The index key the scan starts from: the version's chain, the
+    /// method and the constant.
+    pub key: (Chain, Symbol, Const),
 }
 
 /// The per-program index plan, computed once at compile time.
@@ -147,7 +174,52 @@ fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
             }
         }
     }
-    RuleIndexPlan { hints, reads }
+    RuleIndexPlan { hints, reads, starts: start_candidates(rule) }
+}
+
+/// The rule's start candidates, or none unless step 0 is one of at
+/// least two (counted before collecting, so a rule without an
+/// alternative start allocates nothing).
+fn start_candidates(rule: &Rule) -> Vec<StartCandidate> {
+    let candidates = || {
+        rule.plan.steps.iter().enumerate().filter_map(|(step, planned)| match *planned {
+            PlannedLiteral::Scan(li) => start_candidate(&rule.body[li].atom, step),
+            _ => None,
+        })
+    };
+    let step0_first = candidates().next().is_some_and(|c| c.step == 0);
+    if step0_first && candidates().nth(1).is_some() {
+        candidates().collect()
+    } else {
+        Vec::new()
+    }
+}
+
+/// The scan of `atom` as a join start: with nothing bound, a
+/// version-term or `ins[..]` scan over a variable base keys the index
+/// by a constant result or, failing that, a constant first argument.
+fn start_candidate(atom: &Atom, step: usize) -> Option<StartCandidate> {
+    let (base, chain, method, args, result) = match atom {
+        Atom::Version(va) => {
+            let t = va.vid.as_term()?;
+            (t.base, t.chain, va.method, &va.args[..], va.result)
+        }
+        Atom::Update(ua) => match &ua.spec {
+            UpdateSpec::Ins { method, args, result } => {
+                let chain = ua.target.chain.push(UpdateKind::Ins).ok()?;
+                (ua.target.base, chain, *method, &args[..], *result)
+            }
+            _ => return None,
+        },
+        Atom::Cmp(_) => return None,
+    };
+    let BaseTerm::Var(_) = base else { return None };
+    let (hint, key) = match (result, args.first()) {
+        (BaseTerm::Const(r), _) => (ScanHint::ResultKey, r),
+        (_, Some(&BaseTerm::Const(a0))) => (ScanHint::Arg0Key, a0),
+        _ => return None,
+    };
+    Some(StartCandidate { step, hint, key: (chain, method, key) })
 }
 
 /// Pick the enumeration strategy for a scan, given which variables are
@@ -260,6 +332,59 @@ mod tests {
             "expected a ResultKey hint, got {:?}",
             plan.hints
         );
+    }
+
+    #[test]
+    fn constant_keys_are_start_candidates_with_their_start_hints() {
+        let plan = plan_of(
+            "mod[A].balance -> (B, B2) <= A.kind -> live & A.tag -> t42 & A.balance -> B \
+             & B2 = B + 1.",
+        );
+        // In plan order `A.tag -> t42` runs with A bound (a direct
+        // lookup); run first it needs the result key.
+        assert_eq!(plan.hints[..2], [ScanHint::ResultKey, ScanHint::Full]);
+        let start = |step, hint, method, key| StartCandidate {
+            step,
+            hint,
+            key: (Chain::EMPTY, sym(method), ruvo_term::oid(key)),
+        };
+        assert_eq!(
+            plan.starts,
+            vec![
+                start(0, ScanHint::ResultKey, "kind", "live"),
+                start(1, ScanHint::ResultKey, "tag", "t42"),
+            ]
+        );
+        // A first argument keys when the result does not; an `ins[..]`
+        // scan keys the created chain.
+        let plan = plan_of("ins[X].d -> W <= X.dist @ a -> W & ins[X].m -> c.");
+        let ins = Chain::EMPTY.push(UpdateKind::Ins).unwrap();
+        assert_eq!(
+            plan.starts,
+            vec![
+                start(0, ScanHint::Arg0Key, "dist", "a"),
+                StartCandidate {
+                    step: 1,
+                    hint: ScanHint::ResultKey,
+                    key: (ins, sym("m"), ruvo_term::oid("c"))
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_rule_without_an_alternative_start_lists_none() {
+        for src in [
+            // One constant key.
+            "ins[E].tag -> 1 <= E.isa -> empl & E.sal -> S.",
+            // Step 0 is an assignment, then a ground base: never rotated.
+            "ins[X].ok -> 1 <= X = a & X.kind -> live & Y.tag -> t.",
+            "ins[x].ok -> A <= b.kind -> live & A.tag -> t & A.kind -> live.",
+            // $V scans and del/mod body scans are not keyed starts.
+            "ins[x].ok -> 1 <= $V.kind -> live & E.tag -> t.",
+        ] {
+            assert!(plan_of(src).starts.is_empty(), "{src}: {:?}", plan_of(src).starts);
+        }
     }
 
     #[test]

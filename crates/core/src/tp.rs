@@ -210,14 +210,16 @@ fn ground_args(args: &[ArgTerm], b: &Bindings) -> Args {
 /// the version table, not a stored fact) — "we write del[…]: to
 /// express the deletion of all method-applications of the respective
 /// version" (§2.3).
+///
+/// Returns the candidate versions the scans enumerated.
 pub fn collect_rule(
     ob: &ObjectBase,
     rule: &Rule,
     plan: &RuleIndexPlan,
     seed: Option<&Seed<'_>>,
     out: &mut Vec<Fired>,
-) {
-    matcher::for_each_match(ob, rule, plan, seed, &mut |b| fire_head(ob, rule, b, out));
+) -> usize {
+    matcher::for_each_match(ob, rule, plan, seed, &mut |b| fire_head(ob, rule, b, out))
 }
 
 /// The seed-less [`collect_rule`]: a full evaluation of the rule.

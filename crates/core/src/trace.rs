@@ -36,6 +36,11 @@ pub struct EvalStats {
     /// added to active versions, or whole changed versions — instead
     /// of the full relations.
     pub rule_evaluations_seeded: usize,
+    /// Candidate versions the rule scans enumerated, seeded or not:
+    /// one per version whose applications a scan read, or per target
+    /// a `del[..]`/`mod[..]` body scan tried. A logical counter; the
+    /// per-scan cost a rule's join start decides.
+    pub scan_candidates: usize,
     /// Wall-clock time of the run (zero duration if not measured).
     pub elapsed: Duration,
     /// The run's serial stage timings: scan jobs and per-stage wall
@@ -66,7 +71,8 @@ impl fmt::Display for EvalStats {
         write!(
             f,
             "{} strata, {} rounds, {} fired updates of {} candidates, {} versions created, \
-             {} facts copied, {} rule evaluations ({} skipped, {} seeded), {:?}; {}",
+             {} facts copied, {} rule evaluations ({} skipped, {} seeded), \
+             {} scan candidates, {:?}; {}",
             self.strata,
             self.rounds,
             self.fired_updates,
@@ -76,6 +82,7 @@ impl fmt::Display for EvalStats {
             self.rule_evaluations,
             self.rule_evaluations_skipped,
             self.rule_evaluations_seeded,
+            self.scan_candidates,
             self.elapsed,
             self.parallel
         )
@@ -162,10 +169,12 @@ mod tests {
             rounds: 5,
             fired_updates: 7,
             fired_candidates: 9,
+            scan_candidates: 11,
             ..Default::default()
         };
         let text = s.to_string();
         assert!(text.contains("3 strata"));
+        assert!(text.contains("11 scan candidates"), "{text}");
         assert!(text.contains("5 rounds"));
         assert!(text.contains("7 fired updates of 9 candidates"), "{text}");
     }

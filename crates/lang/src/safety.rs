@@ -140,6 +140,11 @@ fn rule_name(rule: &Rule) -> String {
 /// names one boss's reports; `E.isa -> empl` names every employee), so
 /// bound variables outscore constants. An unbound VID variable scores
 /// 0 — an open scan.
+///
+/// Every constant key scores the same, whatever it names, so of two
+/// tied literals the one written first is planned first. The engine
+/// breaks that tie at run time by the keys' counts in the object base
+/// (`ruvo_core::matcher`, "Indexed and seeded scans").
 fn bound_positions(atom: &Atom, bound: &[bool]) -> usize {
     const BASE: usize = 8;
     const JOIN_VAR: usize = 2;

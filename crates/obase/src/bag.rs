@@ -76,6 +76,14 @@ impl<T: Copy + Eq + Hash> Bag<T> {
         matches!(self, Bag::Many(map) if map.is_empty())
     }
 
+    /// The number of distinct members, in O(1).
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Bag::One(..) => 1,
+            Bag::Many(map) => map.len(),
+        }
+    }
+
     /// The distinct members with their multiplicities.
     pub(crate) fn counts(&self) -> impl Iterator<Item = (T, u32)> + '_ {
         let (one, many) = match self {
@@ -105,6 +113,7 @@ mod tests {
     fn one_member_stays_inline_through_adds_and_removes() {
         let mut bag = Bag::default();
         assert!(bag.is_empty());
+        assert_eq!(bag.len(), 0);
         bag.add(7);
         bag.add(7);
         assert!(matches!(bag, Bag::One(7, 2)));
@@ -122,11 +131,13 @@ mod tests {
         bag.add(2);
         bag.add(2);
         assert!(matches!(bag, Bag::Many(_)));
+        assert_eq!(bag.len(), 2, "distinct members, not occurrences");
         assert_eq!(sorted(&bag), vec![(1, 1), (2, 2)]);
         assert!(bag.remove(2));
         assert_eq!(sorted(&bag), vec![(1, 1), (2, 1)]);
         assert!(bag.remove(1));
         assert!(matches!(bag, Bag::One(2, 1)));
+        assert_eq!(bag.len(), 1);
         assert_eq!(bag.members().collect::<Vec<_>>(), vec![2]);
     }
 }

@@ -101,6 +101,11 @@ impl KeyIndex {
     fn bases(&self, chain: Chain, method: Symbol, key: Const) -> impl Iterator<Item = Const> + '_ {
         self.map.get(&(chain, method, key)).into_iter().flat_map(Bag::members)
     }
+
+    /// How many bases [`KeyIndex::bases`] yields, in O(1).
+    fn count(&self, chain: Chain, method: Symbol, key: Const) -> usize {
+        self.map.get(&(chain, method, key)).map_or(0, Bag::len)
+    }
 }
 
 /// One object's entry in the version table: the `(chain, state)` pair
@@ -762,6 +767,21 @@ impl ObjectBase {
         arg0: Const,
     ) -> impl Iterator<Item = Vid> + '_ {
         self.by_arg0.bases(chain, method, arg0).map(move |base| Vid::new(base, chain))
+    }
+
+    /// How many versions [`ObjectBase::versions_with_result`] yields,
+    /// in O(1): the matcher's cost of starting a join at that key.
+    pub fn count_with_result(&self, chain: Chain, method: Symbol, result: Const) -> usize {
+        if method == exists_sym() {
+            return usize::from(self.exists_fact(Vid::new(result, chain)));
+        }
+        self.by_result.count(chain, method, result)
+    }
+
+    /// How many versions [`ObjectBase::versions_with_arg0`] yields, in
+    /// O(1).
+    pub fn count_with_arg0(&self, chain: Chain, method: Symbol, arg0: Const) -> usize {
+        self.by_arg0.count(chain, method, arg0)
     }
 
     /// Every version of an object, as VIDs.
@@ -1465,6 +1485,43 @@ mod tests {
         ob.remove(g, sym("edge"), &Args::new(vec![oid("a"), oid("c")]), int(2));
         assert_eq!(ob.versions_with_arg0(Chain::EMPTY, sym("edge"), oid("a")).count(), 0);
         ob.check_invariants();
+    }
+
+    #[test]
+    fn key_counts_equal_keyed_enumerations() {
+        let mut ob = mk();
+        let g = Vid::object(oid("g"));
+        ob.insert(g, sym("edge"), Args::new(vec![oid("a"), oid("b")]), int(1));
+        ob.insert(g, sym("edge"), Args::new(vec![oid("a"), oid("c")]), int(1));
+        let del_bob = Vid::object(oid("bob")).apply(UpdateKind::Del).unwrap();
+        ob.replace_version(del_bob, VersionState::new());
+        let (isa, edge, exists) = (sym("isa"), sym("edge"), exists_sym());
+        for (chain, method, key) in [
+            (Chain::EMPTY, isa, oid("empl")),
+            (Chain::EMPTY, sym("pos"), oid("mgr")),
+            (Chain::EMPTY, edge, int(1)),
+            // Absent keys, methods and chains count 0.
+            (Chain::EMPTY, isa, oid("ceo")),
+            (Chain::EMPTY, sym("nope"), oid("empl")),
+            (del_bob.chain(), isa, oid("empl")),
+            // `exists` is the version table: 0 or 1.
+            (Chain::EMPTY, exists, oid("phil")),
+            (Chain::EMPTY, exists, oid("nobody")),
+            (del_bob.chain(), exists, oid("bob")),
+            (del_bob.chain(), exists, oid("phil")),
+        ] {
+            let listed = ob.versions_with_result(chain, method, key).count();
+            assert_eq!(ob.count_with_result(chain, method, key), listed, "{chain} {method} {key}");
+        }
+        assert_eq!(ob.count_with_result(Chain::EMPTY, isa, oid("empl")), 2);
+        assert_eq!(ob.count_with_result(Chain::EMPTY, exists, oid("phil")), 1);
+        assert_eq!(ob.count_with_result(del_bob.chain(), exists, oid("bob")), 1);
+        assert_eq!(ob.count_with_result(Chain::EMPTY, exists, oid("nobody")), 0);
+        // Two facts of g share the key: one version, counted once.
+        assert_eq!(ob.count_with_result(Chain::EMPTY, edge, int(1)), 1);
+        assert_eq!(ob.count_with_arg0(Chain::EMPTY, edge, oid("a")), 1);
+        assert_eq!(ob.count_with_arg0(Chain::EMPTY, edge, oid("b")), 0);
+        assert_eq!(ob.count_with_arg0(Chain::EMPTY, sym("sal"), oid("a")), 0);
     }
 
     #[test]

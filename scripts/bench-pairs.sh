@@ -11,8 +11,11 @@
 # (`cargo build --release --offline --locked --manifest-path
 # benchmark/Cargo.toml`, with CARGO_TARGET_DIR set) and pass the two
 # executables. Prints one line per run, then per end-to-end metric both
-# sides' median / q1 / q3 and how many pairs each side won. Exits
-# non-zero if a run fails to produce a result line.
+# sides' median / q1 / q3, how many pairs each side won, and the §8
+# verdict: "gain shown" only when the change won at least nine tenths
+# of the pairs (ties count for neither) and its median is better than
+# the parent's by more than the parent's q3 - q1. Exits non-zero if a
+# run fails to produce a result line.
 #
 # Check every table a change reports in as records/prNN-<workload>.txt
 # and cite its medians from CHANGES.md instead of inlining the runs:
@@ -21,7 +24,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3
@@ -61,12 +64,12 @@ for i in $(seq 1 "$pairs"); do
     fi
 done
 
-# Median and quartiles by linear interpolation between order statistics.
+# Median, q1 and q3 by linear interpolation between order statistics.
 quartiles() {
     sort -g "$1" | awk '
         { v[NR] = $1 }
         function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
-        END { printf "median %-12.6g q1 %-12.6g q3 %-12.6g", q(0.5), q(0.25), q(0.75) }'
+        END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
 echo
@@ -74,10 +77,21 @@ echo "$workload, seed $seed, $seconds s per run, $pairs pairs"
 for m in $metrics; do
     better=lower
     [ "$m" = ops_per_s ] && better=higher
-    wins=$(paste "$tmp/parent.$m" "$tmp/change.$m" | awk -v better="$better" '
+    read -r c p t < <(paste "$tmp/parent.$m" "$tmp/change.$m" | awk -v better="$better" '
         { if ($1 == $2) t++; else if ((better == "lower") == ($2 < $1)) c++; else p++ }
-        END { printf "change wins %d, parent wins %d, ties %d", c, p, t }')
-    printf '%-12s parent  %s\n' "$m" "$(quartiles "$tmp/parent.$m")"
-    printf '%-12s change  %s\n' "" "$(quartiles "$tmp/change.$m")"
-    printf '%-12s (%s is better) %s\n' "" "$better" "$wins"
+        END { print c + 0, p + 0, t + 0 }')
+    read -r pm pq1 pq3 < <(quartiles "$tmp/parent.$m")
+    read -r cm cq1 cq3 < <(quartiles "$tmp/change.$m")
+    verdict=$(awk -v c="$c" -v n="$pairs" -v pm="$pm" -v cm="$cm" -v q1="$pq1" -v q3="$pq3" -v better="$better" '
+        BEGIN {
+            gain = better == "lower" ? pm - cm : cm - pm
+            iqr = q3 - q1
+            if (10 * c < 9 * n) print "no gain shown (change won " c "/" n " pairs, needs 9/10)"
+            else if (gain <= iqr) print "no gain shown (median gain " gain " <= parent q3 - q1 " iqr ")"
+            else print "gain shown (" c "/" n " pairs, median gain " gain " > parent q3 - q1 " iqr ")"
+        }')
+    printf '%-12s parent  median %-12s q1 %-12s q3 %s\n' "$m" "$pm" "$pq1" "$pq3"
+    printf '%-12s change  median %-12s q1 %-12s q3 %s\n' "" "$cm" "$cq1" "$cq3"
+    printf '%-12s (%s is better) change wins %d, parent wins %d, ties %d\n' "" "$better" "$c" "$p" "$t"
+    printf '%-12s verdict: %s\n' "" "$verdict"
 done

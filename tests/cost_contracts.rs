@@ -301,6 +301,31 @@ fn allocations_after_a_wide_commit(n: usize, rounds: usize) -> f64 {
     total as f64 / rounds as f64
 }
 
+/// Scan candidates of one `Database::apply` of a `txn_stream` Credit:
+/// two constant keys, `kind -> live` naming every account and `tag`
+/// naming one.
+fn credit_scan_candidates(n: usize) -> usize {
+    let mut db = Database::open(accounts_base(n));
+    let txn = db
+        .apply_src(&format!(
+            "mod[A].balance -> (B, B2) <= A.kind -> live & A.tag -> t{} & A.balance -> B \
+             & B2 = B + 1.",
+            n / 2
+        ))
+        .unwrap();
+    txn.outcome.stats().scan_candidates
+}
+
+#[test]
+fn a_one_account_credit_scans_the_same_at_1k_and_10k_accounts() {
+    // The join starts at the smaller key, `tag`: one version per body
+    // scan. Started at `kind`, as written, it read every account and
+    // then each one's tag: 2 001 and 20 001 candidates.
+    let (small, large) = (credit_scan_candidates(1_000), credit_scan_candidates(10_000));
+    eprintln!("scan candidates per one-account credit: {small} at 1k accounts, {large} at 10k");
+    assert_eq!((small, large), (3, 3), "a one-account credit scans {small} / {large} versions");
+}
+
 /// The `tc1` / `tc2` closure over a `next` chain of `n` objects: the
 /// engine's logical counters.
 fn closure_counts(n: usize) -> (usize, usize, usize, usize, usize, usize) {

@@ -79,6 +79,7 @@ fn assert_exists_reads_match_definition(ob: &ObjectBase) {
         );
         let keyed: Vec<Vid> = ob.versions_with_result(v.chain(), exists, v.base()).collect();
         assert_eq!(keyed, if defined { vec![v] } else { vec![] }, "versions_with_result({v})");
+        assert_eq!(ob.count_with_result(v.chain(), exists, v.base()), keyed.len(), "count {v}");
         assert_eq!(ob.v_star(v), reference::v_star(ob, v), "v_star({v})");
         let mut scanned: Vec<Vid> = ob.versions_with(v.chain(), exists).collect();
         let mut listed: Vec<Vid> = ob.versions().filter(|w| w.chain() == v.chain()).collect();
@@ -100,7 +101,7 @@ struct TRule {
     k: i64,
 }
 
-const NUM_TEMPLATES: usize = 18;
+const NUM_TEMPLATES: usize = 21;
 
 fn render(r: &TRule) -> String {
     let TRule { template, h, a, b, obj, k } = *r;
@@ -135,6 +136,14 @@ fn render(r: &TRule) -> String {
         // §6 VID variable: flag the base object of any version whose
         // method exceeds a threshold.
         17 => format!("ins[O].m{h} -> {k} <= $V.m{a} -> R & $V.exists -> O & R > {k}."),
+        // Two constant keys, so the join may start at either: an int
+        // and an object result, on initial versions, on mod(·) versions
+        // joined back to their objects, and after an assignment.
+        18 => format!("ins[X].m{h} -> 1 <= X.m{a} -> {k} & X.m{b} -> o{obj}."),
+        19 => format!(
+            "ins[mod(X)].m{h} -> R <= mod(X).m{a} -> {k} & mod(X).m{b} -> o{obj} & X.m{a} -> R."
+        ),
+        20 => format!("ins[X].m{h} -> R <= X = o{obj} & X.m{a} -> R & X.m{b} -> {k}."),
         _ => unreachable!("template index out of range"),
     }
 }
