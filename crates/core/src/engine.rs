@@ -25,9 +25,10 @@
 //! touching what that round changed: it is re-evaluated *seeded*, one
 //! pass per changed body literal. A literal true by membership in one
 //! relation (a version-term, `ins[..]`) is seeded with the relation's
-//! delta as recorded — the *facts* added to versions that were already
-//! active, whole versions otherwise; `del[..]`/`mod[..]` literals are
-//! seeded with the changed objects of every relation they read. The
+//! entry in the delta as recorded — the *facts* added to versions that
+//! were already active, whole versions otherwise; `del[..]`/`mod[..]`
+//! literals are seeded with the changed objects of every relation they
+//! read, each whole. The
 //! strata [`CyclePolicy::RuntimeStability`] flags re-evaluate every
 //! rule in full each round — their stability check needs the whole
 //! `T¹`. On every other stratum stability is the §4 theorem; the
@@ -46,12 +47,16 @@
 //!
 //! A round's tasks all read the same immutable pre-round base:
 //! `collect_round` runs them in task order and appends their matches
-//! to one list. [`tp::apply_updates`] then groups the round's new
-//! updates by created version in first-appearance order, builds the
-//! states it needs whole against that same base, commits them once,
-//! and only then repairs the active versions in place. Both orders are
-//! fixed by the round's inputs, so the fired sequence, the commit and
-//! every logical counter repeat from run to run.
+//! to one candidate buffer. The candidates are drained in order into
+//! the stratum's [`FiredSet`], reserved for their count, and each new
+//! one is moved into the apply list; the run reuses both buffers round
+//! after round. [`tp::apply_updates`] then groups the round's new
+//! updates by created version in first-appearance order (one index map
+//! and one flat permutation), builds the states it needs whole against
+//! that same base, commits them once, and only then repairs the active
+//! versions in place. Both orders are fixed by the round's inputs, so
+//! the fired sequence, the commit and every logical counter repeat
+//! from run to run.
 //!
 //! ## Version linearity (§5)
 //!
@@ -69,7 +74,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ruvo_lang::{PlannedLiteral, Program, Rule};
-use ruvo_obase::{ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, VersionState};
+use ruvo_obase::{
+    ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, RelationDelta, VersionState,
+};
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
 
 use crate::error::EvalError;
@@ -139,7 +146,9 @@ impl Default for EngineConfig {
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     program: Program,
-    stratification: Stratification,
+    /// Shared with every [`Outcome`] of the program: a run clones the
+    /// handle, not the strata, edges and rule names.
+    stratification: Arc<Stratification>,
     /// Per stratum: does it need the runtime stability check?
     risky: Vec<bool>,
     /// Per rule: the relations whose change re-evaluates it (`None`
@@ -179,7 +188,7 @@ impl CompiledProgram {
         let index_plan = IndexPlan::of(&program);
         Ok(CompiledProgram {
             program,
-            stratification,
+            stratification: Arc::new(stratification),
             risky,
             triggers,
             index_plan,
@@ -265,18 +274,21 @@ fn round_tasks<'a>(
                 fallback = true;
                 break;
             };
-            let seed = match (&rule.plan.steps[step], keys.as_slice()) {
+            let delta = match (&rule.plan.steps[step], keys.as_slice()) {
                 (&PlannedLiteral::Scan(li), [key]) if reads_by_membership(&rule.body[li]) => {
-                    ch.bases(key).map(|b| (Cow::Borrowed(b), ch.added(key)))
+                    ch.relation(key).map(Cow::Borrowed)
                 }
                 _ => {
-                    let set: FastHashSet<Const> =
-                        keys.iter().filter_map(|k| ch.bases(k)).flatten().copied().collect();
-                    (!set.is_empty()).then_some((Cow::Owned(set), None))
+                    let union: RelationDelta = keys
+                        .iter()
+                        .filter_map(|k| ch.relation(k))
+                        .flat_map(|r| r.bases())
+                        .collect();
+                    (!union.is_empty()).then_some(Cow::Owned(union))
                 }
             };
-            if let Some((bases, added)) = seed {
-                tasks.push(EvalTask { rule: r, seed: Some(Seed { step, bases, added }) });
+            if let Some(delta) = delta {
+                tasks.push(EvalTask { rule: r, seed: Some(Seed { step, delta }) });
             }
         }
         if fallback || tasks.len() == before {
@@ -309,6 +321,11 @@ pub fn run_compiled(
     let mut round_traces = Vec::new();
     // Object-level by construction: `merge` carries no per-fact seeds.
     let mut total_changed = ChangedSince::new();
+    // Buffers every round of the run reuses: the round's candidates and
+    // its apply list (and which `mod` versions it replayed).
+    let mut candidates: Vec<Fired> = Vec::new();
+    let mut apply_list: Vec<Fired> = Vec::new();
+    let mut replayed: FastHashSet<Vid> = FastHashSet::default();
 
     for (si, stratum) in stratification.strata.iter().enumerate() {
         // Flagged strata re-evaluate every rule each round and verify
@@ -345,13 +362,12 @@ pub fn run_compiled(
             stats.rule_evaluations_skipped += stratum.len() - to_eval.len();
             stats.rule_evaluations_seeded += tasks.iter().filter(|t| t.seed.is_some()).count();
 
-            let new_fired = collect_round(&ctx, &work, &tasks, &mut stats);
-            let candidates = new_fired.len();
-            stats.fired_candidates += candidates;
+            collect_round(&ctx, &work, &tasks, &mut stats, &mut candidates);
+            stats.fired_candidates += candidates.len();
             if checked && round > 1 {
                 // Stability: T¹ w.r.t. the current interpretation
                 // must still contain every previously fired update.
-                let current: FastHashSet<&Fired> = new_fired.iter().collect();
+                let current: FastHashSet<&Fired> = candidates.iter().collect();
                 if let Some(lost) = fired.iter().find(|f| !current.contains(f)) {
                     return Err(EvalError::Unstable {
                         stratum: si,
@@ -360,29 +376,22 @@ pub fn run_compiled(
                     });
                 }
             }
-            let delta: Vec<Fired> =
-                new_fired.into_iter().filter(|f| fired.insert(f.clone())).collect();
-
-            round_traces.push(RoundTrace {
-                stratum: si,
-                round,
-                evaluated: to_eval,
-                candidates,
-                new_fired: delta.len(),
-                touched: 0, // patched below if updates applied
-            });
-            stats.rounds += 1;
-            if delta.is_empty() {
-                break;
-            }
-            // Apply the round's delta, moved as it is. Only a version a
-            // `mod` creates re-applies its accumulated updates (see the
-            // module docs): its history goes in front of its first new
-            // update, which keeps the groups in delta first-appearance
-            // order — the canonical apply order.
-            let mut apply_list: Vec<Fired> = Vec::with_capacity(delta.len());
-            let mut replayed: FastHashSet<Vid> = FastHashSet::default();
-            for f in delta {
+            // The round's new updates, moved into the apply list as
+            // they are. Only a version a `mod` creates re-applies its
+            // accumulated updates (see the module docs): its history
+            // goes in front of its first new update, which keeps the
+            // groups in first-appearance order — the canonical apply
+            // order.
+            let round_candidates = candidates.len();
+            fired.reserve(round_candidates);
+            apply_list.clear();
+            replayed.clear();
+            let mut new_fired = 0;
+            for f in candidates.drain(..) {
+                if !fired.insert(f.clone()) {
+                    continue;
+                }
+                new_fired += 1;
                 if f.kind() == UpdateKind::Mod {
                     let history = mod_history.entry(f.created()).or_default();
                     if replayed.insert(f.created()) {
@@ -391,6 +400,19 @@ pub fn run_compiled(
                     history.push(f.clone());
                 }
                 apply_list.push(f);
+            }
+
+            round_traces.push(RoundTrace {
+                stratum: si,
+                round,
+                evaluated: to_eval,
+                candidates: round_candidates,
+                new_fired,
+                touched: 0, // patched below if updates applied
+            });
+            stats.rounds += 1;
+            if new_fired == 0 {
+                break;
             }
             let applying = Instant::now();
             let report = tp::apply_updates(&mut work, &apply_list);
@@ -427,7 +449,7 @@ pub fn run_compiled(
     stats.elapsed = started.elapsed();
     Ok(Outcome {
         result: work,
-        stratification: stratification.clone(),
+        stratification: Arc::clone(stratification),
         stats,
         stratum_traces,
         round_traces,
@@ -446,24 +468,23 @@ struct RoundCtx<'a> {
 
 /// Step 1 of `T_P` over a round's evaluation tasks, in task order: each
 /// task reads the immutable pre-round base through the compiled index
-/// plan (and its seed, for seeded tasks) and appends its matches to the
-/// round's one list.
+/// plan (and its seed, for seeded tasks) and appends its matches to
+/// `out`, the round's one list.
 fn collect_round(
     ctx: &RoundCtx<'_>,
     ob: &ObjectBase,
     tasks: &[EvalTask<'_>],
     stats: &mut EvalStats,
-) -> Vec<Fired> {
+    out: &mut Vec<Fired>,
+) {
     let RoundCtx { program, plans } = *ctx;
     let started = Instant::now();
-    let mut fired = Vec::new();
     for EvalTask { rule, seed } in tasks {
         let (rule, plan) = (&program.rules[*rule], &plans.rules[*rule]);
-        stats.scan_candidates += tp::collect_rule(ob, rule, plan, seed.as_ref(), &mut fired);
+        stats.scan_candidates += tp::collect_rule(ob, rule, plan, seed.as_ref(), out);
     }
     stats.parallel.scan_subtasks += tasks.len();
     stats.parallel.scan_wall += started.elapsed();
-    fired
 }
 
 /// The `(chain, method)` relations a rule's positive body literals can
@@ -491,7 +512,7 @@ fn rule_triggers(rule: &Rule) -> Option<FastHashSet<(Chain, Symbol)>> {
 #[derive(Clone, Debug)]
 pub struct Outcome {
     result: ObjectBase,
-    stratification: Stratification,
+    stratification: Arc<Stratification>,
     stats: EvalStats,
     stratum_traces: Vec<StratumTrace>,
     round_traces: Vec<RoundTrace>,
@@ -812,7 +833,8 @@ mod tests {
         assert_eq!((stats.fired_updates, stats.fired_candidates), (780, 780), "{stats}");
         assert_eq!((stats.rounds, stats.versions_created, stats.facts_copied), (40, 39, 39));
         // The run's delta stays object-level: no per-fact seeds survive.
-        assert!(outcome.changed().keys().all(|k| outcome.changed().added(k).is_none()));
+        let changed = outcome.changed();
+        assert!(changed.keys().all(|k| changed.relation(k).unwrap().grown().next().is_none()));
         outcome.result().check_invariants();
     }
 

@@ -52,8 +52,8 @@
 use std::borrow::Cow;
 
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateSpec, VersionAtom};
-use ruvo_obase::{exists_sym, AddedFacts, MethodApp, ObjectBase};
-use ruvo_term::{ArgTerm, Bindings, Const, FastHashSet, UpdateKind, Vid, VidRef, VidTerm};
+use ruvo_obase::{exists_sym, MethodApp, ObjectBase, RelationDelta};
+use ruvo_term::{ArgTerm, Bindings, Const, UpdateKind, Vid, VidRef, VidTerm};
 
 use crate::plan::{RuleIndexPlan, ScanHint, StartCandidate};
 use crate::truth;
@@ -63,14 +63,13 @@ use crate::truth;
 pub struct Seed<'a> {
     /// The seeded plan step.
     pub step: usize,
-    /// The objects whose facts under a relation the literal reads
-    /// changed (borrowed from the delta when it reads just one).
-    pub bases: Cow<'a, FastHashSet<Const>>,
-    /// For a literal true by membership in one relation: that
-    /// relation's added facts ([`ruvo_obase::ChangedSince::added`]). A
-    /// base of `bases` with an entry is enumerated through it alone;
-    /// one without is enumerated whole.
-    pub added: Option<&'a AddedFacts>,
+    /// What changed. For a literal true by membership in one relation:
+    /// that relation's entry, borrowed from the round's delta — a base
+    /// that only grew ([`RelationDelta::added`]) is enumerated through
+    /// its added facts alone, any other base whole. For any other
+    /// literal: the changed objects of every relation it reads, each
+    /// whole.
+    pub delta: Cow<'a, RelationDelta>,
 }
 
 /// The shared, read-only state of one rule evaluation.
@@ -191,7 +190,7 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
             debug_assert!(lit.positive, "Scan plan step on negated literal");
             let hint = if pos == 0 { ctx.first_hint } else { ctx.hints[si] };
             let seed = ctx.seed.filter(|s| s.step == si);
-            let seed_bases = seed.map(|s| &*s.bases);
+            let seed_bases = seed.map(|s| &*s.delta);
             match &lit.atom {
                 Atom::Version(va) => scan_version(ctx, va, hint, seed, pos, cur),
                 Atom::Update(ua) => match &ua.spec {
@@ -337,7 +336,7 @@ fn scan_apps_of(
     let mut visit = |app: &MethodApp| {
         match_app_and_continue(ctx, &va.args, va.result, app.args.as_slice(), app.result, pos, cur)
     };
-    match seed.and_then(|s| s.added).and_then(|added| added.get(&vid.base())) {
+    match seed.and_then(|s| s.delta.added(vid.base())) {
         Some(apps) => apps.iter().for_each(&mut visit),
         None => ctx.ob.apps(vid, va.method).for_each(&mut visit),
     }
@@ -377,7 +376,7 @@ fn scan_version(
 ) {
     match va.vid.ground(cur.b) {
         Some(vid) => {
-            if seed.is_some_and(|s| !s.bases.contains(&vid.base())) {
+            if seed.is_some_and(|s| !s.delta.contains(vid.base())) {
                 return;
             }
             scan_apps_of(ctx, vid, va, seed, pos, cur);
@@ -386,7 +385,7 @@ fn scan_version(
             VidRef::Term(t) => {
                 // Seeded: the delta names the candidate objects directly.
                 if let Some(s) = seed {
-                    for &base in s.bases.iter() {
+                    for base in s.delta.bases() {
                         let vid = Vid::new(base, t.chain);
                         match_base_then_apps(ctx, t, vid, va, seed, pos, cur);
                     }
@@ -423,7 +422,7 @@ fn scan_version(
                 // base is immutable for the whole evaluation. It reads
                 // any relation, so a seed restricts it by object only.
                 for vid in ctx.ob.versions() {
-                    if seed.is_some_and(|s| !s.bases.contains(&vid.base())) {
+                    if seed.is_some_and(|s| !s.delta.contains(vid.base())) {
                         continue;
                     }
                     let mark = cur.b.mark();
@@ -445,12 +444,12 @@ fn target_candidates(
     target: VidTerm,
     kind: UpdateKind,
     index_method: ruvo_term::Symbol,
-    seed: Option<&FastHashSet<Const>>,
+    seed: Option<&RelationDelta>,
     b: &Bindings,
 ) -> Vec<Vid> {
     match target.ground(b) {
         Some(vid) => {
-            if seed.is_some_and(|s| !s.contains(&vid.base())) {
+            if seed.is_some_and(|s| !s.contains(vid.base())) {
                 Vec::new()
             } else {
                 vec![vid]
@@ -459,7 +458,7 @@ fn target_candidates(
         None => match seed {
             // Seeded: candidate targets are the delta's objects; the
             // exists/`v*` checks below weed out the irrelevant ones.
-            Some(s) => s.iter().map(|&base| Vid::new(base, target.chain)).collect(),
+            Some(s) => s.bases().map(|base| Vid::new(base, target.chain)).collect(),
             None => {
                 let Ok(created) = target.chain.push(kind) else { return Vec::new() };
                 ob.versions_with(created, index_method)
@@ -476,7 +475,7 @@ fn scan_del(
     ctx: &MatchCtx<'_>,
     target: VidTerm,
     spec: &UpdateSpec,
-    seed: Option<&FastHashSet<Const>>,
+    seed: Option<&RelationDelta>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
@@ -521,7 +520,7 @@ fn scan_mod(
     ctx: &MatchCtx<'_>,
     target: VidTerm,
     spec: &UpdateSpec,
-    seed: Option<&FastHashSet<Const>>,
+    seed: Option<&RelationDelta>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
@@ -613,8 +612,8 @@ mod tests {
     use super::*;
     use crate::plan::IndexPlan;
     use ruvo_lang::Program;
-    use ruvo_obase::Args;
-    use ruvo_term::{int, oid, sym, VarId};
+    use ruvo_obase::{Args, ChangedSince};
+    use ruvo_term::{int, oid, sym, Chain, FastHashSet, VarId};
 
     fn matches_with(
         ob: &ObjectBase,
@@ -683,7 +682,7 @@ mod tests {
 
     /// An object-granular seed: changed bases, no recorded facts.
     fn object_seed(step: usize, bases: &FastHashSet<Const>) -> Seed<'_> {
-        Seed { step, bases: Cow::Borrowed(bases), added: None }
+        Seed { step, delta: Cow::Owned(bases.iter().copied().collect()) }
     }
 
     fn base() -> ObjectBase {
@@ -1006,9 +1005,21 @@ mod tests {
         }
         let program = Program::parse("ins[E].fan -> L <= E.likes -> L.").unwrap();
         let plan = IndexPlan::of(&program);
-        let run_seeded = |bases: &[Const], added: &AddedFacts| {
-            let bases: FastHashSet<Const> = bases.iter().copied().collect();
-            let seed = Seed { step: 0, bases: Cow::Borrowed(&bases), added: Some(added) };
+        // bob only grew, by `jazz`; phil changed whole.
+        let likes = (Chain::EMPTY, sym("likes"));
+        let mut delta = ChangedSince::new();
+        delta.record_added(
+            likes.0,
+            likes.1,
+            oid("bob"),
+            MethodApp::new(Args::empty(), oid("jazz")),
+        );
+        let run_seeded = |bases: &[Const]| {
+            let mut delta = delta.clone();
+            for &base in bases.iter().filter(|&&b| b != oid("bob")) {
+                delta.record(likes.0, likes.1, base);
+            }
+            let seed = Seed { step: 0, delta: Cow::Borrowed(delta.relation(&likes).unwrap()) };
             let mut out = Vec::new();
             for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
                 out.push((b.get(VarId(0)).unwrap(), b.get(VarId(1)).unwrap()))
@@ -1016,19 +1027,16 @@ mod tests {
             out.sort();
             out
         };
-        let mut added = AddedFacts::default();
-        added.insert(oid("bob"), vec![MethodApp::new(Args::empty(), oid("jazz"))]);
         // Exactly the one added application of bob...
-        assert_eq!(run_seeded(&[oid("bob")], &added), vec![(oid("bob"), oid("jazz"))]);
+        assert_eq!(run_seeded(&[oid("bob")]), vec![(oid("bob"), oid("jazz"))]);
         // ...while phil, recorded without facts, is enumerated whole.
         let mut expect = vec![(oid("bob"), oid("jazz")), (oid("phil"), oid("golf"))];
         expect.sort();
-        assert_eq!(run_seeded(&[oid("bob"), oid("phil")], &added), expect);
+        assert_eq!(run_seeded(&[oid("bob"), oid("phil")]), expect);
         // The same through a ground target.
         let program = Program::parse("ins[bob].fan -> L <= bob.likes -> L.").unwrap();
         let plan = IndexPlan::of(&program);
-        let bases: FastHashSet<Const> = [oid("bob")].into_iter().collect();
-        let seed = Seed { step: 0, bases: Cow::Borrowed(&bases), added: Some(&added) };
+        let seed = Seed { step: 0, delta: Cow::Borrowed(delta.relation(&likes).unwrap()) };
         let mut out = Vec::new();
         for_each_match(&ob, &program.rules[0], &plan.rules[0], Some(&seed), &mut |b| {
             out.push(b.get(VarId(0)).unwrap())

@@ -518,7 +518,7 @@ mod tests {
         assert!(first.outcome.result().is_empty());
         assert!(first.outcome.stratum_traces().is_empty());
         assert_eq!(first.outcome.stats().fired_updates, 1);
-        assert!(first.outcome.changed().bases(&(mod_acct.chain(), balance)).is_some());
+        assert!(first.outcome.changed().relation(&(mod_acct.chain(), balance)).is_some());
         assert_eq!((first.seq, first.facts_after), (0, 2));
         assert_eq!(first.outcome.stratification().strata.len(), 1);
 

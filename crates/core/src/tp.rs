@@ -167,6 +167,12 @@ impl FiredSet {
         self.set.insert(fired)
     }
 
+    /// Make room for `additional` more updates — a round reserves its
+    /// candidates' count before it inserts them.
+    pub fn reserve(&mut self, additional: usize) {
+        self.set.reserve(additional);
+    }
+
     /// Membership.
     pub fn contains(&self, fired: &Fired) -> bool {
         self.set.contains(fired)
@@ -297,35 +303,77 @@ pub struct ApplyReport {
     pub facts_copied: usize,
 }
 
-/// Group a round's delta by created version, in first-appearance
+/// A round's delta grouped by created version, in first-appearance
 /// order. This is the **canonical apply order**: states are built,
 /// committed and repaired in it, so the `touched` / `created` lists and
 /// the recorded delta follow the delta's order, never hash order.
-fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
-    let mut index: FastHashMap<Vid, usize> = FastHashMap::default();
-    let mut groups: Vec<(Vid, Vec<&Fired>)> = Vec::new();
-    for fired in delta {
-        let created = fired.created();
-        let i = *index.entry(created).or_insert_with(|| {
-            groups.push((created, Vec::new()));
-            groups.len() - 1
-        });
-        groups[i].1.push(fired);
+///
+/// One index map and one flat permutation, whatever the number of
+/// groups: group `g` creates `vids[g]`, and its updates are
+/// `delta[order[i]]` for `i` in `ends[g - 1]..ends[g]`, in delta order.
+struct Groups {
+    vids: Vec<Vid>,
+    ends: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl Groups {
+    fn of(delta: &[Fired]) -> Groups {
+        let mut index: FastHashMap<Vid, usize> =
+            FastHashMap::with_capacity_and_hasher(delta.len(), Default::default());
+        let (mut vids, mut ends) =
+            (Vec::with_capacity(delta.len()), Vec::with_capacity(delta.len()));
+        // Per update its group; `ends` counts each group's updates.
+        let group_of: Vec<usize> = delta
+            .iter()
+            .map(|fired| {
+                let created = fired.created();
+                let g = *index.entry(created).or_insert_with(|| {
+                    vids.push(created);
+                    ends.push(0);
+                    vids.len() - 1
+                });
+                ends[g] += 1;
+                g
+            })
+            .collect();
+        // Counts to group starts; placing each update then advances its
+        // group's start to the group's end.
+        let mut start = 0;
+        for n in &mut ends {
+            (*n, start) = (start, start + *n);
+        }
+        let mut order = vec![0; delta.len()];
+        for (i, &g) in group_of.iter().enumerate() {
+            order[ends[g]] = i;
+            ends[g] += 1;
+        }
+        Groups { vids, ends, order }
     }
-    groups
+
+    /// Group `g`'s created version and its updates, in delta order.
+    fn get<'d>(
+        &'d self,
+        delta: &'d [Fired],
+        g: usize,
+    ) -> (Vid, impl Iterator<Item = &'d Fired> + Clone) {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] };
+        (self.vids[g], self.order[start..self.ends[g]].iter().map(move |&i| &delta[i]))
+    }
 }
 
 /// Steps 2 + 3 for one created version whose state is built whole,
 /// **read-only** on `ob`: the copied source state with the group's
-/// updates applied. Returns the new state plus `(facts_copied,
-/// was_created)` bookkeeping. Being a pure function of `(ob, created,
-/// updates)`, it never sees a state built in the same round.
-fn build_state(
+/// updates applied (`active`: whether `created` exists already).
+/// Returns the new state and the facts copied. Being a pure function
+/// of `(ob, created, updates)`, it never sees a state built in the
+/// same round.
+fn build_state<'d>(
     ob: &ObjectBase,
     created: Vid,
-    updates: &[&Fired],
-) -> (Arc<VersionState>, usize, bool) {
-    let active = ob.exists_fact(created);
+    active: bool,
+    updates: impl Iterator<Item = &'d Fired> + Clone,
+) -> (Arc<VersionState>, usize) {
     let mut facts_copied = 0;
     // Step 2: the copy — an `Arc` alias of the source state, not a
     // deep copy. Step 3 unshares it on its first *effective* write
@@ -336,7 +384,7 @@ fn build_state(
     let mut state: Arc<VersionState> = if active {
         ob.version_shared(created).cloned().unwrap_or_default()
     } else {
-        let target = updates[0].target();
+        let target = updates.clone().next().expect("a group is never empty").target();
         let copied = match ob.v_star(target) {
             Some(v_star) => ob.version_shared(v_star).cloned().unwrap_or_default(),
             // Brand-new object: empty copy (ARCHITECTURE.md, decision D3).
@@ -353,7 +401,7 @@ fn build_state(
     // insertions. Interleaving per update would make chained mods
     // like (a,b),(b,c) order-dependent ({c} or {a,c} instead of the
     // paper's {b,c}).
-    for fired in updates {
+    for fired in updates.clone() {
         let removal = match fired {
             Fired::Del { method, args, result, .. } => {
                 Some((*method, MethodApp::new(args.clone(), *result)))
@@ -385,7 +433,7 @@ fn build_state(
             }
         }
     }
-    (state, facts_copied, !active)
+    (state, facts_copied)
 }
 
 /// Steps 2 + 3 for the newly fired updates of one round (for a
@@ -398,37 +446,42 @@ fn build_state(
 /// by fact, through the tracked edits — nothing built this round reads
 /// them.
 pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
-    let groups = group_by_created(delta);
+    let groups = Groups::of(delta);
     let mut report = ApplyReport::default();
-    report.touched.extend(groups.iter().map(|(created, _)| *created));
-    let (whole, repairs): (Vec<_>, Vec<_>) = groups.iter().partition(|(created, updates)| {
-        updates[0].kind() == UpdateKind::Mod || !ob.exists_fact(*created)
-    });
-
-    let mut edits: Vec<(Vid, Option<Arc<VersionState>>)> = Vec::with_capacity(whole.len());
-    for (created, updates) in whole {
-        let (state, facts_copied, was_created) = build_state(ob, *created, updates);
-        report.facts_copied += facts_copied;
-        if was_created {
-            report.created.push(*created);
+    let mut edits: Vec<(Vid, Option<Arc<VersionState>>)> = Vec::new();
+    let mut repairs: Vec<usize> = Vec::with_capacity(groups.vids.len());
+    for g in 0..groups.vids.len() {
+        let (created, updates) = groups.get(delta, g);
+        let active = ob.exists_fact(created);
+        let kind = updates.clone().next().expect("a group is never empty").kind();
+        if active && kind != UpdateKind::Mod {
+            repairs.push(g);
+            continue;
         }
-        edits.push((*created, Some(state)));
+        let (state, facts_copied) = build_state(ob, created, active, updates);
+        report.facts_copied += facts_copied;
+        if !active {
+            report.created.push(created);
+        }
+        edits.push((created, Some(state)));
     }
     ob.replace_versions_tracked_shared(&edits, &mut report.changed);
 
-    for (created, updates) in repairs {
+    for g in repairs {
+        let (created, updates) = groups.get(delta, g);
         for fired in updates {
             match fired {
                 Fired::Ins { method, args, result, .. } => {
-                    ob.insert_tracked(*created, *method, args.clone(), *result, &mut report.changed)
+                    ob.insert_tracked(created, *method, args.clone(), *result, &mut report.changed)
                 }
                 Fired::Del { method, args, result, .. } => {
-                    ob.remove_tracked(*created, *method, args, *result, &mut report.changed)
+                    ob.remove_tracked(created, *method, args, *result, &mut report.changed)
                 }
                 Fired::Mod { .. } => unreachable!("mod groups are built whole"),
             };
         }
     }
+    report.touched = groups.vids;
     report
 }
 
@@ -580,12 +633,21 @@ mod tests {
         // The version round 1 created is its own delta; round 2 repaired
         // it in place and reports exactly the one application it added.
         let isa = (created.chain(), sym("isa"));
-        assert!(r1.changed.bases(&isa).unwrap().contains(&oid("phil")));
-        assert!(r1.changed.keys().all(|k| r1.changed.added(k).is_none()));
+        assert!(r1.changed.relation(&isa).unwrap().contains(oid("phil")));
+        assert!(r1.changed.keys().all(|k| r1
+            .changed
+            .relation(k)
+            .unwrap()
+            .grown()
+            .next()
+            .is_none()));
         assert_eq!(r2.changed.keys().collect::<Vec<_>>(), vec![&isa]);
-        let added = r2.changed.added(&isa).unwrap();
-        assert_eq!(added.len(), 1);
-        assert_eq!(added[&oid("phil")], vec![MethodApp::new(Args::empty(), oid("vip"))]);
+        let added = r2.changed.relation(&isa).unwrap();
+        assert_eq!(added.grown().count(), 1);
+        assert_eq!(
+            added.added(oid("phil")),
+            Some(&[MethodApp::new(Args::empty(), oid("vip"))][..])
+        );
         ob.check_invariants();
     }
 

@@ -156,6 +156,11 @@ impl Versions {
         self.find(chain).ok().map(|i| &self.pairs()[i].1)
     }
 
+    fn get_mut(&mut self, chain: Chain) -> Option<&mut Arc<VersionState>> {
+        let i = self.find(chain).ok()?;
+        Some(&mut self.pairs_mut()[i].1)
+    }
+
     /// The state under `chain`, an empty one installed first if absent.
     fn get_or_default(&mut self, chain: Chain) -> &mut Arc<VersionState> {
         let i = self.find(chain).unwrap_or_else(|_| self.insert(chain, Arc::default()));
@@ -334,35 +339,58 @@ impl ObjectBase {
         args: impl Into<Args>,
         result: Const,
     ) -> bool {
-        let app = MethodApp::new(args, result);
-        let exists = method == exists_sym();
-        if exists && !is_canonical_exists(vid, app.args.as_slice(), result) {
-            return false;
+        self.insert_app(vid, method, &MethodApp::new(args, result)).is_some()
+    }
+
+    /// Insert one application: `None` if it is not new (or is an
+    /// `exists` fact other than the canonical one), else whether `vid`
+    /// appeared with it.
+    ///
+    /// A version that exists is probed once; once its leaf, state and
+    /// method set are this base's own, the insert hashes the set once.
+    /// Until then each level is peeked before it is unshared, so a
+    /// duplicate copies nothing.
+    fn insert_app(&mut self, vid: Vid, method: Symbol, app: &MethodApp) -> Option<bool> {
+        let (chain, exists) = (vid.chain(), exists_sym());
+        let fresh = |entry: &Versions| entry.get(chain).is_some_and(|s| !s.contains(method, app));
+        let state = if method == exists {
+            None
+        } else {
+            self.versions.get_mut_if(&vid.base(), fresh).and_then(|e| e.get_mut(chain))
+        };
+        if let Some(state) = state {
+            if Arc::strong_count(state) > 1 && state.contains(method, app) {
+                return None;
+            }
+            let state = Arc::make_mut(state);
+            let (was_empty, had_method) = (state.is_empty(), state.has_method(method));
+            if !state.insert(method, app.clone()) {
+                return None;
+            }
+            // An empty state already counted its canonical `exists` fact.
+            self.fact_count += usize::from(!was_empty);
+            if !had_method {
+                self.index_method(vid, method);
+            }
+            self.index_app(vid, method, app);
+            return Some(false);
         }
-        // Peek before copying: a duplicate insert must not CoW-copy
-        // anything (neither the versions leaf nor the shared state).
-        let before = self.version_shared(vid);
-        if before.is_some_and(|s| exists || s.contains(method, &app)) {
-            return false;
+        // A duplicate through a shared leaf, an `exists` fact, or a new
+        // version.
+        if self.exists_fact(vid)
+            || (method == exists && !is_canonical_exists(vid, app.args.as_slice(), app.result))
+        {
+            return None;
         }
-        let present = before.is_some();
-        let had_method = before.is_some_and(|s| s.has_method(method));
-        // An empty state already counts its canonical `exists` fact.
-        self.fact_count += usize::from(!before.is_some_and(|s| s.is_empty()));
-        if !present {
-            self.index_method(vid, exists_sym());
-        }
-        if exists {
-            self.state_mut(vid);
-            return true;
-        }
-        if !had_method {
+        self.fact_count += 1;
+        self.index_method(vid, exists);
+        let state = Arc::make_mut(self.state_mut(vid));
+        if method != exists {
+            state.insert(method, app.clone());
             self.index_method(vid, method);
+            self.index_app(vid, method, app);
         }
-        self.index_app(vid, method, &app);
-        let added = Arc::make_mut(self.state_mut(vid)).insert(method, app);
-        crate::invariant_assert!(added, "presence peeked above");
-        true
+        Some(true)
     }
 
     /// Mutable access to `vid`'s state, an empty one installed first if
@@ -447,15 +475,13 @@ impl ObjectBase {
         result: Const,
         changed: &mut ChangedSince,
     ) -> bool {
-        let appears = !self.exists_fact(vid);
-        let added = self.insert(vid, method, args.clone(), result);
-        if added {
-            if appears {
-                changed.record(vid.chain(), exists_sym(), vid.base());
-            }
-            changed.record_added(vid.chain(), method, vid.base(), MethodApp { args, result });
+        let app = MethodApp { args, result };
+        let Some(appeared) = self.insert_app(vid, method, &app) else { return false };
+        if appeared {
+            changed.record(vid.chain(), exists_sym(), vid.base());
         }
-        added
+        changed.record_added(vid.chain(), method, vid.base(), app);
+        true
     }
 
     /// [`ObjectBase::remove`] recording an effective removal into
@@ -1173,7 +1199,7 @@ mod tests {
 
         let bases = |m: &str| {
             let mut v: Vec<Const> =
-                changed.bases(&(Chain::EMPTY, sym(m))).unwrap().iter().copied().collect();
+                changed.relation(&(Chain::EMPTY, sym(m))).unwrap().bases().collect();
             v.sort();
             v
         };
@@ -1190,14 +1216,60 @@ mod tests {
             v.sort();
             v
         });
-        assert!(changed.added(&(Chain::EMPTY, sym("q"))).is_none(), "removals record no facts");
-        let added_p = changed.added(&(Chain::EMPTY, sym("p"))).unwrap();
-        let added_r = changed.added(&(Chain::EMPTY, sym("r"))).unwrap();
-        assert_eq!((added_p.len(), added_r.len()), (every(0).len(), every(0).len()));
+        let q = changed.relation(&(Chain::EMPTY, sym("q"))).unwrap();
+        assert!(q.grown().next().is_none(), "removals record no facts");
+        let added_p = changed.relation(&(Chain::EMPTY, sym("p"))).unwrap();
+        let added_r = changed.relation(&(Chain::EMPTY, sym("r"))).unwrap();
+        assert_eq!(
+            (added_p.grown().count(), added_r.grown().count()),
+            (every(0).len(), every(0).len())
+        );
         for i in (0..n).filter(|i| i % 3 == 0) {
-            assert_eq!(added_p[&obj(i).base()], vec![app(i + 1000)]);
-            assert_eq!(added_r[&obj(i).base()], vec![app(7)]);
+            assert_eq!(added_p.added(obj(i).base()), Some(&[app(i + 1000)][..]));
+            assert_eq!(added_r.added(obj(i).base()), Some(&[app(7)][..]));
         }
+    }
+
+    /// A duplicate `insert_tracked` and an absent `remove_tracked` are
+    /// no-ops at every level: on a fresh clone they record nothing and
+    /// unshare no shard, leaf or state; once the base owns the version,
+    /// the one-probe path records nothing for a duplicate either.
+    #[test]
+    fn tracked_noops_on_a_fresh_clone_unshare_no_shard() {
+        let mut original = ObjectBase::new();
+        let phil = Vid::object(oid("phil"));
+        let (likes, none) = (sym("likes"), Args::empty());
+        for what in ["tea", "jazz"] {
+            original.insert(phil, likes, none.clone(), oid(what));
+        }
+        original.insert(phil, sym("sal"), vec![int(1)], int(4000));
+        let mut ob = original.clone();
+        let mut changed = ChangedSince::new();
+        let state = Arc::clone(ob.version_shared(phil).unwrap());
+        assert!(!ob.insert_tracked(phil, likes, none.clone(), oid("tea"), &mut changed));
+        assert!(!ob.insert_tracked(phil, sym("sal"), vec![int(1)].into(), int(4000), &mut changed));
+        assert!(!ob.remove_tracked(phil, likes, &none, oid("golf"), &mut changed));
+        assert!(!ob.remove_tracked(phil, sym("boss"), &none, oid("bob"), &mut changed));
+        assert!(changed.is_empty());
+        assert_eq!(ob.cow_stats(&original), original.cow_stats(&original));
+        assert!(ob.cow_stats(&original).fully_shared());
+        assert_eq!(ob.versions.leaves_unshared_with(&original.versions), 0);
+        assert!(Arc::ptr_eq(ob.version_shared(phil).unwrap(), &state));
+
+        // One effective insert makes the leaf, the state and the set the
+        // clone's own; a duplicate then goes through the one-probe path.
+        assert!(ob.insert_tracked(phil, likes, none.clone(), oid("golf"), &mut changed));
+        assert!(!Arc::ptr_eq(ob.version_shared(phil).unwrap(), &state));
+        let mut again = ChangedSince::new();
+        assert!(!ob.insert_tracked(phil, likes, none.clone(), oid("golf"), &mut again));
+        assert!(!ob.insert_tracked(phil, likes, none.clone(), oid("tea"), &mut again));
+        assert!(again.is_empty());
+        let relation = changed.relation(&(Chain::EMPTY, likes)).unwrap();
+        assert_eq!(relation.added(oid("phil")), Some(&[MethodApp::new(none, oid("golf"))][..]));
+        assert_eq!(ob.len(), 4);
+        ob.check_invariants();
+        original.check_invariants();
+        assert_eq!(original.len(), 3, "the original must not see the edit");
     }
 
     /// The tracked commit on random batches — fresh versions, growing
@@ -1287,7 +1359,7 @@ mod tests {
             assert_eq!(found, if present { vec![*vid] } else { vec![] });
             assert_eq!(ob.v_star(*vid), if present { Some(*vid) } else { None });
             let recorded =
-                changed.bases(&(vid.chain(), exists)).is_some_and(|b| b.contains(&vid.base()));
+                changed.relation(&(vid.chain(), exists)).is_some_and(|r| r.contains(vid.base()));
             assert_eq!(recorded, before.exists_fact(*vid) != present, "{vid}");
         }
         for chain in [Chain::EMPTY, Chain::EMPTY.push(UpdateKind::Mod).unwrap()] {
@@ -1560,7 +1632,7 @@ mod tests {
         assert!(changed.contains(&(Chain::EMPTY, sym("sal"))));
         assert!(changed.contains(&(Chain::EMPTY, sym("pos"))));
         assert!(!changed.contains(&(Chain::EMPTY, sym("isa"))));
-        assert!(changed.bases(&(Chain::EMPTY, sym("sal"))).unwrap().contains(&oid("phil")));
+        assert!(changed.relation(&(Chain::EMPTY, sym("sal"))).unwrap().contains(oid("phil")));
 
         // A brand-new version records all of its methods.
         let mut changed = ChangedSince::new();

@@ -2,41 +2,201 @@
 //! objects — and, where a relation only grew, by which applications.
 //!
 //! Semi-naive fixpoint evaluation re-derives only what a round's
-//! writes could have affected. A [`ChangedSince`] records two planes
-//! per `(chain, method)` relation since it was last cleared:
+//! writes could have affected. A [`ChangedSince`] keeps **one entry
+//! per `(chain, method)` relation** changed since it was last cleared,
+//! a [`RelationDelta`], which sorts the relation's changed object bases
+//! in two:
 //!
-//! * the **object plane** — the object bases whose facts under the
-//!   relation were added *or* removed: what gates rule re-evaluation
-//!   and seeds the body literals that are true *because* something
-//!   changed shape (`del[..]` / `mod[..]`);
-//! * the **fact plane** — for a base whose version already existed and
-//!   whose facts under the relation have *only grown*, exactly the
-//!   applications added: the seed of a body literal that is true by
-//!   membership, which can then join from the new facts alone.
+//! * bases read **whole**: the version is new, or it lost facts under
+//!   the relation. A removal can make no membership literal true, so it
+//!   needs no facts — but it ends the "only grown" guarantee, and the
+//!   base reads whole from then on. Every changed base, whole or not,
+//!   seeds the body literals that are true *because* something changed
+//!   shape (`del[..]` / `mod[..]`), which read only the changed bases;
+//! * bases that **only grew**, with the applications they gained: the
+//!   version already existed and its facts under the relation only
+//!   grew. That is the seed of a body literal true by membership,
+//!   which can then join from the new facts alone. The first
+//!   application is held inline; a vector is allocated only from the
+//!   second on.
 //!
-//! A changed base without a fact entry means "the whole version is the
-//! delta": the version is new, or it lost facts (a removal can make no
-//! membership literal true, so it needs no facts — but it ends the
-//! "only grown" guarantee, and the entry with it).
-//!
-//! Both write paths of a round record here through the object base:
-//! the tracked commit ([`crate::ObjectBase::replace_versions_tracked_shared`]),
-//! which diffs each incoming state against the one it replaces so that
+//! Recording a fact costs a hash of the relation and one of the base
+//! while no base of the relation is whole (a fixpoint round that only
+//! repairs versions in place), and a relation of whole bases alone is
+//! a set that holds a single base inline — what a session log keeps of
+//! every commit, whose relations mostly change for one object. Both write
+//! paths of a round record here through the object base: the tracked
+//! commit
+//! ([`crate::ObjectBase::replace_versions_tracked_shared`]), which
+//! diffs each incoming state against the one it replaces so that
 //! idempotent re-commits contribute nothing, and the tracked in-place
 //! edits ([`crate::ObjectBase::insert_tracked`] /
 //! [`crate::ObjectBase::remove_tracked`]), which record only effective
 //! writes.
 
+use std::collections::hash_map::Entry;
+
 use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol};
 
 use crate::MethodApp;
 
-/// The applications added per object base of one relation.
-pub type AddedFacts = FastHashMap<Const, Vec<MethodApp>>;
+/// What a base whose version only grew gained under one relation: one
+/// application inline, two or more in a vector, in the order added.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Added {
+    One(MethodApp),
+    Many(Vec<MethodApp>),
+}
 
-/// The changes accumulated since a point in time: per `(chain, method)`
-/// relation, the object bases whose fact sets changed, plus the added
-/// applications of the bases that only grew.
+impl Added {
+    fn as_slice(&self) -> &[MethodApp] {
+        match self {
+            Added::One(app) => std::slice::from_ref(app),
+            Added::Many(apps) => apps,
+        }
+    }
+}
+
+/// A set of bases that holds a single one inline: most relations a
+/// commit changes, change for one object. Empty only as the default;
+/// never a one-member set, so the derived `==` is content equality.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Bases {
+    One(Const),
+    Many(FastHashSet<Const>),
+}
+
+impl Default for Bases {
+    fn default() -> Self {
+        Bases::Many(FastHashSet::default())
+    }
+}
+
+impl Bases {
+    fn insert(&mut self, base: Const) {
+        match self {
+            Bases::One(one) if *one == base => {}
+            Bases::One(one) => *self = Bases::Many([*one, base].into_iter().collect()),
+            Bases::Many(set) if set.is_empty() => *self = Bases::One(base),
+            Bases::Many(set) => {
+                set.insert(base);
+            }
+        }
+    }
+
+    fn contains(&self, base: Const) -> bool {
+        match self {
+            Bases::One(one) => *one == base,
+            Bases::Many(set) => set.contains(&base),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Const> + '_ {
+        let (one, many) = match self {
+            Bases::One(one) => (Some(*one), None),
+            Bases::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Bases::One(_) => 1,
+            Bases::Many(set) => set.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Bases::Many(set) if set.is_empty())
+    }
+}
+
+/// One relation's entry in a [`ChangedSince`]: the object bases whose
+/// facts under the relation changed and, for a base whose version only
+/// grew, the applications it gained.
+///
+/// Collected from bases (`FromIterator<Const>`), it marks every base
+/// whole: the object-granular seed of a literal that reads several
+/// relations.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RelationDelta {
+    /// The bases to read whole: their version is new, or lost facts.
+    whole: Bases,
+    /// The bases whose version existed and only grew, with what they
+    /// gained. Disjoint from `whole`, so a base costs one hash while
+    /// nothing in the relation is whole, and a relation that only
+    /// holds whole bases allocates no map for facts.
+    grown: FastHashMap<Const, Added>,
+}
+
+impl RelationDelta {
+    /// The changed object bases.
+    pub fn bases(&self) -> impl Iterator<Item = Const> + '_ {
+        self.whole.iter().chain(self.grown.keys().copied())
+    }
+
+    /// True if `base` changed.
+    pub fn contains(&self, base: Const) -> bool {
+        self.grown.contains_key(&base) || self.whole.contains(base)
+    }
+
+    /// The applications `base` gained, if its version existed and only
+    /// grew; `None` if it must be read whole (or did not change).
+    pub fn added(&self, base: Const) -> Option<&[MethodApp]> {
+        self.grown.get(&base).map(Added::as_slice)
+    }
+
+    /// The bases that only grew, each with what it gained.
+    pub fn grown(&self) -> impl Iterator<Item = (Const, &[MethodApp])> {
+        self.grown.iter().map(|(base, added)| (*base, added.as_slice()))
+    }
+
+    /// Number of changed bases.
+    pub fn len(&self) -> usize {
+        self.whole.len() + self.grown.len()
+    }
+
+    /// True if no base changed.
+    pub fn is_empty(&self) -> bool {
+        self.whole.is_empty() && self.grown.is_empty()
+    }
+
+    fn record(&mut self, base: Const) {
+        if !self.grown.is_empty() {
+            self.grown.remove(&base);
+        }
+        self.whole.insert(base);
+    }
+
+    fn record_added(&mut self, base: Const, app: MethodApp) {
+        if self.whole.contains(base) {
+            return;
+        }
+        match self.grown.entry(base) {
+            Entry::Vacant(slot) => {
+                slot.insert(Added::One(app));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                Added::One(first) => {
+                    let first = first.clone();
+                    slot.insert(Added::Many(vec![first, app]));
+                }
+                Added::Many(apps) => apps.push(app),
+            },
+        }
+    }
+}
+
+impl FromIterator<Const> for RelationDelta {
+    fn from_iter<I: IntoIterator<Item = Const>>(bases: I) -> RelationDelta {
+        let mut whole = Bases::default();
+        bases.into_iter().for_each(|base| whole.insert(base));
+        RelationDelta { whole, grown: FastHashMap::default() }
+    }
+}
+
+/// The changes accumulated since a point in time: one
+/// [`RelationDelta`] per changed `(chain, method)` relation.
 ///
 /// ```
 /// use ruvo_obase::{ChangedSince, ObjectBase, VersionState, MethodApp, Args};
@@ -51,18 +211,15 @@ pub type AddedFacts = FastHashMap<Const, Vec<MethodApp>>;
 /// let edit = (Vid::object(oid("phil")), Some(state.into()));
 /// ob.replace_versions_tracked_shared(&[edit], &mut delta);
 ///
-/// assert!(delta.contains(&(Chain::EMPTY, sym("sal"))));
-/// assert_eq!(delta.bases(&(Chain::EMPTY, sym("sal"))).unwrap().len(), 1);
-/// // 4000 disappeared, so no fact entry: the whole version is the delta.
-/// assert!(delta.added(&(Chain::EMPTY, sym("sal"))).is_none());
+/// let sal = delta.relation(&(Chain::EMPTY, sym("sal"))).unwrap();
+/// assert_eq!(sal.len(), 1);
+/// // 4000 disappeared, so no added facts: the whole version is the delta.
+/// assert!(sal.contains(oid("phil")));
+/// assert!(sal.added(oid("phil")).is_none());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChangedSince {
-    map: FastHashMap<(Chain, Symbol), FastHashSet<Const>>,
-    /// The fact plane. Invariant: an entry `(key, base)` exists only if
-    /// `base` is in `map[key]` and every change recorded for it since
-    /// the last clear was an addition; it then lists those additions.
-    facts: FastHashMap<(Chain, Symbol), AddedFacts>,
+    map: FastHashMap<(Chain, Symbol), RelationDelta>,
 }
 
 impl ChangedSince {
@@ -75,22 +232,14 @@ impl ChangedSince {
     /// way only the whole version describes (a new version, a removal).
     /// Drops any facts recorded for it.
     pub fn record(&mut self, chain: Chain, method: Symbol, base: Const) {
-        self.map.entry((chain, method)).or_default().insert(base);
-        if let Some(facts) = self.facts.get_mut(&(chain, method)) {
-            facts.remove(&base);
-        }
+        self.map.entry((chain, method)).or_default().record(base);
     }
 
     /// Record that `app` was added to `base`'s facts under
     /// `(chain, method)`, the version having existed before. If the
-    /// base is already recorded without facts it stays that way.
+    /// base is already recorded whole it stays that way.
     pub fn record_added(&mut self, chain: Chain, method: Symbol, base: Const, app: MethodApp) {
-        let key = (chain, method);
-        if self.map.entry(key).or_default().insert(base) {
-            self.facts.entry(key).or_default().insert(base, vec![app]);
-        } else if let Some(apps) = self.facts.get_mut(&key).and_then(|f| f.get_mut(&base)) {
-            apps.push(app);
-        }
+        self.map.entry((chain, method)).or_default().record_added(base, app);
     }
 
     /// True if the relation changed for *some* object.
@@ -98,16 +247,10 @@ impl ChangedSince {
         self.map.contains_key(key)
     }
 
-    /// The objects whose facts under `key` changed, if any did.
-    pub fn bases(&self, key: &(Chain, Symbol)) -> Option<&FastHashSet<Const>> {
+    /// The relation's entry: which objects' facts under `key` changed,
+    /// and how — if any did.
+    pub fn relation(&self, key: &(Chain, Symbol)) -> Option<&RelationDelta> {
         self.map.get(key)
-    }
-
-    /// The fact plane of `key`: per base of [`ChangedSince::bases`]
-    /// that only grew, the applications added. A changed base without
-    /// an entry must be read whole.
-    pub fn added(&self, key: &(Chain, Symbol)) -> Option<&AddedFacts> {
-        self.facts.get(key).filter(|facts| !facts.is_empty())
     }
 
     /// The changed relations.
@@ -115,14 +258,14 @@ impl ChangedSince {
         self.map.keys()
     }
 
-    /// Fold another delta set's object plane into this one. Facts are a
-    /// round's seeds and are not accumulated: the merged-in bases read
-    /// as whole-version changes.
+    /// Fold another delta set's changed bases into this one. Facts are
+    /// a round's seeds and are not accumulated: the merged-in bases
+    /// read whole.
     pub fn merge(&mut self, other: &ChangedSince) {
-        for (key, bases) in &other.map {
-            self.map.entry(*key).or_default().extend(bases.iter().copied());
-            if let Some(facts) = self.facts.get_mut(key) {
-                facts.retain(|base, _| !bases.contains(base));
+        for (key, relation) in &other.map {
+            let into = self.map.entry(*key).or_default();
+            for base in relation.bases() {
+                into.record(base);
             }
         }
     }
@@ -140,7 +283,6 @@ impl ChangedSince {
     /// Drop all recorded changes.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.facts.clear();
     }
 }
 
@@ -149,6 +291,10 @@ mod tests {
     use super::*;
     use crate::Args;
     use ruvo_term::{int, oid, sym};
+
+    fn app(n: i64) -> MethodApp {
+        MethodApp::new(Args::empty(), int(n))
+    }
 
     #[test]
     fn record_and_query() {
@@ -160,7 +306,7 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d.contains(&(Chain::EMPTY, sym("sal"))));
         assert!(!d.contains(&(Chain::EMPTY, sym("boss"))));
-        assert_eq!(d.bases(&(Chain::EMPTY, sym("sal"))).unwrap().len(), 2);
+        assert_eq!(d.relation(&(Chain::EMPTY, sym("sal"))).unwrap().len(), 2);
     }
 
     #[test]
@@ -171,7 +317,7 @@ mod tests {
         b.record(Chain::EMPTY, sym("p"), oid("y"));
         b.record(Chain::EMPTY, sym("q"), oid("z"));
         a.merge(&b);
-        assert_eq!(a.bases(&(Chain::EMPTY, sym("p"))).unwrap().len(), 2);
+        assert_eq!(a.relation(&(Chain::EMPTY, sym("p"))).unwrap().len(), 2);
         assert!(a.contains(&(Chain::EMPTY, sym("q"))));
         a.clear();
         assert!(a.is_empty());
@@ -180,19 +326,20 @@ mod tests {
     #[test]
     fn facts_are_kept_only_while_a_base_only_grows() {
         let key = (Chain::EMPTY, sym("p"));
-        let app = |n| MethodApp::new(Args::empty(), int(n));
         let mut d = ChangedSince::new();
         d.record_added(key.0, key.1, oid("x"), app(1));
         d.record_added(key.0, key.1, oid("x"), app(2));
         d.record(key.0, key.1, oid("y"));
         d.record_added(key.0, key.1, oid("y"), app(3)); // y is already "whole"
-        assert_eq!(d.bases(&key).unwrap().len(), 2);
-        assert_eq!(d.added(&key).unwrap().get(&oid("x")), Some(&vec![app(1), app(2)]));
-        assert!(!d.added(&key).unwrap().contains_key(&oid("y")));
+        let p = d.relation(&key).unwrap();
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.added(oid("x")), Some(&[app(1), app(2)][..]));
+        assert!(p.added(oid("y")).is_none());
         // A removal (or any whole-version record) ends x's guarantee.
         d.record(key.0, key.1, oid("x"));
-        assert!(d.added(&key).is_none());
-        assert!(d.bases(&key).unwrap().contains(&oid("x")));
+        let p = d.relation(&key).unwrap();
+        assert!(p.grown().next().is_none());
+        assert!(p.contains(oid("x")));
 
         // Merging is object-level: no facts travel, and merged-in bases
         // lose the facts the target held for them.
@@ -201,7 +348,54 @@ mod tests {
         let mut total = ChangedSince::new();
         total.record_added(key.0, key.1, oid("z"), app(5));
         total.merge(&round);
-        assert!(total.added(&key).is_none());
-        assert!(total.bases(&key).unwrap().contains(&oid("z")));
+        assert!(total.relation(&key).unwrap().grown().next().is_none());
+        assert!(total.relation(&key).unwrap().contains(oid("z")));
+    }
+
+    #[test]
+    fn added_facts_go_from_inline_to_a_vector_in_insertion_order() {
+        let key = (Chain::EMPTY, sym("p"));
+        let mut d = ChangedSince::new();
+        d.record_added(key.0, key.1, oid("x"), app(3));
+        let added = |d: &ChangedSince| d.relation(&key).unwrap().grown[&oid("x")].clone();
+        assert_eq!(added(&d), Added::One(app(3)), "the first addition is inline");
+        d.record_added(key.0, key.1, oid("x"), app(1));
+        assert_eq!(added(&d), Added::Many(vec![app(3), app(1)]));
+        d.record_added(key.0, key.1, oid("x"), app(2));
+        assert_eq!(added(&d), Added::Many(vec![app(3), app(1), app(2)]));
+        assert_eq!(d.relation(&key).unwrap().added(oid("x")), Some(&[app(3), app(1), app(2)][..]));
+        let grown: Vec<_> = d.relation(&key).unwrap().grown().collect();
+        assert_eq!(grown, vec![(oid("x"), &[app(3), app(1), app(2)][..])]);
+    }
+
+    #[test]
+    fn record_after_record_added_drops_the_facts() {
+        let key = (Chain::EMPTY, sym("p"));
+        let mut d = ChangedSince::new();
+        d.record_added(key.0, key.1, oid("x"), app(1));
+        d.record_added(key.0, key.1, oid("y"), app(2));
+        d.record_added(key.0, key.1, oid("y"), app(3));
+        d.record(key.0, key.1, oid("x"));
+        d.record(key.0, key.1, oid("y"));
+        let p = d.relation(&key).unwrap();
+        assert_eq!(p.len(), 2);
+        assert_eq!((p.added(oid("x")), p.added(oid("y"))), (None, None));
+        assert!(p.grown.is_empty() && p.whole.len() == 2);
+        // One base is held inline, two or more in a set.
+        let mut one = ChangedSince::new();
+        one.record(key.0, key.1, oid("x"));
+        one.record(key.0, key.1, oid("x"));
+        assert_eq!(one.relation(&key).unwrap().whole, Bases::One(oid("x")));
+        // ...and later additions do not bring them back.
+        d.record_added(key.0, key.1, oid("x"), app(4));
+        assert!(d.relation(&key).unwrap().added(oid("x")).is_none());
+    }
+
+    #[test]
+    fn a_relation_collected_from_bases_reads_every_base_whole() {
+        let relation: RelationDelta = [oid("x"), oid("y"), oid("x")].into_iter().collect();
+        assert_eq!(relation.len(), 2);
+        assert!(relation.contains(oid("y")) && !relation.contains(oid("z")));
+        assert!(relation.grown().next().is_none());
     }
 }

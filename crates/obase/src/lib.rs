@@ -56,7 +56,7 @@ pub use args::Args;
 pub use base::{vid_shard, Fact, ObjectBase};
 pub use bytes::Bytes;
 pub use codec::DecodeError;
-pub use delta::{AddedFacts, ChangedSince};
+pub use delta::{ChangedSince, RelationDelta};
 pub use linearity::{check_all_linear, LinearityTracker, LinearityViolation};
 pub use shard::SHARD_COUNT;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotFileError};

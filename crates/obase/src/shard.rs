@@ -206,11 +206,28 @@ where
         Arc::make_mut(node[leaf].get_or_insert_with(Default::default))
     }
 
+    /// Whether this map alone holds the slot's shard node and leaf, so
+    /// that writing through them copies nothing.
+    fn owns(&self, (shard, leaf): Slot) -> bool {
+        // No `Weak` handle to a node or leaf is ever made, so a strong
+        // count of one is sole ownership.
+        Arc::strong_count(&self.shards[shard]) == 1
+            && self.shards[shard][leaf].as_ref().is_some_and(|l| Arc::strong_count(l) == 1)
+    }
+
     /// Mutable access to an entry's value. Unshares the slot — but
     /// only on a hit; a miss returns `None` without copying anything.
     pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.get_mut_if(key, |_| true)
+    }
+
+    /// Mutable access to an entry's value if `write` accepts it. A slot
+    /// this map already owns is probed once, and `write` is not asked:
+    /// nothing is copied either way. A shared slot is peeked through
+    /// first, so a miss or a refused entry unshares nothing.
+    pub(crate) fn get_mut_if(&mut self, key: &K, write: impl FnOnce(&V) -> bool) -> Option<&mut V> {
         let slot = key.slot();
-        if !self.leaf(slot).is_some_and(|l| l.contains_key(key)) {
+        if !self.owns(slot) && !self.leaf(slot).and_then(|l| l.get(key)).is_some_and(write) {
             return None;
         }
         self.leaf_mut(slot).get_mut(key)
@@ -226,10 +243,11 @@ where
         self.leaf_mut(key.slot()).entry(key).or_default()
     }
 
-    /// Remove an entry. A miss does not unshare the slot.
+    /// Remove an entry. A miss does not unshare the slot; an owned slot
+    /// is probed once.
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         let slot = key.slot();
-        if !self.leaf(slot).is_some_and(|l| l.contains_key(key)) {
+        if !self.owns(slot) && !self.leaf(slot).is_some_and(|l| l.contains_key(key)) {
             return None;
         }
         self.leaf_mut(slot).remove(key)

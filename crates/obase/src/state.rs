@@ -115,13 +115,19 @@ impl VersionState {
             Ok(i) => {
                 let apps = &mut self.methods[i].1;
                 match apps {
-                    // Peek before copying: a duplicate insert must not
-                    // unshare the method's set.
                     Apps::One(a) if *a == app => return false,
-                    Apps::Many(set) if set.contains(&app) => return false,
                     Apps::One(a) => {
                         *apps = Apps::Many(Arc::new([a.clone(), app].into_iter().collect()))
                     }
+                    // A set this state owns is hashed once, by the insert.
+                    Apps::Many(set) if Arc::strong_count(set) == 1 => {
+                        if !Arc::make_mut(set).insert(app) {
+                            return false;
+                        }
+                    }
+                    // Peek before copying: a duplicate insert must not
+                    // unshare a shared set.
+                    Apps::Many(set) if set.contains(&app) => return false,
                     Apps::Many(set) => {
                         Arc::make_mut(set).insert(app);
                     }

@@ -360,6 +360,69 @@ fn closure_work_grows_with_what_it_derives() {
     }
 }
 
+/// Allocations of one `Database::apply` of the `tc1` / `tc2` closure
+/// over a `next` chain of `n` objects — its `n` rounds and the commit
+/// of their `ob′` — with the derived fact count, n(n−1)/2. The program
+/// is prepared outside the measurement.
+fn closure_apply_allocations(n: usize) -> (f64, f64) {
+    let chain: String = (0..n - 1).map(|i| format!("o{i}.next -> o{}. ", i + 1)).collect();
+    let mut db = Database::open(ObjectBase::parse(&chain).unwrap());
+    let closure = Prepared::compile(
+        Program::parse(
+            "tc1: ins[X].reach -> Y <= X.next -> Y.
+             tc2: ins[X].reach -> Z <= ins(X).reach -> Y & Y.next -> Z.",
+        )
+        .unwrap(),
+        CyclePolicy::Reject,
+    )
+    .unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    let derived = db.apply(&closure).unwrap().outcome.stats().fired_updates;
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(derived, n * (n - 1) / 2);
+    (allocations as f64, derived as f64)
+}
+
+/// A derived fact is written once: recording it in the round's delta,
+/// grouping it by version and repairing its version in place allocate
+/// nothing per fact. An apply of the closure costs `p` allocations
+/// per derived fact plus `q` per object — one round, one version and
+/// one final state each — and the two chain lengths of each pair
+/// (n, 2n) fix both. `p` must be equal at n = 40 and at n = 80 (the
+/// model holds) and below the budget. It is 0.04 and 0.03, with
+/// q ≈ 45; it was 2.30 and 2.16 with a map and a vector per base per
+/// relation in the round's delta and a vector per version group. Per
+/// derived fact of the whole apply that is 2.33 / 1.17 / 0.60 / 0.31
+/// at n = 40 / 80 / 160 / 320, against 4.98 / 3.62 / 2.89 / 2.49.
+#[test]
+fn closure_allocations_grow_with_what_it_derives() {
+    const BUDGET: f64 = 0.25;
+    let [(a40, f40), (a80, f80), (a160, f160)] = [40, 80, 160].map(closure_apply_allocations);
+    // A(n) = p·F(n) + q·n, solved on (n, 2n).
+    let fit = |(a1, f1): (f64, f64), (a2, f2): (f64, f64), n: f64| {
+        let p = (a2 - 2.0 * a1) / (f2 - 2.0 * f1);
+        (p, (a1 - p * f1) / n)
+    };
+    let (p40, q40) = fit((a40, f40), (a80, f80), 40.0);
+    let (p80, q80) = fit((a80, f80), (a160, f160), 80.0);
+    eprintln!(
+        "closure Database::apply: {:.2} / {:.2} / {:.2} allocations per derived fact at n = 40 / 80 / 160; \
+         fitted {p40:.3} per derived fact + {q40:.1} per object at n = 40, {p80:.3} + {q80:.1} at n = 80",
+        a40 / f40,
+        a80 / f80,
+        a160 / f160
+    );
+    assert!(
+        (p40 - p80).abs() <= 0.05,
+        "the closure allocates {p40:.3} times per derived fact at n = 40 but {p80:.3} at n = 80"
+    );
+    assert!(
+        p40.max(p80) <= BUDGET,
+        "the closure allocates {:.3} times per derived fact (budget {BUDGET})",
+        p40.max(p80)
+    );
+}
+
 #[test]
 fn evaluations_after_a_wide_commit_allocate_the_same_at_1k_and_10k_accounts() {
     let small = allocations_after_a_wide_commit(1_000, 4);

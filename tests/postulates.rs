@@ -16,6 +16,7 @@
 //! | `del` then `ins` of one application restores        | holds   |
 //! | committing P₁; P₂ equals recovering from their log  | holds   |
 //! | `ob′` holds each object's deepest version (§5)      | holds   |
+//! | an `ins` program writing nothing it reads is idempotent | holds |
 
 use ruvo::core::reference;
 use ruvo::prelude::*;
@@ -132,6 +133,45 @@ fn committing_p1_then_p2_equals_recovering_from_the_log() {
         assert_eq!(recovered.current(), &live, "seed {}\nP1:\n{p1}\nP2:\n{p2}", config.seed);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `random_insert_program` with its heads renamed to fresh methods
+/// `h0..h3`, so that they write nothing a body reads, and every second
+/// rule reading its first literal through `ins(X)`, which the other
+/// rules create: those rules fire in a later round, on versions that
+/// already exist, which are repaired in place.
+fn insert_program_reading_nothing_it_writes(config: RandomConfig) -> String {
+    let program = random_insert_program(config).to_string();
+    let rules = program.lines().enumerate().map(|(i, rule)| {
+        let rule = rule.replace("ins[X].m", "ins[X].h");
+        if i % 2 == 1 {
+            rule.replace("<= X.m", "<= ins(X).m")
+        } else {
+            rule
+        }
+    });
+    rules.collect::<Vec<_>>().join("\n")
+}
+
+/// Idempotence (Eiter et al.): committing an `ins`-only program twice
+/// leaves the first commit's head when its heads write no method its
+/// bodies read. The second commit derives the same updates, and each
+/// lands on a fact the frame copy already holds. (A `mod` program is
+/// not idempotent: it applies again.)
+#[test]
+fn an_insert_program_writing_nothing_it_reads_is_idempotent() {
+    let mut repaired = 0;
+    for (config, ob) in cases() {
+        let src = insert_program_reading_nothing_it_writes(config);
+        let mut db = Database::open(ob);
+        let once = commit(&mut db, &src);
+        assert_eq!(commit(&mut db, &src), once, "seed {}\n{src}", config.seed);
+        // A stratum that ran a second round repaired versions in place.
+        let mut again = Database::open(once);
+        let traces = again.apply_src(&src).unwrap().outcome.stratum_traces();
+        repaired += usize::from(traces.iter().any(|s| s.rounds > 2));
+    }
+    assert!(repaired > 0, "no second commit repaired a version in place");
 }
 
 /// A seeded head whose object `o` has a linear chain of three versions.
