@@ -544,6 +544,8 @@ fn recover_reports_checkpoint_and_wal_stats() {
     assert!(stdout.contains("checkpoint:"), "got: {stdout}");
     assert!(stdout.contains("3 records, 3 programs"), "got: {stdout}");
     assert!(stdout.contains("3 programs replayed"), "got: {stdout}");
+    // The zeroed tail past the log's end is not damage.
+    assert!(!stdout.contains("wal tail:"), "got: {stdout}");
 
     // A second serve run over the same directory recovers it (the
     // seed is ignored) and extends the history.

@@ -48,6 +48,33 @@
 //! source. A torn or bit-flipped tail record fails its checksum; the
 //! valid prefix is kept, the tail dropped and truncated away.
 //!
+//! The file runs on past the last record: the store writes each record
+//! at its cursor (`WAL_HEADER_LEN` + the log's bytes) inside a region
+//! it has already filled with zero bytes, and grows that region by
+//! whole 64 KiB chunks (`WAL_CHUNK`). A record that would cross the
+//! region's end is written together with the zeros up to the next
+//! chunk boundary, and the commit's one `fdatasync` makes both durable;
+//! every later commit in the chunk overwrites blocks that are already
+//! allocated and written, so its `fdatasync` flushes data only, not a
+//! new file size through the filesystem journal. The zeros must be
+//! real: a hole (`set_len`) or an `fallocate`d unwritten extent still
+//! changes block metadata the first time each block is written.
+//!
+//! A zero length word is the end of the log — no record is empty —
+//! so recovery stops there; the zero tail is not counted as dropped
+//! bytes. (Without the explicit stop an all-zero frame would pass its
+//! checksum, which is zero for zero bytes, and fail only to decode.)
+//! Opening still cuts the file after the valid prefix, and a
+//! checkpoint still truncates it to the header; the next append zeroes
+//! a fresh chunk. Overwriting a partly written block exposes a record
+//! to a torn page write exactly as appending to that block does.
+//!
+//! The cursor advances only once the record's sync succeeds. After a
+//! failed write the next append overwrites the same bytes (and zeroes
+//! anything the failed one reached past them); after a failed
+//! `fdatasync` the store refuses further appends, because what the
+//! page cache then holds is unknown.
+//!
 //! ## Commit pipeline
 //!
 //! [`Session`](crate::Session) owns an optional [`DurabilitySink`]
@@ -85,6 +112,13 @@ const FORMAT_VERSION: u16 = 1;
 const CKPT_VERSION: u16 = 2;
 /// Magic + version.
 const WAL_HEADER_LEN: u64 = 10;
+/// The WAL grows by whole chunks of real zero bytes (see the
+/// [module docs](self)): one file extension per this many log bytes.
+const WAL_CHUNK: u64 = 64 * 1024;
+/// The block a chunk extension writes its zeros from: one page, since
+/// a read-only static is file-backed and counts in the process's
+/// resident set once read.
+static ZEROS: [u8; 4096] = [0; 4096];
 /// Magic + version of the checkpoint chain file.
 const CKPT_HEADER_LEN: u64 = 10;
 
@@ -342,18 +376,17 @@ fn decode_cycles(b: u8) -> Result<CyclePolicy, DecodeError> {
     }
 }
 
-fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(24 + rec.programs.iter().map(|p| p.source.len() + 5).sum::<usize>());
-    payload.extend_from_slice(&rec.seq.to_le_bytes());
-    payload.extend_from_slice(&rec.epoch.to_le_bytes());
-    payload.extend_from_slice(&(rec.programs.len() as u32).to_le_bytes());
-    for p in &rec.programs {
-        payload.push(encode_cycles(p.cycles));
-        payload.extend_from_slice(&(p.source.len() as u32).to_le_bytes());
-        payload.extend_from_slice(p.source.as_bytes());
+/// Encode one record's payload onto `out` (a frame under construction
+/// — see [`codec::append_frame_with`]).
+fn encode_record(out: &mut Vec<u8>, seq: u64, epoch: u64, programs: &[WalProgram]) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(programs.len() as u32).to_le_bytes());
+    for p in programs {
+        out.push(encode_cycles(p.cycles));
+        out.extend_from_slice(&(p.source.len() as u32).to_le_bytes());
+        out.extend_from_slice(p.source.as_bytes());
     }
-    payload
 }
 
 fn decode_record(payload: &[u8]) -> Result<WalRecord, DecodeError> {
@@ -694,7 +727,9 @@ pub struct ScanStats {
     pub wal_programs: u64,
     /// WAL payload bytes past the file header.
     pub wal_bytes: u64,
-    /// Bytes of torn/corrupt tail that will be dropped.
+    /// Bytes of torn/corrupt tail that will be dropped: from the end
+    /// of the valid prefix to the file's last non-zero byte (the zero
+    /// tail past the log's end is not damage).
     pub dropped_bytes: u64,
     /// Valid records skipped because an existing checkpoint already
     /// covers them (left behind by a crash between checkpoint rename
@@ -715,6 +750,79 @@ pub struct StoreState {
     good_offset: u64,
     /// Whether `wal.log` exists at all.
     wal_exists: bool,
+}
+
+/// Decode a WAL file's bytes: the records after `base_seq`, the scan
+/// accounting, and the offset just past the last valid record. Only a
+/// damaged header is an error; damage after it ends the valid prefix.
+fn scan_wal(data: &[u8], base_seq: u64) -> Result<(Vec<WalRecord>, ScanStats, u64), DecodeError> {
+    let mut stats = ScanStats::default();
+    let mut records = Vec::new();
+    let mut full_header = [0u8; WAL_HEADER_LEN as usize];
+    full_header[..8].copy_from_slice(WAL_MAGIC);
+    full_header[8..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    if data.len() < WAL_HEADER_LEN as usize {
+        // A header prefix is a torn first write (the header is not
+        // fsynced on creation): recoverable — the opener rewrites it.
+        // Anything else is not our file.
+        if !full_header.starts_with(data) {
+            return Err(DecodeError::BadMagic);
+        }
+        return Ok((records, stats, WAL_HEADER_LEN));
+    }
+    if &data[..8] != WAL_MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let version = u16::from_le_bytes(data[8..10].try_into().expect("2 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    let body = &data[WAL_HEADER_LEN as usize..];
+    let mut frames = codec::Frames::new(body);
+    let mut good = 0usize;
+    loop {
+        // A zero length word ends the log: no record is empty, and the
+        // store fills the file ahead of its cursor with zeros. Checked
+        // first because an all-zero frame would pass its checksum (the
+        // checksum of zeros is zero).
+        if body[good..].iter().take(4).all(|&b| b == 0) {
+            break;
+        }
+        // `Frames` advances past a frame before we can decode its
+        // payload, so `good` only moves once a record fully decodes: a
+        // checksum-valid but undecodable frame must NOT end up inside
+        // the kept prefix (truncating past it would bury it in front
+        // of future appends, poisoning every later recovery).
+        match frames.next() {
+            Some(Ok(payload)) => match decode_record(payload) {
+                Ok(rec) if rec.seq < base_seq => {
+                    stats.skipped_records += 1;
+                    good = frames.good_offset();
+                }
+                Ok(rec) => {
+                    stats.wal_records += 1;
+                    stats.wal_programs += rec.programs.len() as u64;
+                    records.push(rec);
+                    good = frames.good_offset();
+                }
+                // Checksum-valid but undecodable: treat like a torn
+                // tail — keep the prefix *before* this frame, drop from
+                // here.
+                Err(_) => break,
+            },
+            Some(Err(_)) | None => break,
+        }
+    }
+    // Damage runs to the last non-zero byte: the zeros after it are the
+    // unused tail, whether or not a torn record precedes them. The tail
+    // is compared a block at a time.
+    let zero_tail: usize =
+        body.rchunks(256).take_while(|c| *c == &ZEROS[..c.len()]).map(<[u8]>::len).sum();
+    let damaged_end =
+        body[..body.len() - zero_tail].iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    stats.dropped_bytes = damaged_end.saturating_sub(good) as u64;
+    stats.wal_bytes = good as u64;
+    Ok((records, stats, WAL_HEADER_LEN + good as u64))
 }
 
 /// Read (without modifying) the durable state under `dir`: the
@@ -739,75 +847,14 @@ pub fn read_state(dir: &Path) -> Result<StoreState, StorageError> {
     let base_seq = checkpoint.as_ref().map_or(0, |c| c.seq);
 
     let wal_path = dir.join(WAL_FILE);
-    let mut stats = ScanStats::default();
-    let mut records = Vec::new();
-    let mut good_offset = WAL_HEADER_LEN;
     let wal_exists = wal_path.exists();
-    if wal_exists {
+    let (records, stats, good_offset) = if wal_exists {
         let data = std::fs::read(&wal_path).map_err(|e| StorageError::io("read", &wal_path, e))?;
-        let mut full_header = [0u8; WAL_HEADER_LEN as usize];
-        full_header[..8].copy_from_slice(WAL_MAGIC);
-        full_header[8..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        if data.len() < WAL_HEADER_LEN as usize {
-            // A header prefix is a torn first write (the header is
-            // not fsynced on creation): recoverable — the opener
-            // rewrites it. Anything else is not our file.
-            if !full_header.starts_with(&data) {
-                return Err(StorageError::Decode {
-                    path: wal_path.display().to_string(),
-                    error: DecodeError::BadMagic,
-                });
-            }
-        } else {
-            if &data[..8] != WAL_MAGIC {
-                return Err(StorageError::Decode {
-                    path: wal_path.display().to_string(),
-                    error: DecodeError::BadMagic,
-                });
-            }
-            let version = u16::from_le_bytes(data[8..10].try_into().expect("2 bytes"));
-            if version != FORMAT_VERSION {
-                return Err(StorageError::Decode {
-                    path: wal_path.display().to_string(),
-                    error: DecodeError::BadVersion(version),
-                });
-            }
-            let body = &data[WAL_HEADER_LEN as usize..];
-            let mut frames = codec::Frames::new(body);
-            let mut good = 0usize;
-            loop {
-                // `Frames` advances past a frame before we can decode
-                // its payload, so `good` only moves once a record
-                // fully decodes: a checksum-valid but undecodable
-                // frame must NOT end up inside the kept prefix
-                // (truncating past it would bury it in front of
-                // future appends, poisoning every later recovery).
-                match frames.next() {
-                    Some(Ok(payload)) => match decode_record(payload) {
-                        Ok(rec) if rec.seq < base_seq => {
-                            stats.skipped_records += 1;
-                            good = frames.good_offset();
-                        }
-                        Ok(rec) => {
-                            stats.wal_records += 1;
-                            stats.wal_programs += rec.programs.len() as u64;
-                            records.push(rec);
-                            good = frames.good_offset();
-                        }
-                        // Checksum-valid but undecodable: treat like a
-                        // torn tail — keep the prefix *before* this
-                        // frame, drop from here.
-                        Err(_) => break,
-                    },
-                    Some(Err(_)) => break,
-                    None => break,
-                }
-            }
-            good_offset = WAL_HEADER_LEN + good as u64;
-            stats.dropped_bytes = data.len() as u64 - good_offset;
-            stats.wal_bytes = good_offset - WAL_HEADER_LEN;
-        }
-    }
+        scan_wal(&data, base_seq)
+            .map_err(|error| StorageError::Decode { path: wal_path.display().to_string(), error })?
+    } else {
+        (Vec::new(), ScanStats::default(), WAL_HEADER_LEN)
+    };
     // Replay must pick up exactly where the chain ends. A gap means a
     // chain suffix was lost *after* the WAL stopped covering it (bit
     // rot tearing an already-truncated-behind generation) — dropping
@@ -886,11 +933,20 @@ pub struct WalStore {
     /// Bytes past the WAL header (i.e. the append offset is
     /// `WAL_HEADER_LEN + wal_bytes`).
     wal_bytes: u64,
+    /// Every byte from the append offset up to here is a written zero
+    /// (normally the file's length).
+    zeroed_to: u64,
+    /// No byte at or past here was written since the file was last
+    /// cut: above `zeroed_to` only after a failed append, whose bytes
+    /// the next extension overwrites with zeros.
+    written_to: u64,
+    /// The frame under construction, kept between appends.
+    frame: Vec<u8>,
     unsynced_appends: u32,
     fsync: FsyncPolicy,
     policy: CheckpointPolicy,
-    /// Set when a failed append could not be rolled back: the file
-    /// tail is unknown, so further appends must refuse.
+    /// Set when an append's `fdatasync` failed: what the file holds
+    /// past the cursor is unknown, so further appends must refuse.
     wedged: bool,
     /// The checkpoint chain on disk (`None`: no chain yet, or its
     /// tail state became unknown after a failed delta append — either
@@ -937,7 +993,6 @@ impl WalStore {
             wal.set_len(state.good_offset)
                 .map_err(|e| StorageError::io("truncate", &wal_path, e))?;
         }
-        wal.seek(SeekFrom::End(0)).map_err(|e| StorageError::io("seek", &wal_path, e))?;
 
         let ckpt_path = dir.join(CHECKPOINT_FILE);
         let chain = match &state.checkpoint {
@@ -976,6 +1031,9 @@ impl WalStore {
             epoch,
             wal_records: state.stats.wal_records + state.stats.skipped_records,
             wal_bytes: state.good_offset - WAL_HEADER_LEN,
+            zeroed_to: state.good_offset,
+            written_to: state.good_offset,
+            frame: Vec::new(),
             unsynced_appends: 0,
             fsync,
             policy,
@@ -1057,12 +1115,11 @@ impl WalStore {
         self.wal
             .set_len(WAL_HEADER_LEN)
             .map_err(|e| StorageError::io("truncate", &self.wal_path, e))?;
-        self.wal
-            .seek(SeekFrom::Start(WAL_HEADER_LEN))
-            .map_err(|e| StorageError::io("seek", &self.wal_path, e))?;
         self.sync_wal()?;
         self.wal_records = 0;
         self.wal_bytes = 0;
+        self.zeroed_to = WAL_HEADER_LEN;
+        self.written_to = WAL_HEADER_LEN;
         self.unsynced_appends = 0;
         Ok(())
     }
@@ -1159,31 +1216,64 @@ impl DurabilitySink for WalStore {
         }
         if self.wedged {
             return Err(StorageError::Misuse(
-                "wal wedged by an earlier unrecoverable append failure; reopen the database",
+                "wal wedged by an earlier failed fsync; reopen the database",
             ));
         }
-        let record =
-            WalRecord { seq: self.seq, epoch: self.epoch + 1, programs: programs.to_vec() };
-        let mut frame = Vec::new();
-        codec::append_frame(&mut frame, &encode_record(&record));
-
-        let offset_before = WAL_HEADER_LEN + self.wal_bytes;
-        if let Err(e) = self.wal.write_all(&frame) {
-            // A partial record may be on disk; cut it back off so the
-            // log stays a valid prefix. If even that fails, wedge.
-            if self.wal.set_len(offset_before).is_err()
-                || self.wal.seek(SeekFrom::Start(offset_before)).is_err()
-            {
-                self.wedged = true;
+        let cursor = WAL_HEADER_LEN + self.wal_bytes;
+        self.frame.clear();
+        let (seq, epoch) = (self.seq, self.epoch + 1);
+        codec::append_frame_with(&mut self.frame, |out| encode_record(out, seq, epoch, programs));
+        let end = cursor + self.frame.len() as u64;
+        // Past the zeroed region, write zeros up to the next chunk
+        // boundary (and over whatever a failed append left) in this
+        // same commit, so this one `fdatasync` also makes them durable.
+        let fill_to = if end > self.zeroed_to {
+            end.max(self.written_to).next_multiple_of(WAL_CHUNK)
+        } else {
+            end
+        };
+        let written = (|| {
+            let mut wal = &self.wal;
+            // Zeros before the record: a write that fails part-way then
+            // never leaves a whole record on disk that its caller was
+            // told had failed.
+            if fill_to > end {
+                wal.seek(SeekFrom::Start(end))?;
+                let mut zeros = fill_to - end;
+                while zeros > 0 {
+                    let n = zeros.min(ZEROS.len() as u64);
+                    wal.write_all(&ZEROS[..n as usize])?;
+                    zeros -= n;
+                }
             }
+            wal.seek(SeekFrom::Start(cursor))?;
+            wal.write_all(&self.frame)
+        })();
+        if self.frame.capacity() > WAL_CHUNK as usize {
+            // Keep a buffer the size of a commit, not of a bulk load.
+            self.frame = Vec::new();
+        }
+        if let Err(e) = written {
+            // The cursor stays put: the next append overwrites whatever
+            // part of this one reached the file, and re-zeroes from the
+            // cursor on.
+            self.zeroed_to = cursor;
+            self.written_to = self.written_to.max(fill_to);
             return Err(StorageError::io("append", &self.wal_path, e));
         }
-        self.append_sync()?;
+        if let Err(e) = self.append_sync() {
+            // After a failed fsync the page cache may or may not hold
+            // the record; no later append may be acknowledged beside it.
+            self.wedged = true;
+            return Err(e);
+        }
 
         self.seq += programs.len() as u64;
         self.epoch += 1;
         self.wal_records += 1;
-        self.wal_bytes += frame.len() as u64;
+        self.wal_bytes = end - WAL_HEADER_LEN;
+        self.zeroed_to = self.zeroed_to.max(fill_to);
+        self.written_to = self.written_to.max(fill_to);
 
         if self.wal_records >= self.policy.max_wal_records
             || self.wal_bytes >= self.policy.max_wal_bytes
@@ -1289,7 +1379,9 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
+        let mut payload = Vec::new();
+        encode_record(&mut payload, rec.seq, rec.epoch, &rec.programs);
+        assert_eq!(decode_record(&payload).unwrap(), rec);
     }
 
     #[test]
@@ -1374,13 +1466,14 @@ mod tests {
         let mut opened =
             WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
         opened.store.append_batch(&[prog("good.")], &base(1)).unwrap();
+        let clean_len = WAL_HEADER_LEN + opened.store.wal_bytes();
         drop(opened);
 
-        // Simulate a crash mid-append: garbage after the valid record.
+        // Simulate a crash mid-append: garbage at the append cursor,
+        // where the next record would have gone.
         let wal_path = dir.join(WAL_FILE);
         let mut data = std::fs::read(&wal_path).unwrap();
-        let clean_len = data.len();
-        data.extend_from_slice(&[0x5A; 13]);
+        data[clean_len as usize..][..13].fill(0x5A);
         std::fs::write(&wal_path, &data).unwrap();
 
         let reopened =
@@ -1389,7 +1482,7 @@ mod tests {
         assert_eq!(reopened.stats.dropped_bytes, 13);
         assert_eq!(
             std::fs::metadata(&wal_path).unwrap().len(),
-            clean_len as u64,
+            clean_len,
             "tail truncated on open"
         );
 
@@ -1399,6 +1492,177 @@ mod tests {
         let third = WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
         assert_eq!(third.records.len(), 2);
         assert_eq!(&*third.records[1].programs[0].source, "after.");
+    }
+
+    fn sources(records: &[WalRecord]) -> Vec<&str> {
+        records.iter().flat_map(|r| r.programs.iter().map(|p| &*p.source)).collect()
+    }
+
+    #[test]
+    fn the_wal_ends_in_a_zero_chunk_tail_that_a_clean_reopen_does_not_drop() {
+        let dir = tmp_dir("zero-tail");
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        for i in 0..3 {
+            opened.store.append_batch(&[prog(&format!("p{i}."))], &base(1)).unwrap();
+        }
+        let cursor = WAL_HEADER_LEN + opened.store.wal_bytes();
+        drop(opened);
+        let data = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(data.len() as u64, WAL_CHUNK, "one chunk holds the three records");
+        assert!(data[cursor as usize..].iter().all(|&b| b == 0));
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(reopened.stats.dropped_bytes, 0);
+        assert_eq!(reopened.stats.wal_bytes, cursor - WAL_HEADER_LEN);
+        assert_eq!(sources(&reopened.records), ["p0.", "p1.", "p2."]);
+    }
+
+    #[test]
+    fn a_torn_record_inside_the_zeroed_region_drops_only_its_own_bytes() {
+        let dir = tmp_dir("torn-in-zeros");
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        opened.store.append_batch(&[prog("p0.")], &base(1)).unwrap();
+        opened.store.append_batch(&[prog("p1.")], &base(1)).unwrap();
+        let cursor = (WAL_HEADER_LEN + opened.store.wal_bytes()) as usize;
+        drop(opened);
+
+        // The next record's frame got as far as three bytes into its
+        // source text before the crash; zeros follow it.
+        let mut frame = Vec::new();
+        codec::append_frame_with(&mut frame, |out| encode_record(out, 2, 3, &[prog("torn.")]));
+        let partial = &frame[..29 + 3];
+        let wal_path = dir.join(WAL_FILE);
+        let mut data = std::fs::read(&wal_path).unwrap();
+        data[cursor..][..partial.len()].copy_from_slice(partial);
+        std::fs::write(&wal_path, &data).unwrap();
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), ["p0.", "p1."]);
+        assert_eq!(reopened.stats.dropped_bytes, partial.len() as u64);
+        let mut store = reopened.store;
+        store.append_batch(&[prog("p2.")], &base(1)).unwrap();
+        drop(store);
+        let third = WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&third.records), ["p0.", "p1.", "p2."]);
+        assert_eq!(third.stats.dropped_bytes, 0);
+    }
+
+    #[test]
+    fn records_ending_on_and_straddling_chunk_boundaries_reopen_equal() {
+        let dir = tmp_dir("chunk-edges");
+        let wal_path = dir.join(WAL_FILE);
+        let mut store =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap().store;
+        let wal_len = || std::fs::metadata(&wal_path).unwrap().len();
+        // Frame overhead, seq, epoch, count, cycle tag, source length.
+        let overhead = (codec::FRAME_OVERHEAD + 8 + 8 + 4 + 1 + 4) as u64;
+        // Source length that ends a record `short` bytes before the
+        // boundary `to`.
+        let sized = |store: &WalStore, to: u64, short: u64| {
+            "x".repeat((to - short - WAL_HEADER_LEN - store.wal_bytes() - overhead) as usize)
+        };
+        let mut expected = Vec::new();
+        let mut append = |store: &mut WalStore, src: String| {
+            store.append_batch(&[prog(&src)], &base(1)).unwrap();
+            expected.push(src);
+        };
+
+        let src = sized(&store, WAL_CHUNK, 0);
+        append(&mut store, src);
+        assert_eq!(WAL_HEADER_LEN + store.wal_bytes(), WAL_CHUNK);
+        assert_eq!(wal_len(), WAL_CHUNK, "a record ending on the boundary writes no zeros");
+        append(&mut store, "p1.".into());
+        assert_eq!(wal_len(), 2 * WAL_CHUNK);
+        let src = sized(&store, 2 * WAL_CHUNK, 10);
+        append(&mut store, src);
+        append(&mut store, "straddles.".into());
+        assert!(WAL_HEADER_LEN + store.wal_bytes() > 2 * WAL_CHUNK);
+        assert_eq!(wal_len(), 3 * WAL_CHUNK);
+        // One record longer than a chunk: the zeros run to the boundary
+        // after its end.
+        append(&mut store, "y".repeat(WAL_CHUNK as usize + 100));
+        assert_eq!(wal_len(), (WAL_HEADER_LEN + store.wal_bytes()).next_multiple_of(WAL_CHUNK));
+        let wal_bytes = store.wal_bytes();
+        drop(store);
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), expected);
+        assert_eq!((reopened.stats.dropped_bytes, reopened.stats.wal_bytes), (0, wal_bytes));
+        assert_eq!(reopened.store.seq(), 5);
+    }
+
+    #[test]
+    fn appends_after_a_checkpoint_truncation_re_extend_the_zeroed_region() {
+        let dir = tmp_dir("re-extend");
+        let wal_path = dir.join(WAL_FILE);
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        let ob = base(4);
+        opened.store.append_batch(&[prog("p0.")], &ob).unwrap();
+        opened.store.append_batch(&[prog("p1.")], &ob).unwrap();
+        opened.store.checkpoint(&ob).unwrap();
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), WAL_HEADER_LEN);
+        opened.store.append_batch(&[prog("p2.")], &ob).unwrap();
+        opened.store.append_batch(&[prog("p3.")], &ob).unwrap();
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), WAL_CHUNK);
+        drop(opened);
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(reopened.checkpoint.expect("checkpoint written").seq, 2);
+        assert_eq!(sources(&reopened.records), ["p2.", "p3."]);
+        assert_eq!(reopened.stats.dropped_bytes, 0);
+        assert_eq!(reopened.store.seq(), 4);
+    }
+
+    #[test]
+    fn a_failed_write_keeps_the_cursor_and_the_next_append_overwrites_it() {
+        let dir = tmp_dir("failed-write");
+        let wal_path = dir.join(WAL_FILE);
+        let mut store =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap().store;
+        store.append_batch(&[prog("acked.")], &base(1)).unwrap();
+        let cursor = WAL_HEADER_LEN + store.wal_bytes();
+
+        // A read-only handle makes the write fail. The record is big
+        // enough to reach two chunks past the zeroed region.
+        let writable = std::mem::replace(&mut store.wal, File::open(&wal_path).unwrap());
+        let big = "x".repeat(2 * WAL_CHUNK as usize);
+        let err = store.append_batch(&[prog(&big)], &base(1)).unwrap_err();
+        assert!(matches!(err, StorageError::Io { op: "append", .. }), "{err:?}");
+        assert_eq!((store.seq(), store.wal_records()), (1, 1));
+        assert_eq!(WAL_HEADER_LEN + store.wal_bytes(), cursor);
+
+        // Say the failed write got all of its frame but the last byte
+        // into the file: a crash now recovers the acknowledged record
+        // alone.
+        let mut failed = Vec::new();
+        codec::append_frame_with(&mut failed, |out| encode_record(out, 1, 2, &[prog(&big)]));
+        (&writable).seek(SeekFrom::Start(cursor)).unwrap();
+        (&writable).write_all(&failed[..failed.len() - 1]).unwrap();
+        assert_eq!(sources(&read_state(&dir).unwrap().records), ["acked."]);
+        store.wal = writable;
+        store.append_batch(&[prog("next.")], &base(1)).unwrap();
+
+        // The next record lands at the cursor, and zeros cover every
+        // byte of the failed one after it.
+        let data = std::fs::read(&wal_path).unwrap();
+        let mut frames = codec::Frames::new(&data[cursor as usize..]);
+        let next = decode_record(frames.next().unwrap().unwrap()).unwrap();
+        assert_eq!((next.seq, &*next.programs[0].source), (1, "next."));
+        assert!(data[cursor as usize + frames.good_offset()..].iter().all(|&b| b == 0));
+        drop(store);
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), ["acked.", "next."]);
+        assert_eq!(reopened.records.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(reopened.stats.dropped_bytes, 0);
     }
 
     #[test]
@@ -1411,18 +1675,16 @@ mod tests {
         drop(opened);
         let wal_path = dir.join(WAL_FILE);
         let data = std::fs::read(&wal_path).unwrap();
+        assert_eq!(data.len() as u64, WAL_CHUNK, "the sweep covers the zero tail");
 
         for byte in 0..data.len() {
             for bit in [0, 3, 7] {
                 let mut damaged = data.clone();
                 damaged[byte] ^= 1 << bit;
-                std::fs::write(&wal_path, &damaged).unwrap();
                 // Must never panic; header damage errors, record
                 // damage drops a suffix of the two records.
-                match read_state(&dir) {
-                    Ok(state) => assert!(state.records.len() <= 2),
-                    Err(StorageError::Decode { .. }) => {}
-                    Err(other) => panic!("unexpected error class: {other:?}"),
+                if let Ok((records, ..)) = scan_wal(&damaged, 0) {
+                    assert!(records.len() <= 2);
                 }
             }
         }
@@ -1434,21 +1696,23 @@ mod tests {
         let mut opened =
             WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
         opened.store.append_batch(&[prog("good.")], &base(1)).unwrap();
+        let clean_len = (WAL_HEADER_LEN + opened.store.wal_bytes()) as usize;
         drop(opened);
 
         // Hand-craft a frame whose checksum is valid but whose payload
         // cannot decode (cycle-policy tag 7): the worst-case "poison"
-        // record.
+        // record, at the append cursor.
         let wal_path = dir.join(WAL_FILE);
         let mut data = std::fs::read(&wal_path).unwrap();
-        let clean_len = data.len();
         let mut payload = Vec::new();
         payload.extend_from_slice(&1u64.to_le_bytes()); // seq
         payload.extend_from_slice(&2u64.to_le_bytes()); // epoch
         payload.extend_from_slice(&1u32.to_le_bytes()); // count
         payload.push(7); // invalid cycle tag
         payload.extend_from_slice(&0u32.to_le_bytes());
-        codec::append_frame(&mut data, &payload);
+        let mut frame = Vec::new();
+        codec::append_frame(&mut frame, &payload);
+        data[clean_len..][..frame.len()].copy_from_slice(&frame);
         std::fs::write(&wal_path, &data).unwrap();
 
         // The poison frame must be *outside* the kept prefix…

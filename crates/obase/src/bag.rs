@@ -4,38 +4,38 @@
 //! object. A [`Bag`] keeps that member inline, so building such an
 //! entry allocates nothing, and neither does copying the shard that
 //! holds it on write — a commit that unshares an index shard pays one
-//! allocation for the table, not one per key in it.
+//! allocation for the table, not one per key in it. Two or more members
+//! sit in an `Arc`-shared table, so copying a shard leaf shares a large
+//! entry (`kind -> live` of every account) instead of cloning it: only a
+//! write to that entry itself copies it.
 
 use std::hash::Hash;
+use std::sync::Arc;
 
 use ruvo_term::FastHashMap;
 
 /// A multiset that stores a single distinct member inline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) enum Bag<T> {
+    /// No member: the default, before the first [`Bag::add`].
+    #[default]
+    Empty,
     /// One distinct member and its multiplicity (≥ 1).
     One(T, u32),
-    /// Any other number of distinct members, each with multiplicity ≥ 1
-    /// (empty only as the default, before the first [`Bag::add`]).
-    Many(FastHashMap<T, u32>),
-}
-
-impl<T> Default for Bag<T> {
-    fn default() -> Self {
-        Bag::Many(FastHashMap::default())
-    }
+    /// Two or more distinct members, each with multiplicity ≥ 1.
+    Many(Arc<FastHashMap<T, u32>>),
 }
 
 impl<T: Copy + Eq + Hash> Bag<T> {
     /// Add one occurrence of `x`.
     pub(crate) fn add(&mut self, x: T) {
         match self {
+            Bag::Empty => *self = Bag::One(x, 1),
             Bag::One(y, n) if *y == x => *n += 1,
             Bag::One(y, n) => {
-                *self = Bag::Many([(*y, *n), (x, 1)].into_iter().collect());
+                *self = Bag::Many(Arc::new([(*y, *n), (x, 1)].into_iter().collect()));
             }
-            Bag::Many(map) if map.is_empty() => *self = Bag::One(x, 1),
-            Bag::Many(map) => *map.entry(x).or_insert(0) += 1,
+            Bag::Many(map) => *Arc::make_mut(map).entry(x).or_insert(0) += 1,
         }
     }
 
@@ -45,13 +45,17 @@ impl<T: Copy + Eq + Hash> Bag<T> {
             Bag::One(y, n) if *y == x => {
                 *n -= 1;
                 if *n == 0 {
-                    *self = Bag::default();
+                    *self = Bag::Empty;
                 }
                 true
             }
-            Bag::One(..) => false,
+            Bag::Empty | Bag::One(..) => false,
             Bag::Many(map) => {
-                let Some(n) = map.get_mut(&x) else { return false };
+                if !map.contains_key(&x) {
+                    return false;
+                }
+                let map = Arc::make_mut(map);
+                let n = map.get_mut(&x).expect("presence checked above");
                 *n -= 1;
                 if *n == 0 {
                     map.remove(&x);
@@ -67,18 +71,20 @@ impl<T: Copy + Eq + Hash> Bag<T> {
 
     pub(crate) fn contains(&self, x: T) -> bool {
         match self {
+            Bag::Empty => false,
             Bag::One(y, _) => *y == x,
             Bag::Many(map) => map.contains_key(&x),
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        matches!(self, Bag::Many(map) if map.is_empty())
+        matches!(self, Bag::Empty)
     }
 
     /// The number of distinct members, in O(1).
     pub(crate) fn len(&self) -> usize {
         match self {
+            Bag::Empty => 0,
             Bag::One(..) => 1,
             Bag::Many(map) => map.len(),
         }
@@ -87,6 +93,7 @@ impl<T: Copy + Eq + Hash> Bag<T> {
     /// The distinct members with their multiplicities.
     pub(crate) fn counts(&self) -> impl Iterator<Item = (T, u32)> + '_ {
         let (one, many) = match self {
+            Bag::Empty => (None, None),
             Bag::One(y, n) => (Some((*y, *n)), None),
             Bag::Many(map) => (None, Some(map.iter().map(|(&y, &n)| (y, n)))),
         };
@@ -139,5 +146,18 @@ mod tests {
         assert!(matches!(bag, Bag::One(2, 1)));
         assert_eq!(bag.len(), 1);
         assert_eq!(bag.members().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn a_copied_bag_shares_its_table_until_one_side_is_written() {
+        let mut bag = Bag::default();
+        bag.add(1);
+        bag.add(2);
+        let copy = bag.clone();
+        let (Bag::Many(a), Bag::Many(b)) = (&bag, &copy) else { panic!("two members spill") };
+        assert!(Arc::ptr_eq(a, b), "a copy shares the table");
+        bag.add(3);
+        assert_eq!(sorted(&copy), vec![(1, 1), (2, 1)], "writing one side leaves the other");
+        assert_eq!(sorted(&bag), vec![(1, 1), (2, 1), (3, 1)]);
     }
 }

@@ -295,8 +295,10 @@ pub struct ObjectBase {
     versions: ShardedMap<Const, Versions>,
     /// `(chain, method) → bases`: which objects have a version with this
     /// chain defining this method. Under `(chain, exists)` it lists
-    /// every version of the chain (the presence index).
-    by_chain_method: ShardedMap<(Chain, Symbol), FastHashSet<Const>>,
+    /// every version of the chain (the presence index). Each set is
+    /// `Arc`-shared, so unsharing a leaf for a write to one key does not
+    /// clone the other keys' sets — each may list every object.
+    by_chain_method: ShardedMap<(Chain, Symbol), Arc<FastHashSet<Const>>>,
     /// `(chain, method, result) → bases`: the value-keyed scan index.
     by_result: KeyIndex,
     /// `(chain, method, first-arg) → bases`: ditto for argument keys.
@@ -413,7 +415,8 @@ impl ObjectBase {
 
     /// Record that `vid` defines `method` in `by_chain_method`.
     fn index_method(&mut self, vid: Vid, method: Symbol) {
-        self.by_chain_method.get_or_default((vid.chain(), method)).insert(vid.base());
+        Arc::make_mut(self.by_chain_method.get_or_default((vid.chain(), method)))
+            .insert(vid.base());
     }
 
     /// Add one fact of `vid` to the two value-keyed indexes.
@@ -639,6 +642,7 @@ impl ObjectBase {
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
         if let Some(set) = self.by_chain_method.get_mut(&(vid.chain(), method)) {
+            let set = Arc::make_mut(set);
             set.remove(&vid.base());
             if set.is_empty() {
                 self.by_chain_method.remove(&(vid.chain(), method));
@@ -758,7 +762,7 @@ impl ObjectBase {
         self.by_chain_method
             .get(&(chain, method))
             .into_iter()
-            .flatten()
+            .flat_map(|bases| bases.iter())
             .map(move |&base| Vid::new(base, chain))
     }
 
@@ -986,7 +990,7 @@ impl ObjectBase {
         }
         assert_eq!(count, self.fact_count, "fact_count out of sync");
         for (&(chain, method), bases) in self.by_chain_method.iter() {
-            for base in bases {
+            for base in bases.iter() {
                 let vid = Vid::new(*base, chain);
                 assert!(
                     self.version_shared(vid)
@@ -1228,6 +1232,39 @@ mod tests {
             assert_eq!(added_p.added(obj(i).base()), Some(&[app(i + 1000)][..]));
             assert_eq!(added_r.added(obj(i).base()), Some(&[app(7)][..]));
         }
+    }
+
+    /// A write copies its key's leaf, not the member sets of the other
+    /// keys in that leaf: a set of two or more bases is `Arc`-shared
+    /// between the copies until a write reaches it.
+    #[test]
+    fn a_write_shares_the_large_index_entries_of_its_shard_leaf() {
+        let mut original = ObjectBase::new();
+        let (kind, live, none) = (sym("kind"), oid("live"), Args::empty());
+        for i in 0..200 {
+            original.insert(Vid::object(oid(&format!("a{i}"))), kind, none.clone(), live);
+        }
+        let presence = (Chain::EMPTY, kind);
+        let result = (Chain::EMPTY, kind, live);
+        // A method whose presence entry shares `(ε, kind)`'s leaf, and
+        // a result of `kind` that shares `(ε, kind, live)`'s leaf: the
+        // inserts below unshare both leaves.
+        let method = (0..)
+            .map(|i| sym(&format!("m{i}")))
+            .find(|&m| (Chain::EMPTY, m).slot() == presence.slot());
+        let value = (0..).map(int).find(|&v| (Chain::EMPTY, kind, v).slot() == result.slot());
+        let mut ob = original.clone();
+        ob.insert(Vid::object(oid("x")), method.unwrap(), none.clone(), int(1));
+        ob.insert(Vid::object(oid("a0")), kind, none.clone(), value.unwrap());
+        let bases = |b: &ObjectBase| Arc::clone(b.by_chain_method.get(&presence).unwrap());
+        assert!(Arc::ptr_eq(&bases(&ob), &bases(&original)), "the presence set was cloned");
+        match (ob.by_result.map.get(&result), original.by_result.map.get(&result)) {
+            (Some(Bag::Many(a)), Some(Bag::Many(b))) => {
+                assert!(Arc::ptr_eq(a, b), "the result entry's table was cloned")
+            }
+            other => panic!("expected two shared tables, got {other:?}"),
+        }
+        ob.check_invariants();
     }
 
     /// A duplicate `insert_tracked` and an absent `remove_tracked` are

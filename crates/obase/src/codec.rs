@@ -250,9 +250,17 @@ pub const FRAME_OVERHEAD: usize = 4 + 8;
 /// checksum covers the length prefix *and* the payload, so a damaged
 /// length field is detected rather than trusted.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    append_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame whose payload `encode` writes straight into `out`
+/// — no payload buffer of its own. Same bytes as [`append_frame`].
+pub fn append_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     let sum = checksum(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
@@ -366,6 +374,18 @@ mod tests {
         assert!(frames.next().unwrap().is_err(), "torn tail must surface as an error");
         assert_eq!(frames.next(), None, "iteration ends after the first error");
         assert_eq!(frames.good_offset(), clean_len);
+    }
+
+    #[test]
+    fn a_frame_encoded_in_place_equals_one_from_a_payload() {
+        let mut from_payload = b"prefix".to_vec();
+        append_frame(&mut from_payload, b"payload under test");
+        let mut in_place = b"prefix".to_vec();
+        append_frame_with(&mut in_place, |out| {
+            out.extend_from_slice(b"payload ");
+            out.extend_from_slice(b"under test");
+        });
+        assert_eq!(in_place, from_payload);
     }
 
     #[test]

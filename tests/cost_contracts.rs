@@ -243,6 +243,47 @@ fn durable_serving_applies_allocate_the_same_at_1k_and_10k_accounts() {
     );
 }
 
+#[test]
+fn durable_commits_grow_the_wal_once_per_chunk_not_once_per_commit() {
+    // An `fdatasync` that must also commit a new file size costs a
+    // journal write on top of the data: the WAL is grown a zeroed
+    // 64 KiB chunk at a time, and a commit inside the chunk overwrites
+    // blocks that are already written.
+    const CHUNK: u64 = 64 * 1024;
+    let n = 1_000;
+    let dir = std::env::temp_dir().join(format!("ruvo-cost-wal-growth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Database::builder()
+        .data_dir(&dir)
+        .fsync(FsyncPolicy::Always)
+        .checkpoint_policy(CheckpointPolicy::never())
+        .seed(accounts_base(n))
+        .open_dir()
+        .unwrap();
+    let wal = dir.join(ruvo::core::store::WAL_FILE);
+    let wal_len = || std::fs::metadata(&wal).map_or(0, |m| m.len());
+    let (mut len, mut changes) = (wal_len(), 0u64);
+    for i in 0..1_000 {
+        db.apply(&db.prepare(&one_object_source(i, n)).unwrap()).unwrap();
+        let now = wal_len();
+        changes += u64::from(now != len);
+        len = now;
+    }
+    drop(db);
+    let state = ruvo::core::store::read_state(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(state.stats.wal_records, 1_000);
+    let payload = state.stats.wal_bytes;
+    let bound = payload.div_ceil(CHUNK) + 1;
+    eprintln!(
+        "1 000 durable commits, {payload} WAL bytes: the file length changed {changes} times"
+    );
+    assert!(
+        changes <= bound,
+        "the WAL file length changed {changes} times over 1 000 commits of {payload} bytes, above {bound}"
+    );
+}
+
 /// Mean allocations and mean bytes allocated of `queries` point goals
 /// through the serving read path, after a warm-up.
 fn allocations_per_query(n: usize, queries: usize) -> (f64, f64) {

@@ -127,6 +127,7 @@ fn bit_flip_in_the_wal_loses_only_a_suffix_and_never_panics() {
     }
     let wal = dir.join(store::WAL_FILE);
     let pristine = std::fs::read(&wal).unwrap();
+    assert_eq!(pristine.last(), Some(&0), "the sweep covers the zeroed tail past the log's end");
     // Flip one bit at a sample of positions across the whole file.
     for byte in (10..pristine.len()).step_by(11) {
         let mut damaged = pristine.clone();
