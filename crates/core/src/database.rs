@@ -380,9 +380,14 @@ impl Prepared {
     /// program: prune rules that cannot contribute to the goal's
     /// chains, then (when a seeding strategy exists) guard the
     /// remaining rules with a magic demand predicate so evaluation
-    /// touches only the demanded slice of the object base. The plan is
-    /// a pure rewrite — build it once, run it against any base via
-    /// [`Database::query`] (see [`crate::plan_query`]).
+    /// touches only the demanded slice of the object base. Run the plan
+    /// against any base via [`Database::run_query_plan`] (see
+    /// [`crate::plan_query`]).
+    ///
+    /// The rewritten program is compiled once per set of kept rules and
+    /// shared by every later plan that keeps the same rules, across
+    /// clones of this `Prepared` and threads alike, so a plan per goal
+    /// costs only the goal's own analysis.
     pub fn query_plan(&self, goal: Goal) -> QueryPlan {
         crate::query::plan_query(&self.compiled, goal)
     }
@@ -777,9 +782,10 @@ impl Database {
         self.query(prepared, Goal::parse(goal)?)
     }
 
-    /// Run an already-built [`QueryPlan`] against the committed base
-    /// (build one via [`Prepared::query_plan`] to amortize the rewrite
-    /// across repeated asks of the same goal).
+    /// Run an already-built [`QueryPlan`] against the committed base.
+    /// Keeping a plan ([`Prepared::query_plan`]) for a goal asked again
+    /// saves only that goal's analysis: the compiled rewrite is shared
+    /// across goals by the prepared program either way.
     pub fn run_query_plan(&self, plan: &QueryPlan) -> Result<QueryAnswers, Error> {
         let work = self.session.prepared_work();
         Ok(crate::query::run_query(plan, self.session.config(), work)?)

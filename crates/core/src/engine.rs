@@ -82,6 +82,7 @@ use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid}
 use crate::error::EvalError;
 use crate::matcher::Seed;
 use crate::plan::{reads_by_membership, IndexPlan};
+use crate::query::Rewrites;
 use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError};
 use crate::tp::{self, Fired, FiredSet};
 use crate::trace::{EvalStats, RoundTrace, StratumTrace};
@@ -161,6 +162,9 @@ pub struct CompiledProgram {
     /// and re-rendering per commit would tax the writer's critical
     /// section.
     source: std::sync::OnceLock<std::sync::Arc<str>>,
+    /// The demand rewrites [`crate::plan_query`] compiled from this
+    /// program, one per kept-rule set.
+    pub(crate) rewrites: Rewrites,
 }
 
 impl CompiledProgram {
@@ -194,6 +198,7 @@ impl CompiledProgram {
             index_plan,
             cycles,
             source: std::sync::OnceLock::new(),
+            rewrites: Rewrites::default(),
         })
     }
 

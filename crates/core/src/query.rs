@@ -43,15 +43,22 @@
 //! The magic guard reads a fresh method on the *empty* chain, which
 //! no rule writes, so guarding never adds stratification edges: the
 //! guarded program stratifies exactly like the pruned one.
+//!
+//! A rewritten program depends on which rules the goal keeps and on the
+//! magic method name, never on the goal's constants, so each one is
+//! compiled once per [`CompiledProgram`] and shared by every plan that
+//! needs it (`Rewrites`). What stays per goal is the analysis:
+//! relevance, the seeds and demand rules, and the goal's own index
+//! plan.
 
-use std::borrow::Cow;
 use std::fmt;
+use std::sync::{Arc, RwLock};
 
 use ruvo_lang::pretty::{const_str, literal_str};
 use ruvo_lang::{Atom, Goal, Literal, Program, Rule, UpdateSpec, VersionAtom};
 use ruvo_obase::{Args, ObjectBase};
 use ruvo_term::{
-    int, sym, BaseTerm, Chain, Const, FastHashSet, Symbol, VarId, Vid, VidRef, VidTerm,
+    int, sym, BaseTerm, Chain, Const, FastHashMap, FastHashSet, Symbol, VarId, Vid, VidRef, VidTerm,
 };
 
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig};
@@ -120,7 +127,7 @@ struct SeedPlan {
     demands: Vec<DemandRule>,
     /// The kept rules, unguarded: what [`run_query`] runs when a
     /// demanded object is missing from the base.
-    pruned: Program,
+    pruned: Arc<CompiledProgram>,
 }
 
 /// A compiled query: the goal, the rewritten program, and the demand
@@ -133,7 +140,7 @@ pub struct QueryPlan {
     reason: Option<String>,
     kept: Vec<usize>,
     total_rules: usize,
-    exec: CompiledProgram,
+    exec: Arc<CompiledProgram>,
     seeding: Option<SeedPlan>,
 }
 
@@ -198,8 +205,10 @@ impl QueryPlan {
     }
 
     /// The program the plan actually runs (guarded, pruned, or the
-    /// original, per [`QueryPlan::mode`]).
-    pub fn program(&self) -> &CompiledProgram {
+    /// original, per [`QueryPlan::mode`]): compiled once per kept-rule
+    /// set and magic method, and shared with every plan of the same
+    /// [`CompiledProgram`] that keeps the same rules.
+    pub fn program(&self) -> &Arc<CompiledProgram> {
         &self.exec
     }
 
@@ -256,7 +265,9 @@ impl QueryPlan {
 /// Build the demand plan for `goal` against `compiled`. Infallible:
 /// every analysis obstacle degrades the [`QueryMode`] instead of
 /// erroring, and the recorded reason says what blocked the stronger
-/// mode.
+/// mode. Compiles nothing once `compiled` has served a goal with the
+/// same kept rules: the rewritten programs come from its table of
+/// compiled rewrites.
 pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
     let program = compiled.program();
     let goal_plan = goal_index_plan(&goal);
@@ -270,31 +281,38 @@ pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
                 .to_owned();
         return full_plan(compiled, goal, goal_plan, Some(reason));
     }
+    let pruned = match compiled.rewrites.get_or_compile(compiled, &rel.kept, None) {
+        Ok(pruned) => pruned,
+        // A rule subset keeps a subset of the stratification
+        // constraints, so this cannot fail in practice; degrade
+        // gracefully anyway.
+        Err(reason) => return full_plan(compiled, goal, goal_plan, Some(reason)),
+    };
     let created: FastHashSet<Chain> = rel
         .kept
         .iter()
         .filter_map(|&i| program.rules[i].head.created_term().ok())
         .map(|t| t.chain)
         .collect();
-    match seeding(program, &goal, &rel.kept, &created) {
-        Ok(seeding) => {
-            match guarded_program(program, &rel.kept, seeding.magic)
-                .and_then(|p| compile_like(p, compiled))
-            {
-                Ok(exec) => QueryPlan {
-                    goal,
-                    goal_plan,
-                    mode: QueryMode::Seeded,
-                    reason: None,
-                    kept: rel.kept,
-                    total_rules: program.rules.len(),
-                    exec,
-                    seeding: Some(seeding),
-                },
-                Err(reason) => pruned_plan(compiled, goal, goal_plan, rel.kept, reason),
-            }
+    let seeded = seeding(program, &goal, &rel.kept, &created, Arc::clone(&pruned)).and_then(|s| {
+        Ok((compiled.rewrites.get_or_compile(compiled, &rel.kept, Some(s.magic))?, s))
+    });
+    let (mode, reason, exec, seeding) = match seeded {
+        Ok((exec, seeding)) => (QueryMode::Seeded, None, exec, Some(seeding)),
+        Err(reason) if rel.kept.len() == program.rules.len() => {
+            return full_plan(compiled, goal, goal_plan, Some(reason));
         }
-        Err(reason) => pruned_plan(compiled, goal, goal_plan, rel.kept, reason),
+        Err(reason) => (QueryMode::Pruned, Some(reason), pruned, None),
+    };
+    QueryPlan {
+        goal,
+        goal_plan,
+        mode,
+        reason,
+        kept: rel.kept,
+        total_rules: program.rules.len(),
+        exec,
+        seeding,
     }
 }
 
@@ -311,7 +329,7 @@ pub fn run_query(
     config: &EngineConfig,
     mut work: ObjectBase,
 ) -> Result<QueryAnswers, EvalError> {
-    let mut exec = Cow::Borrowed(&plan.exec);
+    let mut exec = &plan.exec;
     if let Some(seeding) = &plan.seeding {
         let demanded = demand_fixpoint(seeding, &work);
         if demanded.iter().all(|&c| work.exists_fact(Vid::object(c))) {
@@ -319,11 +337,10 @@ pub fn run_query(
                 work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
             }
         } else {
-            let cycles = plan.exec.cycle_policy();
-            exec = Cow::Owned(CompiledProgram::compile(seeding.pruned.clone(), cycles)?);
+            exec = &seeding.pruned;
         }
     }
-    let outcome = run_compiled(&exec, config, work)?;
+    let outcome = run_compiled(exec, config, work)?;
     Ok(match_goal_planned(outcome.result(), &plan.goal, &plan.goal_plan))
 }
 
@@ -362,56 +379,87 @@ fn full_plan(
     reason: Option<String>,
 ) -> QueryPlan {
     let total = compiled.program().rules.len();
+    let kept: Vec<usize> = (0..total).collect();
+    let exec = compiled
+        .rewrites
+        .get_or_compile(compiled, &kept, None)
+        .expect("every rule, unguarded, is the program itself, which compiled under this policy");
     QueryPlan {
         goal,
         goal_plan,
         mode: QueryMode::Full,
         reason,
-        kept: (0..total).collect(),
+        kept,
         total_rules: total,
-        exec: compiled.clone(),
+        exec,
         seeding: None,
     }
 }
 
-fn pruned_plan(
-    compiled: &CompiledProgram,
-    goal: Goal,
-    goal_plan: RuleIndexPlan,
-    kept: Vec<usize>,
-    reason: String,
-) -> QueryPlan {
-    let program = compiled.program();
-    if kept.len() == program.rules.len() {
-        return full_plan(compiled, goal, goal_plan, Some(reason));
+/// What a rewrite compiled to, or why it failed to.
+type Rewrite = Result<Arc<CompiledProgram>, String>;
+
+/// The rewrites of one magic name, by kept-rule set.
+type ByKept = FastHashMap<Box<[usize]>, Rewrite>;
+
+/// The compiled rewrites of one [`CompiledProgram`], keyed by exactly
+/// what a rewrite reads: the magic method of its guards (`None` for the
+/// unguarded kept rules) and the indices of the rules it keeps. The
+/// goal's constants only choose the seeds, so two goals with the same
+/// kept rules share one compiled rewrite. A failed compile is kept too,
+/// so its fallback costs no compile either.
+///
+/// Entries are never evicted: the table holds one entry per distinct
+/// kept-rule set the goals asked so far produced (a subset of the
+/// program's rules, so up to 2^rules of them) and magic name, and goals
+/// with one kept set get different magic names only when they
+/// themselves name `?demand…` methods (ARCHITECTURE.md, decision D9).
+#[derive(Debug, Default)]
+pub(crate) struct Rewrites {
+    table: RwLock<FastHashMap<Option<Symbol>, ByKept>>,
+}
+
+impl Rewrites {
+    /// The rewrite of `compiled` (whose table this is) keeping `kept`
+    /// and guarded by `magic`. A miss compiles outside the lock; when
+    /// two threads race on one key, both get the first one inserted.
+    /// A poisoned lock is used as is: the only write inserts a finished
+    /// entry, so a panic elsewhere cannot leave the table half-updated.
+    fn get_or_compile(
+        &self,
+        compiled: &CompiledProgram,
+        kept: &[usize],
+        magic: Option<Symbol>,
+    ) -> Rewrite {
+        let table = self.table.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = table.get(&magic).and_then(|by_kept| by_kept.get(kept)) {
+            return hit.clone();
+        }
+        drop(table);
+        let program = match magic {
+            Some(magic) => guarded_program(compiled.program(), kept, magic),
+            None => Ok(kept_program(compiled.program(), kept)),
+        };
+        let built = program.and_then(|p| {
+            CompiledProgram::compile(p, compiled.cycle_policy())
+                .map(Arc::new)
+                .map_err(|e| format!("rewritten program failed to stratify: {e}"))
+        });
+        let mut table = self.table.write().unwrap_or_else(|e| e.into_inner());
+        table.entry(magic).or_default().entry(kept.into()).or_insert(built).clone()
     }
-    match compile_like(kept_program(program, &kept), compiled) {
-        Ok(exec) => QueryPlan {
-            goal,
-            goal_plan,
-            mode: QueryMode::Pruned,
-            reason: Some(reason),
-            kept,
-            total_rules: program.rules.len(),
-            exec,
-            seeding: None,
-        },
-        // A rule subset keeps a subset of the stratification
-        // constraints, so this cannot fail in practice; degrade
-        // gracefully anyway.
-        Err(e) => full_plan(compiled, goal, goal_plan, Some(format!("{reason}; {e}"))),
+}
+
+/// A copy of a compiled program starts with no rewrites of its own.
+impl Clone for Rewrites {
+    fn clone(&self) -> Rewrites {
+        Rewrites::default()
     }
 }
 
 /// The rules of `program` at `kept`, in order.
 fn kept_program(program: &Program, kept: &[usize]) -> Program {
     Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() }
-}
-
-/// Compile `program` under the same cycle policy as `like`.
-fn compile_like(program: Program, like: &CompiledProgram) -> Result<CompiledProgram, String> {
-    CompiledProgram::compile(program, like.cycle_policy())
-        .map_err(|e| format!("rewritten program failed to stratify: {e}"))
 }
 
 /// The result of the relevance closure.
@@ -580,6 +628,7 @@ fn seeding(
     goal: &Goal,
     kept: &[usize],
     created: &FastHashSet<Chain>,
+    pruned: Arc<CompiledProgram>,
 ) -> Result<SeedPlan, String> {
     if !kept.iter().any(|&i| matches!(program.rules[i].head.target.base, BaseTerm::Var(_))) {
         return Err("every relevant rule has a constant head target — nothing to guard".to_owned());
@@ -656,7 +705,7 @@ fn seeding(
 
     let mut seeds: Vec<Const> = seeds.into_iter().collect();
     seeds.sort();
-    Ok(SeedPlan { magic, seeds, demands, pruned: kept_program(program, kept) })
+    Ok(SeedPlan { magic, seeds, demands, pruned })
 }
 
 /// The kept rules with magic guards prepended to every variable-headed
@@ -987,6 +1036,60 @@ mod tests {
         let text = plan.program().source_text();
         let reparsed = Program::parse(&text).unwrap();
         assert_eq!(&reparsed, plan.program().program());
+    }
+
+    #[test]
+    fn goals_with_one_kept_set_share_one_compiled_rewrite() {
+        let c = compiled(
+            "lift: ins[mod(E)].bosschief -> C <= E.boss -> B & ins(B).chief -> C.
+             chief: ins[X].chief -> B <= X.boss -> B.
+             step: ins[X].chief -> C <= ins(X).chief -> B & B.boss -> C.",
+        );
+        let plan = |src: &str| plan_query(&c, Goal::parse(src).unwrap());
+        let e3 = plan("?- ins(e3).chief -> C.");
+        let e1 = plan("?- ins(e1).chief -> e0.");
+        assert_eq!((e3.mode(), e1.mode()), (QueryMode::Seeded, QueryMode::Seeded));
+        assert_eq!(e3.kept_rules(), e1.kept_rules());
+        assert!(Arc::ptr_eq(e3.program(), e1.program()), "other constants, same rewrite");
+        let (s3, s1) = (e3.seeding.as_ref().unwrap(), e1.seeding.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&s3.pruned, &s1.pruned), "and the same pruned fallback");
+        assert_ne!(s3.seeds, s1.seeds, "the seeds stay per goal");
+
+        // The lift goal keeps one more rule: another rewrite.
+        let lift = plan("?- ins(mod(e3)).bosschief -> C.");
+        assert_eq!(lift.mode(), QueryMode::Seeded);
+        assert_ne!(lift.kept_rules(), e3.kept_rules());
+        assert!(!Arc::ptr_eq(lift.program(), e3.program()));
+        // A goal the guards cannot serve runs the kept rules unguarded:
+        // the seeded plans' fallback, not a new compile.
+        let free = plan("?- ins(X).chief -> e0.");
+        assert_eq!((free.mode(), free.kept_rules()), (QueryMode::Pruned, e3.kept_rules()));
+        assert!(Arc::ptr_eq(free.program(), &s3.pruned));
+        // Full plans share the program's one unguarded copy.
+        let audit = compiled("audit: ins[log].saw -> O <= $V.exists -> O.");
+        let full = |src: &str| plan_query(&audit, Goal::parse(src).unwrap());
+        let (a, b) = (full("?- ins(log).saw -> O."), full("?- ins(log).saw -> e1."));
+        assert_eq!((a.mode(), b.mode()), (QueryMode::Full, QueryMode::Full));
+        assert!(Arc::ptr_eq(a.program(), b.program()));
+    }
+
+    #[test]
+    fn a_goal_naming_the_magic_method_gets_its_own_rewrite() {
+        // Same kept rules as `?- ins(e3).chief -> C.`, but the goal reads
+        // `?demand` itself: guards on that name would put a fact under
+        // it, and the negation would fail.
+        let c = compiled(BOSS_CHAIN);
+        let ob = prepared(BOSS_BASE);
+        let plain = plan_query(&c, Goal::parse("?- ins(e3).chief -> C.").unwrap());
+        let goal = Goal::parse("?- ins(e3).chief -> C & not e3.'?demand' -> 1.").unwrap();
+        let naming = plan_query(&c, goal.clone());
+        assert_eq!((plain.mode(), naming.mode()), (QueryMode::Seeded, QueryMode::Seeded));
+        assert_eq!(plain.kept_rules(), naming.kept_rules());
+        assert_ne!(plain.seeding.as_ref().unwrap().magic, naming.seeding.as_ref().unwrap().magic);
+        assert!(!Arc::ptr_eq(plain.program(), naming.program()));
+        let got = run_query(&naming, &EngineConfig::default(), ob.clone()).unwrap();
+        assert_eq!(got, oracle(&c, &ob, &goal));
+        assert_eq!(got.rows.len(), 3, "e3's chiefs: e2, e1, e0");
     }
 
     #[test]

@@ -314,9 +314,10 @@ impl ServingDatabase {
     }
 
     /// Run a pre-built [`crate::QueryPlan`] against the latest
-    /// published head (build one via [`Prepared::query_plan`] so
-    /// repeated asks — a polling reader, a serving loop — pay the
-    /// rewrite once). Lock-free like every other read.
+    /// published head. Lock-free like every other read. Keeping a plan
+    /// ([`Prepared::query_plan`]) for a goal asked again saves only that
+    /// goal's analysis: the compiled rewrite is shared across goals and
+    /// reader threads by the prepared program either way.
     pub fn run_query_plan(
         &self,
         plan: &crate::query::QueryPlan,

@@ -64,9 +64,11 @@
 //! so recovery stops there; the zero tail is not counted as dropped
 //! bytes. (Without the explicit stop an all-zero frame would pass its
 //! checksum, which is zero for zero bytes, and fail only to decode.)
-//! Opening still cuts the file after the valid prefix, and a
-//! checkpoint still truncates it to the header; the next append zeroes
-//! a fresh chunk. Overwriting a partly written block exposes a record
+//! Opening keeps a tail that is zeros only as the zeroed region, so
+//! the first append after a reopen writes no zeros; a tail holding any
+//! non-zero byte is cut after the valid prefix. A checkpoint still
+//! truncates the file to the header; the next append zeroes a fresh
+//! chunk. Overwriting a partly written block exposes a record
 //! to a torn page write exactly as appending to that block does.
 //!
 //! The cursor advances only once the record's sync succeeds. After a
@@ -958,8 +960,9 @@ impl WalStore {
     /// Open (or create) the store under `dir`, returning the decoded
     /// durable state to replay. A torn or corrupt WAL tail is dropped
     /// and truncated away so subsequent appends extend the valid
-    /// prefix; likewise a torn checkpoint-chain tail (the WAL is
-    /// verified to cover it).
+    /// prefix (a tail of zeros only stays, as the zeroed region);
+    /// likewise a torn checkpoint-chain tail (the WAL is verified to
+    /// cover it).
     pub fn open(
         dir: impl Into<PathBuf>,
         fsync: FsyncPolicy,
@@ -977,7 +980,8 @@ impl WalStore {
             .write(true)
             .open(&wal_path)
             .map_err(|e| StorageError::io("open", &wal_path, e))?;
-        let file_len = wal.metadata().map_err(|e| StorageError::io("stat", &wal_path, e))?.len();
+        let mut file_len =
+            wal.metadata().map_err(|e| StorageError::io("stat", &wal_path, e))?.len();
         if !state.wal_exists || file_len < WAL_HEADER_LEN {
             // Fresh file, or a header torn by a crash before its first
             // byte cycle completed (read_state verified the fragment
@@ -987,11 +991,17 @@ impl WalStore {
             wal.write_all(WAL_MAGIC).map_err(|e| StorageError::io("write", &wal_path, e))?;
             wal.write_all(&FORMAT_VERSION.to_le_bytes())
                 .map_err(|e| StorageError::io("write", &wal_path, e))?;
-        } else if file_len > state.good_offset {
+            file_len = WAL_HEADER_LEN;
+        } else if state.stats.dropped_bytes > 0 {
             // Drop the torn tail so the next append extends the valid
-            // prefix instead of burying records behind garbage.
+            // prefix instead of burying records behind garbage. A tail
+            // of zeros only is kept as the zeroed region: the next
+            // appends overwrite it without writing a chunk again. One
+            // non-zero byte anywhere past the prefix cuts it all, since
+            // a torn frame can leave payload behind a zero length word.
             wal.set_len(state.good_offset)
                 .map_err(|e| StorageError::io("truncate", &wal_path, e))?;
+            file_len = state.good_offset;
         }
 
         let ckpt_path = dir.join(CHECKPOINT_FILE);
@@ -1031,8 +1041,8 @@ impl WalStore {
             epoch,
             wal_records: state.stats.wal_records + state.stats.skipped_records,
             wal_bytes: state.good_offset - WAL_HEADER_LEN,
-            zeroed_to: state.good_offset,
-            written_to: state.good_offset,
+            zeroed_to: file_len,
+            written_to: file_len,
             frame: Vec::new(),
             unsynced_appends: 0,
             fsync,
@@ -1517,6 +1527,61 @@ mod tests {
         assert_eq!(reopened.stats.dropped_bytes, 0);
         assert_eq!(reopened.stats.wal_bytes, cursor - WAL_HEADER_LEN);
         assert_eq!(sources(&reopened.records), ["p0.", "p1.", "p2."]);
+    }
+
+    #[test]
+    fn a_reopen_keeps_the_zero_tail_so_the_next_append_leaves_the_length() {
+        let dir = tmp_dir("keep-zero-tail");
+        let wal_path = dir.join(WAL_FILE);
+        let wal_len = || std::fs::metadata(&wal_path).unwrap().len();
+        let mut expected = Vec::new();
+        for round in 0..3 {
+            let mut opened =
+                WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+            assert_eq!(sources(&opened.records), expected);
+            assert_eq!(opened.stats.dropped_bytes, 0);
+            if round > 0 {
+                assert_eq!(wal_len(), WAL_CHUNK, "reopen {round} kept the zero tail");
+            }
+            let src = format!("p{round}.");
+            opened.store.append_batch(&[prog(&src)], &base(1)).unwrap();
+            expected.push(src);
+            assert_eq!(wal_len(), WAL_CHUNK, "append after reopen {round} wrote no new chunk");
+        }
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), expected);
+        assert_eq!(reopened.store.seq(), 3);
+    }
+
+    #[test]
+    fn one_non_zero_byte_in_the_zero_tail_still_cuts_the_tail() {
+        let dir = tmp_dir("dirty-zero-tail");
+        let wal_path = dir.join(WAL_FILE);
+        let mut opened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        opened.store.append_batch(&[prog("p0.")], &base(1)).unwrap();
+        opened.store.append_batch(&[prog("p1.")], &base(1)).unwrap();
+        let cursor = WAL_HEADER_LEN + opened.store.wal_bytes();
+        drop(opened);
+
+        // Behind the zero length word at the cursor, as a torn frame
+        // whose length word never reached the disk would leave it.
+        let mut data = std::fs::read(&wal_path).unwrap();
+        data[cursor as usize + 100] = 0x01;
+        std::fs::write(&wal_path, &data).unwrap();
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), ["p0.", "p1."]);
+        assert_eq!(reopened.stats.dropped_bytes, 101);
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), cursor, "the tail is cut");
+        let mut store = reopened.store;
+        store.append_batch(&[prog("p2.")], &base(1)).unwrap();
+        drop(store);
+        let third = WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&third.records), ["p0.", "p1.", "p2."]);
+        assert_eq!(third.stats.dropped_bytes, 0);
     }
 
     #[test]

@@ -306,7 +306,9 @@ fn allocations_per_query(n: usize, queries: usize) -> (f64, f64) {
 /// A point query writes a few versions on a working copy of the base:
 /// it must allocate as often at 1k as at 10k accounts, and copy only
 /// the copy-on-write leaves those writes land in — at 16k accounts a
-/// 1/16 shard of one index alone would blow the byte budget.
+/// 1/16 shard of one index alone would blow the byte budget. Past the
+/// first goal of its kept rules it compiles no rewrite: what it
+/// allocates is its own analysis, seeding and run.
 #[test]
 fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
     let (small, _) = allocations_per_query(1_000, 100);
@@ -316,6 +318,13 @@ fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
         (large - small).abs() <= 8.0,
         "a served point query allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
     );
+    // 130.9 measured; 220.9 when every query compiled its rewrite.
+    const COUNT_BUDGET: f64 = 150.0;
+    assert!(
+        small.max(large) <= COUNT_BUDGET,
+        "a served point query allocates {small:.1} / {large:.1} times at 1k / 10k accounts \
+         (budget {COUNT_BUDGET}; 220.9 when every query compiled its rewrite)"
+    );
     const BUDGET: f64 = 512.0 * 1024.0;
     let (_, bytes) = allocations_per_query(16_000, 100);
     eprintln!("bytes allocated per served point query at 16k accounts: {bytes:.0}");
@@ -323,6 +332,94 @@ fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
         bytes <= BUDGET,
         "a served point query allocates {bytes:.0} bytes at 16k accounts (budget {BUDGET})"
     );
+}
+
+/// The live heap of a serving database after a warm-up and after 2 000
+/// more point, sweep and base-only goals with varied constants: the
+/// rewrites the first goals compiled are all the query path keeps.
+#[test]
+fn point_queries_retain_nothing_past_their_kept_sets() {
+    let n = 1_000;
+    let db = ServingDatabase::open(accounts_base(n));
+    let credit = db.prepare(CREDIT_ALL).unwrap();
+    let ask = |i: usize| {
+        let a = (i * 7919) % n;
+        let goal = match i % 3 {
+            0 => format!("?- mod(acct{a}).balance -> B."),
+            1 => format!("?- A.tag -> t{a} & mod(A).balance -> B."),
+            _ => format!("?- acct{a}.balance -> B."),
+        };
+        let answers = db.query(&credit, Goal::parse(&goal).unwrap()).unwrap();
+        assert_eq!(answers.rows.len(), 1, "{goal}");
+    };
+    for i in 0..16 {
+        ask(i);
+    }
+    let warm = LIVE_BYTES.with(Cell::get);
+    for i in 16..2_016 {
+        ask(i);
+    }
+    let after = LIVE_BYTES.with(Cell::get);
+    eprintln!("live heap after warm-up: {warm} bytes; after 2 000 more queries: {after}");
+    assert_eq!(after, warm, "2 000 point queries retained {} bytes", after - warm);
+}
+
+/// Goals reading every combination of three derived chains reach every
+/// kept set of a three-rule program, 2^3: the rewrite table grows once
+/// per kept set during the warm-up and by nothing in 2 000 more goals.
+#[test]
+fn goals_over_every_relation_combination_keep_one_rewrite_per_kept_set() {
+    let n = 200;
+    let db = ServingDatabase::open(accounts_base(n));
+    // Three rules creating three chains; `flag` and `untag` fire on no
+    // account (none is `frozen`), so no object branches.
+    let program = db
+        .prepare(&format!(
+            "{CREDIT_ALL}
+             flag: ins[A].flag -> on <= A.kind -> frozen.
+             untag: del[A].tag -> T <= A.tag -> T & A.kind -> frozen."
+        ))
+        .unwrap();
+    let goal = |i: usize| {
+        let (a, chains) = ((i * 7919) % n, i % 8);
+        let mut body = vec![format!("acct{a}.owner -> U")];
+        if chains & 1 != 0 {
+            body.push(format!("mod(acct{a}).balance -> B"));
+        }
+        if chains & 2 != 0 {
+            body.push(format!("ins(acct{a}).flag -> F"));
+        }
+        if chains & 4 != 0 {
+            body.push(format!("del(acct{a}).kind -> K"));
+        }
+        (chains, Goal::parse(&format!("?- {}.", body.join(" & "))).unwrap())
+    };
+    let ask = |i: usize| {
+        let (chains, goal) = goal(i);
+        let answers = db.query(&program, goal).unwrap();
+        // No `ins` or `del` version exists, so only goals reading the
+        // base and `mod` alone have an answer.
+        assert_eq!(answers.rows.len(), usize::from(chains < 2), "goal {i}");
+    };
+    let start = LIVE_BYTES.with(Cell::get);
+    for i in 0..16 {
+        ask(i);
+    }
+    let warm = LIVE_BYTES.with(Cell::get);
+    for i in 16..2_016 {
+        ask(i);
+    }
+    let after = LIVE_BYTES.with(Cell::get);
+    let kept_sets: std::collections::BTreeSet<Vec<usize>> =
+        (0..8).map(|i| program.query_plan(goal(i).1).kept_rules().to_vec()).collect();
+    eprintln!(
+        "{} kept sets: the warm-up retained {} bytes, 2 000 more goals {}",
+        kept_sets.len(),
+        warm - start,
+        after - warm
+    );
+    assert_eq!(kept_sets.len(), 8, "{kept_sets:?}");
+    assert_eq!(after, warm, "2 000 goals retained {} bytes", after - warm);
 }
 
 /// Mean allocations of `prepared_work()` plus a one-object evaluation,

@@ -57,6 +57,44 @@ fn goal_for(shape: usize, a: usize, i: usize, j: usize, k: i64) -> String {
     }
 }
 
+/// Ask every goal shape twice, in the order of `keys`, against one
+/// `Prepared` — the rewrites it compiles for one goal serve every later
+/// goal that keeps the same rules — and hold each answer to the oracle.
+/// Returns how many seeded plans named an object the base lacks (the
+/// base has `o0..o19`; constants reach `o24`), each of which ran the
+/// pruned fallback.
+fn ask_every_shape_of_one_prepared(
+    seed: u64,
+    consts: &[(usize, usize, usize, i64)],
+    keys: &[u64],
+) -> usize {
+    let config = RandomConfig { seed, ..Default::default() };
+    let ob = random_object_base(config);
+    let db = Database::open(ob.clone());
+    let prepared = db.prepare(&random_insert_program(config).to_string()).unwrap();
+    let Ok(full) = db.evaluate(&prepared) else {
+        return 0;
+    };
+    let mut goals: Vec<(u64, String, usize)> = consts
+        .iter()
+        .zip(keys)
+        .enumerate()
+        .map(|(n, (&(a, i, j, k), &key))| (key, goal_for(n % 7, a, i, j, k), a))
+        .collect();
+    goals.sort();
+    let mut missing = 0;
+    for (_, goal_src, a) in &goals {
+        let goal = Goal::parse(goal_src).unwrap();
+        let oracle = match_goal(full.result(), &goal);
+        let plan = prepared.query_plan(goal);
+        let names_missing = *a >= 20 && goal_src.contains(&format!("o{a}"));
+        missing += usize::from(plan.mode() == QueryMode::Seeded && names_missing);
+        let fast = db.run_query_plan(&plan).expect("demand query runs");
+        assert_eq!(fast, oracle, "seed {seed}: answers diverge for {goal_src}");
+    }
+    missing
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -116,6 +154,32 @@ proptest! {
             prop_assert_eq!(&answers.rows, &q.expected, "goal {}", &q.goal);
         }
     }
+
+    /// Every goal shape against one `Prepared`, in random order with
+    /// varied constants.
+    #[test]
+    fn one_prepared_program_answers_every_shape_in_any_order(
+        seed in 0u64..400,
+        consts in proptest::collection::vec((0usize..25, 0usize..5, 0usize..5, 0i64..100), 14),
+        keys in proptest::collection::vec(0u64..1000, 14),
+    ) {
+        ask_every_shape_of_one_prepared(seed, &consts, &keys);
+    }
+}
+
+/// The same with pinned inputs, which must also reach the fallback a
+/// seeded plan takes for an object the base lacks.
+#[test]
+fn one_prepared_program_pinned_sweep() {
+    let mut missing = 0;
+    for seed in 0..24u64 {
+        let s = seed as usize;
+        let consts: Vec<_> =
+            (0..14).map(|n| ((s + 3 * n) % 25, (s + n) % 5, n % 5, (s * n) as i64 % 100)).collect();
+        let keys: Vec<u64> = (0..14).map(|n| (seed * 7 + n * 13) % 17).collect();
+        missing += ask_every_shape_of_one_prepared(seed, &consts, &keys);
+    }
+    assert!(missing > 0, "no seeded plan named a missing object");
 }
 
 /// Deterministic seed sweep, mirroring the proptest battery with
