@@ -565,8 +565,8 @@ fn deps_advisories(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnos
 /// Everything `ruvo check` reports for one compiled program.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
-    /// All diagnostics: front-end (structure, labels, safety, arity,
-    /// duplicates) plus the stratification-aware analyses above.
+    /// All diagnostics: the program-level front end (labels, duplicate
+    /// rules, arity) plus the stratification-aware analyses above.
     pub diagnostics: Vec<Diagnostic>,
     /// Advisory notes (allow-level lints): dependency observations
     /// about healthy programs — self-dependent rules. Never escalated
@@ -591,11 +591,21 @@ impl CheckReport {
 
 /// Run every static analysis over a compiled program. This is the one
 /// place the commutativity matrix and the dependency graph are built.
+///
+/// The rules' own findings (§3 structure, safety) are not repeated
+/// here: the front end decided them when it built each rule and stored
+/// the plan the engine runs. This adds the program-level pass
+/// ([`analysis::program_diagnostics`]) and the stratification-aware
+/// analyses above.
 pub fn check(compiled: &CompiledProgram) -> CheckReport {
+    check_with(compiled, analysis::program_diagnostics(compiled.program()))
+}
+
+/// [`check`], continuing the program-level `diagnostics`.
+fn check_with(compiled: &CompiledProgram, mut diagnostics: Vec<Diagnostic>) -> CheckReport {
     let program = compiled.program();
     let strat = compiled.stratification();
     let deps = RuleDepGraph::build(program, strat, commutativity(program, strat));
-    let mut diagnostics = analysis::program_diagnostics(program);
     write_write_conflicts(program, deps.commutativity(), &mut diagnostics);
     dead_rules(program, &mut diagnostics);
     cycle_advisories(compiled, &mut diagnostics);
@@ -625,19 +635,33 @@ impl SourceCheck {
     }
 }
 
-/// Check source text end to end: front-end diagnostics, compilation
-/// under `cycles`, and the compiled-program analyses. A program the
-/// strict policy rejects is re-analyzed under the relaxed policy so
-/// the report still covers conflicts and dead rules, with a
-/// [`Lint::DynamicPolicyRequired`] diagnostic explaining the rejection.
+/// Check source text end to end: every front-end finding
+/// ([`analysis::front_end`]), compilation under `cycles`, and the
+/// compiled-program analyses. A program the strict policy rejects is
+/// re-analyzed under the relaxed policy so the report still covers
+/// conflicts and dead rules, with a [`Lint::DynamicPolicyRequired`]
+/// diagnostic explaining the rejection.
 pub fn check_source(src: &str, cycles: CyclePolicy) -> SourceCheck {
-    let (program, front) = analysis::check_source(src);
-    let Some(program) = program else {
-        return SourceCheck { compiled: None, diagnostics: front, advisories: Vec::new() };
+    let parsed = ruvo_lang::lexer::lex(src).and_then(|t| ruvo_lang::parser::parse_program(&t));
+    let mut program = match parsed {
+        Ok(program) => program,
+        Err(e) => {
+            return SourceCheck {
+                compiled: None,
+                diagnostics: vec![(&e).into()],
+                advisories: Vec::new(),
+            }
+        }
     };
+    // With no error among them, the front end's findings are exactly
+    // the program-level pass's: they open the compiled report.
+    let front = analysis::front_end(&mut program);
+    if front.iter().any(Diagnostic::is_error) {
+        return SourceCheck { compiled: None, diagnostics: front, advisories: Vec::new() };
+    }
     match CompiledProgram::compile(program.clone(), cycles) {
         Ok(compiled) => {
-            let CheckReport { diagnostics, advisories, deps } = check(&compiled);
+            let CheckReport { diagnostics, advisories, deps } = check_with(&compiled, front);
             SourceCheck { compiled: Some((compiled, deps)), diagnostics, advisories }
         }
         Err(e) => {
@@ -650,7 +674,7 @@ pub fn check_source(src: &str, cycles: CyclePolicy) -> SourceCheck {
             // still covers the other analyses.
             let mut advisories = Vec::new();
             if let Ok(relaxed) = CompiledProgram::compile(program, CyclePolicy::RuntimeStability) {
-                let report = check(&relaxed);
+                let report = check_with(&relaxed, front);
                 diagnostics.extend(report.diagnostics);
                 advisories = report.advisories;
             }

@@ -1,28 +1,36 @@
-//! Structured diagnostics and front-end static analysis.
+//! Structured diagnostics and the front end's static analysis.
 //!
-//! [`crate::validate`] and [`crate::safety`] enforce the paper's hard
-//! side conditions by failing fast; this module is the *advisory*
-//! layer on top: every finding — hard or soft — becomes a
+//! This module decides once whether a rule and a program are
+//! well-formed. Two passes do it:
+//!
+//! * the **rule-level pass** (`analyze_rule`): the §3 structural
+//!   checks (`exists` is never updated, `del[..].*` only in heads) and
+//!   §2.1 safety (range restriction), whose literal-ordering plan it
+//!   stores in `rule.plan`;
+//! * the **program-level pass** ([`program_diagnostics`]): duplicate
+//!   labels, duplicate (shadowing) rules, method-arity consistency.
+//!
+//! Every caller reads their findings and none re-derives them:
+//! [`Program::parse`] and [`Rule::new`] fail on the first error
+//! finding, `ruvo check` collects every finding through [`front_end`],
+//! and a prepared program's check runs only the program-level pass,
+//! since its rules already carry their plans. Each finding is a
 //! [`Diagnostic`] carrying a [`Lint`] identity, a [`Severity`], an
-//! optional source [`Span`], and free-form notes, so tooling
-//! (`ruvo check`, the REPL's `:check`, CI) can render rustc-style
-//! reports or machine-readable JSON instead of stopping at the first
-//! error.
+//! optional source [`Span`] and free-form notes, so tooling (`ruvo
+//! check`, the REPL's `:check`, CI) can render rustc-style reports or
+//! machine-readable JSON.
 //!
-//! The front-end analyses here cover everything decidable without
-//! stratification: structural violations (§2.1/§3), *all* duplicate
-//! labels, duplicate (shadowing) rules, method-arity consistency, and
-//! safety (range restriction). The stratification-dependent analyses —
-//! write-write conflicts, commutativity, dead rules, cycle-policy
-//! advisories — live in `ruvo-core`'s `check` module, which reuses
-//! these types.
+//! The stratification-dependent analyses — write-write conflicts,
+//! commutativity, dead rules, cycle-policy advisories — live in
+//! `ruvo-core`'s `check` module, which reuses these types.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use ruvo_term::Symbol;
 
-use crate::ast::{Atom, Program, Rule, UpdateSpec};
-use crate::error::Span;
+use crate::ast::{Atom, Literal, Program, Rule, UpdateAtom, UpdateSpec};
+use crate::error::{LangError, ParseError, SafetyError, Span, ValidateError};
 
 /// How bad a diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -396,24 +404,64 @@ impl LintLevels {
     }
 }
 
-/// One §3 structural violation of a rule.
-pub(crate) struct Structural {
-    pub(crate) lint: Lint,
-    /// The 1-based body literal at fault; `None` for the head.
-    pub(crate) literal: Option<usize>,
-    pub(crate) message: &'static str,
-    note: Option<&'static str>,
+/// One finding that rejects a program: a rule's §3 structural
+/// violation, its §2.1 unsafety, or its reuse of an earlier rule's
+/// label. [`front_end`] renders it as a [`Diagnostic`];
+/// [`Program::parse`] and [`Rule::new`] return the first as a
+/// [`LangError`].
+pub(crate) struct Finding {
+    lint: Lint,
+    /// The 1-based body literal at fault, if one is.
+    literal: Option<usize>,
+    message: String,
+    note: Option<String>,
 }
 
-/// The §3 structural checks of one rule, every finding in source
-/// order: `exists` updated in the head, `del[..].*` or an `exists`
-/// update-term in the body. [`program_diagnostics`] reports them all;
-/// [`crate::validate`] fails on the first.
-pub(crate) fn rule_structural(rule: &Rule) -> Vec<Structural> {
+impl Finding {
+    /// The error a fail-fast constructor returns; `index` is the rule's
+    /// position in its program, if it has one.
+    pub(crate) fn error(&self, rule: &Rule, index: Option<usize>) -> LangError {
+        // An unlabeled rule is named by its position in a program, but
+        // an unsafe one always by its head's target.
+        let name = match (&rule.label, index) {
+            (Some(label), _) => label.clone(),
+            (None, Some(i)) if self.lint != Lint::UnsafeRule => format!("rule{}", i + 1),
+            (None, _) => format!("<{}>", rule.head.target),
+        };
+        let message = self.message.clone();
+        match (self.lint, self.literal) {
+            (Lint::UnsafeRule, _) => SafetyError { rule: name, message }.into(),
+            (_, Some(j)) => {
+                ValidateError { rule: name, message: format!("body literal {j}: {message}") }.into()
+            }
+            (_, None) => ValidateError { rule: name, message }.into(),
+        }
+    }
+
+    fn diagnostic(&self, program: &Program, i: usize) -> Diagnostic {
+        let (name, message) = (program.rule_name(i), &self.message);
+        let message = match (self.lint, self.literal) {
+            (Lint::DuplicateLabel, _) => message.clone(),
+            (Lint::UnsafeRule, _) => format!("unsafe rule {name}: {message}"),
+            (_, Some(j)) => format!("rule `{name}`, body literal {j}: {message}"),
+            (_, None) => format!("rule `{name}`: {message}"),
+        };
+        let mut d = Diagnostic::new(self.lint, program.rules[i].span, message);
+        d.notes.extend(self.note.clone());
+        d
+    }
+}
+
+/// The rule-level pass, the one place a rule's well-formedness is
+/// decided: `exists` updated in the head, `del[..].*` or an `exists`
+/// update-term in the body (§3), then safety (§2.1), whose plan it
+/// stores in `rule.plan`. Returns every finding, in that order.
+pub(crate) fn analyze_rule(rule: &mut Rule) -> Vec<Finding> {
     let exists = ruvo_term::sym("exists");
     let mut out = Vec::new();
-    let mut found =
-        |lint, literal, message, note| out.push(Structural { lint, literal, message, note });
+    let mut found = |lint, literal, message: &str, note: Option<&str>| {
+        out.push(Finding { lint, literal, message: message.into(), note: note.map(Into::into) })
+    };
     if rule.head.spec.method() == Some(exists) {
         let note = "§3 reserves `exists`: `o.exists -> o` is maintained by the engine";
         found(Lint::ExistsUpdate, None, "the system method `exists` cannot be updated", Some(note));
@@ -430,31 +478,71 @@ pub(crate) fn rule_structural(rule: &Rule) -> Vec<Structural> {
             found(Lint::ExistsUpdate, Some(j + 1), message, None);
         }
     }
+    match crate::safety::analyze(rule) {
+        Ok(plan) => rule.plan = plan,
+        Err(message) => out.push(Finding {
+            lint: Lint::UnsafeRule,
+            literal: None,
+            message,
+            note: Some("§2.1 requires rules to be safe (range-restricted, cf. [Ull88])".into()),
+        }),
+    }
     out
 }
 
-/// All duplicate-label diagnostics — one per *extra* occurrence, so a
-/// label used three times yields two diagnostics.
-pub fn duplicate_labels(program: &Program) -> Vec<Diagnostic> {
-    let mut first: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+/// Every finding that rejects `program`, by rule, in report order: §3
+/// structural findings, then duplicate labels, then unsafe rules, each
+/// group in rule order. Runs the rule-level pass on every rule.
+fn rejections(program: &mut Program) -> Vec<(usize, Finding)> {
+    let mut out = Vec::new();
+    for (i, rule) in program.rules.iter_mut().enumerate() {
+        out.extend(analyze_rule(rule).into_iter().map(|f| (i, f)));
+    }
+    out.extend(duplicate_labels(program));
+    out.sort_by_key(|(_, f)| match f.lint {
+        Lint::DuplicateLabel => 1,
+        Lint::UnsafeRule => 2,
+        _ => 0,
+    });
+    out
+}
+
+/// The error [`Program::parse`] returns: the first finding that
+/// rejects `program`. Every safe rule's plan is stored either way.
+pub(crate) fn first_error(program: &mut Program) -> Option<LangError> {
+    let rejections = rejections(program);
+    let (i, first) = rejections.first()?;
+    if first.lint != Lint::DuplicateLabel {
+        return Some(first.error(&program.rules[*i], Some(*i)));
+    }
+    // One error summarizes every duplicate label.
+    let labels = rejections.iter().filter(|(_, f)| f.lint == Lint::DuplicateLabel);
+    let messages: Vec<&str> = labels.map(|(_, f)| &*f.message).collect();
+    let mut message = match messages.len() {
+        1 => "duplicate rule label".to_owned(),
+        n => format!("{n} duplicate rule labels"),
+    };
+    for m in messages {
+        message.push_str("; ");
+        message.push_str(m);
+    }
+    let rule = program.rules[*i].label.clone().unwrap_or_default();
+    Some(ValidateError { rule, message }.into())
+}
+
+/// Every duplicate label, one finding per rule reusing the label of an
+/// earlier rule, so a label used three times yields two.
+fn duplicate_labels(program: &Program) -> Vec<(usize, Finding)> {
+    let mut first: HashMap<&str, usize> = HashMap::new();
     let mut out = Vec::new();
     for (i, rule) in program.rules.iter().enumerate() {
         let Some(label) = rule.label.as_deref() else { continue };
-        match first.get(label) {
-            None => {
-                first.insert(label, i);
-            }
-            Some(&orig) => {
-                let mut d = Diagnostic::new(
-                    Lint::DuplicateLabel,
-                    rule.span,
-                    format!("duplicate rule label `{label}` (first used by rule {})", orig + 1),
-                );
-                if let Some(span) = program.rules[orig].span {
-                    d = d.note(format!("first definition at {}", span.start));
-                }
-                out.push(d);
-            }
+        let orig = *first.entry(label).or_insert(i);
+        if orig != i {
+            let message =
+                format!("duplicate rule label `{label}` (first used by rule {})", orig + 1);
+            let note = program.rules[orig].span.map(|s| format!("first definition at {}", s.start));
+            out.push((i, Finding { lint: Lint::DuplicateLabel, literal: None, message, note }));
         }
     }
     out
@@ -464,47 +552,33 @@ pub fn duplicate_labels(program: &Program) -> Vec<Diagnostic> {
 /// naming. The later rule can never contribute an instance the earlier
 /// one does not.
 ///
-/// Candidate pairs are found through a hash of the normalized rule
-/// (its head + body, which already compare alpha-equivalent because
-/// variable ids are assigned by first occurrence), so a clean
-/// 1k-rule generated program costs 1k hashes instead of ~500k
-/// pairwise comparisons; full equality is still confirmed per bucket
-/// in insertion order, preserving the first-match diagnostics.
+/// Heads and bodies compare alpha-equivalent because variable ids are
+/// assigned by first occurrence, and neither holds a span, so one hash
+/// map keyed by them finds each rule's first equal in one pass: a
+/// clean 1k-rule generated program costs 1k hashes instead of ~500k
+/// pairwise comparisons. The keys are program text, so the map keeps
+/// the default (keyed) hasher.
 fn duplicate_rules(program: &Program, out: &mut Vec<Diagnostic>) {
-    use std::hash::{Hash, Hasher};
-    // `Rule` derives PartialEq but not Hash (spans must not take part
-    // in equality); hash the Debug render of the semantic fields.
-    let rule_key = |r: &crate::ast::Rule| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{:?}{:?}", r.head, r.body).hash(&mut h);
-        h.finish()
-    };
-    let mut buckets: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for j in 0..program.rules.len() {
-        let rj = &program.rules[j];
-        let bucket = buckets.entry(rule_key(rj)).or_default();
-        for &i in bucket.iter() {
-            let ri = &program.rules[i];
-            if ri.head == rj.head && ri.body == rj.body {
-                out.push(
-                    Diagnostic::new(
-                        Lint::DuplicateRule,
-                        rj.span,
-                        format!(
-                            "rule `{}` duplicates rule `{}` (identical head and body)",
-                            program.rule_name(j),
-                            program.rule_name(i)
-                        ),
-                    )
-                    .note(
-                        "both rules fire on exactly the same instances; \
-                         the later one is shadowed",
+    let mut first: HashMap<(&UpdateAtom, &[Literal]), usize> = HashMap::new();
+    for (j, rule) in program.rules.iter().enumerate() {
+        let i = *first.entry((&rule.head, &rule.body)).or_insert(j);
+        if i != j {
+            out.push(
+                Diagnostic::new(
+                    Lint::DuplicateRule,
+                    rule.span,
+                    format!(
+                        "rule `{}` duplicates rule `{}` (identical head and body)",
+                        program.rule_name(j),
+                        program.rule_name(i)
                     ),
-                );
-                break;
-            }
+                )
+                .note(
+                    "both rules fire on exactly the same instances; \
+                     the later one is shadowed",
+                ),
+            );
         }
-        bucket.push(j);
     }
 }
 
@@ -569,74 +643,54 @@ fn spec_arity(spec: &UpdateSpec) -> usize {
     }
 }
 
-/// Every front-end diagnostic of an already-parsed program: structural
-/// violations, all duplicate labels, safety failures, duplicate rules,
-/// arity mismatches. Does *not* require rule plans to be filled in.
+/// Every front-end diagnostic of a parsed program, in report order:
+/// the rule-level pass over every rule (storing each safe rule's plan)
+/// with the duplicate labels, then the rest of the program-level pass.
+/// `ruvo check` collects these; [`Program::parse`] stops at the first
+/// error among them.
+pub fn front_end(program: &mut Program) -> Vec<Diagnostic> {
+    let rejections = rejections(program);
+    diagnostics(program, &rejections)
+}
+
+/// The program-level pass: duplicate labels, duplicate rules, arity
+/// mismatches. It reads only what the rule-level pass leaves intact,
+/// so a program built from checked rules needs nothing else.
 pub fn program_diagnostics(program: &Program) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, rule) in program.rules.iter().enumerate() {
-        for f in rule_structural(rule) {
-            let at = f.literal.map(|j| format!(", body literal {j}")).unwrap_or_default();
-            let message = format!("rule `{}`{at}: {}", program.rule_name(i), f.message);
-            let mut d = Diagnostic::new(f.lint, rule.span, message);
-            d.notes.extend(f.note.map(str::to_owned));
-            out.push(d);
-        }
-    }
-    out.extend(duplicate_labels(program));
-    for (i, rule) in program.rules.iter().enumerate() {
-        if let Err(e) = crate::safety::analyze(rule) {
-            out.push(
-                Diagnostic::new(
-                    Lint::UnsafeRule,
-                    rule.span,
-                    format!("unsafe rule {}: {}", program.rule_name(i), e.message),
-                )
-                .note("§2.1 requires rules to be safe (range-restricted, cf. [Ull88])"),
-            );
-        }
-    }
+    diagnostics(program, &duplicate_labels(program))
+}
+
+/// `rejections` as diagnostics, then duplicate rules and arity
+/// mismatches.
+fn diagnostics(program: &Program, rejections: &[(usize, Finding)]) -> Vec<Diagnostic> {
+    let mut out: Vec<Diagnostic> =
+        rejections.iter().map(|(i, f)| f.diagnostic(program, *i)).collect();
     duplicate_rules(program, &mut out);
     arity_mismatches(program, &mut out);
     out
 }
 
-/// Parse and analyze `src`, collecting every front-end diagnostic
-/// instead of stopping at the first failure.
-///
-/// Returns the parsed program (with safety plans filled in) when no
-/// error-severity diagnostic was found; lex/parse failures surface as
-/// a single [`Lint::Syntax`] diagnostic.
-pub fn check_source(src: &str) -> (Option<Program>, Vec<Diagnostic>) {
-    let toks = match crate::lexer::lex(src) {
-        Ok(t) => t,
-        Err(e) => return (None, vec![syntax_diagnostic(&e)]),
-    };
-    let mut program = match crate::parser::parse_program(&toks) {
-        Ok(p) => p,
-        Err(e) => return (None, vec![syntax_diagnostic(&e)]),
-    };
-    let diags = program_diagnostics(&program);
-    if diags.iter().any(Diagnostic::is_error) {
-        return (None, diags);
+impl From<&ParseError> for Diagnostic {
+    /// A lex or parse failure as a [`Lint::Syntax`] diagnostic.
+    fn from(e: &ParseError) -> Diagnostic {
+        let span = (e.pos.line != u32::MAX).then_some(Span { start: e.pos, end: e.pos });
+        Diagnostic::new(Lint::Syntax, span, e.message.clone())
     }
-    for rule in &mut program.rules {
-        match crate::safety::analyze(rule) {
-            Ok(plan) => rule.plan = plan,
-            Err(_) => unreachable!("unsafe rules produce error diagnostics above"),
-        }
-    }
-    (Some(program), diags)
-}
-
-fn syntax_diagnostic(e: &crate::error::ParseError) -> Diagnostic {
-    let span = (e.pos.line != u32::MAX).then_some(Span { start: e.pos, end: e.pos });
-    Diagnostic::new(Lint::Syntax, span, e.message.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every front-end diagnostic of `src`, which must parse.
+    fn diagnose(src: &str) -> Vec<Diagnostic> {
+        let mut program = crate::parser::parse_program(&crate::lexer::lex(src).unwrap()).unwrap();
+        front_end(&mut program)
+    }
+
+    fn rejects(diags: &[Diagnostic]) -> bool {
+        diags.iter().any(Diagnostic::is_error)
+    }
 
     #[test]
     fn lint_names_round_trip() {
@@ -648,7 +702,7 @@ mod tests {
 
     #[test]
     fn all_duplicate_labels_reported() {
-        let (_, diags) = check_source("r: ins[a].p -> 1. r: ins[b].p -> 2. r: ins[c].p -> 3.");
+        let diags = diagnose("r: ins[a].p -> 1. r: ins[b].p -> 2. r: ins[c].p -> 3.");
         let dups: Vec<_> = diags.iter().filter(|d| d.lint == Lint::DuplicateLabel).collect();
         assert_eq!(dups.len(), 2, "{diags:?}");
         assert!(dups.iter().all(|d| d.is_error()));
@@ -656,25 +710,25 @@ mod tests {
     }
 
     #[test]
-    fn check_source_collects_multiple_errors() {
+    fn front_end_collects_multiple_errors() {
         // exists-update AND del-all-in-body in one pass.
-        let (program, diags) = check_source(
+        let diags = diagnose(
             "ins[E].exists -> E <= E.isa -> empl.\n\
              ins[E].a -> 1 <= E.isa -> empl & del[mod(E)].* .",
         );
-        assert!(program.is_none());
+        assert!(rejects(&diags));
         assert!(diags.iter().any(|d| d.lint == Lint::ExistsUpdate));
         assert!(diags.iter().any(|d| d.lint == Lint::DelAllInBody));
     }
 
     #[test]
     fn arity_mismatch_warns_once_per_method() {
-        let (program, diags) = check_source(
+        let diags = diagnose(
             "ins[E].likes @ a -> 1 <= E.isa -> empl.\n\
              ins[E].likes -> 2 <= E.isa -> empl.\n\
              ins[E].likes -> 3 <= E.isa -> mgr.",
         );
-        assert!(program.is_some(), "warnings must not reject: {diags:?}");
+        assert!(!rejects(&diags), "warnings must not reject: {diags:?}");
         let hits: Vec<_> = diags.iter().filter(|d| d.lint == Lint::ArityMismatch).collect();
         assert_eq!(hits.len(), 1, "{diags:?}");
         assert!(hits[0].message.contains("`likes`"));
@@ -682,11 +736,11 @@ mod tests {
 
     #[test]
     fn duplicate_rule_detected_up_to_variable_names() {
-        let (program, diags) = check_source(
+        let diags = diagnose(
             "ins[X].p -> 1 <= X.isa -> empl.\n\
              ins[Y].p -> 1 <= Y.isa -> empl.",
         );
-        assert!(program.is_some());
+        assert!(!rejects(&diags));
         assert!(diags.iter().any(|d| d.lint == Lint::DuplicateRule), "{diags:?}");
     }
 
@@ -721,7 +775,7 @@ mod tests {
 
     #[test]
     fn spans_point_at_the_offending_rule() {
-        let (_, diags) = check_source("r: ins[a].p -> 1.\nr: ins[b].p -> 2.");
+        let diags = diagnose("r: ins[a].p -> 1.\nr: ins[b].p -> 2.");
         let dup = diags.iter().find(|d| d.lint == Lint::DuplicateLabel).unwrap();
         let span = dup.span.expect("parsed rules carry spans");
         assert_eq!((span.start.line, span.start.col), (2, 1));
@@ -731,7 +785,7 @@ mod tests {
     #[test]
     fn render_quotes_and_underlines() {
         let src = "r: ins[a].p -> 1.\nr: ins[b].p -> 2.";
-        let (_, diags) = check_source(src);
+        let diags = diagnose(src);
         let dup = diags.iter().find(|d| d.lint == Lint::DuplicateLabel).unwrap();
         let rendered = dup.render(Some(src), Some("dup.rv"));
         assert!(rendered.contains("error[duplicate-label]:"), "{rendered}");
@@ -771,9 +825,59 @@ mod tests {
 
     #[test]
     fn unsafe_rule_becomes_diagnostic() {
-        let (program, diags) = check_source("ins[E].p -> X <= E.isa -> empl.");
-        assert!(program.is_none());
+        let diags = diagnose("ins[E].p -> X <= E.isa -> empl.");
+        assert!(rejects(&diags));
         let unsafe_d = diags.iter().find(|d| d.lint == Lint::UnsafeRule).unwrap();
         assert!(unsafe_d.message.contains("unsafe rule"), "{}", unsafe_d.message);
+    }
+
+    // `Program::parse` stops at the first finding that rejects.
+
+    #[test]
+    fn exists_in_head_rejected() {
+        let err = Program::parse("ins[E].exists -> E <= E.isa -> empl.").unwrap_err();
+        assert!(err.to_string().contains("exists"), "got: {err}");
+    }
+
+    #[test]
+    fn mod_exists_in_head_rejected() {
+        let err = Program::parse("mod[E].exists -> (E, E) <= E.isa -> empl.").unwrap_err();
+        assert!(err.to_string().contains("exists"), "got: {err}");
+    }
+
+    #[test]
+    fn del_all_in_body_rejected() {
+        // `del[mod(E)].*` cannot be asked as a body condition.
+        let err = Program::parse("ins[E].a -> 1 <= E.isa -> empl & del[mod(E)].* .").unwrap_err();
+        assert!(err.to_string().contains("delete all"), "got: {err}");
+    }
+
+    #[test]
+    fn duplicate_labels_rejected() {
+        let err = Program::parse("r: ins[a].p -> 1. r: ins[b].p -> 2.").unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "got: {err}");
+    }
+
+    #[test]
+    fn all_duplicate_labels_reported_in_one_error() {
+        let err = Program::parse(
+            "r: ins[a].p -> 1. r: ins[b].p -> 2. s: ins[c].p -> 3. s: ins[d].p -> 4.",
+        )
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("2 duplicate rule labels"), "got: {msg}");
+        assert!(msg.contains("`r`") && msg.contains("`s`"), "got: {msg}");
+    }
+
+    #[test]
+    fn exists_in_body_version_term_allowed() {
+        // Asking about existence is fine; updating it is not.
+        assert!(Program::parse("ins[E].seen -> 1 <= E.exists -> E.").is_ok());
+    }
+
+    #[test]
+    fn exists_update_term_in_body_rejected() {
+        let err = Program::parse("ins[E].a -> 1 <= E.isa -> x & ins[E].exists -> E.").unwrap_err();
+        assert!(err.to_string().contains("exists"), "got: {err}");
     }
 }

@@ -77,7 +77,7 @@ impl CmpOp {
 }
 
 /// An arithmetic expression over variables and value-OIDs.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A ground OID.
     Const(Const),
@@ -149,7 +149,7 @@ impl Expr {
 ///
 /// The referenced version is usually a version-id-term; with the §6
 /// extension it may also be a VID variable `$V` (body atoms only).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct VersionAtom {
     /// The referenced version.
     pub vid: VidRef,
@@ -163,7 +163,7 @@ pub struct VersionAtom {
 }
 
 /// What an update-term does to its target version.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum UpdateSpec {
     /// `ins[V].m@args -> r`
     Ins {
@@ -224,7 +224,7 @@ impl UpdateSpec {
 ///
 /// In a rule head it *initiates* an update; in a rule body it *asks*
 /// whether the update has been performed (§2.4).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UpdateAtom {
     /// The version the update is applied to (the `V` in `ins[V]`).
     pub target: VidTerm,
@@ -240,7 +240,7 @@ impl UpdateAtom {
 }
 
 /// A body atom.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Atom {
     /// A version-term.
     Version(VersionAtom),
@@ -255,7 +255,7 @@ pub enum Atom {
 /// `X = expr` doubles as an assignment when `X` is not yet bound at
 /// evaluation time; the safety analysis decides per rule (see
 /// [`crate::safety`]).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Builtin {
     /// Comparison operator.
     pub op: CmpOp,
@@ -266,7 +266,7 @@ pub struct Builtin {
 }
 
 /// A possibly negated body atom.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Literal {
     /// False for `not A`.
     pub positive: bool,
@@ -344,8 +344,8 @@ pub struct Rule {
     pub vid_vars: VarTable,
     /// Optional source label (`rule3:`), used in traces and reports.
     pub label: Option<String>,
-    /// The safety plan (literal evaluation order), filled in by
-    /// [`crate::safety::analyze`].
+    /// The safety plan (literal evaluation order), filled in by the
+    /// front end's rule-level pass (see [`crate::analysis`]).
     pub plan: RulePlan,
     /// Source span of the whole rule, when it was parsed from text
     /// (`None` for programmatically constructed rules). Used by the
@@ -368,7 +368,9 @@ impl PartialEq for Rule {
 }
 
 impl Rule {
-    /// Construct and safety-check a rule programmatically.
+    /// Construct a rule programmatically and run the front end's
+    /// rule-level pass on it (see [`crate::analysis`]), failing on its
+    /// first finding.
     pub fn new(
         head: UpdateAtom,
         body: Vec<Literal>,
@@ -388,9 +390,10 @@ impl Rule {
     ) -> Result<Rule, LangError> {
         let mut rule =
             Rule { head, body, vars, vid_vars, label, plan: RulePlan::default(), span: None };
-        crate::validate::validate_rule(&rule)?;
-        rule.plan = crate::safety::analyze(&rule)?;
-        Ok(rule)
+        match crate::analysis::analyze_rule(&mut rule).into_iter().next() {
+            None => Ok(rule),
+            Some(finding) => Err(finding.error(&rule, None)),
+        }
     }
 
     /// A display name: the label if present, else `rule#<i>` is supplied
@@ -460,15 +463,17 @@ pub struct Program {
 }
 
 impl Program {
-    /// Parse, validate and safety-check a program from source text.
+    /// Parse a program from source text and run the front end on it:
+    /// the rule-level pass on every rule, which stores each plan, and
+    /// the duplicate-label check (see [`crate::analysis`]). Fails on the
+    /// first finding that rejects the program.
     pub fn parse(src: &str) -> Result<Program, LangError> {
         let tokens = crate::lexer::lex(src)?;
         let mut program = crate::parser::parse_program(&tokens)?;
-        crate::validate::validate_program(&program)?;
-        for rule in &mut program.rules {
-            rule.plan = crate::safety::analyze(rule)?;
+        match crate::analysis::first_error(&mut program) {
+            None => Ok(program),
+            Some(e) => Err(e),
         }
-        Ok(program)
     }
 
     /// The display name of rule `i` (its label, or `rule<i+1>`).

@@ -41,10 +41,15 @@
 //!
 //! ## Entry points
 //!
-//! * [`Program::parse`] — parse, validate and safety-check a program,
-//! * [`parse_facts`] — parse ground version-terms (object-base text),
-//! * [`safety::analyze`] — the range-restriction / literal-ordering
-//!   analysis (run automatically by [`Program::parse`]).
+//! * [`Program::parse`] — parse a program and run the front end's
+//!   rule-level pass (§3 structure, §2.1 safety and its plan) on every
+//!   rule and the duplicate-label check, failing on the first error,
+//! * [`Rule::new`] — the same rule-level pass for a rule built in code,
+//! * [`analysis::front_end`] — every front-end finding of a parsed
+//!   program as a [`Diagnostic`] (`ruvo check`),
+//! * [`analysis::program_diagnostics`] — the program-level pass alone
+//!   (duplicate labels and rules, arity), for checked rules,
+//! * [`parse_facts`] — parse ground version-terms (object-base text).
 
 pub mod analysis;
 pub mod ast;
@@ -56,7 +61,6 @@ pub mod parser;
 pub mod pretty;
 pub mod safety;
 pub mod token;
-pub mod validate;
 
 pub use analysis::{Diagnostic, Level, Lint, LintLevels, Severity};
 pub use ast::{
@@ -66,4 +70,4 @@ pub use ast::{
 pub use error::{LangError, ParseError, Pos, SafetyError, Span, ValidateError};
 pub use facts::{parse_facts, GroundFact};
 pub use goal::Goal;
-pub use safety::{analyze, PlannedLiteral, RulePlan};
+pub use safety::{PlannedLiteral, RulePlan};

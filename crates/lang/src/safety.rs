@@ -16,8 +16,7 @@
 
 use ruvo_term::{ArgTerm, BaseTerm, VarId, VidVarId};
 
-use crate::ast::{Atom, CmpOp, Rule, UpdateSpec};
-use crate::error::SafetyError;
+use crate::ast::{Atom, CmpOp, Rule, UpdateAtom, UpdateSpec};
 
 /// One step of the evaluation plan; indexes refer to `rule.body`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,6 +58,20 @@ fn atom_vid_var(atom: &Atom) -> Option<VidVarId> {
     }
 }
 
+/// The variables of an update-term, unsorted.
+fn update_vars(ua: &UpdateAtom, out: &mut Vec<VarId>) {
+    term_vars(ua.target.base, out);
+    match &ua.spec {
+        UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
+            args.iter().chain([result]).for_each(|&t| term_vars(t, out))
+        }
+        UpdateSpec::Mod { args, from, to, .. } => {
+            args.iter().chain([from, to]).for_each(|&t| term_vars(t, out))
+        }
+        UpdateSpec::DelAll => {}
+    }
+}
+
 /// All variables of a body atom.
 fn atom_vars(atom: &Atom) -> Vec<VarId> {
     let mut out = Vec::new();
@@ -67,30 +80,9 @@ fn atom_vars(atom: &Atom) -> Vec<VarId> {
             if let Some(t) = va.vid.as_term() {
                 term_vars(t.base, &mut out);
             }
-            for &a in &va.args {
-                term_vars(a, &mut out);
-            }
-            term_vars(va.result, &mut out);
+            va.args.iter().chain([&va.result]).for_each(|&t| term_vars(t, &mut out));
         }
-        Atom::Update(ua) => {
-            term_vars(ua.target.base, &mut out);
-            match &ua.spec {
-                UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
-                    for &a in args {
-                        term_vars(a, &mut out);
-                    }
-                    term_vars(*result, &mut out);
-                }
-                UpdateSpec::Mod { args, from, to, .. } => {
-                    for &a in args {
-                        term_vars(a, &mut out);
-                    }
-                    term_vars(*from, &mut out);
-                    term_vars(*to, &mut out);
-                }
-                UpdateSpec::DelAll => {}
-            }
-        }
+        Atom::Update(ua) => update_vars(ua, &mut out),
         Atom::Cmp(b) => {
             b.lhs.collect_vars(&mut out);
             b.rhs.collect_vars(&mut out);
@@ -99,35 +91,6 @@ fn atom_vars(atom: &Atom) -> Vec<VarId> {
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// Variables of the rule head.
-pub fn head_vars(rule: &Rule) -> Vec<VarId> {
-    let mut out = Vec::new();
-    term_vars(rule.head.target.base, &mut out);
-    match &rule.head.spec {
-        UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
-            for &a in args {
-                term_vars(a, &mut out);
-            }
-            term_vars(*result, &mut out);
-        }
-        UpdateSpec::Mod { args, from, to, .. } => {
-            for &a in args {
-                term_vars(a, &mut out);
-            }
-            term_vars(*from, &mut out);
-            term_vars(*to, &mut out);
-        }
-        UpdateSpec::DelAll => {}
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-fn rule_name(rule: &Rule) -> String {
-    rule.label.clone().unwrap_or_else(|| format!("<{}>", rule.head.target))
 }
 
 /// Selectivity score of a positive atom given the variables bound so
@@ -188,8 +151,10 @@ fn bound_positions(atom: &Atom, bound: &[bool]) -> usize {
     }
 }
 
-/// Compute the evaluation plan for a rule, or report why it is unsafe.
-pub fn analyze(rule: &Rule) -> Result<RulePlan, SafetyError> {
+/// Compute the evaluation plan for a rule, or say why it is unsafe.
+/// The front end's rule-level pass ([`crate::analysis`]) is the one
+/// caller; it stores the plan or reports the reason.
+pub(crate) fn analyze(rule: &Rule) -> Result<RulePlan, String> {
     let nvars = rule.vars.len();
     let mut bound = vec![false; nvars];
     let mut vid_bound = vec![false; rule.vid_vars.len()];
@@ -206,48 +171,28 @@ pub fn analyze(rule: &Rule) -> Result<RulePlan, SafetyError> {
         // Pass 1: anything that is a pure test or an assignment now.
         for (ri, &li) in remaining.iter().enumerate() {
             let lit = &rule.body[li];
-            let vars = atom_vars(&lit.atom);
-            match &lit.atom {
-                Atom::Cmp(b) if lit.positive => {
-                    if all_bound(&vars, &bound) {
-                        chosen = Some((ri, PlannedLiteral::Check(li), vec![], None));
-                        break;
-                    }
-                    if b.op == CmpOp::Eq {
-                        // X = expr (or expr = X) with the other side bound.
-                        let lhs_var = b.lhs.as_single_var();
-                        let rhs_var = b.rhs.as_single_var();
-                        let mut rhs_vars = Vec::new();
-                        b.rhs.collect_vars(&mut rhs_vars);
-                        let mut lhs_vars = Vec::new();
-                        b.lhs.collect_vars(&mut lhs_vars);
-                        if let Some(x) = lhs_var {
-                            if !bound[x.index()] && all_bound(&rhs_vars, &bound) {
-                                chosen = Some((ri, PlannedLiteral::Assign { lit: li, var: x }, vec![x], None));
-                                break;
-                            }
-                        }
-                        if let Some(x) = rhs_var {
-                            if !bound[x.index()] && all_bound(&lhs_vars, &bound) {
-                                chosen = Some((ri, PlannedLiteral::Assign { lit: li, var: x }, vec![x], None));
-                                break;
-                            }
-                        }
-                    }
-                }
-                Atom::Cmp(_)
-                    // Negated built-in: needs everything bound.
-                    if all_bound(&vars, &bound) => {
-                        chosen = Some((ri, PlannedLiteral::Check(li), vec![], None));
-                        break;
-                    }
-                _ if !lit.positive
-                    && all_bound(&vars, &bound)
-                    && vid_ok(&lit.atom, &vid_bound) => {
-                        chosen = Some((ri, PlannedLiteral::Check(li), vec![], None));
-                        break;
-                    }
-                _ => {}
+            let cmp = match &lit.atom {
+                Atom::Cmp(b) => Some(b),
+                _ => None,
+            };
+            if lit.positive && cmp.is_none() {
+                continue; // a scan: pass 2
+            }
+            if all_bound(&atom_vars(&lit.atom), &bound) && vid_ok(&lit.atom, &vid_bound) {
+                chosen = Some((ri, PlannedLiteral::Check(li), vec![], None));
+                break;
+            }
+            // X = expr (or expr = X) with the other side bound.
+            let Some(b) = cmp.filter(|b| lit.positive && b.op == CmpOp::Eq) else { continue };
+            let assigned = [(&b.lhs, &b.rhs), (&b.rhs, &b.lhs)].into_iter().find_map(|(x, e)| {
+                let x = x.as_single_var().filter(|x| !bound[x.index()])?;
+                let mut vars = Vec::new();
+                e.collect_vars(&mut vars);
+                all_bound(&vars, &bound).then_some(x)
+            });
+            if let Some(x) = assigned {
+                chosen = Some((ri, PlannedLiteral::Assign { lit: li, var: x }, vec![x], None));
+                break;
             }
         }
 
@@ -298,29 +243,27 @@ pub fn analyze(rule: &Rule) -> Result<RulePlan, SafetyError> {
                         .filter(|v| !vid_bound[v.index()])
                         .map(|v| format!("${}", rule.vid_vars.name(VarId(v.0)))),
                 );
-                return Err(SafetyError {
-                    rule: rule_name(rule),
-                    message: format!(
-                        "cannot bind variable(s) {:?}: negated literals and built-ins require \
-                         their variables to be bound by positive version- or update-terms",
-                        stuck
-                    ),
-                });
+                return Err(format!(
+                    "cannot bind variable(s) {:?}: negated literals and built-ins require \
+                     their variables to be bound by positive version- or update-terms",
+                    stuck
+                ));
             }
         }
     }
 
     // Head variables must now be bound.
-    let unbound_head: Vec<String> = head_vars(rule)
+    let mut head_vars = Vec::new();
+    update_vars(&rule.head, &mut head_vars);
+    head_vars.sort_unstable();
+    head_vars.dedup();
+    let unbound_head: Vec<String> = head_vars
         .into_iter()
         .filter(|v| !bound[v.index()])
         .map(|v| rule.vars.name(v).to_owned())
         .collect();
     if !unbound_head.is_empty() {
-        return Err(SafetyError {
-            rule: rule_name(rule),
-            message: format!("head variable(s) {unbound_head:?} are not bound by the body"),
-        });
+        return Err(format!("head variable(s) {unbound_head:?} are not bound by the body"));
     }
 
     Ok(RulePlan { steps })

@@ -72,7 +72,7 @@
 //! * The system method `exists` and `v*`:
 //!   [`crate::obase::ObjectBase::exists_fact`] /
 //!   [`crate::obase::ObjectBase::v_star`]; `exists` is unupdatable by
-//!   validation ([`crate::lang::validate`]), so it is the version
+//!   the front end ([`crate::lang::analysis`]), so it is the version
 //!   table itself: no state stores it, and there is no preparation
 //!   step.
 //! * `T_P` steps 1–3: [`crate::core::tp::collect_rule`] (step 1, with

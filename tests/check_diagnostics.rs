@@ -212,6 +212,116 @@ fn shipped_examples_check_clean() {
     assert!(checked >= 4, "expected the shipped .rv examples, found {checked}");
 }
 
+// ----- fail-fast equals collect-all ----------------------------------
+
+/// Malformed programs: each deny-by-default front-end lint alone, then
+/// several errors spread over several rules. Stratification errors are
+/// left out: `Program::parse` does not stratify.
+const MALFORMED: [&str; 10] = [
+    "ins[X].p -> ??? .",
+    "ins[x].exists -> x.",
+    "ins[E].a -> 1 <= E.isa -> empl & ins[E].exists -> E.",
+    "ins[E].a -> 1 <= E.isa -> empl & del[mod(E)].* .",
+    "r: ins[a].p -> 1. r: ins[b].p -> 2.",
+    "ins[X].p -> Y <= X.q -> 1.",
+    // An unsafe rule before a structural one: the structural one wins.
+    "r1: ins[X].p -> Y <= X.q -> 1.\nr2: ins[x].exists -> x.",
+    // An unsafe rule and a duplicate label: the label wins.
+    "r: ins[X].p -> Y <= X.q -> 1.\nr: ins[a].p -> 1.\ns: ins[e].a -> 1 <= not X.p -> 1.",
+    // Three errors over three rules.
+    "a: ins[X].p -> Y <= X.q -> 1.\n\
+     b: ins[E].a -> 1 <= E.isa -> e & del[E].* .\n\
+     a: ins[Z].q -> 1 <= Z.r -> 1.",
+    "ins[X].p -> Y <= X.q -> 1.\nins[e].a -> 1 <= not X.p -> 1.",
+];
+
+/// `Program::parse` and `Database::prepare` stop at the first error
+/// `ruvo check` lists: the same front end decides both.
+#[test]
+fn fail_fast_and_collect_all_agree() {
+    let db = Database::open_src("x.q -> 1.").unwrap();
+    let clean = [
+        "r1: ins[X].p -> 1 <= X.q -> 1.",
+        "r1: ins[X].p -> 1 <= X.q -> 1.\nr2: ins[Y].p -> 1 <= Y.q -> 1.",
+    ];
+    for src in MALFORMED.iter().chain(&clean) {
+        let report = check_source(src, CyclePolicy::Reject);
+        let first = report.diagnostics.iter().find(|d| d.is_error());
+        assert_eq!(
+            Program::parse(src).is_err(),
+            first.is_some(),
+            "{src}: {:?}",
+            report.diagnostics
+        );
+        let Some(first) = first else { continue };
+        let kind = match first.lint {
+            Lint::Syntax => ErrorKind::Parse,
+            Lint::ExistsUpdate | Lint::DelAllInBody | Lint::DuplicateLabel => ErrorKind::Validate,
+            Lint::UnsafeRule => ErrorKind::Safety,
+            lint => panic!("{src}: {lint} is not a front-end error"),
+        };
+        assert_eq!(db.prepare(src).unwrap_err().kind(), kind, "{src}: first error {first}");
+    }
+}
+
+#[test]
+fn check_lists_every_unsafe_rule() {
+    let report = check_source(MALFORMED[9], CyclePolicy::Reject);
+    let unsafe_rules: Vec<_> =
+        report.diagnostics.iter().filter(|d| d.lint == Lint::UnsafeRule).collect();
+    assert_eq!(unsafe_rules.len(), 2, "{:?}", report.diagnostics);
+    assert!(unsafe_rules[0].message.starts_with("unsafe rule rule1:"), "{}", unsafe_rules[0]);
+    assert!(unsafe_rules[1].message.starts_with("unsafe rule rule2:"), "{}", unsafe_rules[1]);
+}
+
+// ----- duplicate rules: the structural hash agrees with `==` ---------
+
+/// Whether `ruvo check` flags the second rule of `src` as a duplicate
+/// of the first, checked against `==` on head and body and against the
+/// structural hash the scan buckets by.
+fn flagged_duplicate(src: &str) -> bool {
+    use std::hash::{BuildHasher, RandomState};
+    let program = Program::parse(src).unwrap();
+    let [a, b] = &program.rules[..] else { panic!("{src} must have two rules") };
+    let equal = a.head == b.head && a.body == b.body;
+    let hasher = RandomState::new();
+    if equal {
+        assert_eq!(hasher.hash_one((&a.head, &a.body)), hasher.hash_one((&b.head, &b.body)));
+    }
+    let flagged = check_source(src, CyclePolicy::Reject)
+        .diagnostics
+        .iter()
+        .any(|d| d.lint == Lint::DuplicateRule);
+    assert_eq!(flagged, equal, "{src}");
+    flagged
+}
+
+#[test]
+fn duplicate_rules_are_flagged_exactly_when_equal() {
+    let rule = Program::parse("r1: ins[X].p -> 1 <= X.q -> 1 & not X.s -> 2.").unwrap();
+    // Re-parsed from its pretty-print with other line breaks: the
+    // spans moved, the rule did not.
+    let reprinted =
+        rule.rules[0].to_string().replacen("r1:", "\n\nr2:", 1).replace(" & ", "\n  & ");
+    let cases = [
+        ("r1: ins[X].p -> 1 <= X.q -> 1.\nr2: ins[Y].p -> 1 <= Y.q -> 1.", true),
+        (&*format!("{}\n{reprinted}", rule.rules[0]), true),
+        ("a: ins[X].p -> 1 <= X.q -> 1.\nb: ins[X].p -> 1 <= X.q -> 1.", true),
+        ("r1: ins[X].p -> 1 <= X.q -> 0.0.\nr2: ins[X].p -> 1 <= X.q -> -0.0.", true),
+        // Literal order is part of a rule's identity today. Syntax
+        // independence (ROADMAP items 6 and 15: a body as a set of
+        // literals) is where this could change.
+        (
+            "r1: ins[X].p -> 1 <= X.q -> 1 & X.r -> 2.\nr2: ins[X].p -> 1 <= X.r -> 2 & X.q -> 1.",
+            false,
+        ),
+        ("r1: ins[X].p -> 1 <= X.q -> 1.\nr2: ins[X].p -> 2 <= X.q -> 1.", false),
+    ];
+    for (src, duplicate) in cases {
+        assert_eq!(flagged_duplicate(src), duplicate, "{src}");
+    }
+}
+
 // ----- differential commutativity ------------------------------------
 
 /// The paper's §2.3 enterprise program: three strata, and within each

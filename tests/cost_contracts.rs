@@ -619,3 +619,66 @@ fn enterprise_applies_allocate_the_same_per_created_version_at_1k_and_2k_employe
         small.max(large)
     );
 }
+
+/// Mean allocations of one `Database::prepare` of a `txn_stream`
+/// Credit, a new one-rule text each time, after a warm-up.
+fn allocations_per_prepare(prepares: usize) -> f64 {
+    let db = Database::open(accounts_base(100));
+    let mut total = 0;
+    for i in 0..prepares + 8 {
+        let src = format!(
+            "mod[A].balance -> (B, B2) <= A.kind -> live & A.tag -> t{} & A.balance -> B \
+             & B2 = B + {i}.",
+            i % 100
+        );
+        let before = ALLOCATIONS.with(Cell::get);
+        let prepared = db.prepare(&src).unwrap();
+        if i >= 8 {
+            total += ALLOCATIONS.with(Cell::get) - before;
+        }
+        drop(prepared);
+    }
+    total as f64 / prepares as f64
+}
+
+/// One front-end analysis per rule: a prepare parses, runs the
+/// rule-level pass once (§3 structure and safety, storing the plan)
+/// and the program-level pass once, with no second safety analysis and
+/// no `Debug` render to hash a rule for the duplicate scan. 131 (78 of
+/// them the parse, which includes the rule-level pass); 176 when the
+/// check re-ran both.
+#[test]
+fn a_one_rule_prepare_allocates_within_its_budget() {
+    const BUDGET: f64 = 131.0;
+    let per_prepare = allocations_per_prepare(200);
+    eprintln!("allocations per one-rule Database::prepare: {per_prepare:.1}");
+    assert!(
+        per_prepare <= BUDGET,
+        "a one-rule prepare allocates {per_prepare:.1} times (budget {BUDGET})"
+    );
+}
+
+/// Allocations of `analysis::front_end` (both passes, every finding)
+/// on `n` distinct labelled rules.
+fn front_end_allocations(n: usize) -> u64 {
+    use ruvo::lang::{analysis, lexer, parser};
+    let src: String =
+        (0..n).map(|i| format!("r{i}: ins[X].m{i} -> {i} <= X.isa -> c{i}.\n")).collect();
+    let mut program = parser::parse_program(&lexer::lex(&src).unwrap()).unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    let diagnostics = analysis::front_end(&mut program);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert!(diagnostics.is_empty(), "{diagnostics:?}");
+    allocations
+}
+
+/// The front end costs the same per rule however many rules there are:
+/// its duplicate-label and duplicate-rule scans are one hash lookup per
+/// rule, not a comparison with every earlier one.
+#[test]
+fn front_end_allocations_grow_linearly_in_rules() {
+    let (small, large) = (front_end_allocations(100), front_end_allocations(200));
+    let ratio = large as f64 / small as f64;
+    eprintln!("front-end allocations: {small} at 100 rules, {large} at 200 ({ratio:.3}x)");
+    assert!(ratio <= 2.1, "the front end allocates {small} times at 100 rules, {large} at 200");
+}

@@ -17,8 +17,11 @@
 //! | committing P₁; P₂ equals recovering from their log  | holds   |
 //! | `ob′` holds each object's deepest version (§5)      | holds   |
 //! | an `ins` program writing nothing it reads is idempotent | holds |
+//! | a same-stratum `del`/`ins` pair on one version | not flagged statically; refused at run time by §5 linearity |
 
+use ruvo::core::check::check_source;
 use ruvo::core::reference;
+use ruvo::core::CyclePolicy;
 use ruvo::prelude::*;
 use ruvo::workload::{
     random_insert_program, random_object_base, random_update_program, RandomConfig,
@@ -236,4 +239,26 @@ fn ob_prime_holds_each_objects_deepest_version() {
     assert_eq!(reopened.current(), &*head);
     assert!(reopened.is_empty(), "a refused apply writes no WAL record");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Slota, Baláž & Leite's same-stratum `del`/`ins` pair. Both heads
+/// write `p -> 1` of a version of `X`, one as a deletion and one as an
+/// insertion: the static analysis calls the pair commuting and raises
+/// no write-write conflict, and §5 refuses the run wherever both fire,
+/// because `del(x)` and `ins(x)` are incomparable versions of `x`.
+#[test]
+fn a_same_stratum_del_ins_pair_is_refused_at_run_time() {
+    const PAIR: &str = "r1: del[X].p -> 1 <= X.q -> 1.\nr2: ins[X].p -> 1 <= X.q -> 1.";
+    // `ruvo check`: "all same-stratum pairs commute", "ok: no diagnostics".
+    let report = check_source(PAIR, CyclePolicy::Reject);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    let (compiled, deps) = report.compiled.expect("the pair compiles");
+    assert_eq!(compiled.stratification().len(), 1, "one stratum holds both rules");
+    assert!(deps.commutativity().all_commute());
+
+    let mut db = Database::open_src("x.q -> 1. x.p -> 1.").unwrap();
+    let err = db.apply_src(PAIR).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Linearity);
+    assert!(err.to_string().contains("versions del(x) and ins(x) are incomparable"), "{err}");
+    assert!(db.is_empty(), "a refused apply logs nothing");
 }
