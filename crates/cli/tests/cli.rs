@@ -253,6 +253,25 @@ fn parse_errors_are_reported() {
     assert!(stderr.contains("bad.ruvo:1:13"), "diagnostic must carry a span, got: {stderr}");
 }
 
+/// A head whose created version would hold 33 update applications is
+/// refused by the front end: `check` and `run` exit 1 with the error,
+/// never with a panic (exit 101).
+#[test]
+fn over_deep_head_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join("ruvo-cli-deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let target = (0..32).fold("X".to_owned(), |t, _| format!("mod({t})"));
+    let prog = write_file(&dir, "p.ruvo", &format!("r: ins[{target}].p -> 1 <= X.q -> 1.\n"));
+    let base = write_file(&dir, "b.ob", "x.q -> 1.");
+    let (prog, base) = (prog.to_str().unwrap(), base.to_str().unwrap());
+    for args in [vec!["check", prog], vec!["run", prog, base]] {
+        let out = ruvo(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("version-id-term nests too deeply"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn non_stratifiable_is_rejected() {
     let dir = std::env::temp_dir().join("ruvo-cli-strat");

@@ -56,7 +56,7 @@ use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, UpdateKind, VarId, VidTerm};
 
 use crate::deps::{DepEdge, RuleDepGraph};
 use crate::engine::{CompiledProgram, CyclePolicy};
-use crate::stratify::{stratify, Stratification};
+use crate::stratify::Stratification;
 
 /// Whether two same-stratum rules can be reordered without changing
 /// the result.
@@ -255,10 +255,7 @@ fn mutually_exclusive(corr: &Correspondence, a: &Rule, b: &Rule) -> bool {
 /// The verdict for one same-stratum pair.
 fn pair_verdict(ri: &Rule, rj: &Rule) -> Commutativity {
     use Commutativity::{Commutes, Conflicts, Unknown};
-    let (Ok(ci), Ok(cj)) = (ri.head.created_term(), rj.head.created_term()) else {
-        return Unknown;
-    };
-    if !ci.unifiable(cj) {
+    if !ri.head.created_term().unifiable(rj.head.created_term()) {
         // The heads create provably different versions.
         return Commutes;
     }
@@ -352,12 +349,9 @@ fn write_write_conflicts(
 /// Does some (live) rule head satisfy a positive body requirement?
 fn dead_rule_reason(program: &Program, alive: &[bool], r: usize) -> Option<String> {
     let rule = &program.rules[r];
-    let creators =
-        |req: VidTerm| {
-            program.rules.iter().enumerate().any(|(o, other)| {
-                alive[o] && other.head.created_term().is_ok_and(|c| c.unifiable(req))
-            })
-        };
+    let creates =
+        |o: usize, req: VidTerm| alive[o] && program.rules[o].head.created_term().unifiable(req);
+    let creators = |req: VidTerm| (0..program.rules.len()).any(|o| creates(o, req));
     for lit in rule.body.iter().filter(|l| l.positive) {
         match &lit.atom {
             Atom::Version(va) => {
@@ -378,13 +372,12 @@ fn dead_rule_reason(program: &Program, alive: &[bool], r: usize) -> Option<Strin
             Atom::Update(ua) => {
                 // Body update-atoms ask whether the update was
                 // performed — only a rule head can perform one.
-                let Ok(req) = ua.created_term() else { continue };
+                let req = ua.created_term();
                 let kind = ua.spec.kind();
                 let method = ua.spec.method();
                 let performed = program.rules.iter().enumerate().any(|(o, other)| {
-                    alive[o]
+                    creates(o, req)
                         && other.head.spec.kind() == kind
-                        && other.head.created_term().is_ok_and(|c| c.unifiable(req))
                         && (other.head.spec.method() == method
                             // `del[V].*` performs every deletion on V.
                             || (kind == UpdateKind::Del && other.head.spec.method().is_none()))
@@ -441,9 +434,12 @@ fn dead_rules(program: &Program, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// A program stratifies strictly exactly when the relaxed stratifier
+/// flags no stratum for the runtime check, so the compiled flags decide
+/// the advisory.
 fn cycle_advisories(compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
     if compiled.cycle_policy() == CyclePolicy::RuntimeStability
-        && stratify(compiled.program()).is_ok()
+        && !compiled.needs_runtime_check().contains(&true)
     {
         out.push(
             Diagnostic::new(
@@ -470,7 +466,7 @@ fn cycle_advisories(compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
 fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
     // Evidence that `reader`'s result can depend on `writer`'s firing.
     let sensitive = |reader: usize, writer: usize| -> Option<String> {
-        let wc = deps.writes(writer).chain?;
+        let wc = deps.writes(writer).chain;
         let reads = deps.reads(reader);
         if reads.top {
             return Some(format!(
@@ -532,24 +528,22 @@ fn deps_advisories(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnos
         if !deps.self_dependent(r) {
             continue;
         }
-        let reads = deps.reads(r);
-        let why = match deps.writes(r).chain {
-            Some(wc) if reads.top => format!(
+        let (reads, wc) = (deps.reads(r), deps.writes(r).chain);
+        let why = if reads.top {
+            format!(
                 "reads every version through a `$V` atom, including the `{}` versions \
                  its own head creates",
                 crate::deps::chain_str(wc),
-            ),
-            Some(wc) => {
-                let key = reads
-                    .keys
-                    .iter()
-                    .chain(&reads.negated)
-                    .find(|&&(c, _)| c == wc)
-                    .map(|&(c, m)| crate::deps::read_str(c, m))
-                    .unwrap_or_else(|| crate::deps::chain_str(wc));
-                format!("reads `{key}`, which its own head writes")
-            }
-            None => "has an unrepresentable head chain".to_owned(),
+            )
+        } else {
+            let key = reads
+                .keys
+                .iter()
+                .chain(&reads.negated)
+                .find(|&&(c, _)| c == wc)
+                .map(|&(c, m)| crate::deps::read_str(c, m))
+                .unwrap_or_else(|| crate::deps::chain_str(wc));
+            format!("reads `{key}`, which its own head writes")
         };
         out.push(
             Diagnostic::new(
@@ -672,13 +666,11 @@ pub fn check_source(src: &str, cycles: CyclePolicy) -> SourceCheck {
                 )];
             // The relaxed stratifier is total; reuse it so the report
             // still covers the other analyses.
-            let mut advisories = Vec::new();
-            if let Ok(relaxed) = CompiledProgram::compile(program, CyclePolicy::RuntimeStability) {
-                let report = check_with(&relaxed, front);
-                diagnostics.extend(report.diagnostics);
-                advisories = report.advisories;
-            }
-            SourceCheck { compiled: None, diagnostics, advisories }
+            let relaxed = CompiledProgram::compile(program, CyclePolicy::RuntimeStability)
+                .expect("relaxed stratification cannot fail");
+            let report = check_with(&relaxed, front);
+            diagnostics.extend(report.diagnostics);
+            SourceCheck { compiled: None, diagnostics, advisories: report.advisories }
         }
     }
 }
@@ -909,11 +901,20 @@ mod tests {
 
     #[test]
     fn needless_dynamic_policy_advisory() {
-        let program = Program::parse("r1: ins[X].a -> 1 <= X.isa -> item.").unwrap();
-        let c = CompiledProgram::compile(program, CyclePolicy::RuntimeStability).unwrap();
-        let report = check(&c);
-        assert!(report.diagnostics.iter().any(|d| d.lint == Lint::NeedlessDynamicPolicy));
-        assert!(!report.has_errors());
+        // Under `RuntimeStability`, the advisory fires exactly when no
+        // stratum needs the runtime check: the second program is the
+        // condition-(c) cycle of `dynamic_policy_required_diagnostic`.
+        for (src, needless) in [
+            ("r1: ins[X].a -> 1 <= X.isa -> item.", true),
+            ("ins[X].p -> 1 <= X.q -> 1 & not ins(X).p -> 1.", false),
+        ] {
+            let program = Program::parse(src).unwrap();
+            let c = CompiledProgram::compile(program, CyclePolicy::RuntimeStability).unwrap();
+            let report = check(&c);
+            let found = report.diagnostics.iter().any(|d| d.lint == Lint::NeedlessDynamicPolicy);
+            assert_eq!(found, needless, "{src}");
+            assert!(!report.has_errors(), "{src}");
+        }
     }
 
     #[test]

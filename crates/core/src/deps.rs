@@ -80,14 +80,13 @@ impl ReadSet {
 /// of `v*` into the created version).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WriteSet {
-    /// The created chain, or `None` if the head's chain overflows the
-    /// chain encoding (treated as writes-everything).
-    pub chain: Option<Chain>,
+    /// The created chain.
+    pub chain: Chain,
 }
 
 impl WriteSet {
     fn of(rule: &Rule) -> WriteSet {
-        WriteSet { chain: rule.head.created_term().ok().map(|t| t.chain) }
+        WriteSet { chain: rule.head.created_term().chain }
     }
 }
 
@@ -152,19 +151,11 @@ impl RuleDepGraph {
         let n = program.rules.len();
         let reads: Vec<ReadSet> = program.rules.iter().map(ReadSet::of).collect();
         let writes: Vec<WriteSet> = program.rules.iter().map(WriteSet::of).collect();
-        let self_dependent: Vec<bool> = (0..n)
-            .map(|r| match writes[r].chain {
-                Some(c) => reads[r].top || reads[r].reads_chain(c),
-                None => true,
-            })
-            .collect();
+        let self_dependent: Vec<bool> =
+            (0..n).map(|r| reads[r].top || reads[r].reads_chain(writes[r].chain)).collect();
 
-        // "Rule a's reads overlap rule b's writes": a chain-less write
-        // (overflow) overlaps everything.
-        let rw = |a: usize, b: usize| match writes[b].chain {
-            Some(c) => reads[a].reads_chain(c),
-            None => true,
-        };
+        // "Rule a's reads overlap rule b's writes."
+        let rw = |a: usize, b: usize| reads[a].reads_chain(writes[b].chain);
         let mut edges = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -353,10 +344,7 @@ impl RuleDepGraph {
 
     /// Human form of rule `r`'s write set, e.g. `ins(·).*`.
     pub fn write_str(&self, r: usize) -> String {
-        match self.writes[r].chain {
-            Some(c) => format!("{}.*", chain_str(c)),
-            None => "⊤".to_owned(),
-        }
+        format!("{}.*", chain_str(self.writes[r].chain))
     }
 }
 

@@ -23,7 +23,11 @@
 //! (negated literals and the head's `v*` reads are frozen within a
 //! stratum by conditions (a), (c) and (d)), and then only for joins
 //! touching what that round changed: it is re-evaluated *seeded*, one
-//! pass per changed body literal. A literal true by membership in one
+//! pass per changed body literal. Each positive version- or
+//! update-literal is a `Scan` step of the plan the front end stored, so
+//! the per-step reads compile records in the [`IndexPlan`] are the
+//! whole trigger set; a `$V` scan reads any relation, so its rule runs
+//! in full every round. A literal true by membership in one
 //! relation (a version-term, `ins[..]`) is seeded with the relation's
 //! entry in the delta as recorded — the *facts* added to versions that
 //! were already active, whole versions otherwise; `del[..]`/`mod[..]`
@@ -73,11 +77,11 @@ use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use ruvo_lang::{PlannedLiteral, Program, Rule};
+use ruvo_lang::{PlannedLiteral, Program};
 use ruvo_obase::{
     ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, RelationDelta, VersionState,
 };
-use ruvo_term::{Chain, Const, FastHashMap, FastHashSet, Symbol, UpdateKind, Vid};
+use ruvo_term::{Const, FastHashMap, FastHashSet, UpdateKind, Vid};
 
 use crate::error::EvalError;
 use crate::matcher::Seed;
@@ -118,9 +122,8 @@ impl Default for EngineConfig {
 }
 
 /// A program with everything [`run_compiled`] reads computed once: the
-/// §4 stratification (under a fixed [`CyclePolicy`]), the per-rule
-/// re-evaluation triggers, and the [`IndexPlan`] driving indexed,
-/// semi-naive evaluation.
+/// §4 stratification (under a fixed [`CyclePolicy`]) and the
+/// [`IndexPlan`] driving indexed, semi-naive evaluation.
 ///
 /// This is the compiled artifact behind [`crate::Prepared`]: build it
 /// once with [`CompiledProgram::compile`], then evaluate it any number
@@ -152,9 +155,6 @@ pub struct CompiledProgram {
     stratification: Arc<Stratification>,
     /// Per stratum: does it need the runtime stability check?
     risky: Vec<bool>,
-    /// Per rule: the relations whose change re-evaluates it (`None`
-    /// for a `$V` rule, which can read any relation).
-    triggers: Vec<Option<FastHashSet<(Chain, Symbol)>>>,
     index_plan: IndexPlan,
     cycles: CyclePolicy,
     /// The pretty-printed source, rendered lazily once per compiled
@@ -168,9 +168,9 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Stratify `program` under `cycles` and precompute the rule
-    /// triggers and the [`IndexPlan`] — exactly what [`run_compiled`]
-    /// reads; the static analyses live in [`crate::check`]. Fails
+    /// Stratify `program` under `cycles` and precompute the
+    /// [`IndexPlan`] — exactly what [`run_compiled`] reads; the static
+    /// analyses live in [`crate::check`]. Fails
     /// exactly when [`crate::stratify::stratify`] would (or never,
     /// under [`CyclePolicy::RuntimeStability`]).
     pub fn compile(
@@ -188,13 +188,11 @@ impl CompiledProgram {
                 (relaxed.stratification, relaxed.needs_runtime_check)
             }
         };
-        let triggers = program.rules.iter().map(rule_triggers).collect();
         let index_plan = IndexPlan::of(&program);
         Ok(CompiledProgram {
             program,
             stratification: Arc::new(stratification),
             risky,
-            triggers,
             index_plan,
             cycles,
             source: std::sync::OnceLock::new(),
@@ -224,6 +222,12 @@ impl CompiledProgram {
     pub fn cycle_policy(&self) -> CyclePolicy {
         self.cycles
     }
+
+    /// Per stratum: does it need the runtime stability check? Never
+    /// under [`CyclePolicy::Reject`].
+    pub(crate) fn needs_runtime_check(&self) -> &[bool] {
+        &self.risky
+    }
 }
 
 /// One rule evaluation of a fixpoint round: the whole rule, or — for a
@@ -236,16 +240,17 @@ struct EvalTask<'a> {
 
 /// Decide what to evaluate this round. `changed` is `None` for the
 /// first round of a stratum (evaluate everything, unseeded); later
-/// rounds skip rules whose positive body literals read nothing the
-/// previous round changed and replace full re-evaluation with one
-/// delta-seeded pass per changed body literal. `checked` strata (the
-/// runtime stability check) re-evaluate every rule in full.
+/// rounds replace full re-evaluation with one delta-seeded pass per
+/// scan step whose reads the previous round changed, and skip a rule
+/// with none. Every positive version- or update-literal is a scan
+/// step, so the index plan's per-step reads are the rule's whole
+/// trigger set. `checked` strata (the runtime stability check)
+/// re-evaluate every rule in full.
 fn round_tasks<'a>(
     ctx: &RoundCtx<'_>,
     stratum: &[usize],
     changed: Option<&'a ChangedSince>,
     checked: bool,
-    triggers: &[Option<FastHashSet<(Chain, Symbol)>>],
 ) -> Vec<EvalTask<'a>> {
     let full = |r: usize| EvalTask { rule: r, seed: None };
     let Some(ch) = changed else {
@@ -257,15 +262,6 @@ fn round_tasks<'a>(
             tasks.push(full(r));
             continue;
         }
-        // A rule with no trigger set (VID-variable atom) can read any
-        // relation: always re-evaluate, never seed.
-        let Some(ts) = &triggers[r] else {
-            tasks.push(full(r));
-            continue;
-        };
-        if !ts.iter().any(|t| ch.contains(t)) {
-            continue; // reads nothing that changed
-        }
         // Semi-naive: one seeded pass per scan step whose literal reads
         // a changed relation. A membership literal borrows its one
         // relation's delta, facts included; a del/mod literal is true
@@ -273,10 +269,12 @@ fn round_tasks<'a>(
         // relations, so it gets the union of their changed objects.
         let rule = &ctx.program.rules[r];
         let before = tasks.len();
-        let mut fallback = false;
         for (step, reads) in ctx.plans.rules[r].reads.iter().enumerate() {
+            // A VID-variable scan can read any relation: re-evaluate
+            // the rule in full, never seeded.
             let Some(keys) = reads else {
-                fallback = true;
+                tasks.truncate(before);
+                tasks.push(full(r));
                 break;
             };
             let delta = match (&rule.plan.steps[step], keys.as_slice()) {
@@ -296,12 +294,6 @@ fn round_tasks<'a>(
                 tasks.push(EvalTask { rule: r, seed: Some(Seed { step, delta }) });
             }
         }
-        if fallback || tasks.len() == before {
-            // Defensive: the trigger intersected, so some literal must
-            // be seedable; if not, fall back to a full evaluation.
-            tasks.truncate(before);
-            tasks.push(full(r));
-        }
     }
     tasks
 }
@@ -317,7 +309,7 @@ pub fn run_compiled(
     mut work: ObjectBase,
 ) -> Result<Outcome, EvalError> {
     let started = Instant::now();
-    let CompiledProgram { program, stratification, risky, triggers, index_plan, .. } = compiled;
+    let CompiledProgram { program, stratification, risky, index_plan, .. } = compiled;
 
     let mut tracker = LinearityTracker::new();
     let mut stats = EvalStats::default();
@@ -354,7 +346,7 @@ pub fn run_compiled(
                     limit: config.max_rounds_per_stratum,
                 });
             }
-            let tasks = round_tasks(&ctx, stratum, changed.as_ref(), checked, triggers);
+            let tasks = round_tasks(&ctx, stratum, changed.as_ref(), checked);
             // Distinct rules touched this round (tasks per rule are
             // contiguous, so checking the last entry suffices).
             let mut to_eval: Vec<usize> = Vec::new();
@@ -490,27 +482,6 @@ fn collect_round(
     }
     stats.parallel.scan_subtasks += tasks.len();
     stats.parallel.scan_wall += started.elapsed();
-}
-
-/// The `(chain, method)` relations a rule's positive body literals can
-/// read — if none of them changed in a round, the rule's matches are
-/// unchanged (see the module docs for why negated literals and head
-/// reads need no triggers). `None` means the rule must be re-evaluated
-/// every round: a VID-variable atom (§6 extension) can read any
-/// version. This is the union of [`crate::plan::literal_reads`] over
-/// the positive body literals.
-fn rule_triggers(rule: &Rule) -> Option<FastHashSet<(Chain, Symbol)>> {
-    let mut out: FastHashSet<(Chain, Symbol)> = FastHashSet::default();
-    for lit in &rule.body {
-        if !lit.positive {
-            continue;
-        }
-        match crate::plan::literal_reads(lit) {
-            Some(keys) => out.extend(keys),
-            None => return None,
-        }
-    }
-    Some(out)
 }
 
 /// The result of a successful run.
@@ -664,7 +635,7 @@ fn base_of_finals(finals: impl Iterator<Item = (Const, Option<Arc<VersionState>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruvo_term::{int, oid, UpdateKind};
+    use ruvo_term::{int, oid, Chain, UpdateKind};
 
     /// Compile `program` under `config` and evaluate it on a copy of
     /// `ob`.
@@ -946,6 +917,61 @@ mod tests {
         // after w1 moved v* to ins(a)/ins(b) in round 2.
         assert!(fast.result().contains(ins_out1, ruvo_term::sym("got"), &[], oid("new")));
         assert!(fast.result().contains(ins_out2, ruvo_term::sym("from"), &[], oid("new")));
+    }
+
+    /// What the semi-naive round planner decides, pinned as counters:
+    /// `(rule_evaluations, rule_evaluations_skipped,
+    /// rule_evaluations_seeded, scan_candidates, fired_updates)` on
+    /// three shapes — the §2.3 enterprise update (three strata,
+    /// negation, del/mod body atoms), the ancestors closure (seeded
+    /// recursion) and a `$V` audit rule (re-evaluated in full, never
+    /// seeded).
+    #[test]
+    fn round_tasks_counters_are_pinned() {
+        let rows = [
+            (
+                "enterprise",
+                "phil.isa -> empl / pos -> mgr / sal -> 4000.
+                 bob.isa -> empl / boss -> phil / sal -> 4200.
+                 sue.isa -> empl / boss -> phil / sal -> 4300.",
+                "rule1: mod[E].sal -> (S, S2) <= E.isa -> empl / pos -> mgr / sal -> S \
+                 & S2 = S * 1.1 + 200.
+                 rule2: mod[E].sal -> (S, S2) <= E.isa -> empl / sal -> S & not E.pos -> mgr \
+                 & S2 = S * 1.1.
+                 rule3: del[mod(E)].* <= mod(E).isa -> empl / boss -> B / sal -> SE \
+                 & mod(B).isa -> empl / sal -> SB & SE > SB.
+                 rule4: ins[mod(E)].isa -> hpe <= mod(E).isa -> empl / sal -> S & S > 4500 \
+                 & not del[mod(E)].isa -> empl.",
+                (4, 4, 0, 24, 10),
+            ),
+            (
+                "ancestors",
+                "ann.isa -> person. bea.isa -> person / parents -> ann.
+                 cid.isa -> person / parents -> bea. dan.isa -> person / parents -> cid.",
+                "ins[X].anc -> P <= X.isa -> person / parents -> P.
+                 ins[X].anc -> P <= ins(X).isa -> person / anc -> A \
+                 & A.isa -> person / parents -> P.",
+                (5, 3, 4, 44, 6),
+            ),
+            (
+                "audit",
+                "a.p -> 1. b.p -> 1. c.p -> 2.",
+                "mark: ins[X].seen -> 1 <= X.p -> 1.
+                 audit: ins[log].saw -> O <= $V.seen -> 1 & $V.exists -> O.",
+                (4, 2, 0, 20, 4),
+            ),
+        ];
+        for (name, ob, prog, expected) in rows {
+            let s = run(ob, prog).stats().clone();
+            let got = (
+                s.rule_evaluations,
+                s.rule_evaluations_skipped,
+                s.rule_evaluations_seeded,
+                s.scan_candidates,
+                s.fired_updates,
+            );
+            assert_eq!(got, expected, "{name}");
+        }
     }
 
     #[test]

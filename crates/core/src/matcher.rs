@@ -197,9 +197,8 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
                     UpdateSpec::Ins { method, args, result } => {
                         // ins[v].m -> r ⟺ ins(v).m -> r ∈ I: scan the
                         // created version like a version-term.
-                        let Ok(created) = ua.target.apply(UpdateKind::Ins) else { return };
                         let va = VersionAtom {
-                            vid: VidRef::Term(created),
+                            vid: VidRef::Term(ua.created_term()),
                             method: *method,
                             args: args.clone(),
                             result: *result,

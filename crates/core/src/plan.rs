@@ -24,7 +24,7 @@
 
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Program, Rule, UpdateSpec};
 use ruvo_obase::exists_sym;
-use ruvo_term::{ArgTerm, BaseTerm, Chain, Const, Symbol, UpdateKind, VidRef};
+use ruvo_term::{ArgTerm, BaseTerm, Chain, Const, Symbol, VidRef};
 
 /// How a `Scan` plan step enumerates candidate versions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,8 +92,8 @@ impl IndexPlan {
 
 /// The `(chain, method)` relations a single body literal can read, or
 /// `None` for a VID-variable version atom (the §6 extension reads any
-/// version). This is the same accounting the engine's rule-level delta
-/// filter unions over all positive literals.
+/// version). Over a rule's scan steps these are its semi-naive
+/// triggers; over all its literals, its read set in [`crate::deps`].
 pub fn literal_reads(lit: &Literal) -> Option<Vec<(Chain, Symbol)>> {
     let exists = exists_sym();
     let mut out = Vec::new();
@@ -103,30 +103,18 @@ pub fn literal_reads(lit: &Literal) -> Option<Vec<(Chain, Symbol)>> {
             None => return None,
         },
         Atom::Update(ua) => {
-            let chain = ua.target.chain;
+            let (chain, created) = (ua.target.chain, ua.created_term().chain);
             match &ua.spec {
-                UpdateSpec::Ins { method, .. } => {
-                    if let Ok(c) = chain.push(UpdateKind::Ins) {
-                        out.push((c, *method));
-                    }
-                }
+                UpdateSpec::Ins { method, .. } => out.push((created, *method)),
                 UpdateSpec::Del { method, .. } => {
-                    if let Ok(c) = chain.push(UpdateKind::Del) {
-                        out.push((c, exists));
-                        out.push((c, *method));
-                    }
+                    out.push((created, exists));
+                    out.push((created, *method));
                     // del-body truth reads v*.method on any prefix.
-                    for p in chain.prefixes() {
-                        out.push((p, *method));
-                    }
+                    out.extend(chain.prefixes().map(|p| (p, *method)));
                 }
                 UpdateSpec::Mod { method, .. } => {
-                    if let Ok(c) = chain.push(UpdateKind::Mod) {
-                        out.push((c, *method));
-                    }
-                    for p in chain.prefixes() {
-                        out.push((p, *method));
-                    }
+                    out.push((created, *method));
+                    out.extend(chain.prefixes().map(|p| (p, *method)));
                 }
                 UpdateSpec::DelAll => unreachable!("del-all in a body is rejected"),
             }
@@ -170,7 +158,7 @@ fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
                 let lit = &rule.body[li];
                 hints.push(scan_hint(&lit.atom, &bound));
                 reads.push(literal_reads(lit));
-                bind_atom_vars(&lit.atom, &mut bound);
+                lit.atom.for_each_var(|v| bound[v.index()] = true);
             }
         }
     }
@@ -206,8 +194,7 @@ fn start_candidate(atom: &Atom, step: usize) -> Option<StartCandidate> {
         }
         Atom::Update(ua) => match &ua.spec {
             UpdateSpec::Ins { method, args, result } => {
-                let chain = ua.target.chain.push(UpdateKind::Ins).ok()?;
-                (ua.target.base, chain, *method, &args[..], *result)
+                (ua.target.base, ua.created_term().chain, *method, &args[..], *result)
             }
             _ => return None,
         },
@@ -259,51 +246,11 @@ fn scan_hint(atom: &Atom, bound: &[bool]) -> ScanHint {
     }
 }
 
-fn bind_term(t: ArgTerm, bound: &mut [bool]) {
-    if let BaseTerm::Var(v) = t {
-        bound[v.index()] = true;
-    }
-}
-
-fn bind_atom_vars(atom: &Atom, bound: &mut [bool]) {
-    match atom {
-        Atom::Version(va) => {
-            if let Some(t) = va.vid.as_term() {
-                bind_term(t.base, bound);
-            }
-            for &a in &va.args {
-                bind_term(a, bound);
-            }
-            bind_term(va.result, bound);
-        }
-        Atom::Update(ua) => {
-            bind_term(ua.target.base, bound);
-            match &ua.spec {
-                UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
-                    for &a in args {
-                        bind_term(a, bound);
-                    }
-                    bind_term(*result, bound);
-                }
-                UpdateSpec::Mod { args, from, to, .. } => {
-                    for &a in args {
-                        bind_term(a, bound);
-                    }
-                    bind_term(*from, bound);
-                    bind_term(*to, bound);
-                }
-                UpdateSpec::DelAll => {}
-            }
-        }
-        Atom::Cmp(_) => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ruvo_lang::Program;
-    use ruvo_term::sym;
+    use ruvo_term::{sym, UpdateKind};
 
     fn plan_of(src: &str) -> RuleIndexPlan {
         let p = Program::parse(src).unwrap();

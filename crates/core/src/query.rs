@@ -55,7 +55,7 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use ruvo_lang::pretty::{const_str, literal_str};
-use ruvo_lang::{Atom, Goal, Literal, Program, Rule, UpdateSpec, VersionAtom};
+use ruvo_lang::{Atom, Goal, Literal, Program, Rule, VersionAtom};
 use ruvo_obase::{Args, ObjectBase};
 use ruvo_term::{
     int, sym, BaseTerm, Chain, Const, FastHashMap, FastHashSet, Symbol, VarId, Vid, VidRef, VidTerm,
@@ -271,10 +271,7 @@ impl QueryPlan {
 pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
     let program = compiled.program();
     let goal_plan = goal_index_plan(&goal);
-    let rel = match relevance(program, &goal) {
-        Ok(rel) => rel,
-        Err(reason) => return full_plan(compiled, goal, goal_plan, Some(reason)),
-    };
+    let rel = relevance(program, &goal);
     if rel.vid_rule {
         let reason =
             "a relevant rule reads through a VID variable ($V), which can touch any version"
@@ -288,12 +285,8 @@ pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
         // gracefully anyway.
         Err(reason) => return full_plan(compiled, goal, goal_plan, Some(reason)),
     };
-    let created: FastHashSet<Chain> = rel
-        .kept
-        .iter()
-        .filter_map(|&i| program.rules[i].head.created_term().ok())
-        .map(|t| t.chain)
-        .collect();
+    let created: FastHashSet<Chain> =
+        rel.kept.iter().map(|&i| program.rules[i].head.created_term().chain).collect();
     let seeded = seeding(program, &goal, &rel.kept, &created, Arc::clone(&pruned)).and_then(|s| {
         Ok((compiled.rewrites.get_or_compile(compiled, &rel.kept, Some(s.magic))?, s))
     });
@@ -473,7 +466,7 @@ struct Relevance {
 /// Chain-granularity relevance: a rule is relevant iff the chain it
 /// creates is demanded; demanding a rule demands everything its body
 /// reads plus every prefix of its created chain (copy sources).
-fn relevance(program: &Program, goal: &Goal) -> Result<Relevance, String> {
+fn relevance(program: &Program, goal: &Goal) -> Relevance {
     let mut demanded: FastHashSet<Chain> = FastHashSet::default();
     for lit in goal.body() {
         let reads = literal_reads(lit).expect("goals reject VID variables");
@@ -488,9 +481,7 @@ fn relevance(program: &Program, goal: &Goal) -> Result<Relevance, String> {
             if kept[i] {
                 continue;
             }
-            let Ok(created) = rule.head.created_term() else {
-                return Err("a rule head overflows the version chain".to_owned());
-            };
+            let created = rule.head.created_term();
             if !all_chains && !demanded.contains(&created.chain) {
                 continue;
             }
@@ -516,7 +507,7 @@ fn relevance(program: &Program, goal: &Goal) -> Result<Relevance, String> {
         }
     }
     let kept: Vec<usize> = (0..program.rules.len()).filter(|&i| kept[i]).collect();
-    Ok(Relevance { kept, vid_rule })
+    Relevance { kept, vid_rule }
 }
 
 /// True iff the literal can read a relation some kept rule writes
@@ -536,48 +527,6 @@ fn target_base(atom: &Atom) -> Option<BaseTerm> {
         Atom::Version(va) => va.vid.as_term().map(|t| t.base),
         Atom::Update(ua) => Some(ua.target.base),
         Atom::Cmp(_) => None,
-    }
-}
-
-/// Variables occurring anywhere in an atom (target, arguments,
-/// results). Built-ins report none — they never appear in demand
-/// bodies.
-fn atom_vars(atom: &Atom, out: &mut FastHashSet<VarId>) {
-    let mut term = |t: BaseTerm| {
-        if let BaseTerm::Var(v) = t {
-            out.insert(v);
-        }
-    };
-    match atom {
-        Atom::Version(va) => {
-            if let Some(t) = va.vid.as_term() {
-                term(t.base);
-            }
-            for &a in &va.args {
-                term(a);
-            }
-            term(va.result);
-        }
-        Atom::Update(ua) => {
-            term(ua.target.base);
-            match &ua.spec {
-                UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
-                    for &a in args {
-                        term(a);
-                    }
-                    term(*result);
-                }
-                UpdateSpec::Mod { args, from, to, .. } => {
-                    for &a in args {
-                        term(a);
-                    }
-                    term(*from);
-                    term(*to);
-                }
-                UpdateSpec::DelAll => {}
-            }
-        }
-        Atom::Cmp(_) => {}
     }
 }
 
@@ -655,7 +604,9 @@ fn seeding(
             .collect();
         let mut base_vars: FastHashSet<VarId> = FastHashSet::default();
         for lit in &base_lits {
-            atom_vars(&lit.atom, &mut base_vars);
+            lit.atom.for_each_var(|v| {
+                base_vars.insert(v);
+            });
         }
         let mut demanded_vars: FastHashSet<VarId> = FastHashSet::default();
         for lit in body {

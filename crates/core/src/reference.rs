@@ -179,8 +179,11 @@ impl RefUpdate {
         }
     }
 
+    /// A fired head's target has the head target's chain, and the front
+    /// end's rule-level pass refuses a head whose created version
+    /// overflows a chain.
     fn created(&self) -> Vid {
-        self.target().apply(self.kind()).expect("chain depth checked at parse time")
+        self.target().apply(self.kind()).expect("the front end refuses an over-deep head")
     }
 }
 
@@ -387,8 +390,8 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
         }
         Atom::Cmp(cmp) => {
             let mut vars = Vec::new();
-            cmp.lhs.collect_vars(&mut vars);
-            cmp.rhs.collect_vars(&mut vars);
+            cmp.lhs.for_each_var(&mut |v| vars.push(v));
+            cmp.rhs.for_each_var(&mut |v| vars.push(v));
             if vars.iter().any(|v| !b.is_bound(*v)) {
                 return None; // not yet decidable
             }

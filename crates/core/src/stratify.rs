@@ -160,11 +160,7 @@ impl std::error::Error for StratifyError {}
 pub fn edges(program: &Program) -> Vec<EdgeInfo> {
     let n = program.rules.len();
     // Heads after the [V] → (V) rewrite, and bracketed targets.
-    let created: Vec<VidTerm> = program
-        .rules
-        .iter()
-        .map(|r| r.head_created_term().expect("chain depth checked at parse time"))
-        .collect();
+    let created: Vec<VidTerm> = program.rules.iter().map(|r| r.head.created_term()).collect();
     let targets: Vec<VidTerm> = program.rules.iter().map(|r| r.head.target).collect();
     let bodies: Vec<Vec<(VidTerm, bool)>> =
         program.rules.iter().map(|r| r.body_vid_terms()).collect();
@@ -196,12 +192,8 @@ pub fn edges(program: &Program) -> Vec<EdgeInfo> {
                 if !matches!(kind, UpdateKind::Del | UpdateKind::Mod) {
                     continue;
                 }
-                for (rp, &created_rp) in created.iter().enumerate() {
-                    let head_kind = created_rp
-                        .unapply()
-                        .map(|(_, k)| k)
-                        .expect("created terms always have a functor");
-                    if head_kind == kind && inner.unifiable(targets[rp]) {
+                for (rp, other) in program.rules.iter().enumerate() {
+                    if other.head.spec.kind() == kind && inner.unifiable(targets[rp]) {
                         push(rp, r, Condition::D);
                     }
                 }
@@ -213,13 +205,9 @@ pub fn edges(program: &Program) -> Vec<EdgeInfo> {
         // from every del-/mod-head rule (the version $V denotes may be
         // one such rules are still shrinking).
         for negated in program.rules[r].body_vid_wildcards() {
-            for (rp, &created_rp) in created.iter().enumerate() {
+            for (rp, other) in program.rules.iter().enumerate() {
                 push(rp, r, if negated { Condition::C } else { Condition::B });
-                let head_kind = created_rp
-                    .unapply()
-                    .map(|(_, k)| k)
-                    .expect("created terms always have a functor");
-                if matches!(head_kind, UpdateKind::Del | UpdateKind::Mod) {
+                if matches!(other.head.spec.kind(), UpdateKind::Del | UpdateKind::Mod) {
                     push(rp, r, Condition::D);
                 }
             }

@@ -106,10 +106,12 @@ impl Fired {
     /// The *relevant* VID this update creates: `φ(v)`.
     ///
     /// # Panics
-    /// Chain overflow is impossible for updates produced by parsed
-    /// rules (chain depth is checked statically), so this unwraps.
+    /// Chain overflow is impossible for an update a rule fires: its
+    /// target has the chain of the head's target, and the front end
+    /// refuses a head whose created version overflows a chain
+    /// (`ruvo_lang::analysis`, the rule-level pass), so this unwraps.
     pub fn created(&self) -> Vid {
-        self.target().apply(self.kind()).expect("chain depth checked at parse time")
+        self.target().apply(self.kind()).expect("the front end refuses an over-deep head")
     }
 
     /// The method updated.

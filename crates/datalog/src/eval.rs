@@ -215,8 +215,8 @@ pub fn plan_rule(rule: &DlRule) -> Vec<PlannedLiteral> {
                 }
             }
             DlLiteral::Builtin(b) => {
-                b.lhs.collect_vars(&mut out);
-                b.rhs.collect_vars(&mut out);
+                b.lhs.for_each_var(&mut |v| out.push(v));
+                b.rhs.for_each_var(&mut |v| out.push(v));
             }
         }
         out
@@ -236,8 +236,8 @@ pub fn plan_rule(rule: &DlRule) -> Vec<PlannedLiteral> {
                     if b.op == CmpOp::Eq {
                         let mut lhs_vars = Vec::new();
                         let mut rhs_vars = Vec::new();
-                        b.lhs.collect_vars(&mut lhs_vars);
-                        b.rhs.collect_vars(&mut rhs_vars);
+                        b.lhs.for_each_var(&mut |v| lhs_vars.push(v));
+                        b.rhs.for_each_var(&mut |v| rhs_vars.push(v));
                         if let Some(x) = b.lhs.as_single_var() {
                             if !bound[x.index()] && rhs_vars.iter().all(|v| bound[v.index()]) {
                                 chosen =

@@ -82,7 +82,8 @@ impl Level {
 /// `Database::prepare` warnings and `ruvo check`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Lint {
-    /// The source text does not lex/parse.
+    /// The source text does not lex/parse, or a version-id-term nests
+    /// deeper than a version chain holds.
     Syntax,
     /// Two rules carry the same label (§2.1 rules are named uniquely).
     DuplicateLabel,
@@ -453,21 +454,36 @@ impl Finding {
 }
 
 /// The rule-level pass, the one place a rule's well-formedness is
-/// decided: `exists` updated in the head, `del[..].*` or an `exists`
-/// update-term in the body (§3), then safety (§2.1), whose plan it
-/// stores in `rule.plan`. Returns every finding, in that order.
+/// decided: an update-term whose created version overflows a chain
+/// (head or body), `exists` updated in the head, `del[..].*` or an
+/// `exists` update-term in the body (§3), then safety (§2.1), whose
+/// plan it stores in `rule.plan`. Returns every finding, in that order.
+/// Every later stage reads each update-term's created version through
+/// the infallible [`UpdateAtom::created_term`] on this guarantee.
 pub(crate) fn analyze_rule(rule: &mut Rule) -> Vec<Finding> {
     let exists = ruvo_term::sym("exists");
     let mut out = Vec::new();
     let mut found = |lint, literal, message: &str, note: Option<&str>| {
         out.push(Finding { lint, literal, message: message.into(), note: note.map(Into::into) })
     };
+    let too_deep = |ua: &UpdateAtom| ua.target.apply(ua.spec.kind()).is_err();
+    let (deep, deep_note) = (
+        "version-id-term nests too deeply",
+        "a version-id-term holds at most 32 update applications, counting the version an \
+         update-term creates",
+    );
+    if too_deep(&rule.head) {
+        found(Lint::Syntax, None, deep, Some(deep_note));
+    }
     if rule.head.spec.method() == Some(exists) {
         let note = "§3 reserves `exists`: `o.exists -> o` is maintained by the engine";
         found(Lint::ExistsUpdate, None, "the system method `exists` cannot be updated", Some(note));
     }
     for (j, lit) in rule.body.iter().enumerate() {
         let Atom::Update(ua) = &lit.atom else { continue };
+        if too_deep(ua) {
+            found(Lint::Syntax, Some(j + 1), deep, Some(deep_note));
+        }
         if matches!(ua.spec, UpdateSpec::DelAll) {
             let message = "`del[...].*` (delete all) is only meaningful in rule heads";
             let note = "ask `del[V].m -> r` about a specific deletion instead";
@@ -690,6 +706,62 @@ mod tests {
 
     fn rejects(diags: &[Diagnostic]) -> bool {
         diags.iter().any(Diagnostic::is_error)
+    }
+
+    /// A version-id-term holds at most 32 update applications, counting
+    /// the version an update-term creates: a 31-deep target is accepted
+    /// and a 32-deep one refused, in a head, a body literal and a goal,
+    /// whether parsed or built with `Rule::new`.
+    #[test]
+    fn over_deep_update_terms_are_refused_at_the_boundary() {
+        use crate::ast::{Literal, UpdateAtom, VarTable, VersionAtom};
+        use ruvo_term::{int, BaseTerm, UpdateKind, VidRef, VidTerm};
+        let deep = "version-id-term nests too deeply";
+        let refused = |result: Result<(), LangError>, what: &str| match result {
+            Err(LangError::Validate(e)) => assert!(e.message.contains(deep), "{what}: {e}"),
+            other => panic!("{what}: expected a validation error, got {other:?}"),
+        };
+        for (depth, accepted) in [(31, true), (32, false)] {
+            let target = (0..depth).fold("X".to_owned(), |t, _| format!("mod({t})"));
+            let parsed = [
+                ("head", format!("r: ins[{target}].p -> 1 <= X.q -> 1.")),
+                ("body", format!("r: ins[x].p -> 1 <= ins[{target}].q -> 1.")),
+            ];
+            for (what, src) in parsed {
+                let result = Program::parse(&src).map(drop);
+                if accepted {
+                    result.unwrap_or_else(|e| panic!("{what} at {depth}: {e}"));
+                } else {
+                    refused(result, what);
+                }
+            }
+            let goal = crate::Goal::parse(&format!("?- ins[{target}].q -> 1.")).map(drop);
+            let mut vars = VarTable::new();
+            let x = BaseTerm::Var(vars.var("X"));
+            let head = UpdateAtom {
+                target: (0..depth)
+                    .fold(VidTerm::object(x), |t, _| t.apply(UpdateKind::Mod).unwrap()),
+                spec: UpdateSpec::Ins {
+                    method: ruvo_term::sym("p"),
+                    args: Vec::new(),
+                    result: BaseTerm::Const(int(1)),
+                },
+            };
+            let body = vec![Literal::pos(Atom::Version(VersionAtom {
+                vid: VidRef::Term(VidTerm::object(x)),
+                method: ruvo_term::sym("q"),
+                args: Vec::new(),
+                result: BaseTerm::Const(int(1)),
+            }))];
+            let built = Rule::new(head, body, vars, None).map(drop);
+            if accepted {
+                goal.unwrap();
+                built.unwrap();
+            } else {
+                refused(goal, "goal");
+                refused(built, "Rule::new");
+            }
+        }
     }
 
     #[test]

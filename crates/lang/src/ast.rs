@@ -1,6 +1,6 @@
 //! Abstract syntax of update-programs (§2.1 of the paper).
 
-use ruvo_term::{ArgTerm, Bindings, Const, FastHashMap, Symbol, VarId, VidRef, VidTerm};
+use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, FastHashMap, Symbol, VarId, VidRef, VidTerm};
 
 use crate::error::LangError;
 use crate::safety::RulePlan;
@@ -123,15 +123,16 @@ impl Expr {
         }
     }
 
-    /// Collect the variables occurring in the expression.
-    pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+    /// Visit the variables occurring in the expression, left to right,
+    /// repeats included.
+    pub fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(v) => out.push(*v),
-            Expr::Neg(e) => e.collect_vars(out),
+            Expr::Var(v) => f(*v),
+            Expr::Neg(e) => e.for_each_var(f),
             Expr::Binary(l, _, r) => {
-                l.collect_vars(out);
-                r.collect_vars(out);
+                l.for_each_var(f);
+                r.for_each_var(f);
             }
         }
     }
@@ -233,9 +234,36 @@ pub struct UpdateAtom {
 }
 
 impl UpdateAtom {
-    /// The version *created* by this update: `φ(target)`.
-    pub fn created_term(&self) -> Result<VidTerm, ruvo_term::ChainOverflow> {
-        self.target.apply(self.spec.kind())
+    /// The version *created* by this update: `φ(target)` (§4 replaces
+    /// each construct `[V]` by `(V)`).
+    ///
+    /// # Panics
+    /// Panics if `φ(target)` exceeds [`ruvo_term::Chain::MAX_LEN`]
+    /// update applications. The front end refuses every such
+    /// update-term, in heads, bodies and goals (see [`crate::analysis`]),
+    /// so this never panics on a term of a rule or goal it accepted.
+    pub fn created_term(&self) -> VidTerm {
+        self.target.apply(self.spec.kind()).expect("the front end refuses an over-deep update-term")
+    }
+
+    /// Visit the update-term's variables — target, arguments and
+    /// results, in that order, repeats included.
+    pub fn for_each_var(&self, mut f: impl FnMut(VarId)) {
+        let mut term = |t: ArgTerm| {
+            if let BaseTerm::Var(v) = t {
+                f(v)
+            }
+        };
+        term(self.target.base);
+        match &self.spec {
+            UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
+                args.iter().chain([result]).for_each(|&t| term(t))
+            }
+            UpdateSpec::Mod { args, from, to, .. } => {
+                args.iter().chain([from, to]).for_each(|&t| term(t))
+            }
+            UpdateSpec::DelAll => {}
+        }
     }
 }
 
@@ -248,6 +276,30 @@ pub enum Atom {
     Update(UpdateAtom),
     /// An arithmetic built-in.
     Cmp(Builtin),
+}
+
+impl Atom {
+    /// Visit the atom's variables, repeats included: a version-term's
+    /// base (not a `$V`), arguments and result; an update-term's as
+    /// [`UpdateAtom::for_each_var`]; a built-in's operands. The one
+    /// variable walk of the front end and the planner.
+    pub fn for_each_var(&self, mut f: impl FnMut(VarId)) {
+        match self {
+            Atom::Version(va) => {
+                let base = va.vid.as_term().map(|t| t.base);
+                for t in base.into_iter().chain(va.args.iter().copied()).chain([va.result]) {
+                    if let BaseTerm::Var(v) = t {
+                        f(v)
+                    }
+                }
+            }
+            Atom::Update(ua) => ua.for_each_var(f),
+            Atom::Cmp(b) => {
+                b.lhs.for_each_var(&mut f);
+                b.rhs.for_each_var(&mut f);
+            }
+        }
+    }
 }
 
 /// An arithmetic built-in atom `lhs op rhs`.
@@ -419,14 +471,10 @@ impl Rule {
                         out.push((t, !lit.positive));
                     }
                 }
-                Atom::Update(ua) => {
-                    // §4: "we replace in the given program P each
-                    // construct [V] by (V)" — an update-term atom
-                    // contributes the created version's term.
-                    if let Ok(t) = ua.created_term() {
-                        out.push((t, !lit.positive));
-                    }
-                }
+                // §4: "we replace in the given program P each construct
+                // [V] by (V)" — an update-term atom contributes the
+                // created version's term.
+                Atom::Update(ua) => out.push((ua.created_term(), !lit.positive)),
                 Atom::Cmp(_) => {}
             }
         }
@@ -447,11 +495,6 @@ impl Rule {
             }
         }
         out
-    }
-
-    /// The head's created version-id-term (`φ(V)` for head `φ[V]...`).
-    pub fn head_created_term(&self) -> Result<VidTerm, ruvo_term::ChainOverflow> {
-        self.head.created_term()
     }
 }
 

@@ -539,7 +539,7 @@ mod tests {
         );
         let r = &p.rules[0];
         assert_eq!(r.head.target.depth(), 3);
-        assert_eq!(r.head.created_term().unwrap().depth(), 4);
+        assert_eq!(r.head.created_term().depth(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use ruvo_term::{ArgTerm, BaseTerm, VarId, VidVarId};
 
-use crate::ast::{Atom, CmpOp, Rule, UpdateAtom, UpdateSpec};
+use crate::ast::{Atom, CmpOp, Rule, UpdateSpec};
 
 /// One step of the evaluation plan; indexes refer to `rule.body`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,12 +43,6 @@ pub struct RulePlan {
     pub steps: Vec<PlannedLiteral>,
 }
 
-fn term_vars(t: ArgTerm, out: &mut Vec<VarId>) {
-    if let BaseTerm::Var(v) = t {
-        out.push(v);
-    }
-}
-
 /// The VID variable of a body atom, if any (only version atoms can
 /// carry one).
 fn atom_vid_var(atom: &Atom) -> Option<VidVarId> {
@@ -56,41 +50,6 @@ fn atom_vid_var(atom: &Atom) -> Option<VidVarId> {
         Atom::Version(va) => va.vid.as_vid_var(),
         _ => None,
     }
-}
-
-/// The variables of an update-term, unsorted.
-fn update_vars(ua: &UpdateAtom, out: &mut Vec<VarId>) {
-    term_vars(ua.target.base, out);
-    match &ua.spec {
-        UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
-            args.iter().chain([result]).for_each(|&t| term_vars(t, out))
-        }
-        UpdateSpec::Mod { args, from, to, .. } => {
-            args.iter().chain([from, to]).for_each(|&t| term_vars(t, out))
-        }
-        UpdateSpec::DelAll => {}
-    }
-}
-
-/// All variables of a body atom.
-fn atom_vars(atom: &Atom) -> Vec<VarId> {
-    let mut out = Vec::new();
-    match atom {
-        Atom::Version(va) => {
-            if let Some(t) = va.vid.as_term() {
-                term_vars(t.base, &mut out);
-            }
-            va.args.iter().chain([&va.result]).for_each(|&t| term_vars(t, &mut out));
-        }
-        Atom::Update(ua) => update_vars(ua, &mut out),
-        Atom::Cmp(b) => {
-            b.lhs.collect_vars(&mut out);
-            b.rhs.collect_vars(&mut out);
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Selectivity score of a positive atom given the variables bound so
@@ -161,12 +120,16 @@ pub(crate) fn analyze(rule: &Rule) -> Result<RulePlan, String> {
     let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
     let mut steps = Vec::with_capacity(rule.body.len());
 
-    let all_bound = |vars: &[VarId], bound: &[bool]| vars.iter().all(|v| bound[v.index()]);
+    let all_bound = |atom: &Atom, bound: &[bool]| {
+        let mut all = true;
+        atom.for_each_var(|v| all &= bound[v.index()]);
+        all
+    };
     let vid_ok =
         |atom: &Atom, vid_bound: &[bool]| atom_vid_var(atom).is_none_or(|v| vid_bound[v.index()]);
 
     while !remaining.is_empty() {
-        let mut chosen: Option<(usize, PlannedLiteral, Vec<VarId>, Option<VidVarId>)> = None;
+        let mut chosen: Option<(usize, PlannedLiteral)> = None;
 
         // Pass 1: anything that is a pure test or an assignment now.
         for (ri, &li) in remaining.iter().enumerate() {
@@ -178,20 +141,20 @@ pub(crate) fn analyze(rule: &Rule) -> Result<RulePlan, String> {
             if lit.positive && cmp.is_none() {
                 continue; // a scan: pass 2
             }
-            if all_bound(&atom_vars(&lit.atom), &bound) && vid_ok(&lit.atom, &vid_bound) {
-                chosen = Some((ri, PlannedLiteral::Check(li), vec![], None));
+            if all_bound(&lit.atom, &bound) && vid_ok(&lit.atom, &vid_bound) {
+                chosen = Some((ri, PlannedLiteral::Check(li)));
                 break;
             }
             // X = expr (or expr = X) with the other side bound.
             let Some(b) = cmp.filter(|b| lit.positive && b.op == CmpOp::Eq) else { continue };
             let assigned = [(&b.lhs, &b.rhs), (&b.rhs, &b.lhs)].into_iter().find_map(|(x, e)| {
                 let x = x.as_single_var().filter(|x| !bound[x.index()])?;
-                let mut vars = Vec::new();
-                e.collect_vars(&mut vars);
-                all_bound(&vars, &bound).then_some(x)
+                let mut all = true;
+                e.for_each_var(&mut |v| all &= bound[v.index()]);
+                all.then_some(x)
             });
             if let Some(x) = assigned {
-                chosen = Some((ri, PlannedLiteral::Assign { lit: li, var: x }, vec![x], None));
+                chosen = Some((ri, PlannedLiteral::Assign { lit: li, var: x }));
                 break;
             }
         }
@@ -210,32 +173,38 @@ pub(crate) fn analyze(rule: &Rule) -> Result<RulePlan, String> {
                 }
             }
             if let Some((ri, _)) = best {
-                let li = remaining[ri];
-                let vars = atom_vars(&rule.body[li].atom);
-                let vid_var = atom_vid_var(&rule.body[li].atom);
-                chosen = Some((ri, PlannedLiteral::Scan(li), vars, vid_var));
+                chosen = Some((ri, PlannedLiteral::Scan(remaining[ri])));
             }
         }
 
         match chosen {
-            Some((ri, step, newly, newly_vid)) => {
+            Some((ri, step)) => {
                 remaining.swap_remove(ri);
-                for v in newly {
-                    bound[v.index()] = true;
-                }
-                if let Some(v) = newly_vid {
-                    vid_bound[v.index()] = true;
+                match step {
+                    PlannedLiteral::Scan(li) => {
+                        let atom = &rule.body[li].atom;
+                        atom.for_each_var(|v| bound[v.index()] = true);
+                        if let Some(v) = atom_vid_var(atom) {
+                            vid_bound[v.index()] = true;
+                        }
+                    }
+                    PlannedLiteral::Assign { var, .. } => bound[var.index()] = true,
+                    PlannedLiteral::Check(_) => {}
                 }
                 steps.push(step);
             }
             None => {
-                // Name the variables that can never be bound.
-                let mut stuck: Vec<String> = remaining
-                    .iter()
-                    .flat_map(|&li| atom_vars(&rule.body[li].atom))
-                    .filter(|v| !bound[v.index()])
-                    .map(|v| rule.vars.name(v).to_owned())
-                    .collect();
+                // Name the variables that can never be bound, each
+                // literal's once, in variable order.
+                let mut stuck: Vec<String> = Vec::new();
+                for &li in &remaining {
+                    let mut vars = Vec::new();
+                    rule.body[li].atom.for_each_var(|v| vars.push(v));
+                    vars.sort_unstable();
+                    vars.dedup();
+                    let unbound = vars.into_iter().filter(|v| !bound[v.index()]);
+                    stuck.extend(unbound.map(|v| rule.vars.name(v).to_owned()));
+                }
                 stuck.extend(
                     remaining
                         .iter()
@@ -253,15 +222,15 @@ pub(crate) fn analyze(rule: &Rule) -> Result<RulePlan, String> {
     }
 
     // Head variables must now be bound.
-    let mut head_vars = Vec::new();
-    update_vars(&rule.head, &mut head_vars);
-    head_vars.sort_unstable();
-    head_vars.dedup();
-    let unbound_head: Vec<String> = head_vars
-        .into_iter()
-        .filter(|v| !bound[v.index()])
-        .map(|v| rule.vars.name(v).to_owned())
-        .collect();
+    let mut unbound_head = Vec::new();
+    rule.head.for_each_var(|v| {
+        if !bound[v.index()] {
+            unbound_head.push(v);
+        }
+    });
+    unbound_head.sort_unstable();
+    unbound_head.dedup();
+    let unbound_head: Vec<&str> = unbound_head.into_iter().map(|v| rule.vars.name(v)).collect();
     if !unbound_head.is_empty() {
         return Err(format!("head variable(s) {unbound_head:?} are not bound by the body"));
     }

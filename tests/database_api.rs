@@ -179,6 +179,25 @@ fn error_kind_mapping() {
     assert_eq!(db.current().lookup1(oid("o"), "m"), vec![oid("a")]);
 }
 
+/// An update-term whose created version would hold 33 update
+/// applications is a validation error of every prepare, never a panic
+/// of the stratifier or the planner.
+#[test]
+fn over_deep_update_terms_fail_prepare_with_a_typed_error() {
+    let target = (0..32).fold("X".to_owned(), |t, _| format!("mod({t})"));
+    let db = Database::open_src("x.q -> 1.").unwrap();
+    let serving = ServingDatabase::open_src("x.q -> 1.").unwrap();
+    for src in [
+        format!("r: ins[{target}].p -> 1 <= X.q -> 1."),
+        format!("r: ins[x].p -> 1 <= ins[{target}].q -> 1."),
+    ] {
+        for err in [db.prepare(&src).unwrap_err(), serving.prepare(&src).unwrap_err()] {
+            assert_eq!(err.kind(), ErrorKind::Validate, "{src}");
+            assert!(err.to_string().contains("version-id-term nests too deeply"), "{err}");
+        }
+    }
+}
+
 #[test]
 fn errors_unify_the_layer_types() {
     use ruvo::core::store::StorageError;

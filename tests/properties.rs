@@ -201,6 +201,47 @@ proptest! {
 
 // ----- engine layer ----------------------------------------------------
 
+/// An update-term of `kind` on `target`, updating `method`.
+fn update_term(kind: UpdateKind, target: &str, method: &str) -> String {
+    match kind {
+        UpdateKind::Mod => format!("mod[{target}].{method} -> (1, 2)"),
+        kind => format!("{kind}[{target}].{method} -> 1"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Update-terms nested 28–36 deep, in a head, a body literal or a
+    /// goal: the parser accepts exactly those whose created version
+    /// fits a chain (32 update applications), and whatever it accepts
+    /// checks, prepares, evaluates and answers with `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn deep_update_terms_never_panic_past_parse(
+        kinds in proptest::collection::vec(arb_kind(), 28..=36),
+        outer in arb_kind(),
+        place in 0usize..3,
+    ) {
+        let target = kinds.iter().fold("X".to_owned(), |t, k| format!("{k}({t})"));
+        let term = update_term(outer, &target, "p");
+        let (src, goal) = match place {
+            0 => (format!("r: {term} <= X.q -> 1."), "?- X.p -> 1.".to_owned()),
+            1 => (format!("r: ins[X].s -> 1 <= {term}."), "?- ins(X).s -> 1.".to_owned()),
+            _ => ("r: ins[X].p -> 1 <= X.q -> 1.".to_owned(), format!("?- {term}.")),
+        };
+        let fits = kinds.len() < Chain::MAX_LEN;
+        prop_assert_eq!(Program::parse(&src).is_ok(), fits || place == 2);
+        prop_assert_eq!(Goal::parse(&goal).is_ok(), fits || place != 2);
+        let _ = ruvo::core::check::check_source(&src, ruvo::core::CyclePolicy::Reject);
+        let db = Database::open(ObjectBase::parse("x.p -> 1. x.q -> 1. y.q -> 2.").unwrap());
+        if let Ok(prepared) = db.prepare(&src) {
+            let _ = db.evaluate(&prepared);
+            let _ = db.query_src(&prepared, &goal);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
