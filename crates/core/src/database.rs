@@ -663,11 +663,15 @@ impl Database {
     /// ```
     pub fn prepare(&self, src: &str) -> Result<Prepared, Error> {
         let program = Program::parse(src)?;
-        self.prepare_program(program)
+        Database::prepare_gated(program, self.config().cycles, &self.deny_lints)
     }
 
-    /// [`Database::prepare`] for an already-parsed program.
-    pub fn prepare_program(&self, program: Program) -> Result<Prepared, Error> {
+    /// [`Database::prepare`] for an already-built program. Runs the
+    /// front end first ([`ruvo_lang::analysis::admit`]): the program's
+    /// rules may have been assembled or edited through their public
+    /// fields, so nothing vouches for them.
+    pub fn prepare_program(&self, mut program: Program) -> Result<Prepared, Error> {
+        ruvo_lang::analysis::admit(&mut program)?;
         Database::prepare_gated(program, self.config().cycles, &self.deny_lints)
     }
 

@@ -68,50 +68,44 @@ fn diff(
     (added, removed)
 }
 
-/// Reconstruct the version timeline of `base` from a `result(P)` store.
+/// The timeline of `base` in a `result(P)` store, which
+/// [`history`] diffs and [`crate::temporal::Timeline::of`] materializes:
+/// the versions on the *deepest* version's chain, from the initial
+/// version (listed even when a created object has no state there) to the
+/// deepest, each with its state. Intermediate versions skipped by `v*`
+/// fallback (e.g. `del(mod(o))` created without `mod(o)`) never existed
+/// and are left out.
 ///
-/// The timeline follows the *deepest* version's chain; intermediate
-/// versions that were skipped by `v*` fallback (e.g. `del(mod(o))`
-/// created without `mod(o)`) appear with an empty own state and are
-/// diffed against the nearest existing predecessor.
+/// Returns `None` for an unknown object, or one whose versions do not
+/// lie on one chain (non-version-linear store).
+pub(crate) fn timeline(
+    result: &ObjectBase,
+    base: Const,
+) -> Option<Vec<(Vid, Option<&VersionState>)>> {
+    let versions: Vec<Vid> = result.versions_of(base).collect();
+    let deepest = *versions.iter().max_by_key(|v| v.depth())?;
+    if !versions.iter().all(|v| v.is_subterm_of(deepest)) {
+        return None;
+    }
+    let steps = deepest.subterms().map(|vid| (vid, result.version(vid)));
+    Some(steps.filter(|&(vid, state)| vid.depth() == 0 || state.is_some()).collect())
+}
+
+/// Reconstruct the version timeline of `base` from a `result(P)` store
+/// (the walk `timeline` owns), each step diffed against the previous one.
 ///
 /// Returns `None` if the object has versions that do not lie on one
 /// chain (non-version-linear store).
 pub fn history(result: &ObjectBase, base: Const) -> Option<History> {
-    let mut versions: Vec<Vid> = result.versions_of(base).collect();
-    if versions.is_empty() {
-        return None;
-    }
-    versions.sort_by_key(|v| v.depth());
-    let deepest = *versions.last().expect("non-empty");
-    if !versions.iter().all(|v| v.is_subterm_of(deepest)) {
-        return None;
-    }
-
-    let mut steps = Vec::new();
-    let mut prev_state: Option<&VersionState> = None;
-    let mut prev_vid: Option<Vid> = None;
-    for vid in deepest.subterms() {
-        // Versions skipped by v* fallback never existed: elide them, and
-        // diff against the last existing state.
-        let cur_state = result.version(vid);
-        if cur_state.is_none() && vid != deepest && vid.depth() > 0 {
-            continue;
-        }
-        let (added, removed) = diff(prev_state, cur_state.or(prev_state));
-        let kind = if vid.depth() == 0 {
-            None
-        } else {
-            prev_vid
-                .map(|_| vid.chain().outermost().expect("depth > 0"))
-                .or_else(|| vid.chain().outermost())
-        };
-        steps.push(HistoryStep { vid, kind, added, removed });
-        if cur_state.is_some() {
-            prev_state = cur_state;
-        }
-        prev_vid = Some(vid);
-    }
+    let mut prev = None;
+    let steps = timeline(result, base)?
+        .into_iter()
+        .map(|(vid, state)| {
+            let (added, removed) = diff(prev, state);
+            prev = state;
+            HistoryStep { vid, kind: vid.chain().outermost(), added, removed }
+        })
+        .collect();
     Some(History { base, steps })
 }
 
@@ -180,6 +174,45 @@ mod tests {
         let h = history(out.result(), oid("ghost")).unwrap();
         assert_eq!(h.updates(), 1);
         assert_eq!(h.steps[1].added, vec![(sym("p"), Args::empty(), int(1))]);
+    }
+
+    /// `history` and `Timeline::of` read one walk: on a skipped
+    /// intermediate, a created object, an untouched object and a
+    /// non-linear store they agree step by step.
+    #[test]
+    fn history_and_timeline_agree_step_by_step() {
+        use crate::temporal::Timeline;
+        let skipped = outcome("o.p -> 1. o.q -> 2.", "d: del[mod(o)].p -> 1 <= o.p -> 1.");
+        let created = outcome("seed.go -> 1.", "c: ins[ghost].p -> 1 <= seed.go -> 1.");
+        let untouched = outcome("a.p -> 1. b.q -> 2.", "x: ins[a].r -> 3 <= a.p -> 1.");
+        let non_linear =
+            ObjectBase::parse("o.m -> a. mod(o).m -> b. ins(o).m -> a. ins(o).extra -> 1.")
+                .unwrap();
+        for (ob, object, states) in [
+            (skipped.result(), "o", Some(2)),
+            (created.result(), "ghost", Some(2)),
+            (untouched.result(), "b", Some(1)),
+            (&non_linear, "o", None),
+        ] {
+            let h = history(ob, oid(object));
+            let t = Timeline::of(ob, oid(object));
+            assert_eq!(h.as_ref().map(|h| h.steps.len()), states, "{object}");
+            assert_eq!(t.as_ref().map(Timeline::len), states, "{object}");
+            let (Some(h), Some(t)) = (h, t) else { continue };
+            let mut prev: Vec<DiffEntry> = Vec::new();
+            for (k, step) in h.steps.iter().enumerate() {
+                let state = t.state(k).unwrap();
+                assert_eq!((step.vid, step.kind), (state.vid, state.kind), "{object} step {k}");
+                // Replaying the diffs rebuilds the timeline's state.
+                prev.retain(|e| !step.removed.contains(e));
+                prev.extend(step.added.iter().cloned());
+                let mut facts: Vec<DiffEntry> =
+                    state.facts().map(|f| (f.method, f.args.clone(), f.result)).collect();
+                facts.sort();
+                prev.sort();
+                assert_eq!(prev, facts, "{object} step {k}");
+            }
+        }
     }
 
     #[test]

@@ -51,9 +51,9 @@
 
 use std::borrow::Cow;
 
-use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateSpec, VersionAtom};
+use ruvo_lang::{Atom, Literal, PlannedLiteral, Rule, UpdateAtom, UpdateSpec, VersionAtom};
 use ruvo_obase::{exists_sym, MethodApp, ObjectBase, RelationDelta};
-use ruvo_term::{ArgTerm, Bindings, Const, UpdateKind, Vid, VidRef, VidTerm};
+use ruvo_term::{ArgTerm, Bindings, Chain, Const, Vid, VidRef, VidTerm};
 
 use crate::plan::{RuleIndexPlan, ScanHint, StartCandidate};
 use crate::truth;
@@ -205,12 +205,8 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
                         };
                         scan_version(ctx, &va, hint, seed, pos, cur);
                     }
-                    spec @ UpdateSpec::Del { .. } => {
-                        scan_del(ctx, ua.target, spec, seed_bases, pos, cur);
-                    }
-                    spec @ UpdateSpec::Mod { .. } => {
-                        scan_mod(ctx, ua.target, spec, seed_bases, pos, cur);
-                    }
+                    UpdateSpec::Del { .. } => scan_del(ctx, ua, seed_bases, pos, cur),
+                    UpdateSpec::Mod { .. } => scan_mod(ctx, ua, seed_bases, pos, cur),
                     UpdateSpec::DelAll => {
                         unreachable!("del-all in a body is rejected by validation")
                     }
@@ -437,11 +433,11 @@ fn scan_version(
 
 /// Candidate target versions for a del/mod body update-term scan:
 /// the single ground target, the seed set's objects, or every base
-/// having the created version with `index_method` defined.
+/// having the `created` chain's version with `index_method` defined.
 fn target_candidates(
     ob: &ObjectBase,
     target: VidTerm,
-    kind: UpdateKind,
+    created: Chain,
     index_method: ruvo_term::Symbol,
     seed: Option<&RelationDelta>,
     b: &Bindings,
@@ -458,12 +454,10 @@ fn target_candidates(
             // Seeded: candidate targets are the delta's objects; the
             // exists/`v*` checks below weed out the irrelevant ones.
             Some(s) => s.bases().map(|base| Vid::new(base, target.chain)).collect(),
-            None => {
-                let Ok(created) = target.chain.push(kind) else { return Vec::new() };
-                ob.versions_with(created, index_method)
-                    .map(|v| Vid::new(v.base(), target.chain))
-                    .collect()
-            }
+            None => ob
+                .versions_with(created, index_method)
+                .map(|v| Vid::new(v.base(), target.chain))
+                .collect(),
         },
     }
 }
@@ -472,22 +466,21 @@ fn target_candidates(
 /// `v*.m -> r ∈ I ∧ del(v).exists -> o ∈ I ∧ del(v).m -> r ∉ I`.
 fn scan_del(
     ctx: &MatchCtx<'_>,
-    target: VidTerm,
-    spec: &UpdateSpec,
+    ua: &UpdateAtom,
     seed: Option<&RelationDelta>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
-    let UpdateSpec::Del { method, args, result } = spec else {
+    let UpdateSpec::Del { method, args, result } = &ua.spec else {
         unreachable!("scan_del on a non-del spec");
     };
-    let (method, result) = (*method, *result);
+    let (method, result, target, chain) = (*method, *result, ua.target, ua.created_term().chain);
     let ob = ctx.ob;
     // Candidates must have del(v).exists: enumerate the del-chain's
     // versions through the `(chain, exists)` presence index.
-    for tvid in target_candidates(ob, target, UpdateKind::Del, exists_sym(), seed, cur.b) {
+    for tvid in target_candidates(ob, target, chain, exists_sym(), seed, cur.b) {
         cur.candidates += 1;
-        let Ok(created) = tvid.apply(UpdateKind::Del) else { continue };
+        let created = Vid::new(tvid.base(), chain);
         if !ob.exists_fact(created) {
             continue;
         }
@@ -517,21 +510,20 @@ fn scan_del(
 /// (changed and unchanged result; ARCHITECTURE.md, decision D5).
 fn scan_mod(
     ctx: &MatchCtx<'_>,
-    target: VidTerm,
-    spec: &UpdateSpec,
+    ua: &UpdateAtom,
     seed: Option<&RelationDelta>,
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
-    let UpdateSpec::Mod { method, args, from, to } = spec else {
+    let UpdateSpec::Mod { method, args, from, to } = &ua.spec else {
         unreachable!("scan_mod on a non-mod spec");
     };
     let (method, pair) = (*method, PairPattern { args, from: *from, to: *to });
-    let ob = ctx.ob;
+    let (target, chain, ob) = (ua.target, ua.created_term().chain, ctx.ob);
     // Both clauses require mod(v).m defined; use it as candidate index.
-    for tvid in target_candidates(ob, target, UpdateKind::Mod, method, seed, cur.b) {
+    for tvid in target_candidates(ob, target, chain, method, seed, cur.b) {
         cur.candidates += 1;
-        let Ok(created) = tvid.apply(UpdateKind::Mod) else { continue };
+        let created = Vid::new(tvid.base(), chain);
         let Some(v_star) = ob.v_star(tvid) else { continue };
         let mark = cur.b.mark();
         if target.base.matches(tvid.base(), cur.b) {
@@ -612,7 +604,7 @@ mod tests {
     use crate::plan::IndexPlan;
     use ruvo_lang::Program;
     use ruvo_obase::{Args, ChangedSince};
-    use ruvo_term::{int, oid, sym, Chain, FastHashSet, VarId};
+    use ruvo_term::{int, oid, sym, Chain, FastHashSet, UpdateKind, VarId};
 
     fn matches_with(
         ob: &ObjectBase,

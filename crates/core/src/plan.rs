@@ -139,7 +139,9 @@ pub fn reads_by_membership(lit: &Literal) -> bool {
     }
 }
 
-fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
+/// The index plan of one rule (a goal's, a demand rule's, or one of a
+/// program's, through [`IndexPlan::of`]).
+pub(crate) fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
     let mut bound = vec![false; rule.vars.len()];
     let mut hints = Vec::with_capacity(rule.plan.steps.len());
     let mut reads = Vec::with_capacity(rule.plan.steps.len());

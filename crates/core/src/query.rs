@@ -44,18 +44,20 @@
 //! no rule writes, so guarding never adds stratification edges: the
 //! guarded program stratifies exactly like the pruned one.
 //!
-//! A rewritten program depends on which rules the goal keeps and on the
-//! magic method name, never on the goal's constants, so each one is
-//! compiled once per [`CompiledProgram`] and shared by every plan that
-//! needs it (`Rewrites`). What stays per goal is the analysis:
-//! relevance, the seeds and demand rules, and the goal's own index
-//! plan.
+//! Everything about a rewrite except the goal's own literals depends
+//! only on which rules relevance keeps, so each [`CompiledProgram`]
+//! keeps one entry per kept-rule set (`Rewrites`), built by the first
+//! goal that keeps those rules: the pruned and guarded programs, the
+//! magic method (fresh for the kept rules), and the kept rules' seeds
+//! and demand rules. A plan adds only relevance, the goal's index plan
+//! and the seeds and demand rules of the goal's own literals; a goal
+//! that reads the magic method runs the pruned program.
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use ruvo_lang::pretty::{const_str, literal_str};
-use ruvo_lang::{Atom, Goal, Literal, Program, Rule, VersionAtom};
+use ruvo_lang::pretty::{const_str, literal_str, symbol_str};
+use ruvo_lang::{Atom, Goal, Literal, Program, Rule, VarTable, VersionAtom};
 use ruvo_obase::{Args, ObjectBase};
 use ruvo_term::{
     int, sym, BaseTerm, Chain, Const, FastHashMap, FastHashSet, Symbol, VarId, Vid, VidRef, VidTerm,
@@ -64,10 +66,10 @@ use ruvo_term::{
 use crate::engine::{run_compiled, CompiledProgram, EngineConfig};
 use crate::error::EvalError;
 use crate::matcher::for_each_match;
-use crate::plan::{literal_reads, IndexPlan, RuleIndexPlan};
+use crate::plan::{literal_reads, rule_index_plan, RuleIndexPlan};
 
 /// The base name of the magic (demand) method; uniquified against the
-/// program's and goal's method vocabulary before use.
+/// kept rules' method vocabulary before use.
 const MAGIC_METHOD: &str = "?demand";
 
 /// How a query plan evaluates relative to full evaluation.
@@ -99,6 +101,7 @@ impl fmt::Display for QueryMode {
 /// base-complete body literals hold over the input base, so
 /// evaluating just those over the base enumerates every object the
 /// rule can pull a derived relation from.
+#[derive(Debug)]
 struct DemandRule {
     /// The base-complete prerequisite conjunction, packaged as a
     /// (ground-headed) goal so it reuses validation and the safety
@@ -115,19 +118,41 @@ struct DemandRule {
     x: Option<VarId>,
 }
 
-/// The seeding half of a [`QueryPlan`] (present in
-/// [`QueryMode::Seeded`] only).
-struct SeedPlan {
-    /// The fresh magic method the guards read.
-    magic: Symbol,
+/// What some literals demand: a goal's own (per plan) or the kept
+/// rules' (per [`Rewrite`]).
+#[derive(Debug, Default)]
+struct Demand {
     /// Statically demanded objects: the constant targets of derived
-    /// literals in the goal and in kept rules.
+    /// literals; sorted, deduplicated.
     seeds: Vec<Const>,
     /// Demand-propagation rules, evaluated over the input base.
-    demands: Vec<DemandRule>,
-    /// The kept rules, unguarded: what [`run_query`] runs when a
-    /// demanded object is missing from the base.
+    rules: Vec<DemandRule>,
+}
+
+/// The guarded half of a [`Rewrite`]: what a seeded plan runs.
+#[derive(Debug)]
+struct Guards {
+    /// The fresh magic method the guards read.
+    magic: Symbol,
+    /// The kept rules, variable-headed ones guarded.
+    program: Arc<CompiledProgram>,
+    /// What the kept rules' bodies demand.
+    demand: Demand,
+}
+
+/// The entry of one kept-rule set in [`Rewrites`]: everything a
+/// rewrite reads except the goal's own literals.
+#[derive(Debug)]
+struct Rewrite {
+    /// The kept rules, unguarded: what a pruned or full plan runs, and
+    /// a seeded one when a demanded object is missing from the base.
     pruned: Arc<CompiledProgram>,
+    /// The chains the kept rules create: a literal reading one reads a
+    /// derived relation.
+    created: FastHashSet<Chain>,
+    /// The guarded rewrite, or why no goal keeping these rules can be
+    /// seeded.
+    guards: Result<Guards, String>,
 }
 
 /// A compiled query: the goal, the rewritten program, and the demand
@@ -140,8 +165,9 @@ pub struct QueryPlan {
     reason: Option<String>,
     kept: Vec<usize>,
     total_rules: usize,
-    exec: Arc<CompiledProgram>,
-    seeding: Option<SeedPlan>,
+    rewrite: Arc<Rewrite>,
+    /// What the goal's own literals demand ([`QueryMode::Seeded`] only).
+    demand: Option<Demand>,
 }
 
 /// The answers to a query: one row of constants per named goal
@@ -206,15 +232,23 @@ impl QueryPlan {
 
     /// The program the plan actually runs (guarded, pruned, or the
     /// original, per [`QueryPlan::mode`]): compiled once per kept-rule
-    /// set and magic method, and shared with every plan of the same
-    /// [`CompiledProgram`] that keeps the same rules.
+    /// set and shared with every plan of the same [`CompiledProgram`]
+    /// that keeps the same rules.
     pub fn program(&self) -> &Arc<CompiledProgram> {
-        &self.exec
+        match self.seeded() {
+            Some((guards, _)) => &guards.program,
+            None => &self.rewrite.pruned,
+        }
     }
 
     /// Indices (into the original program) of the rules the plan kept.
     pub fn kept_rules(&self) -> &[usize] {
         &self.kept
+    }
+
+    /// The kept rules' guards and the goal's own demand, when seeded.
+    fn seeded(&self) -> Option<(&Guards, &Demand)> {
+        Some((self.rewrite.guards.as_ref().ok()?, self.demand.as_ref()?))
     }
 
     /// A deterministic, human-readable rendering of the whole rewrite
@@ -236,20 +270,24 @@ impl QueryPlan {
         }
         let _ = writeln!(s, "rules kept: {} of {}", self.kept.len(), self.total_rules);
         let _ = writeln!(s, "rewritten program:");
-        for rule in &self.exec.program().rules {
+        for rule in &self.program().program().rules {
             let _ = writeln!(s, "  {rule}");
         }
-        if let Some(seeding) = &self.seeding {
-            let _ = writeln!(s, "magic method: {}", ruvo_lang::pretty::symbol_str(seeding.magic));
-            let rendered: Vec<String> = seeding.seeds.iter().map(|&c| const_str(c)).collect();
+        if let Some((guards, goal)) = self.seeded() {
+            let _ = writeln!(s, "magic method: {}", symbol_str(guards.magic));
+            let mut seeds: Vec<Const> =
+                goal.seeds.iter().chain(&guards.demand.seeds).copied().collect();
+            seeds.sort();
+            seeds.dedup();
+            let rendered: Vec<String> = seeds.into_iter().map(const_str).collect();
             let _ = writeln!(s, "seeds: [{}]", rendered.join(", "));
-            for d in &seeding.demands {
+            for d in goal.rules.iter().chain(&guards.demand.rules) {
                 let vars = d.body.vars();
                 let lits: Vec<String> = d
                     .body
                     .body()
                     .iter()
-                    .map(|lit| literal_str(lit, vars, &ruvo_lang::VarTable::new()))
+                    .map(|lit| literal_str(lit, vars, &VarTable::new()))
                     .collect();
                 let when = match d.x {
                     Some(x) => format!(" when {} demanded", vars.name(x)),
@@ -265,48 +303,29 @@ impl QueryPlan {
 /// Build the demand plan for `goal` against `compiled`. Infallible:
 /// every analysis obstacle degrades the [`QueryMode`] instead of
 /// erroring, and the recorded reason says what blocked the stronger
-/// mode. Compiles nothing once `compiled` has served a goal with the
-/// same kept rules: the rewritten programs come from its table of
-/// compiled rewrites.
+/// mode. Reads its kept rules' entry from `compiled`'s table of
+/// rewrites, building it the first time; the rest is the goal's own
+/// analysis.
 pub fn plan_query(compiled: &CompiledProgram, goal: Goal) -> QueryPlan {
-    let program = compiled.program();
-    let goal_plan = goal_index_plan(&goal);
-    let rel = relevance(program, &goal);
-    if rel.vid_rule {
-        let reason =
-            "a relevant rule reads through a VID variable ($V), which can touch any version"
-                .to_owned();
-        return full_plan(compiled, goal, goal_plan, Some(reason));
-    }
-    let pruned = match compiled.rewrites.get_or_compile(compiled, &rel.kept, None) {
-        Ok(pruned) => pruned,
-        // A rule subset keeps a subset of the stratification
-        // constraints, so this cannot fail in practice; degrade
-        // gracefully anyway.
-        Err(reason) => return full_plan(compiled, goal, goal_plan, Some(reason)),
-    };
-    let created: FastHashSet<Chain> =
-        rel.kept.iter().map(|&i| program.rules[i].head.created_term().chain).collect();
-    let seeded = seeding(program, &goal, &rel.kept, &created, Arc::clone(&pruned)).and_then(|s| {
-        Ok((compiled.rewrites.get_or_compile(compiled, &rel.kept, Some(s.magic))?, s))
-    });
-    let (mode, reason, exec, seeding) = match seeded {
-        Ok((exec, seeding)) => (QueryMode::Seeded, None, exec, Some(seeding)),
-        Err(reason) if rel.kept.len() == program.rules.len() => {
-            return full_plan(compiled, goal, goal_plan, Some(reason));
+    let total_rules = compiled.program().rules.len();
+    let goal_plan = rule_index_plan(goal.as_rule());
+    let kept = relevance(compiled.program(), &goal);
+    let rewrite = compiled.rewrites.get_or_build(compiled, &kept);
+    // The goal's own obstacles are reported before the kept rules'.
+    let demand = goal_demand(&goal, &rewrite.created).and_then(|demand| {
+        let magic = rewrite.guards.as_ref().map_err(String::clone)?.magic;
+        if goal.body().iter().any(|lit| atom_method(&lit.atom) == Some(magic)) {
+            // Its guard facts would be visible to the goal.
+            return Err(format!("the goal reads the magic method {}", symbol_str(magic)));
         }
-        Err(reason) => (QueryMode::Pruned, Some(reason), pruned, None),
+        Ok(demand)
+    });
+    let (mode, reason, demand) = match demand {
+        Ok(demand) => (QueryMode::Seeded, None, Some(demand)),
+        Err(reason) if kept.len() == total_rules => (QueryMode::Full, Some(reason), None),
+        Err(reason) => (QueryMode::Pruned, Some(reason), None),
     };
-    QueryPlan {
-        goal,
-        goal_plan,
-        mode,
-        reason,
-        kept: rel.kept,
-        total_rules: program.rules.len(),
-        exec,
-        seeding,
-    }
+    QueryPlan { goal, goal_plan, mode, reason, kept, total_rules, rewrite, demand }
 }
 
 /// Run a query plan over `work`, as it is: nothing is prepared.
@@ -322,15 +341,15 @@ pub fn run_query(
     config: &EngineConfig,
     mut work: ObjectBase,
 ) -> Result<QueryAnswers, EvalError> {
-    let mut exec = &plan.exec;
-    if let Some(seeding) = &plan.seeding {
-        let demanded = demand_fixpoint(seeding, &work);
+    let mut exec = plan.program();
+    if let Some((guards, goal)) = plan.seeded() {
+        let demanded = demand_fixpoint([goal, &guards.demand], &work);
         if demanded.iter().all(|&c| work.exists_fact(Vid::object(c))) {
             for c in demanded {
-                work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
+                work.insert(Vid::object(c), guards.magic, Args::empty(), int(1));
             }
         } else {
-            exec = &seeding.pruned;
+            exec = &plan.rewrite.pruned;
         }
     }
     let outcome = run_compiled(exec, config, work)?;
@@ -342,8 +361,7 @@ pub fn run_query(
 /// and — applied to a full evaluation's `result(P)` — the escape hatch
 /// from the demand rewrite.
 pub fn match_goal(ob: &ObjectBase, goal: &Goal) -> QueryAnswers {
-    let plan = goal_index_plan(goal);
-    match_goal_planned(ob, goal, &plan)
+    match_goal_planned(ob, goal, &rule_index_plan(goal.as_rule()))
 }
 
 fn match_goal_planned(ob: &ObjectBase, goal: &Goal, plan: &RuleIndexPlan) -> QueryAnswers {
@@ -360,86 +378,34 @@ fn match_goal_planned(ob: &ObjectBase, goal: &Goal, plan: &RuleIndexPlan) -> Que
     QueryAnswers { vars, rows }
 }
 
-fn goal_index_plan(goal: &Goal) -> RuleIndexPlan {
-    let program = Program { rules: vec![goal.as_rule().clone()] };
-    IndexPlan::of(&program).rules.remove(0)
-}
-
-fn full_plan(
-    compiled: &CompiledProgram,
-    goal: Goal,
-    goal_plan: RuleIndexPlan,
-    reason: Option<String>,
-) -> QueryPlan {
-    let total = compiled.program().rules.len();
-    let kept: Vec<usize> = (0..total).collect();
-    let exec = compiled
-        .rewrites
-        .get_or_compile(compiled, &kept, None)
-        .expect("every rule, unguarded, is the program itself, which compiled under this policy");
-    QueryPlan {
-        goal,
-        goal_plan,
-        mode: QueryMode::Full,
-        reason,
-        kept,
-        total_rules: total,
-        exec,
-        seeding: None,
-    }
-}
-
-/// What a rewrite compiled to, or why it failed to.
-type Rewrite = Result<Arc<CompiledProgram>, String>;
-
-/// The rewrites of one magic name, by kept-rule set.
-type ByKept = FastHashMap<Box<[usize]>, Rewrite>;
-
-/// The compiled rewrites of one [`CompiledProgram`], keyed by exactly
-/// what a rewrite reads: the magic method of its guards (`None` for the
-/// unguarded kept rules) and the indices of the rules it keeps. The
-/// goal's constants only choose the seeds, so two goals with the same
-/// kept rules share one compiled rewrite. A failed compile is kept too,
-/// so its fallback costs no compile either.
+/// The rewrites of one [`CompiledProgram`], one entry per kept-rule
+/// set: the kept indices are all an entry reads besides the program and
+/// its cycle policy, so two goals with the same kept rules share it.
 ///
 /// Entries are never evicted: the table holds one entry per distinct
-/// kept-rule set the goals asked so far produced (a subset of the
-/// program's rules, so up to 2^rules of them) and magic name, and goals
-/// with one kept set get different magic names only when they
-/// themselves name `?demand…` methods (ARCHITECTURE.md, decision D9).
+/// kept-rule set the goals asked so far produced, a subset of the
+/// program's rules, so up to 2^rules of them (ARCHITECTURE.md,
+/// decision D9).
 #[derive(Debug, Default)]
 pub(crate) struct Rewrites {
-    table: RwLock<FastHashMap<Option<Symbol>, ByKept>>,
+    table: RwLock<FastHashMap<Box<[usize]>, Arc<Rewrite>>>,
 }
 
 impl Rewrites {
-    /// The rewrite of `compiled` (whose table this is) keeping `kept`
-    /// and guarded by `magic`. A miss compiles outside the lock; when
-    /// two threads race on one key, both get the first one inserted.
-    /// A poisoned lock is used as is: the only write inserts a finished
-    /// entry, so a panic elsewhere cannot leave the table half-updated.
-    fn get_or_compile(
-        &self,
-        compiled: &CompiledProgram,
-        kept: &[usize],
-        magic: Option<Symbol>,
-    ) -> Rewrite {
+    /// The entry of `compiled` (whose table this is) for the rules at
+    /// `kept`. A miss builds outside the lock; when two threads race on
+    /// one key, both get the first one inserted. A poisoned lock is used
+    /// as is: the only write inserts a finished entry, so a panic
+    /// elsewhere cannot leave the table half-updated.
+    fn get_or_build(&self, compiled: &CompiledProgram, kept: &[usize]) -> Arc<Rewrite> {
         let table = self.table.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = table.get(&magic).and_then(|by_kept| by_kept.get(kept)) {
-            return hit.clone();
+        if let Some(hit) = table.get(kept) {
+            return Arc::clone(hit);
         }
         drop(table);
-        let program = match magic {
-            Some(magic) => guarded_program(compiled.program(), kept, magic),
-            None => Ok(kept_program(compiled.program(), kept)),
-        };
-        let built = program.and_then(|p| {
-            CompiledProgram::compile(p, compiled.cycle_policy())
-                .map(Arc::new)
-                .map_err(|e| format!("rewritten program failed to stratify: {e}"))
-        });
+        let built = Arc::new(Rewrite::build(compiled, kept));
         let mut table = self.table.write().unwrap_or_else(|e| e.into_inner());
-        table.entry(magic).or_default().entry(kept.into()).or_insert(built).clone()
+        Arc::clone(table.entry(kept.into()).or_insert(built))
     }
 }
 
@@ -450,30 +416,78 @@ impl Clone for Rewrites {
     }
 }
 
-/// The rules of `program` at `kept`, in order.
-fn kept_program(program: &Program, kept: &[usize]) -> Program {
-    Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() }
+impl Rewrite {
+    fn build(compiled: &CompiledProgram, kept: &[usize]) -> Rewrite {
+        let program = compiled.program();
+        let rules = Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() };
+        let created = rules.rules.iter().map(|rule| rule.head.created_term().chain).collect();
+        let guards = Guards::build(compiled, kept, &created);
+        // Every §4 constraint is between two rules, so a subset of a
+        // stratified program's rules stratifies too.
+        let pruned = CompiledProgram::compile(rules, compiled.cycle_policy())
+            .expect("a subset of a compiled program's rules compiles under its policy");
+        Rewrite { pruned: Arc::new(pruned), created, guards }
+    }
 }
 
-/// The result of the relevance closure.
-struct Relevance {
-    /// Indices of relevant rules, in original order.
-    kept: Vec<usize>,
-    /// A relevant rule reads through a VID variable.
-    vid_rule: bool,
+impl Guards {
+    /// The guarded rewrite of the rules at `kept`, or the first obstacle
+    /// to it: a `$V` read, no variable head to guard, a kept rule's
+    /// unjustified demand, or a failed compile.
+    fn build(
+        compiled: &CompiledProgram,
+        kept: &[usize],
+        created: &FastHashSet<Chain>,
+    ) -> Result<Guards, String> {
+        let program = compiled.program();
+        let rules = || kept.iter().map(|&i| (i, &program.rules[i]));
+        if rules().any(|(_, rule)| rule.body.iter().any(|lit| literal_reads(lit).is_none())) {
+            return Err("a relevant rule reads through a VID variable ($V), which can touch any \
+                        version"
+                .to_owned());
+        }
+        if !rules().any(|(_, rule)| rule.head.target.base.as_var().is_some()) {
+            return Err(
+                "every relevant rule has a constant head target — nothing to guard".to_owned()
+            );
+        }
+        let mut demand = Demand::default();
+        for (i, rule) in rules() {
+            let what = match &rule.label {
+                Some(l) => format!("rule {l}"),
+                None => format!("rule #{i}"),
+            };
+            demand.add(&rule.body, &rule.vars, rule.head.target.base.as_var(), created, &what)?;
+        }
+        let magic = fresh_magic(rules().map(|(_, rule)| rule));
+        let guarded = guarded_program(rules().map(|(_, rule)| rule), magic)?;
+        let program = CompiledProgram::compile(guarded, compiled.cycle_policy())
+            .map_err(|e| format!("rewritten program failed to stratify: {e}"))?;
+        Ok(Guards { magic, program: Arc::new(program), demand })
+    }
+}
+
+/// What `goal`'s own literals demand, or why the goal cannot be seeded:
+/// a derived literal's target is not bound by its base-complete
+/// literals.
+fn goal_demand(goal: &Goal, created: &FastHashSet<Chain>) -> Result<Demand, String> {
+    let mut demand = Demand::default();
+    demand.add(goal.body(), goal.vars(), None, created, "the goal")?;
+    Ok(demand)
 }
 
 /// Chain-granularity relevance: a rule is relevant iff the chain it
 /// creates is demanded; demanding a rule demands everything its body
-/// reads plus every prefix of its created chain (copy sources).
-fn relevance(program: &Program, goal: &Goal) -> Relevance {
+/// reads plus every prefix of its created chain (copy sources). Returns
+/// the indices of the relevant rules, in program order: every rule once
+/// a relevant rule reads through a `$V`.
+fn relevance(program: &Program, goal: &Goal) -> Vec<usize> {
     let mut demanded: FastHashSet<Chain> = FastHashSet::default();
     for lit in goal.body() {
         let reads = literal_reads(lit).expect("goals reject VID variables");
         demanded.extend(reads.into_iter().map(|(c, _)| c));
     }
     let mut kept = vec![false; program.rules.len()];
-    let mut vid_rule = false;
     let mut all_chains = false;
     loop {
         let mut grew = false;
@@ -493,12 +507,9 @@ fn relevance(program: &Program, goal: &Goal) -> Relevance {
             for lit in &rule.body {
                 match literal_reads(lit) {
                     Some(reads) => demanded.extend(reads.into_iter().map(|(c, _)| c)),
-                    None => {
-                        // A $V atom reads every relation: from here on
-                        // every rule is relevant.
-                        vid_rule = true;
-                        all_chains = true;
-                    }
+                    // A $V atom reads every relation: from here on
+                    // every rule is relevant.
+                    None => all_chains = true,
                 }
             }
         }
@@ -506,8 +517,7 @@ fn relevance(program: &Program, goal: &Goal) -> Relevance {
             break;
         }
     }
-    let kept: Vec<usize> = (0..program.rules.len()).filter(|&i| kept[i]).collect();
-    Relevance { kept, vid_rule }
+    (0..program.rules.len()).filter(|&i| kept[i]).collect()
 }
 
 /// True iff the literal can read a relation some kept rule writes
@@ -530,35 +540,23 @@ fn target_base(atom: &Atom) -> Option<BaseTerm> {
     }
 }
 
-/// A fresh method name absent from the program's and goal's method
-/// vocabulary, so the guards read a relation nothing else reads or
-/// writes.
-fn fresh_magic(program: &Program, kept: &[usize], goal: &Goal) -> Symbol {
+/// The method an atom reads or updates (`None` for built-ins and
+/// `del[..].*`).
+fn atom_method(atom: &Atom) -> Option<Symbol> {
+    match atom {
+        Atom::Version(va) => Some(va.method),
+        Atom::Update(ua) => ua.spec.method(),
+        Atom::Cmp(_) => None,
+    }
+}
+
+/// A fresh method name absent from `rules`' method vocabulary, so the
+/// guards read a relation no rule reads or writes.
+fn fresh_magic<'a>(rules: impl Iterator<Item = &'a Rule>) -> Symbol {
     let mut vocab: FastHashSet<Symbol> = FastHashSet::default();
-    fn add_atom(vocab: &mut FastHashSet<Symbol>, atom: &Atom) {
-        match atom {
-            Atom::Version(va) => {
-                vocab.insert(va.method);
-            }
-            Atom::Update(ua) => {
-                if let Some(m) = ua.spec.method() {
-                    vocab.insert(m);
-                }
-            }
-            Atom::Cmp(_) => {}
-        }
-    }
-    for &i in kept {
-        let rule = &program.rules[i];
-        if let Some(m) = rule.head.spec.method() {
-            vocab.insert(m);
-        }
-        for lit in &rule.body {
-            add_atom(&mut vocab, &lit.atom);
-        }
-    }
-    for lit in goal.body() {
-        add_atom(&mut vocab, &lit.atom);
+    for rule in rules {
+        vocab.extend(rule.head.spec.method());
+        vocab.extend(rule.body.iter().filter_map(|lit| atom_method(&lit.atom)));
     }
     let mut name = MAGIC_METHOD.to_owned();
     let mut k = 1;
@@ -569,28 +567,19 @@ fn fresh_magic(program: &Program, kept: &[usize], goal: &Goal) -> Symbol {
     sym(&name)
 }
 
-/// The demand analysis: decide where every derived relation a kept
-/// rule (or the goal) reads gets its demanded objects from, or report
-/// the literal that blocks seeding.
-fn seeding(
-    program: &Program,
-    goal: &Goal,
-    kept: &[usize],
-    created: &FastHashSet<Chain>,
-    pruned: Arc<CompiledProgram>,
-) -> Result<SeedPlan, String> {
-    if !kept.iter().any(|&i| matches!(program.rules[i].head.target.base, BaseTerm::Var(_))) {
-        return Err("every relevant rule has a constant head target — nothing to guard".to_owned());
-    }
-    let magic = fresh_magic(program, kept, goal);
-    let mut seeds: FastHashSet<Const> = FastHashSet::default();
-    let mut demands: Vec<DemandRule> = Vec::new();
-
-    let mut analyze = |body: &[Literal],
-                       vars: &ruvo_lang::VarTable,
-                       head_var: Option<VarId>,
-                       what: &str|
-     -> Result<(), String> {
+impl Demand {
+    /// Add what `body` demands: decide where every derived relation it
+    /// reads gets its demanded objects from, or report the literal that
+    /// blocks seeding. `head_var` is the head target of the rule `body`
+    /// belongs to (`None` for a goal); `what` names it in the error.
+    fn add(
+        &mut self,
+        body: &[Literal],
+        vars: &VarTable,
+        head_var: Option<VarId>,
+        created: &FastHashSet<Chain>,
+        what: &str,
+    ) -> Result<(), String> {
         // The base-complete prerequisite: positive non-built-in
         // literals reading only relations no kept rule writes. Their
         // facts are immutable during evaluation, so they may be
@@ -615,9 +604,7 @@ fn seeding(
             }
             let Some(target) = target_base(&lit.atom) else { continue };
             match target {
-                BaseTerm::Const(c) => {
-                    seeds.insert(c);
-                }
+                BaseTerm::Const(c) => self.seeds.push(c),
                 BaseTerm::Var(v) if Some(v) == head_var => {
                     // Self-read: covered by this rule's own guard.
                 }
@@ -627,9 +614,9 @@ fn seeding(
                     }
                     let body = Goal::from_body(base_lits.clone(), vars.clone())
                         .map_err(|e| format!("demand rule for {what} is unplannable: {e}"))?;
-                    let plan = goal_index_plan(&body);
+                    let plan = rule_index_plan(body.as_rule());
                     let x = head_var.filter(|h| base_vars.contains(h));
-                    demands.push(DemandRule { body, plan, v, x });
+                    self.rules.push(DemandRule { body, plan, v, x });
                 }
                 BaseTerm::Var(v) => {
                     return Err(format!(
@@ -640,32 +627,21 @@ fn seeding(
                 }
             }
         }
+        self.seeds.sort();
+        self.seeds.dedup();
         Ok(())
-    };
-
-    analyze(goal.body(), goal.vars(), None, "the goal")?;
-    for &i in kept {
-        let rule = &program.rules[i];
-        let head_var = rule.head.target.base.as_var();
-        let what = match &rule.label {
-            Some(l) => format!("rule {l}"),
-            None => format!("rule #{i}"),
-        };
-        analyze(&rule.body, &rule.vars, head_var, &what)?;
     }
-
-    let mut seeds: Vec<Const> = seeds.into_iter().collect();
-    seeds.sort();
-    Ok(SeedPlan { magic, seeds, demands, pruned })
 }
 
 /// The kept rules with magic guards prepended to every variable-headed
 /// rule. Constant-headed rules run unguarded (they fire at most once
 /// per body match and write a statically known object).
-fn guarded_program(program: &Program, kept: &[usize], magic: Symbol) -> Result<Program, String> {
-    let mut rules = Vec::with_capacity(kept.len());
-    for &i in kept {
-        let rule = &program.rules[i];
+fn guarded_program<'a>(
+    rules: impl Iterator<Item = &'a Rule>,
+    magic: Symbol,
+) -> Result<Program, String> {
+    let mut guarded = Vec::new();
+    for rule in rules {
         match rule.head.target.base {
             BaseTerm::Var(x) => {
                 let guard = Literal::pos(Atom::Version(VersionAtom {
@@ -677,25 +653,25 @@ fn guarded_program(program: &Program, kept: &[usize], magic: Symbol) -> Result<P
                 let mut body = Vec::with_capacity(rule.body.len() + 1);
                 body.push(guard);
                 body.extend(rule.body.iter().cloned());
-                let guarded =
+                let rule =
                     Rule::new(rule.head.clone(), body, rule.vars.clone(), rule.label.clone())
                         .map_err(|e| format!("guarding a rule broke its safety plan: {e}"))?;
-                rules.push(guarded);
+                guarded.push(rule);
             }
-            BaseTerm::Const(_) => rules.push(rule.clone()),
+            BaseTerm::Const(_) => guarded.push(rule.clone()),
         }
     }
-    Ok(Program { rules })
+    Ok(Program { rules: guarded })
 }
 
 /// Close the demanded-object set over the demand rules, evaluated
 /// against the (magic-free) input base. Each demand rule is
 /// evaluated once — its base-complete body never changes — and the
 /// conditional (SIP) edges iterate to fixpoint.
-fn demand_fixpoint(seeding: &SeedPlan, base: &ObjectBase) -> FastHashSet<Const> {
-    let mut demanded: FastHashSet<Const> = seeding.seeds.iter().copied().collect();
+fn demand_fixpoint(demands: [&Demand; 2], base: &ObjectBase) -> FastHashSet<Const> {
+    let mut demanded: FastHashSet<Const> = demands.iter().flat_map(|d| &d.seeds).copied().collect();
     let mut edges: Vec<(Const, Const)> = Vec::new();
-    for d in &seeding.demands {
+    for d in demands.iter().flat_map(|d| &d.rules) {
         for_each_match(base, d.body.as_rule(), &d.plan, None, &mut |b| {
             let v = b.get(d.v).expect("demand variable is bound by the demand body");
             match d.x {
@@ -762,12 +738,13 @@ mod tests {
         let goal = Goal::parse("?- ins(e3).chief -> C.").unwrap();
         let plan = plan_query(&c, goal.clone());
         assert_eq!(plan.mode(), QueryMode::Seeded, "reason: {:?}", plan.reason());
-        let seeding = plan.seeding.as_ref().unwrap();
-        assert_eq!(seeding.seeds, vec![ruvo_term::oid("e3")]);
+        let (guards, goal_demand) = plan.seeded().unwrap();
+        assert_eq!(goal_demand.seeds, vec![ruvo_term::oid("e3")]);
         // The self-recursive step rule needs no SIP edges: its derived
         // read targets its own head object, and B.boss is
         // base-complete.
-        assert!(seeding.demands.is_empty(), "{}", plan.describe());
+        assert!(guards.demand.seeds.is_empty() && guards.demand.rules.is_empty());
+        assert!(goal_demand.rules.is_empty(), "{}", plan.describe());
         let got = run_query(&plan, &EngineConfig::default(), ob.clone()).unwrap();
         assert_eq!(got, oracle(&c, &ob, &goal));
         // e3's chiefs: e2, e1, e0.
@@ -780,13 +757,13 @@ mod tests {
         let ob = prepared(BOSS_BASE);
         let plan = plan_query(&c, Goal::parse("?- ins(e1).chief -> C.").unwrap());
         assert_eq!(plan.mode(), QueryMode::Seeded);
-        let seeding = plan.seeding.as_ref().unwrap();
-        let demanded = demand_fixpoint(seeding, &ob);
+        let (guards, goal_demand) = plan.seeded().unwrap();
+        let demanded = demand_fixpoint([goal_demand, &guards.demand], &ob);
         assert_eq!(demanded.len(), 1, "only the queried object is demanded");
         // And the guarded run must leave e2..e4 underived.
         let mut work = ob.clone();
         for c in demanded {
-            work.insert(Vid::object(c), seeding.magic, Args::empty(), int(1));
+            work.insert(Vid::object(c), guards.magic, Args::empty(), int(1));
         }
         let outcome = run_compiled(plan.program(), &EngineConfig::default(), work).unwrap();
         let ins_e3 = Vid::object(ruvo_term::oid("e3")).apply(ruvo_term::UpdateKind::Ins).unwrap();
@@ -938,10 +915,13 @@ mod tests {
         let goal = Goal::parse("?- ins(e3).bosschief -> C.").unwrap();
         let plan = plan_query(&c, goal.clone());
         assert_eq!(plan.mode(), QueryMode::Seeded, "{}", plan.describe());
-        let seeding = plan.seeding.as_ref().unwrap();
-        assert_eq!(seeding.demands.len(), 1);
-        assert!(seeding.demands[0].x.is_some(), "the demand edge is conditioned on E");
-        let demanded = demand_fixpoint(seeding, &ob);
+        let (guards, goal_demand) = plan.seeded().unwrap();
+        // The SIP edge is the lift rule's, so it lives in the kept set's
+        // entry; the goal adds only its seed.
+        assert!(goal_demand.rules.is_empty());
+        assert_eq!(guards.demand.rules.len(), 1);
+        assert!(guards.demand.rules[0].x.is_some(), "the demand edge is conditioned on E");
+        let demanded = demand_fixpoint([goal_demand, &guards.demand], &ob);
         assert!(demanded.contains(&ruvo_term::oid("e2")), "e3's boss is demanded");
         assert!(!demanded.contains(&ruvo_term::oid("e4")), "unrelated e4 is not");
         let got = run_query(&plan, &EngineConfig::default(), ob.clone()).unwrap();
@@ -981,7 +961,7 @@ mod tests {
         let c = compiled(src);
         let plan = plan_query(&c, Goal::parse("?- ins(e1).'?demand' -> B.").unwrap());
         assert_eq!(plan.mode(), QueryMode::Seeded);
-        let magic = plan.seeding.as_ref().unwrap().magic;
+        let magic = plan.seeded().unwrap().0.magic;
         assert_ne!(magic.as_str(), "?demand");
         // And the rewritten program text still round-trips.
         let text = plan.program().source_text();
@@ -1001,21 +981,27 @@ mod tests {
         let e1 = plan("?- ins(e1).chief -> e0.");
         assert_eq!((e3.mode(), e1.mode()), (QueryMode::Seeded, QueryMode::Seeded));
         assert_eq!(e3.kept_rules(), e1.kept_rules());
-        assert!(Arc::ptr_eq(e3.program(), e1.program()), "other constants, same rewrite");
-        let (s3, s1) = (e3.seeding.as_ref().unwrap(), e1.seeding.as_ref().unwrap());
-        assert!(Arc::ptr_eq(&s3.pruned, &s1.pruned), "and the same pruned fallback");
-        assert_ne!(s3.seeds, s1.seeds, "the seeds stay per goal");
+        assert!(Arc::ptr_eq(&e3.rewrite, &e1.rewrite), "other constants, one entry");
+        assert!(Arc::ptr_eq(e3.program(), e1.program()), "so the same rewrite");
+        assert_ne!(e3.seeded().unwrap().1.seeds, e1.seeded().unwrap().1.seeds, "seeds per goal");
 
-        // The lift goal keeps one more rule: another rewrite.
-        let lift = plan("?- ins(mod(e3)).bosschief -> C.");
-        assert_eq!(lift.mode(), QueryMode::Seeded);
-        assert_ne!(lift.kept_rules(), e3.kept_rules());
-        assert!(!Arc::ptr_eq(lift.program(), e3.program()));
+        // The lift goals keep one more rule: another entry, whose SIP
+        // demand rule both goals read from it.
+        let (lift3, lift1) =
+            (plan("?- ins(mod(e3)).bosschief -> C."), plan("?- ins(mod(e1)).bosschief -> C."));
+        assert_eq!((lift3.mode(), lift1.mode()), (QueryMode::Seeded, QueryMode::Seeded));
+        assert_ne!(lift3.kept_rules(), e3.kept_rules());
+        assert!(!Arc::ptr_eq(lift3.program(), e3.program()));
+        assert!(Arc::ptr_eq(&lift3.rewrite, &lift1.rewrite));
+        let (demand3, demand1) =
+            (&lift3.seeded().unwrap().0.demand, &lift1.seeded().unwrap().0.demand);
+        assert_eq!(demand3.rules.len(), 1);
+        assert!(std::ptr::eq(demand3, demand1), "one set of demand rules per kept set");
         // A goal the guards cannot serve runs the kept rules unguarded:
         // the seeded plans' fallback, not a new compile.
         let free = plan("?- ins(X).chief -> e0.");
         assert_eq!((free.mode(), free.kept_rules()), (QueryMode::Pruned, e3.kept_rules()));
-        assert!(Arc::ptr_eq(free.program(), &s3.pruned));
+        assert!(Arc::ptr_eq(free.program(), &e3.rewrite.pruned));
         // Full plans share the program's one unguarded copy.
         let audit = compiled("audit: ins[log].saw -> O <= $V.exists -> O.");
         let full = |src: &str| plan_query(&audit, Goal::parse(src).unwrap());
@@ -1025,19 +1011,22 @@ mod tests {
     }
 
     #[test]
-    fn a_goal_naming_the_magic_method_gets_its_own_rewrite() {
+    fn a_goal_naming_the_magic_method_runs_the_pruned_program() {
         // Same kept rules as `?- ins(e3).chief -> C.`, but the goal reads
         // `?demand` itself: guards on that name would put a fact under
-        // it, and the negation would fail.
-        let c = compiled(BOSS_CHAIN);
+        // it, and the negation would fail. The entry's magic name is
+        // chosen against the kept rules alone, so this goal runs them
+        // unguarded. (`other` keeps the kept set a strict subset: with
+        // every rule kept, the unguarded program is the `Full` mode.)
+        let c = compiled(&format!("{BOSS_CHAIN} other: ins[mod(X)].par -> P <= X.parent -> P."));
         let ob = prepared(BOSS_BASE);
         let plain = plan_query(&c, Goal::parse("?- ins(e3).chief -> C.").unwrap());
         let goal = Goal::parse("?- ins(e3).chief -> C & not e3.'?demand' -> 1.").unwrap();
         let naming = plan_query(&c, goal.clone());
-        assert_eq!((plain.mode(), naming.mode()), (QueryMode::Seeded, QueryMode::Seeded));
+        assert_eq!((plain.mode(), naming.mode()), (QueryMode::Seeded, QueryMode::Pruned));
+        assert!(naming.reason().unwrap().contains("magic method"), "{:?}", naming.reason());
         assert_eq!(plain.kept_rules(), naming.kept_rules());
-        assert_ne!(plain.seeding.as_ref().unwrap().magic, naming.seeding.as_ref().unwrap().magic);
-        assert!(!Arc::ptr_eq(plain.program(), naming.program()));
+        assert!(Arc::ptr_eq(naming.program(), &plain.rewrite.pruned));
         let got = run_query(&naming, &EngineConfig::default(), ob.clone()).unwrap();
         assert_eq!(got, oracle(&c, &ob, &goal));
         assert_eq!(got.rows.len(), 3, "e3's chiefs: e2, e1, e0");

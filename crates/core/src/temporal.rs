@@ -157,34 +157,19 @@ fn state_props(state: Option<&VersionState>) -> FastHashSet<FactProp> {
 }
 
 impl Timeline {
-    /// Materialize the timeline of `base` from a `result(P)` store.
-    ///
-    /// Intermediate versions skipped by `v*` fallback inherit the
-    /// nearest existing predecessor's state (they are elided from the
-    /// trace, exactly as in [`mod@crate::history`]). Returns `None` for
-    /// unknown objects or non-version-linear stores.
+    /// Materialize the timeline of `base` from a `result(P)` store: the
+    /// versions [`mod@crate::history`] diffs, intermediate versions
+    /// skipped by `v*` fallback elided. Returns `None` for unknown
+    /// objects or non-version-linear stores.
     pub fn of(result: &ObjectBase, base: Const) -> Option<Timeline> {
-        let versions: Vec<Vid> = result.versions_of(base).collect();
-        if versions.is_empty() {
-            return None;
-        }
-        let mut deepest = Vid::object(base);
-        for &v in &versions {
-            if deepest.is_subterm_of(v) {
-                deepest = v;
-            }
-        }
-        if !versions.iter().all(|v| v.is_subterm_of(deepest)) {
-            return None;
-        }
-        let mut states = Vec::new();
-        for vid in deepest.subterms() {
-            if vid.depth() > 0 && !result.exists_fact(vid) {
-                continue; // elided intermediate (v* fallback)
-            }
-            let kind = if vid.depth() == 0 { None } else { vid.chain().outermost() };
-            states.push(TimelineState { vid, kind, facts: state_props(result.version(vid)) });
-        }
+        let states = crate::history::timeline(result, base)?
+            .into_iter()
+            .map(|(vid, state)| TimelineState {
+                vid,
+                kind: vid.chain().outermost(),
+                facts: state_props(state),
+            })
+            .collect();
         Some(Timeline { base, states })
     }
 

@@ -60,6 +60,11 @@ pub fn update_head(
 
 /// Case 3 — `ins[v].m -> r` in a rule body: true iff
 /// `ins(v).m -> r ∈ I`.
+///
+/// `target` is any ground version: one whose created version would
+/// exceed a chain's 32 applications cannot exist, so the term is false
+/// (the front end refuses such a term in a rule, so the matcher never
+/// asks about one).
 pub fn ins_body(
     ob: &ObjectBase,
     target: Vid,
@@ -67,15 +72,17 @@ pub fn ins_body(
     args: &[Const],
     result: Const,
 ) -> bool {
-    match target.apply(UpdateKind::Ins) {
-        Ok(created) => ob.contains(created, method, args, result),
-        Err(_) => false,
-    }
+    target.apply(UpdateKind::Ins).is_ok_and(|created| ob.contains(created, method, args, result))
 }
 
 /// Case 3 — `del[v].m -> r` in a rule body: true iff
 /// `v*.m -> r ∈ I` and `del(v).exists -> o ∈ I` and
 /// `del(v).m -> r ∉ I`.
+///
+/// `target` is any ground version: one whose created version would
+/// exceed a chain's 32 applications cannot exist, so the term is false
+/// (the front end refuses such a term in a rule, so the matcher never
+/// asks about one).
 pub fn del_body(
     ob: &ObjectBase,
     target: Vid,
@@ -99,6 +106,11 @@ pub fn del_body(
 /// For `r = r'`: true iff `v*.m -> r ∈ I` and `mod(v).m -> r ∈ I`
 /// (the paper's dedicated clause for a modification that did not change
 /// the result; ARCHITECTURE.md, decision D5).
+///
+/// `target` is any ground version: one whose created version would
+/// exceed a chain's 32 applications cannot exist, so the term is false
+/// (the front end refuses such a term in a rule, so the matcher never
+/// asks about one).
 pub fn mod_body(
     ob: &ObjectBase,
     target: Vid,
@@ -252,5 +264,17 @@ mod tests {
         // so the negated update-term must now be false.
         assert!(!version_term(&ob, del_mod_e, sym("isa"), &[], oid("empl")));
         assert!(del_body(&ob, mod_e, sym("isa"), &[], oid("empl")));
+    }
+
+    #[test]
+    fn body_terms_on_a_full_chain_are_false() {
+        // A 32-deep target has no room for the version an update-term
+        // creates: whatever the base holds, the term is false.
+        let ob = fixture();
+        let full = (0..32).fold(Vid::object(oid("henry")), |v, _| v.apply(Mod).unwrap());
+        assert!(full.apply(Mod).is_err());
+        assert!(!ins_body(&ob, full, sym("sal"), &[], int(250)));
+        assert!(!del_body(&ob, full, sym("sal"), &[], int(250)));
+        assert!(!mod_body(&ob, full, sym("sal"), &[], int(250), int(275)));
     }
 }

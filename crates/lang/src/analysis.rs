@@ -12,7 +12,8 @@
 //!
 //! Every caller reads their findings and none re-derives them:
 //! [`Program::parse`] and [`Rule::new`] fail on the first error
-//! finding, `ruvo check` collects every finding through [`front_end`],
+//! finding ([`admit`] is that gate for a `Program` built by other
+//! means), `ruvo check` collects every finding through [`front_end`],
 //! and a prepared program's check runs only the program-level pass,
 //! since its rules already carry their plans. Each finding is a
 //! [`Diagnostic`] carrying a [`Lint`] identity, a [`Severity`], an
@@ -523,13 +524,17 @@ fn rejections(program: &mut Program) -> Vec<(usize, Finding)> {
     out
 }
 
-/// The error [`Program::parse`] returns: the first finding that
-/// rejects `program`. Every safe rule's plan is stored either way.
-pub(crate) fn first_error(program: &mut Program) -> Option<LangError> {
+/// The front end, fail-fast: the rule-level pass on every rule and the
+/// duplicate-label check, returning the first finding that rejects
+/// `program`. Every safe rule's plan is stored either way.
+/// [`Program::parse`] runs it; so must whatever builds or edits a
+/// `Program` through its public fields before handing it to a later
+/// stage, which reads created versions and plans on its guarantee.
+pub fn admit(program: &mut Program) -> Result<(), LangError> {
     let rejections = rejections(program);
-    let (i, first) = rejections.first()?;
+    let Some((i, first)) = rejections.first() else { return Ok(()) };
     if first.lint != Lint::DuplicateLabel {
-        return Some(first.error(&program.rules[*i], Some(*i)));
+        return Err(first.error(&program.rules[*i], Some(*i)));
     }
     // One error summarizes every duplicate label.
     let labels = rejections.iter().filter(|(_, f)| f.lint == Lint::DuplicateLabel);
@@ -543,7 +548,7 @@ pub(crate) fn first_error(program: &mut Program) -> Option<LangError> {
         message.push_str(m);
     }
     let rule = program.rules[*i].label.clone().unwrap_or_default();
-    Some(ValidateError { rule, message }.into())
+    Err(ValidateError { rule, message }.into())
 }
 
 /// Every duplicate label, one finding per rule reusing the label of an

@@ -513,10 +513,8 @@ impl Program {
     pub fn parse(src: &str) -> Result<Program, LangError> {
         let tokens = crate::lexer::lex(src)?;
         let mut program = crate::parser::parse_program(&tokens)?;
-        match crate::analysis::first_error(&mut program) {
-            None => Ok(program),
-            Some(e) => Err(e),
-        }
+        crate::analysis::admit(&mut program)?;
+        Ok(program)
     }
 
     /// The display name of rule `i` (its label, or `rule<i+1>`).

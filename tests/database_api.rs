@@ -198,6 +198,29 @@ fn over_deep_update_terms_fail_prepare_with_a_typed_error() {
     }
 }
 
+/// A `Program` built or edited through the AST's public fields never
+/// went through the parser's front end: the entries that take one run
+/// it themselves and refuse an over-deep head with a typed error.
+#[test]
+fn edited_programs_fail_prepare_with_a_typed_error() {
+    let mut program = Program::parse("r: ins[X].p -> 1 <= X.q -> 1.").unwrap();
+    let chain = &mut program.rules[0].head.target.chain;
+    while chain.len() < 32 {
+        *chain = chain.push(UpdateKind::Mod).unwrap();
+    }
+    let mut db = Database::open_src("x.q -> 1.").unwrap();
+    let errors = [
+        db.prepare_program(program.clone()).map(drop).unwrap_err(),
+        db.apply_program(program.clone()).map(drop).unwrap_err(),
+        db.transact(|tx| tx.apply_program(program)).unwrap_err(),
+    ];
+    for err in errors {
+        assert_eq!(err.kind(), ErrorKind::Validate, "{err}");
+        assert!(err.to_string().contains("version-id-term nests too deeply"), "{err}");
+    }
+    assert!(db.log().is_empty());
+}
+
 #[test]
 fn errors_unify_the_layer_types() {
     use ruvo::core::store::StorageError;
