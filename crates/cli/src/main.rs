@@ -38,7 +38,7 @@ mod repl;
 use std::process::ExitCode;
 
 use ruvo_core::store;
-use ruvo_core::{CyclePolicy, Database, Prepared};
+use ruvo_core::{CyclePolicy, Database};
 use ruvo_lang::Program;
 use ruvo_obase::ObjectBase;
 
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
                 Ok(p) => p,
                 Err(code) => return code,
             };
-            match Prepared::compile(program, CyclePolicy::Reject) {
+            match Database::default().prepare_program(program) {
                 Ok(prepared) => {
                     let strat = prepared.stratification();
                     println!("stratification: {strat}");
@@ -587,8 +587,8 @@ fn serve_demo(
         })?),
         None => None,
     };
+    let prepared = db.prepare_program(program)?;
     let db = db.into_serving();
-    let prepared = Prepared::compile(program, CyclePolicy::Reject)?;
     let objects: Vec<ruvo_term::Const> = db.current().objects().collect();
     // Demand-driven point queries for a handful of objects: each reader
     // interleaves these with its raw snapshot scans. The plans are

@@ -564,7 +564,7 @@ pub struct CheckReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Advisory notes (allow-level lints): dependency observations
     /// about healthy programs — self-dependent rules. Never escalated
-    /// by `deny_lints`, never in `Prepared::warnings()`.
+    /// by `deny_lints`.
     pub advisories: Vec<Diagnostic>,
     /// The rule dependency graph the lints above were read from; it
     /// owns the commutativity matrix.
@@ -709,23 +709,34 @@ mod tests {
     }
 
     #[test]
-    fn prepared_carries_the_report_check_builds() {
-        // One analysis, one place: `Prepared` reads the very report
-        // `check` computes, warnings and advisories included.
-        let ancestors = "base: ins[X].anc -> P <= X.parents -> P.\n\
-                         step: ins[X].anc -> G <= ins(X).anc -> P & P.parents -> G.";
-        for (src, policy) in [
-            (ENTERPRISE, CyclePolicy::Reject),
-            (ENTERPRISE, CyclePolicy::RuntimeStability),
-            (ancestors, CyclePolicy::Reject),
-        ] {
-            let program = Program::parse(src).unwrap();
-            let prepared = crate::Prepared::compile(program.clone(), policy).unwrap();
-            let report = check(&CompiledProgram::compile(program, policy).unwrap());
-            assert_eq!(prepared.warnings(), report.diagnostics);
-            assert_eq!(prepared.advisories(), report.advisories);
-            assert_eq!(prepared.commutativity(), report.commutativity());
-            assert_eq!(prepared.deps().edges(), report.deps.edges());
+    fn prepared_check_equals_check_source_on_every_example() {
+        // `Prepared::check` runs on a program the prepare path admitted
+        // (parse, no collect-all front end); `ruvo check` runs
+        // `check_source`. Both must report the same thing, under either
+        // policy (`RuntimeStability` adds the needless-policy advisory).
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let mut sources = vec!["r1: mod[X].price -> (P, 1) <= X.price -> P.\n\
+                                r2: mod[X].price -> (P, 2) <= X.price -> P."
+            .to_string()];
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "rv") {
+                sources.push(std::fs::read_to_string(&path).unwrap());
+            }
+        }
+        assert!(sources.len() >= 5, "expected the shipped .rv examples");
+        for policy in [CyclePolicy::Reject, CyclePolicy::RuntimeStability] {
+            let db = crate::Database::builder().cycle_policy(policy).open(Default::default());
+            for src in &sources {
+                let report = db.prepare(src).unwrap().check();
+                let source = check_source(src, policy);
+                let (compiled, deps) = source.compiled.expect("every example compiles");
+                assert_eq!(report.diagnostics, source.diagnostics, "{src}");
+                assert_eq!(report.advisories, source.advisories, "{src}");
+                assert_eq!(report.commutativity(), deps.commutativity(), "{src}");
+                let program = compiled.program();
+                assert_eq!(report.deps.to_json(program), deps.to_json(program), "{src}");
+            }
         }
     }
 

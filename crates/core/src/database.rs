@@ -312,26 +312,15 @@ impl From<SnapshotFileError> for Error {
 /// stratified exactly once, reusable across any number of
 /// [`Database::apply`] calls (and across databases — a `Prepared` is
 /// not tied to the handle that built it, only to the
-/// [`CyclePolicy`] it was compiled under).
+/// [`CyclePolicy`] it was compiled under). Build one with a handle's
+/// `prepare` or `prepare_program`; [`Prepared::check`] runs the static
+/// analysis on demand.
 #[derive(Clone, Debug)]
 pub struct Prepared {
     compiled: Arc<CompiledProgram>,
-    /// The static-analysis report computed alongside compilation
-    /// (see [`crate::check`]); shared so cloning stays O(1).
-    report: Arc<crate::check::CheckReport>,
 }
 
 impl Prepared {
-    /// Compile `program` under `cycles` (standalone entry point; most
-    /// callers use [`Database::prepare`]). The full static analysis
-    /// runs once here; its findings are attached as
-    /// [`Prepared::warnings`].
-    pub fn compile(program: Program, cycles: CyclePolicy) -> Result<Prepared, Error> {
-        let compiled = CompiledProgram::compile(program, cycles)?;
-        let report = Arc::new(crate::check::check(&compiled));
-        Ok(Prepared { compiled: Arc::new(compiled), report })
-    }
-
     /// The underlying program.
     pub fn program(&self) -> &Program {
         self.compiled.program()
@@ -347,33 +336,14 @@ impl Prepared {
         self.compiled.cycle_policy()
     }
 
-    /// Advisory findings from the static analysis (`ruvo check`'s
-    /// report): write-write conflicts, dead rules, arity mismatches,
-    /// duplicate rules, cycle-policy advisories.
-    /// [`DatabaseBuilder::deny_lints`] turns selected ones into
-    /// [`Database::prepare`] errors.
-    pub fn warnings(&self) -> &[Diagnostic] {
-        &self.report.diagnostics
-    }
-
-    /// The rule×rule commutativity matrix (see [`crate::check`]).
-    pub fn commutativity(&self) -> &crate::check::CommutativityMatrix {
-        self.report.commutativity()
-    }
-
-    /// Allow-level advisory notes from the dependency analysis
-    /// (self-dependent rules). Informational only: never escalated by
-    /// [`DatabaseBuilder::deny_lints`] and never part of
-    /// [`Prepared::warnings`].
-    pub fn advisories(&self) -> &[Diagnostic] {
-        &self.report.advisories
-    }
-
-    /// The rule dependency graph computed once at prepare time: per-
-    /// rule read/write sets and the typed same-stratum edges behind
-    /// the order-sensitivity lints (see [`crate::deps`]).
-    pub fn deps(&self) -> &crate::deps::RuleDepGraph {
-        &self.report.deps
+    /// The static analysis of this program (`ruvo check`'s report,
+    /// see [`crate::check`]): write-write conflicts, dead rules, arity
+    /// mismatches, duplicate rules, cycle-policy advisories, the
+    /// commutativity matrix and the rule dependency graph. Computed on
+    /// each call, not at prepare time; a handle's prepare runs it only
+    /// when [`DatabaseBuilder::deny_lints`] denied some lint.
+    pub fn check(&self) -> crate::check::CheckReport {
+        crate::check::check(&self.compiled)
     }
 
     /// Build the demand-driven query plan for `goal` against this
@@ -407,7 +377,6 @@ pub struct DatabaseBuilder {
     fsync: FsyncPolicy,
     checkpoint: CheckpointPolicy,
     seed: Option<ObjectBase>,
-    deny: Vec<Lint>,
 }
 
 impl DatabaseBuilder {
@@ -418,9 +387,11 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Promote static-analysis lints to [`Database::prepare`] errors:
-    /// a program triggering any of them fails with
-    /// [`ErrorKind::Lint`] instead of carrying warnings.
+    /// Promote static-analysis lints to prepare errors (sets
+    /// [`EngineConfig::deny_lints`]): a program triggering any of them
+    /// fails [`Database::prepare`], [`Database::prepare_program`] and
+    /// [`crate::ServingDatabase::prepare`] with [`ErrorKind::Lint`].
+    /// With no lint denied, preparing runs no static analysis.
     ///
     /// ```
     /// use ruvo_core::Database;
@@ -437,7 +408,7 @@ impl DatabaseBuilder {
     /// assert_eq!(err.kind(), ruvo_core::ErrorKind::Lint);
     /// ```
     pub fn deny_lints(mut self, lints: impl IntoIterator<Item = Lint>) -> Self {
-        self.deny.extend(lints);
+        self.config.deny_lints.extend(lints);
         self
     }
 
@@ -531,10 +502,7 @@ impl DatabaseBuilder {
         // re-applied programs are not re-logged). Only successful
         // transactions were ever logged: a replay failure means the
         // directory was written under an incompatible configuration.
-        let mut db = Database {
-            session: Session::new(base).with_config(self.config),
-            deny_lints: self.deny,
-        };
+        let mut db = Database { session: Session::new(base).with_config(self.config) };
         db.replay_wal_records(&opened.records)?;
         let mut store = opened.store;
         if fresh && !db.current().is_empty() {
@@ -548,7 +516,7 @@ impl DatabaseBuilder {
     /// Open a database over `ob` with this configuration (in-memory;
     /// see [`DatabaseBuilder::open_dir`] for the durable variant).
     pub fn open(self, ob: ObjectBase) -> Database {
-        Database { session: Session::new(ob).with_config(self.config), deny_lints: self.deny }
+        Database { session: Session::new(ob).with_config(self.config) }
     }
 
     /// Parse object-base text and open a database over it.
@@ -567,9 +535,6 @@ impl DatabaseBuilder {
 #[derive(Clone, Debug)]
 pub struct Database {
     session: Session,
-    /// Lints promoted to prepare-time errors
-    /// ([`DatabaseBuilder::deny_lints`]).
-    deny_lints: Vec<Lint>,
 }
 
 impl Database {
@@ -663,7 +628,7 @@ impl Database {
     /// ```
     pub fn prepare(&self, src: &str) -> Result<Prepared, Error> {
         let program = Program::parse(src)?;
-        Database::prepare_gated(program, self.config().cycles, &self.deny_lints)
+        Database::prepare_gated(program, self.config())
     }
 
     /// [`Database::prepare`] for an already-built program. Runs the
@@ -672,25 +637,29 @@ impl Database {
     /// fields, so nothing vouches for them.
     pub fn prepare_program(&self, mut program: Program) -> Result<Prepared, Error> {
         ruvo_lang::analysis::admit(&mut program)?;
-        Database::prepare_gated(program, self.config().cycles, &self.deny_lints)
+        Database::prepare_gated(program, self.config())
     }
 
-    /// The one prepare gate: compile under `cycles`, then escalate any
-    /// warning whose lint is in `deny` to [`Error::DeniedLint`]. Shared
+    /// The one prepare gate: compile under `config.cycles`, then — only
+    /// when some lint is denied — run the static analysis and escalate
+    /// every finding of a denied lint to [`Error::DeniedLint`]. Shared
     /// with [`crate::ServingDatabase`], which prepares without the
     /// writer lock and so cannot go through `&Database`.
     pub(crate) fn prepare_gated(
         program: Program,
-        cycles: CyclePolicy,
-        deny: &[Lint],
+        config: &EngineConfig,
     ) -> Result<Prepared, Error> {
-        let prepared = Prepared::compile(program, cycles)?;
+        let prepared =
+            Prepared { compiled: Arc::new(CompiledProgram::compile(program, config.cycles)?) };
+        if config.deny_lints.is_empty() {
+            return Ok(prepared);
+        }
         let diagnostics: Vec<Diagnostic> = prepared
-            .warnings()
-            .iter()
-            .filter(|d| deny.contains(&d.lint))
-            .map(|d| {
-                let mut d = d.clone();
+            .check()
+            .diagnostics
+            .into_iter()
+            .filter(|d| config.deny_lints.contains(&d.lint))
+            .map(|mut d| {
                 d.severity = ruvo_lang::Severity::Error;
                 d
             })
@@ -699,11 +668,6 @@ impl Database {
             return Err(Error::DeniedLint { diagnostics });
         }
         Ok(prepared)
-    }
-
-    /// The lints this database promotes to prepare-time errors.
-    pub(crate) fn deny_lints(&self) -> &[Lint] {
-        &self.deny_lints
     }
 
     /// Run a prepared program as one transaction: on success the
@@ -849,7 +813,7 @@ impl Database {
 
     /// Committed transactions, oldest first. The newest keeps its full
     /// `result(P)` version history; every entry keeps its statistics,
-    /// its `changed()` delta and `facts_after` (see [`Txn::outcome`]).
+    /// its stratification and `facts_after` (see [`Txn::outcome`]).
     /// After a rollback the newest remaining entry may already be
     /// trimmed.
     pub fn log(&self) -> &[Txn] {
@@ -1142,11 +1106,12 @@ mod tests {
     fn deny_lints_promotes_warnings_to_errors() {
         const CONFLICT: &str = "r1: mod[X].price -> (P, 1) <= X.price -> P.\n\
                                 r2: mod[X].price -> (P, 2) <= X.price -> P.";
-        // Without a deny list the program prepares, with warnings attached.
+        // Without a deny list the program prepares; its report, asked
+        // for, holds the conflict.
         let lenient = Database::open_src("item.price -> 7.").unwrap();
-        let prepared = lenient.prepare(CONFLICT).unwrap();
-        assert!(prepared.warnings().iter().any(|d| d.lint == Lint::WriteWriteConflict));
-        assert!(!prepared.commutativity().all_commute());
+        let report = lenient.prepare(CONFLICT).unwrap().check();
+        assert!(report.diagnostics.iter().any(|d| d.lint == Lint::WriteWriteConflict));
+        assert!(!report.commutativity().all_commute());
 
         // With the lint denied, prepare fails with ErrorKind::Lint and the
         // diagnostics are re-severitied to errors.
@@ -1233,9 +1198,7 @@ mod tests {
 
     #[test]
     fn prepared_is_reusable_across_databases() {
-        let raise =
-            Prepared::compile(ruvo_lang::Program::parse(RAISE).unwrap(), CyclePolicy::Reject)
-                .unwrap();
+        let raise = Database::default().prepare(RAISE).unwrap();
         for base in [BASE, "solo.isa -> empl. solo.sal -> 100."] {
             let mut db = Database::open_src(base).unwrap();
             db.apply(&raise).unwrap();

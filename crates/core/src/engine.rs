@@ -77,7 +77,7 @@ use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use ruvo_lang::{PlannedLiteral, Program};
+use ruvo_lang::{Lint, PlannedLiteral, Program};
 use ruvo_obase::{
     ChangedSince, LinearityTracker, LinearityViolation, ObjectBase, RelationDelta, VersionState,
 };
@@ -106,18 +106,25 @@ pub enum CyclePolicy {
     RuntimeStability,
 }
 
-/// Engine configuration.
+/// Engine configuration; `cycles` and `deny_lints` are read by prepare.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Safety valve for the per-stratum fixpoint loop.
     pub max_rounds_per_stratum: usize,
     /// Handling of statically non-stratifiable programs (§6 extension).
     pub cycles: CyclePolicy,
+    /// Lints that fail a prepare ([`crate::DatabaseBuilder::deny_lints`]);
+    /// with none denied, a prepare runs no static analysis.
+    pub deny_lints: Vec<Lint>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { max_rounds_per_stratum: 1_000_000, cycles: CyclePolicy::Reject }
+        EngineConfig {
+            max_rounds_per_stratum: 1_000_000,
+            cycles: CyclePolicy::Reject,
+            deny_lints: Vec::new(),
+        }
     }
 }
 
@@ -173,6 +180,12 @@ impl CompiledProgram {
     /// analyses live in [`crate::check`]. Fails
     /// exactly when [`crate::stratify::stratify`] would (or never,
     /// under [`CyclePolicy::RuntimeStability`]).
+    ///
+    /// # Panics
+    ///
+    /// If a rule, edited through its public fields, holds an update-term
+    /// the front end ([`ruvo_lang::analysis::admit`]) refuses; a handle's
+    /// `prepare_program` admits the program first and returns the error.
     pub fn compile(
         program: Program,
         cycles: CyclePolicy,
@@ -316,8 +329,6 @@ pub fn run_compiled(
     let ctx = RoundCtx { program, plans: index_plan };
     let mut stratum_traces = Vec::new();
     let mut round_traces = Vec::new();
-    // Object-level by construction: `merge` carries no per-fact seeds.
-    let mut total_changed = ChangedSince::new();
     // Buffers every round of the run reuses: the round's candidates and
     // its apply list (and which `mod` versions it replayed).
     let mut candidates: Vec<Fired> = Vec::new();
@@ -415,7 +426,7 @@ pub fn run_compiled(
             let report = tp::apply_updates(&mut work, &apply_list);
             stats.parallel.apply_wall += applying.elapsed();
             round_traces.last_mut().expect("pushed this round").touched = report.touched.len();
-            stats.versions_created += report.created.len();
+            stats.versions_created += report.created;
             stats.facts_copied += report.facts_copied;
             for &v in &report.touched {
                 let tracked = tracker.len();
@@ -430,7 +441,6 @@ pub fn run_compiled(
                     }
                 }
             }
-            total_changed.merge(&report.changed);
             changed = Some(report.changed);
         }
         stats.fired_updates += fired.len();
@@ -451,7 +461,6 @@ pub fn run_compiled(
         stratum_traces,
         round_traces,
         finals: tracker,
-        changed: total_changed,
     })
 }
 
@@ -493,7 +502,6 @@ pub struct Outcome {
     stratum_traces: Vec<StratumTrace>,
     round_traces: Vec<RoundTrace>,
     finals: LinearityTracker,
-    changed: ChangedSince,
 }
 
 impl Outcome {
@@ -523,12 +531,6 @@ impl Outcome {
         &self.round_traces
     }
 
-    /// The run's accumulated semantic delta: per `(chain, method)`
-    /// relation, the objects whose fact sets the evaluation changed.
-    pub fn changed(&self) -> &ChangedSince {
-        &self.changed
-    }
-
     /// How many objects the run touched.
     pub(crate) fn touched_objects(&self) -> usize {
         self.finals.len()
@@ -543,9 +545,8 @@ impl Outcome {
     }
 
     /// Drop `result(P)`, the traces and the final-version record,
-    /// keeping the statistics, the stratification and
-    /// [`Outcome::changed`] — what a session log keeps of every
-    /// transaction but the newest.
+    /// keeping the statistics and the stratification — what a session
+    /// log keeps of every transaction but the newest.
     pub(crate) fn trim(&mut self) {
         static EMPTY: OnceLock<ObjectBase> = OnceLock::new();
         // A clone of one shared empty base: no allocation per entry.
@@ -635,7 +636,7 @@ fn base_of_finals(finals: impl Iterator<Item = (Const, Option<Arc<VersionState>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruvo_term::{int, oid, Chain, UpdateKind};
+    use ruvo_term::{int, oid, UpdateKind};
 
     /// Compile `program` under `config` and evaluate it on a copy of
     /// `ob`.
@@ -808,9 +809,6 @@ mod tests {
         let stats = outcome.stats();
         assert_eq!((stats.fired_updates, stats.fired_candidates), (780, 780), "{stats}");
         assert_eq!((stats.rounds, stats.versions_created, stats.facts_copied), (40, 39, 39));
-        // The run's delta stays object-level: no per-fact seeds survive.
-        let changed = outcome.changed();
-        assert!(changed.keys().all(|k| changed.relation(k).unwrap().grown().next().is_none()));
         outcome.result().check_invariants();
     }
 
@@ -876,9 +874,6 @@ mod tests {
         let fast = assert_matches_reference(&ObjectBase::parse(ob_src).unwrap(), prog);
         assert!(fast.stats().rule_evaluations_seeded > 0, "recursion must be delta-seeded");
         assert!(fast.stats().rule_evaluations_skipped > 0, "untriggered rules are skipped");
-        // The run reports its accumulated semantic delta.
-        let ins_chain = Chain::EMPTY.push(UpdateKind::Ins).unwrap();
-        assert!(fast.changed().contains(&(ins_chain, ruvo_term::sym("anc"))));
     }
 
     #[test]

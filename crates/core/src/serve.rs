@@ -179,10 +179,9 @@ struct Shared {
     /// [`Error::PoisonedWriter`] while reads keep working off the last
     /// published head.
     writer: Mutex<Database>,
-    /// Engine configuration and denied lints, fixed at open (shared
-    /// so [`ServingDatabase::prepare`] needs no lock).
+    /// Engine configuration, denied lints included, fixed at open
+    /// (shared so [`ServingDatabase::prepare`] needs no lock).
     config: EngineConfig,
-    deny_lints: Vec<ruvo_lang::Lint>,
     /// Background checkpoint worker: at most one encoder thread in
     /// flight, plus the outcomes of completed runs for `ruvo serve`
     /// to log. Lock ordering: `ckpt` before `writer` (the encoder
@@ -233,7 +232,6 @@ impl ServingDatabase {
             commits: AtomicUsize::new(db.len()),
             queue: Mutex::new(Vec::new()),
             config: db.config().clone(),
-            deny_lints: db.deny_lints().to_vec(),
             writer: Mutex::new(db),
             ckpt: Mutex::new(BackgroundCheckpoint::default()),
         };
@@ -287,7 +285,7 @@ impl ServingDatabase {
     /// same gate as [`Database::prepare`], denied lints included.
     pub fn prepare(&self, src: &str) -> Result<Prepared, Error> {
         let program = ruvo_lang::Program::parse(src)?;
-        Database::prepare_gated(program, self.shared.config.cycles, &self.shared.deny_lints)
+        Database::prepare_gated(program, &self.shared.config)
     }
 
     /// Ask `goal` against the result of evaluating `prepared` on the

@@ -78,8 +78,8 @@ pub struct Txn {
     /// The evaluation outcome. The newest entry of a session's log keeps
     /// all of it, including `result(P)` with every version; once a
     /// later commit is acknowledged, an entry keeps only its
-    /// [`Outcome::stats`], stratification and [`Outcome::changed`] —
-    /// its `result()` is empty and its traces are gone.
+    /// [`Outcome::stats`] and [`Outcome::stratification`] — its
+    /// `result()` is empty and its traces are gone.
     pub outcome: Outcome,
     /// Facts in the object base after this transaction.
     pub facts_after: usize,
@@ -518,7 +518,6 @@ mod tests {
         assert!(first.outcome.result().is_empty());
         assert!(first.outcome.stratum_traces().is_empty());
         assert_eq!(first.outcome.stats().fired_updates, 1);
-        assert!(first.outcome.changed().relation(&(mod_acct.chain(), balance)).is_some());
         assert_eq!((first.seq, first.facts_after), (0, 2));
         assert_eq!(first.outcome.stratification().strata.len(), 1);
 

@@ -292,14 +292,13 @@ fn fire_head(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<Fired>) {
 pub struct ApplyReport {
     /// Versions whose state was (re)computed this round.
     pub touched: Vec<Vid>,
-    /// Versions that did not exist before this round.
-    pub created: Vec<Vid>,
+    /// How many versions did not exist before this round.
+    pub created: usize,
     /// The round's semantic delta: per `(chain, method)` relation, the
     /// objects whose fact sets actually changed and — for versions that
     /// were active and only grew — the facts added (recorded by the
     /// tracked commit and the tracked in-place edits, so ineffective
-    /// updates contribute nothing). This both gates rule-level delta
-    /// filtering and seeds the semi-naive join.
+    /// updates contribute nothing): the next round's semi-naive seeds.
     pub changed: ChangedSince,
     /// Method-applications copied in step 2 (frame-copy volume).
     pub facts_copied: usize,
@@ -307,8 +306,8 @@ pub struct ApplyReport {
 
 /// A round's delta grouped by created version, in first-appearance
 /// order. This is the **canonical apply order**: states are built,
-/// committed and repaired in it, so the `touched` / `created` lists and
-/// the recorded delta follow the delta's order, never hash order.
+/// committed and repaired in it, so the `touched` list and the
+/// recorded delta follow the delta's order, never hash order.
 ///
 /// One index map and one flat permutation, whatever the number of
 /// groups: group `g` creates `vids[g]`, and its updates are
@@ -463,7 +462,7 @@ pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
         let (state, facts_copied) = build_state(ob, created, active, updates);
         report.facts_copied += facts_copied;
         if !active {
-            report.created.push(created);
+            report.created += 1;
         }
         edits.push((created, Some(state)));
     }
@@ -557,7 +556,7 @@ mod tests {
             result: oid("hpe"),
         }];
         let report = apply_updates(&mut ob, &fired);
-        assert_eq!(report.created.len(), 1);
+        assert_eq!(report.created, 1);
         let created = fired[0].created();
         // Copy carried the old state...
         assert!(ob.contains(created, sym("sal"), &[], int(4000)));
@@ -624,10 +623,10 @@ mod tests {
         let f1 = Fired::Ins { target, method: sym("isa"), args: Args::empty(), result: oid("hpe") };
         let f2 = Fired::Ins { target, method: sym("isa"), args: Args::empty(), result: oid("vip") };
         let r1 = apply_updates(&mut ob, std::slice::from_ref(&f1));
-        assert_eq!(r1.created.len(), 1);
+        assert_eq!(r1.created, 1);
         // Second round: ins(phil) is now active; no copy, no creation.
         let r2 = apply_updates(&mut ob, std::slice::from_ref(&f2));
-        assert!(r2.created.is_empty());
+        assert_eq!(r2.created, 0);
         assert_eq!(r2.facts_copied, 0);
         let created = f1.created();
         assert!(ob.contains(created, sym("isa"), &[], oid("hpe")));

@@ -181,8 +181,8 @@ impl Lint {
             | Lint::OrderSensitiveRules => Level::Warn,
             // Advisory-only: a truthful observation about healthy
             // programs (sanctioned recursion); reported through the
-            // `advisories` channel, never through
-            // `Prepared::warnings()`.
+            // `advisories` channel, never among a report's
+            // diagnostics.
             Lint::SelfDependentRule => Level::Allow,
         }
     }
@@ -360,50 +360,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Per-database lint-level overrides (`DatabaseBuilder::deny_lints`
-/// hands these to `Database::prepare`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LintLevels {
-    overrides: Vec<(Lint, Level)>,
-}
-
-impl LintLevels {
-    /// Defaults only.
-    pub fn new() -> LintLevels {
-        LintLevels::default()
-    }
-
-    /// Set a lint's level (later overrides win).
-    pub fn set(&mut self, lint: Lint, level: Level) {
-        self.overrides.push((lint, level));
-    }
-
-    /// The effective level of a lint.
-    pub fn level(&self, lint: Lint) -> Level {
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(l, _)| *l == lint)
-            .map(|(_, lv)| *lv)
-            .unwrap_or_else(|| lint.default_level())
-    }
-
-    /// Re-level a batch of diagnostics: `Allow` drops, `Warn`/`Deny`
-    /// adjust the severity.
-    pub fn apply(&self, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
-        diags
-            .into_iter()
-            .filter_map(|mut d| match self.level(d.lint) {
-                Level::Allow => None,
-                lv => {
-                    d.severity = lv.severity();
-                    Some(d)
-                }
-            })
-            .collect()
-    }
 }
 
 /// One finding that rejects a program: a rule's §3 structural
@@ -881,23 +837,6 @@ mod tests {
              \"message\":\"expected `\\\"` \\\\ here\",\"notes\":[\"a\\nb\"]}"
         );
         assert_eq!(json_array(&[]), "[]");
-    }
-
-    #[test]
-    fn lint_levels_override_and_drop() {
-        let mut levels = LintLevels::new();
-        levels.set(Lint::DeadRule, Level::Deny);
-        levels.set(Lint::DuplicateRule, Level::Allow);
-        assert_eq!(levels.level(Lint::DeadRule), Level::Deny);
-        assert_eq!(levels.level(Lint::ArityMismatch), Level::Warn);
-        let diags = vec![
-            Diagnostic::new(Lint::DeadRule, None, "a"),
-            Diagnostic::new(Lint::DuplicateRule, None, "b"),
-        ];
-        let out = levels.apply(diags);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].lint, Lint::DeadRule);
-        assert_eq!(out[0].severity, Severity::Error);
     }
 
     #[test]

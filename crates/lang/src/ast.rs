@@ -1,6 +1,6 @@
 //! Abstract syntax of update-programs (§2.1 of the paper).
 
-use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, FastHashMap, Symbol, VarId, VidRef, VidTerm};
+use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, Symbol, VarId, VidRef, VidTerm};
 
 use crate::error::LangError;
 use crate::safety::RulePlan;
@@ -338,11 +338,11 @@ impl Literal {
     }
 }
 
-/// The rule-local variable name table.
+/// The rule-local variable name table: each name once, its position
+/// its id. A rule has a handful of variables, so lookups scan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct VarTable {
     names: Vec<String>,
-    index: FastHashMap<String, VarId>,
 }
 
 impl VarTable {
@@ -353,18 +353,17 @@ impl VarTable {
 
     /// Intern a variable name, returning its rule-local id.
     pub fn var(&mut self, name: &str) -> VarId {
-        if let Some(&v) = self.index.get(name) {
+        if let Some(v) = self.get(name) {
             return v;
         }
         let id = VarId(u32::try_from(self.names.len()).expect("too many variables"));
         self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
         id
     }
 
     /// Look up an existing variable.
     pub fn get(&self, name: &str) -> Option<VarId> {
-        self.index.get(name).copied()
+        self.names.iter().position(|n| n == name).map(|i| VarId(i as u32))
     }
 
     /// The name of a variable.
@@ -446,12 +445,6 @@ impl Rule {
             None => Ok(rule),
             Some(finding) => Err(finding.error(&rule, None)),
         }
-    }
-
-    /// A display name: the label if present, else `rule#<i>` is supplied
-    /// by the program context (this returns `None` then).
-    pub fn display_label(&self) -> Option<&str> {
-        self.label.as_deref()
     }
 
     /// Iterate over every version-id-term occurring in the rule after

@@ -62,7 +62,7 @@ pub mod pretty;
 pub mod safety;
 pub mod token;
 
-pub use analysis::{Diagnostic, Level, Lint, LintLevels, Severity};
+pub use analysis::{Diagnostic, Level, Lint, Severity};
 pub use ast::{
     Atom, BinOp, Builtin, CmpOp, Expr, Literal, Program, Rule, UpdateAtom, UpdateSpec, VarTable,
     VersionAtom,

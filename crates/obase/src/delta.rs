@@ -3,7 +3,7 @@
 //!
 //! Semi-naive fixpoint evaluation re-derives only what a round's
 //! writes could have affected. A [`ChangedSince`] keeps **one entry
-//! per `(chain, method)` relation** changed since it was last cleared,
+//! per `(chain, method)` relation** changed since it was created,
 //! a [`RelationDelta`], which sorts the relation's changed object bases
 //! in two:
 //!
@@ -23,8 +23,9 @@
 //! Recording a fact costs a hash of the relation and one of the base
 //! while no base of the relation is whole (a fixpoint round that only
 //! repairs versions in place), and a relation of whole bases alone is
-//! a set that holds a single base inline — what a session log keeps of
-//! every commit, whose relations mostly change for one object. Both write
+//! a set that holds a single base inline — what the rounds of a
+//! one-object commit record, whose relations mostly change for one
+//! object. Both write
 //! paths of a round record here through the object base: the tracked
 //! commit
 //! ([`crate::ObjectBase::replace_versions_tracked_shared`]), which
@@ -258,18 +259,6 @@ impl ChangedSince {
         self.map.keys()
     }
 
-    /// Fold another delta set's changed bases into this one. Facts are
-    /// a round's seeds and are not accumulated: the merged-in bases
-    /// read whole.
-    pub fn merge(&mut self, other: &ChangedSince) {
-        for (key, relation) in &other.map {
-            let into = self.map.entry(*key).or_default();
-            for base in relation.bases() {
-                into.record(base);
-            }
-        }
-    }
-
     /// Number of changed relations.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -278,11 +267,6 @@ impl ChangedSince {
     /// True if nothing changed.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Drop all recorded changes.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -310,20 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions() {
-        let mut a = ChangedSince::new();
-        a.record(Chain::EMPTY, sym("p"), oid("x"));
-        let mut b = ChangedSince::new();
-        b.record(Chain::EMPTY, sym("p"), oid("y"));
-        b.record(Chain::EMPTY, sym("q"), oid("z"));
-        a.merge(&b);
-        assert_eq!(a.relation(&(Chain::EMPTY, sym("p"))).unwrap().len(), 2);
-        assert!(a.contains(&(Chain::EMPTY, sym("q"))));
-        a.clear();
-        assert!(a.is_empty());
-    }
-
-    #[test]
     fn facts_are_kept_only_while_a_base_only_grows() {
         let key = (Chain::EMPTY, sym("p"));
         let mut d = ChangedSince::new();
@@ -340,16 +310,6 @@ mod tests {
         let p = d.relation(&key).unwrap();
         assert!(p.grown().next().is_none());
         assert!(p.contains(oid("x")));
-
-        // Merging is object-level: no facts travel, and merged-in bases
-        // lose the facts the target held for them.
-        let mut round = ChangedSince::new();
-        round.record_added(key.0, key.1, oid("z"), app(4));
-        let mut total = ChangedSince::new();
-        total.record_added(key.0, key.1, oid("z"), app(5));
-        total.merge(&round);
-        assert!(total.relation(&key).unwrap().grown().next().is_none());
-        assert!(total.relation(&key).unwrap().contains(oid("z")));
     }
 
     #[test]

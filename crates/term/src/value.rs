@@ -102,15 +102,6 @@ impl Const {
         !matches!(self, Const::Sym(_))
     }
 
-    /// The symbol, if this is a symbolic OID.
-    #[inline]
-    pub fn as_sym(self) -> Option<Symbol> {
-        match self {
-            Const::Sym(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Build a numeric constant, collapsing integral floats to `Int`.
     ///
     /// Arithmetic is performed in `f64`; results that are exactly

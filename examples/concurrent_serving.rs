@@ -21,12 +21,13 @@ fn main() {
     // writer groups, each group credited by its own update program.
     let scenario =
         serving_scenario(ServingConfig { objects: 60, writers: 2, pad_methods: 2, seed: 7 });
-    let db = Database::open(scenario.ob.clone()).into_serving();
+    let db = Database::open(scenario.ob.clone());
     let programs: Vec<Prepared> = scenario
         .writer_programs
         .iter()
-        .map(|p| Prepared::compile(p.clone(), Default::default()).expect("compiles"))
+        .map(|p| db.prepare_program(p.clone()).expect("prepares"))
         .collect();
+    let db = db.into_serving();
 
     const COMMITS_PER_WRITER: usize = 25;
     let done = AtomicBool::new(false);

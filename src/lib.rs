@@ -83,7 +83,7 @@ pub use ruvo_core::{
     QueryMode, QueryPlan, ReadSet, RuleDepGraph, ServingDatabase, SourceCheck, Transaction,
     WriteSet,
 };
-pub use ruvo_lang::{Diagnostic, Goal, Level, Lint, LintLevels, Severity, Span};
+pub use ruvo_lang::{Diagnostic, Goal, Level, Lint, Severity, Span};
 pub use ruvo_obase::Snapshot;
 
 /// Everything needed for typical use, in one import.

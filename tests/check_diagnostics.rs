@@ -166,10 +166,10 @@ fn golden_json_output() {
 #[test]
 fn prepare_attaches_warnings_and_deny_lints_escalates() {
     let db = Database::open_src("item.price -> 10.").unwrap();
-    let prepared = db.prepare(CONFLICT).unwrap();
-    assert_eq!(prepared.warnings().len(), 1);
-    assert_eq!(prepared.warnings()[0].lint, Lint::WriteWriteConflict);
-    assert_eq!(prepared.commutativity().pairs_with(Commutativity::Conflicts), vec![(0, 1)]);
+    let report = db.prepare(CONFLICT).unwrap().check();
+    assert_eq!(report.diagnostics.len(), 1);
+    assert_eq!(report.diagnostics[0].lint, Lint::WriteWriteConflict);
+    assert_eq!(report.commutativity().pairs_with(Commutativity::Conflicts), vec![(0, 1)]);
 
     let strict = Database::builder()
         .deny_lints([Lint::WriteWriteConflict])
@@ -357,8 +357,9 @@ fn enterprise_commutes_and_is_order_independent() {
     let db = Database::open_src(ENTERPRISE_BASE).unwrap();
     let prepared = db.prepare(ENTERPRISE).unwrap();
     assert_eq!(prepared.stratification().len(), 3);
-    assert!(prepared.commutativity().all_commute());
-    assert!(prepared.warnings().is_empty(), "got: {:?}", prepared.warnings());
+    let report = prepared.check();
+    assert!(report.commutativity().all_commute());
+    assert!(report.diagnostics.is_empty(), "got: {:?}", report.diagnostics);
     run_reversed_matches(ENTERPRISE, ENTERPRISE_BASE);
 }
 
@@ -394,9 +395,9 @@ proptest! {
             .map(|(_, r)| format!("{r}\n"))
             .collect();
         let db = Database::open_src(POOL_BASE).unwrap();
-        let prepared = db.prepare(&src).unwrap();
+        let report = db.prepare(&src).unwrap().check();
         prop_assert!(
-            prepared.commutativity().all_commute(),
+            report.commutativity().all_commute(),
             "pool subset {mask:#010b} must be all-Commutes"
         );
         run_reversed_matches(&src, POOL_BASE);
@@ -416,14 +417,11 @@ proptest! {
         rules.push("c2: mod[X].price -> (P, 2) <= X.price -> P.");
         let src: String = rules.iter().map(|r| format!("{r}\n")).collect();
         let db = Database::open_src(POOL_BASE).unwrap();
-        let prepared = db.prepare(&src).unwrap();
-        let matrix = prepared.commutativity();
+        let report = db.prepare(&src).unwrap().check();
+        let matrix = report.commutativity();
         prop_assert!(!matrix.all_commute());
         let n = rules.len();
         prop_assert_eq!(matrix.pairs_with(Commutativity::Conflicts), vec![(n - 2, n - 1)]);
-        prop_assert!(prepared
-            .warnings()
-            .iter()
-            .any(|d| d.lint == Lint::WriteWriteConflict));
+        prop_assert!(report.diagnostics.iter().any(|d| d.lint == Lint::WriteWriteConflict));
     }
 }

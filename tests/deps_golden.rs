@@ -8,17 +8,19 @@
 //! declared nodes) and JSON (balanced, correctly quoted) — the same
 //! property `ruvo check --deps --dot` relies on in CI.
 
-use ruvo::core::CyclePolicy;
 use ruvo::prelude::*;
+use ruvo::RuleDepGraph;
 
 fn example_src(name: &str) -> String {
     let path = format!("{}/examples/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-fn prepare(src: &str) -> Prepared {
-    let program = Program::parse(src).expect("example parses");
-    Prepared::compile(program, CyclePolicy::Reject).expect("example compiles")
+/// Prepare `src` and ask for its dependency graph.
+fn prepare(src: &str) -> (Prepared, RuleDepGraph) {
+    let prepared = Database::default().prepare(src).expect("example prepares");
+    let deps = prepared.check().deps;
+    (prepared, deps)
 }
 
 /// Compare (or, with `BLESS=1`, rewrite) a golden snapshot under
@@ -36,14 +38,14 @@ fn golden(name: &str, actual: &str) {
 
 #[test]
 fn golden_enterprise_deps_dot() {
-    let prepared = prepare(&example_src("enterprise.rv"));
-    golden("enterprise_deps.dot", &prepared.deps().to_dot(prepared.program()));
+    let (prepared, deps) = prepare(&example_src("enterprise.rv"));
+    golden("enterprise_deps.dot", &deps.to_dot(prepared.program()));
 }
 
 #[test]
 fn golden_enterprise_deps_json() {
-    let prepared = prepare(&example_src("enterprise.rv"));
-    golden("enterprise_deps.json", &prepared.deps().to_json(prepared.program()));
+    let (prepared, deps) = prepare(&example_src("enterprise.rv"));
+    golden("enterprise_deps.json", &deps.to_json(prepared.program()));
 }
 
 // ----- structural re-parse checks ------------------------------------
@@ -129,8 +131,7 @@ fn every_shipped_example_renders_valid_dot_and_json() {
         seen += 1;
         let name = path.display().to_string();
         let src = std::fs::read_to_string(&path).unwrap();
-        let prepared = prepare(&src);
-        let deps = prepared.deps();
+        let (prepared, deps) = prepare(&src);
         assert_eq!(deps.len(), prepared.program().len(), "{name}: graph covers every rule");
         assert_valid_dot(&deps.to_dot(prepared.program()), &name);
         assert_valid_json(&deps.to_json(prepared.program()), &name);
@@ -143,11 +144,10 @@ fn top_and_self_dependent_render_in_dot() {
     // A `$V` rule (⊤ read) plus ins-recursion: the DOT render must
     // carry the ⊤ edge (dashed) and the self-loop (dotted) without
     // breaking structure.
-    let prepared = prepare(
+    let (prepared, deps) = prepare(
         "audit: ins[log].seen -> O <= $V.exists -> O.\n\
          step: ins[X].anc -> G <= ins(X).anc -> P & P.par -> G.",
     );
-    let deps = prepared.deps();
     let dot = deps.to_dot(prepared.program());
     assert_valid_dot(&dot, "top-and-self");
     assert!(dot.contains("style=dotted"), "self-loop missing:\n{dot}");

@@ -319,6 +319,13 @@ fn retired_entry_points_are_not_named() {
         "deny_lint",
         "clear_versions_shard",
         "delta_info",
+        "Prepared::compile",
+        "Prepared::warnings",
+        "Prepared::commutativity",
+        "Prepared::advisories",
+        "Prepared::deps",
+        "Outcome::changed",
+        "LintLevels",
     ];
     for (name, text) in docs {
         for entry in retired {

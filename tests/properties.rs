@@ -379,16 +379,16 @@ proptest! {
             pad_methods: 1,
             seed,
         });
+        // Sequential reference run: states S0..Sn.
+        let mut reference = Database::open(scenario.ob.clone());
         let programs: Vec<Prepared> = scenario
             .writer_programs
             .iter()
-            .map(|p| Prepared::compile(p.clone(), Default::default()).unwrap())
+            .map(|p| reference.prepare_program(p.clone()).unwrap())
             .collect();
         // The write sequence alternates between the two writer groups.
         let seq: Vec<usize> = (0..writes).map(|i| i % programs.len()).collect();
 
-        // Sequential reference run: states S0..Sn.
-        let mut reference = Database::open(scenario.ob.clone());
         let mut states = vec![canon(reference.current())];
         for &g in &seq {
             reference.apply(&programs[g]).unwrap();
