@@ -44,6 +44,9 @@ pub fn run(
 ) -> std::io::Result<()> {
     let mut db = Database::open(initial.unwrap_or_default());
     let mut savepoints: Vec<ruvo_core::SavepointId> = Vec::new();
+    // One `:log` line per committed transaction: the database keeps
+    // only its newest.
+    let mut receipts: Vec<String> = Vec::new();
     let mut pending = String::new();
 
     writeln!(out, "ruvo repl — :help for commands")?;
@@ -80,21 +83,15 @@ pub fn run(
                 }
                 ("stats", _) => writeln!(out, "{}", db.current().stats())?,
                 ("log", _) => {
-                    if db.is_empty() {
+                    if receipts.is_empty() {
                         writeln!(out, "(no transactions)")?;
                     }
-                    for txn in db.log() {
-                        writeln!(
-                            out,
-                            "#{}: {} — {} facts after",
-                            txn.seq,
-                            txn.outcome.stats(),
-                            txn.facts_after
-                        )?;
+                    for receipt in &receipts {
+                        writeln!(out, "{receipt}")?;
                     }
                 }
-                ("history", Some(name)) => match db.log().last() {
-                    None => writeln!(out, "! no transactions yet")?,
+                ("history", Some(name)) => match db.last_txn() {
+                    None => writeln!(out, "! no transaction to inspect")?,
                     Some(txn) => match history(txn.outcome.result(), oid(name)) {
                         None => writeln!(out, "! no history for {name} in the last transaction")?,
                         Some(h) => {
@@ -126,6 +123,7 @@ pub fn run(
                         writeln!(out, "loaded {} ({})", path, ob.stats())?;
                         db = Database::open(ob);
                         savepoints.clear();
+                        receipts.clear();
                     }
                     Err(e) => writeln!(out, "! {e}")?,
                 },
@@ -150,7 +148,7 @@ pub fn run(
                 }
                 ("run", Some(path)) => match std::fs::read_to_string(path) {
                     Err(e) => writeln!(out, "! cannot read {path}: {e}")?,
-                    Ok(src) => apply(&mut db, &src, out)?,
+                    Ok(src) => apply(&mut db, &src, &mut receipts, out)?,
                 },
                 ("strata", Some(path)) => match std::fs::read_to_string(path) {
                     Err(e) => writeln!(out, "! cannot read {path}: {e}")?,
@@ -229,7 +227,10 @@ pub fn run(
                     match target {
                         None => writeln!(out, "! no such savepoint")?,
                         Some(sp) => match db.rollback_to(sp) {
-                            Ok(()) => writeln!(out, "rolled back")?,
+                            Ok(()) => {
+                                receipts.truncate(db.len());
+                                writeln!(out, "rolled back")?
+                            }
                             Err(e) => writeln!(out, "! {e}")?,
                         },
                     }
@@ -248,7 +249,7 @@ pub fn run(
             if src.trim_start().starts_with("?-") {
                 query(&db, &src, out)?;
             } else {
-                apply(&mut db, &src, out)?;
+                apply(&mut db, &src, &mut receipts, out)?;
             }
         }
     }
@@ -268,15 +269,20 @@ fn query(db: &Database, src: &str, out: &mut impl Write) -> std::io::Result<()> 
     }
 }
 
-fn apply(db: &mut Database, src: &str, out: &mut impl Write) -> std::io::Result<()> {
+/// Apply `src` as one transaction, print its receipt and record it
+/// for `:log`.
+fn apply(
+    db: &mut Database,
+    src: &str,
+    receipts: &mut Vec<String>,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
     match db.apply_src(src) {
-        Ok(txn) => writeln!(
-            out,
-            "ok: txn #{} — {} ({} facts now)",
-            txn.seq,
-            txn.outcome.stats(),
-            txn.facts_after
-        ),
+        Ok(txn) => {
+            let (seq, stats, facts) = (txn.seq, txn.outcome.stats(), txn.facts_after);
+            receipts.push(format!("#{seq}: {stats} — {facts} facts after"));
+            writeln!(out, "ok: txn #{seq} — {stats} ({facts} facts now)")
+        }
         Err(e) => writeln!(out, "! {e}"),
     }
 }
@@ -339,4 +345,31 @@ pub fn save_base_as(
         }
     }
     Ok(format.describe())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn log_lists_the_commits_that_survive() {
+        let dir = std::env::temp_dir().join(format!("ruvo-repl-log-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("b.ob");
+        std::fs::write(&base, "y.p -> 1.").unwrap();
+        let script = format!(
+            "ins[x].p -> 1.\n:savepoint\nins[x].q -> 2.\n:log\n:rollback 0\n:log\n\
+             :history x\nins[x].r -> 3.\n:log\n:load {}\n:log\n:quit\n",
+            base.display()
+        );
+        let mut out = Vec::new();
+        super::run(script.as_bytes(), &mut out, None).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        // The three listings, one `#seq:` line per surviving commit:
+        // two, one after the rollback, two after the next commit.
+        let receipts: Vec<&str> =
+            out.lines().filter(|l| l.starts_with('#')).map(|l| &l[..3]).collect();
+        assert_eq!(receipts, ["#0:", "#1:", "#0:", "#0:", "#1:"], "got: {out}");
+        assert!(out.contains("! no transaction to inspect"), "got: {out}");
+        assert!(out.ends_with("(no transactions)\n"), "a load clears the list; got: {out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -672,7 +672,8 @@ impl Database {
 
     /// Run a prepared program as one transaction: on success the
     /// committed base becomes the program's `ob′` and the transaction
-    /// is logged; on any error the database is untouched.
+    /// becomes [`Database::last_txn`]; on any error the database is
+    /// untouched.
     ///
     /// The evaluation's working copy shares every version state with
     /// the committed base (copy-on-write) and pays only for the states
@@ -789,8 +790,8 @@ impl Database {
     /// block's commits are appended as **one** WAL record when the
     /// closure succeeds — an aborted block leaves no trace in the log,
     /// and a crash inside the block can never replay half a
-    /// transaction. Volatile or durable, nothing in the log is trimmed
-    /// until the block commits.
+    /// transaction. Volatile or durable, an aborted block leaves
+    /// [`Database::last_txn`] as it was before the block.
     pub fn transact<T>(
         &mut self,
         f: impl FnOnce(&mut Transaction<'_>) -> Result<T, Error>,
@@ -811,23 +812,23 @@ impl Database {
         Snapshot::new(self.session.current_shared())
     }
 
-    /// Committed transactions, oldest first. The newest keeps its full
-    /// `result(P)` version history; every entry keeps its statistics,
-    /// its stratification and `facts_after` (see [`Txn::outcome`]).
-    /// After a rollback the newest remaining entry may already be
-    /// trimmed.
-    pub fn log(&self) -> &[Txn] {
-        self.session.log()
+    /// The newest committed transaction, with its whole [`Outcome`]:
+    /// `result(P)`'s version history, traces and statistics. Older
+    /// transactions are not kept. `None` before the first commit and
+    /// after a rollback past one.
+    pub fn last_txn(&self) -> Option<&Txn> {
+        self.session.last_txn().map(|txn| &**txn)
     }
 
-    /// Number of committed transactions.
+    /// Number of committed transactions: the next commit's
+    /// [`Txn::seq`].
     pub fn len(&self) -> usize {
-        self.session.log().len()
+        self.session.commits()
     }
 
     /// True if no transaction has been committed.
     pub fn is_empty(&self) -> bool {
-        self.session.log().is_empty()
+        self.session.commits() == 0
     }
 
     /// The writer core this database commits through. Its public
@@ -944,8 +945,10 @@ impl Database {
         self.session.savepoint()
     }
 
-    /// Restore the committed state and transaction log to `savepoint`
-    /// (later savepoints are invalidated; the target stays valid).
+    /// Restore the committed state and the transaction count to
+    /// `savepoint` (later savepoints are invalidated; the target stays
+    /// valid). A rollback past a commit leaves no
+    /// [`Database::last_txn`].
     ///
     /// On a durable database the rolled-back transactions are already
     /// in the WAL, so the restored state is checkpointed — a delta of
@@ -990,9 +993,9 @@ impl Transaction<'_> {
         self.db.current()
     }
 
-    /// Transactions committed so far, including ones from this block.
-    pub fn log(&self) -> &[Txn] {
-        self.db.log()
+    /// The newest transaction committed so far, this block's included.
+    pub fn last_txn(&self) -> Option<&Txn> {
+        self.db.last_txn()
     }
 }
 

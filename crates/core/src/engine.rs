@@ -168,7 +168,7 @@ pub struct CompiledProgram {
     /// program: the durable commit path logs it on every application,
     /// and re-rendering per commit would tax the writer's critical
     /// section.
-    source: std::sync::OnceLock<std::sync::Arc<str>>,
+    source: OnceLock<Arc<str>>,
     /// The demand rewrites [`crate::plan_query`] compiled from this
     /// program, one per kept-rule set.
     pub(crate) rewrites: Rewrites,
@@ -208,7 +208,7 @@ impl CompiledProgram {
             risky,
             index_plan,
             cycles,
-            source: std::sync::OnceLock::new(),
+            source: OnceLock::new(),
             rewrites: Rewrites::default(),
         })
     }
@@ -542,18 +542,6 @@ impl Outcome {
         &self,
     ) -> impl Iterator<Item = (Const, Option<&Arc<VersionState>>)> + '_ {
         self.finals.iter().map(|(base, fv)| (base, self.result.version_shared(fv)))
-    }
-
-    /// Drop `result(P)`, the traces and the final-version record,
-    /// keeping the statistics and the stratification — what a session
-    /// log keeps of every transaction but the newest.
-    pub(crate) fn trim(&mut self) {
-        static EMPTY: OnceLock<ObjectBase> = OnceLock::new();
-        // A clone of one shared empty base: no allocation per entry.
-        self.result = EMPTY.get_or_init(ObjectBase::new).clone();
-        self.stratum_traces = Vec::new();
-        self.round_traces = Vec::new();
-        self.finals = LinearityTracker::new();
     }
 
     /// The final version of every object in `result(P)` (§5): the

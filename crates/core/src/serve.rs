@@ -152,7 +152,8 @@ impl Ticket {
 /// The receipt for one committed program application.
 #[derive(Clone, Debug)]
 pub struct Applied {
-    /// Transaction sequence number in the writer's log (0-based).
+    /// Transaction sequence number (0-based): the writer's commits
+    /// before this one.
     pub seq: usize,
     /// Facts in the committed base right after this transaction.
     pub facts_after: usize,
@@ -169,7 +170,7 @@ struct Shared {
     head: HeadCell,
     /// Publish count; bumped once per batch, after the head moved.
     epoch: AtomicU64,
-    /// Committed transactions, mirrored out of the writer's log so
+    /// Committed transactions, mirrored out of the writer's count so
     /// readers can see progress without the writer lock.
     commits: AtomicUsize,
     /// Pending writes awaiting a group-commit leader.
@@ -223,7 +224,7 @@ const _: () = {
 
 impl ServingDatabase {
     /// Wrap a single-owner [`Database`] into a serving handle, taking
-    /// over its committed state, log and configuration.
+    /// over its committed state, newest transaction and configuration.
     pub fn new(db: Database) -> ServingDatabase {
         let head = db.session().current_shared();
         let shared = Shared {
@@ -343,28 +344,7 @@ impl ServingDatabase {
     /// inside a [`ServingDatabase::transact`] closure on the same
     /// database — see the deadlock note there.
     pub fn apply(&self, prepared: &Prepared) -> Result<Applied, Error> {
-        let ticket = Arc::new(Ticket::default());
-        self.queue().push(QueueEntry { prepared: prepared.clone(), ticket: Arc::clone(&ticket) });
-        match self.shared.writer.lock() {
-            Ok(mut writer) => {
-                // A previous leader may have served our ticket while we
-                // waited for the lock; otherwise we lead the batch that
-                // contains it.
-                if let Some(result) = ticket.take() {
-                    return result;
-                }
-                self.drain(&mut writer);
-            }
-            Err(_poisoned) => {
-                // Withdraw the unserved entry so it cannot linger.
-                self.queue().retain(|e| !Arc::ptr_eq(&e.ticket, &ticket));
-                return match ticket.take() {
-                    Some(result) => result,
-                    None => Err(Error::PoisonedWriter),
-                };
-            }
-        }
-        ticket.take().expect("group-commit drain fills every queued ticket")
+        self.apply_batch(&[prepared]).remove(0)
     }
 
     /// Prepare and apply program text in one step (no compilation
@@ -381,6 +361,12 @@ impl ServingDatabase {
     /// share a publish epoch (a concurrent leader that picks the batch
     /// up may fold *more* queued programs into the same publication,
     /// never split these apart — they enter the queue atomically).
+    ///
+    /// The winner of the writer lock drains the whole queue, so a
+    /// previous leader may already have served these tickets; draining
+    /// again then serves only entries whose owners still wait for the
+    /// lock. On a poisoned lock the unserved entries are withdrawn and
+    /// report [`Error::PoisonedWriter`].
     pub fn apply_batch(&self, batch: &[&Prepared]) -> Vec<Result<Applied, Error>> {
         let tickets: Vec<Arc<Ticket>> = {
             // One guard for all pushes: a leader draining concurrently
@@ -417,7 +403,7 @@ impl ServingDatabase {
     ///
     /// Write *through the closure's [`Transaction`] handle only*. The
     /// writer lock is not reentrant: calling [`ServingDatabase::apply`],
-    /// `transact` or [`ServingDatabase::log_tail`] on any handle to
+    /// `transact` or [`ServingDatabase::last_txn`] on any handle to
     /// this database from inside the closure deadlocks the thread
     /// (reads — [`ServingDatabase::snapshot`] and friends — are
     /// always safe).
@@ -514,14 +500,12 @@ impl ServingDatabase {
         writer.compact()
     }
 
-    /// Recent committed transactions, newest last: the final `n`
-    /// entries of the writer's log, cloned out under the writer lock
-    /// (so this waits for a running batch; prefer counters/snapshots
-    /// on the serving path).
-    pub fn log_tail(&self, n: usize) -> Result<Vec<crate::session::Txn>, Error> {
-        let writer = self.lock_writer()?;
-        let log = writer.log();
-        Ok(log[log.len().saturating_sub(n)..].to_vec())
+    /// The newest committed transaction, shared out under the writer
+    /// lock (so this waits for a running batch; prefer
+    /// counters/snapshots on the serving path). `None` before the
+    /// first commit.
+    pub fn last_txn(&self) -> Result<Option<Arc<crate::session::Txn>>, Error> {
+        Ok(self.lock_writer()?.session().last_txn().cloned())
     }
 
     /// Unwrap back into the single-owner [`Database`] — possible only

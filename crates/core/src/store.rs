@@ -245,10 +245,6 @@ pub enum FsyncPolicy {
     /// transaction.
     #[default]
     Always,
-    /// `fdatasync` every `n` appended records. Bounded loss window on
-    /// machine crash; still crash-safe against process kills (the OS
-    /// keeps completed `write`s).
-    EveryN(u32),
     /// Never fsync appends (checkpoints still sync). Survives process
     /// kills, not power loss — the fastest option for bulk loads.
     Never,
@@ -944,7 +940,6 @@ pub struct WalStore {
     written_to: u64,
     /// The frame under construction, kept between appends.
     frame: Vec<u8>,
-    unsynced_appends: u32,
     fsync: FsyncPolicy,
     policy: CheckpointPolicy,
     /// Set when an append's `fdatasync` failed: what the file holds
@@ -1044,7 +1039,6 @@ impl WalStore {
             zeroed_to: file_len,
             written_to: file_len,
             frame: Vec::new(),
-            unsynced_appends: 0,
             fsync,
             policy,
             wedged: false,
@@ -1088,22 +1082,6 @@ impl WalStore {
         self.wal.sync_data().map_err(|e| StorageError::io("fsync", &self.wal_path, e))
     }
 
-    fn append_sync(&mut self) -> Result<(), StorageError> {
-        match self.fsync {
-            FsyncPolicy::Always => self.sync_wal(),
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced_appends += 1;
-                if self.unsynced_appends >= n.max(1) {
-                    self.unsynced_appends = 0;
-                    self.sync_wal()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::Never => Ok(()),
-        }
-    }
-
     fn compaction_due(&self) -> bool {
         let Some(c) = &self.chain else { return false };
         let (base, deltas) = c.generations.split_first().expect("chains are never empty");
@@ -1130,7 +1108,6 @@ impl WalStore {
         self.wal_bytes = 0;
         self.zeroed_to = WAL_HEADER_LEN;
         self.written_to = WAL_HEADER_LEN;
-        self.unsynced_appends = 0;
         Ok(())
     }
 
@@ -1271,7 +1248,11 @@ impl DurabilitySink for WalStore {
             self.written_to = self.written_to.max(fill_to);
             return Err(StorageError::io("append", &self.wal_path, e));
         }
-        if let Err(e) = self.append_sync() {
+        let synced = match self.fsync {
+            FsyncPolicy::Always => self.sync_wal(),
+            FsyncPolicy::Never => Ok(()),
+        };
+        if let Err(e) = synced {
             // After a failed fsync the page cache may or may not hold
             // the record; no later append may be acknowledged beside it.
             self.wedged = true;
@@ -1731,6 +1712,35 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_fsync_wedges_the_store_until_a_reopen() {
+        let dir = tmp_dir("failed-fsync");
+        let mut store =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap().store;
+        store.append_batch(&[prog("acked.")], &base(1)).unwrap();
+        let wal_bytes = store.wal_bytes();
+
+        // On `/dev/null` the seek and the write succeed and
+        // `fdatasync` fails (EINVAL).
+        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        let real = std::mem::replace(&mut store.wal, null);
+        let err = store.append_batch(&[prog("unsynced.")], &base(1)).unwrap_err();
+        assert!(matches!(err, StorageError::Io { op: "fsync", .. }), "{err:?}");
+        assert_eq!((store.seq(), store.wal_records(), store.wal_bytes()), (1, 1, wal_bytes));
+
+        // The real file back: still no append is acknowledged.
+        store.wal = real;
+        let err = store.append_batch(&[prog("later.")], &base(1)).unwrap_err();
+        assert!(matches!(err, StorageError::Misuse(m) if m.contains("wedged")), "{err:?}");
+        assert_eq!((store.seq(), store.wal_records()), (1, 1));
+        drop(store);
+
+        let reopened =
+            WalStore::open(&dir, FsyncPolicy::Always, CheckpointPolicy::never()).unwrap();
+        assert_eq!(sources(&reopened.records), ["acked."]);
+        assert_eq!(reopened.stats.dropped_bytes, 0);
+    }
+
+    #[test]
     fn bit_flips_anywhere_in_the_wal_never_panic() {
         let dir = tmp_dir("flips");
         let mut opened =
@@ -1901,11 +1911,7 @@ mod tests {
 
     #[test]
     fn fsync_policies_accept_appends() {
-        for (tag, policy) in [
-            ("always", FsyncPolicy::Always),
-            ("every4", FsyncPolicy::EveryN(4)),
-            ("never", FsyncPolicy::Never),
-        ] {
+        for (tag, policy) in [("always", FsyncPolicy::Always), ("never", FsyncPolicy::Never)] {
             let dir = tmp_dir(&format!("fsync-{tag}"));
             let mut opened = WalStore::open(&dir, policy, CheckpointPolicy::never()).unwrap();
             for i in 0..10 {

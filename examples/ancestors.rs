@@ -27,7 +27,7 @@ fn main() {
     let mut rdb = Database::open(family.ob.clone());
     let closure = rdb.prepare_program(ancestors_program()).expect("stratifiable");
     rdb.apply(&closure).expect("runs");
-    let outcome = &rdb.log().last().expect("committed").outcome;
+    let outcome = &rdb.last_txn().expect("committed").outcome;
     let ob2 = rdb.current();
 
     // Check every person against the ground-truth closure.

@@ -25,7 +25,7 @@ fn main() {
     println!("stratification (paper: {{rule1, rule2}} < {{rule3}} < {{rule4}}):\n  {strat}\n");
 
     db.apply(&update).expect("evaluation succeeds");
-    let outcome = &db.log().last().expect("committed").outcome;
+    let outcome = &db.last_txn().expect("committed").outcome;
 
     // Figure 2: the version history of each object.
     for name in ["phil", "bob"] {

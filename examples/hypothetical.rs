@@ -22,7 +22,7 @@ fn main() {
     println!("stratification: {}\n", what_if.stratification());
 
     db.apply(&what_if).expect("evaluation succeeds");
-    let outcome = &db.log().last().expect("committed").outcome;
+    let outcome = &db.last_txn().expect("committed").outcome;
 
     // The hypothetical salaries live on the mod(·) versions...
     println!("hypothetical (raised) salaries:");

@@ -35,7 +35,7 @@ fn main() {
 
     db.apply(&raise).expect("transaction commits");
 
-    let txn = db.log().last().expect("one transaction committed");
+    let txn = db.last_txn().expect("one transaction committed");
     println!("result(P) — every version, including the update history:");
     print!("{}", txn.outcome.result());
 

@@ -36,7 +36,7 @@ fn main() {
         .expect("program compiles");
     println!("stratification: {}\n", audit.stratification());
     db.apply(&audit).expect("runs");
-    let outcome = &db.log().last().expect("committed").outcome;
+    let outcome = &db.last_txn().expect("committed").outcome;
 
     // Walk each object's linear version history.
     for base in ["acct1", "acct2"] {

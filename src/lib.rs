@@ -51,8 +51,8 @@
 //! // The snapshot still sees the pre-transaction state.
 //! assert_eq!(before.lookup1(oid("henry"), "sal"), vec![int(250)]);
 //!
-//! // The newest log entry keeps every version the update created.
-//! let txn = db.log().last().unwrap();
+//! // The newest transaction keeps every version the update created.
+//! let txn = db.last_txn().unwrap();
 //! assert!(txn.outcome.result().contains(
 //!     Vid::object(oid("henry")).apply(UpdateKind::Mod).unwrap(),
 //!     sym("sal"), &[], int(275),

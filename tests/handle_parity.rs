@@ -4,10 +4,11 @@
 //! One script of verbs and inputs runs through `Database`,
 //! `Transaction` (each write inside its own `transact` block) and
 //! `ServingDatabase`, each volatile and durable. After every step all
-//! six agree on the step's `ErrorKind`, the head, the log length and
-//! whether the newest log entry still holds `result(P)`; the three
-//! durable ones also agree on the WAL record count and on the head a
-//! reopen of their directory recovers, which is the live head.
+//! six agree on the step's `ErrorKind`, the head, the commit count,
+//! and the newest transaction's `seq` and whether it holds
+//! `result(P)`; the three durable ones also agree on the WAL record
+//! count and on the head a reopen of their directory recovers, which is
+//! the live head.
 //!
 //! A verb a handle does not have runs on the handle it belongs to:
 //! `prepare`, `query`, savepoints and checkpoints of a `Transaction`
@@ -120,7 +121,8 @@ fn reopened_head(dir: &Path) -> ObjectBase {
 struct Seen {
     head: ObjectBase,
     log_len: usize,
-    newest_keeps_result: Option<bool>,
+    /// The newest transaction's `seq`, and whether it keeps `result(P)`.
+    newest: Option<(usize, bool)>,
 }
 
 impl Handle {
@@ -237,17 +239,17 @@ impl Handle {
     }
 
     fn seen(&self) -> Seen {
-        let newest = |log: &[ruvo::core::Txn]| log.last().map(|t| !t.outcome.result().is_empty());
+        let newest = |t: &ruvo::core::Txn| (t.seq, !t.outcome.result().is_empty());
         match &self.writer {
             Writer::Db(db) => Seen {
                 head: db.current().clone(),
                 log_len: db.len(),
-                newest_keeps_result: newest(db.log()),
+                newest: db.last_txn().map(newest),
             },
             Writer::Serving(serving) => Seen {
                 head: (*serving.current()).clone(),
                 log_len: serving.commits(),
-                newest_keeps_result: newest(&serving.log_tail(1).unwrap()),
+                newest: serving.last_txn().unwrap().as_deref().map(newest),
             },
         }
     }
@@ -286,9 +288,9 @@ fn every_handle_agrees_on_every_verb() {
     }
     // The script moved the state: two credits, a two-credit transact,
     // one after the checkpoint; everything else failed or rolled back.
-    let Seen { head, log_len, newest_keeps_result } = handles[0].seen();
+    let Seen { head, log_len, newest } = handles[0].seen();
     assert_eq!(head.lookup1(oid("acct"), "balance"), vec![int(350)]);
-    assert_eq!((log_len, newest_keeps_result), (5, Some(true)));
+    assert_eq!((log_len, newest), (5, Some((4, true))));
     let dirs: Vec<PathBuf> = handles.iter().filter_map(|h| h.dir.clone()).collect();
     drop(handles);
     for dir in dirs {

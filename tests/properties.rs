@@ -616,7 +616,7 @@ proptest! {
             prop_assert_eq!(&fast.vars, &oracle.vars, "goal {}", &goal_src);
             prop_assert_eq!(&fast.rows, &oracle.rows, "goal {}", &goal_src);
         }
-        prop_assert!(db.log().is_empty(), "a query must not commit");
+        prop_assert!(db.is_empty(), "a query must not commit");
     }
 
     /// The escape hatch — full evaluation, then `match_goal` on its

@@ -44,7 +44,7 @@ fn payroll_quarter() {
         .unwrap();
 
     // History of the last transaction shows the insert for eva.
-    let txn = payroll.log().last().unwrap();
+    let txn = payroll.last_txn().unwrap();
     let h = history(txn.outcome.result(), oid("eva")).unwrap();
     assert_eq!(h.updates(), 1);
     assert!(h.steps[1].added.iter().any(|(m, _, r)| *m == sym("band") && *r == oid("high")));
