@@ -558,7 +558,7 @@ fn recover_report(dir: &std::path::Path) -> Result<String, ruvo_core::Error> {
 }
 
 /// `ruvo serve`: the concurrent serving demo. One writer thread
-/// commits `program` `commits` times through a [`ServingDatabase`]
+/// commits `program` `commits` times through a [`ruvo_core::ServingDatabase`]
 /// while `readers` threads continuously snapshot and scan; reports
 /// aggregate throughput and the final head. With `ack_file`, one line
 /// (`"<seq>"`) is appended and flushed per acknowledged commit — the

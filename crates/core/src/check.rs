@@ -198,14 +198,14 @@ impl Correspondence {
 /// good as the constant it evaluates to.
 fn resolved(rule: &Rule, t: ArgTerm) -> ArgTerm {
     let BaseTerm::Var(v) = t else { return t };
-    for step in &rule.plan.steps {
+    for step in &rule.plan().steps {
         let PlannedLiteral::Assign { lit, var } = step else { continue };
         if *var != v {
             continue;
         }
-        let Atom::Cmp(b) = &rule.body[*lit].atom else { continue };
+        let Atom::Cmp(b) = &rule.body()[*lit].atom else { continue };
         let expr = if b.lhs.as_single_var() == Some(v) { &b.rhs } else { &b.lhs };
-        if let Some(c) = expr.eval(&Bindings::new(rule.vars.len())) {
+        if let Some(c) = expr.eval(&Bindings::new(rule.vars().len())) {
             return BaseTerm::Const(c);
         }
     }
@@ -236,8 +236,8 @@ fn provably_equal(corr: &Correspondence, ri: &Rule, a: ArgTerm, rj: &Rule, b: Ar
 /// never fire on the same target instance.
 fn mutually_exclusive(corr: &Correspondence, a: &Rule, b: &Rule) -> bool {
     let one_way = |pos_rule: &Rule, neg_rule: &Rule, flip: bool| {
-        pos_rule.body.iter().filter(|l| l.positive).any(|pl| {
-            neg_rule.body.iter().filter(|l| !l.positive).any(|nl| match (&pl.atom, &nl.atom) {
+        pos_rule.body().iter().filter(|l| l.positive).any(|pl| {
+            neg_rule.body().iter().filter(|l| !l.positive).any(|nl| match (&pl.atom, &nl.atom) {
                 (Atom::Version(va), Atom::Version(vb)) => {
                     if flip {
                         corr.version_atom_eq(vb, va)
@@ -255,13 +255,13 @@ fn mutually_exclusive(corr: &Correspondence, a: &Rule, b: &Rule) -> bool {
 /// The verdict for one same-stratum pair.
 fn pair_verdict(ri: &Rule, rj: &Rule) -> Commutativity {
     use Commutativity::{Commutes, Conflicts, Unknown};
-    if !ri.head.created_term().unifiable(rj.head.created_term()) {
+    if !ri.head().created_term().unifiable(rj.head().created_term()) {
         // The heads create provably different versions.
         return Commutes;
     }
     // Same created chain ⇒ same outermost update kind.
-    let corr = Correspondence::of(ri.head.target.base, rj.head.target.base);
-    match (&ri.head.spec, &rj.head.spec) {
+    let corr = Correspondence::of(ri.head().target().base, rj.head().target().base);
+    match (ri.head().spec(), rj.head().spec()) {
         // Insertions are additive and deletions anti-additive on
         // set-valued methods: any two commute.
         (UpdateSpec::Ins { .. }, UpdateSpec::Ins { .. }) => Commutes,
@@ -307,7 +307,7 @@ fn pair_verdict(ri: &Rule, rj: &Rule) -> Commutativity {
 /// Render a version-id-term with the rule's variable names.
 fn vid_str(rule: &Rule, t: VidTerm) -> String {
     let mut s = match t.base {
-        BaseTerm::Var(v) => rule.vars.name(v).to_owned(),
+        BaseTerm::Var(v) => rule.vars().name(v).to_owned(),
         BaseTerm::Const(c) => c.to_string(),
     };
     for i in 0..t.chain.len() {
@@ -323,11 +323,11 @@ fn write_write_conflicts(
 ) {
     for (i, j) in matrix.pairs_with(Commutativity::Conflicts) {
         let (ri, rj) = (&program.rules[i], &program.rules[j]);
-        let target = vid_str(rj, rj.head.target);
-        let method = rj.head.spec.method().map(|m| m.to_string()).unwrap_or_default();
+        let target = vid_str(rj, rj.head().target());
+        let method = rj.head().spec().method().map(|m| m.to_string()).unwrap_or_default();
         let mut d = Diagnostic::new(
             Lint::WriteWriteConflict,
-            rj.span,
+            rj.span(),
             format!(
                 "rules `{}` and `{}` are in the same stratum and may both modify \
                  `{target}`.{method} with different results",
@@ -339,7 +339,7 @@ fn write_write_conflicts(
             "within a stratum no firing order is defined; conflicting writes make \
              the result set depend on it",
         );
-        if let Some(span) = ri.span {
+        if let Some(span) = ri.span() {
             d = d.note(format!("`{}` is defined at {}", program.rule_name(i), span.start));
         }
         out.push(d);
@@ -350,9 +350,9 @@ fn write_write_conflicts(
 fn dead_rule_reason(program: &Program, alive: &[bool], r: usize) -> Option<String> {
     let rule = &program.rules[r];
     let creates =
-        |o: usize, req: VidTerm| alive[o] && program.rules[o].head.created_term().unifiable(req);
+        |o: usize, req: VidTerm| alive[o] && program.rules[o].head().created_term().unifiable(req);
     let creators = |req: VidTerm| (0..program.rules.len()).any(|o| creates(o, req));
-    for lit in rule.body.iter().filter(|l| l.positive) {
+    for lit in rule.body().iter().filter(|l| l.positive) {
         match &lit.atom {
             Atom::Version(va) => {
                 // A created version inherits its predecessor's methods
@@ -373,20 +373,20 @@ fn dead_rule_reason(program: &Program, alive: &[bool], r: usize) -> Option<Strin
                 // Body update-atoms ask whether the update was
                 // performed — only a rule head can perform one.
                 let req = ua.created_term();
-                let kind = ua.spec.kind();
-                let method = ua.spec.method();
+                let kind = ua.spec().kind();
+                let method = ua.spec().method();
                 let performed = program.rules.iter().enumerate().any(|(o, other)| {
                     creates(o, req)
-                        && other.head.spec.kind() == kind
-                        && (other.head.spec.method() == method
+                        && other.head().spec().kind() == kind
+                        && (other.head().spec().method() == method
                             // `del[V].*` performs every deletion on V.
-                            || (kind == UpdateKind::Del && other.head.spec.method().is_none()))
+                            || (kind == UpdateKind::Del && other.head().spec().method().is_none()))
                 });
                 if !performed {
                     return Some(format!(
                         "its body asks about `{}[{}]`, an update no rule performs",
                         kind,
-                        vid_str(rule, ua.target)
+                        vid_str(rule, ua.target())
                     ));
                 }
             }
@@ -423,7 +423,7 @@ fn dead_rules(program: &Program, out: &mut Vec<Diagnostic>) {
         out.push(
             Diagnostic::new(
                 Lint::DeadRule,
-                program.rules[r].span,
+                program.rules[r].span(),
                 format!("rule `{}` can never fire: {reason}", program.rule_name(r)),
             )
             .note(
@@ -485,8 +485,8 @@ fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagn
                 program.rule_name(writer),
             ));
         }
-        let additive = program.rules[reader].head.spec.kind() == UpdateKind::Ins
-            && program.rules[writer].head.spec.kind() == UpdateKind::Ins;
+        let additive = program.rules[reader].head().spec().kind() == UpdateKind::Ins
+            && program.rules[writer].head().spec().kind() == UpdateKind::Ins;
         if additive {
             return None; // §4(b) ins-recursion: monotone, order-free
         }
@@ -504,7 +504,7 @@ fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagn
         out.push(
             Diagnostic::new(
                 Lint::OrderSensitiveRules,
-                program.rules[b].span,
+                program.rules[b].span(),
                 format!(
                     "rules `{}` and `{}` are in the same stratum and {why}",
                     program.rule_name(a),
@@ -548,7 +548,7 @@ fn deps_advisories(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnos
         out.push(
             Diagnostic::new(
                 Lint::SelfDependentRule,
-                program.rules[r].span,
+                program.rules[r].span(),
                 format!("rule `{}` {why}", program.rule_name(r)),
             )
             .note("it can fire on results of its earlier firings"),
@@ -636,23 +636,12 @@ impl SourceCheck {
 /// conflicts and dead rules, with a [`Lint::DynamicPolicyRequired`]
 /// diagnostic explaining the rejection.
 pub fn check_source(src: &str, cycles: CyclePolicy) -> SourceCheck {
-    let parsed = ruvo_lang::lexer::lex(src).and_then(|t| ruvo_lang::parser::parse_program(&t));
-    let mut program = match parsed {
-        Ok(program) => program,
-        Err(e) => {
-            return SourceCheck {
-                compiled: None,
-                diagnostics: vec![(&e).into()],
-                advisories: Vec::new(),
-            }
-        }
-    };
     // With no error among them, the front end's findings are exactly
     // the program-level pass's: they open the compiled report.
-    let front = analysis::front_end(&mut program);
-    if front.iter().any(Diagnostic::is_error) {
+    let (front, program) = analysis::front_end(src);
+    let Some(program) = program else {
         return SourceCheck { compiled: None, diagnostics: front, advisories: Vec::new() };
-    }
+    };
     match CompiledProgram::compile(program.clone(), cycles) {
         Ok(compiled) => {
             let CheckReport { diagnostics, advisories, deps } = check_with(&compiled, front);

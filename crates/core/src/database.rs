@@ -631,12 +631,18 @@ impl Database {
         Database::prepare_gated(program, self.config())
     }
 
-    /// [`Database::prepare`] for an already-built program. Runs the
-    /// front end first ([`ruvo_lang::analysis::admit`]): the program's
-    /// rules may have been assembled or edited through their public
-    /// fields, so nothing vouches for them.
-    pub fn prepare_program(&self, mut program: Program) -> Result<Prepared, Error> {
-        ruvo_lang::analysis::admit(&mut program)?;
+    /// [`Database::prepare`] for an already-built program. Every
+    /// [`ruvo_lang::Rule`] passed the front end's rule-level pass when it
+    /// was built, so the one rejection left is a program-level one: two
+    /// rules sharing a label ([`ErrorKind::Validate`]).
+    pub fn prepare_program(&self, program: Program) -> Result<Prepared, Error> {
+        let mut labels = std::collections::HashSet::new();
+        if let Some(label) =
+            program.rules.iter().filter_map(|r| r.label()).find(|&l| !labels.insert(l))
+        {
+            let message = format!("duplicate rule label `{label}`");
+            return Err(Error::Validate(ValidateError { rule: label.to_owned(), message }));
+        }
         Database::prepare_gated(program, self.config())
     }
 
@@ -702,7 +708,6 @@ impl Database {
     /// is returned and the database is unchanged — even for results
     /// that would fail the §5 commit gate, which only a branching
     /// seeded head (`ins(o)` beside `del(o)`) produces: its
-    /// [`Outcome::new_object_base`] panics, and
     /// [`Outcome::try_new_object_base`] reports the violation.
     ///
     /// The working copy is an O(shards) copy-on-write clone of the
@@ -1169,7 +1174,10 @@ mod tests {
         let raise = db.prepare(RAISE).unwrap();
         let outcome = db.evaluate(&raise).unwrap();
         // The full result is visible, the database unchanged.
-        assert_eq!(outcome.new_object_base().lookup1(oid("henry"), "sal"), vec![int(275)]);
+        assert_eq!(
+            outcome.try_new_object_base().unwrap().lookup1(oid("henry"), "sal"),
+            vec![int(275)]
+        );
         assert_eq!(db.current().lookup1(oid("henry"), "sal"), vec![int(250)]);
         assert!(db.is_empty());
         // On a branching seeded head, evaluate exposes the non-linear

@@ -53,7 +53,7 @@ impl ReadSet {
         let mut keys = Vec::new();
         let mut negated = Vec::new();
         let mut top = false;
-        for lit in &rule.body {
+        for lit in rule.body() {
             match crate::plan::literal_reads(lit) {
                 Some(ks) if lit.positive => keys.extend(ks),
                 Some(ks) => negated.extend(ks),
@@ -86,7 +86,7 @@ pub struct WriteSet {
 
 impl WriteSet {
     fn of(rule: &Rule) -> WriteSet {
-        WriteSet { chain: rule.head.created_term().chain }
+        WriteSet { chain: rule.head().created_term().chain }
     }
 }
 

@@ -145,14 +145,15 @@ impl Default for EngineConfig {
 ///
 /// let program = Program::parse(
 ///     "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = S + 50.",
-/// ).unwrap();
-/// let compiled = CompiledProgram::compile(program, CyclePolicy::Reject).unwrap();
+/// )?;
+/// let compiled = CompiledProgram::compile(program, CyclePolicy::Reject)?;
 /// assert_eq!(compiled.stratification().strata.len(), 1);
 ///
 /// // Evaluate it on any base, as often as needed.
-/// let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
-/// let outcome = run_compiled(&compiled, &EngineConfig::default(), ob).unwrap();
-/// assert_eq!(outcome.new_object_base().lookup1(oid("henry"), "sal"), vec![int(300)]);
+/// let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.")?;
+/// let outcome = run_compiled(&compiled, &EngineConfig::default(), ob)?;
+/// assert_eq!(outcome.try_new_object_base()?.lookup1(oid("henry"), "sal"), vec![int(300)]);
+/// # Ok::<(), ruvo_core::Error>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -179,13 +180,9 @@ impl CompiledProgram {
     /// [`IndexPlan`] — exactly what [`run_compiled`] reads; the static
     /// analyses live in [`crate::check`]. Fails
     /// exactly when [`crate::stratify::stratify`] would (or never,
-    /// under [`CyclePolicy::RuntimeStability`]).
-    ///
-    /// # Panics
-    ///
-    /// If a rule, edited through its public fields, holds an update-term
-    /// the front end ([`ruvo_lang::analysis::admit`]) refuses; a handle's
-    /// `prepare_program` admits the program first and returns the error.
+    /// under [`CyclePolicy::RuntimeStability`]). Every rule was
+    /// admitted by the front end, so its plan and created versions are
+    /// read as stored.
     pub fn compile(
         program: Program,
         cycles: CyclePolicy,
@@ -290,8 +287,8 @@ fn round_tasks<'a>(
                 tasks.push(full(r));
                 break;
             };
-            let delta = match (&rule.plan.steps[step], keys.as_slice()) {
-                (&PlannedLiteral::Scan(li), [key]) if reads_by_membership(&rule.body[li]) => {
+            let delta = match (&rule.plan().steps[step], keys.as_slice()) {
+                (&PlannedLiteral::Scan(li), [key]) if reads_by_membership(&rule.body()[li]) => {
                     ch.relation(key).map(Cow::Borrowed)
                 }
                 _ => {
@@ -566,6 +563,12 @@ impl Outcome {
     /// §5: derive the updated object base `ob'` by copying, for each
     /// object, the method-applications of its final version (objects
     /// whose final state is empty — only `exists` defined — disappear).
+    ///
+    /// The run-time check rejects every non-linear version a run
+    /// creates, so this fails only when the base the run started from
+    /// held branching versions of one object (a seeded head with
+    /// `ins(o)` beside `del(o)`); a commit reports that as
+    /// [`crate::ErrorKind::Linearity`].
     pub fn try_new_object_base(&self) -> Result<ObjectBase, LinearityViolation> {
         let finals = self.every_version()?;
         Ok(base_of_finals(
@@ -579,37 +582,13 @@ impl Outcome {
     pub fn history(&self, base: Const) -> Option<crate::history::History> {
         crate::history::history(&self.result, base)
     }
-
-    /// Like [`Outcome::try_new_object_base`].
-    ///
-    /// The run-time check rejects every non-linear version the run
-    /// creates, so `result(P)` is non-linear only when the base the
-    /// run started from was: a seeded head holding branching versions
-    /// of one object (`ins(o)` beside `del(o)`). Library consumers
-    /// that evaluate such bases should call
-    /// [`Outcome::try_new_object_base`] instead and surface the
-    /// violation as [`crate::ErrorKind::Linearity`].
-    ///
-    /// # Panics
-    /// Panics on a version-linearity violation — only possible on a
-    /// branching seeded head. The panic is attributed to the caller
-    /// (`#[track_caller]`) and names the violating version pair.
-    #[track_caller]
-    pub fn new_object_base(&self) -> ObjectBase {
-        self.try_new_object_base().unwrap_or_else(|v| {
-            panic!(
-                "result(P) is not version-linear ({v}); \
-                 use Outcome::try_new_object_base to handle this as ErrorKind::Linearity"
-            )
-        })
-    }
 }
 
 /// §5's `ob′` from each object's final state: every non-empty state
 /// becomes its object's initial version, adopted as-is (no fact is
 /// re-inserted); an object whose final state is empty — only `exists`
-/// defined — or absent disappears. One tracked commit into an empty
-/// base, as [`ObjectBase::from_facts`] builds one.
+/// defined — or absent disappears. One commit into an empty base that
+/// records no delta, as [`ObjectBase::from_facts`] builds one.
 fn base_of_finals(finals: impl Iterator<Item = (Const, Option<Arc<VersionState>>)>) -> ObjectBase {
     let edits: Vec<_> = finals
         .filter_map(|(base, state)| {
@@ -617,7 +596,7 @@ fn base_of_finals(finals: impl Iterator<Item = (Const, Option<Arc<VersionState>>
         })
         .collect();
     let mut out = ObjectBase::new();
-    out.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+    out.replace_versions_tracked_shared(&edits, None);
     out
 }
 
@@ -654,7 +633,7 @@ mod tests {
             "henry.isa -> empl. henry.sal -> 250. mary.isa -> empl. mary.sal -> 300.",
             "mod[E].sal -> (S, S2) <= E.isa -> empl & E.sal -> S & S2 = S * 1.1.",
         );
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("henry"), "sal"), vec![int(275)]);
         assert_eq!(ob2.lookup1(oid("mary"), "sal"), vec![int(330)]);
         // The isa methods were carried over by the copy.
@@ -669,7 +648,7 @@ mod tests {
     #[test]
     fn update_facts_program() {
         let outcome = run("", "ins[adam].isa -> person. ins[adam].age -> 30.");
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("adam"), "isa"), vec![oid("person")]);
         assert_eq!(ob2.lookup1(oid("adam"), "age"), vec![int(30)]);
     }
@@ -677,7 +656,7 @@ mod tests {
     #[test]
     fn empty_program_is_identity() {
         let outcome = run("a.p -> 1. b.q -> x.", "");
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2, ObjectBase::parse("a.p -> 1. b.q -> x.").unwrap());
         assert_eq!(outcome.stats().strata, 0);
     }
@@ -691,7 +670,7 @@ mod tests {
             "ins[X].anc -> P <= X.isa -> person / parents -> P.
              ins[X].anc -> P <= ins(X).isa -> person / anc -> A & A.isa -> person / parents -> P.",
         );
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("cid"), "anc"), {
             let mut v = vec![oid("ann"), oid("bea")];
             v.sort();
@@ -713,7 +692,7 @@ mod tests {
             "ins[a].flag -> 1 <= a.p -> 1.
              del[b].q -> 1 <= ins(a).flag -> 1.",
         );
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("b"), "q"), vec![]);
         assert_eq!(ob2.lookup1(oid("a"), "flag"), vec![int(1)]);
     }
@@ -743,7 +722,7 @@ mod tests {
         let program = Program::parse("ins[z].r -> 1 <= z.q -> 0.").unwrap();
         let outcome = run_default(program.clone(), &ob).unwrap();
         assert_eq!(outcome.touched_objects(), 1);
-        assert_eq!(outcome.new_object_base().lookup1(oid("o"), "p"), vec![int(3)]);
+        assert_eq!(outcome.try_new_object_base().unwrap().lookup1(oid("o"), "p"), vec![int(3)]);
         // A branching starting base runs, but has no `ob′`.
         let ob = ObjectBase::parse("o.p -> 1. ins(o).p -> 2. del(o).p -> 3. z.q -> 0.").unwrap();
         let outcome = run_default(program, &ob).unwrap();
@@ -761,7 +740,7 @@ mod tests {
     #[test]
     fn deleted_object_disappears_from_new_base() {
         let outcome = run("victim.only -> 1. other.p -> 2.", "del[victim].* .");
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("victim"), "only"), vec![]);
         assert!(!ob2.objects().any(|o| o == oid("victim")));
         assert_eq!(ob2.lookup1(oid("other"), "p"), vec![int(2)]);
@@ -1003,7 +982,7 @@ mod tests {
         // All three rules share one stratum: the chain is a genuinely
         // intra-stratum phenomenon.
         assert_eq!(outcome.stratification().strata.len(), 1);
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         let mut got = ob2.lookup1(oid("o"), "m");
         got.sort();
         assert_eq!(got, vec![oid("b"), oid("c")]);
@@ -1018,7 +997,7 @@ mod tests {
             "mod[o].m -> (b, c) <= o.m -> b. mod[o].m -> (a, b) <= o.m -> a.",
         ] {
             let outcome = run("o.m -> a. o.m -> b.", prog);
-            let mut got = outcome.new_object_base().lookup1(oid("o"), "m");
+            let mut got = outcome.try_new_object_base().unwrap().lookup1(oid("o"), "m");
             got.sort();
             assert_eq!(got, vec![oid("b"), oid("c")], "program: {prog}");
         }
@@ -1030,7 +1009,7 @@ mod tests {
             "founder.isa -> person.",
             "ins[child].parents -> founder <= founder.isa -> person.",
         );
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("child"), "parents"), vec![oid("founder")]);
     }
 
@@ -1060,7 +1039,7 @@ mod tests {
         let outcome = run_with(program, config, &ob).unwrap();
         // a's final version is del(ins(a)): go was inserted, then m
         // deleted from the ins-version.
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("a"), "go"), vec![int(1)]);
         assert_eq!(ob2.lookup1(oid("a"), "m"), vec![]);
         assert_eq!(ob2.lookup1(oid("a"), "trigger"), vec![int(1)]);

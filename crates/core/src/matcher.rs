@@ -111,7 +111,7 @@ pub fn for_each_match(
     seed: Option<&Seed<'_>>,
     sink: &mut dyn FnMut(&Bindings),
 ) -> usize {
-    let steps = rule.plan.steps.len();
+    let steps = rule.plan().steps.len();
     let (first, first_hint) = match seed {
         Some(s) => (Some(s.step), plan.hints[s.step]),
         None => match smallest_start(ob, &plan.starts) {
@@ -123,7 +123,7 @@ pub fn for_each_match(
     let order: Vec<usize> =
         first.into_iter().chain((0..steps).filter(|&s| Some(s) != first)).collect();
     let ctx = MatchCtx { ob, rule, order: &order, hints: &plan.hints, first_hint, seed };
-    let mut bindings = Bindings::with_vid_vars(rule.vars.len(), rule.vid_vars.len());
+    let mut bindings = Bindings::with_vid_vars(rule.vars().len(), rule.vid_vars().len());
     let mut buf = Vec::new();
     let mut cur = Cursor { b: &mut bindings, buf: &mut buf, sink, candidates: 0 };
     exec(&ctx, 0, &mut cur);
@@ -161,14 +161,14 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
         (cur.sink)(cur.b);
         return;
     };
-    match ctx.rule.plan.steps[si] {
+    match ctx.rule.plan().steps[si] {
         PlannedLiteral::Check(li) => {
-            if check_literal(ctx.ob, &ctx.rule.body[li], cur.b, cur.buf) {
+            if check_literal(ctx.ob, &ctx.rule.body()[li], cur.b, cur.buf) {
                 exec(ctx, pos + 1, cur);
             }
         }
         PlannedLiteral::Assign { lit, var } => {
-            let Atom::Cmp(builtin) = &ctx.rule.body[lit].atom else {
+            let Atom::Cmp(builtin) = &ctx.rule.body()[lit].atom else {
                 unreachable!("Assign plan step on non-builtin literal");
             };
             // One side is the (unbound) variable, the other the value.
@@ -186,14 +186,14 @@ fn exec(ctx: &MatchCtx<'_>, pos: usize, cur: &mut Cursor<'_>) {
             }
         }
         PlannedLiteral::Scan(li) => {
-            let lit = &ctx.rule.body[li];
+            let lit = &ctx.rule.body()[li];
             debug_assert!(lit.positive, "Scan plan step on negated literal");
             let hint = if pos == 0 { ctx.first_hint } else { ctx.hints[si] };
             let seed = ctx.seed.filter(|s| s.step == si);
             let seed_bases = seed.map(|s| &*s.delta);
             match &lit.atom {
                 Atom::Version(va) => scan_version(ctx, va, hint, seed, pos, cur),
-                Atom::Update(ua) => match &ua.spec {
+                Atom::Update(ua) => match ua.spec() {
                     UpdateSpec::Ins { method, args, result } => {
                         // ins[v].m -> r ⟺ ins(v).m -> r ∈ I: scan the
                         // created version like a version-term.
@@ -229,8 +229,8 @@ fn check_literal(ob: &ObjectBase, lit: &Literal, b: &Bindings, buf: &mut Vec<Con
             truth::version_term(ob, vid, va.method, buf, result)
         }
         Atom::Update(ua) => {
-            let target = ground_vid(ua.target, b);
-            match &ua.spec {
+            let target = ground_vid(ua.target(), b);
+            match ua.spec() {
                 UpdateSpec::Ins { method, args, result } => {
                     ground_args_into(args, b, buf);
                     truth::ins_body(ob, target, *method, buf, ground_arg(*result, b))
@@ -471,10 +471,10 @@ fn scan_del(
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
-    let UpdateSpec::Del { method, args, result } = &ua.spec else {
+    let UpdateSpec::Del { method, args, result } = ua.spec() else {
         unreachable!("scan_del on a non-del spec");
     };
-    let (method, result, target, chain) = (*method, *result, ua.target, ua.created_term().chain);
+    let (method, result, target, chain) = (*method, *result, ua.target(), ua.created_term().chain);
     let ob = ctx.ob;
     // Candidates must have del(v).exists: enumerate the del-chain's
     // versions through the `(chain, exists)` presence index.
@@ -515,11 +515,11 @@ fn scan_mod(
     pos: usize,
     cur: &mut Cursor<'_>,
 ) {
-    let UpdateSpec::Mod { method, args, from, to } = &ua.spec else {
+    let UpdateSpec::Mod { method, args, from, to } = ua.spec() else {
         unreachable!("scan_mod on a non-mod spec");
     };
     let (method, pair) = (*method, PairPattern { args, from: *from, to: *to });
-    let (target, chain, ob) = (ua.target, ua.created_term().chain, ctx.ob);
+    let (target, chain, ob) = (ua.target(), ua.created_term().chain, ctx.ob);
     // Both clauses require mod(v).m defined; use it as candidate index.
     for tvid in target_candidates(ob, target, chain, method, seed, cur.b) {
         cur.candidates += 1;
@@ -958,13 +958,13 @@ mod tests {
         let program =
             Program::parse("ins[E].flag -> 1 <= E.isa -> empl & E.sal -> S & S > 4100.").unwrap();
         let plan = IndexPlan::of(&program);
-        let all_steps = program.rules[0].plan.steps.len();
+        let all_steps = program.rules[0].plan().steps.len();
         // Seed = {bob}: only bob's matches are produced, whichever scan
         // step is seeded.
         let mut seed = FastHashSet::default();
         seed.insert(oid("bob"));
         for step in 0..all_steps {
-            if !matches!(program.rules[0].plan.steps[step], PlannedLiteral::Scan(_)) {
+            if !matches!(program.rules[0].plan().steps[step], PlannedLiteral::Scan(_)) {
                 continue;
             }
             let mut out = Vec::new();

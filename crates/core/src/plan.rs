@@ -103,8 +103,8 @@ pub fn literal_reads(lit: &Literal) -> Option<Vec<(Chain, Symbol)>> {
             None => return None,
         },
         Atom::Update(ua) => {
-            let (chain, created) = (ua.target.chain, ua.created_term().chain);
-            match &ua.spec {
+            let (chain, created) = (ua.target().chain, ua.created_term().chain);
+            match ua.spec() {
                 UpdateSpec::Ins { method, .. } => out.push((created, *method)),
                 UpdateSpec::Del { method, .. } => {
                     out.push((created, exists));
@@ -134,7 +134,7 @@ pub fn literal_reads(lit: &Literal) -> Option<Vec<(Chain, Symbol)>> {
 pub fn reads_by_membership(lit: &Literal) -> bool {
     match &lit.atom {
         Atom::Version(va) => va.vid.as_term().is_some(),
-        Atom::Update(ua) => matches!(ua.spec, UpdateSpec::Ins { .. }),
+        Atom::Update(ua) => matches!(ua.spec(), UpdateSpec::Ins { .. }),
         Atom::Cmp(_) => false,
     }
 }
@@ -142,10 +142,10 @@ pub fn reads_by_membership(lit: &Literal) -> bool {
 /// The index plan of one rule (a goal's, a demand rule's, or one of a
 /// program's, through [`IndexPlan::of`]).
 pub(crate) fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
-    let mut bound = vec![false; rule.vars.len()];
-    let mut hints = Vec::with_capacity(rule.plan.steps.len());
-    let mut reads = Vec::with_capacity(rule.plan.steps.len());
-    for step in &rule.plan.steps {
+    let mut bound = vec![false; rule.vars().len()];
+    let mut hints = Vec::with_capacity(rule.plan().steps.len());
+    let mut reads = Vec::with_capacity(rule.plan().steps.len());
+    for step in &rule.plan().steps {
         match *step {
             PlannedLiteral::Check(_) => {
                 hints.push(ScanHint::Full);
@@ -157,7 +157,7 @@ pub(crate) fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
                 bound[var.index()] = true;
             }
             PlannedLiteral::Scan(li) => {
-                let lit = &rule.body[li];
+                let lit = &rule.body()[li];
                 hints.push(scan_hint(&lit.atom, &bound));
                 reads.push(literal_reads(lit));
                 lit.atom.for_each_var(|v| bound[v.index()] = true);
@@ -172,8 +172,8 @@ pub(crate) fn rule_index_plan(rule: &Rule) -> RuleIndexPlan {
 /// alternative start allocates nothing).
 fn start_candidates(rule: &Rule) -> Vec<StartCandidate> {
     let candidates = || {
-        rule.plan.steps.iter().enumerate().filter_map(|(step, planned)| match *planned {
-            PlannedLiteral::Scan(li) => start_candidate(&rule.body[li].atom, step),
+        rule.plan().steps.iter().enumerate().filter_map(|(step, planned)| match *planned {
+            PlannedLiteral::Scan(li) => start_candidate(&rule.body()[li].atom, step),
             _ => None,
         })
     };
@@ -194,9 +194,9 @@ fn start_candidate(atom: &Atom, step: usize) -> Option<StartCandidate> {
             let t = va.vid.as_term()?;
             (t.base, t.chain, va.method, &va.args[..], va.result)
         }
-        Atom::Update(ua) => match &ua.spec {
+        Atom::Update(ua) => match ua.spec() {
             UpdateSpec::Ins { method, args, result } => {
-                (ua.target.base, ua.created_term().chain, *method, &args[..], *result)
+                (ua.target().base, ua.created_term().chain, *method, &args[..], *result)
             }
             _ => return None,
         },
@@ -240,8 +240,8 @@ fn scan_hint(atom: &Atom, bound: &[bool]) -> ScanHint {
         // (see the matcher), so the same keying applies; del/mod body
         // scans enumerate candidates via the exists/method chain index
         // and gain nothing from value keys.
-        Atom::Update(ua) => match &ua.spec {
-            UpdateSpec::Ins { args, result, .. } => keyed(ua.target.base, args, *result),
+        Atom::Update(ua) => match ua.spec() {
+            UpdateSpec::Ins { args, result, .. } => keyed(ua.target().base, args, *result),
             _ => ScanHint::Full,
         },
         Atom::Cmp(_) => ScanHint::Full,
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn del_body_reads_cover_created_and_prefix_chains() {
         let p = Program::parse("ins[x].fired -> E <= del[E].sal -> S.").unwrap();
-        let reads = literal_reads(&p.rules[0].body[0]).unwrap();
+        let reads = literal_reads(&p.rules[0].body()[0]).unwrap();
         let del_chain = Chain::EMPTY.push(UpdateKind::Del).unwrap();
         assert!(reads.contains(&(del_chain, exists_sym())));
         assert!(reads.contains(&(del_chain, sym("sal"))));

@@ -420,7 +420,7 @@ impl Rewrite {
     fn build(compiled: &CompiledProgram, kept: &[usize]) -> Rewrite {
         let program = compiled.program();
         let rules = Program { rules: kept.iter().map(|&i| program.rules[i].clone()).collect() };
-        let created = rules.rules.iter().map(|rule| rule.head.created_term().chain).collect();
+        let created = rules.rules.iter().map(|rule| rule.head().created_term().chain).collect();
         let guards = Guards::build(compiled, kept, &created);
         // Every §4 constraint is between two rules, so a subset of a
         // stratified program's rules stratifies too.
@@ -441,23 +441,29 @@ impl Guards {
     ) -> Result<Guards, String> {
         let program = compiled.program();
         let rules = || kept.iter().map(|&i| (i, &program.rules[i]));
-        if rules().any(|(_, rule)| rule.body.iter().any(|lit| literal_reads(lit).is_none())) {
+        if rules().any(|(_, rule)| rule.body().iter().any(|lit| literal_reads(lit).is_none())) {
             return Err("a relevant rule reads through a VID variable ($V), which can touch any \
                         version"
                 .to_owned());
         }
-        if !rules().any(|(_, rule)| rule.head.target.base.as_var().is_some()) {
+        if !rules().any(|(_, rule)| rule.head().target().base.as_var().is_some()) {
             return Err(
                 "every relevant rule has a constant head target — nothing to guard".to_owned()
             );
         }
         let mut demand = Demand::default();
         for (i, rule) in rules() {
-            let what = match &rule.label {
+            let what = match rule.label() {
                 Some(l) => format!("rule {l}"),
                 None => format!("rule #{i}"),
             };
-            demand.add(&rule.body, &rule.vars, rule.head.target.base.as_var(), created, &what)?;
+            demand.add(
+                rule.body(),
+                rule.vars(),
+                rule.head().target().base.as_var(),
+                created,
+                &what,
+            )?;
         }
         let magic = fresh_magic(rules().map(|(_, rule)| rule));
         let guarded = guarded_program(rules().map(|(_, rule)| rule), magic)?;
@@ -495,7 +501,7 @@ fn relevance(program: &Program, goal: &Goal) -> Vec<usize> {
             if kept[i] {
                 continue;
             }
-            let created = rule.head.created_term();
+            let created = rule.head().created_term();
             if !all_chains && !demanded.contains(&created.chain) {
                 continue;
             }
@@ -504,7 +510,7 @@ fn relevance(program: &Program, goal: &Goal) -> Vec<usize> {
             for p in created.chain.prefixes() {
                 demanded.insert(p);
             }
-            for lit in &rule.body {
+            for lit in rule.body() {
                 match literal_reads(lit) {
                     Some(reads) => demanded.extend(reads.into_iter().map(|(c, _)| c)),
                     // A $V atom reads every relation: from here on
@@ -535,7 +541,7 @@ fn is_derived(lit: &Literal, created: &FastHashSet<Chain>) -> bool {
 fn target_base(atom: &Atom) -> Option<BaseTerm> {
     match atom {
         Atom::Version(va) => va.vid.as_term().map(|t| t.base),
-        Atom::Update(ua) => Some(ua.target.base),
+        Atom::Update(ua) => Some(ua.target().base),
         Atom::Cmp(_) => None,
     }
 }
@@ -545,7 +551,7 @@ fn target_base(atom: &Atom) -> Option<BaseTerm> {
 fn atom_method(atom: &Atom) -> Option<Symbol> {
     match atom {
         Atom::Version(va) => Some(va.method),
-        Atom::Update(ua) => ua.spec.method(),
+        Atom::Update(ua) => ua.spec().method(),
         Atom::Cmp(_) => None,
     }
 }
@@ -555,8 +561,8 @@ fn atom_method(atom: &Atom) -> Option<Symbol> {
 fn fresh_magic<'a>(rules: impl Iterator<Item = &'a Rule>) -> Symbol {
     let mut vocab: FastHashSet<Symbol> = FastHashSet::default();
     for rule in rules {
-        vocab.extend(rule.head.spec.method());
-        vocab.extend(rule.body.iter().filter_map(|lit| atom_method(&lit.atom)));
+        vocab.extend(rule.head().spec().method());
+        vocab.extend(rule.body().iter().filter_map(|lit| atom_method(&lit.atom)));
     }
     let mut name = MAGIC_METHOD.to_owned();
     let mut k = 1;
@@ -642,7 +648,7 @@ fn guarded_program<'a>(
 ) -> Result<Program, String> {
     let mut guarded = Vec::new();
     for rule in rules {
-        match rule.head.target.base {
+        match rule.head().target().base {
             BaseTerm::Var(x) => {
                 let guard = Literal::pos(Atom::Version(VersionAtom {
                     vid: VidRef::Term(VidTerm::object(BaseTerm::Var(x))),
@@ -650,12 +656,16 @@ fn guarded_program<'a>(
                     args: Vec::new(),
                     result: BaseTerm::Const(int(1)),
                 }));
-                let mut body = Vec::with_capacity(rule.body.len() + 1);
+                let mut body = Vec::with_capacity(rule.body().len() + 1);
                 body.push(guard);
-                body.extend(rule.body.iter().cloned());
-                let rule =
-                    Rule::new(rule.head.clone(), body, rule.vars.clone(), rule.label.clone())
-                        .map_err(|e| format!("guarding a rule broke its safety plan: {e}"))?;
+                body.extend(rule.body().iter().cloned());
+                let rule = Rule::new(
+                    rule.head().clone(),
+                    body,
+                    rule.vars().clone(),
+                    rule.label().map(str::to_owned),
+                )
+                .map_err(|e| format!("guarding a rule broke its safety plan: {e}"))?;
                 guarded.push(rule);
             }
             BaseTerm::Const(_) => guarded.push(rule.clone()),

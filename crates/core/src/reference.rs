@@ -218,9 +218,9 @@ fn active_domain(ob: &ObjectBase, program: &Program) -> Vec<Const> {
         set.insert(fact.result);
     }
     for rule in &program.rules {
-        push_arg(rule.head.target.base, &mut set);
-        push_spec(&rule.head.spec, &mut set);
-        for lit in &rule.body {
+        push_arg(rule.head().target().base, &mut set);
+        push_spec(rule.head().spec(), &mut set);
+        for lit in rule.body() {
             match &lit.atom {
                 Atom::Version(va) => {
                     if let Some(t) = va.vid.as_term() {
@@ -232,8 +232,8 @@ fn active_domain(ob: &ObjectBase, program: &Program) -> Vec<Const> {
                     push_arg(va.result, &mut set);
                 }
                 Atom::Update(ua) => {
-                    push_arg(ua.target.base, &mut set);
-                    push_spec(&ua.spec, &mut set);
+                    push_arg(ua.target().base, &mut set);
+                    push_spec(ua.spec(), &mut set);
                 }
                 Atom::Cmp(b) => {
                     push_expr_consts(&b.lhs, &mut set);
@@ -334,8 +334,8 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
         }
         // Case 3: update-terms in rule bodies.
         Atom::Update(ua) => {
-            let target = ua.target.ground(b)?;
-            match &ua.spec {
+            let target = ua.target().ground(b)?;
+            match ua.spec() {
                 // ins[v].m -> r  iff  ins(v).m -> r ∈ I.
                 UpdateSpec::Ins { method, args, result } => {
                     let args = ground_args(args, b)?;
@@ -408,8 +408,8 @@ fn ground_atom_true(ob: &ObjectBase, atom: &Atom, b: &Bindings) -> Option<bool> 
 /// Truth of the ground head (§3, case 2) — and expansion of `del[V].*`
 /// into one delete per method-application of `v*` (§2.3).
 fn emit_if_head_true(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<RefUpdate>) {
-    let Some(target) = rule.head.target.ground(b) else { return };
-    match &rule.head.spec {
+    let Some(target) = rule.head().target().ground(b) else { return };
+    match rule.head().spec() {
         // "an ins[...] in a rule-head is always true".
         UpdateSpec::Ins { method, args, result } => {
             let (Some(args), Some(result)) = (ground_args(args, b), ground_arg(*result, b)) else {
@@ -464,7 +464,7 @@ fn emit_if_head_true(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<R
 /// instance over the active domain whose body literals are all true,
 /// then check the head (§3 step 1).
 fn collect_fired(ob: &ObjectBase, rule: &Rule, domain: &[Const], out: &mut Vec<RefUpdate>) {
-    let mut bindings = Bindings::with_vid_vars(rule.vars.len(), rule.vid_vars.len());
+    let mut bindings = Bindings::with_vid_vars(rule.vars().len(), rule.vid_vars().len());
     let enumerable = enumerable_vars(rule);
     enumerate(ob, rule, domain, &enumerable, &mut bindings, out);
 }
@@ -476,13 +476,13 @@ fn collect_fired(ob: &ObjectBase, rule: &Rule, domain: &[Const], out: &mut Vec<R
 /// *outside* the active domain — it must be computed by saturation,
 /// never enumerated.
 fn enumerable_vars(rule: &Rule) -> Vec<bool> {
-    let mut enumerable = vec![false; rule.vars.len()];
+    let mut enumerable = vec![false; rule.vars().len()];
     let mut mark = |t: ArgTerm| {
         if let ArgTerm::Var(v) = t {
             enumerable[v.index()] = true;
         }
     };
-    for lit in &rule.body {
+    for lit in rule.body() {
         if !lit.positive {
             continue;
         }
@@ -497,8 +497,8 @@ fn enumerable_vars(rule: &Rule) -> Vec<bool> {
                 mark(va.result);
             }
             Atom::Update(ua) => {
-                mark(ua.target.base);
-                match &ua.spec {
+                mark(ua.target().base);
+                match ua.spec() {
                     UpdateSpec::Ins { args, result, .. } | UpdateSpec::Del { args, result, .. } => {
                         for &a in args {
                             mark(a);
@@ -544,7 +544,7 @@ fn enumerate(
     let mark = bindings.mark();
     loop {
         let mut progressed = false;
-        for lit in &rule.body {
+        for lit in rule.body() {
             if !lit.positive {
                 continue;
             }
@@ -574,7 +574,7 @@ fn enumerate(
     }
 
     // Check (and prune on) every literal that is ground now.
-    for lit in &rule.body {
+    for lit in rule.body() {
         if let Some(truth) = ground_atom_true(ob, &lit.atom, bindings) {
             if truth != lit.positive {
                 bindings.undo_to(mark);
@@ -586,10 +586,10 @@ fn enumerate(
     // Find the next unbound *enumerable* variable: those range over
     // the active domain; VID variables (§6) over every version in I.
     // Assignment targets are bound by saturation only.
-    let next = (0..rule.vars.len())
+    let next = (0..rule.vars().len())
         .map(|i| VarId(i as u32))
         .find(|v| enumerable[v.index()] && !bindings.is_bound(*v));
-    let next_vid = (0..rule.vid_vars.len())
+    let next_vid = (0..rule.vid_vars().len())
         .map(|i| ruvo_term::VidVarId(i as u32))
         .find(|v| !bindings.is_vid_bound(*v));
     match (next, next_vid) {
@@ -598,7 +598,7 @@ fn enumerate(
             // run. An assignment target can still be unbound when its
             // defining expression is undefined (symbol arithmetic) —
             // such instances do not fire.
-            let fully = (0..rule.vars.len()).all(|i| bindings.is_bound(VarId(i as u32)));
+            let fully = (0..rule.vars().len()).all(|i| bindings.is_bound(VarId(i as u32)));
             if fully {
                 emit_if_head_true(ob, rule, bindings, out);
             }
@@ -789,7 +789,7 @@ mod tests {
         let program = Program::parse("del[victim].* .").unwrap();
         let engine = run_engine(&program, &ob).unwrap();
         let reference = evaluate(&program, &ob).unwrap();
-        assert_eq!(engine.new_object_base(), reference.new_object_base().unwrap());
+        assert_eq!(engine.try_new_object_base().unwrap(), reference.new_object_base().unwrap());
         assert_eq!(reference.new_object_base().unwrap().lookup1(oid("other"), "p"), vec![int(2)]);
     }
 

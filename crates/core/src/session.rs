@@ -46,7 +46,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ruvo_obase::{ChangedSince, ObjectBase, Snapshot};
+use ruvo_obase::{ObjectBase, Snapshot};
 use ruvo_term::Vid;
 
 use crate::database::Error;
@@ -361,8 +361,7 @@ impl Session {
             .touched_finals()
             .map(|(base, state)| (Vid::object(base), state.filter(|s| !s.is_empty()).cloned()))
             .collect();
-        Arc::make_mut(&mut self.ob)
-            .replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+        Arc::make_mut(&mut self.ob).replace_versions_tracked_shared(&edits, None);
     }
 
     /// Force a durable checkpoint of the committed state now,

@@ -160,8 +160,8 @@ impl std::error::Error for StratifyError {}
 pub fn edges(program: &Program) -> Vec<EdgeInfo> {
     let n = program.rules.len();
     // Heads after the [V] → (V) rewrite, and bracketed targets.
-    let created: Vec<VidTerm> = program.rules.iter().map(|r| r.head.created_term()).collect();
-    let targets: Vec<VidTerm> = program.rules.iter().map(|r| r.head.target).collect();
+    let created: Vec<VidTerm> = program.rules.iter().map(|r| r.head().created_term()).collect();
+    let targets: Vec<VidTerm> = program.rules.iter().map(|r| r.head().target()).collect();
     let bodies: Vec<Vec<(VidTerm, bool)>> =
         program.rules.iter().map(|r| r.body_vid_terms()).collect();
 
@@ -193,7 +193,7 @@ pub fn edges(program: &Program) -> Vec<EdgeInfo> {
                     continue;
                 }
                 for (rp, other) in program.rules.iter().enumerate() {
-                    if other.head.spec.kind() == kind && inner.unifiable(targets[rp]) {
+                    if other.head().spec().kind() == kind && inner.unifiable(targets[rp]) {
                         push(rp, r, Condition::D);
                     }
                 }
@@ -207,7 +207,7 @@ pub fn edges(program: &Program) -> Vec<EdgeInfo> {
         for negated in program.rules[r].body_vid_wildcards() {
             for (rp, other) in program.rules.iter().enumerate() {
                 push(rp, r, if negated { Condition::C } else { Condition::B });
-                if matches!(other.head.spec.kind(), UpdateKind::Del | UpdateKind::Mod) {
+                if matches!(other.head().spec().kind(), UpdateKind::Del | UpdateKind::Mod) {
                     push(rp, r, Condition::D);
                 }
             }

@@ -103,14 +103,10 @@ impl Fired {
         }
     }
 
-    /// The *relevant* VID this update creates: `φ(v)`.
-    ///
-    /// # Panics
-    /// Chain overflow is impossible for an update a rule fires: its
-    /// target has the chain of the head's target, and the front end
-    /// refuses a head whose created version overflows a chain
-    /// (`ruvo_lang::analysis`, the rule-level pass), so this unwraps.
-    pub fn created(&self) -> Vid {
+    /// The *relevant* VID this update creates: `φ(v)`. Only
+    /// `fire_head` builds a `Fired` here, with the chain of an admitted
+    /// head's target, whose created version fits a chain.
+    pub(crate) fn created(&self) -> Vid {
         self.target().apply(self.kind()).expect("the front end refuses an over-deep head")
     }
 
@@ -243,9 +239,12 @@ pub fn collect_rule_planned(
 /// Ground the head under a complete body match, check §3 head truth,
 /// and emit the fired update(s).
 fn fire_head(ob: &ObjectBase, rule: &Rule, b: &Bindings, out: &mut Vec<Fired>) {
-    let target =
-        rule.head.target.ground(b).expect("safety analysis guarantees head variables are bound");
-    match &rule.head.spec {
+    let target = rule
+        .head()
+        .target()
+        .ground(b)
+        .expect("safety analysis guarantees head variables are bound");
+    match rule.head().spec() {
         UpdateSpec::Ins { method, args, result } => {
             // §3: an ins head is always true.
             out.push(Fired::Ins {
@@ -466,7 +465,7 @@ pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
         }
         edits.push((created, Some(state)));
     }
-    ob.replace_versions_tracked_shared(&edits, &mut report.changed);
+    ob.replace_versions_tracked_shared(&edits, Some(&mut report.changed));
 
     for g in repairs {
         let (created, updates) = groups.get(delta, g);

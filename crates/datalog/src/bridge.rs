@@ -9,7 +9,7 @@
 //!
 //! 1. [`ob_to_db`] maps a **flat** object base (every version is an
 //!    initial version, e.g. the `ob′` produced by
-//!    `Outcome::new_object_base`) to a database: a method `m` with `k`
+//!    `Outcome::try_new_object_base`) to a database: a method `m` with `k`
 //!    arguments becomes a `(k+2)`-ary predicate `m(base, a1..ak, r)`.
 //! 2. Derived methods are defined by ordinary Datalog rules and
 //!    evaluated with [`crate::evaluate`].
@@ -37,7 +37,7 @@ impl std::fmt::Display for NotFlat {
         write!(
             f,
             "object base is not flat: version {} has an update chain; \
-             bridge the result of new_object_base() instead of result(P)",
+             bridge the result of try_new_object_base() instead of result(P)",
             self.vid
         )
     }

@@ -3,19 +3,23 @@
 //! This module decides once whether a rule and a program are
 //! well-formed. Two passes do it:
 //!
-//! * the **rule-level pass** (`analyze_rule`): the §3 structural
-//!   checks (`exists` is never updated, `del[..].*` only in heads) and
-//!   §2.1 safety (range restriction), whose literal-ordering plan it
-//!   stores in `rule.plan`;
+//! * the **rule-level pass** (`analyze_rule`): every update-term's
+//!   created version fits a version chain, the §3 structural checks
+//!   (`exists` is never updated, `del[..].*` only in heads) and §2.1
+//!   safety (range restriction). It stores each created version and the
+//!   literal-ordering plan in the rule;
 //! * the **program-level pass** ([`program_diagnostics`]): duplicate
 //!   labels, duplicate (shadowing) rules, method-arity consistency.
 //!
-//! Every caller reads their findings and none re-derives them:
-//! [`Program::parse`] and [`Rule::new`] fail on the first error
-//! finding ([`admit`] is that gate for a `Program` built by other
-//! means), `ruvo check` collects every finding through [`front_end`],
-//! and a prepared program's check runs only the program-level pass,
-//! since its rules already carry their plans. Each finding is a
+//! A [`Rule`] leaves this crate only through the rule-level pass
+//! ([`Program::parse`], [`Rule::new`], [`crate::Goal::parse`], or
+//! [`front_end`] when it finds no error), and its fields are private,
+//! so every later stage reads what the pass stored and none re-checks
+//! it. [`Program::parse`] and [`Rule::new`] fail on the first error
+//! finding; `ruvo check` collects every finding through [`front_end`];
+//! a program assembled from admitted rules needs only the
+//! program-level pass, which is all a prepared program's check and a
+//! handle's `prepare_program` run. Each finding is a
 //! [`Diagnostic`] carrying a [`Lint`] identity, a [`Severity`], an
 //! optional source [`Span`] and free-form notes, so tooling (`ruvo
 //! check`, the REPL's `:check`, CI) can render rustc-style reports or
@@ -413,32 +417,40 @@ impl Finding {
 /// The rule-level pass, the one place a rule's well-formedness is
 /// decided: an update-term whose created version overflows a chain
 /// (head or body), `exists` updated in the head, `del[..].*` or an
-/// `exists` update-term in the body (§3), then safety (§2.1), whose
-/// plan it stores in `rule.plan`. Returns every finding, in that order.
-/// Every later stage reads each update-term's created version through
-/// the infallible [`UpdateAtom::created_term`] on this guarantee.
+/// `exists` update-term in the body (§3), then safety (§2.1). It stores
+/// each fitting update-term's created version and the safety plan in
+/// the rule, and returns every finding, in that order. Every later
+/// stage reads [`UpdateAtom::created_term`] and [`Rule::plan`] as
+/// stored here.
 pub(crate) fn analyze_rule(rule: &mut Rule) -> Vec<Finding> {
     let exists = ruvo_term::sym("exists");
     let mut out = Vec::new();
     let mut found = |lint, literal, message: &str, note: Option<&str>| {
         out.push(Finding { lint, literal, message: message.into(), note: note.map(Into::into) })
     };
-    let too_deep = |ua: &UpdateAtom| ua.target.apply(ua.spec.kind()).is_err();
+    // Stores `φ(target)` when it fits a chain; false when it does not.
+    let fits = |ua: &mut UpdateAtom| match ua.target.apply(ua.spec.kind()) {
+        Ok(created) => {
+            ua.created = created;
+            true
+        }
+        Err(_) => false,
+    };
     let (deep, deep_note) = (
         "version-id-term nests too deeply",
         "a version-id-term holds at most 32 update applications, counting the version an \
          update-term creates",
     );
-    if too_deep(&rule.head) {
+    if !fits(&mut rule.head) {
         found(Lint::Syntax, None, deep, Some(deep_note));
     }
     if rule.head.spec.method() == Some(exists) {
         let note = "§3 reserves `exists`: `o.exists -> o` is maintained by the engine";
         found(Lint::ExistsUpdate, None, "the system method `exists` cannot be updated", Some(note));
     }
-    for (j, lit) in rule.body.iter().enumerate() {
-        let Atom::Update(ua) = &lit.atom else { continue };
-        if too_deep(ua) {
+    for (j, lit) in rule.body.iter_mut().enumerate() {
+        let Atom::Update(ua) = &mut lit.atom else { continue };
+        if !fits(ua) {
             found(Lint::Syntax, Some(j + 1), deep, Some(deep_note));
         }
         if matches!(ua.spec, UpdateSpec::DelAll) {
@@ -482,11 +494,8 @@ fn rejections(program: &mut Program) -> Vec<(usize, Finding)> {
 
 /// The front end, fail-fast: the rule-level pass on every rule and the
 /// duplicate-label check, returning the first finding that rejects
-/// `program`. Every safe rule's plan is stored either way.
-/// [`Program::parse`] runs it; so must whatever builds or edits a
-/// `Program` through its public fields before handing it to a later
-/// stage, which reads created versions and plans on its guarantee.
-pub fn admit(program: &mut Program) -> Result<(), LangError> {
+/// `program` ([`Program::parse`]'s gate).
+pub(crate) fn admit(program: &mut Program) -> Result<(), LangError> {
     let rejections = rejections(program);
     let Some((i, first)) = rejections.first() else { return Ok(()) };
     if first.lint != Lint::DuplicateLabel {
@@ -620,14 +629,22 @@ fn spec_arity(spec: &UpdateSpec) -> usize {
     }
 }
 
-/// Every front-end diagnostic of a parsed program, in report order:
-/// the rule-level pass over every rule (storing each safe rule's plan)
-/// with the duplicate labels, then the rest of the program-level pass.
-/// `ruvo check` collects these; [`Program::parse`] stops at the first
-/// error among them.
-pub fn front_end(program: &mut Program) -> Vec<Diagnostic> {
-    let rejections = rejections(program);
-    diagnostics(program, &rejections)
+/// Every front-end diagnostic of `src`, in report order — a lex or
+/// parse error alone, or the rule-level pass over every rule with the
+/// duplicate labels, then the rest of the program-level pass — and the
+/// admitted program when none of them is an error. `ruvo check`
+/// collects these; [`Program::parse`] stops at the first error among
+/// them.
+pub fn front_end(src: &str) -> (Vec<Diagnostic>, Option<Program>) {
+    let parsed = crate::lexer::lex(src).and_then(|tokens| crate::parser::parse_program(&tokens));
+    let mut program = match parsed {
+        Ok(program) => program,
+        Err(e) => return (vec![Diagnostic::from(&e)], None),
+    };
+    let rejections = rejections(&mut program);
+    let diagnostics = diagnostics(&program, &rejections);
+    let admitted = !diagnostics.iter().any(Diagnostic::is_error);
+    (diagnostics, admitted.then_some(program))
 }
 
 /// The program-level pass: duplicate labels, duplicate rules, arity
@@ -659,10 +676,9 @@ impl From<&ParseError> for Diagnostic {
 mod tests {
     use super::*;
 
-    /// Every front-end diagnostic of `src`, which must parse.
+    /// Every front-end diagnostic of `src`.
     fn diagnose(src: &str) -> Vec<Diagnostic> {
-        let mut program = crate::parser::parse_program(&crate::lexer::lex(src).unwrap()).unwrap();
-        front_end(&mut program)
+        front_end(src).0
     }
 
     fn rejects(diags: &[Diagnostic]) -> bool {
@@ -699,9 +715,11 @@ mod tests {
             let goal = crate::Goal::parse(&format!("?- ins[{target}].q -> 1.")).map(drop);
             let mut vars = VarTable::new();
             let x = BaseTerm::Var(vars.var("X"));
+            let target =
+                (0..depth).fold(VidTerm::object(x), |t, _| t.apply(UpdateKind::Mod).unwrap());
             let head = UpdateAtom {
-                target: (0..depth)
-                    .fold(VidTerm::object(x), |t, _| t.apply(UpdateKind::Mod).unwrap()),
+                target,
+                created: target,
                 spec: UpdateSpec::Ins {
                     method: ruvo_term::sym("p"),
                     args: Vec::new(),

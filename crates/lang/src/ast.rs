@@ -224,26 +224,39 @@ impl UpdateSpec {
 /// An update-term atom: kind, target version-id-term, and spec.
 ///
 /// In a rule head it *initiates* an update; in a rule body it *asks*
-/// whether the update has been performed (§2.4).
+/// whether the update has been performed (§2.4). Only the parser and
+/// the goal builder make one, and the front end's rule-level pass
+/// stores the version it creates, so every update-term outside this
+/// crate belongs to an admitted rule or goal.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UpdateAtom {
     /// The version the update is applied to (the `V` in `ins[V]`).
-    pub target: VidTerm,
+    pub(crate) target: VidTerm,
     /// The performed change.
-    pub spec: UpdateSpec,
+    pub(crate) spec: UpdateSpec,
+    /// `φ(target)`, stored by the rule-level pass once it fits a
+    /// version chain; the target itself until then.
+    pub(crate) created: VidTerm,
 }
 
 impl UpdateAtom {
+    /// The version the update is applied to (the `V` in `ins[V]`).
+    #[inline]
+    pub fn target(&self) -> VidTerm {
+        self.target
+    }
+
+    /// The performed change.
+    #[inline]
+    pub fn spec(&self) -> &UpdateSpec {
+        &self.spec
+    }
+
     /// The version *created* by this update: `φ(target)` (§4 replaces
-    /// each construct `[V]` by `(V)`).
-    ///
-    /// # Panics
-    /// Panics if `φ(target)` exceeds [`ruvo_term::Chain::MAX_LEN`]
-    /// update applications. The front end refuses every such
-    /// update-term, in heads, bodies and goals (see [`crate::analysis`]),
-    /// so this never panics on a term of a rule or goal it accepted.
+    /// each construct `[V]` by `(V)`), as the front end stored it.
+    #[inline]
     pub fn created_term(&self) -> VidTerm {
-        self.target.apply(self.spec.kind()).expect("the front end refuses an over-deep update-term")
+        self.created
     }
 
     /// Visit the update-term's variables — target, arguments and
@@ -383,25 +396,48 @@ impl VarTable {
 }
 
 /// An update-rule `H <= B1 & ... & Bk .` (an update-fact when `k = 0`).
+///
+/// A `Rule` exists only once the front end's rule-level pass has
+/// admitted it ([`Program::parse`], [`Rule::new`], [`Rule::with_vid_vars`],
+/// [`crate::Goal::parse`]): its plan and every update-term's created
+/// version are stored, and the fields are read through accessors, so
+/// no later stage re-checks it. A rule cannot be edited in place:
+///
+/// ```compile_fail,E0616
+/// let mut program = ruvo_lang::Program::parse("ins[a].p -> 1.").unwrap();
+/// let head = program.rules[0].head().clone();
+/// program.rules[0].head = head;
+/// ```
+///
+/// Rebuild it through [`Rule::new`] instead, which admits it again:
+///
+/// ```
+/// use ruvo_lang::{Program, Rule};
+/// let program = Program::parse("r: ins[a].p -> 1.").unwrap();
+/// let rule = &program.rules[0];
+/// let copy = Rule::new(rule.head().clone(), rule.body().to_vec(), rule.vars().clone(), None)?;
+/// assert_eq!(copy.head(), rule.head());
+/// # Ok::<(), ruvo_lang::LangError>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct Rule {
     /// The head update-term.
-    pub head: UpdateAtom,
+    pub(crate) head: UpdateAtom,
     /// The body literals, in source order.
-    pub body: Vec<Literal>,
+    pub(crate) body: Vec<Literal>,
     /// Rule-local variable names.
-    pub vars: VarTable,
+    pub(crate) vars: VarTable,
     /// Rule-local VID variable names (`$V`; §6 extension, body-only).
-    pub vid_vars: VarTable,
+    pub(crate) vid_vars: VarTable,
     /// Optional source label (`rule3:`), used in traces and reports.
-    pub label: Option<String>,
-    /// The safety plan (literal evaluation order), filled in by the
-    /// front end's rule-level pass (see [`crate::analysis`]).
-    pub plan: RulePlan,
+    pub(crate) label: Option<String>,
+    /// The safety plan (literal evaluation order), stored by the front
+    /// end's rule-level pass (see [`crate::analysis`]).
+    pub(crate) plan: RulePlan,
     /// Source span of the whole rule, when it was parsed from text
     /// (`None` for programmatically constructed rules). Used by the
     /// diagnostics of [`crate::analysis`].
-    pub span: Option<crate::error::Span>,
+    pub(crate) span: Option<crate::error::Span>,
 }
 
 // Spans are diagnostic metadata, not part of a rule's identity: the
@@ -445,6 +481,48 @@ impl Rule {
             None => Ok(rule),
             Some(finding) => Err(finding.error(&rule, None)),
         }
+    }
+
+    /// The head update-term.
+    #[inline]
+    pub fn head(&self) -> &UpdateAtom {
+        &self.head
+    }
+
+    /// The body literals, in source order.
+    #[inline]
+    pub fn body(&self) -> &[Literal] {
+        &self.body
+    }
+
+    /// Rule-local variable names.
+    #[inline]
+    pub fn vars(&self) -> &VarTable {
+        &self.vars
+    }
+
+    /// Rule-local VID variable names (`$V`; §6 extension, body-only).
+    #[inline]
+    pub fn vid_vars(&self) -> &VarTable {
+        &self.vid_vars
+    }
+
+    /// The source label (`rule3:`), if the rule has one.
+    #[inline]
+    pub fn label(&self) -> Option<&str> {
+        self.label.as_deref()
+    }
+
+    /// The safety plan (literal evaluation order) the front end stored.
+    #[inline]
+    pub fn plan(&self) -> &RulePlan {
+        &self.plan
+    }
+
+    /// Source span of the whole rule, when it was parsed from text.
+    #[inline]
+    pub fn span(&self) -> Option<crate::error::Span> {
+        self.span
     }
 
     /// Iterate over every version-id-term occurring in the rule after

@@ -54,8 +54,10 @@ impl Goal {
                 "VID variables (`$V`) are not allowed in query goals",
             )));
         }
+        let target = VidTerm::object(BaseTerm::Const(ruvo_term::oid(GOAL_HEAD_METHOD)));
         let head = UpdateAtom {
-            target: VidTerm::object(BaseTerm::Const(ruvo_term::oid(GOAL_HEAD_METHOD))),
+            target,
+            created: target,
             spec: UpdateSpec::Ins {
                 method: sym(GOAL_HEAD_METHOD),
                 args: Vec::new(),

@@ -41,14 +41,21 @@
 //!
 //! ## Entry points
 //!
-//! * [`Program::parse`] — parse a program and run the front end's
-//!   rule-level pass (§3 structure, §2.1 safety and its plan) on every
-//!   rule and the duplicate-label check, failing on the first error,
-//! * [`Rule::new`] — the same rule-level pass for a rule built in code,
-//! * [`analysis::front_end`] — every front-end finding of a parsed
-//!   program as a [`Diagnostic`] (`ruvo check`),
+//! A [`Rule`] exists only once the front end's rule-level pass (§3
+//! structure, created versions that fit a chain, §2.1 safety and its
+//! plan) has admitted it; its fields are read through accessors.
+//!
+//! * [`Program::parse`] — parse a program and run the rule-level pass
+//!   on every rule and the duplicate-label check, failing on the first
+//!   error,
+//! * [`Rule::new`] — the same rule-level pass for a rule built in code
+//!   (from the parts of admitted rules),
+//! * [`Goal::parse`] — a query goal, admitted as a headless rule,
+//! * [`analysis::front_end`] — every front-end finding of source text
+//!   as a [`Diagnostic`], and the admitted program when none is an
+//!   error (`ruvo check`),
 //! * [`analysis::program_diagnostics`] — the program-level pass alone
-//!   (duplicate labels and rules, arity), for checked rules,
+//!   (duplicate labels and rules, arity), for admitted rules,
 //! * [`parse_facts`] — parse ground version-terms (object-base text).
 
 pub mod analysis;
@@ -57,7 +64,7 @@ pub mod error;
 pub mod facts;
 pub mod goal;
 pub mod lexer;
-pub mod parser;
+mod parser;
 pub mod pretty;
 pub mod safety;
 pub mod token;

@@ -531,15 +531,14 @@ impl ObjectBase {
     /// present. The one-edit, untracked call of
     /// [`ObjectBase::replace_versions_tracked_shared`].
     pub fn replace_version(&mut self, vid: Vid, state: VersionState) {
-        self.replace_versions_tracked_shared(
-            &[(vid, Some(Arc::new(state)))],
-            &mut ChangedSince::new(),
-        );
+        self.replace_versions_tracked_shared(&[(vid, Some(Arc::new(state)))], None);
     }
 
-    /// The tracked commit: install `edits` — per **distinct** vid, its
-    /// complete new state, or `None` to remove the version — and record
-    /// the semantic delta into `changed`. The store adopts each `Arc`
+    /// The commit: install `edits` — per **distinct** vid, its complete
+    /// new state, or `None` to remove the version — and, given a
+    /// `changed` set, record the semantic delta into it (the engine's
+    /// rounds read it; a commit nobody reads the delta of passes
+    /// `None` and records nothing). The store adopts each `Arc`
     /// as-is, so a state read out of one version (or another base) is
     /// installed without a deep copy. No state may hold `exists`.
     ///
@@ -557,14 +556,14 @@ impl ObjectBase {
     pub fn replace_versions_tracked_shared(
         &mut self,
         edits: &[(Vid, Option<Arc<VersionState>>)],
-        changed: &mut ChangedSince,
+        mut changed: Option<&mut ChangedSince>,
     ) {
         crate::invariant_assert!(
             edits.iter().map(|(v, _)| v).collect::<FastHashSet<_>>().len() == edits.len(),
             "replace_versions_tracked_shared requires distinct vids"
         );
         for (vid, new) in edits {
-            self.commit_version(*vid, new.as_ref(), changed);
+            self.commit_version(*vid, new.as_ref(), changed.as_deref_mut());
         }
     }
 
@@ -573,7 +572,7 @@ impl ObjectBase {
         &mut self,
         vid: Vid,
         new: Option<&Arc<VersionState>>,
-        changed: &mut ChangedSince,
+        mut changed: Option<&mut ChangedSince>,
     ) {
         let exists = exists_sym();
         let old = self.version_shared(vid).cloned();
@@ -602,7 +601,9 @@ impl ObjectBase {
             } else {
                 self.unindex_method(vid, exists);
             }
-            changed.record(vid.chain(), exists, vid.base());
+            if let Some(changed) = changed.as_deref_mut() {
+                changed.record(vid.chain(), exists, vid.base());
+            }
         }
 
         for &m in &diff {
@@ -624,12 +625,12 @@ impl ObjectBase {
             for app in new_state.apps(m) {
                 if old.is_none_or(|o| !o.contains(m, app)) {
                     self.index_app(vid, m, app);
-                    if grew_only {
+                    if let Some(changed) = changed.as_deref_mut().filter(|_| grew_only) {
                         changed.record_added(vid.chain(), m, vid.base(), app.clone());
                     }
                 }
             }
-            if !grew_only {
+            if let Some(changed) = changed.as_deref_mut().filter(|_| !grew_only) {
                 changed.record(vid.chain(), m, vid.base());
             }
         }
@@ -910,7 +911,7 @@ impl ObjectBase {
         let edits: Vec<(Vid, Option<Arc<VersionState>>)> =
             states.into_iter().map(|(vid, s)| (vid, Some(Arc::new(s)))).collect();
         let mut ob = ObjectBase::new();
-        ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+        ob.replace_versions_tracked_shared(&edits, None);
         ob
     }
 
@@ -1132,12 +1133,13 @@ mod tests {
         let mut serial = ob.clone();
         let mut ch_serial = ChangedSince::new();
         for edit in &edits {
-            serial.replace_versions_tracked_shared(std::slice::from_ref(edit), &mut ch_serial);
+            serial
+                .replace_versions_tracked_shared(std::slice::from_ref(edit), Some(&mut ch_serial));
         }
         serial.check_invariants();
         let mut batch = ob.clone();
         let mut ch_batch = ChangedSince::new();
-        batch.replace_versions_tracked_shared(&edits, &mut ch_batch);
+        batch.replace_versions_tracked_shared(&edits, Some(&mut ch_batch));
         assert_eq!(batch, serial);
         assert_eq!(ch_batch, ch_serial);
         assert_eq!(batch.len(), serial.len());
@@ -1366,7 +1368,7 @@ mod tests {
                         expect.insert(f.vid, f.method, f.args, f.result);
                     }
                 }
-                ob.replace_versions_tracked_shared(&edits, &mut ChangedSince::new());
+                ob.replace_versions_tracked_shared(&edits, None);
                 ob.check_invariants();
                 assert_eq!(ob, expect, "case {case} batch {batch}");
                 assert_eq!(ob.fact_count, expect.fact_count);
@@ -1382,7 +1384,7 @@ mod tests {
         let (before, edits) = shard_commit_fixture();
         let mut ob = before.clone();
         let mut changed = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, &mut changed);
+        ob.replace_versions_tracked_shared(&edits, Some(&mut changed));
         ob.check_invariants();
         let exists = exists_sym();
         for (vid, state) in &edits {
@@ -1418,13 +1420,13 @@ mod tests {
         // Empty edit list: nothing changes, no recording.
         let mut a = ob.clone();
         let mut ch = ChangedSince::new();
-        a.replace_versions_tracked_shared(&[], &mut ch);
+        a.replace_versions_tracked_shared(&[], Some(&mut ch));
         assert_eq!(a, ob);
         assert!(ch.keys().next().is_none());
         // Removing a version that never existed is a no-op.
         let ghost = Vid::object(oid("nobody"));
         let edits = vec![(ghost, None), (ghost.apply(UpdateKind::Del).unwrap(), None)];
-        a.replace_versions_tracked_shared(&edits, &mut ch);
+        a.replace_versions_tracked_shared(&edits, Some(&mut ch));
         assert_eq!(a, ob);
         assert!(ch.keys().next().is_none());
         a.check_invariants();
@@ -1657,7 +1659,7 @@ mod tests {
 
         // Same state back: no delta recorded.
         let same = ob.version(phil).unwrap().clone();
-        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(same)))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(same)))], Some(&mut changed));
         assert!(changed.is_empty(), "idempotent commit must record nothing");
 
         // Change sal, drop pos, keep isa.
@@ -1665,7 +1667,7 @@ mod tests {
         st.remove(sym("pos"), &MethodApp::new(Args::empty(), oid("mgr")));
         st.remove(sym("sal"), &MethodApp::new(Args::empty(), int(4000)));
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(4600)));
-        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(st)))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(Arc::new(st)))], Some(&mut changed));
         assert!(changed.contains(&(Chain::EMPTY, sym("sal"))));
         assert!(changed.contains(&(Chain::EMPTY, sym("pos"))));
         assert!(!changed.contains(&(Chain::EMPTY, sym("isa"))));
@@ -1676,7 +1678,7 @@ mod tests {
         let mod_phil = phil.apply(ruvo_term::UpdateKind::Mod).unwrap();
         let mut st = VersionState::new();
         st.insert(sym("sal"), MethodApp::new(Args::empty(), int(5000)));
-        ob.replace_versions_tracked_shared(&[(mod_phil, Some(Arc::new(st)))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(mod_phil, Some(Arc::new(st)))], Some(&mut changed));
         assert!(changed.contains(&(mod_phil.chain(), sym("sal"))));
         assert!(changed.contains(&(mod_phil.chain(), exists_sym())), "the version appeared");
         ob.check_invariants();
@@ -1817,7 +1819,7 @@ mod tests {
         assert_eq!(ob.versions_of(oid("phil")).collect::<Vec<_>>(), vec![phil, ins, mod_ins]);
         assert_eq!(ob.v_star(mod_ins.apply(UpdateKind::Del).unwrap()), Some(mod_ins));
         ob.check_invariants();
-        ob.replace_versions_tracked_shared(&[(ins, None)], &mut ChangedSince::new());
+        ob.replace_versions_tracked_shared(&[(ins, None)], None);
         assert_eq!(entry_len(&ob, "phil"), (false, 2));
         assert_eq!(ob.v_star(mod_ins), Some(mod_ins));
         assert_eq!(ob.v_star(ins), Some(phil), "ins(phil) is gone: v* falls back");
@@ -1917,7 +1919,7 @@ mod tests {
         let shared = Arc::clone(ob.version_shared(phil).unwrap());
         let mut changed = ChangedSince::new();
         let snapshot = ob.clone();
-        ob.replace_versions_tracked_shared(&[(phil, Some(shared))], &mut changed);
+        ob.replace_versions_tracked_shared(&[(phil, Some(shared))], Some(&mut changed));
         assert!(changed.is_empty(), "pointer-identical recommit must record nothing");
         assert!(ob.cow_stats(&snapshot).fully_shared(), "recommit must not reindex");
         ob.check_invariants();
@@ -1933,9 +1935,9 @@ mod tests {
         for &vid in &vids {
             let shared = Arc::clone(ob.version_shared(vid).unwrap());
             let mut ch = ChangedSince::new();
-            ob.replace_versions_tracked_shared(&[(vid, Some(shared))], &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, Some(shared))], Some(&mut ch));
             let fresh = Arc::new((**ob.version_shared(vid).unwrap()).clone());
-            ob.replace_versions_tracked_shared(&[(vid, Some(fresh))], &mut ch);
+            ob.replace_versions_tracked_shared(&[(vid, Some(fresh))], Some(&mut ch));
             assert!(ch.is_empty());
         }
         let edits: Edits = vids
@@ -1943,7 +1945,7 @@ mod tests {
             .map(|&v| (v, Some(Arc::new((**ob.version_shared(v).unwrap()).clone()))))
             .collect();
         let mut ch = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, &mut ch);
+        ob.replace_versions_tracked_shared(&edits, Some(&mut ch));
         assert!(ch.is_empty());
         assert_eq!(
             ob.version_shards_differing(&before),
@@ -2013,7 +2015,7 @@ mod tests {
         // Alias bob's state under a new version of phil.
         let state = Arc::clone(ob.version_shared(bob).unwrap());
         let mod_phil = phil.apply(UpdateKind::Mod).unwrap();
-        ob.replace_versions_tracked_shared(&[(mod_phil, Some(state))], &mut ChangedSince::new());
+        ob.replace_versions_tracked_shared(&[(mod_phil, Some(state))], None);
         assert_eq!(ob.lookup1(oid("bob"), "boss"), vec![oid("phil")]);
         assert!(ob.contains(mod_phil, sym("boss"), &[], oid("phil")));
         ob.check_invariants();

@@ -210,7 +210,7 @@ impl FromIterator<Const> for RelationDelta {
 /// let mut state = VersionState::new();
 /// state.insert(sym("sal"), MethodApp::new(Args::empty(), int(4600)));
 /// let edit = (Vid::object(oid("phil")), Some(state.into()));
-/// ob.replace_versions_tracked_shared(&[edit], &mut delta);
+/// ob.replace_versions_tracked_shared(&[edit], Some(&mut delta));
 ///
 /// let sal = delta.relation(&(Chain::EMPTY, sym("sal"))).unwrap();
 /// assert_eq!(sal.len(), 1);

@@ -179,7 +179,7 @@ mod tests {
             );
             let finals = outcome.final_versions().unwrap();
             assert_eq!(finals[&oid("o")].depth(), k, "all-ins chain of length {k}");
-            let ob2 = outcome.new_object_base();
+            let ob2 = outcome.try_new_object_base().unwrap();
             // Each stage inserted one tag; the driver step is carried.
             assert_eq!(ob2.lookup1(oid("o"), "step"), vec![int(0)]);
             assert_eq!(ob2.lookup1(oid("o"), &format!("tag{k}")), vec![int(1)]);
@@ -197,7 +197,7 @@ mod tests {
         // k = 2: mod then del; the del removed tag0.
         let ob = super::chain_object_base();
         let outcome = evaluate(chain_program(2, true), ob);
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         assert_eq!(ob2.lookup1(oid("o"), "tag0"), vec![]);
         assert_eq!(ob2.lookup1(oid("o"), "step"), vec![int(1)]);
     }

@@ -195,7 +195,7 @@ mod tests {
             let program = random_insert_program(config);
             let outcome = evaluate(program, &ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             outcome.result().check_invariants();
-            outcome.new_object_base().check_invariants();
+            outcome.try_new_object_base().unwrap().check_invariants();
         }
     }
 
@@ -205,7 +205,7 @@ mod tests {
         let config = RandomConfig { seed: 3, ..Default::default() };
         let ob = random_object_base(config);
         let outcome = evaluate(random_insert_program(config), &ob).unwrap();
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         for fact in ob.iter() {
             assert!(
                 ob2.contains(fact.vid, fact.method, fact.args.as_slice(), fact.result),
@@ -222,7 +222,7 @@ mod tests {
             let ob = random_object_base(config);
             let program = random_update_program(config);
             let outcome = evaluate(program, &ob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            outcome.new_object_base().check_invariants();
+            outcome.try_new_object_base().unwrap().check_invariants();
             fired_any |= outcome.stats().fired_updates > 0;
             // The negation layer forces at least two strata.
             assert!(outcome.stratification().strata.len() >= 2, "seed {seed}");

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Non-test line count of the evaluation core — the matcher, `T_P`, the
 # fixpoint engine and the object store — against ROADMAP item 4's
-# budget of 3 155 lines. A file's non-test lines are those above its
-# first `#[cfg(test)]` line (the whole file if it has none).
+# budget of 2 800 lines: the 2 750 measured when the budget was last
+# lowered plus a margin of 50 (about 2 %), so growth beyond a small fix
+# fails instead of filling slack. A file's non-test lines are those
+# above its first `#[cfg(test)]` line (the whole file if it has none).
 #
 #   scripts/core-lines.sh
 #
@@ -10,7 +12,7 @@
 # exceeds the budget. Run from anywhere inside the repository.
 set -euo pipefail
 
-budget=3155
+budget=2800
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 total=0
 for f in crates/core/src/matcher.rs crates/core/src/tp.rs crates/core/src/engine.rs \

@@ -28,7 +28,7 @@
 //! | safety "cf. \[Ull88\]" | [`crate::lang::safety`] (range restriction + literal ordering) |
 //! | set-valued methods | [`crate::obase::VersionState`] (sets of [`crate::obase::MethodApp`]) |
 //! | `del[v]:` delete-all shorthand | `del[V].*` ([`crate::lang::UpdateSpec::DelAll`]) |
-//! | path shorthand `v:m1→r1/m2→r2` | `/`-paths in the parser ([`crate::lang::parser`]) |
+//! | path shorthand `v:m1→r1/m2→r2` | `/`-paths, parsed by [`crate::lang::Program::parse`] |
 //!
 //! The termination argument — "for safe rules only a finite number of
 //! new versions can be derived" — holds structurally here: rule chains

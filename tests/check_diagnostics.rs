@@ -283,10 +283,13 @@ fn flagged_duplicate(src: &str) -> bool {
     use std::hash::{BuildHasher, RandomState};
     let program = Program::parse(src).unwrap();
     let [a, b] = &program.rules[..] else { panic!("{src} must have two rules") };
-    let equal = a.head == b.head && a.body == b.body;
+    let equal = a.head() == b.head() && a.body() == b.body();
     let hasher = RandomState::new();
     if equal {
-        assert_eq!(hasher.hash_one((&a.head, &a.body)), hasher.hash_one((&b.head, &b.body)));
+        assert_eq!(
+            hasher.hash_one((&a.head(), &a.body())),
+            hasher.hash_one((&b.head(), &b.body()))
+        );
     }
     let flagged = check_source(src, CyclePolicy::Reject)
         .diagnostics
@@ -349,7 +352,7 @@ fn run_reversed_matches(src: &str, base: &str) {
     let a = db.evaluate(&db.prepare_program(program).unwrap()).unwrap();
     let b = db.evaluate(&db.prepare_program(reversed).unwrap()).unwrap();
     assert_eq!(a.result(), b.result());
-    assert_eq!(a.new_object_base(), b.new_object_base());
+    assert_eq!(a.try_new_object_base().unwrap(), b.try_new_object_base().unwrap());
 }
 
 #[test]

@@ -23,15 +23,15 @@ fn to_dl_term(t: BaseTerm) -> DlTerm {
 
 /// Translate one insert-only rule into the baseline dialect.
 fn translate_rule(rule: &ruvo_lang::Rule) -> DlRule {
-    let UpdateSpec::Ins { method, result, .. } = &rule.head.spec else {
+    let UpdateSpec::Ins { method, result, .. } = &rule.head().spec() else {
         panic!("cross-check only covers insert-only programs");
     };
     let head = DlHead::Insert(DlAtom {
         pred: sym(&format!("d_{method}")),
-        terms: vec![to_dl_term(rule.head.target.base), to_dl_term(*result)],
+        terms: vec![to_dl_term(rule.head().target().base), to_dl_term(*result)],
     });
     let body = rule
-        .body
+        .body()
         .iter()
         .map(|lit| {
             let Atom::Version(va) = &lit.atom else {
@@ -46,7 +46,7 @@ fn translate_rule(rule: &ruvo_lang::Rule) -> DlRule {
             })
         })
         .collect();
-    DlRule { head, body, num_vars: rule.vars.len() }
+    DlRule { head, body, num_vars: rule.vars().len() }
 }
 
 #[test]

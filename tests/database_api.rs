@@ -194,16 +194,15 @@ fn over_deep_update_terms_fail_prepare_with_a_typed_error() {
     }
 }
 
-/// A `Program` built or edited through the AST's public fields never
-/// went through the parser's front end: the entries that take one run
-/// it themselves and refuse an over-deep head with a typed error.
+/// Every `Rule` passed the front end's rule-level pass when it was
+/// built, and its fields cannot be edited, so a `Program` assembled from
+/// admitted rules can be refused only as a whole: the entries that take
+/// one refuse two rules sharing a label with a typed error, and nothing
+/// is committed.
 #[test]
 fn edited_programs_fail_prepare_with_a_typed_error() {
-    let mut program = Program::parse("r: ins[X].p -> 1 <= X.q -> 1.").unwrap();
-    let chain = &mut program.rules[0].head.target.chain;
-    while chain.len() < 32 {
-        *chain = chain.push(UpdateKind::Mod).unwrap();
-    }
+    let admitted = Program::parse("r: ins[X].p -> 1 <= X.q -> 1.").unwrap();
+    let program = Program { rules: vec![admitted.rules[0].clone(), admitted.rules[0].clone()] };
     let mut db = Database::open_src("x.q -> 1.").unwrap();
     let errors = [
         db.prepare_program(program.clone()).map(drop).unwrap_err(),
@@ -212,9 +211,10 @@ fn edited_programs_fail_prepare_with_a_typed_error() {
     ];
     for err in errors {
         assert_eq!(err.kind(), ErrorKind::Validate, "{err}");
-        assert!(err.to_string().contains("version-id-term nests too deeply"), "{err}");
+        assert!(err.to_string().contains("duplicate rule label `r`"), "{err}");
     }
     assert!(db.is_empty());
+    assert_eq!(db.current().lookup1(oid("x"), "p"), vec![]);
 }
 
 #[test]
@@ -361,8 +361,7 @@ const UNRELATED: &str = "ins[z].r -> 1 <= z.q -> 0.";
 /// Panic-path audit: the run-time §5 check rejects every non-linear
 /// version a run creates, so only a branching seeded head reaches
 /// extraction non-linear, and every library path that meets one must
-/// surface `ErrorKind::Linearity` — the panicking
-/// `Outcome::new_object_base` is reserved for linear results.
+/// surface `ErrorKind::Linearity`.
 #[test]
 fn branching_seed_surfaces_errors_instead_of_panicking() {
     // Path 1: apply — the commit gate rejects the result.

@@ -19,7 +19,7 @@ fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
 fn section_2_1_salary_raise() {
     let ob = ObjectBase::parse("henry.isa -> empl. henry.sal -> 250.").unwrap();
     let outcome = evaluate(salary_raise_program(), &ob).unwrap();
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("henry"), "sal"), vec![int(275)]);
     assert_eq!(ob2.lookup1(oid("henry"), "isa"), vec![oid("empl")]);
     // Exactly one modify fired; exactly one new version.
@@ -40,7 +40,7 @@ fn section_2_1_salary_raise() {
 fn section_2_2_version_jargon() {
     let ob = ObjectBase::parse("e.isa -> empl. e.sal -> 100.").unwrap();
     let outcome = evaluate(salary_raise_program(), &ob).unwrap();
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     let sal = ob2.lookup1(oid("e"), "sal");
     assert_eq!(sal.len(), 1);
     assert!((sal[0].as_f64().unwrap() - 110.0).abs() < 1e-9);
@@ -84,7 +84,7 @@ fn section_2_3_enterprise_figure_2() {
     assert!(result.version(mod_bob.apply(UpdateKind::Ins).unwrap()).is_none());
 
     // Final object base: the paper's stated outcome.
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     let mut phil_isa = ob2.lookup1(oid("phil"), "isa");
     phil_isa.sort();
     let mut want = vec![oid("empl"), oid("hpe")];
@@ -103,7 +103,7 @@ fn section_2_4_order_control() {
          bob.isa -> empl. bob.boss -> phil. bob.sal -> 4100.",
     )
     .unwrap();
-    let ob2 = evaluate(enterprise_program(), &ob).unwrap().new_object_base();
+    let ob2 = evaluate(enterprise_program(), &ob).unwrap().try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("bob"), "sal"), vec![int(4510)]);
     assert!(ob2.lookup1(oid("bob"), "isa").contains(&oid("empl")));
     assert!(ob2.lookup1(oid("bob"), "isa").contains(&oid("hpe")), "4510 > 4500");
@@ -120,7 +120,7 @@ fn section_2_3_hypothetical_both_answers() {
     let outcome = evaluate(hypothetical_program("peter"), &yes).unwrap();
     let strat = outcome.stratification();
     assert_eq!(strat.len(), 4, "rule1 < rule2 < rule3 < rule4");
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("peter"), "richest"), vec![oid("yes")]);
     assert_eq!(ob2.lookup1(oid("peter"), "sal"), vec![int(100)]);
     assert_eq!(ob2.lookup1(oid("anna"), "sal"), vec![int(200)]);
@@ -130,7 +130,7 @@ fn section_2_3_hypothetical_both_answers() {
          anna.sal -> 200. anna.factor -> 2.0.",
     )
     .unwrap();
-    let ob2 = evaluate(hypothetical_program("peter"), &no).unwrap().new_object_base();
+    let ob2 = evaluate(hypothetical_program("peter"), &no).unwrap().try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("peter"), "richest"), vec![oid("no")]);
     assert_eq!(ob2.lookup1(oid("peter"), "sal"), vec![int(100)]);
 }
@@ -164,7 +164,7 @@ fn section_2_3_ancestors_recursive() {
     .unwrap();
     let outcome = evaluate(ancestors_program(), &ob).unwrap();
     assert_eq!(outcome.stratification().len(), 1, "single recursive stratum");
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     let mut dee_anc = ob2.lookup1(oid("dee"), "anc");
     dee_anc.sort();
     let mut want = vec![oid("ann"), oid("ben"), oid("cay")];

@@ -18,10 +18,12 @@
 //! | `ob′` holds each object's deepest version (§5)      | holds   |
 //! | an `ins` program writing nothing it reads is idempotent | holds |
 //! | a same-stratum `del`/`ins` pair on one version | not flagged statically; refused at run time by §5 linearity |
+//! | syntax independence: renamed variables, rotated rules, reversed bodies | holds |
 
 use ruvo::core::check::check_source;
 use ruvo::core::reference;
 use ruvo::core::CyclePolicy;
+use ruvo::lang::{Literal, VarTable};
 use ruvo::prelude::*;
 use ruvo::workload::{
     random_insert_program, random_object_base, random_update_program, RandomConfig,
@@ -39,14 +41,23 @@ fn cases() -> impl Iterator<Item = (RandomConfig, ObjectBase)> {
 /// Commit `src` on `db` and check the new head against the reference's
 /// `ob′` from the previous head. Returns the new head.
 fn commit(db: &mut Database, src: &str) -> ObjectBase {
+    commit_program(db, Program::parse(src).unwrap())
+}
+
+/// [`commit`] for a program built from admitted rules.
+fn commit_program(db: &mut Database, program: Program) -> ObjectBase {
     let before = db.current().clone();
-    let program = Program::parse(src).unwrap();
     let expected = reference::evaluate(&program, &before)
-        .unwrap_or_else(|e| panic!("reference: {e}\n{src}\non {before}"))
+        .unwrap_or_else(|e| panic!("reference: {e}\n{program}\non {before}"))
         .new_object_base()
         .unwrap();
-    db.apply_src(src).unwrap_or_else(|e| panic!("engine: {e}\n{src}\non {before}"));
-    assert_eq!(db.current(), &expected, "engine and reference disagree on\n{src}\nfrom {before}");
+    db.apply_program(program.clone())
+        .unwrap_or_else(|e| panic!("engine: {e}\n{program}\non {before}"));
+    assert_eq!(
+        db.current(),
+        &expected,
+        "engine and reference disagree on\n{program}\nfrom {before}"
+    );
     expected
 }
 
@@ -261,4 +272,51 @@ fn a_same_stratum_del_ins_pair_is_refused_at_run_time() {
     assert_eq!(err.kind(), ErrorKind::Linearity);
     assert!(err.to_string().contains("versions del(x) and ins(x) are incomparable"), "{err}");
     assert!(db.is_empty(), "a refused apply logs nothing");
+}
+
+/// Syntax independence (Slota & Leite, *The Rise and Fall of Semantic
+/// Rule Updates Based on SE-Models*): an update's result depends on its
+/// rules, not on how they are written. Each random update program is
+/// rebuilt three ways from its admitted rules' parts, through
+/// `Rule::new` — every variable renamed, the rules rotated, each body's
+/// literals reversed — and every variant commits the original's `ob′`,
+/// on the engine and on the reference.
+#[test]
+fn renaming_variables_and_reordering_rules_or_literals_keep_ob_prime() {
+    let rebuild = |rule: &Rule, body: Vec<Literal>, vars: VarTable| {
+        Rule::new(rule.head().clone(), body, vars, rule.label().map(str::to_owned)).unwrap()
+    };
+    for (config, ob) in cases() {
+        let program = random_update_program(config);
+        let renamed = program.rules.iter().map(|rule| {
+            // Ids keep their positions; only the names change, and the
+            // last variable takes the first name.
+            let mut vars = VarTable::new();
+            let n = rule.vars().len();
+            for i in 0..n {
+                vars.var(&format!("Renamed{}", n - i));
+            }
+            rebuild(rule, rule.body().to_vec(), vars)
+        });
+        let mut rotated: Vec<Rule> = program
+            .rules
+            .iter()
+            .map(|rule| rebuild(rule, rule.body().to_vec(), rule.vars().clone()))
+            .collect();
+        rotated.rotate_left(1);
+        let reversed = program.rules.iter().map(|rule| {
+            rebuild(rule, rule.body().iter().rev().cloned().collect(), rule.vars().clone())
+        });
+        let expected = commit_program(&mut Database::open(ob.clone()), program.clone());
+        let variants = [
+            ("renamed", Program { rules: renamed.collect() }),
+            ("rotated", Program { rules: rotated }),
+            ("reversed", Program { rules: reversed.collect() }),
+        ];
+        for (what, variant) in variants {
+            assert_ne!(variant.to_string(), program.to_string(), "{what} changes the text");
+            let got = commit_program(&mut Database::open(ob.clone()), variant);
+            assert_eq!(got, expected, "{what} variant of seed {}:\n{program}", config.seed);
+        }
+    }
 }

@@ -269,7 +269,7 @@ proptest! {
         let program = random_insert_program(config);
         let outcome = evaluate(program, &ob).unwrap();
         let finals = outcome.final_versions().unwrap();
-        let ob2 = outcome.new_object_base();
+        let ob2 = outcome.try_new_object_base().unwrap();
         for (&base, &fv) in &finals {
             if fv.is_object() {
                 // Untouched object: identical method-applications.
@@ -286,7 +286,7 @@ proptest! {
         let config = RandomConfig { seed, ..Default::default() };
         let ob = random_object_base(config);
         let program = random_insert_program(config);
-        let ob2 = evaluate(program, &ob).unwrap().new_object_base();
+        let ob2 = evaluate(program, &ob).unwrap().try_new_object_base().unwrap();
         for fact in ob.iter() {
             prop_assert!(
                 ob2.contains(fact.vid, fact.method, fact.args.as_slice(), fact.result),
@@ -312,7 +312,7 @@ proptest! {
         let slow = ruvo::core::reference::evaluate(&program, &ob).unwrap();
         let fast = evaluate(program, &ob).unwrap();
         prop_assert_eq!(fast.result(), &slow.result);
-        prop_assert_eq!(fast.new_object_base(), slow.new_object_base().unwrap());
+        prop_assert_eq!(fast.try_new_object_base().unwrap(), slow.new_object_base().unwrap());
     }
 
     /// Either cycle policy agrees with the naive reference, which

@@ -54,13 +54,13 @@ fn footnote_2_negated_version_vs_update_term() {
 
     // e out-earns boss → e is deleted. With the update-term, only boss
     // survives.
-    let ob2a = run(fired_ob, &with_update_term).new_object_base();
+    let ob2a = run(fired_ob, &with_update_term).try_new_object_base().unwrap();
     assert_eq!(ob2a.lookup1(oid("report"), "survivor"), vec![oid("boss")]);
 
     // With the negated version-term, the deleted e *also* qualifies —
     // del(mod(e)).isa -> empl is false (the fact was deleted!), so the
     // negation holds and e is wrongly reported as a survivor.
-    let ob2b = run(fired_ob, &with_version_term).new_object_base();
+    let ob2b = run(fired_ob, &with_version_term).try_new_object_base().unwrap();
     let mut survivors = ob2b.lookup1(oid("report"), "survivor");
     survivors.sort();
     let mut both = vec![oid("boss"), oid("e")];
@@ -91,7 +91,7 @@ fn mod_body_unchanged_result_clause() {
          probe1: ins[x].carried -> R <= mod[e].tag -> (R, R).
          probe2: ins[y].changed -> A <= mod[e].sal -> (A, B) & A != B.",
     );
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     // tag -> keep was copied unchanged into mod(e): the (R, R) clause.
     assert_eq!(ob2.lookup1(oid("x"), "carried"), vec![oid("keep")]);
     // sal was changed 10 → 20: the (r, r') clause.
@@ -102,7 +102,7 @@ fn mod_body_unchanged_result_clause() {
         "m: mod[e].sal -> (10, 20) <= e.sal -> 10.
          probe: ins[x].wrong -> 1 <= mod[e].sal -> (10, 10).",
     );
-    assert_eq!(bad.new_object_base().lookup1(oid("x"), "wrong"), vec![]);
+    assert_eq!(bad.try_new_object_base().unwrap().lookup1(oid("x"), "wrong"), vec![]);
 }
 
 /// Deleting the last method-application keeps the version — it still
@@ -118,7 +118,7 @@ fn exists_note_survives_total_deletion() {
     let result = outcome.result();
     let del_v = Vid::object(oid("victim")).apply(UpdateKind::Del).unwrap();
     assert!(result.exists_fact(del_v), "the emptied version still exists");
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("x"), "killed"), vec![oid("victim")]);
     assert!(!ob2.objects().any(|o| o == oid("victim")));
 }
@@ -197,7 +197,7 @@ fn late_delete_same_stratum() {
     );
     // All three rules share a stratum; r3 fires in round 3.
     assert_eq!(outcome.stratification().len(), 1);
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("b"), "data"), vec![int(8)]);
 }
 
@@ -230,7 +230,7 @@ fn set_valued_modify() {
         "m1: mod[a].p -> (1, 10) <= a.p -> 1.
          m2: mod[a].p -> (2, 20) <= a.p -> 2.",
     );
-    let mut got = outcome.new_object_base().lookup1(oid("a"), "p");
+    let mut got = outcome.try_new_object_base().unwrap().lookup1(oid("a"), "p");
     got.sort();
     assert_eq!(got, vec![int(10), int(20)]);
 }
@@ -243,7 +243,7 @@ fn object_creation_from_nothing() {
         "create: ins[phoenix].born -> yes <= seed.go -> 1.
          chain: ins[ins(phoenix)].grew -> yes <= ins(phoenix).born -> yes.",
     );
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("phoenix"), "born"), vec![oid("yes")]);
     assert_eq!(ob2.lookup1(oid("phoenix"), "grew"), vec![oid("yes")]);
 }
@@ -278,7 +278,7 @@ fn input_object_base_is_immutable() {
 fn update_facts_fire_once() {
     let outcome = run("", "f1: ins[a].p -> 1. f2: ins[a].p -> 2. f3: ins[b].q -> 3.");
     assert_eq!(outcome.stats().fired_updates, 3);
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     let mut got = ob2.lookup1(oid("a"), "p");
     got.sort();
     assert_eq!(got, vec![int(1), int(2)]);
@@ -306,7 +306,7 @@ fn three_stage_pipeline() {
     assert!(result.contains(v2, sym("flagged"), &[], oid("yes")));
     assert!(result.contains(v3, sym("balance"), &[], int(50)));
     assert!(!result.contains(v3, sym("flagged"), &[], oid("yes")));
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("acct"), "balance"), vec![int(50)]);
     assert!(ob2.lookup1(oid("acct"), "flagged").is_empty());
 }

@@ -30,8 +30,8 @@ fn evaluate(program: Program, ob: &ObjectBase) -> Result<Outcome, Error> {
 fn parses_and_pretty_prints() {
     let src = "ins[audit].flagged -> O <= $V.sal -> S & $V.exists -> O & S > 1000.";
     let p1 = Program::parse(src).unwrap();
-    assert_eq!(p1.rules[0].vid_vars.len(), 1);
-    assert_eq!(p1.rules[0].vars.len(), 2);
+    assert_eq!(p1.rules[0].vid_vars().len(), 1);
+    assert_eq!(p1.rules[0].vars().len(), 2);
     let printed = p1.to_string();
     assert!(printed.contains("$V"), "printed: {printed}");
     let p2 = Program::parse(&printed).unwrap();
@@ -78,7 +78,7 @@ fn audit_example_sees_all_versions() {
     let outcome = evaluate(program.clone(), &ob).unwrap();
     // The wildcard forces `audit` strictly above the mod-rule.
     assert_eq!(outcome.stratification().strata.len(), 2);
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     let mut flagged = ob2.lookup1(oid("audit"), "flagged");
     flagged.sort();
     // mary's initial 1200, mod(henry)'s 1200 and mod(mary)'s 2400 all
@@ -100,7 +100,7 @@ fn termination_is_preserved() {
     let ob = ObjectBase::parse("a.p -> 1. b.p -> 2.").unwrap();
     let program = Program::parse("ins[O].seen -> 1 <= $V.exists -> O.").unwrap();
     let outcome = evaluate(program, &ob).unwrap();
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("a"), "seen"), vec![int(1)]);
     assert_eq!(ob2.lookup1(oid("b"), "seen"), vec![int(1)]);
 }
@@ -117,7 +117,7 @@ fn wildcard_in_del_rule_needs_dynamic_mode() {
 
     let dynamic = Database::builder().cycle_policy(CyclePolicy::RuntimeStability);
     let outcome = evaluate_with(program, dynamic, &ob).unwrap();
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("o"), "m"), vec![]);
 }
 
@@ -132,7 +132,7 @@ fn repeated_vid_var_selects_one_version() {
     )
     .unwrap();
     let outcome = evaluate(program.clone(), &ob).unwrap();
-    let ob2 = outcome.new_object_base();
+    let ob2 = outcome.try_new_object_base().unwrap();
     assert_eq!(ob2.lookup1(oid("hit"), "both"), vec![int(1)]);
     let r = reference::evaluate(&program, &ob).unwrap();
     assert_eq!(outcome.result(), &r.result);
