@@ -634,15 +634,10 @@ impl Database {
     /// [`Database::prepare`] for an already-built program. Every
     /// [`ruvo_lang::Rule`] passed the front end's rule-level pass when it
     /// was built, so the one rejection left is a program-level one: two
-    /// rules sharing a label ([`ErrorKind::Validate`]).
+    /// rules sharing a label ([`ruvo_lang::analysis::check_labels`],
+    /// [`ErrorKind::Validate`]).
     pub fn prepare_program(&self, program: Program) -> Result<Prepared, Error> {
-        let mut labels = std::collections::HashSet::new();
-        if let Some(label) =
-            program.rules.iter().filter_map(|r| r.label()).find(|&l| !labels.insert(l))
-        {
-            let message = format!("duplicate rule label `{label}`");
-            return Err(Error::Validate(ValidateError { rule: label.to_owned(), message }));
-        }
+        ruvo_lang::analysis::check_labels(&program)?;
         Database::prepare_gated(program, self.config())
     }
 

@@ -45,9 +45,22 @@ use crate::plan::RuleIndexPlan;
 use crate::{matcher, truth};
 
 /// A fired ground update-term (an element of `T¹`).
+///
+/// Only [`collect_rule`] builds one, from an admitted rule's head,
+/// whose created version fits a chain; every variant is
+/// `#[non_exhaustive]`, so no other crate can:
+///
+/// ```compile_fail,E0639
+/// use ruvo_core::Fired;
+/// use ruvo_term::{int, oid, sym, Vid};
+/// let target = Vid::object(oid("a"));
+/// let args = ruvo_obase::Args::new(Vec::new());
+/// let _ = Fired::Ins { target, method: sym("p"), args, result: int(1) };
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Fired {
     /// `ins[target].method@args -> result`
+    #[non_exhaustive]
     Ins {
         /// Bracketed target version `v`.
         target: Vid,
@@ -59,6 +72,7 @@ pub enum Fired {
         result: Const,
     },
     /// `del[target].method@args -> result`
+    #[non_exhaustive]
     Del {
         /// Bracketed target version `v`.
         target: Vid,
@@ -70,6 +84,7 @@ pub enum Fired {
         result: Const,
     },
     /// `mod[target].method@args -> (from, to)`
+    #[non_exhaustive]
     Mod {
         /// Bracketed target version `v`.
         target: Vid,
@@ -103,9 +118,9 @@ impl Fired {
         }
     }
 
-    /// The *relevant* VID this update creates: `φ(v)`. Only
-    /// `fire_head` builds a `Fired` here, with the chain of an admitted
-    /// head's target, whose created version fits a chain.
+    /// The *relevant* VID this update creates: `φ(v)`. Outside this
+    /// module's tests only `fire_head` builds a `Fired`, with the chain
+    /// of an admitted head's target, whose created version fits a chain.
     pub(crate) fn created(&self) -> Vid {
         self.target().apply(self.kind()).expect("the front end refuses an over-deep head")
     }
@@ -444,7 +459,8 @@ fn build_state<'d>(
 /// (`ObjectBase::replace_versions_tracked_shared`). Only *then* are
 /// the `ins` / `del` groups of active versions repaired in place, fact
 /// by fact, through the tracked edits — nothing built this round reads
-/// them.
+/// them. Every update came from [`collect_rule`] (see [`Fired`]), so
+/// each one's created version fits a chain.
 pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
     let groups = Groups::of(delta);
     let mut report = ApplyReport::default();

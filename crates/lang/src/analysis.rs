@@ -6,8 +6,8 @@
 //! * the **rule-level pass** (`analyze_rule`): every update-term's
 //!   created version fits a version chain, the §3 structural checks
 //!   (`exists` is never updated, `del[..].*` only in heads) and §2.1
-//!   safety (range restriction). It stores each created version and the
-//!   literal-ordering plan in the rule;
+//!   safety (range restriction). It stores the literal-ordering plan in
+//!   the rule;
 //! * the **program-level pass** ([`program_diagnostics`]): duplicate
 //!   labels, duplicate (shadowing) rules, method-arity consistency.
 //!
@@ -18,8 +18,9 @@
 //! it. [`Program::parse`] and [`Rule::new`] fail on the first error
 //! finding; `ruvo check` collects every finding through [`front_end`];
 //! a program assembled from admitted rules needs only the
-//! program-level pass, which is all a prepared program's check and a
-//! handle's `prepare_program` run. Each finding is a
+//! program-level pass: a prepared program's check runs it, and a
+//! handle's `prepare_program` runs its one rejection,
+//! [`check_labels`]. Each finding is a
 //! [`Diagnostic`] carrying a [`Lint`] identity, a [`Severity`], an
 //! optional source [`Span`] and free-form notes, so tooling (`ruvo
 //! check`, the REPL's `:check`, CI) can render rustc-style reports or
@@ -418,38 +419,30 @@ impl Finding {
 /// decided: an update-term whose created version overflows a chain
 /// (head or body), `exists` updated in the head, `del[..].*` or an
 /// `exists` update-term in the body (§3), then safety (§2.1). It stores
-/// each fitting update-term's created version and the safety plan in
-/// the rule, and returns every finding, in that order. Every later
-/// stage reads [`UpdateAtom::created_term`] and [`Rule::plan`] as
-/// stored here.
+/// the safety plan in the rule and returns every finding, in that
+/// order. Every later stage reads [`Rule::plan`] as stored here, and
+/// [`UpdateAtom::created_term`] only on update-terms that fit.
 pub(crate) fn analyze_rule(rule: &mut Rule) -> Vec<Finding> {
     let exists = ruvo_term::sym("exists");
     let mut out = Vec::new();
     let mut found = |lint, literal, message: &str, note: Option<&str>| {
         out.push(Finding { lint, literal, message: message.into(), note: note.map(Into::into) })
     };
-    // Stores `φ(target)` when it fits a chain; false when it does not.
-    let fits = |ua: &mut UpdateAtom| match ua.target.apply(ua.spec.kind()) {
-        Ok(created) => {
-            ua.created = created;
-            true
-        }
-        Err(_) => false,
-    };
+    let fits = |ua: &UpdateAtom| ua.target.apply(ua.spec.kind()).is_ok();
     let (deep, deep_note) = (
         "version-id-term nests too deeply",
         "a version-id-term holds at most 32 update applications, counting the version an \
          update-term creates",
     );
-    if !fits(&mut rule.head) {
+    if !fits(&rule.head) {
         found(Lint::Syntax, None, deep, Some(deep_note));
     }
     if rule.head.spec.method() == Some(exists) {
         let note = "§3 reserves `exists`: `o.exists -> o` is maintained by the engine";
         found(Lint::ExistsUpdate, None, "the system method `exists` cannot be updated", Some(note));
     }
-    for (j, lit) in rule.body.iter_mut().enumerate() {
-        let Atom::Update(ua) = &mut lit.atom else { continue };
+    for (j, lit) in rule.body.iter().enumerate() {
+        let Atom::Update(ua) = &lit.atom else { continue };
         if !fits(ua) {
             found(Lint::Syntax, Some(j + 1), deep, Some(deep_note));
         }
@@ -497,20 +490,29 @@ fn rejections(program: &mut Program) -> Vec<(usize, Finding)> {
 /// `program` ([`Program::parse`]'s gate).
 pub(crate) fn admit(program: &mut Program) -> Result<(), LangError> {
     let rejections = rejections(program);
-    let Some((i, first)) = rejections.first() else { return Ok(()) };
-    if first.lint != Lint::DuplicateLabel {
-        return Err(first.error(&program.rules[*i], Some(*i)));
+    match rejections.first() {
+        None => Ok(()),
+        Some((i, first)) if first.lint != Lint::DuplicateLabel => {
+            Err(first.error(&program.rules[*i], Some(*i)))
+        }
+        Some(_) => check_labels(program),
     }
-    // One error summarizes every duplicate label.
-    let labels = rejections.iter().filter(|(_, f)| f.lint == Lint::DuplicateLabel);
-    let messages: Vec<&str> = labels.map(|(_, f)| &*f.message).collect();
-    let mut message = match messages.len() {
+}
+
+/// The program-level rejection: a rule reusing an earlier rule's
+/// label. One error summarizes every reuse. Rules built one by one are
+/// admitted already, so this is all a program assembled from them
+/// needs before it compiles.
+pub fn check_labels(program: &Program) -> Result<(), LangError> {
+    let duplicates = duplicate_labels(program);
+    let Some((i, _)) = duplicates.first() else { return Ok(()) };
+    let mut message = match duplicates.len() {
         1 => "duplicate rule label".to_owned(),
         n => format!("{n} duplicate rule labels"),
     };
-    for m in messages {
+    for (_, f) in &duplicates {
         message.push_str("; ");
-        message.push_str(m);
+        message.push_str(&f.message);
     }
     let rule = program.rules[*i].label.clone().unwrap_or_default();
     Err(ValidateError { rule, message }.into())
@@ -717,15 +719,14 @@ mod tests {
             let x = BaseTerm::Var(vars.var("X"));
             let target =
                 (0..depth).fold(VidTerm::object(x), |t, _| t.apply(UpdateKind::Mod).unwrap());
-            let head = UpdateAtom {
+            let head = UpdateAtom::new(
                 target,
-                created: target,
-                spec: UpdateSpec::Ins {
+                UpdateSpec::Ins {
                     method: ruvo_term::sym("p"),
                     args: Vec::new(),
                     result: BaseTerm::Const(int(1)),
                 },
-            };
+            );
             let body = vec![Literal::pos(Atom::Version(VersionAtom {
                 vid: VidRef::Term(VidTerm::object(x)),
                 method: ruvo_term::sym("q"),

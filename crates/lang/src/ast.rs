@@ -1,8 +1,8 @@
 //! Abstract syntax of update-programs (§2.1 of the paper).
 
-use ruvo_term::{ArgTerm, BaseTerm, Bindings, Const, Symbol, VarId, VidRef, VidTerm};
+use ruvo_term::{ArgTerm, BaseTerm, Bindings, Chain, Const, Symbol, VarId, VidRef, VidTerm};
 
-use crate::error::LangError;
+use crate::error::{LangError, ValidateError};
 use crate::safety::RulePlan;
 
 /// Arithmetic operators usable in built-in expressions.
@@ -225,21 +225,29 @@ impl UpdateSpec {
 ///
 /// In a rule head it *initiates* an update; in a rule body it *asks*
 /// whether the update has been performed (§2.4). Only the parser and
-/// the goal builder make one, and the front end's rule-level pass
-/// stores the version it creates, so every update-term outside this
-/// crate belongs to an admitted rule or goal.
+/// the goal builder make one, with the version it creates, and the
+/// front end's rule-level pass refuses one whose created version does
+/// not fit a chain, so every update-term outside this crate belongs to
+/// an admitted rule or goal.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UpdateAtom {
     /// The version the update is applied to (the `V` in `ins[V]`).
     pub(crate) target: VidTerm,
     /// The performed change.
     pub(crate) spec: UpdateSpec,
-    /// `φ(target)`, stored by the rule-level pass once it fits a
-    /// version chain; the target itself until then.
-    pub(crate) created: VidTerm,
+    /// The chain of `φ(target)`, over the target's base.
+    pub(crate) created: Chain,
 }
 
 impl UpdateAtom {
+    /// `spec` applied to `target`. An update-term whose created version
+    /// would not fit a chain keeps the target's chain here; the
+    /// rule-level pass refuses it, so it never leaves this crate.
+    pub(crate) fn new(target: VidTerm, spec: UpdateSpec) -> UpdateAtom {
+        let created = target.chain.push(spec.kind()).unwrap_or(target.chain);
+        UpdateAtom { target, spec, created }
+    }
+
     /// The version the update is applied to (the `V` in `ins[V]`).
     #[inline]
     pub fn target(&self) -> VidTerm {
@@ -253,10 +261,10 @@ impl UpdateAtom {
     }
 
     /// The version *created* by this update: `φ(target)` (§4 replaces
-    /// each construct `[V]` by `(V)`), as the front end stored it.
+    /// each construct `[V]` by `(V)`).
     #[inline]
     pub fn created_term(&self) -> VidTerm {
-        self.created
+        VidTerm { base: self.target.base, chain: self.created }
     }
 
     /// Visit the update-term's variables — target, arguments and
@@ -468,6 +476,9 @@ impl Rule {
     }
 
     /// Construct a rule that uses VID variables (§6 extension).
+    ///
+    /// A variable id indexes its table, so a head or body naming an id
+    /// past the end of `vars` or `vid_vars` is refused.
     pub fn with_vid_vars(
         head: UpdateAtom,
         body: Vec<Literal>,
@@ -475,6 +486,20 @@ impl Rule {
         vid_vars: VarTable,
         label: Option<String>,
     ) -> Result<Rule, LangError> {
+        let (n, n_vid) = (vars.len(), vid_vars.len());
+        let mut foreign = false;
+        head.for_each_var(|v| foreign |= v.index() >= n);
+        for lit in &body {
+            lit.atom.for_each_var(|v| foreign |= v.index() >= n);
+            if let Atom::Version(va) = &lit.atom {
+                foreign |= va.vid.as_vid_var().is_some_and(|v| v.index() >= n_vid);
+            }
+        }
+        if foreign {
+            let rule = label.unwrap_or_else(|| format!("<{}>", head.target));
+            let message = "a variable id is not in the rule's variable table".to_owned();
+            return Err(ValidateError { rule, message }.into());
+        }
         let mut rule =
             Rule { head, body, vars, vid_vars, label, plan: RulePlan::default(), span: None };
         match crate::analysis::analyze_rule(&mut rule).into_iter().next() {
@@ -678,5 +703,35 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.name(a), "E");
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn rules_naming_ids_outside_their_tables_are_refused() {
+        let src = "r: ins[audit].flagged -> O <= $V.sal -> S & $V.exists -> O & S > 1000.";
+        let rule = &Program::parse(src).unwrap().rules[0];
+        let rebuild = |body: Vec<Literal>, vars: VarTable, vid_vars: VarTable| {
+            let label = Some("r".to_owned());
+            Rule::with_vid_vars(rule.head().clone(), body, vars, vid_vars, label)
+        };
+        let (body, vars, vid_vars) = (rule.body().to_vec(), rule.vars(), rule.vid_vars());
+        assert_eq!(rebuild(body.clone(), vars.clone(), vid_vars.clone()).unwrap(), *rule);
+        let past_vars = Literal::pos(Atom::Cmp(Builtin {
+            op: CmpOp::Gt,
+            lhs: Expr::Var(VarId(vars.len() as u32)),
+            rhs: Expr::Const(int(0)),
+        }));
+        let refused = [
+            ("head", body.clone(), VarTable::new(), vid_vars.clone()),
+            ("body", [body.clone(), vec![past_vars]].concat(), vars.clone(), vid_vars.clone()),
+            ("$V", body, vars.clone(), VarTable::new()),
+        ];
+        for (what, body, vars, vid_vars) in refused {
+            match rebuild(body, vars, vid_vars) {
+                Err(LangError::Validate(e)) => {
+                    assert!(e.message.contains("not in the rule's variable table"), "{what}: {e}")
+                }
+                other => panic!("{what}: expected a validation error, got {other:?}"),
+            }
+        }
     }
 }

@@ -55,15 +55,12 @@ impl Goal {
             )));
         }
         let target = VidTerm::object(BaseTerm::Const(ruvo_term::oid(GOAL_HEAD_METHOD)));
-        let head = UpdateAtom {
-            target,
-            created: target,
-            spec: UpdateSpec::Ins {
-                method: sym(GOAL_HEAD_METHOD),
-                args: Vec::new(),
-                result: BaseTerm::Const(int(1)),
-            },
+        let spec = UpdateSpec::Ins {
+            method: sym(GOAL_HEAD_METHOD),
+            args: Vec::new(),
+            result: BaseTerm::Const(int(1)),
         };
+        let head = UpdateAtom::new(target, spec);
         let rule = Rule::new(head, body, vars, None)?;
         Ok(Goal { rule })
     }

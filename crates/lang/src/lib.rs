@@ -56,6 +56,8 @@
 //!   error (`ruvo check`),
 //! * [`analysis::program_diagnostics`] — the program-level pass alone
 //!   (duplicate labels and rules, arity), for admitted rules,
+//! * [`analysis::check_labels`] — its one rejection, a reused label,
+//!   as [`Program::parse`] reports it,
 //! * [`parse_facts`] — parse ground version-terms (object-base text).
 
 pub mod analysis;

@@ -227,7 +227,7 @@ impl<'t> Parser<'t> {
             if kind != UpdateKind::Del {
                 return Err(self.err("`.*` (delete all) is only valid on `del[...]`"));
             }
-            return Ok(UpdateAtom { target, spec: UpdateSpec::DelAll, created: target });
+            return Ok(UpdateAtom::new(target, UpdateSpec::DelAll));
         }
         let method = self.method_name()?;
         let mut args = Vec::new();
@@ -252,8 +252,7 @@ impl<'t> Parser<'t> {
             UpdateKind::Ins => UpdateSpec::Ins { method, args, result: self.arg_term()? },
             UpdateKind::Del => UpdateSpec::Del { method, args, result: self.arg_term()? },
         };
-        // The rule-level pass stores the created version.
-        Ok(UpdateAtom { target, spec, created: target })
+        Ok(UpdateAtom::new(target, spec))
     }
 
     // ----- built-in expressions -------------------------------------
@@ -535,13 +534,12 @@ mod tests {
 
     #[test]
     fn nested_vid_terms() {
-        let src =
-            "ins[ins(mod(mod(peter)))].richest -> yes <= not ins(mod(mod(peter))).richest -> no.";
-        let p = program(src);
-        assert_eq!(p.rules[0].head.target.depth(), 3);
-        // The front end stores the created version.
-        let p = Program::parse(src).unwrap();
-        assert_eq!(p.rules[0].head.created_term().depth(), 4);
+        let p = program(
+            "ins[ins(mod(mod(peter)))].richest -> yes <= not ins(mod(mod(peter))).richest -> no.",
+        );
+        let r = &p.rules[0];
+        assert_eq!(r.head.target.depth(), 3);
+        assert_eq!(r.head.created_term().depth(), 4);
     }
 
     #[test]

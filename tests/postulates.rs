@@ -18,7 +18,7 @@
 //! | `ob′` holds each object's deepest version (§5)      | holds   |
 //! | an `ins` program writing nothing it reads is idempotent | holds |
 //! | a same-stratum `del`/`ins` pair on one version | not flagged statically; refused at run time by §5 linearity |
-//! | syntax independence: renamed variables, rotated rules, reversed bodies | holds |
+//! | syntax independence: renamed (and renumbered) variables, rotated rules, reversed bodies | holds |
 
 use ruvo::core::check::check_source;
 use ruvo::core::reference;
@@ -274,6 +274,10 @@ fn a_same_stratum_del_ins_pair_is_refused_at_run_time() {
     assert!(db.is_empty(), "a refused apply logs nothing");
 }
 
+/// A rule with two body-only variables, `R` and `T`: reversing its body
+/// swaps the order they first occur in.
+const TWO_HOPS: &str = "hops: ins[X].g0 -> S <= X.m0 -> R & R.m1 -> T & T.m2 -> S.";
+
 /// Syntax independence (Slota & Leite, *The Rise and Fall of Semantic
 /// Rule Updates Based on SE-Models*): an update's result depends on its
 /// rules, not on how they are written. Each random update program is
@@ -281,35 +285,54 @@ fn a_same_stratum_del_ins_pair_is_refused_at_run_time() {
 /// `Rule::new` — every variable renamed, the rules rotated, each body's
 /// literals reversed — and every variant commits the original's `ob′`,
 /// on the engine and on the reference.
+///
+/// Evaluation reads variable ids, never names, and the parser numbers
+/// variables by first occurrence, so a rename alone would keep every
+/// id. The renamed variant therefore re-parses the text of the rule
+/// with new names and its body reversed, and reverses the body back:
+/// the literals are the original's in their order, and each body-only
+/// variable carries the id its position in the reversed text gave it.
+/// A random rule has at most one body-only variable, so each program
+/// also holds [`TWO_HOPS`], whose two are renumbered.
 #[test]
 fn renaming_variables_and_reordering_rules_or_literals_keep_ob_prime() {
     let rebuild = |rule: &Rule, body: Vec<Literal>, vars: VarTable| {
         Rule::new(rule.head().clone(), body, vars, rule.label().map(str::to_owned)).unwrap()
     };
+    let reversed = |rule: &Rule, vars: VarTable| {
+        rebuild(rule, rule.body().iter().rev().cloned().collect(), vars)
+    };
+    let mut renumbered = 0;
     for (config, ob) in cases() {
-        let program = random_update_program(config);
-        let renamed = program.rules.iter().map(|rule| {
-            // Ids keep their positions; only the names change, and the
-            // last variable takes the first name.
-            let mut vars = VarTable::new();
-            let n = rule.vars().len();
-            for i in 0..n {
-                vars.var(&format!("Renamed{}", n - i));
-            }
-            rebuild(rule, rule.body().to_vec(), vars)
-        });
+        let program = Program::parse(&format!("{}{TWO_HOPS}", random_update_program(config)));
+        let program = program.unwrap();
+        let renamed: Vec<Rule> = program
+            .rules
+            .iter()
+            .map(|rule| {
+                // The last variable takes the first name.
+                let mut vars = VarTable::new();
+                let n = rule.vars().len();
+                for i in 0..n {
+                    vars.var(&format!("Renamed{}", n - i));
+                }
+                let text = reversed(rule, vars).to_string();
+                let reparsed = Program::parse(&text).unwrap().rules.remove(0);
+                reversed(&reparsed, reparsed.vars().clone())
+            })
+            .collect();
+        renumbered +=
+            renamed.iter().zip(&program.rules).filter(|(r, o)| r.body() != o.body()).count();
         let mut rotated: Vec<Rule> = program
             .rules
             .iter()
             .map(|rule| rebuild(rule, rule.body().to_vec(), rule.vars().clone()))
             .collect();
         rotated.rotate_left(1);
-        let reversed = program.rules.iter().map(|rule| {
-            rebuild(rule, rule.body().iter().rev().cloned().collect(), rule.vars().clone())
-        });
+        let reversed = program.rules.iter().map(|rule| reversed(rule, rule.vars().clone()));
         let expected = commit_program(&mut Database::open(ob.clone()), program.clone());
         let variants = [
-            ("renamed", Program { rules: renamed.collect() }),
+            ("renamed", Program { rules: renamed }),
             ("rotated", Program { rules: rotated }),
             ("reversed", Program { rules: reversed.collect() }),
         ];
@@ -319,4 +342,5 @@ fn renaming_variables_and_reordering_rules_or_literals_keep_ob_prime() {
             assert_eq!(got, expected, "{what} variant of seed {}:\n{program}", config.seed);
         }
     }
+    assert!(renumbered > 0, "no renamed rule carries a new variable id");
 }
