@@ -23,9 +23,9 @@
 //!
 //! [`for_each_match`] is the one entry point. Scans follow the
 //! compile-time [`ScanHint`]s of the rule's [`RuleIndexPlan`]: a scan
-//! whose result or first argument is bound when it runs goes through
-//! the object base's value-keyed method index instead of the full
-//! relation. With a [`Seed`] — semi-naive evaluation — one chosen scan
+//! of an initial version whose result or first argument is bound goes
+//! through the object base's value-keyed method index instead of the
+//! full relation (derived versions are not keyed). With a [`Seed`] — semi-naive evaluation — one chosen scan
 //! step is restricted to what a previous fixpoint round changed and is
 //! executed **first** (the plan order is rotated), so every enumerated
 //! match joins from the delta side. The restriction is to the changed

@@ -8,15 +8,22 @@
 //! * a [`ScanHint`] — whether a key position (the result or the first
 //!   argument) is guaranteed bound when the step runs, so the matcher
 //!   can drive the scan through the object base's value-keyed method
-//!   index instead of enumerating every version of the chain, and
+//!   index instead of enumerating every version of the chain. The index
+//!   keys initial versions only (§5 commits no other), so only an
+//!   initial-version literal is keyed; a derived-chain version-term and
+//!   every `ins[..]` body scan read their relation in full — at most
+//!   what the run derived under it — and the match checks the bound
+//!   key, and
 //! * the `(chain, method)` relations the literal reads — the
 //!   per-literal *trigger* set the semi-naive engine intersects with a
 //!   round's delta to decide which scan to seed from the delta side.
 //!
-//! Per rule it also records the *start candidates*: the scans that
-//! could open the join through a constant key. The safety order scores
-//! every constant key alike, so the matcher breaks that tie at run time
-//! by the keys' counts in the object base.
+//! Per rule it also records the *start candidates*: the
+//! initial-version scans that could open the join through a constant
+//! key. The safety order scores every constant key alike, so the matcher
+//! breaks that tie at run time by the keys' counts in the object base,
+//! each O(1). A derived literal is never a candidate: its count would be
+//! a scan of its relation.
 //!
 //! An [`IndexPlan`] is computed once per program (inside
 //! [`crate::CompiledProgram`], so [`crate::Database::prepare`] pays for
@@ -24,21 +31,24 @@
 
 use ruvo_lang::{Atom, Literal, PlannedLiteral, Program, Rule, UpdateSpec};
 use ruvo_obase::exists_sym;
-use ruvo_term::{ArgTerm, BaseTerm, Chain, Const, Symbol, VidRef};
+use ruvo_term::{ArgTerm, BaseTerm, Chain, Const, Symbol};
 
-/// How a `Scan` plan step enumerates candidate versions.
+/// How a `Scan` plan step enumerates candidate versions. The keyed
+/// hints are given only to initial-version version-terms: the object
+/// base keys no derived version.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScanHint {
     /// Enumerate every version of the literal's chain that defines the
     /// method (the unindexed path; also used for ground-target scans,
-    /// which are already direct lookups).
+    /// which are already direct lookups, and for every derived-chain
+    /// and `ins[..]` scan).
     #[default]
     Full,
     /// The result position is bound when the step runs: scan through
-    /// the `(chain, method, result)` key index.
+    /// the initial versions' `(method, result)` key index.
     ResultKey,
     /// The first argument is bound when the step runs: scan through
-    /// the `(chain, method, first-arg)` key index.
+    /// the initial versions' `(method, first-arg)` key index.
     Arg0Key,
 }
 
@@ -54,14 +64,15 @@ pub struct RuleIndexPlan {
     /// relation). Non-scan steps read nothing (`Some` of empty).
     pub reads: Vec<Option<Vec<(Chain, Symbol)>>>,
     /// The scans an unseeded evaluation may start from, in plan order:
-    /// every version-term or `ins[..]` scan with an unbound base and a
-    /// constant key. Step 0 is the first when it is listed at all; the
+    /// every initial-version version-term scan with an unbound base and
+    /// a constant key. Step 0 is the first when it is listed at all; the
     /// list is empty unless step 0 is a candidate and another one is
     /// too, so a rule with no alternative start pays nothing.
     pub starts: Vec<StartCandidate>,
 }
 
-/// A scan that can open a rule's join through a constant key.
+/// A scan that can open a rule's join through a constant key of the
+/// initial versions' key index, whose count the matcher reads in O(1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StartCandidate {
     /// The plan step.
@@ -71,8 +82,8 @@ pub struct StartCandidate {
     /// from the step's entry in [`RuleIndexPlan::hints`] when plan
     /// order binds the step's base before it runs.
     pub hint: ScanHint,
-    /// The index key the scan starts from: the version's chain, the
-    /// method and the constant.
+    /// The index key the scan starts from: the version's chain (always
+    /// `Chain::EMPTY`), the method and the constant.
     pub key: (Chain, Symbol, Const),
 }
 
@@ -185,66 +196,48 @@ fn start_candidates(rule: &Rule) -> Vec<StartCandidate> {
     }
 }
 
-/// The scan of `atom` as a join start: with nothing bound, a
-/// version-term or `ins[..]` scan over a variable base keys the index
-/// by a constant result or, failing that, a constant first argument.
+/// The scan of `atom` as a join start: with nothing bound, an
+/// initial-version version-term scan over a variable base keys the index
+/// by a constant result or, failing that, a constant first argument. A
+/// derived chain (a version-term's or an `ins[..]` term's) has no key
+/// index, so its scan is never a start.
 fn start_candidate(atom: &Atom, step: usize) -> Option<StartCandidate> {
-    let (base, chain, method, args, result) = match atom {
-        Atom::Version(va) => {
-            let t = va.vid.as_term()?;
-            (t.base, t.chain, va.method, &va.args[..], va.result)
-        }
-        Atom::Update(ua) => match ua.spec() {
-            UpdateSpec::Ins { method, args, result } => {
-                (ua.target().base, ua.created_term().chain, *method, &args[..], *result)
-            }
-            _ => return None,
-        },
-        Atom::Cmp(_) => return None,
-    };
-    let BaseTerm::Var(_) = base else { return None };
-    let (hint, key) = match (result, args.first()) {
+    let Atom::Version(va) = atom else { return None };
+    let t = va.vid.as_term().filter(|t| t.chain == Chain::EMPTY)?;
+    let BaseTerm::Var(_) = t.base else { return None };
+    let (hint, key) = match (va.result, va.args.first()) {
         (BaseTerm::Const(r), _) => (ScanHint::ResultKey, r),
         (_, Some(&BaseTerm::Const(a0))) => (ScanHint::Arg0Key, a0),
         _ => return None,
     };
-    Some(StartCandidate { step, hint, key: (chain, method, key) })
+    Some(StartCandidate { step, hint, key: (t.chain, va.method, key) })
 }
 
 /// Pick the enumeration strategy for a scan, given which variables are
-/// already bound when it runs. A bound target base needs no index (the
-/// scan is a direct version lookup); otherwise a bound key position
-/// makes the keyed index applicable.
+/// already bound when it runs. Only an initial-version version-term is
+/// keyed: a bound target base needs no index (the scan is a direct
+/// version lookup); otherwise a bound key position makes the keyed index
+/// applicable. A derived chain — a version-term's, or the created
+/// version an `ins[..]` body scans — has no key index and scans its
+/// relation in full, whose match checks the key; del/mod body scans
+/// enumerate candidates via the exists/method chain index.
 fn scan_hint(atom: &Atom, bound: &[bool]) -> ScanHint {
     let is_bound = |t: ArgTerm| match t {
         BaseTerm::Const(_) => true,
         BaseTerm::Var(v) => bound[v.index()],
     };
-    let keyed = |base: ArgTerm, args: &[ArgTerm], result: ArgTerm| {
-        if is_bound(base) {
-            ScanHint::Full
-        } else if is_bound(result) {
-            ScanHint::ResultKey
-        } else if args.first().is_some_and(|&a| is_bound(a)) {
-            ScanHint::Arg0Key
-        } else {
-            ScanHint::Full
+    let Atom::Version(va) = atom else { return ScanHint::Full };
+    match va.vid.as_term() {
+        Some(t) if t.chain == Chain::EMPTY && !is_bound(t.base) => {
+            if is_bound(va.result) {
+                ScanHint::ResultKey
+            } else if va.args.first().is_some_and(|&a| is_bound(a)) {
+                ScanHint::Arg0Key
+            } else {
+                ScanHint::Full
+            }
         }
-    };
-    match atom {
-        Atom::Version(va) => match va.vid {
-            VidRef::Var(_) => ScanHint::Full,
-            VidRef::Term(t) => keyed(t.base, &va.args, va.result),
-        },
-        // An ins-body scans the created version like a version-term
-        // (see the matcher), so the same keying applies; del/mod body
-        // scans enumerate candidates via the exists/method chain index
-        // and gain nothing from value keys.
-        Atom::Update(ua) => match ua.spec() {
-            UpdateSpec::Ins { args, result, .. } => keyed(ua.target().base, args, *result),
-            _ => ScanHint::Full,
-        },
-        Atom::Cmp(_) => ScanHint::Full,
+        _ => ScanHint::Full,
     }
 }
 
@@ -304,21 +297,49 @@ mod tests {
                 start(1, ScanHint::ResultKey, "tag", "t42"),
             ]
         );
-        // A first argument keys when the result does not; an `ins[..]`
-        // scan keys the created chain.
-        let plan = plan_of("ins[X].d -> W <= X.dist @ a -> W & ins[X].m -> c.");
-        let ins = Chain::EMPTY.push(UpdateKind::Ins).unwrap();
+        // A first argument keys when the result does not.
+        let plan = plan_of("ins[X].d -> W <= X.dist @ a -> W & X.m -> c.");
         assert_eq!(
             plan.starts,
-            vec![
-                start(0, ScanHint::Arg0Key, "dist", "a"),
-                StartCandidate {
-                    step: 1,
-                    hint: ScanHint::ResultKey,
-                    key: (ins, sym("m"), ruvo_term::oid("c"))
-                },
-            ]
+            vec![start(0, ScanHint::Arg0Key, "dist", "a"), start(1, ScanHint::ResultKey, "m", "c")]
         );
+    }
+
+    /// The key index covers initial versions only: a derived-chain
+    /// version-term and an `ins[..]` body literal scan in full with a
+    /// constant or a bound key and never start the join, while the
+    /// same literal on the initial chain keeps its key and its start.
+    #[test]
+    fn derived_literals_scan_in_full_and_never_start() {
+        let (full, result, arg0) = (ScanHint::Full, ScanHint::ResultKey, ScanHint::Arg0Key);
+        for (src, hints) in [
+            // Constant keys.
+            ("ins[X].t -> 1 <= mod(X).isa -> empl.", vec![full]),
+            ("ins[X].t -> 1 <= X.isa -> empl.", vec![result]),
+            ("ins[X].t -> 1 <= ins[X].m -> c.", vec![full]),
+            ("ins[X].t -> 1 <= ins(X).d @ a -> W.", vec![full]),
+            ("ins[X].t -> 1 <= X.d @ a -> W.", vec![arg0]),
+            // Keys bound by an earlier step.
+            ("ins[X].t -> 1 <= X.p -> Y & mod(Z).q -> Y.", vec![full, full]),
+            ("ins[X].t -> 1 <= X.p -> Y & Z.q -> Y.", vec![full, result]),
+            ("ins[X].t -> 1 <= X.p -> Y & ins[Z].q @ Y -> W.", vec![full, full]),
+            ("ins[X].t -> 1 <= X.p -> Y & Z.q @ Y -> W.", vec![full, arg0]),
+        ] {
+            let plan = plan_of(src);
+            assert_eq!(plan.hints, hints, "{src}");
+        }
+        // Two constant keys, one derived: no alternative start.
+        for src in [
+            "ins[X].t -> 1 <= X.kind -> live & mod(Y).tag -> t.",
+            "ins[X].t -> 1 <= X.kind -> live & ins[Y].tag -> t.",
+        ] {
+            assert!(plan_of(src).starts.is_empty(), "{src}: {:?}", plan_of(src).starts);
+        }
+        // Three, one derived: the two initial ones are the candidates.
+        let plan = plan_of("ins[X].t -> 1 <= X.kind -> live & mod(Y).tag -> t & Z.m -> c.");
+        let keys: Vec<_> = plan.starts.iter().map(|c| c.key).collect();
+        let key = |method, value| (Chain::EMPTY, sym(method), ruvo_term::oid(value));
+        assert_eq!(keys, [key("kind", "live"), key("m", "c")]);
     }
 
     #[test]

@@ -11,9 +11,9 @@ use crate::shard::{route, ShardKey, ShardedMap, Slot, SHARD_COUNT};
 use crate::{exists_sym, Args, ChangedSince, CowStats, MethodApp, ObStats, VersionState};
 
 // Slot routing for the index key types. The key indexes pick their
-// shard by their `(chain, method)` prefix so that one relation — the
-// unit a version-state commit dirties — stays within one shard per
-// index; the full key picks the leaf.
+// shard by their method so that one relation — the unit a version-state
+// commit dirties — stays within one shard per index; the full key picks
+// the leaf.
 impl ShardKey for Const {
     fn slot(&self) -> Slot {
         route(Vid::object(*self), ())
@@ -26,9 +26,9 @@ impl ShardKey for (Chain, Symbol) {
     }
 }
 
-impl ShardKey for (Chain, Symbol, Const) {
+impl ShardKey for (Symbol, Const) {
     fn slot(&self) -> Slot {
-        route((self.0, self.1), self.2)
+        route(self.0, self.1)
     }
 }
 
@@ -56,29 +56,33 @@ impl fmt::Display for Fact {
     }
 }
 
-/// The method index: `(chain, method, key) → {base → multiplicity}`,
-/// where `key` is a fact's result value or its first argument.
+/// The method index of the initial versions: `(method, key) → {base →
+/// multiplicity}`, where `key` is a fact's result or its first argument.
 ///
 /// This is the scan accelerator behind
 /// [`ObjectBase::versions_with_result`] /
 /// [`ObjectBase::versions_with_arg0`]: a body literal like
 /// `E.isa -> empl` (base unbound, result bound) enumerates exactly the
-/// versions whose `isa` set contains `empl` instead of every version
+/// objects whose `isa` set contains `empl` instead of every object
 /// defining `isa`. Multiplicities are needed because several facts of
 /// one version can share a key (same result under different
 /// arguments, and vice versa).
+///
+/// Only initial versions are keyed: §5 commits no other, so a derived
+/// version lives inside one run, and keying its facts would cost a write
+/// (on a working copy, a leaf copy) per fact for reads that rarely come.
 #[derive(Clone, Default)]
 struct KeyIndex {
-    map: ShardedMap<(Chain, Symbol, Const), Bag<Const>>,
+    map: ShardedMap<(Symbol, Const), Bag<Const>>,
 }
 
 impl KeyIndex {
-    fn add(&mut self, chain: Chain, method: Symbol, key: Const, base: Const) {
-        self.map.get_or_default((chain, method, key)).add(base);
+    fn add(&mut self, method: Symbol, key: Const, base: Const) {
+        self.map.get_or_default((method, key)).add(base);
     }
 
-    fn remove(&mut self, chain: Chain, method: Symbol, key: Const, base: Const) {
-        let full = (chain, method, key);
+    fn remove(&mut self, method: Symbol, key: Const, base: Const) {
+        let full = (method, key);
         // Peek through the shared leaf first: in a consistent index
         // the entry is always present, and a miss — an index bug —
         // must not CoW-copy the leaf on its way to doing nothing.
@@ -86,7 +90,7 @@ impl KeyIndex {
         crate::invariant_assert!(
             present,
             "KeyIndex multiplicity underflow: removing absent entry \
-             chain={chain} method={method} key={key} base={base}"
+             method={method} key={key} base={base}"
         );
         if !present {
             return;
@@ -98,13 +102,13 @@ impl KeyIndex {
         }
     }
 
-    fn bases(&self, chain: Chain, method: Symbol, key: Const) -> impl Iterator<Item = Const> + '_ {
-        self.map.get(&(chain, method, key)).into_iter().flat_map(Bag::members)
+    fn bases(&self, method: Symbol, key: Const) -> impl Iterator<Item = Const> + '_ {
+        self.map.get(&(method, key)).into_iter().flat_map(Bag::members)
     }
 
     /// How many bases [`KeyIndex::bases`] yields, in O(1).
-    fn count(&self, chain: Chain, method: Symbol, key: Const) -> usize {
-        self.map.get(&(chain, method, key)).map_or(0, Bag::len)
+    fn count(&self, method: Symbol, key: Const) -> usize {
+        self.map.get(&(method, key)).map_or(0, Bag::len)
     }
 }
 
@@ -299,9 +303,9 @@ pub struct ObjectBase {
     /// `Arc`-shared, so unsharing a leaf for a write to one key does not
     /// clone the other keys' sets — each may list every object.
     by_chain_method: ShardedMap<(Chain, Symbol), Arc<FastHashSet<Const>>>,
-    /// `(chain, method, result) → bases`: the value-keyed scan index.
+    /// `(method, result) → bases` of the initial versions: a scan index.
     by_result: KeyIndex,
-    /// `(chain, method, first-arg) → bases`: ditto for argument keys.
+    /// `(method, first-arg) → bases`: ditto for argument keys.
     by_arg0: KeyIndex,
     /// Facts the enumerations yield: Σ [`weight`] over the versions.
     fact_count: usize,
@@ -419,19 +423,23 @@ impl ObjectBase {
             .insert(vid.base());
     }
 
-    /// Add one fact of `vid` to the two value-keyed indexes.
+    /// Key one fact of `vid` in the value-keyed indexes, if `vid` is initial.
     fn index_app(&mut self, vid: Vid, method: Symbol, app: &MethodApp) {
-        self.by_result.add(vid.chain(), method, app.result, vid.base());
-        if let Some(&a0) = app.args.as_slice().first() {
-            self.by_arg0.add(vid.chain(), method, a0, vid.base());
+        if vid.chain() == Chain::EMPTY {
+            self.by_result.add(method, app.result, vid.base());
+            if let Some(&a0) = app.args.as_slice().first() {
+                self.by_arg0.add(method, a0, vid.base());
+            }
         }
     }
 
-    /// Remove one fact of `vid` from the two value-keyed indexes.
+    /// Unkey one fact of `vid`, if `vid` is initial.
     fn unindex_app(&mut self, vid: Vid, method: Symbol, app: &MethodApp) {
-        self.by_result.remove(vid.chain(), method, app.result, vid.base());
-        if let Some(&a0) = app.args.as_slice().first() {
-            self.by_arg0.remove(vid.chain(), method, a0, vid.base());
+        if vid.chain() == Chain::EMPTY {
+            self.by_result.remove(method, app.result, vid.base());
+            if let Some(&a0) = app.args.as_slice().first() {
+                self.by_arg0.remove(method, a0, vid.base());
+            }
         }
     }
 
@@ -773,6 +781,9 @@ impl ObjectBase {
     /// `E.isa -> empl` with `E` unbound enumerates only the versions
     /// that are `empl`s, not every version defining `isa`).
     ///
+    /// O(answers) on the initial chain, through the key index; a derived
+    /// chain is not keyed, so there it filters its relation, O(relation).
+    ///
     /// For `exists` the only candidate is `result@chain`, present or
     /// not (`exists` is not value-indexed: it is the version table).
     pub fn versions_with_result(
@@ -784,35 +795,58 @@ impl ObjectBase {
         let exists = Some(Vid::new(result, chain))
             .filter(|&vid| method == exists_sym() && self.exists_fact(vid));
         let stored =
-            self.by_result.bases(chain, method, result).map(move |base| Vid::new(base, chain));
+            self.keyed(&self.by_result, (chain, method, result), move |app| app.result == result);
         exists.into_iter().chain(stored)
     }
 
     /// The versions with update-chain `chain` that have at least one
     /// `method` application whose **first argument** is `arg0` (the
-    /// indexed scan for a bound first argument).
+    /// indexed scan for a bound first argument): O(answers) on the
+    /// initial chain, O(relation) on a derived one.
     pub fn versions_with_arg0(
         &self,
         chain: Chain,
         method: Symbol,
         arg0: Const,
     ) -> impl Iterator<Item = Vid> + '_ {
-        self.by_arg0.bases(chain, method, arg0).map(move |base| Vid::new(base, chain))
+        self.keyed(&self.by_arg0, (chain, method, arg0), move |app| {
+            app.args.as_slice().first() == Some(&arg0)
+        })
     }
 
-    /// How many versions [`ObjectBase::versions_with_result`] yields,
-    /// in O(1): the matcher's cost of starting a join at that key.
+    /// The versions of `chain` with a `method` application under `key`:
+    /// `index`'s entry on the initial chain, else a filter by `has_key`.
+    fn keyed<'a>(
+        &'a self,
+        index: &'a KeyIndex,
+        (chain, method, key): (Chain, Symbol, Const),
+        has_key: impl Fn(&MethodApp) -> bool + 'a,
+    ) -> impl Iterator<Item = Vid> + 'a {
+        let initial = (chain == Chain::EMPTY).then(|| index.bases(method, key).map(Vid::object));
+        let derived = (chain != Chain::EMPTY && method != exists_sym()).then(|| {
+            self.versions_with(chain, method)
+                .filter(move |&vid| self.apps(vid, method).any(&has_key))
+        });
+        initial.into_iter().flatten().chain(derived.into_iter().flatten())
+    }
+
+    /// How many versions [`ObjectBase::versions_with_result`] yields:
+    /// the matcher's cost of starting a join at that key. O(1) on the
+    /// initial chain and for `exists`, O(relation) on a derived chain.
     pub fn count_with_result(&self, chain: Chain, method: Symbol, result: Const) -> usize {
-        if method == exists_sym() {
-            return usize::from(self.exists_fact(Vid::new(result, chain)));
+        if chain != Chain::EMPTY || method == exists_sym() {
+            return self.versions_with_result(chain, method, result).count();
         }
-        self.by_result.count(chain, method, result)
+        self.by_result.count(method, result)
     }
 
-    /// How many versions [`ObjectBase::versions_with_arg0`] yields, in
-    /// O(1).
+    /// How many versions [`ObjectBase::versions_with_arg0`] yields: O(1)
+    /// on the initial chain, O(relation) on a derived one.
     pub fn count_with_arg0(&self, chain: Chain, method: Symbol, arg0: Const) -> usize {
-        self.by_arg0.count(chain, method, arg0)
+        if chain != Chain::EMPTY {
+            return self.versions_with_arg0(chain, method, arg0).count();
+        }
+        self.by_arg0.count(method, arg0)
     }
 
     /// Every version of an object, as VIDs.
@@ -959,8 +993,9 @@ impl ObjectBase {
 
     /// Exhaustive index consistency check (test helper; O(n)): among
     /// others, every object entry is in canonical form, no state holds
-    /// `exists` and the `(chain, exists)` presence index equals the
-    /// version table.
+    /// `exists`, the `(chain, exists)` presence index equals the
+    /// version table and the key indexes hold exactly the initial
+    /// versions' facts.
     pub fn check_invariants(&self) {
         let exists = exists_sym();
         for (base, entry) in self.versions.iter() {
@@ -1000,31 +1035,27 @@ impl ObjectBase {
                 );
             }
         }
-        // The key indexes must agree exactly with the stored facts.
-        let mut expect_result: FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>> =
+        // The key indexes must hold exactly the initial versions' facts.
+        let mut expect_result: FastHashMap<(Symbol, Const), FastHashMap<Const, u32>> =
             FastHashMap::default();
-        let mut expect_arg0: FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>> =
+        let mut expect_arg0: FastHashMap<(Symbol, Const), FastHashMap<Const, u32>> =
             FastHashMap::default();
-        for (vid, state) in self.states() {
+        for (vid, state) in self.states().filter(|(vid, _)| vid.chain() == Chain::EMPTY) {
             for (method, app) in state.iter() {
                 *expect_result
-                    .entry((vid.chain(), method, app.result))
+                    .entry((method, app.result))
                     .or_default()
                     .entry(vid.base())
                     .or_insert(0) += 1;
                 if let Some(&a0) = app.args.as_slice().first() {
-                    *expect_arg0
-                        .entry((vid.chain(), method, a0))
-                        .or_default()
-                        .entry(vid.base())
-                        .or_insert(0) += 1;
+                    *expect_arg0.entry((method, a0)).or_default().entry(vid.base()).or_insert(0) +=
+                        1;
                 }
             }
         }
-        let flatten =
-            |idx: &KeyIndex| -> FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>> {
-                idx.map.iter().map(|(k, v)| (*k, v.counts().collect())).collect()
-            };
+        let flatten = |idx: &KeyIndex| -> FastHashMap<(Symbol, Const), FastHashMap<Const, u32>> {
+            idx.map.iter().map(|(k, v)| (*k, v.counts().collect())).collect()
+        };
         assert_eq!(flatten(&self.by_result), expect_result, "by_result index out of sync");
         assert_eq!(flatten(&self.by_arg0), expect_arg0, "by_arg0 index out of sync");
         // Every entry must live in the shard its key routes to —
@@ -1247,14 +1278,14 @@ mod tests {
             original.insert(Vid::object(oid(&format!("a{i}"))), kind, none.clone(), live);
         }
         let presence = (Chain::EMPTY, kind);
-        let result = (Chain::EMPTY, kind, live);
+        let result = (kind, live);
         // A method whose presence entry shares `(ε, kind)`'s leaf, and
-        // a result of `kind` that shares `(ε, kind, live)`'s leaf: the
+        // a result of `kind` that shares `(kind, live)`'s leaf: the
         // inserts below unshare both leaves.
         let method = (0..)
             .map(|i| sym(&format!("m{i}")))
             .find(|&m| (Chain::EMPTY, m).slot() == presence.slot());
-        let value = (0..).map(int).find(|&v| (Chain::EMPTY, kind, v).slot() == result.slot());
+        let value = (0..).map(int).find(|&v| (kind, v).slot() == result.slot());
         let mut ob = original.clone();
         ob.insert(Vid::object(oid("x")), method.unwrap(), none.clone(), int(1));
         ob.insert(Vid::object(oid("a0")), kind, none.clone(), value.unwrap());
@@ -1606,24 +1637,56 @@ mod tests {
         ob.insert(g, sym("edge"), Args::new(vec![oid("a"), oid("c")]), int(1));
         let del_bob = Vid::object(oid("bob")).apply(UpdateKind::Del).unwrap();
         ob.replace_version(del_bob, VersionState::new());
+        // Derived versions holding facts: the key indexes do not cover
+        // them, so their reads filter the relation.
+        let (mod_phil, mod_g) =
+            (Vid::object(oid("phil")).apply(UpdateKind::Mod).unwrap(), g.apply(UpdateKind::Mod));
+        let mod_g = mod_g.unwrap();
+        let mod_chain = mod_phil.chain();
+        ob.insert(mod_phil, sym("isa"), Args::empty(), oid("empl"));
+        ob.insert(mod_phil, sym("sal"), Args::empty(), int(4400));
+        ob.insert(mod_g, sym("edge"), Args::new(vec![oid("a"), oid("b")]), int(1));
+        ob.insert(mod_g, sym("edge"), Args::new(vec![oid("a"), oid("c")]), int(1));
+        ob.insert(mod_g, sym("edge"), Args::new(vec![oid("b")]), int(2));
         let (isa, edge, exists) = (sym("isa"), sym("edge"), exists_sym());
         for (chain, method, key) in [
             (Chain::EMPTY, isa, oid("empl")),
             (Chain::EMPTY, sym("pos"), oid("mgr")),
             (Chain::EMPTY, edge, int(1)),
+            (mod_chain, isa, oid("empl")),
+            (mod_chain, sym("sal"), int(4400)),
+            (mod_chain, edge, int(1)),
+            (mod_chain, edge, int(2)),
             // Absent keys, methods and chains count 0.
             (Chain::EMPTY, isa, oid("ceo")),
             (Chain::EMPTY, sym("nope"), oid("empl")),
             (del_bob.chain(), isa, oid("empl")),
+            (mod_chain, sym("sal"), int(4000)),
+            (mod_chain, sym("nope"), oid("empl")),
             // `exists` is the version table: 0 or 1.
             (Chain::EMPTY, exists, oid("phil")),
             (Chain::EMPTY, exists, oid("nobody")),
             (del_bob.chain(), exists, oid("bob")),
             (del_bob.chain(), exists, oid("phil")),
+            (mod_chain, exists, oid("g")),
+            (mod_chain, exists, oid("bob")),
         ] {
             let listed = ob.versions_with_result(chain, method, key).count();
             assert_eq!(ob.count_with_result(chain, method, key), listed, "{chain} {method} {key}");
+            let listed = ob.versions_with_arg0(chain, method, key).count();
+            assert_eq!(ob.count_with_arg0(chain, method, key), listed, "{chain} {method} @ {key}");
         }
+        let keyed = |chain, method, key| -> Vec<Vid> {
+            ob.versions_with_result(chain, method, key).collect()
+        };
+        assert_eq!(keyed(mod_chain, isa, oid("empl")), vec![mod_phil]);
+        assert_eq!(keyed(mod_chain, edge, int(1)), vec![mod_g]);
+        assert_eq!(keyed(mod_chain, edge, int(2)), vec![mod_g]);
+        assert_eq!(keyed(mod_chain, exists, oid("g")), vec![mod_g]);
+        assert_eq!(ob.versions_with_arg0(mod_chain, edge, oid("a")).collect::<Vec<_>>(), [mod_g]);
+        assert_eq!(ob.count_with_arg0(mod_chain, edge, oid("b")), 1);
+        assert_eq!(ob.count_with_arg0(mod_chain, edge, oid("c")), 0);
+        ob.check_invariants();
         assert_eq!(ob.count_with_result(Chain::EMPTY, isa, oid("empl")), 2);
         assert_eq!(ob.count_with_result(Chain::EMPTY, exists, oid("phil")), 1);
         assert_eq!(ob.count_with_result(del_bob.chain(), exists, oid("bob")), 1);
@@ -1697,19 +1760,19 @@ mod tests {
     #[should_panic(expected = "KeyIndex multiplicity underflow")]
     fn key_index_remove_of_absent_entry_is_flagged() {
         let mut idx = KeyIndex::default();
-        idx.add(Chain::EMPTY, sym("p"), int(1), oid("x"));
+        idx.add(sym("p"), int(1), oid("x"));
         // Removing under a key that was never added is an
         // index-consistency bug, not a silent no-op.
-        idx.remove(Chain::EMPTY, sym("p"), int(2), oid("x"));
+        idx.remove(sym("p"), int(2), oid("x"));
     }
 
     #[test]
     #[should_panic(expected = "KeyIndex multiplicity underflow")]
     fn key_index_double_remove_is_flagged() {
         let mut idx = KeyIndex::default();
-        idx.add(Chain::EMPTY, sym("p"), int(1), oid("x"));
-        idx.remove(Chain::EMPTY, sym("p"), int(1), oid("x"));
-        idx.remove(Chain::EMPTY, sym("p"), int(1), oid("x"));
+        idx.add(sym("p"), int(1), oid("x"));
+        idx.remove(sym("p"), int(1), oid("x"));
+        idx.remove(sym("p"), int(1), oid("x"));
     }
 
     #[test]
@@ -1743,6 +1806,47 @@ mod tests {
             a.by_result.map.leaves_unshared_with(&b.by_result.map),
             a.by_arg0.map.leaves_unshared_with(&b.by_arg0.map),
         ]
+    }
+
+    /// The key indexes cover initial versions only: committing a new
+    /// derived version and repairing an active one in place — what a
+    /// run's rounds write — unshare no key-index leaf of a fresh clone,
+    /// while a fact on an initial version still unshares one of each.
+    #[test]
+    fn derived_versions_unshare_no_key_index_leaf() {
+        let n = if cfg!(miri) { 200 } else { 4000 };
+        let mut base = ObjectBase::new();
+        let o = |i: i64| Vid::object(oid(&format!("o{i}")));
+        let e = |i: i64| Args::new(vec![int(i)]);
+        for i in 0..n {
+            base.insert(o(i), sym("p"), e(i), int(i));
+        }
+        let ins7 = o(7).apply(UpdateKind::Ins).unwrap();
+        base.insert(ins7, sym("p"), e(1), int(1));
+        // A tracked commit of a new derived version.
+        let mut ob = base.clone();
+        let mut changed = ChangedSince::new();
+        let mut state = (**ob.version_shared(o(9)).unwrap()).clone();
+        state.insert(sym("p"), MethodApp::new(e(n), int(n)));
+        let mod9 = o(9).apply(UpdateKind::Mod).unwrap();
+        ob.replace_versions_tracked_shared(&[(mod9, Some(Arc::new(state)))], Some(&mut changed));
+        assert_eq!(leaves_unshared(&ob, &base)[2..], [0, 0]);
+        // In-place repairs of an active derived version.
+        let mut ob = base.clone();
+        assert!(ob.insert_tracked(ins7, sym("p"), e(2), int(2), &mut changed));
+        assert!(ob.remove_tracked(ins7, sym("p"), &e(1), int(1), &mut changed));
+        assert_eq!(leaves_unshared(&ob, &base)[2..], [0, 0]);
+        assert_eq!(
+            ob.versions_with_result(ins7.chain(), sym("p"), int(2)).collect::<Vec<_>>(),
+            [ins7]
+        );
+        assert_eq!(ob.count_with_arg0(ins7.chain(), sym("p"), int(1)), 0);
+        ob.check_invariants();
+        // A fact on an initial version is keyed.
+        ob.insert(o(7), sym("p"), e(n + 7), int(n + 7));
+        assert_eq!(leaves_unshared(&ob, &base)[2..], [1, 1]);
+        ob.check_invariants();
+        base.check_invariants();
     }
 
     /// A point query's writes on a working copy — one fact on an

@@ -15,11 +15,13 @@
 //! * a `(chain, method) → bases` index, so a rule literal like
 //!   `mod(E).sal -> S` enumerates exactly the `mod(·)`-versions that
 //!   define `sal`,
-//! * a value-keyed method index (`(chain, method, result/first-arg) →
-//!   bases`), so a literal with a bound key like `E.isa -> empl`
-//!   enumerates only the matching versions
+//! * a value-keyed method index of the initial versions (`(method,
+//!   result/first-arg) → bases`), so a literal with a bound key like
+//!   `E.isa -> empl` enumerates only the matching objects
 //!   ([`ObjectBase::versions_with_result`] /
-//!   [`ObjectBase::versions_with_arg0`]),
+//!   [`ObjectBase::versions_with_arg0`]); §5 commits only initial
+//!   versions, so a run's derived versions are not keyed, and the same
+//!   reads filter a derived chain's `(chain, method)` relation instead,
 //! * incremental delta sets ([`ChangedSince`]) recorded by the tracked
 //!   commit ([`ObjectBase::replace_versions_tracked_shared`]) and the
 //!   tracked in-place edits ([`ObjectBase::insert_tracked`] /

@@ -59,9 +59,9 @@ pub(crate) fn route(prefix: impl Hash, rest: impl Hash) -> Slot {
 }
 
 /// How a key type chooses its slot. The shard may be chosen by a prefix
-/// of the key (the key indexes route `(chain, method, value)` by
-/// `(chain, method)`), which keeps one relation's entries — the unit a
-/// commit dirties — together in one shard.
+/// of the key (the key indexes route `(method, value)` by `method`),
+/// which keeps one relation's entries — the unit a commit dirties —
+/// together in one shard.
 pub(crate) trait ShardKey {
     /// The slot this key lives in (shard `< SHARD_COUNT`, leaf
     /// `< LEAF_COUNT`).

@@ -332,17 +332,24 @@ fn point_queries_allocate_the_same_at_1k_and_10k_accounts() {
         (large - small).abs() <= 8.0,
         "a served point query allocates {small:.1} times at 1k accounts but {large:.1} at 10k"
     );
-    // 107.9 measured in a release build, 108.9 in a debug one; 110.9
-    // when each run merged its rounds' deltas into a changed set, 130.9
-    // when every query re-analysed its kept rules, 220.9 when it also
-    // compiled their rewrite.
-    const COUNT_BUDGET: f64 = 109.0;
+    // 93.0 measured in the release suite, 94.0 alone and in a debug
+    // build; 107.9
+    // while a run keyed every fact it derived in the value-key
+    // indexes, 110.9 when each run also merged its rounds' deltas into
+    // a changed set, 130.9 when every query re-analysed its kept rules,
+    // 220.9 when it also compiled their rewrite.
+    const COUNT_BUDGET: f64 = 94.0;
     assert!(
         small.max(large) <= COUNT_BUDGET,
         "a served point query allocates {small:.1} / {large:.1} times at 1k / 10k accounts \
          (budget {COUNT_BUDGET}; 130.9 when every query re-analysed its kept rules)"
     );
-    const BUDGET: f64 = 512.0 * 1024.0;
+    // ≈ 15.8 KB measured, alone and in the suite, plus a margin of
+    // about 4× for a key landing in a fuller leaf; 151 KB while a run
+    // keyed the versions it derived (their index writes copied key-index
+    // leaves of the working copy), 3.23 MB when a write copied a 1/16
+    // shard.
+    const BUDGET: f64 = 64.0 * 1024.0;
     let (_, bytes) = allocations_per_query(16_000, 100);
     eprintln!("bytes allocated per served point query at 16k accounts: {bytes:.0}");
     assert!(
@@ -494,6 +501,38 @@ fn a_one_account_credit_scans_the_same_at_1k_and_10k_accounts() {
     assert_eq!((small, large), (3, 3), "a one-account credit scans {small} / {large} versions");
 }
 
+/// Scan candidates of one run of a two-stratum program over `n` objects
+/// beside `10·n` untouched ones: the first stratum's `n` fact rules give
+/// each object an `ins(o).tag -> t7` version (reading nothing), the
+/// second reads `ins(X).tag -> t7` with `X` unbound. The untouched
+/// objects hold `tag -> t7` on their initial versions.
+fn derived_read_scan_candidates(n: usize) -> usize {
+    let mut src: String = (0..n).map(|i| format!("t{i}: ins[o{i}].tag -> t7.\n")).collect();
+    src.push_str("seen: ins[ins(X)].seen -> 1 <= ins(X).tag -> t7.");
+    let base: String = (0..n)
+        .map(|i| format!("o{i}.kind -> live.\n"))
+        .chain((0..10 * n).map(|i| format!("u{i}.kind -> live. u{i}.tag -> t7.\n")))
+        .collect();
+    let compiled = compile(&src);
+    assert_eq!(compiled.stratification().len(), 2);
+    let outcome =
+        run_compiled(&compiled, &EngineConfig::default(), ObjectBase::parse(&base).unwrap())
+            .unwrap();
+    assert_eq!(outcome.stats().fired_updates, 2 * n);
+    outcome.stats().scan_candidates
+}
+
+/// The object base keys no derived version, so an unseeded read of a
+/// derived chain with a constant key scans that chain's relation: what
+/// the run derived under it, `n` versions, not the `10·n` initial
+/// versions holding the same key, and linear in `n`.
+#[test]
+fn an_unseeded_derived_read_scans_what_the_run_derived() {
+    let (small, large) = (derived_read_scan_candidates(100), derived_read_scan_candidates(200));
+    eprintln!("scan candidates of an unseeded derived read: {small} at n = 100, {large} at 200");
+    assert_eq!((small, large), (100, 200), "an unseeded derived read scans {small} / {large}");
+}
+
 /// The `tc1` / `tc2` closure over a `next` chain of `n` objects: the
 /// engine's logical counters.
 fn closure_counts(n: usize) -> (usize, usize, usize, usize, usize, usize) {
@@ -554,11 +593,12 @@ fn closure_apply_allocations(n: usize) -> (f64, f64) {
 /// per derived fact plus `q` per object — one round, one version and
 /// one final state each — and the two chain lengths of each pair
 /// (n, 2n) fix both. `p` must be equal at n = 40 and at n = 80 (the
-/// model holds) and below the budget. It is 0.04 and 0.03, with
-/// q ≈ 45; it was 2.30 and 2.16 with a map and a vector per base per
-/// relation in the round's delta and a vector per version group. Per
-/// derived fact of the whole apply that is 2.33 / 1.17 / 0.60 / 0.31
-/// at n = 40 / 80 / 160 / 320, against 4.98 / 3.62 / 2.89 / 2.49.
+/// model holds) and below the budget. It is 0.03 at both, with
+/// q ≈ 40 (0.04 and q ≈ 45 while every derived fact was also written
+/// into the value-key indexes); it was 2.30 and 2.16 with a map and a
+/// vector per base per relation in the round's delta and a vector per
+/// version group. Per derived fact of the whole apply that is 2.07 /
+/// 1.03 / 0.53 at n = 40 / 80 / 160, against 4.98 / 3.62 / 2.89.
 #[test]
 fn closure_allocations_grow_with_what_it_derives() {
     const BUDGET: f64 = 0.25;
@@ -618,13 +658,15 @@ fn allocations_per_created_version(n: usize) -> (f64, usize) {
 /// The enterprise program creates about 1.6 versions per employee:
 /// building, indexing and committing each must cost a constant number
 /// of allocations, whatever the base's size — and few of them, since a
-/// version's state is one vector of inline applications (8.2 at 1k
-/// employees, 7.4 at 2k; 17.1 and 16.4 with a hash map of `Arc`'d sets
-/// per state). The ratio falls a little with size because a wide
-/// commit's once-per-leaf copies are spread over more versions.
+/// version's state is one vector of inline applications and a derived
+/// version is not written into the value-key indexes (6.02 at 1k
+/// employees, 5.67 at 2k, budget 6.5; 6.72 and 6.36 while derived
+/// facts were keyed, 17.1 and 16.4 with a hash map of `Arc`'d sets per
+/// state). The ratio falls a little with size because a wide commit's
+/// once-per-leaf copies are spread over more versions.
 #[test]
 fn enterprise_applies_allocate_the_same_per_created_version_at_1k_and_2k_employees() {
-    const BUDGET: f64 = 8.5;
+    const BUDGET: f64 = 6.5;
     let (small, small_created) = allocations_per_created_version(1_000);
     let (large, large_created) = allocations_per_created_version(2_000);
     eprintln!(
